@@ -7,7 +7,7 @@ use p3_compress::Dgc;
 use p3_core::{p3_plan, PrioQueue, SyncStrategy};
 use p3_des::SplitMix64;
 use p3_models::ModelSpec;
-use p3_net::{allocate_rates_capped, FlowSpec, Priority};
+use p3_net::{allocate_rates_on_graph, AllocWork, FlowSpec, LinkGraph, Priority};
 use p3_pserver::{Key, KvServer, Message, OptimizerKind, WorkerId};
 use p3_tensor::{Matrix, Mlp};
 
@@ -34,20 +34,35 @@ fn bench_prio_queue(c: &mut Criterion) {
 
 fn bench_allocator(c: &mut Criterion) {
     let mut g = c.benchmark_group("rate_allocator");
-    for machines in [4usize, 16] {
+    // (machines, flows, priority classes) on the flat fabric: two small
+    // mixes, and the shape of the PS/P3 run on 16 machines at its peak.
+    for (machines, n, classes) in [(4usize, 12usize, 4u64), (16, 48, 4), (16, 512, 161)] {
         let mut rng = SplitMix64::new(7);
-        let flows: Vec<FlowSpec> = (0..machines * 3)
-            .map(|_| FlowSpec {
+        let mut flows: Vec<FlowSpec> = Vec::with_capacity(n);
+        while flows.len() < n {
+            let f = FlowSpec {
                 src: rng.next_below(machines as u64) as usize,
                 dst: rng.next_below(machines as u64) as usize,
-                priority: Priority(rng.next_below(4) as u32),
-            })
-            .collect();
-        let caps = vec![1.25e9; machines];
+                priority: Priority(rng.next_below(classes) as u32),
+            };
+            // Loopback transfers never reach the allocator.
+            if f.src != f.dst {
+                flows.push(f);
+            }
+        }
+        let graph = LinkGraph::new(&vec![1.25e9; machines]);
         g.bench_with_input(
-            BenchmarkId::new("strict_priority_max_min", machines),
+            BenchmarkId::new(
+                "strict_priority_max_min",
+                format!("{machines}m_{n}f_{classes}c"),
+            ),
             &flows,
-            |b, flows| b.iter(|| allocate_rates_capped(flows, &caps, &caps, 1.2e8)),
+            |b, flows| {
+                b.iter(|| {
+                    let mut work = AllocWork::default();
+                    allocate_rates_on_graph(flows, &graph, graph.caps(), 1.2e8, &mut work)
+                })
+            },
         );
     }
     g.finish();

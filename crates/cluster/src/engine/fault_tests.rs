@@ -424,10 +424,10 @@ mod topology_tests {
 
     #[test]
     fn single_rack_topology_is_result_identical_to_flat() {
-        // The degenerate case: one rack, oversub 1. The graph allocator
-        // mirrors the flat water-fill operand for operand, so even a
-        // traced run must not shift a single event — only the link report
-        // (absent on the flat fabric) may differ.
+        // The degenerate case: one rack, oversub 1, which compiles to the
+        // same endpoint-only graph the flat fabric allocates over, so even
+        // a traced run must not shift a single event — only the link
+        // report (absent on the flat fabric) may differ.
         let flat = ClusterSim::new(base(SyncStrategy::p3()).with_slice_trace()).run();
         let mut topo = ClusterSim::new(
             base(SyncStrategy::p3())

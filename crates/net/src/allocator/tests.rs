@@ -1,0 +1,427 @@
+//! Unit and property tests for [`allocate_rates_on_graph`]: max-min and
+//! strict-priority behaviour on endpoint-only and racked graphs, the
+//! per-flow cap, the work counters, and bit-identity with the flat
+//! two-port oracle.
+
+use super::oracle::flat_rates;
+use super::*;
+
+fn flow(src: usize, dst: usize, p: u32) -> FlowSpec {
+    FlowSpec {
+        src,
+        dst,
+        priority: Priority(p),
+    }
+}
+
+fn on_graph(flows: &[FlowSpec], g: &LinkGraph, flow_cap: f64) -> GraphAllocation {
+    allocate_rates_on_graph(flows, g, g.caps(), flow_cap, &mut AllocWork::default())
+}
+
+/// Allocation on the endpoint-only graph with the given port capacities.
+fn on_ports(flows: &[FlowSpec], tx: &[f64], rx: &[f64], flow_cap: f64) -> GraphAllocation {
+    on_graph(flows, &LinkGraph::with_ports(tx, rx), flow_cap)
+}
+
+/// Uncapped rates on an endpoint-only graph whose ports all have `cap`.
+fn uniform(flows: &[FlowSpec], machines: usize, cap: f64) -> Vec<f64> {
+    on_ports(
+        flows,
+        &vec![cap; machines],
+        &vec![cap; machines],
+        f64::INFINITY,
+    )
+    .rates
+}
+
+/// Two racks of two machines each behind per-rack up/down links of
+/// `core` bytes/sec; NICs at `nic` bytes/sec.
+fn two_racks(nic: f64, core: f64) -> LinkGraph {
+    let mut g = LinkGraph::new(&[nic; 4]);
+    let up0 = g.add_link("rack0.up", core);
+    let down0 = g.add_link("rack0.down", core);
+    let up1 = g.add_link("rack1.up", core);
+    let down1 = g.add_link("rack1.down", core);
+    for src in 0..4usize {
+        for dst in 0..4usize {
+            if src / 2 == dst / 2 {
+                continue;
+            }
+            let via = if src / 2 == 0 {
+                [up0, down1]
+            } else {
+                [up1, down0]
+            };
+            g.set_transit(src, dst, &via);
+        }
+    }
+    g
+}
+
+#[test]
+fn empty_input_allocates_nothing_and_does_no_work() {
+    let g = LinkGraph::new(&[10.0, 10.0]);
+    let mut work = AllocWork::default();
+    let a = allocate_rates_on_graph(&[], &g, g.caps(), 1.0, &mut work);
+    assert!(a.rates.is_empty() && a.bottleneck.is_empty());
+    assert_eq!(work, AllocWork::default());
+}
+
+#[test]
+fn single_flow_gets_min_of_its_ports() {
+    let a = on_ports(
+        &[flow(0, 1, 0)],
+        &[100.0, 40.0],
+        &[70.0, 30.0],
+        f64::INFINITY,
+    );
+    assert_eq!(a.rates, vec![30.0]);
+    assert_eq!(a.bottleneck, vec![Some(LinkId(3))], "limited by dst rx");
+}
+
+#[test]
+fn fan_out_shares_tx() {
+    let flows: Vec<FlowSpec> = (1..=4).map(|d| flow(0, d, 2)).collect();
+    for r in uniform(&flows, 5, 100.0) {
+        assert!((r - 25.0).abs() < 1e-6);
+    }
+}
+
+#[test]
+fn incast_shares_rx() {
+    let flows: Vec<FlowSpec> = (1..=4).map(|s| flow(s, 0, 2)).collect();
+    for r in uniform(&flows, 5, 100.0) {
+        assert!((r - 25.0).abs() < 1e-6);
+    }
+}
+
+#[test]
+fn max_min_redistributes_leftover() {
+    // Flow A: 0->1 (shares tx of 0 with B). Flow B: 0->2 but dst 2 has a
+    // tiny rx. B freezes at 10, A picks up the leftover 90.
+    let flows = [flow(0, 1, 1), flow(0, 2, 1)];
+    let tx = [100.0, 100.0, 100.0];
+    let rx = [100.0, 100.0, 10.0];
+    let a = on_ports(&flows, &tx, &rx, f64::INFINITY);
+    assert!((a.rates[1] - 10.0).abs() < 1e-6, "B limited by rx: {a:?}");
+    assert!((a.rates[0] - 90.0).abs() < 1e-6, "A takes leftover: {a:?}");
+}
+
+#[test]
+fn strict_priority_starves_bulk() {
+    let rates = uniform(&[flow(0, 1, 0), flow(0, 1, 9)], 2, 100.0);
+    assert!((rates[0] - 100.0).abs() < 1e-6);
+    assert!(rates[1].abs() < 1e-6);
+}
+
+#[test]
+fn lower_class_uses_ports_urgent_class_does_not() {
+    // Urgent flow 0->1 saturates 0.tx; bulk flow 2->3 is unaffected.
+    let rates = uniform(&[flow(0, 1, 0), flow(2, 3, 7)], 4, 100.0);
+    assert!((rates[0] - 100.0).abs() < 1e-6);
+    assert!((rates[1] - 100.0).abs() < 1e-6);
+}
+
+#[test]
+fn bidirectional_flows_do_not_contend() {
+    // tx and rx are independent: full-duplex.
+    let rates = uniform(&[flow(0, 1, 1), flow(1, 0, 1)], 2, 100.0);
+    assert!((rates[0] - 100.0).abs() < 1e-6);
+    assert!((rates[1] - 100.0).abs() < 1e-6);
+}
+
+#[test]
+fn zero_capacity_yields_zero_rates() {
+    assert_eq!(uniform(&[flow(0, 1, 1)], 2, 0.0), vec![0.0]);
+}
+
+#[test]
+#[should_panic(expected = "unknown machine")]
+fn out_of_range_machine_panics() {
+    uniform(&[flow(0, 5, 0)], 2, 1.0);
+}
+
+#[test]
+#[should_panic(expected = "loopback")]
+fn loopback_flow_rejected() {
+    uniform(&[flow(1, 1, 0)], 2, 10.0);
+}
+
+#[test]
+fn flow_cap_limits_isolated_flow_and_reports_no_link() {
+    let a = on_ports(&[flow(0, 1, 0)], &[100.0; 2], &[100.0; 2], 30.0);
+    assert_eq!(a.rates, vec![30.0]);
+    assert_eq!(a.bottleneck, vec![None], "the cap, not a link, binds");
+}
+
+#[test]
+fn capped_flows_release_capacity_to_others() {
+    // Two flows share 0.tx; with a cap of 30, each takes 30 and the rest
+    // of the port goes unused (no third flow to absorb it).
+    let flows = [flow(0, 1, 0), flow(0, 2, 0)];
+    let caps = [100.0; 3];
+    assert_eq!(on_ports(&flows, &caps, &caps, 30.0).rates, vec![30.0, 30.0]);
+    // With a cap of 80 the port (100) binds instead: 50/50.
+    assert_eq!(on_ports(&flows, &caps, &caps, 80.0).rates, vec![50.0, 50.0]);
+}
+
+#[test]
+fn three_class_cascade() {
+    // Class 0 takes 60 (its rx limit), class 1 takes the remaining 40 of
+    // 0.tx, class 2 gets nothing from 0.tx.
+    let flows = [flow(0, 1, 0), flow(0, 2, 1), flow(0, 3, 2)];
+    let tx = [100.0, 100.0, 100.0, 100.0];
+    let rx = [100.0, 60.0, 100.0, 100.0];
+    let rates = on_ports(&flows, &tx, &rx, f64::INFINITY).rates;
+    assert!((rates[0] - 60.0).abs() < 1e-6);
+    assert!((rates[1] - 40.0).abs() < 1e-6);
+    assert!(rates[2].abs() < 1e-6);
+}
+
+#[test]
+fn work_counters_count_rounds_flows_and_links() {
+    let flows = [flow(0, 1, 0), flow(0, 2, 1)];
+    let caps = [100.0; 3];
+    let g = LinkGraph::with_ports(&caps, &caps);
+    let mut work = AllocWork::default();
+    allocate_rates_on_graph(&flows, &g, g.caps(), 30.0, &mut work);
+    // Two priority classes: at least one round each, and every round
+    // touches one flow over two ports.
+    assert!(work.rounds >= 2, "{work:?}");
+    assert_eq!(work.flow_touches, work.rounds, "{work:?}");
+    assert_eq!(work.port_touches, 2 * work.rounds, "{work:?}");
+    // Transit hops count as touched links too.
+    let g = two_racks(100.0, 50.0);
+    let mut work = AllocWork::default();
+    allocate_rates_on_graph(&[flow(0, 3, 0)], &g, g.caps(), f64::INFINITY, &mut work);
+    assert_eq!(work.port_touches, 4 * work.rounds, "{work:?}");
+}
+
+#[test]
+fn intra_rack_flow_ignores_the_core() {
+    let g = two_racks(100.0, 1.0); // core nearly dead
+    let a = on_graph(&[flow(0, 1, 0)], &g, f64::INFINITY);
+    assert!((a.rates[0] - 100.0).abs() < 1e-6, "{:?}", a.rates);
+}
+
+#[test]
+fn cross_rack_flow_bound_by_uplink() {
+    let g = two_racks(100.0, 40.0);
+    let a = on_graph(&[flow(0, 2, 0)], &g, f64::INFINITY);
+    assert!((a.rates[0] - 40.0).abs() < 1e-6, "{:?}", a.rates);
+    let l = a.bottleneck[0].expect("bottlenecked");
+    assert!(
+        g.is_transit(l),
+        "bottleneck should be a core link, got {}",
+        g.link_name(l)
+    );
+}
+
+#[test]
+fn oversubscribed_core_shared_max_min() {
+    // Both rack-0 machines send cross-rack: they share the uplink.
+    let g = two_racks(100.0, 50.0);
+    let a = on_graph(&[flow(0, 2, 0), flow(1, 3, 0)], &g, f64::INFINITY);
+    assert!((a.rates[0] - 25.0).abs() < 1e-6, "{:?}", a.rates);
+    assert!((a.rates[1] - 25.0).abs() < 1e-6, "{:?}", a.rates);
+    assert_eq!(g.link_name(a.bottleneck[0].unwrap()), "rack0.up");
+}
+
+#[test]
+fn urgent_class_owns_the_uplink_first() {
+    let g = two_racks(100.0, 60.0);
+    let a = on_graph(&[flow(0, 2, 0), flow(1, 3, 9)], &g, f64::INFINITY);
+    assert!(
+        (a.rates[0] - 60.0).abs() < 1e-6,
+        "urgent takes the core: {:?}",
+        a.rates
+    );
+    assert!(
+        a.rates[1].abs() < 1e-6,
+        "bulk starved on the core: {:?}",
+        a.rates
+    );
+}
+
+#[test]
+fn endpoint_only_graph_matches_the_flat_oracle_exactly() {
+    let tx = [100.0, 70.0, 90.0];
+    let rx = [80.0, 100.0, 30.0];
+    let flows = [
+        flow(0, 1, 0),
+        flow(0, 2, 1),
+        flow(1, 2, 1),
+        flow(2, 0, 0),
+        flow(1, 0, 2),
+    ];
+    let a = on_ports(&flows, &tx, &rx, 55.0);
+    let b = flat_rates(&flows, &tx, &rx, 55.0, &mut AllocWork::default());
+    assert_eq!(
+        a.rates, b,
+        "endpoint-only graph must be bit-identical to flat"
+    );
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Up to 24 flows among `machines` machines, no loopback.
+    fn arb_flows(machines: usize) -> impl Strategy<Value = Vec<FlowSpec>> {
+        prop::collection::vec(
+            (0..machines, 0..machines, 0u32..4).prop_map(move |(src, dst, p)| FlowSpec {
+                src,
+                dst: if dst == src {
+                    (dst + 1) % machines
+                } else {
+                    dst
+                },
+                priority: Priority(p),
+            }),
+            0..24,
+        )
+    }
+
+    /// `racks` racks of `size` machines, uplink/downlink = size*nic/oversub.
+    fn racked(racks: usize, size: usize, nic: f64, oversub: f64) -> LinkGraph {
+        let machines = racks * size;
+        let mut g = LinkGraph::new(&vec![nic; machines]);
+        let core = size as f64 * nic / oversub;
+        let ups: Vec<LinkId> = (0..racks)
+            .map(|r| g.add_link(&format!("rack{r}.up"), core))
+            .collect();
+        let downs: Vec<LinkId> = (0..racks)
+            .map(|r| g.add_link(&format!("rack{r}.down"), core))
+            .collect();
+        for src in 0..machines {
+            for dst in 0..machines {
+                if src != dst && src / size != dst / size {
+                    g.set_transit(src, dst, &[ups[src / size], downs[dst / size]]);
+                }
+            }
+        }
+        g
+    }
+
+    /// The same six machines as a flat switch and as three racks of two
+    /// behind an `oversub`-oversubscribed core.
+    fn fabrics(nic: f64, oversub: f64) -> [LinkGraph; 2] {
+        [LinkGraph::new(&[nic; 6]), racked(3, 2, nic, oversub)]
+    }
+
+    /// Load each link carries under `rates`.
+    fn loads(flows: &[FlowSpec], g: &LinkGraph, rates: &[f64]) -> Vec<f64> {
+        let mut load = vec![0.0; g.num_links()];
+        for (f, r) in flows.iter().zip(rates) {
+            for l in g.path(f.src, f.dst) {
+                load[l.0] += r;
+            }
+        }
+        load
+    }
+
+    proptest! {
+        /// An endpoint-only graph reproduces the flat oracle's rates and
+        /// work counters bit for bit.
+        #[test]
+        fn endpoint_only_graph_matches_flat_oracle(flows in arb_flows(5), cap in 1.0f64..1e10) {
+            let caps = vec![cap; 5];
+            let mut graph_work = AllocWork::default();
+            let mut flat_work = AllocWork::default();
+            let g = LinkGraph::with_ports(&caps, &caps);
+            let graph = allocate_rates_on_graph(&flows, &g, g.caps(), f64::INFINITY, &mut graph_work);
+            let flat = flat_rates(&flows, &caps, &caps, f64::INFINITY, &mut flat_work);
+            for (i, (a, b)) in graph.rates.iter().zip(&flat).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(),
+                    "flow {i}: not bit-identical: {} vs {}", a, b);
+            }
+            prop_assert_eq!(graph_work, flat_work);
+        }
+
+        /// Same, with a per-flow cap in play.
+        #[test]
+        fn endpoint_only_graph_matches_flat_oracle_capped(
+            flows in arb_flows(5),
+            cap in 1.0f64..1e10,
+            frac in 0.05f64..1.5,
+        ) {
+            let caps = vec![cap; 5];
+            let flow_cap = cap * frac;
+            let graph = on_ports(&flows, &caps, &caps, flow_cap);
+            let flat = flat_rates(&flows, &caps, &caps, flow_cap, &mut AllocWork::default());
+            for (a, b) in graph.rates.iter().zip(&flat) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "not bit-identical: {} vs {}", a, b);
+            }
+        }
+
+        /// No port or transit link is ever loaded beyond its capacity.
+        #[test]
+        fn link_capacities_respected(
+            flows in arb_flows(6),
+            nic in 1.0f64..1e10,
+            oversub in 1.0f64..8.0,
+        ) {
+            for g in fabrics(nic, oversub) {
+                let a = on_graph(&flows, &g, f64::INFINITY);
+                prop_assert!(a.rates.iter().all(|&r| r >= 0.0));
+                let load = loads(&flows, &g, &a.rates);
+                for (l, (&used, &cap)) in load.iter().zip(g.caps()).enumerate() {
+                    prop_assert!(used <= cap * (1.0 + 1e-6),
+                        "link {} over capacity: {} > {}", g.link_name(LinkId(l)), used, cap);
+                }
+            }
+        }
+
+        /// Max-min optimality (work conservation): every flow crosses a
+        /// saturated link, otherwise its rate could rise; and the
+        /// reported bottleneck is such a link on the flow's own route.
+        #[test]
+        fn every_flow_hits_a_saturated_link(flows in arb_flows(6), oversub in 1.0f64..8.0) {
+            for g in fabrics(100.0, oversub) {
+                let a = on_graph(&flows, &g, f64::INFINITY);
+                let load = loads(&flows, &g, &a.rates);
+                let saturated = |l: LinkId| load[l.0] >= g.caps()[l.0] * (1.0 - 1e-6);
+                for (i, f) in flows.iter().enumerate() {
+                    let path = g.path(f.src, f.dst);
+                    prop_assert!(path.iter().any(|&l| saturated(l)),
+                        "flow {i} ({f:?}) has slack on every link of its path");
+                    if let Some(l) = a.bottleneck[i] {
+                        prop_assert!(path.contains(&l) && saturated(l),
+                            "flow {i}: bottleneck {} not a saturated link of its path",
+                            g.link_name(l));
+                    }
+                }
+            }
+        }
+
+        /// Rates of the most urgent class are identical whether or not any
+        /// other traffic exists.
+        #[test]
+        fn urgent_class_blind_to_bulk(flows in arb_flows(6)) {
+            for g in fabrics(77.0, 4.0) {
+                let all = on_graph(&flows, &g, f64::INFINITY);
+                let urgent: Vec<FlowSpec> =
+                    flows.iter().copied().filter(|f| f.priority == Priority(0)).collect();
+                let alone = on_graph(&urgent, &g, f64::INFINITY);
+                let mut k = 0;
+                for (f, r) in flows.iter().zip(&all.rates) {
+                    if f.priority == Priority(0) {
+                        prop_assert!((r - alone.rates[k]).abs() < 1e-6,
+                            "urgent flow rate changed: {} vs {}", r, alone.rates[k]);
+                        k += 1;
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn identical_flows_get_equal_rates(n in 1usize..10, cap in 1.0f64..1e9) {
+            let flows: Vec<FlowSpec> = (0..n).map(|_| flow(0, 1, 1)).collect();
+            let rates = uniform(&flows, 2, cap);
+            for r in &rates {
+                prop_assert!((r - rates[0]).abs() < 1e-6 * cap);
+            }
+        }
+    }
+}

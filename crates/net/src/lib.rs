@@ -42,13 +42,9 @@ mod packet;
 mod trace;
 mod types;
 
-pub use allocator::{
-    allocate_rates, allocate_rates_capped, allocate_rates_capped_with_work, AllocWork, FlowSpec,
-};
+pub use allocator::{allocate_rates_on_graph, AllocWork, FlowSpec, GraphAllocation};
 pub use analysis::{overlap_coefficient, trace_stats, TraceStats};
-pub use multilink::{
-    allocate_rates_on_graph, allocate_rates_on_graph_with_work, GraphAllocation, LinkGraph, LinkId,
-};
+pub use multilink::{LinkGraph, LinkId};
 pub use network::{
     CompletedFlow, DeliveringSnapshot, FlowSnapshot, LinkUsage, NetStats, Network, NetworkConfig,
     NetworkSnapshot,

@@ -1,21 +1,15 @@
-//! Multi-hop topology: link graph and multi-constraint max-min allocation.
+//! The fabric as a link graph: capacitated links plus one fixed route per
+//! machine pair.
 //!
-//! The flat allocator in [`crate::allocate_rates`] water-fills over two
-//! ports per machine (tx and rx). Production clusters are not flat: racks
-//! hang off top-of-rack switches whose core uplinks are oversubscribed
-//! (Parameter Hub, Luo et al., SoCC 2018, measures PS traffic dying
-//! exactly there). This module generalizes the fluid model to a
-//! [`LinkGraph`]: a set of capacitated unidirectional links plus one fixed
-//! path per ordered machine pair. [`allocate_rates_on_graph`] performs
-//! strict-priority progressive filling over *every* link on a flow's path.
-//!
-//! The generalization is exact: a graph whose paths are `[tx(src),
-//! rx(dst)]` (no transit links) reproduces the flat allocator
-//! bit-for-bit — same epsilons, same freeze rule, same iteration
-//! arithmetic — which the property tests below pin down.
-
-use crate::allocator::{AllocWork, FlowSpec};
-use crate::types::Priority;
+//! Every [`crate::Network`] allocates rates over a [`LinkGraph`]. Without a
+//! configured topology the graph is endpoint-only — one tx and one rx port
+//! per machine, no transit links — which is the paper's single
+//! non-blocking switch. Production clusters are not flat: racks hang off
+//! top-of-rack switches whose core uplinks are oversubscribed (Parameter
+//! Hub, Luo et al., SoCC 2018, measures PS traffic dying exactly there), so
+//! a graph may also carry transit links that some routes cross.
+//! [`crate::allocate_rates_on_graph`] water-fills over every link on each
+//! flow's route.
 
 /// Index of one unidirectional link in a [`LinkGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,7 +32,7 @@ impl std::fmt::Display for LinkId {
 /// # Examples
 ///
 /// ```
-/// use p3_net::{allocate_rates_on_graph, FlowSpec, LinkGraph, Priority};
+/// use p3_net::{allocate_rates_on_graph, AllocWork, FlowSpec, LinkGraph, Priority};
 ///
 /// // Two machines behind a shared 50 B/s uplink.
 /// let mut g = LinkGraph::new(&[100.0, 100.0, 100.0]);
@@ -50,18 +44,23 @@ impl std::fmt::Display for LinkId {
 ///     FlowSpec { src: 1, dst: 2, priority: Priority(1) },
 /// ];
 /// let caps = g.caps().to_vec();
-/// let alloc = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
+/// let alloc =
+///     allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY, &mut AllocWork::default());
 /// assert_eq!(alloc.rates, vec![25.0, 25.0]); // uplink, not the NICs, binds
 /// assert_eq!(alloc.bottleneck, vec![Some(up), Some(up)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LinkGraph {
     machines: usize,
-    names: Vec<String>,
     caps: Vec<f64>,
-    /// Row-major `src * machines + dst`; each entry is the full path
-    /// including the endpoint ports.
-    paths: Vec<Vec<LinkId>>,
+    /// Names of the transit links, in [`LinkId`] order. Port names are
+    /// derived when asked for.
+    transit_names: Vec<String>,
+    /// Row-major `src * machines + dst`: the transit hops between the two
+    /// endpoint ports. Left empty until the first
+    /// [`LinkGraph::set_transit`], so an endpoint-only graph allocates no
+    /// route table.
+    transit: Vec<Vec<LinkId>>,
 }
 
 impl LinkGraph {
@@ -87,36 +86,19 @@ impl LinkGraph {
     pub fn with_ports(tx: &[f64], rx: &[f64]) -> Self {
         assert!(!tx.is_empty(), "a link graph needs at least one machine");
         assert_eq!(tx.len(), rx.len(), "tx/rx capacity tables differ in length");
-        let machines = tx.len();
-        let mut names = Vec::with_capacity(2 * machines);
-        let mut caps = Vec::with_capacity(2 * machines);
-        for (m, &c) in tx.iter().enumerate() {
-            assert!(
-                c >= 0.0 && c.is_finite(),
-                "bad tx capacity {c} on machine {m}"
-            );
-            names.push(format!("m{m}.tx"));
-            caps.push(c);
-        }
-        for (m, &c) in rx.iter().enumerate() {
-            assert!(
-                c >= 0.0 && c.is_finite(),
-                "bad rx capacity {c} on machine {m}"
-            );
-            names.push(format!("m{m}.rx"));
-            caps.push(c);
-        }
-        let mut paths = Vec::with_capacity(machines * machines);
-        for src in 0..machines {
-            for dst in 0..machines {
-                paths.push(vec![LinkId(src), LinkId(machines + dst)]);
+        for (dir, table) in [("tx", tx), ("rx", rx)] {
+            for (m, &c) in table.iter().enumerate() {
+                assert!(
+                    c >= 0.0 && c.is_finite(),
+                    "bad {dir} capacity {c} on machine {m}"
+                );
             }
         }
         LinkGraph {
-            machines,
-            names,
-            caps,
-            paths,
+            machines: tx.len(),
+            caps: [tx, rx].concat(),
+            transit_names: Vec::new(),
+            transit: Vec::new(),
         }
     }
 
@@ -147,13 +129,24 @@ impl LinkGraph {
         link.0 >= 2 * self.machines
     }
 
-    /// Human-readable name of a link.
+    /// True when some machine pair is routed through transit links.
+    pub(crate) fn has_transit(&self) -> bool {
+        !self.transit.is_empty()
+    }
+
+    /// Human-readable name of a link: `m3.tx`, `m3.rx`, or the name given
+    /// to [`LinkGraph::add_link`].
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn link_name(&self, link: LinkId) -> &str {
-        &self.names[link.0]
+    pub fn link_name(&self, link: LinkId) -> String {
+        let m = self.machines;
+        match link.0 {
+            l if l < m => format!("m{l}.tx"),
+            l if l < 2 * m => format!("m{}.rx", l - m),
+            l => self.transit_names[l - 2 * m].clone(),
+        }
     }
 
     /// Nominal capacity of a link in bytes/sec.
@@ -177,7 +170,7 @@ impl LinkGraph {
     /// Panics if `cap` is negative or non-finite.
     pub fn add_link(&mut self, name: &str, cap: f64) -> LinkId {
         assert!(cap >= 0.0 && cap.is_finite(), "bad link capacity {cap}");
-        self.names.push(name.to_string());
+        self.transit_names.push(name.to_string());
         self.caps.push(cap);
         LinkId(self.caps.len() - 1)
     }
@@ -195,22 +188,37 @@ impl LinkGraph {
             "unknown machine pair {src}->{dst}"
         );
         assert!(src != dst, "no route needed from a machine to itself");
-        let mut path = Vec::with_capacity(via.len() + 2);
-        path.push(LinkId(src));
-        for &l in via {
+        for (k, &l) in via.iter().enumerate() {
             assert!(l.0 < self.caps.len(), "unknown link {l}");
             assert!(
                 self.is_transit(l),
                 "path interior must be transit links, got port {l}"
             );
             assert!(
-                !path.contains(&l),
+                !via[..k].contains(&l),
                 "duplicate link {l} on path {src}->{dst}"
             );
-            path.push(l);
         }
-        path.push(LinkId(self.machines + dst));
-        self.paths[src * self.machines + dst] = path;
+        if self.transit.is_empty() {
+            self.transit = vec![Vec::new(); self.machines * self.machines];
+        }
+        self.transit[src * self.machines + dst] = via.to_vec();
+    }
+
+    /// The transit hops of the route `src -> dst`, endpoint ports excluded
+    /// (empty for a direct route).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either machine is out of range.
+    pub(crate) fn transit(&self, src: usize, dst: usize) -> &[LinkId] {
+        assert!(
+            src < self.machines && dst < self.machines,
+            "unknown machine pair {src}->{dst}"
+        );
+        self.transit
+            .get(src * self.machines + dst)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The fixed route for `src -> dst`, endpoint ports included.
@@ -218,12 +226,13 @@ impl LinkGraph {
     /// # Panics
     ///
     /// Panics if either machine is out of range.
-    pub fn path(&self, src: usize, dst: usize) -> &[LinkId] {
-        assert!(
-            src < self.machines && dst < self.machines,
-            "unknown machine pair {src}->{dst}"
-        );
-        &self.paths[src * self.machines + dst]
+    pub fn path(&self, src: usize, dst: usize) -> Vec<LinkId> {
+        let via = self.transit(src, dst);
+        let mut path = Vec::with_capacity(via.len() + 2);
+        path.push(LinkId(src));
+        path.extend_from_slice(via);
+        path.push(LinkId(self.machines + dst));
+        path
     }
 
     /// Link capacities scaled by a protocol-efficiency factor and by
@@ -246,345 +255,33 @@ impl LinkGraph {
     }
 }
 
-/// Result of [`allocate_rates_on_graph`]: per-flow rates and the link at
-/// which each flow froze.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphAllocation {
-    /// Rate of each flow in bytes/sec, parallel to the input.
-    pub rates: Vec<f64>,
-    /// The saturated link that froze each flow, or `None` when the flow
-    /// was limited by the per-flow cap (or never froze on a link).
-    pub bottleneck: Vec<Option<LinkId>>,
-}
-
-/// Computes strict-priority max-min fair rates over a [`LinkGraph`]:
-/// progressive filling over every link on each flow's path, more urgent
-/// classes first, less urgent classes restricted to the leftovers.
-///
-/// `caps` is the working capacity of each link (typically
-/// [`LinkGraph::scaled_caps`]); `flow_cap` bounds every individual flow as
-/// in [`crate::allocate_rates_capped`].
-///
-/// Loopback flows (`src == dst`) must not be submitted — they have no
-/// path in the graph.
-///
-/// # Panics
-///
-/// Panics if a flow references an unknown machine or a loopback pair, if
-/// `caps.len()` differs from the graph's link count, or if `flow_cap` is
-/// not positive.
-pub fn allocate_rates_on_graph(
-    flows: &[FlowSpec],
-    graph: &LinkGraph,
-    caps: &[f64],
-    flow_cap: f64,
-) -> GraphAllocation {
-    allocate_rates_on_graph_with_work(flows, graph, caps, flow_cap, &mut AllocWork::default())
-}
-
-/// Like [`allocate_rates_on_graph`], but additionally accumulates the
-/// allocator's effort (water-fill rounds, flow and link touches) into
-/// `work` — the simulator's self-profiling counters. The returned
-/// allocation is bit-identical to the uncounted variant.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`allocate_rates_on_graph`].
-pub fn allocate_rates_on_graph_with_work(
-    flows: &[FlowSpec],
-    graph: &LinkGraph,
-    caps: &[f64],
-    flow_cap: f64,
-    work: &mut AllocWork,
-) -> GraphAllocation {
-    assert_eq!(
-        caps.len(),
-        graph.num_links(),
-        "capacity table does not match the graph"
-    );
-    assert!(flow_cap > 0.0, "non-positive flow cap");
-    let machines = graph.machines();
-    for f in flows {
-        assert!(
-            f.src < machines && f.dst < machines,
-            "flow {f:?} references unknown machine"
-        );
-        assert!(
-            f.src != f.dst,
-            "loopback flow {f:?} has no path in the graph"
-        );
-    }
-
-    let mut rates = vec![0.0; flows.len()];
-    let mut bottleneck = vec![None; flows.len()];
-    if flows.is_empty() {
-        return GraphAllocation { rates, bottleneck };
-    }
-
-    let mut res: Vec<f64> = caps.to_vec();
-
-    let mut classes: Vec<Priority> = flows.iter().map(|f| f.priority).collect();
-    classes.sort_unstable();
-    classes.dedup();
-
-    for class in classes {
-        let members: Vec<usize> = (0..flows.len())
-            .filter(|&i| flows[i].priority == class)
-            .collect();
-        water_fill_graph(
-            flows,
-            &members,
-            graph,
-            &mut res,
-            &mut rates,
-            flow_cap,
-            &mut bottleneck,
-            work,
-        );
-    }
-    GraphAllocation { rates, bottleneck }
-}
-
-/// Progressive filling of one priority class over the residual link
-/// capacities. The constants and the freeze rule mirror the flat
-/// `water_fill` exactly so that an endpoint-only graph is bit-compatible
-/// with `allocate_rates_capped`.
-#[allow(clippy::too_many_arguments)]
-fn water_fill_graph(
-    flows: &[FlowSpec],
-    members: &[usize],
-    graph: &LinkGraph,
-    res: &mut [f64],
-    rates: &mut [f64],
-    flow_cap: f64,
-    bottleneck: &mut [Option<LinkId>],
-    work: &mut AllocWork,
-) {
-    const EPS: f64 = 1e-9;
-    /// Residual capacity below this (bytes/sec) is numerical noise left
-    /// over from freezing a saturated link; treat it as zero.
-    const FLOOR: f64 = 1e-6;
-    let links = res.len();
-    let mut active: Vec<usize> = members.to_vec();
-
-    while !active.is_empty() {
-        for r in res.iter_mut() {
-            if *r < FLOOR {
-                *r = 0.0;
-            }
-        }
-        // Count active flows per link.
-        let mut count = vec![0u32; links];
-        for &i in &active {
-            for l in graph.path(flows[i].src, flows[i].dst) {
-                count[l.0] += 1;
-            }
-        }
-        work.rounds += 1;
-        work.flow_touches += active.len() as u64;
-        work.port_touches += count.iter().filter(|&&c| c > 0).count() as u64;
-
-        // The common rate increment is limited by the tightest link, or by
-        // the first flow to reach the per-flow ceiling.
-        let mut delta = f64::INFINITY;
-        for l in 0..links {
-            if count[l] > 0 {
-                delta = delta.min(res[l] / count[l] as f64);
-            }
-        }
-        for &i in &active {
-            delta = delta.min(flow_cap - rates[i]);
-        }
-        debug_assert!(delta.is_finite(), "active flows but no limiting link");
-        let delta = delta.max(0.0);
-
-        // Raise every active flow by delta and charge its whole path.
-        for &i in &active {
-            rates[i] += delta;
-            for l in graph.path(flows[i].src, flows[i].dst) {
-                res[l.0] -= delta;
-            }
-        }
-        for r in res.iter_mut() {
-            if *r < 0.0 {
-                *r = 0.0;
-            }
-        }
-
-        // Freeze flows crossing any saturated link, recording which link
-        // bound them. Capacity scale for the epsilon test: the largest
-        // residual in use.
-        let scale = res.iter().fold(1.0f64, |a, &b| a.max(b)).max(delta);
-        let thr = (EPS * scale).max(FLOOR);
-        let before = active.len();
-        let mut kept = Vec::with_capacity(active.len());
-        for &i in &active {
-            if rates[i] >= flow_cap * (1.0 - EPS) {
-                // Frozen by the per-flow cap, not by a link.
-                continue;
-            }
-            let hit = graph
-                .path(flows[i].src, flows[i].dst)
-                .iter()
-                .find(|l| res[l.0] <= thr);
-            match hit {
-                Some(&l) => bottleneck[i] = Some(l),
-                None => kept.push(i),
-            }
-        }
-        let frozen = before - kept.len();
-        active = kept;
-        // Progress guarantee mirror of the flat allocator: if nothing
-        // froze, every remaining link has zero residual growth possible
-        // (e.g. zero-capacity links) — terminate.
-        if frozen == 0 {
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::allocate_rates_capped;
 
-    fn flow(src: usize, dst: usize, p: u32) -> FlowSpec {
-        FlowSpec {
-            src,
-            dst,
-            priority: Priority(p),
-        }
-    }
-
-    /// Two racks of two machines each behind per-rack up/down links of
-    /// `core` bytes/sec; NICs at `nic` bytes/sec.
-    fn two_racks(nic: f64, core: f64) -> LinkGraph {
-        let mut g = LinkGraph::new(&[nic; 4]);
-        let up0 = g.add_link("rack0.up", core);
-        let down0 = g.add_link("rack0.down", core);
-        let up1 = g.add_link("rack1.up", core);
-        let down1 = g.add_link("rack1.down", core);
-        for src in 0..4usize {
-            for dst in 0..4usize {
-                if src == dst || src / 2 == dst / 2 {
-                    continue;
-                }
-                let via = if src / 2 == 0 {
-                    [up0, down1]
-                } else {
-                    [up1, down0]
-                };
-                g.set_transit(src, dst, &via);
-            }
-        }
-        g
+    #[test]
+    fn endpoint_only_graph_has_direct_paths_and_no_route_table() {
+        let g = LinkGraph::with_ports(&[10.0, 20.0], &[30.0, 40.0]);
+        assert!(!g.has_transit());
+        assert_eq!(g.caps(), &[10.0, 20.0, 30.0, 40.0]);
+        assert_eq!(g.path(0, 1), vec![g.tx_link(0), g.rx_link(1)]);
+        assert!(g.transit(1, 0).is_empty());
+        assert_eq!(g.link_name(g.tx_link(1)), "m1.tx");
+        assert_eq!(g.link_name(g.rx_link(0)), "m0.rx");
     }
 
     #[test]
-    fn empty_input() {
-        let g = LinkGraph::new(&[10.0, 10.0]);
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&[], &g, &caps, f64::INFINITY);
-        assert!(a.rates.is_empty() && a.bottleneck.is_empty());
-    }
-
-    #[test]
-    fn intra_rack_flow_ignores_the_core() {
-        let g = two_racks(100.0, 1.0); // core nearly dead
-        let flows = [flow(0, 1, 0)];
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-        assert!((a.rates[0] - 100.0).abs() < 1e-6, "{:?}", a.rates);
-    }
-
-    #[test]
-    fn cross_rack_flow_bound_by_uplink() {
-        let g = two_racks(100.0, 40.0);
-        let flows = [flow(0, 2, 0)];
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-        assert!((a.rates[0] - 40.0).abs() < 1e-6, "{:?}", a.rates);
-        let l = a.bottleneck[0].expect("bottlenecked");
-        assert!(
-            g.is_transit(l),
-            "bottleneck should be a core link, got {}",
-            g.link_name(l)
-        );
-    }
-
-    #[test]
-    fn oversubscribed_core_shared_max_min() {
-        // Both rack-0 machines send cross-rack: they share the uplink.
-        let g = two_racks(100.0, 50.0);
-        let flows = [flow(0, 2, 0), flow(1, 3, 0)];
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-        assert!((a.rates[0] - 25.0).abs() < 1e-6, "{:?}", a.rates);
-        assert!((a.rates[1] - 25.0).abs() < 1e-6, "{:?}", a.rates);
-        assert_eq!(g.link_name(a.bottleneck[0].unwrap()), "rack0.up");
-    }
-
-    #[test]
-    fn urgent_class_owns_the_uplink_first() {
-        let g = two_racks(100.0, 60.0);
-        let flows = [flow(0, 2, 0), flow(1, 3, 9)];
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-        assert!(
-            (a.rates[0] - 60.0).abs() < 1e-6,
-            "urgent takes the core: {:?}",
-            a.rates
-        );
-        assert!(
-            a.rates[1].abs() < 1e-6,
-            "bulk starved on the core: {:?}",
-            a.rates
-        );
-    }
-
-    #[test]
-    fn flow_cap_reports_no_link_bottleneck() {
-        let g = two_racks(100.0, 60.0);
-        let flows = [flow(0, 2, 0)];
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&flows, &g, &caps, 10.0);
-        assert_eq!(a.rates, vec![10.0]);
-        assert_eq!(a.bottleneck, vec![None]);
-    }
-
-    #[test]
-    fn endpoint_only_graph_matches_flat_exactly() {
-        let tx = [100.0, 70.0, 90.0];
-        let rx = [80.0, 100.0, 30.0];
-        let g = LinkGraph::with_ports(&tx, &rx);
-        let flows = [
-            flow(0, 1, 0),
-            flow(0, 2, 1),
-            flow(1, 2, 1),
-            flow(2, 0, 0),
-            flow(1, 0, 2),
-        ];
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&flows, &g, &caps, 55.0);
-        let b = allocate_rates_capped(&flows, &tx, &rx, 55.0);
-        assert_eq!(a.rates, b, "degenerate graph must be bit-identical to flat");
-    }
-
-    #[test]
-    fn zero_capacity_core_yields_zero_rates() {
-        let g = two_racks(100.0, 0.0);
-        let flows = [flow(0, 3, 0)];
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-        assert_eq!(a.rates, vec![0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "loopback")]
-    fn loopback_flow_rejected() {
-        let g = LinkGraph::new(&[10.0, 10.0]);
-        let caps = g.caps().to_vec();
-        allocate_rates_on_graph(&[flow(1, 1, 0)], &g, &caps, f64::INFINITY);
+    fn transit_hops_sit_between_the_ports() {
+        let mut g = LinkGraph::new(&[10.0; 3]);
+        let up = g.add_link("up", 5.0);
+        let down = g.add_link("down", 5.0);
+        g.set_transit(0, 2, &[up, down]);
+        assert!(g.has_transit());
+        assert_eq!(g.path(0, 2), vec![LinkId(0), up, down, LinkId(5)]);
+        assert_eq!(g.transit(0, 2), &[up, down]);
+        assert!(g.transit(2, 0).is_empty(), "other pairs stay direct");
+        assert_eq!(g.link_name(down), "down");
+        assert!(g.is_transit(up) && !g.is_transit(g.rx_link(2)));
     }
 
     #[test]
@@ -596,199 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn work_counters_are_filled_without_perturbing_allocation() {
-        let g = two_racks(100.0, 50.0);
-        let flows = [flow(0, 3, 0), flow(1, 2, 1)];
-        let caps = g.caps().to_vec();
-        let plain = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-        let mut work = AllocWork::default();
-        let counted =
-            allocate_rates_on_graph_with_work(&flows, &g, &caps, f64::INFINITY, &mut work);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&plain.rates), bits(&counted.rates));
-        assert_eq!(plain.bottleneck, counted.bottleneck);
-        assert!(work.rounds >= 2, "one round per priority class: {work:?}");
-        assert!(work.flow_touches >= work.rounds, "{work:?}");
-        // Each flow's path crosses at least tx, core, rx.
-        assert!(work.port_touches >= 3 * work.rounds, "{work:?}");
-    }
-}
-
-#[cfg(test)]
-mod properties {
-    use super::*;
-    use crate::allocator::allocate_rates_capped;
-    use proptest::prelude::*;
-
-    fn arb_flows(machines: usize) -> impl Strategy<Value = Vec<FlowSpec>> {
-        prop::collection::vec(
-            (0..machines, 0..machines, 0u32..4).prop_map(move |(src, dst, p)| FlowSpec {
-                src,
-                dst: if dst == src {
-                    (dst + 1) % machines
-                } else {
-                    dst
-                },
-                priority: Priority(p),
-            }),
-            0..24,
-        )
-    }
-
-    /// `racks` racks of `size` machines, uplink/downlink = size*nic/oversub.
-    fn racked(racks: usize, size: usize, nic: f64, oversub: f64) -> LinkGraph {
-        let machines = racks * size;
-        let mut g = LinkGraph::new(&vec![nic; machines]);
-        let core = size as f64 * nic / oversub;
-        let ups: Vec<LinkId> = (0..racks)
-            .map(|r| g.add_link(&format!("rack{r}.up"), core))
-            .collect();
-        let downs: Vec<LinkId> = (0..racks)
-            .map(|r| g.add_link(&format!("rack{r}.down"), core))
-            .collect();
-        for src in 0..machines {
-            for dst in 0..machines {
-                if src != dst && src / size != dst / size {
-                    g.set_transit(src, dst, &[ups[src / size], downs[dst / size]]);
-                }
-            }
-        }
-        g
-    }
-
-    proptest! {
-        /// Satellite: a one-rack graph (oversub irrelevant — no transit
-        /// links on any path) produces rates identical to the flat
-        /// allocator on randomized flow sets.
-        #[test]
-        fn degenerate_graph_matches_flat(flows in arb_flows(5), cap in 1.0f64..1e10) {
-            let tx = vec![cap; 5];
-            let rx = vec![cap; 5];
-            let g = LinkGraph::with_ports(&tx, &rx);
-            let caps = g.caps().to_vec();
-            let graph = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-            let flat = allocate_rates_capped(&flows, &tx, &rx, f64::INFINITY);
-            for (i, (a, b)) in graph.rates.iter().zip(&flat).enumerate() {
-                prop_assert!((a - b).abs() <= 1e-9 * cap.max(1.0),
-                    "flow {i}: graph {a} vs flat {b}");
-                prop_assert_eq!(a.to_bits(), b.to_bits(),
-                    "flow {i}: not bit-identical: {} vs {}", a, b);
-            }
-        }
-
-        /// Same, with a per-flow cap in play.
-        #[test]
-        fn degenerate_graph_matches_flat_capped(
-            flows in arb_flows(5),
-            cap in 1.0f64..1e10,
-            frac in 0.05f64..1.5,
-        ) {
-            let tx = vec![cap; 5];
-            let rx = vec![cap; 5];
-            let g = LinkGraph::with_ports(&tx, &rx);
-            let caps = g.caps().to_vec();
-            let flow_cap = cap * frac;
-            let graph = allocate_rates_on_graph(&flows, &g, &caps, flow_cap);
-            let flat = allocate_rates_capped(&flows, &tx, &rx, flow_cap);
-            for (a, b) in graph.rates.iter().zip(&flat) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "not bit-identical: {} vs {}", a, b);
-            }
-        }
-
-        /// No link in an oversubscribed fabric is ever loaded beyond its
-        /// capacity.
-        #[test]
-        fn link_capacities_respected(
-            flows in arb_flows(6),
-            nic in 1.0f64..1e9,
-            oversub in 1.0f64..8.0,
-        ) {
-            let g = racked(3, 2, nic, oversub);
-            let caps = g.caps().to_vec();
-            let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-            let mut load = vec![0.0; g.num_links()];
-            for (f, r) in flows.iter().zip(&a.rates) {
-                prop_assert!(*r >= 0.0);
-                for l in g.path(f.src, f.dst) {
-                    load[l.0] += r;
-                }
-            }
-            for l in 0..g.num_links() {
-                prop_assert!(load[l] <= caps[l] * (1.0 + 1e-6),
-                    "link {} over capacity: {} > {}", g.link_name(LinkId(l)), load[l], caps[l]);
-            }
-        }
-
-        /// Max-min optimality: every flow is bottlenecked at some
-        /// saturated link on its path (otherwise its rate could rise).
-        #[test]
-        fn every_flow_hits_a_saturated_link(
-            flows in arb_flows(6),
-            oversub in 1.0f64..8.0,
-        ) {
-            let nic = 100.0;
-            let g = racked(3, 2, nic, oversub);
-            let caps = g.caps().to_vec();
-            let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-            let mut load = vec![0.0; g.num_links()];
-            for (f, r) in flows.iter().zip(&a.rates) {
-                for l in g.path(f.src, f.dst) {
-                    load[l.0] += r;
-                }
-            }
-            for (i, f) in flows.iter().enumerate() {
-                let saturated = g
-                    .path(f.src, f.dst)
-                    .iter()
-                    .any(|l| load[l.0] >= caps[l.0] * (1.0 - 1e-6));
-                prop_assert!(saturated, "flow {i} ({f:?}) has slack on every link of its path");
-            }
-        }
-
-        /// The reported bottleneck is honest: the flow crosses it and it
-        /// is saturated under the final allocation.
-        #[test]
-        fn reported_bottleneck_is_on_path_and_saturated(
-            flows in arb_flows(6),
-            oversub in 1.0f64..8.0,
-        ) {
-            let g = racked(3, 2, 100.0, oversub);
-            let caps = g.caps().to_vec();
-            let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-            let mut load = vec![0.0; g.num_links()];
-            for (f, r) in flows.iter().zip(&a.rates) {
-                for l in g.path(f.src, f.dst) {
-                    load[l.0] += r;
-                }
-            }
-            for (i, f) in flows.iter().enumerate() {
-                if let Some(l) = a.bottleneck[i] {
-                    prop_assert!(g.path(f.src, f.dst).contains(&l),
-                        "flow {i}: bottleneck {} not on its path", g.link_name(l));
-                    prop_assert!(load[l.0] >= caps[l.0] * (1.0 - 1e-6),
-                        "flow {i}: bottleneck {} not saturated", g.link_name(l));
-                }
-            }
-        }
-
-        /// Urgent-class rates are unchanged by the presence of bulk
-        /// traffic, exactly as in the flat model.
-        #[test]
-        fn urgent_class_blind_to_bulk_on_graph(flows in arb_flows(6)) {
-            let g = racked(3, 2, 77.0, 4.0);
-            let caps = g.caps().to_vec();
-            let all = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-            let urgent: Vec<FlowSpec> =
-                flows.iter().copied().filter(|f| f.priority == Priority(0)).collect();
-            let alone = allocate_rates_on_graph(&urgent, &g, &caps, f64::INFINITY);
-            let mut k = 0;
-            for (f, r) in flows.iter().zip(&all.rates) {
-                if f.priority == Priority(0) {
-                    prop_assert!((r - alone.rates[k]).abs() < 1e-6,
-                        "urgent flow rate changed: {} vs {}", r, alone.rates[k]);
-                    k += 1;
-                }
-            }
-        }
+    #[should_panic(expected = "duplicate")]
+    fn repeated_transit_hop_rejected() {
+        let mut g = LinkGraph::new(&[10.0, 10.0]);
+        let up = g.add_link("up", 1.0);
+        g.set_transit(0, 1, &[up, up]);
     }
 }

@@ -35,12 +35,14 @@ pub struct NetworkConfig {
     /// paper's own crossover bandwidths imply roughly 25% effective
     /// utilization — see DESIGN.md §6). Defaults to 1.0 (ideal fabric).
     pub efficiency: f64,
-    /// Optional multi-hop fabric. When set, flows are routed over the
-    /// graph's fixed paths and rates come from the multi-constraint
-    /// allocator ([`crate::allocate_rates_on_graph`]); `bandwidth` no
-    /// longer bounds the ports (the graph's per-machine port capacities
-    /// do), though it still anchors the rate-noise floor. `None` (the
-    /// default) keeps the flat single-switch model.
+    /// Optional multi-hop fabric. Rates always come from
+    /// [`crate::allocate_rates_on_graph`]; this field only chooses the
+    /// graph. When set, flows are routed over its fixed paths and its
+    /// per-machine port capacities bound the ports, so `bandwidth` only
+    /// anchors the rate-noise floor; the fabric also reports per-link
+    /// usage and each flow's bottleneck link. `None` (the default) is the
+    /// flat single switch: the endpoint-only graph with every port at
+    /// `bandwidth`, and no link report.
     pub link_graph: Option<LinkGraph>,
 }
 

@@ -1,24 +1,27 @@
 //! The fluid network: flow lifecycle, exact completion events, utilization
 //! traces.
 //!
-//! The module splits along the fabric model: `config` holds the static
-//! cluster description, `flat` the flat single-switch rate computation,
-//! `multihop` the link-graph generalization plus per-link accounting.
-//! This file keeps the [`Network`] facade — flow lifecycle, snapshots,
-//! and the deterministic work counters ([`NetStats`]) — and dispatches
-//! rate recomputation to whichever fabric model the configuration
-//! selects.
+//! `config` holds the static cluster description and `multihop` the
+//! per-link accounting of configured topologies. This file keeps the
+//! [`Network`] facade — flow lifecycle, rate recomputation, snapshots,
+//! and the deterministic work counters ([`NetStats`]).
+//!
+//! Every fabric allocates rates with [`crate::allocate_rates_on_graph`]
+//! over a [`LinkGraph`]: the configured topology, or else the
+//! endpoint-only graph of the flat single switch, built from
+//! `bandwidth`. Whether a topology was configured decides only what the
+//! fabric reports: per-link usage and each flow's bottleneck link exist
+//! for topologies alone.
 
 mod config;
-mod flat;
 mod multihop;
 #[cfg(test)]
 mod tests;
 
 pub use config::NetworkConfig;
 
-use crate::allocator::{AllocWork, FlowSpec};
-use crate::multilink::LinkId;
+use crate::allocator::{allocate_rates_on_graph, AllocWork, FlowSpec};
+use crate::multilink::{LinkGraph, LinkId};
 use crate::trace::PortTrace;
 use crate::types::{FlowId, MachineId, Priority};
 use p3_des::{SimDuration, SimTime};
@@ -54,7 +57,7 @@ struct ActiveFlow {
     bytes: u64,
     remaining: f64,
     rate: f64, // bytes/sec under the current allocation
-    /// Saturated link bounding the current rate (link-graph mode only).
+    /// Saturated link bounding the current rate (configured topology only).
     bottleneck: Option<LinkId>,
 }
 
@@ -81,8 +84,9 @@ pub struct NetStats {
     pub flows_touched: u64,
     /// Water-fill raise rounds summed over all reallocations.
     pub waterfill_rounds: u64,
-    /// Ports (flat fabric) or links (graph fabric) carrying at least one
-    /// active flow, summed over all water-fill rounds.
+    /// Links carrying at least one active flow, summed over all water-fill
+    /// rounds. On the flat fabric the links are the machines' tx and rx
+    /// ports; a topology adds its transit links.
     pub ports_touched: u64,
     /// Peak number of concurrently active NIC flows (loopback excluded).
     pub peak_in_flight: u64,
@@ -116,6 +120,9 @@ pub struct NetStats {
 #[derive(Debug)]
 pub struct Network {
     cfg: NetworkConfig,
+    /// The graph rates are allocated over: the configured topology, or
+    /// the endpoint-only graph of the flat fabric.
+    graph: LinkGraph,
     flows: Vec<ActiveFlow>,
     delivering: Vec<Delivering>,
     last_update: SimTime,
@@ -131,11 +138,11 @@ pub struct Network {
     /// Event sink for wire-level spans; `None` (the default) records
     /// nothing and costs one branch per flow transition.
     tracer: Option<TraceHandle>,
-    /// Per-link busy time in seconds (link-graph mode only; indexed by
+    /// Per-link busy time in seconds (configured topology only; indexed by
     /// `LinkId`). A link is busy while any flow crossing it has a
     /// positive rate.
     link_busy: Vec<f64>,
-    /// Per-link bytes carried (link-graph mode only).
+    /// Per-link bytes carried (configured topology only).
     link_bytes: Vec<f64>,
     /// Deterministic work counters (see [`NetStats`]).
     stats: NetStats,
@@ -163,7 +170,7 @@ pub struct FlowSnapshot {
     pub remaining: f64,
     /// Current allocated rate in bytes/sec.
     pub rate: f64,
-    /// Saturated link bounding the rate (link-graph mode only).
+    /// Saturated link bounding the rate (configured topology only).
     pub bottleneck: Option<usize>,
 }
 
@@ -196,7 +203,7 @@ pub struct NetworkSnapshot {
     pub tx_scale: Vec<f64>,
     /// Per-machine receive capacity factors.
     pub rx_scale: Vec<f64>,
-    /// Per-link busy seconds (link-graph mode; empty otherwise).
+    /// Per-link busy seconds (configured topology; empty otherwise).
     pub link_busy: Vec<f64>,
     /// Per-link bytes carried.
     pub link_bytes: Vec<f64>,
@@ -240,12 +247,19 @@ impl Network {
             None => (Vec::new(), Vec::new()),
         };
         let machines = cfg.machines;
-        let num_links = multihop::num_links(&cfg.link_graph);
-        if let Some(g) = &cfg.link_graph {
-            assert_eq!(g.machines(), machines, "link graph machine count mismatch");
-        }
+        let (graph, num_links) = match &cfg.link_graph {
+            Some(g) => {
+                assert_eq!(g.machines(), machines, "link graph machine count mismatch");
+                (g.clone(), g.num_links())
+            }
+            None => (
+                LinkGraph::new(&vec![cfg.bandwidth.bytes_per_sec(); machines]),
+                0,
+            ),
+        };
         Network {
             cfg,
+            graph,
             flows: Vec::new(),
             delivering: Vec::new(),
             last_update: SimTime::ZERO,
@@ -628,8 +642,9 @@ impl Network {
         self.last_update = now;
     }
 
-    /// Recomputes the strict-priority max-min rates, dispatching to the
-    /// flat or multi-hop fabric model.
+    /// Recomputes the strict-priority max-min rates over the fabric's
+    /// graph, with link capacities scaled by protocol efficiency and any
+    /// fault-injected port degradation.
     fn reallocate(&mut self) {
         if !self.dirty {
             return;
@@ -637,7 +652,6 @@ impl Network {
         self.dirty = false;
         self.stats.reallocations += 1;
         self.stats.flows_touched += self.flows.len() as u64;
-        let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
         let specs: Vec<FlowSpec> = self
             .flows
             .iter()
@@ -647,20 +661,26 @@ impl Network {
                 priority: f.priority,
             })
             .collect();
+        let caps = self
+            .graph
+            .scaled_caps(self.cfg.efficiency, &self.tx_scale, &self.rx_scale);
         let mut work = AllocWork::default();
-        let rates = if self.cfg.link_graph.is_some() {
-            multihop::rates(self, &specs, &mut work)
-        } else {
-            flat::rates(self, &specs, cap, &mut work)
-        };
+        let alloc =
+            allocate_rates_on_graph(&specs, &self.graph, &caps, self.cfg.flow_cap, &mut work);
         self.stats.waterfill_rounds += work.rounds;
         self.stats.ports_touched += work.port_touches;
         // A rate below one byte per simulated second is allocator noise; a
         // "running" flow at such a rate would never finish within any
         // realistic horizon and only destabilizes event times.
+        let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
         let floor = (cap * 1e-12).max(1e-6);
-        for (f, r) in self.flows.iter_mut().zip(rates) {
+        // Bottlenecks are reported only for a configured topology.
+        let topology = self.cfg.link_graph.is_some();
+        for ((f, r), b) in self.flows.iter_mut().zip(alloc.rates).zip(alloc.bottleneck) {
             f.rate = if r < floor { 0.0 } else { r };
+            if topology {
+                f.bottleneck = b;
+            }
         }
     }
 }

@@ -1,30 +1,12 @@
-//! Multi-hop (link-graph) rate computation and per-link accounting.
+//! Per-link accounting for configured topologies.
 //!
-//! Active when the configuration carries a [`LinkGraph`]: flows are routed
-//! over the graph's fixed paths, rates come from the multi-constraint
-//! allocator in [`crate::multilink`], and the fabric additionally tracks
-//! per-link busy time and bytes carried for [`Network::link_usage`].
+//! Active when the configuration carries a [`LinkGraph`]: the fabric
+//! tracks per-link busy time and bytes carried for
+//! [`Network::link_usage`]. The flat fabric reports no links, so both
+//! functions do nothing without a configured graph.
 
 use super::{LinkUsage, Network};
-use crate::allocator::{AllocWork, FlowSpec};
-use crate::multilink::{allocate_rates_on_graph_with_work, LinkGraph, LinkId};
-
-/// Computes link-graph rates for `specs` (parallel to the network's
-/// active flows) and records each flow's bottleneck link. Allocator
-/// effort is accumulated into `work`. Returns all-zero rates when the
-/// configuration has no graph (the caller dispatches on that, so this is
-/// purely defensive).
-pub(super) fn rates(net: &mut Network, specs: &[FlowSpec], work: &mut AllocWork) -> Vec<f64> {
-    let Some(g) = &net.cfg.link_graph else {
-        return vec![0.0; specs.len()];
-    };
-    let caps = g.scaled_caps(net.cfg.efficiency, &net.tx_scale, &net.rx_scale);
-    let alloc = allocate_rates_on_graph_with_work(specs, g, &caps, net.cfg.flow_cap, work);
-    for (f, b) in net.flows.iter_mut().zip(alloc.bottleneck) {
-        f.bottleneck = b;
-    }
-    alloc.rates
-}
+use crate::multilink::LinkId;
 
 /// Accrues per-link occupancy (busy seconds and bytes carried) for the
 /// elapsed interval `dt`, under the rates in force over that interval.
@@ -36,9 +18,11 @@ pub(super) fn account_advance(net: &mut Network, dt: f64) {
     let mut rate_sum = vec![0.0; g.num_links()];
     for f in &net.flows {
         if f.rate > 0.0 {
-            for l in g.path(f.src, f.dst) {
+            rate_sum[f.src] += f.rate;
+            for l in g.transit(f.src, f.dst) {
                 rate_sum[l.0] += f.rate;
             }
+            rate_sum[g.machines() + f.dst] += f.rate;
         }
     }
     for (l, &r) in rate_sum.iter().enumerate() {
@@ -57,16 +41,11 @@ pub(super) fn usage(net: &Network) -> Vec<LinkUsage> {
     };
     (0..g.num_links())
         .map(|l| LinkUsage {
-            name: g.link_name(LinkId(l)).to_string(),
+            name: g.link_name(LinkId(l)),
             capacity: g.link_cap(LinkId(l)),
             busy_secs: net.link_busy[l],
             bytes: net.link_bytes[l],
             transit: g.is_transit(LinkId(l)),
         })
         .collect()
-}
-
-/// Number of links in the configured graph, zero on the flat fabric.
-pub(super) fn num_links(cfg_graph: &Option<LinkGraph>) -> usize {
-    cfg_graph.as_ref().map_or(0, LinkGraph::num_links)
 }

@@ -1,5 +1,6 @@
-//! Unit and property tests for the [`Network`] facade, covering both the
-//! flat and multi-hop fabric models plus the deterministic work counters.
+//! Unit and property tests for the [`Network`] facade: flow lifecycle on
+//! the flat fabric, the flat-versus-topology reporting switch, and the
+//! deterministic work counters.
 
 use super::*;
 use crate::types::Bandwidth;
@@ -367,6 +368,71 @@ fn flow_ids_are_unique_and_monotone() {
         0,
     );
     assert!(b > a);
+}
+
+// ---------------------------------------------------------------------
+// Flat fabric versus an explicit endpoint-only topology.
+
+/// Runs a fixed mix of flows (shared ports, four priority classes, a
+/// loopback, a mid-run port degradation) to completion and returns every
+/// delivery with its instant, plus the drained fabric.
+fn run_script(cfg: NetworkConfig) -> (Vec<(SimTime, CompletedFlow)>, Network) {
+    let script = [
+        (0, 1, 2_000_000, 3),
+        (0, 2, 1_000_000, 1),
+        (2, 1, 3_000_000, 3),
+        (1, 0, 500_000, 0),
+        (3, 3, 400_000, 0),
+        (3, 1, 1_500_000, 2),
+    ];
+    let mut n = Network::new(cfg);
+    let mut done = Vec::new();
+    for (i, &(src, dst, bytes, p)) in script.iter().enumerate() {
+        let at = SimTime::from_micros(150 * i as u64);
+        done.extend(n.poll(at).into_iter().map(|c| (at, c)));
+        if i == 3 {
+            n.set_port_scale(at, MachineId(1), 1.0, 0.5);
+        }
+        n.start_flow(
+            at,
+            MachineId(src),
+            MachineId(dst),
+            bytes,
+            Priority(p),
+            i as u64,
+        );
+    }
+    while let Some(t) = n.next_event_time() {
+        done.extend(n.poll(t).into_iter().map(|c| (t, c)));
+    }
+    (done, n)
+}
+
+#[test]
+fn flat_fabric_matches_an_endpoint_only_topology_and_reports_no_links() {
+    let cfg = NetworkConfig::new(4, Bandwidth::from_gbps(8.0)).with_efficiency(0.8);
+    let graph = LinkGraph::new(&[Bandwidth::from_gbps(8.0).bytes_per_sec(); 4]);
+    let (flat, flat_net) = run_script(cfg.clone());
+    let (topo, topo_net) = run_script(cfg.with_link_graph(graph));
+
+    let timeline = |run: &[(SimTime, CompletedFlow)]| -> Vec<(SimTime, u64)> {
+        run.iter().map(|(t, c)| (*t, c.tag)).collect()
+    };
+    assert_eq!(flat.len(), 6);
+    assert_eq!(timeline(&flat), timeline(&topo), "same instants, same tags");
+
+    assert!(flat.iter().all(|(_, c)| c.bottleneck.is_none()));
+    assert!(flat_net.link_usage().is_empty());
+
+    assert_eq!(topo_net.link_usage().len(), 8, "4 tx + 4 rx ports");
+    for (_, c) in &topo {
+        if c.src == c.dst {
+            assert_eq!(c.bottleneck, None, "loopback never touches a port");
+        } else {
+            let l = c.bottleneck.expect("every NIC flow froze on a port");
+            assert!(l < 8, "flow {} reports link {l}, not a port", c.tag);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -223,8 +223,8 @@ impl Topology {
     /// per-machine tx/rx ports at NIC speed, one uplink + one downlink
     /// per rack at `sum(rack NICs) / oversub` (named `rack{r}.up` /
     /// `rack{r}.down`), and the fixed path per machine pair. Single-rack
-    /// topologies produce an endpoint-only graph — bit-compatible with
-    /// the flat allocator.
+    /// topologies produce an endpoint-only graph — the graph the flat
+    /// fabric allocates over.
     pub fn compile(&self, default_nic: Bandwidth) -> LinkGraph {
         let nics: Vec<f64> = (0..self.machines())
             .map(|m| self.nic_of(m, default_nic).bytes_per_sec())
