@@ -3,32 +3,28 @@
 //! The paper closes §2 with a claim it never evaluates: *"we believe, P3
 //! design principles (namely, parameter slicing and priority-based
 //! propagation) are general enough to be applied to any gradient
-//! aggregation methods."* This crate tests that claim quantitatively:
-//! standard ring / tree allreduce cost models ([`Collective`]) under a
-//! scheduler that aggregates gradients either layer-wise in generation
-//! order (Horovod-without-fusion baseline) or as bounded slices in
-//! consumption-order priority (P3 generalized).
+//! aggregation methods."* The cluster engine tests that claim with its
+//! ring and halving–doubling backends (`p3 simulate --backend
+//! ring|halving-doubling`). This crate supplies the data they replay: a
+//! [`CollectiveSchedule`] says which machine sends how many bytes to which
+//! machine in each step of one allreduce, and [`DEFAULT_COLLECTIVE_SLICE`]
+//! is the slice size collectives are run at.
 //!
 //! # Examples
 //!
-//! ```no_run
-//! use p3_allreduce::{run_allreduce, AllreduceConfig};
-//! use p3_models::ModelSpec;
-//! use p3_net::Bandwidth;
+//! ```
+//! use p3_allreduce::{CollectiveSchedule, ScheduleKind, DEFAULT_COLLECTIVE_SLICE};
 //!
-//! let bw = Bandwidth::from_gbps(5.0);
-//! let p3ish = run_allreduce(&AllreduceConfig::new(ModelSpec::vgg19(), 4, bw));
-//! let horovod = run_allreduce(&AllreduceConfig::layerwise_fifo(ModelSpec::vgg19(), 4, bw));
-//! println!("sliced+priority allreduce: {:.2}x", p3ish.throughput / horovod.throughput);
+//! // One 2M-parameter (8 MB) slice through a 4-machine ring: each NIC
+//! // carries 2·S·(N−1)/N bytes, the bandwidth-optimal volume.
+//! let bytes = DEFAULT_COLLECTIVE_SLICE * 4;
+//! let ring = CollectiveSchedule::new(ScheduleKind::Ring, 4).unwrap();
+//! assert_eq!(ring.busiest_link_bytes(bytes), 2 * bytes * 3 / 4);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod collective;
 mod schedule;
-mod sim;
 
-pub use collective::Collective;
-pub use schedule::{CollectiveSchedule, ScheduleKind, Transfer};
-pub use sim::{run_allreduce, AllreduceConfig, AllreduceResult, DEFAULT_COLLECTIVE_SLICE};
+pub use schedule::{CollectiveSchedule, ScheduleKind, Transfer, DEFAULT_COLLECTIVE_SLICE};

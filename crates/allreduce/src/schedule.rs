@@ -1,16 +1,24 @@
 //! Step-by-step transfer schedules for collective allreduce.
 //!
-//! [`Collective`](crate::Collective) answers "how long does one allreduce
-//! take" with a closed-form cost model. [`CollectiveSchedule`] answers the
-//! finer question an event-driven simulator needs: *which machine sends
-//! how many bytes to which machine in step `s`*. The cluster engine's
-//! collective backend replays these transfers through the fluid network,
-//! so allreduce traffic competes for links, suffers injected faults, and
-//! lands in the trace exactly like parameter-server traffic does.
+//! [`CollectiveSchedule`] answers the question an event-driven simulator
+//! needs: *which machine sends how many bytes to which machine in step
+//! `s`*. The cluster engine's collective backend replays these transfers
+//! through the fluid network, so allreduce traffic competes for links,
+//! suffers injected faults, and lands in the trace exactly like
+//! parameter-server traffic does.
 //!
 //! Schedules are pure data: no RNG, no clocks, no allocation beyond the
 //! returned transfer lists — the same inputs always produce the same
 //! steps, which the run-twice digest tests rely on.
+
+/// Default slice size for collective aggregation: 2 M parameters (8 MB).
+///
+/// Collectives want far coarser slices than the parameter server's 50k
+/// optimum: every ring allreduce pays `2(N−1)` fixed step costs, so
+/// thousands of tiny collectives drown in startup latency — the same
+/// economics that drive Horovod's tensor-fusion buffers. The
+/// `extension_allreduce` bench sweeps this trade-off.
+pub const DEFAULT_COLLECTIVE_SLICE: u64 = 2_000_000;
 
 /// Which stepwise collective algorithm a schedule describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,8 +156,9 @@ impl CollectiveSchedule {
         }
     }
 
-    /// Total bytes this schedule puts through the busiest NIC, matching
-    /// the closed-form `busiest_link_bytes` of the analytic models.
+    /// Total bytes this schedule puts through the busiest NIC: the
+    /// bandwidth-optimal `2·S·(N−1)/N` for both algorithms when `N`
+    /// divides the payload.
     pub fn busiest_link_bytes(&self, payload_bytes: u64) -> u64 {
         (0..self.steps())
             .map(|s| {

@@ -6,12 +6,24 @@
 //! FIFO ring-allreduce (Horovod-without-fusion), and sliced+priority
 //! ring-allreduce ("P3-AR"), plus a collective slice-size sweep showing
 //! that collectives want far coarser slices (fusion-buffer economics).
+//! Every allreduce run is the cluster engine's ring backend.
 
-use p3_allreduce::{run_allreduce, AllreduceConfig};
-use p3_cluster::throughput_of;
+use p3_allreduce::DEFAULT_COLLECTIVE_SLICE;
+use p3_cluster::{throughput_of, BackendKind, ClusterConfig, ClusterSim};
 use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
+
+/// Aggregate throughput of one ring-allreduce run on 4 machines.
+fn ring(model: &ModelSpec, strategy: SyncStrategy, bw: Bandwidth, iters: (u64, u64)) -> f64 {
+    let cfg = ClusterConfig::new(model.clone(), strategy, 4, bw)
+        .with_iters(iters.0, iters.1)
+        .with_seed(17)
+        .with_backend(BackendKind::Ring);
+    ClusterSim::new(cfg)
+        .try_run()
+        .map_or(f64::NAN, |r| r.throughput)
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -38,19 +50,18 @@ fn main() {
                 42,
             );
             let ps_p3 = throughput_of(&model, &SyncStrategy::p3(), 4, bw, warmup, measure, 42);
-            let mut hor = AllreduceConfig::layerwise_fifo(model.clone(), 4, bw);
-            hor.warmup_iters = warmup;
-            hor.measure_iters = measure;
-            let ar_fifo = run_allreduce(&hor).throughput;
-            let mut p3ar = AllreduceConfig::new(model.clone(), 4, bw);
-            p3ar.warmup_iters = warmup;
-            p3ar.measure_iters = measure;
-            let ar_p3 = run_allreduce(&p3ar).throughput;
+            let ar_fifo = ring(&model, SyncStrategy::poseidon_wfbp(), bw, (warmup, measure));
+            let ar_p3 = ring(
+                &model,
+                SyncStrategy::p3_with_slice_params(DEFAULT_COLLECTIVE_SLICE),
+                bw,
+                (warmup, measure),
+            );
             println!("{g:10.1} {ps_base:10.2} {ps_p3:10.2} {ar_fifo:10.2} {ar_p3:10.2}");
         }
     }
 
-    // Collective slice-size sweep: where is the allreduce fusion optimum?
+    // Collective slice-size sweep: where does allreduce fusion pay off?
     p3_bench::print_header(
         "extension-allreduce-slices",
         "VGG-19, 4 machines, 10 Gbps ring allreduce",
@@ -59,11 +70,12 @@ fn main() {
     for slice in [
         50_000u64, 200_000, 500_000, 2_000_000, 8_000_000, 50_000_000,
     ] {
-        let mut cfg = AllreduceConfig::new(ModelSpec::vgg19(), 4, Bandwidth::from_gbps(10.0));
-        cfg.slice_params = Some(slice);
-        cfg.warmup_iters = warmup;
-        cfg.measure_iters = measure;
-        let t = run_allreduce(&cfg).throughput;
+        let t = ring(
+            &ModelSpec::vgg19(),
+            SyncStrategy::p3_with_slice_params(slice),
+            Bandwidth::from_gbps(10.0),
+            (warmup, measure),
+        );
         println!("{slice:10} {t:10.2}");
     }
     println!(

@@ -6,7 +6,6 @@
 
 use crate::args::{ArgError, Args};
 use core::fmt;
-use p3_allreduce::{run_allreduce, AllreduceConfig};
 use p3_cluster::{
     BackendKind, ClusterConfig, ClusterSim, FaultPlan, LinkDegradation, StragglerEpisode,
     WorkerCrash,
@@ -274,7 +273,6 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "simulate" => simulate(args),
         "timeline" => timeline(args),
         "sweep" => sweep(args),
-        "allreduce" => allreduce(args),
         "train" => train(args),
         "audit" => audit(args),
         "bench" => crate::perf::bench(args),
@@ -316,7 +314,6 @@ COMMANDS:
                                            [--out FILE]  write the TuneReport JSON
                                            [--audit]  replay recommended configs
                                            [topology flags: --topology only]
-  allreduce   Collective-aggregation run   --model M [--gbps G] [--layerwise] [--fifo]
   train       Real data-parallel training  [--mode full|dgc|qsgd|terngrad|onebit|asgd]
                                            [--dataset spirals|blobs] [--epochs N]
   audit       Check a trace file against   p3 audit FILE
@@ -876,25 +873,6 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn allreduce(args: &Args) -> Result<String, CliError> {
-    let model = model_by_name(args.require("model")?)?;
-    let machines: usize = args.get_or("machines", 4, "integer")?;
-    let gbps: f64 = args.get_or("gbps", 10.0, "number")?;
-    let mut cfg = if args.switch("layerwise") {
-        AllreduceConfig::layerwise_fifo(model, machines, Bandwidth::from_gbps(gbps))
-    } else {
-        AllreduceConfig::new(model, machines, Bandwidth::from_gbps(gbps))
-    };
-    if args.switch("fifo") {
-        cfg.priority = false;
-    }
-    let r = run_allreduce(&cfg);
-    Ok(format!(
-        "throughput: {:.1} {}/sec  |  mean iteration: {}\n",
-        r.throughput, r.unit, r.mean_iteration
-    ))
-}
-
 fn train(args: &Args) -> Result<String, CliError> {
     let epochs: u32 = args.get_or("epochs", 15, "integer")?;
     let mut cfg = TrainConfig::new(epochs);
@@ -963,15 +941,7 @@ mod tests {
     #[test]
     fn help_lists_commands() {
         let h = run("help").unwrap();
-        for cmd in [
-            "models",
-            "plan",
-            "simulate",
-            "sweep",
-            "allreduce",
-            "train",
-            "lint",
-        ] {
+        for cmd in ["models", "plan", "simulate", "sweep", "train", "lint"] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
     }
@@ -1102,12 +1072,6 @@ mod tests {
             run("simulate --model resnet50 --machines 2 --loss 2.0"),
             Err(CliError::Sim(_))
         ));
-    }
-
-    #[test]
-    fn allreduce_runs_small() {
-        let out = run("allreduce --model resnet50 --machines 2 --gbps 20").unwrap();
-        assert!(out.contains("throughput:"), "{out}");
     }
 
     #[test]

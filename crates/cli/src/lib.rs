@@ -8,7 +8,7 @@
 //! p3 simulate  --model vgg19 --strategy p3 --machines 4 --gbps 15
 //! p3 sweep     --model resnet50 --gbps 1,2,4,8
 //! p3 tune      --models resnet50 --gbps 5,10 --genetic-generations 2
-//! p3 allreduce --model vgg19 --gbps 10
+//! p3 simulate  --model vgg19 --backend ring --strategy p3 --slice-params 2000000
 //! p3 train     --mode dgc --epochs 20
 //! p3 help
 //! ```

@@ -11,6 +11,7 @@
 
 use crate::args::Args;
 use crate::commands::{bad_value, CliError};
+use p3_allreduce::DEFAULT_COLLECTIVE_SLICE;
 use p3_cluster::{BackendKind, ClusterConfig, ClusterSim};
 use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
@@ -41,11 +42,10 @@ const QUICK_LADDER: &[usize] = &[16, 32];
 /// machine. Returns `None` when the configuration fails to run.
 fn bench_point(backend: BackendKind, machines: usize) -> Option<BenchPoint> {
     // Collectives want coarse slices (the PS optimum drowns them in
-    // per-chunk overhead); 2M parameters matches the slice-size sweep's
-    // collective plateau.
+    // per-chunk overhead).
     let mut strategy = SyncStrategy::p3();
     if backend.is_collective() {
-        strategy.slicing = p3_core::Slicing::MaxParams(2_000_000);
+        strategy.slicing = p3_core::Slicing::MaxParams(DEFAULT_COLLECTIVE_SLICE);
     }
     let cfg = ClusterConfig::new(
         ModelSpec::resnet50(),

@@ -548,15 +548,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one iteration")]
+    #[should_panic(expected = "must measure at least one iteration")]
     fn zero_measure_rejected() {
+        // Warm-up alone does not make a run: there would be nothing to
+        // report.
         ClusterConfig::new(
             ModelSpec::resnet50(),
             SyncStrategy::p3(),
             2,
             Bandwidth::from_gbps(1.0),
         )
-        .with_iters(0, 0);
+        .with_iters(2, 0);
     }
 
     #[test]

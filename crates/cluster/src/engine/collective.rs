@@ -1,10 +1,12 @@
-//! Collective communication backend: `p3-allreduce`'s ring and
-//! halving–doubling schedules re-hosted on the cluster engine, so
-//! allreduce runs get the fluid network, topology contention, fault
-//! injection, tracing, and the audit for free.
+//! Collective communication backend: the workspace's only allreduce
+//! simulator. It replays `p3-allreduce`'s ring and halving–doubling
+//! schedules on the cluster engine, so allreduce runs get the fluid
+//! network, topology contention, fault injection, tracing, and the audit
+//! for free. The closed-form reference is `crate::bound`'s Ω-bound: its
+//! per-NIC volume `2·S·(N−1)/N` is exactly the busiest-link bytes of both
+//! schedules.
 //!
-//! Semantics (mirroring `p3_allreduce::run_allreduce`'s analytic model,
-//! which remains the closed-form reference):
+//! Semantics:
 //!
 //! - A slice's collective launches once **every live** worker has finished
 //!   the backward pass of the slice's block (an allreduce is inherently a

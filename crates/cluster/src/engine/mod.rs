@@ -14,7 +14,7 @@
 //! - [`backend`] — the [`CommBackend`](backend::CommBackend) seam: how
 //!   ready gradients travel and how parameters come back. The PS backend
 //!   implements the paper's push→aggregate→pull; the collective backend
-//!   ([`collective`]) re-hosts `p3-allreduce`'s ring and halving–doubling
+//!   ([`collective`]) replays `p3-allreduce`'s ring and halving–doubling
 //!   schedules on the same engine.
 //!
 //! An optional [`FaultPlan`](crate::FaultPlan) injects stragglers, degraded

@@ -23,7 +23,7 @@
 //! | [`tensor`] | `p3-tensor` | matrix ops, exact-backprop MLP, datasets |
 //! | [`compress`] | `p3-compress` | DGC, QSGD, TernGrad, 1-bit SGD baselines |
 //! | [`train`] | `p3-train` | real synchronous / DGC / ASGD training |
-//! | [`allreduce`] | `p3-allreduce` | P3 principles on ring/tree collectives |
+//! | [`allreduce`] | `p3-allreduce` | ring / halving–doubling allreduce step schedules |
 //! | [`prof`] | `p3-prof` | simulator self-profiling and perf-regression reports |
 //! | [`tune`] | `p3-tune` | deterministic grid + genetic config search, Pareto frontier |
 //!
