@@ -58,13 +58,9 @@ fn bench_snapshot(c: &mut Criterion) {
     };
     // Capture one mid-run snapshot (first iteration boundary), then bench
     // the codec round-trip and the state digest on that fixed state.
-    let mut bytes: Option<Vec<u8>> = None;
-    ClusterSim::new(mk())
-        .try_run_traced_with_snapshots(1, |_, snap| {
-            bytes.get_or_insert(snap);
-        })
-        .expect("benchmark run");
-    let bytes = bytes.expect("a snapshot at the first iteration boundary");
+    let mut paused = ClusterSim::new(mk());
+    paused.run_until(1).expect("benchmark run");
+    let bytes = paused.snapshot();
     let sim = ClusterSim::restore(mk(), &bytes).expect("restore captured snapshot");
     g.bench_function("encode_resnet50_4m_mid_run", |b| b.iter(|| sim.snapshot()));
     g.bench_function("state_hash_resnet50_4m_mid_run", |b| {

@@ -7,7 +7,7 @@
 //! 3. immediate broadcast vs KVStore's notify-then-pull;
 //! 4. slice-size extremes (see `fig12_slice_size` for the full sweep).
 
-use p3_cluster::throughput_of;
+use p3_cluster::{throughput_of, ClusterConfig};
 use p3_core::{PriorityMode, Slicing, SyncStrategy};
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
@@ -25,9 +25,12 @@ fn priority_without_slicing() -> SyncStrategy {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (warmup, measure) = if quick { (1, 3) } else { (2, 8) };
-    let bw = |g| Bandwidth::from_gbps(g);
     let run = |model: &ModelSpec, s: &SyncStrategy, gbps: f64| {
-        throughput_of(model, s, 4, bw(gbps), warmup, measure, 42)
+        throughput_of(
+            ClusterConfig::new(model.clone(), s.clone(), 4, Bandwidth::from_gbps(gbps))
+                .with_iters(warmup, measure)
+                .with_seed(42),
+        )
     };
 
     for (model, gbps) in [(ModelSpec::resnet50(), 4.0), (ModelSpec::vgg19(), 15.0)] {

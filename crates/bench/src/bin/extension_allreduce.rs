@@ -9,20 +9,19 @@
 //! Every allreduce run is the cluster engine's ring backend.
 
 use p3_allreduce::DEFAULT_COLLECTIVE_SLICE;
-use p3_cluster::{throughput_of, BackendKind, ClusterConfig, ClusterSim};
+use p3_cluster::{throughput_of, BackendKind, ClusterConfig};
 use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
 
 /// Aggregate throughput of one ring-allreduce run on 4 machines.
 fn ring(model: &ModelSpec, strategy: SyncStrategy, bw: Bandwidth, iters: (u64, u64)) -> f64 {
-    let cfg = ClusterConfig::new(model.clone(), strategy, 4, bw)
-        .with_iters(iters.0, iters.1)
-        .with_seed(17)
-        .with_backend(BackendKind::Ring);
-    ClusterSim::new(cfg)
-        .try_run()
-        .map_or(f64::NAN, |r| r.throughput)
+    throughput_of(
+        ClusterConfig::new(model.clone(), strategy, 4, bw)
+            .with_iters(iters.0, iters.1)
+            .with_seed(17)
+            .with_backend(BackendKind::Ring),
+    )
 }
 
 fn main() {
@@ -40,16 +39,15 @@ fn main() {
         println!("# x = gbps, series = PS-Baseline, PS-P3, AR-layerwise-FIFO, AR-sliced-priority");
         for &g in &gbps_list {
             let bw = Bandwidth::from_gbps(g);
-            let ps_base = throughput_of(
-                &model,
-                &SyncStrategy::baseline(),
-                4,
-                bw,
-                warmup,
-                measure,
-                42,
-            );
-            let ps_p3 = throughput_of(&model, &SyncStrategy::p3(), 4, bw, warmup, measure, 42);
+            let ps = |s: SyncStrategy| {
+                throughput_of(
+                    ClusterConfig::new(model.clone(), s, 4, bw)
+                        .with_iters(warmup, measure)
+                        .with_seed(42),
+                )
+            };
+            let ps_base = ps(SyncStrategy::baseline());
+            let ps_p3 = ps(SyncStrategy::p3());
             let ar_fifo = ring(&model, SyncStrategy::poseidon_wfbp(), bw, (warmup, measure));
             let ar_p3 = ring(
                 &model,

@@ -7,7 +7,7 @@
 //! extension runs its exact methodology on the new architecture.
 
 use p3_cluster::bound::iteration_bound;
-use p3_cluster::{bandwidth_sweep, ClusterConfig, ClusterSim};
+use p3_cluster::{sweep, ClusterConfig, ClusterSim};
 use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
@@ -28,7 +28,11 @@ fn main() {
     );
     let strategies = SyncStrategy::fig7_series();
     let gbps = [2.0, 4.0, 8.0, 15.0, 30.0];
-    let pts = bandwidth_sweep(&model, &strategies, 4, &gbps, warmup, measure, 42);
+    let pts = sweep(&gbps, &strategies, |g, s| {
+        ClusterConfig::new(model.clone(), s.clone(), 4, Bandwidth::from_gbps(g))
+            .with_iters(warmup, measure)
+            .with_seed(42)
+    });
     p3_bench::print_sweep("bandwidth_gbps", &pts);
 
     // Fraction of the analytic bound each strategy realizes at 4 Gbps.

@@ -1,7 +1,7 @@
 //! Figure 10: throughput scaling with cluster size (2–16 machines) on a
 //! 10 Gbps network, Baseline vs P3, plus the §5.5 headline numbers.
 
-use p3_cluster::scalability_sweep;
+use p3_cluster::{sweep, ClusterConfig};
 use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
@@ -10,7 +10,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (warmup, measure) = if quick { (1, 3) } else { (2, 8) };
     let strategies = [SyncStrategy::baseline(), SyncStrategy::p3()];
-    let sizes = [2usize, 4, 8, 16];
+    let sizes = [2.0, 4.0, 8.0, 16.0];
 
     for (tag, model) in [
         ("10a", ModelSpec::resnet50()),
@@ -25,15 +25,16 @@ fn main() {
                 model.unit()
             ),
         );
-        let pts = scalability_sweep(
-            &model,
-            &strategies,
-            &sizes,
-            Bandwidth::from_gbps(10.0),
-            warmup,
-            measure,
-            42,
-        );
+        let pts = sweep(&sizes, &strategies, |n, s| {
+            ClusterConfig::new(
+                model.clone(),
+                s.clone(),
+                n as usize,
+                Bandwidth::from_gbps(10.0),
+            )
+            .with_iters(warmup, measure)
+            .with_seed(42)
+        });
         p3_bench::print_sweep("machines", &pts);
         for p in &pts {
             println!(

@@ -1,19 +1,18 @@
 //! Figure 12: P3 throughput vs parameter-slice size (1k – 1M parameters),
 //! peaking around the paper's 50k optimum.
 
-use p3_cluster::slice_size_sweep;
+use p3_cluster::{sweep, ClusterConfig};
+use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (warmup, measure) = if quick { (1, 3) } else { (2, 8) };
-    let sizes: &[u64] = if quick {
-        &[2_000, 50_000, 1_000_000]
+    let sizes: &[f64] = if quick {
+        &[2e3, 5e4, 1e6]
     } else {
-        &[
-            1_000, 2_000, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000,
-        ]
+        &[1e3, 2e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6]
     };
 
     for (tag, model, gbps) in [
@@ -28,15 +27,12 @@ fn main() {
                 model.name()
             ),
         );
-        let pts = slice_size_sweep(
-            &model,
-            sizes,
-            4,
-            Bandwidth::from_gbps(gbps),
-            warmup,
-            measure,
-            42,
-        );
+        let pts = sweep(sizes, &[SyncStrategy::p3()], |sz, _| {
+            let s = SyncStrategy::p3_with_slice_params(sz as u64);
+            ClusterConfig::new(model.clone(), s, 4, Bandwidth::from_gbps(gbps))
+                .with_iters(warmup, measure)
+                .with_seed(42)
+        });
         println!(
             "# x = slice_params, series = P3 throughput ({}/sec)",
             model.unit()

@@ -2,9 +2,10 @@
 //! for Baseline / Slicing-only / P3 across all four models, plus the §5.3
 //! headline speedups.
 
-use p3_cluster::bandwidth_sweep;
+use p3_cluster::{sweep, ClusterConfig};
 use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
+use p3_net::Bandwidth;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -44,7 +45,11 @@ fn main() {
                 model.unit()
             ),
         );
-        let pts = bandwidth_sweep(&model, &strategies, 4, &gbps, warmup, measure, 42);
+        let pts = sweep(&gbps, &strategies, |g, s| {
+            ClusterConfig::new(model.clone(), s.clone(), 4, Bandwidth::from_gbps(g))
+                .with_iters(warmup, measure)
+                .with_seed(42)
+        });
         p3_bench::print_sweep("bandwidth_gbps", &pts);
 
         // Headline claims of §5.3: peak P3-vs-baseline speedup over the sweep.

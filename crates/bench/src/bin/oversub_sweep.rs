@@ -8,17 +8,19 @@
 //! fades monotonically as the shared uplinks take over as the bottleneck
 //! that no scheduling order can hide.
 
-use p3_cluster::{oversubscription_sweep, throughput_of, SweepPoint};
+use p3_cluster::{sweep, ClusterConfig};
 use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
-use p3_topo::Placement;
+use p3_topo::{Placement, Topology};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (warmup, measure) = if quick { (1, 3) } else { (2, 8) };
     let (racks, rack_size) = (2usize, 4usize);
-    let oversubs = [1.0, 2.0, 4.0, 8.0];
+    // x = 0 is the flat-fabric reference: what the same 8 machines do
+    // with no core bottleneck at all.
+    let oversubs = [0.0, 1.0, 2.0, 4.0, 8.0];
     let strategies = [SyncStrategy::baseline(), SyncStrategy::p3()];
 
     for (tag, model, gbps) in [
@@ -34,31 +36,16 @@ fn main() {
                 model.unit()
             ),
         );
-        // Flat-fabric reference: what the same 8 machines do with no core
-        // bottleneck at all (x = 0 marks "no topology").
-        let flat: Vec<(String, f64)> = strategies
-            .iter()
-            .map(|s| {
-                let t = throughput_of(&model, s, racks * rack_size, bandwidth, warmup, measure, 42);
-                (s.name().to_string(), t)
-            })
-            .collect();
-        let mut pts = vec![SweepPoint {
-            x: 0.0,
-            series: flat,
-        }];
-        pts.extend(oversubscription_sweep(
-            &model,
-            &strategies,
-            racks,
-            rack_size,
-            bandwidth,
-            Placement::Spread,
-            &oversubs,
-            warmup,
-            measure,
-            42,
-        ));
+        let pts = sweep(&oversubs, &strategies, |f, s| {
+            let cfg = ClusterConfig::new(model.clone(), s.clone(), racks * rack_size, bandwidth)
+                .with_iters(warmup, measure)
+                .with_seed(42);
+            if f == 0.0 {
+                return cfg;
+            }
+            cfg.with_topology(Topology::new(racks, rack_size, f))
+                .with_placement(Placement::Spread)
+        });
         p3_bench::print_sweep("oversub (0 = flat fabric)", &pts);
         for p in &pts {
             let label = if p.x == 0.0 {

@@ -233,7 +233,7 @@ pub(crate) fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Pla
 
 /// Cluster size: derived from the topology when one is given, otherwise
 /// from `--machines` (defaulting to `default`). An explicit `--machines`
-/// that contradicts the topology is an error.
+/// that is zero or contradicts the topology is an error.
 pub(crate) fn resolve_machines(
     args: &Args,
     topology: Option<&Topology>,
@@ -241,7 +241,10 @@ pub(crate) fn resolve_machines(
 ) -> Result<usize, CliError> {
     let explicit: Option<usize> = match args.get("machines") {
         None => None,
-        Some(_) => Some(args.get_or("machines", default, "integer")?),
+        Some(v) => match args.get_or("machines", default, "positive integer")? {
+            0 => return Err(bad_value("machines", v, "positive integer")),
+            m => Some(m),
+        },
     };
     match (topology, explicit) {
         (Some(t), Some(m)) if m != t.machines() => Err(CliError::Sim(format!(
@@ -252,6 +255,22 @@ pub(crate) fn resolve_machines(
         (Some(t), _) => Ok(t.machines()),
         (None, m) => Ok(m.unwrap_or(default)),
     }
+}
+
+/// Checks one `--gbps` value (scalar or list element): the network models
+/// only positive, finite bandwidth.
+fn positive_gbps(g: f64) -> Result<f64, CliError> {
+    if g.is_finite() && g > 0.0 {
+        Ok(g)
+    } else {
+        Err(bad_value("gbps", &g.to_string(), "positive, finite Gbps"))
+    }
+}
+
+/// The list-valued `--gbps A,B,...` of `sweep` and `tune`.
+pub(crate) fn gbps_list(args: &Args, default: &[f64]) -> Result<Vec<f64>, CliError> {
+    let list = args.get_f64_list("gbps", default)?;
+    list.into_iter().map(positive_gbps).collect()
 }
 
 /// Executes a parsed command line and returns its printable output.
@@ -456,7 +475,7 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     }
     let (topology, placement) = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
-    let gbps: f64 = args.get_or("gbps", 10.0, "number")?;
+    let gbps = positive_gbps(args.get_or("gbps", 10.0, "number")?)?;
     let iters: u64 = args.get_or("iters", 8, "integer")?;
     let warmup: u64 = args.get_or("warmup", 2, "integer")?;
     let measure: u64 = args.get_or("measure", iters, "integer")?;
@@ -519,46 +538,39 @@ fn simulate(args: &Args) -> Result<String, CliError> {
         p3_cluster::RunError::AuditFailed(report) => CliError::Audit(report),
         other => CliError::Sim(other.to_string()),
     };
-    let mut snapshot_at: Option<u64> = None;
     // Wall-clock measurement lives in the CLI, outside the deterministic
     // core; the engine-side profiler is enabled only with --profile-out.
-    let profiled = |sim: ClusterSim| {
-        if profile_out.is_some() {
-            sim.with_profiling()
-        } else {
-            sim
-        }
-    };
     let run_started = std::time::Instant::now();
-    let (r, log) = match (&resume_from, &snapshot_out) {
-        (Some(path), _) => {
+    let mut sim = match &resume_from {
+        Some(path) => {
             let bytes = std::fs::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-            let sim = ClusterSim::restore(cfg, &bytes)
-                .map_err(|e| sim_err(p3_cluster::RunError::Snapshot(e)))?;
-            profiled(sim).resume_traced().map_err(sim_err)?
+            ClusterSim::restore(cfg, &bytes)
+                .map_err(|e| sim_err(p3_cluster::RunError::Snapshot(e)))?
         }
-        (None, Some(path)) => {
-            let mut write_err: Option<String> = None;
-            let ran = profiled(ClusterSim::new(cfg)).try_run_traced_with_snapshots(
-                snapshot_every,
-                |iter, bytes| {
-                    if write_err.is_none() {
-                        match std::fs::write(path, &bytes) {
-                            Ok(()) => snapshot_at = Some(iter),
-                            Err(e) => write_err = Some(format!("{path}: {e}")),
-                        }
-                    }
-                },
-            );
-            if let Some(why) = write_err {
-                return Err(CliError::Io(why));
-            }
-            ran.map_err(sim_err)?
-        }
-        (None, None) => profiled(ClusterSim::new(cfg))
-            .try_run_traced()
-            .map_err(sim_err)?,
+        None => ClusterSim::new(cfg),
     };
+    if profile_out.is_some() {
+        sim = sim.with_profiling();
+    }
+    // Pause at each multiple of --snapshot-every the slowest worker
+    // reaches and overwrite the file there; the latest snapshot wins.
+    let mut snapshot_at: Option<u64> = None;
+    if let Some(path) = &snapshot_out {
+        let mut next_at = snapshot_every;
+        loop {
+            let floor = sim.run_until(next_at).map_err(sim_err)?;
+            if floor < next_at {
+                break; // the run ended before this boundary
+            }
+            std::fs::write(path, sim.snapshot())
+                .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+            snapshot_at = Some(floor);
+            // Skip past multiples crossed in one jump so every snapshot
+            // reflects a distinct progress floor.
+            next_at = (floor / snapshot_every + 1) * snapshot_every;
+        }
+    }
+    let (r, log) = sim.try_run_traced().map_err(sim_err)?;
     let run_wall = run_started.elapsed().as_secs_f64();
     let mut out = format!(
         "throughput: {:.1} {}/sec  |  mean iteration: {}  |  stall fraction: {:.2}\n",
@@ -674,8 +686,8 @@ fn simulate(args: &Args) -> Result<String, CliError> {
 fn timeline(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let strategy = strategy_by_name(args.get("strategy").unwrap_or("p3"))?;
-    let machines: usize = args.get_or("machines", 2, "integer")?;
-    let gbps: f64 = args.get_or("gbps", 10.0, "number")?;
+    let machines = resolve_machines(args, None, 2)?;
+    let gbps = positive_gbps(args.get_or("gbps", 10.0, "number")?)?;
     let iters: u64 = args.get_or("iters", 1, "integer")?;
     let width: usize = args.get_or("width", 72, "integer")?;
     if width == 0 {
@@ -751,7 +763,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let (topology, placement) = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
-    let gbps = args.get_f64_list("gbps", &[1.0, 2.0, 4.0, 8.0, 16.0])?;
+    let gbps = gbps_list(args, &[1.0, 2.0, 4.0, 8.0, 16.0])?;
     let warmup: u64 = args.get_or("warmup", 1, "integer")?;
     let measure: u64 = args.get_or("measure", 5, "integer")?;
     let seed: u64 = args.get_or("seed", 42, "integer")?;
@@ -1115,6 +1127,37 @@ mod tests {
         assert!(out.contains('#'), "{out}");
     }
 
+    /// Out-of-range cluster sizes and bandwidths are argument errors — not
+    /// engine panics, and not a zero-bandwidth run reported as deadlocked.
+    fn assert_rejects_out_of_range(command: &str) {
+        for bad in ["--machines 0", "--gbps -1", "--gbps 0", "--gbps inf"] {
+            let line = format!("{command} --model resnet50 {bad}");
+            assert!(
+                matches!(run(&line), Err(CliError::Args(ArgError::BadValue { .. }))),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn simulate_rejects_out_of_range_machines_and_gbps() {
+        assert_rejects_out_of_range("simulate");
+    }
+
+    #[test]
+    fn sweep_rejects_out_of_range_machines_and_gbps() {
+        assert_rejects_out_of_range("sweep");
+        assert!(matches!(
+            run("sweep --model resnet50 --gbps 4,-2"),
+            Err(CliError::Args(ArgError::BadValue { .. }))
+        ));
+    }
+
+    #[test]
+    fn timeline_rejects_out_of_range_machines_and_gbps() {
+        assert_rejects_out_of_range("timeline");
+    }
+
     #[test]
     fn timeline_rejects_zero_width() {
         assert!(matches!(
@@ -1215,22 +1258,30 @@ mod tests {
     #[test]
     fn snapshot_then_resume_matches_full_run_digest() {
         let dir = std::env::temp_dir();
-        let snap = dir.join(format!("p3_cli_snap_{}.bin", std::process::id()));
-        let base = "simulate --model resnet50 --machines 2 --gbps 20 --iters 3";
+        // 2 warmup + 4 measured = 6 iterations. Every 1, the latest
+        // snapshot is the final boundary; every 4, boundary 8 lies past the
+        // end, so the file keeps the iteration-4 snapshot.
+        let base = "simulate --model resnet50 --machines 2 --gbps 20 --iters 4";
         let full = run(base).unwrap();
-        let snapped = run(&format!(
-            "{base} --snapshot-every 1 --snapshot-out {}",
-            snap.display()
-        ))
-        .unwrap();
-        assert!(snapped.contains("snapshot written:"), "{snapped}");
-        assert_eq!(event_hash_line(&full), event_hash_line(&snapped));
-        let resumed = run(&format!("{base} --resume-from {}", snap.display())).unwrap();
-        assert!(resumed.contains("resumed from:"), "{resumed}");
-        // The rolling hash survives the snapshot, so the resumed run's
-        // final digest equals the uninterrupted run's.
-        assert_eq!(event_hash_line(&full), event_hash_line(&resumed));
-        let _ = std::fs::remove_file(&snap);
+        for (every, latest) in [(1, 6), (4, 4)] {
+            let snap = dir.join(format!("p3_cli_snap{every}_{}.bin", std::process::id()));
+            let snapped = run(&format!(
+                "{base} --snapshot-every {every} --snapshot-out {}",
+                snap.display()
+            ))
+            .unwrap();
+            assert!(
+                snapped.contains(&format!("(iteration {latest})")),
+                "{snapped}"
+            );
+            assert_eq!(event_hash_line(&full), event_hash_line(&snapped));
+            let resumed = run(&format!("{base} --resume-from {}", snap.display())).unwrap();
+            assert!(resumed.contains("resumed from:"), "{resumed}");
+            // The rolling hash survives the snapshot, so the resumed run's
+            // final digest equals the uninterrupted run's.
+            assert_eq!(event_hash_line(&full), event_hash_line(&resumed));
+            let _ = std::fs::remove_file(&snap);
+        }
     }
 
     #[test]

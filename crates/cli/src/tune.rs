@@ -3,7 +3,9 @@
 //! shell around `p3-tune`'s search driver.
 
 use crate::args::Args;
-use crate::commands::{bad_value, model_by_name, parse_topology_flags, resolve_machines, CliError};
+use crate::commands::{
+    bad_value, gbps_list, model_by_name, parse_topology_flags, resolve_machines, CliError,
+};
 use p3_models::ModelSpec;
 use p3_tune::{
     tune, verify_recommended, Cell, EvalParams, FaultClass, SearchSpace, TuneReport, TuneSettings,
@@ -26,7 +28,7 @@ pub(crate) fn tune_cmd(args: &Args) -> Result<String, CliError> {
     }
     let (topology, _placement) = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
-    let gbps = args.get_f64_list("gbps", &[10.0])?;
+    let gbps = gbps_list(args, &[10.0])?;
     let faults: Vec<FaultClass> = args
         .get("faults")
         .unwrap_or("none")
@@ -133,8 +135,8 @@ pub(crate) fn tune_cmd(args: &Args) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tests {
-    use crate::args::Args;
-    use crate::commands::dispatch;
+    use crate::args::{ArgError, Args};
+    use crate::commands::{dispatch, CliError};
 
     fn run(line: &str) -> Result<String, crate::commands::CliError> {
         let tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
@@ -178,6 +180,17 @@ mod tests {
     #[test]
     fn tune_rejects_placement_flag() {
         assert!(run("tune --models alexnet --placement packed").is_err());
+    }
+
+    #[test]
+    fn tune_rejects_out_of_range_machines_and_gbps() {
+        for bad in ["--machines 0", "--gbps -1", "--gbps 10,0"] {
+            let line = format!("tune --models alexnet {bad}");
+            assert!(
+                matches!(run(&line), Err(CliError::Args(ArgError::BadValue { .. }))),
+                "{line}"
+            );
+        }
     }
 
     #[test]

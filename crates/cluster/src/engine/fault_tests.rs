@@ -179,7 +179,7 @@ fn collective_crash_aborts_in_flight_collective_and_completes() {
         })
         .with_slice_trace();
     cfg.liveness_timeout = SimDuration::from_secs(30);
-    let (r, log) = ClusterSim::new(cfg).run_traced();
+    let (r, log) = ClusterSim::new(cfg).try_run_traced().unwrap();
     let log = log.expect("tracing enabled");
     assert!(r.throughput > 0.0, "survivors failed to finish");
     assert!(
@@ -307,14 +307,16 @@ mod trace_tests {
         // schedules nothing, so enabling the trace must not shift a single
         // event.
         let plain = ClusterSim::new(vgg_cfg()).run();
-        let (traced, log) = ClusterSim::new(vgg_cfg().with_slice_trace()).run_traced();
+        let (traced, log) = ClusterSim::new(vgg_cfg().with_slice_trace())
+            .try_run_traced()
+            .unwrap();
         assert_eq!(plain, traced);
         assert!(!log.expect("tracing enabled").is_empty());
     }
 
     #[test]
     fn untraced_runs_return_no_log() {
-        let (_, log) = ClusterSim::new(vgg_cfg()).run_traced();
+        let (_, log) = ClusterSim::new(vgg_cfg()).try_run_traced().unwrap();
         assert!(log.is_none());
     }
 
@@ -323,7 +325,7 @@ mod trace_tests {
         let cfg = vgg_cfg().with_slice_trace();
         let machines = cfg.machines;
         let keys = cfg.strategy.plan(&cfg.model, machines, cfg.seed).num_keys();
-        let (_, log) = ClusterSim::new(cfg).run_traced();
+        let (_, log) = ClusterSim::new(cfg).try_run_traced().unwrap();
         let doc = chrome_trace_json(&log.expect("tracing enabled"), machines);
         let spans = validate_chrome_trace(&doc).expect("schema-valid Chrome trace");
         // Every slice shows at least one complete push → aggregate → pull
@@ -345,7 +347,9 @@ mod trace_tests {
 
     #[test]
     fn timeline_renders_nonempty_gantt() {
-        let (_, log) = ClusterSim::new(vgg_cfg().with_slice_trace()).run_traced();
+        let (_, log) = ClusterSim::new(vgg_cfg().with_slice_trace())
+            .try_run_traced()
+            .unwrap();
         let art = ascii_timeline(&log.expect("tracing enabled"), 2, 1, 60);
         assert_ne!(art, "(empty trace)\n");
         assert!(art.contains("w0 compute"));
@@ -377,7 +381,7 @@ mod trace_tests {
         .with_retry(RetryPolicy::new(SimDuration::from_millis(20), 2.0, 16))
         .with_slice_trace();
         cfg.liveness_timeout = SimDuration::from_secs(30);
-        let (r, log) = ClusterSim::new(cfg).run_traced();
+        let (r, log) = ClusterSim::new(cfg).try_run_traced().unwrap();
         let log = log.expect("tracing enabled");
         let count = |kind: FaultKind| {
             log.events()

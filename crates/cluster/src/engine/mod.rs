@@ -30,7 +30,6 @@ mod collective;
 mod membership;
 mod results;
 mod server;
-mod sink;
 mod snapshot;
 mod transport;
 mod types;
@@ -54,19 +53,18 @@ use p3_prof::{SimProfiler, SpanToken};
 use p3_pserver::ShardPlan;
 use p3_topo::Placement;
 use p3_trace::{TraceHandle, TraceLog};
-use sink::{NoSnapshots, SnapshotOnce, SnapshotSink, SnapshotTaker};
 use std::collections::BTreeMap;
 use types::{
     role_slot, trace_phase, Ev, MsgCtx, Phase, Role, ServerState, WorkerState, EVENT_CAP,
     MAX_MACHINES,
 };
 
-/// What [`ClusterSim::try_run_traced_snapshot_at`] produces: the run's
-/// result, its trace log (when slice tracing was enabled), and the
-/// one-shot warmup-boundary snapshot (when the boundary was reached).
-pub type SnapshottedRun = (RunResult, Option<TraceLog>, Option<Vec<u8>>);
-
 /// One fully configured simulation, ready to [`ClusterSim::run`].
+///
+/// Every run goes through one driver, [`ClusterSim::run_until`], which
+/// pauses at an iteration boundary. [`ClusterSim::try_run_traced`] drives
+/// it to the end; taking a [`ClusterSim::snapshot`] whenever it pauses
+/// is how runs are checkpointed, and [`ClusterSim::restore`] continues one.
 ///
 /// # Examples
 ///
@@ -143,6 +141,13 @@ pub struct ClusterSim {
     /// already-deterministic counters, so a profiled run's event stream is
     /// bit-identical to an unprofiled one (pinned by test).
     prof: Option<SimProfiler>,
+    /// Whether the run has been validated and seeded — by the first
+    /// [`ClusterSim::run_until`], or already in the original run when
+    /// this engine came from [`ClusterSim::restore`].
+    started: bool,
+    /// Set by [`ClusterSim::restore`]. The trace then covers only the
+    /// resumed suffix, so the inline audit is skipped. Not snapshotted.
+    resumed: bool,
 }
 
 impl ClusterSim {
@@ -304,15 +309,16 @@ impl ClusterSim {
             hash: 0,
             config_error,
             prof: None,
+            started: false,
+            resumed: false,
             cfg,
         }
     }
 
     /// Enables engine self-profiling: scoped wall-clock timers around the
     /// hot paths (per-event-type dispatch, network polling, flow starts,
-    /// backend delivery, snapshot capture) plus the network's deterministic
-    /// work counters, frozen into [`RunResult::profile`] when the run
-    /// finishes.
+    /// backend delivery) plus the network's deterministic work counters,
+    /// frozen into [`RunResult::profile`] when the run finishes.
     ///
     /// Profiling is observation-only — it draws no randomness, schedules
     /// nothing, and feeds no wall-clock value back into simulation state —
@@ -359,93 +365,94 @@ impl ClusterSim {
     /// recorded slice-lifecycle trace (present when
     /// [`ClusterConfig::slice_trace`] is set).
     ///
-    /// # Panics
-    ///
-    /// Panics on any [`RunError`], like [`ClusterSim::run`].
-    pub fn run_traced(self) -> (RunResult, Option<TraceLog>) {
-        self.try_run_traced().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`ClusterSim::try_run`], additionally returning the recorded
-    /// trace when tracing is enabled.
+    /// On an engine from [`ClusterSim::restore`] this continues the run
+    /// without re-validating or re-seeding it — that happened in the
+    /// original run and lives in the snapshot's event queue. The returned
+    /// trace then covers only the resumed portion (a bit-identical suffix
+    /// of the uninterrupted run's trace), so the inline audit is skipped:
+    /// its invariants span the whole run and would see unpaired events.
     pub fn try_run_traced(mut self) -> Result<(RunResult, Option<TraceLog>), RunError> {
-        self.validate()?;
-        self.begin();
-        self.run_loop(&mut NoSnapshots)?;
-        self.finalize(true)
+        let target = self.cfg.warmup_iters + self.cfg.measure_iters;
+        self.run_until(target)?;
+        self.finalize(target)
     }
 
-    /// Like [`ClusterSim::try_run_traced`], additionally invoking `hook`
-    /// with `(min_completed_iterations, snapshot_bytes)` every time the
-    /// slowest live worker crosses a multiple of `every` completed
-    /// iterations. The snapshot restores via [`ClusterSim::restore`] and
-    /// resumes via [`ClusterSim::resume_traced`] bit-identically to the
-    /// uninterrupted run.
+    /// Processes events until no live worker has completed fewer than
+    /// `iteration` iterations (capped at the run's warmup + measure
+    /// target), then pauses and returns the slowest live worker's
+    /// completed count. The first call on a fresh engine validates the
+    /// configuration and seeds the event queue.
     ///
-    /// `every == 0` disables snapshotting (equivalent to
-    /// [`ClusterSim::try_run_traced`]).
-    pub fn try_run_traced_with_snapshots<F: FnMut(u64, Vec<u8>)>(
-        mut self,
-        every: u64,
-        mut hook: F,
-    ) -> Result<(RunResult, Option<TraceLog>), RunError> {
-        self.validate()?;
-        self.begin();
-        if every == 0 {
-            self.run_loop(&mut NoSnapshots)?;
-        } else {
-            let mut taker = SnapshotTaker {
-                every,
-                next_at: every,
-                hook: &mut hook,
-            };
-            self.run_loop(&mut taker)?;
-        }
-        self.finalize(true)
-    }
-
-    /// Like [`ClusterSim::try_run_traced`], additionally capturing exactly
-    /// one snapshot the first time the slowest live worker reaches
-    /// `at_iteration` completed iterations. This is the search harness's
-    /// warm-start hook: `p3 tune` snapshots each candidate at the warmup
-    /// boundary during its screening run, then confirms frontier members
-    /// by restoring the snapshot and extending the measurement window
-    /// ([`ClusterSim::extend_measurement`]) instead of re-simulating the
-    /// warmup prefix.
+    /// Pausing perturbs nothing: finishing with
+    /// [`ClusterSim::try_run_traced`] gives the uninterrupted result, and
+    /// a [`ClusterSim::snapshot`] taken here restores and finishes
+    /// bit-identically. This is how runs are checkpointed (`p3 simulate
+    /// --snapshot-every`) and warm-started (`p3 tune` snapshots at the
+    /// warmup boundary).
     ///
-    /// `at_iteration == 0` captures nothing (equivalent to
-    /// [`ClusterSim::try_run_traced`] with a `None` snapshot).
-    pub fn try_run_traced_snapshot_at(
-        mut self,
-        at_iteration: u64,
-    ) -> Result<SnapshottedRun, RunError> {
-        self.validate()?;
-        self.begin();
-        let mut snap = None;
-        if at_iteration == 0 {
-            self.run_loop(&mut NoSnapshots)?;
-        } else {
-            let mut once = SnapshotOnce {
-                at: at_iteration,
-                out: &mut snap,
-            };
-            self.run_loop(&mut once)?;
+    /// # Errors
+    ///
+    /// Any [`RunError`]: an invalid configuration, a deadlock, or an
+    /// exceeded event cap.
+    pub fn run_until(&mut self, iteration: u64) -> Result<u64, RunError> {
+        if !self.started {
+            self.validate()?;
+            self.begin();
+            self.started = true;
         }
-        let (result, log) = self.finalize(true)?;
-        Ok((result, log, snap))
+        // The rolling hash folds each `(time, event)` pair *before*
+        // dispatch, so a `StateHash` trace row at event `n` commits to the
+        // first `n` events processed.
+        let bound = iteration.min(self.cfg.warmup_iters + self.cfg.measure_iters);
+        while self
+            .workers
+            .iter()
+            .any(|w| !w.permanently_dead && w.completed < bound)
+        {
+            let Some((t, ev)) = self.queue.pop() else {
+                return Err(RunError::Deadlock {
+                    progress: self.workers.iter().map(|w| w.completed).collect(),
+                });
+            };
+            self.events += 1;
+            if self.events >= EVENT_CAP {
+                return Err(RunError::EventCapExceeded { cap: EVENT_CAP });
+            }
+            self.hash = snapshot::fold_event(self.hash, t, &ev);
+            let span = self.prof_begin();
+            let key = ev.dispatch_key();
+            self.dispatch(ev);
+            self.prof_end(key, span);
+            if self.cfg.hash_every > 0 && self.events.is_multiple_of(self.cfg.hash_every) {
+                self.trace(p3_trace::TraceEvent::StateHash {
+                    events: self.events,
+                    hash: self.hash,
+                });
+            }
+        }
+        Ok(self
+            .workers
+            .iter()
+            .filter(|w| !w.permanently_dead)
+            .map(|w| w.completed)
+            .min()
+            .unwrap_or(0))
     }
 
-    /// Reconstructs a mid-run simulation from snapshot bytes produced by
-    /// [`ClusterSim::try_run_traced_with_snapshots`]. The configuration
-    /// must be the one the snapshot was taken under (checked via a
-    /// fingerprint in the header).
+    /// Reconstructs a mid-run simulation from [`ClusterSim::snapshot`]
+    /// bytes, ready for [`ClusterSim::try_run_traced`] to continue. The
+    /// configuration must be the one the snapshot was taken under
+    /// (checked via a fingerprint in the header).
     ///
     /// # Errors
     ///
     /// Any [`SnapshotError`]: truncated/corrupt bytes, wrong magic or
     /// format version, or a configuration mismatch.
     pub fn restore(cfg: ClusterConfig, bytes: &[u8]) -> Result<ClusterSim, SnapshotError> {
-        snapshot::restore(cfg, bytes)
+        let mut sim = snapshot::restore(cfg, bytes)?;
+        sim.started = true;
+        sim.resumed = true;
+        Ok(sim)
     }
 
     /// Serializes the complete dynamic engine state (clock, pending
@@ -469,20 +476,6 @@ impl ClusterSim {
         self.hash
     }
 
-    /// Continues a run restored by [`ClusterSim::restore`] to completion.
-    ///
-    /// Unlike [`ClusterSim::try_run_traced`] this neither re-validates the
-    /// configuration nor re-schedules worker starts or the fault plan —
-    /// all of that already happened in the original run and lives in the
-    /// snapshot's event queue. The returned trace covers only the resumed
-    /// portion (it is a bit-identical suffix of the uninterrupted run's
-    /// trace), so the inline audit is skipped: its invariants span the
-    /// whole run and would see unpaired events.
-    pub fn resume_traced(mut self) -> Result<(RunResult, Option<TraceLog>), RunError> {
-        self.run_loop(&mut NoSnapshots)?;
-        self.finalize(false)
-    }
-
     /// Rebases a restored run's measurement window to `measure_iters`
     /// iterations past warmup — the second half of the search harness's
     /// warm-start: a snapshot taken at the warmup boundary under a short
@@ -492,7 +485,7 @@ impl ClusterSim {
     /// precondition is what this method verifies: every live worker must
     /// still be strictly below the *new* target with its measurement
     /// window open. Call between [`ClusterSim::restore`] and
-    /// [`ClusterSim::resume_traced`].
+    /// [`ClusterSim::try_run_traced`].
     ///
     /// # Errors
     ///
@@ -524,16 +517,16 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// Static configuration checks shared by every way of starting a run.
-    fn validate(&mut self) -> Result<(), RunError> {
+    /// Static configuration checks, run before the first event.
+    fn validate(&self) -> Result<(), RunError> {
         if self.cfg.machines > MAX_MACHINES {
             return Err(RunError::InvalidConfig(format!(
                 "{} machines exceeds the {MAX_MACHINES}-machine membership mask",
                 self.cfg.machines
             )));
         }
-        if let Some(why) = self.config_error.take() {
-            return Err(RunError::InvalidConfig(why));
+        if let Some(why) = &self.config_error {
+            return Err(RunError::InvalidConfig(why.clone()));
         }
         self.cfg
             .faults
@@ -576,54 +569,11 @@ impl ClusterSim {
         self.schedule_fault_plan();
     }
 
-    /// The engine's main loop: pop, hash, dispatch, until every live
-    /// worker reached the target iteration count. The rolling hash folds
-    /// each `(time, event)` pair *before* dispatch, so a `StateHash`
-    /// trace row at event `n` commits to the first `n` events processed.
-    fn run_loop<S: SnapshotSink>(&mut self, snapshots: &mut S) -> Result<(), RunError> {
-        let target = self.cfg.warmup_iters + self.cfg.measure_iters;
-        while self
-            .workers
-            .iter()
-            .any(|w| !w.permanently_dead && w.completed < target)
-        {
-            let Some((t, ev)) = self.queue.pop() else {
-                return Err(RunError::Deadlock {
-                    progress: self.workers.iter().map(|w| w.completed).collect(),
-                });
-            };
-            self.events += 1;
-            if self.events >= EVENT_CAP {
-                return Err(RunError::EventCapExceeded { cap: EVENT_CAP });
-            }
-            self.hash = snapshot::fold_event(self.hash, t, &ev);
-            let span = self.prof_begin();
-            let key = ev.dispatch_key();
-            self.dispatch(ev);
-            self.prof_end(key, span);
-            if self.cfg.hash_every > 0 && self.events.is_multiple_of(self.cfg.hash_every) {
-                self.trace(p3_trace::TraceEvent::StateHash {
-                    events: self.events,
-                    hash: self.hash,
-                });
-            }
-            if S::ACTIVE {
-                let span = self.prof_begin();
-                snapshots.after_event(self);
-                self.prof_end("snapshot/capture", span);
-            } else {
-                snapshots.after_event(self);
-            }
-        }
-        Ok(())
-    }
-
-    /// Drains the trace, runs the inline audit (full runs only), and
+    /// Drains the trace, runs the inline audit (unless resumed), and
     /// computes the measured result.
-    fn finalize(self, audit: bool) -> Result<(RunResult, Option<TraceLog>), RunError> {
-        let target = self.cfg.warmup_iters + self.cfg.measure_iters;
+    fn finalize(self, target: u64) -> Result<(RunResult, Option<TraceLog>), RunError> {
         let log = self.tracer.as_ref().map(|t| t.drain());
-        if audit && self.cfg.audit {
+        if self.cfg.audit && !self.resumed {
             let Some(log) = &log else {
                 return Err(RunError::InvalidConfig(
                     "audit requested but slice tracing is off (use with_audit)".into(),
@@ -636,17 +586,6 @@ impl ClusterSim {
             }
         }
         Ok((self.finish(target), log))
-    }
-
-    /// The slowest live worker's completed-iteration count — the
-    /// progress floor a snapshot is labelled with.
-    fn min_completed(&self) -> u64 {
-        self.workers
-            .iter()
-            .filter(|w| !w.permanently_dead)
-            .map(|w| w.completed)
-            .min()
-            .unwrap_or(0)
     }
 
     /// Schedules every episode of the fault plan. An empty plan schedules

@@ -221,6 +221,19 @@ fn profile_reports_dispatch_timers_and_work_counters() {
 }
 
 #[test]
+fn run_until_past_the_end_stops_there_and_perturbs_nothing() {
+    // The CLI's snapshot loop asks for a boundary past the run's end, then
+    // finishes the run: that last pause must be invisible.
+    let plain = ClusterSim::new(cfg(SyncStrategy::p3(), 8.0)).run();
+    let mut sim = ClusterSim::new(cfg(SyncStrategy::p3(), 8.0));
+    assert_eq!(sim.run_until(100).unwrap(), 3, "warmup 1 + measure 2");
+    assert_eq!(sim.run_until(100).unwrap(), 3, "a finished run stays put");
+    let (paused, _) = sim.try_run_traced().unwrap();
+    assert_eq!(plain, paused);
+    assert_eq!(plain.event_hash, paused.event_hash);
+}
+
+#[test]
 fn peak_in_flight_is_deterministic_and_nonzero() {
     let a = ClusterSim::new(cfg(SyncStrategy::p3(), 8.0)).run();
     let b = ClusterSim::new(cfg(SyncStrategy::p3(), 8.0)).run();

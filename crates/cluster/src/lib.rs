@@ -8,6 +8,10 @@
 //! times, and `bwm-ng`-style NIC utilization traces come out the other
 //! side — the quantities plotted in Figures 7–10 and 12–14 of the paper.
 //!
+//! Every run goes through one driver, [`ClusterSim::run_until`], which
+//! pauses at an iteration boundary; a [`ClusterSim::snapshot`] taken there
+//! checkpoints the run. [`sweep`] repeats runs across a figure's points.
+//!
 //! The analytic [`gantt`] module additionally reproduces the unit-time
 //! schedules of Figures 4 and 6.
 //!
@@ -46,11 +50,8 @@ pub use config::{
     UtilizationTrace, WireCompression,
 };
 pub use egress::{EgressUnit, OutMsg};
-pub use engine::{ClusterSim, SnapshottedRun};
+pub use engine::ClusterSim;
 pub use faults::{FaultPlan, LinkDegradation, StragglerEpisode, WorkerCrash};
 pub use snap::{SnapshotError, SNAP_MAGIC, SNAP_VERSION};
-pub use sweep::{
-    bandwidth_sweep, oversubscription_sweep, scalability_sweep, slice_size_sweep, throughput_of,
-    SweepPoint,
-};
+pub use sweep::{sweep, throughput_of, SweepPoint};
 pub use timeline::{ascii_timeline, timeline_schedule};

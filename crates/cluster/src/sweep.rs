@@ -1,18 +1,16 @@
-//! Parameter-sweep helpers shared by the figure-regeneration benches and
-//! the integration tests.
+//! Parameter sweeps shared by the figure-regeneration benches, the
+//! examples and the integration tests: one strategies × points loop over a
+//! caller-supplied configuration builder.
 
 use crate::config::ClusterConfig;
 use crate::engine::ClusterSim;
 use p3_core::SyncStrategy;
-use p3_models::ModelSpec;
-use p3_net::Bandwidth;
-use p3_topo::{Placement, Topology};
 
 /// One point of a sweep: the x-value and the aggregate throughput of each
 /// strategy at that point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
-    /// Sweep variable (Gbps, cluster size, or slice parameters).
+    /// Sweep variable (Gbps, cluster size, slice parameters, …).
     pub x: f64,
     /// `(strategy name, aggregate samples/sec)` in input order.
     pub series: Vec<(String, f64)>,
@@ -23,140 +21,32 @@ pub struct SweepPoint {
 /// Returns `NaN` if the configuration fails to run (invalid setup or a
 /// wedged simulation) so a sweep over many points survives one bad one;
 /// plotting layers skip NaN points.
-pub fn throughput_of(
-    model: &ModelSpec,
-    strategy: &SyncStrategy,
-    machines: usize,
-    bandwidth: Bandwidth,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> f64 {
-    let cfg = ClusterConfig::new(model.clone(), strategy.clone(), machines, bandwidth)
-        .with_iters(warmup, measure)
-        .with_seed(seed);
+pub fn throughput_of(cfg: ClusterConfig) -> f64 {
     ClusterSim::new(cfg)
         .try_run()
         .map_or(f64::NAN, |r| r.throughput)
 }
 
-/// Figure 7: throughput of each strategy across NIC bandwidths on a fixed
-/// cluster.
-pub fn bandwidth_sweep(
-    model: &ModelSpec,
+/// Runs `make_cfg(x, strategy)` for every point and strategy and collects
+/// the throughputs (Figures 7, 10 and 12 are all this loop). Each series
+/// is named by the built configuration's strategy, so a builder that
+/// rewrites the strategy per point (Fig. 12's slice size) labels it.
+pub fn sweep(
+    xs: &[f64],
     strategies: &[SyncStrategy],
-    machines: usize,
-    gbps: &[f64],
-    warmup: u64,
-    measure: u64,
-    seed: u64,
+    make_cfg: impl Fn(f64, &SyncStrategy) -> ClusterConfig,
 ) -> Vec<SweepPoint> {
-    gbps.iter()
-        .map(|&g| SweepPoint {
-            x: g,
+    xs.iter()
+        .map(|&x| SweepPoint {
+            x,
             series: strategies
                 .iter()
                 .map(|s| {
-                    let t = throughput_of(
-                        model,
-                        s,
-                        machines,
-                        Bandwidth::from_gbps(g),
-                        warmup,
-                        measure,
-                        seed,
-                    );
-                    (s.name().to_string(), t)
+                    let cfg = make_cfg(x, s);
+                    let name = cfg.strategy.name().to_string();
+                    (name, throughput_of(cfg))
                 })
                 .collect(),
-        })
-        .collect()
-}
-
-/// Figure 10: throughput across cluster sizes at fixed bandwidth.
-pub fn scalability_sweep(
-    model: &ModelSpec,
-    strategies: &[SyncStrategy],
-    sizes: &[usize],
-    bandwidth: Bandwidth,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    sizes
-        .iter()
-        .map(|&n| SweepPoint {
-            x: n as f64,
-            series: strategies
-                .iter()
-                .map(|s| {
-                    let t = throughput_of(model, s, n, bandwidth, warmup, measure, seed);
-                    (s.name().to_string(), t)
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// Oversubscription sweep: throughput of each strategy as the core gets
-/// more oversubscribed on a fixed rack layout. `oversubs` of 1.0 is the
-/// full-bisection point (for a single rack, identical to the flat fabric);
-/// larger factors shrink the shared rack uplinks.
-#[allow(clippy::too_many_arguments)]
-pub fn oversubscription_sweep(
-    model: &ModelSpec,
-    strategies: &[SyncStrategy],
-    racks: usize,
-    rack_size: usize,
-    bandwidth: Bandwidth,
-    placement: Placement,
-    oversubs: &[f64],
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    let machines = racks * rack_size;
-    oversubs
-        .iter()
-        .map(|&f| SweepPoint {
-            x: f,
-            series: strategies
-                .iter()
-                .map(|s| {
-                    let cfg = ClusterConfig::new(model.clone(), s.clone(), machines, bandwidth)
-                        .with_iters(warmup, measure)
-                        .with_seed(seed)
-                        .with_topology(Topology::new(racks, rack_size, f))
-                        .with_placement(placement);
-                    let t = ClusterSim::new(cfg)
-                        .try_run()
-                        .map_or(f64::NAN, |r| r.throughput);
-                    (s.name().to_string(), t)
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// Figure 12: P3 throughput across slice sizes.
-pub fn slice_size_sweep(
-    model: &ModelSpec,
-    slice_params: &[u64],
-    machines: usize,
-    bandwidth: Bandwidth,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    slice_params
-        .iter()
-        .map(|&sz| {
-            let s = SyncStrategy::p3_with_slice_params(sz);
-            let t = throughput_of(model, &s, machines, bandwidth, warmup, measure, seed);
-            SweepPoint {
-                x: sz as f64,
-                series: vec![(s.name().to_string(), t)],
-            }
         })
         .collect()
 }
@@ -164,12 +54,18 @@ pub fn slice_size_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p3_models::ModelSpec;
+    use p3_net::Bandwidth;
+    use p3_topo::{Placement, Topology};
 
     #[test]
     fn sweep_points_carry_all_strategies() {
-        let model = ModelSpec::resnet50();
         let strategies = [SyncStrategy::baseline(), SyncStrategy::p3()];
-        let pts = bandwidth_sweep(&model, &strategies, 2, &[20.0], 1, 2, 7);
+        let pts = sweep(&[20.0], &strategies, |g, s| {
+            ClusterConfig::new(ModelSpec::resnet50(), s.clone(), 2, Bandwidth::from_gbps(g))
+                .with_iters(1, 2)
+                .with_seed(7)
+        });
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].series.len(), 2);
         assert_eq!(pts[0].series[0].0, "Baseline");
@@ -178,20 +74,18 @@ mod tests {
 
     #[test]
     fn oversubscription_sweep_degrades_monotonically() {
-        let model = ModelSpec::resnet50();
-        let strategies = [SyncStrategy::p3()];
-        let pts = oversubscription_sweep(
-            &model,
-            &strategies,
-            2,
-            2,
-            Bandwidth::from_gbps(8.0),
-            Placement::Spread,
-            &[1.0, 4.0],
-            1,
-            2,
-            42,
-        );
+        let pts = sweep(&[1.0, 4.0], &[SyncStrategy::p3()], |f, s| {
+            ClusterConfig::new(
+                ModelSpec::resnet50(),
+                s.clone(),
+                4,
+                Bandwidth::from_gbps(8.0),
+            )
+            .with_iters(1, 2)
+            .with_seed(42)
+            .with_topology(Topology::new(2, 2, f))
+            .with_placement(Placement::Spread)
+        });
         assert_eq!(pts.len(), 2);
         let t = |i: usize| pts[i].series[0].1;
         assert!(t(0) > 0.0 && t(1) > 0.0);

@@ -129,8 +129,15 @@ pub struct Screened {
 /// Infeasible configurations (engine validation rejections, deadlocks,
 /// event-cap blowups) are recorded in the evaluation, not propagated.
 pub fn screen(cell: &Cell, cand: &Candidate, params: &EvalParams, seed: u64) -> Screened {
-    let cfg = screening_config(cell, cand, params, seed);
-    match ClusterSim::new(cfg).try_run_traced_snapshot_at(params.warmup) {
+    let mut sim = ClusterSim::new(screening_config(cell, cand, params, seed));
+    // Pause at the warmup boundary for the refinement stage's snapshot
+    // (none when there is no warmup or the floor never reached it).
+    let ran = sim.run_until(params.warmup).and_then(|floor| {
+        let snapshot = (params.warmup > 0 && floor >= params.warmup).then(|| sim.snapshot());
+        let (result, log) = sim.try_run_traced()?;
+        Ok((result, log, snapshot))
+    });
+    match ran {
         Ok((result, log, snapshot)) => Screened {
             evaluation: Evaluation {
                 candidate: cand.clone(),
@@ -238,7 +245,7 @@ pub fn audit_replay(
 fn warm_run(cfg: ClusterConfig, bytes: &[u8], params: &EvalParams) -> Option<RunResult> {
     let mut sim = ClusterSim::restore(cfg, bytes).ok()?;
     sim.extend_measurement(params.measure).ok()?;
-    sim.resume_traced().ok().map(|(result, _log)| result)
+    sim.try_run_traced().ok().map(|(result, _log)| result)
 }
 
 fn objectives_of(result: &RunResult, log: Option<&TraceLog>) -> Objectives {

@@ -6,9 +6,10 @@
 //!
 //! Run with: `cargo run --release --example bandwidth_sensitivity`
 
-use p3::cluster::bandwidth_sweep;
+use p3::cluster::{sweep, ClusterConfig};
 use p3::core::SyncStrategy;
 use p3::models::ModelSpec;
+use p3::net::Bandwidth;
 
 fn main() {
     let strategies = SyncStrategy::fig7_series();
@@ -21,7 +22,11 @@ fn main() {
             model.name(),
             model.unit()
         );
-        let points = bandwidth_sweep(&model, &strategies, 4, &gbps, 2, 6, 7);
+        let points = sweep(&gbps, &strategies, |g, s| {
+            ClusterConfig::new(model.clone(), s.clone(), 4, Bandwidth::from_gbps(g))
+                .with_iters(2, 6)
+                .with_seed(7)
+        });
         let plateau = points.last().expect("nonempty").series[2].1;
         for p in &points {
             print!("{:5.1} Gbps:", p.x);

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example custom_model`
 
-use p3::cluster::{slice_size_sweep, throughput_of};
+use p3::cluster::{sweep, throughput_of, ClusterConfig};
 use p3::core::SyncStrategy;
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
@@ -50,16 +50,24 @@ fn main() {
     );
 
     let bw = Bandwidth::from_gbps(10.0);
-    let base = throughput_of(&model, &SyncStrategy::baseline(), 4, bw, 2, 6, 3);
-    let p3 = throughput_of(&model, &SyncStrategy::p3(), 4, bw, 2, 6, 3);
+    let cfg = |s: SyncStrategy| {
+        ClusterConfig::new(model.clone(), s, 4, bw)
+            .with_iters(2, 6)
+            .with_seed(3)
+    };
+    let base = throughput_of(cfg(SyncStrategy::baseline()));
+    let p3 = throughput_of(cfg(SyncStrategy::p3()));
     println!(
         "at {bw}: baseline {base:.0} img/s, P3 {p3:.0} img/s ({:+.0}%)\n",
         (p3 / base - 1.0) * 100.0
     );
 
     println!("slice-size sweep (Fig. 12 methodology):");
-    let sizes = [5_000u64, 20_000, 50_000, 200_000, 1_000_000];
-    for p in slice_size_sweep(&model, &sizes, 4, bw, 2, 6, 3) {
+    let sizes = [5e3, 2e4, 5e4, 2e5, 1e6];
+    let points = sweep(&sizes, &[SyncStrategy::p3()], |sz, _| {
+        cfg(SyncStrategy::p3_with_slice_params(sz as u64))
+    });
+    for p in points {
         println!("  {:>9} params/slice: {:7.1} img/s", p.x, p.series[0].1);
     }
 }

@@ -7,11 +7,11 @@
 //!
 //! Run with: `cargo run --release --example oversubscription`
 
-use p3::cluster::oversubscription_sweep;
+use p3::cluster::{sweep, ClusterConfig};
 use p3::core::SyncStrategy;
 use p3::models::ModelSpec;
 use p3::net::Bandwidth;
-use p3::topo::Placement;
+use p3::topo::{Placement, Topology};
 
 fn main() {
     let model = ModelSpec::vgg19();
@@ -23,18 +23,18 @@ fn main() {
         "== {} on {racks} racks x {rack_size} machines, 15 Gbps NICs ==",
         model.name()
     );
-    let points = oversubscription_sweep(
-        &model,
-        &strategies,
-        racks,
-        rack_size,
-        Bandwidth::from_gbps(15.0),
-        Placement::Spread,
-        &oversubs,
-        2,
-        6,
-        7,
-    );
+    let points = sweep(&oversubs, &strategies, |f, s| {
+        ClusterConfig::new(
+            model.clone(),
+            s.clone(),
+            racks * rack_size,
+            Bandwidth::from_gbps(15.0),
+        )
+        .with_iters(2, 6)
+        .with_seed(7)
+        .with_topology(Topology::new(racks, rack_size, f))
+        .with_placement(Placement::Spread)
+    });
     let mut crossover = None;
     for p in &points {
         let (base, p3) = (p.series[0].1, p.series[1].1);

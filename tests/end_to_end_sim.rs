@@ -11,7 +11,11 @@ use p3::models::ModelSpec;
 use p3::net::Bandwidth;
 
 fn tp(model: &ModelSpec, s: SyncStrategy, gbps: f64) -> f64 {
-    throughput_of(model, &s, 4, Bandwidth::from_gbps(gbps), 1, 4, 11)
+    throughput_of(
+        ClusterConfig::new(model.clone(), s, 4, Bandwidth::from_gbps(gbps))
+            .with_iters(1, 4)
+            .with_seed(11),
+    )
 }
 
 #[test]
@@ -108,8 +112,14 @@ fn consumption_order_priorities_beat_generation_order() {
 fn more_machines_scale_aggregate_throughput() {
     // Fig. 10: doubling the cluster must increase aggregate throughput.
     let m = ModelSpec::resnet50();
-    let bw = Bandwidth::from_gbps(10.0);
-    let t4 = throughput_of(&m, &SyncStrategy::p3(), 4, bw, 1, 3, 5);
-    let t8 = throughput_of(&m, &SyncStrategy::p3(), 8, bw, 1, 3, 5);
+    let at = |machines: usize| {
+        let bw = Bandwidth::from_gbps(10.0);
+        throughput_of(
+            ClusterConfig::new(m.clone(), SyncStrategy::p3(), machines, bw)
+                .with_iters(1, 3)
+                .with_seed(5),
+        )
+    };
+    let (t4, t8) = (at(4), at(8));
     assert!(t8 > t4 * 1.5, "scaling 4->8 machines: {t4:.1} -> {t8:.1}");
 }

@@ -4,7 +4,7 @@
 use p3::cluster::gantt::{
     figure6_layerwise, figure6_sliced, schedule_sync, schedule_tandem, PipelineSpec, SyncOrder,
 };
-use p3::cluster::{bandwidth_sweep, slice_size_sweep};
+use p3::cluster::{sweep, ClusterConfig};
 use p3::core::SyncStrategy;
 use p3::models::ModelSpec;
 use p3::net::Bandwidth;
@@ -37,15 +37,11 @@ fn fig6_slicing_saves() {
 
 #[test]
 fn fig7_sweep_produces_monotone_ish_curves() {
-    let pts = bandwidth_sweep(
-        &ModelSpec::resnet50(),
-        &[SyncStrategy::p3()],
-        2,
-        &[2.0, 20.0],
-        1,
-        2,
-        3,
-    );
+    let pts = sweep(&[2.0, 20.0], &[SyncStrategy::p3()], |g, s| {
+        ClusterConfig::new(ModelSpec::resnet50(), s.clone(), 2, Bandwidth::from_gbps(g))
+            .with_iters(1, 2)
+            .with_seed(3)
+    });
     assert!(
         pts[1].series[0].1 > pts[0].series[0].1,
         "more bandwidth, more throughput"
@@ -54,14 +50,15 @@ fn fig7_sweep_produces_monotone_ish_curves() {
 
 #[test]
 fn fig12_extreme_slice_sizes_are_suboptimal() {
-    let pts = slice_size_sweep(
-        &ModelSpec::resnet50(),
-        &[1_000, 50_000, 2_000_000],
-        4,
-        Bandwidth::from_gbps(4.0),
-        1,
-        3,
-        3,
+    let pts = sweep(&[1e3, 5e4, 2e6], &[SyncStrategy::p3()], |sz, _| {
+        let s = SyncStrategy::p3_with_slice_params(sz as u64);
+        ClusterConfig::new(ModelSpec::resnet50(), s, 4, Bandwidth::from_gbps(4.0))
+            .with_iters(1, 3)
+            .with_seed(3)
+    });
+    assert_eq!(
+        pts[1].series[0].0, "P3-50k",
+        "series named by the built strategy"
     );
     let tiny = pts[0].series[0].1;
     let mid = pts[1].series[0].1;

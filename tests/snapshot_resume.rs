@@ -66,33 +66,38 @@ fn crash_plan(worker: usize, at_ms: u64, rejoin_ms: u64) -> FaultPlan {
     }
 }
 
-/// Runs `mk()` uninterrupted, runs it again snapshotting at the first
-/// iteration boundary, restores that snapshot under a fresh config, and
-/// asserts all three agree: the snapshotting run is bit-identical to the
-/// plain one, the resumed run reproduces the full result (rolling event
-/// hash included), and the resumed trace is an exact suffix of the full
-/// trace.
+/// Runs `mk()` uninterrupted; runs it again paused at the first iteration
+/// boundary, snapshotted there, and finished under the inline audit; then
+/// restores that snapshot under a fresh config and finishes it too. Asserts
+/// all three agree: pausing perturbs nothing (the paused run passes the
+/// audit and is bit-identical to the plain one), the resumed run
+/// reproduces the full result (rolling event hash included), and the
+/// resumed trace is an exact suffix of the full trace.
 fn assert_snapshot_resume_bit_identical(label: &str, mk: impl Fn() -> ClusterConfig) {
     let (full, full_log) = ClusterSim::new(mk())
         .try_run_traced()
         .unwrap_or_else(|e| panic!("{label}: full run failed: {e}"));
     let full_log = full_log.expect("slice tracing was enabled");
 
-    let mut snap: Option<(u64, Vec<u8>)> = None;
-    let (snapped, _) = ClusterSim::new(mk())
-        .try_run_traced_with_snapshots(1, |iter, bytes| {
-            if snap.is_none() {
-                snap = Some((iter, bytes));
-            }
-        })
-        .unwrap_or_else(|e| panic!("{label}: snapshotting run failed: {e}"));
-    assert_eq!(full, snapped, "{label}: taking snapshots perturbed the run");
-    let (iter, bytes) = snap.unwrap_or_else(|| panic!("{label}: no snapshot was taken"));
-    assert!(iter >= 1, "{label}: snapshot label below the floor");
+    let audited = || mk().with_audit();
+    let mut paused = ClusterSim::new(audited());
+    let iter = paused
+        .run_until(1)
+        .unwrap_or_else(|e| panic!("{label}: run to the first boundary failed: {e}"));
+    assert!(iter >= 1, "{label}: paused below the first boundary");
+    let bytes = paused.snapshot();
+    let (finished, _) = paused
+        .try_run_traced()
+        .unwrap_or_else(|e| panic!("{label}: paused run failed or failed its audit: {e}"));
+    assert_eq!(full, finished, "{label}: pausing perturbed the run");
+    assert_eq!(
+        full.event_hash, finished.event_hash,
+        "{label}: pausing moved the rolling event hash"
+    );
 
-    let (resumed, resumed_log) = ClusterSim::restore(mk(), &bytes)
+    let (resumed, resumed_log) = ClusterSim::restore(audited(), &bytes)
         .unwrap_or_else(|e| panic!("{label}: restore failed: {e}"))
-        .resume_traced()
+        .try_run_traced()
         .unwrap_or_else(|e| panic!("{label}: resumed run failed: {e}"));
     let resumed_log = resumed_log.expect("slice tracing was enabled");
     assert_eq!(
@@ -148,15 +153,9 @@ fn ring_crash_rejoin_snapshot_resume_is_bit_identical() {
 // Malformed snapshots are structured errors, never panics.
 
 fn snapshot_fixture() -> (ClusterConfig, Vec<u8>) {
-    let mut snap: Option<Vec<u8>> = None;
-    ClusterSim::new(base(BackendKind::Ps, 7))
-        .try_run_traced_with_snapshots(1, |_, bytes| {
-            if snap.is_none() {
-                snap = Some(bytes);
-            }
-        })
-        .expect("fixture run failed");
-    (base(BackendKind::Ps, 7), snap.expect("no snapshot taken"))
+    let mut sim = ClusterSim::new(base(BackendKind::Ps, 7));
+    sim.run_until(1).expect("fixture run failed");
+    (base(BackendKind::Ps, 7), sim.snapshot())
 }
 
 #[test]
