@@ -7,7 +7,10 @@ use p3_compress::Dgc;
 use p3_core::{p3_plan, PrioQueue, SyncStrategy};
 use p3_des::SplitMix64;
 use p3_models::ModelSpec;
-use p3_net::{allocate_rates_on_graph, AllocWork, FlowSpec, LinkGraph, Priority};
+use p3_net::{
+    allocate_rates_in_class_order, allocate_rates_on_graph, AllocBuffers, AllocWork, FlowSpec,
+    LinkGraph, Priority,
+};
 use p3_pserver::{Key, KvServer, Message, OptimizerKind, WorkerId};
 use p3_tensor::{Matrix, Mlp};
 
@@ -51,11 +54,9 @@ fn bench_allocator(c: &mut Criterion) {
             }
         }
         let graph = LinkGraph::new(&vec![1.25e9; machines]);
+        let shape = format!("{machines}m_{n}f_{classes}c");
         g.bench_with_input(
-            BenchmarkId::new(
-                "strict_priority_max_min",
-                format!("{machines}m_{n}f_{classes}c"),
-            ),
+            BenchmarkId::new("strict_priority_max_min", &shape),
             &flows,
             |b, flows| {
                 b.iter(|| {
@@ -64,6 +65,27 @@ fn bench_allocator(c: &mut Criterion) {
                 })
             },
         );
+        // The same fill as the fabric calls it in steady state: flows kept
+        // in class order and buffers reused, so no call sorts or allocates.
+        if n == 512 {
+            let mut ordered: Vec<(usize, FlowSpec)> = flows.iter().copied().enumerate().collect();
+            ordered.sort_by_key(|(_, f)| f.priority);
+            let mut buf = AllocBuffers::default();
+            g.bench_function(format!("class_order_reused_buffers/{shape}"), |b| {
+                b.iter(|| {
+                    let mut work = AllocWork::default();
+                    allocate_rates_in_class_order(
+                        &mut ordered,
+                        &graph,
+                        graph.caps(),
+                        1.2e8,
+                        &mut buf,
+                        &mut work,
+                    );
+                    work
+                })
+            });
+        }
     }
     g.finish();
 }

@@ -10,10 +10,15 @@
 //! capacity — the fluid-model equivalent of strict priority queueing,
 //! which is how P3's priority-tagged packets are serviced.
 //!
-//! [`allocate_rates_on_graph`] is the one allocator: the flat
-//! single-switch fabric is the endpoint-only graph. The test-only
-//! `oracle` module keeps the original two-port water-fill as a reference,
-//! and property tests pin the two bit-identical on endpoint-only graphs.
+//! [`allocate_rates_in_class_order`] is the one water-fill. Its caller
+//! passes the flows already grouped by class and owns the working memory
+//! ([`AllocBuffers`]), so a caller that keeps its flows in class order —
+//! the [`crate::Network`] — neither sorts nor allocates per call.
+//! [`allocate_rates_on_graph`] is the one-shot form: it stable-sorts the
+//! flows by class and runs the same fill. The flat single-switch fabric is
+//! the endpoint-only graph. The test-only `oracle` module keeps the
+//! original two-port water-fill as a reference, and property tests pin the
+//! two bit-identical on endpoint-only graphs.
 
 use crate::multilink::{LinkGraph, LinkId};
 use crate::types::Priority;
@@ -59,6 +64,37 @@ pub struct GraphAllocation {
     pub bottleneck: Vec<Option<LinkId>>,
 }
 
+/// Working memory and results of [`allocate_rates_in_class_order`]. The
+/// caller owns it and passes the same value to every call, so once its
+/// vectors have grown to the largest flow set a call allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct AllocBuffers {
+    /// Residual capacity per link after serving more urgent flows.
+    res: Vec<f64>,
+    /// Active flows per link in the current round; all zero between
+    /// rounds.
+    count: Vec<u32>,
+    /// Rate of each flow, by slot.
+    rates: Vec<f64>,
+    /// The link that froze each flow, by slot.
+    bottleneck: Vec<Option<LinkId>>,
+}
+
+impl AllocBuffers {
+    /// Each flow's rate in bytes/sec under the last allocation, indexed by
+    /// its slot.
+    pub fn rates(&self) -> &[f64] {
+        &self.rates
+    }
+
+    /// The saturated link that froze each flow under the last allocation,
+    /// indexed by its slot: `None` when the per-flow cap bound the flow
+    /// (or it never froze on a link).
+    pub fn bottleneck(&self) -> &[Option<LinkId>] {
+        &self.bottleneck
+    }
+}
+
 /// Computes strict-priority max-min fair rates over a [`LinkGraph`]:
 /// progressive filling over every link on each flow's route, more urgent
 /// classes first, less urgent classes restricted to the leftovers.
@@ -74,6 +110,9 @@ pub struct GraphAllocation {
 ///
 /// Loopback flows (`src == dst`) must not be submitted — they have no
 /// path in the graph.
+///
+/// This is [`allocate_rates_in_class_order`] behind a stable sort by
+/// priority, with fresh buffers.
 ///
 /// # Panics
 ///
@@ -104,6 +143,63 @@ pub fn allocate_rates_on_graph(
     flow_cap: f64,
     work: &mut AllocWork,
 ) -> GraphAllocation {
+    let mut classes: Vec<(usize, FlowSpec)> = flows.iter().copied().enumerate().collect();
+    classes.sort_by_key(|(_, f)| f.priority);
+    let mut buf = AllocBuffers::default();
+    allocate_rates_in_class_order(&mut classes, graph, caps, flow_cap, &mut buf, work);
+    GraphAllocation {
+        rates: buf.rates,
+        bottleneck: buf.bottleneck,
+    }
+}
+
+/// The water-fill of [`allocate_rates_on_graph`], for flows the caller
+/// keeps grouped by class, in caller-owned buffers.
+///
+/// `classes` lists every flow as `(slot, spec)`, grouped by priority with
+/// the most urgent class first; the slots are a permutation of
+/// `0..classes.len()`. The fill works in place on each class's chunk, so
+/// the order within each class is unspecified afterwards. That order
+/// changes no result bit and no work count: every rising flow of a class
+/// takes the same increment each round, and each link is charged once per
+/// flow crossing it in any order. Each flow's rate and bottleneck land at
+/// its slot in [`AllocBuffers::rates`] and [`AllocBuffers::bottleneck`].
+/// `caps`, `flow_cap` and `work` are as for [`allocate_rates_on_graph`].
+///
+/// # Panics
+///
+/// Panics if `classes` is not grouped by priority, most urgent first, if
+/// a slot is out of range, if a flow references an unknown machine or a
+/// loopback pair, if `caps.len()` differs from the graph's link count, or
+/// if `flow_cap` is not positive.
+///
+/// # Examples
+///
+/// ```
+/// use p3_net::{
+///     allocate_rates_in_class_order, AllocBuffers, AllocWork, FlowSpec, LinkGraph, Priority,
+/// };
+///
+/// // An urgent flow (slot 1) takes machine 0's tx port before the bulk
+/// // flow (slot 0) gets the rest.
+/// let urgent = FlowSpec { src: 0, dst: 2, priority: Priority(0) };
+/// let bulk = FlowSpec { src: 0, dst: 1, priority: Priority(5) };
+/// let g = LinkGraph::with_ports(&[100.0, 100.0, 100.0], &[100.0, 100.0, 30.0]);
+/// let mut buf = AllocBuffers::default();
+/// let mut work = AllocWork::default();
+/// let mut classes = [(1, urgent), (0, bulk)];
+/// allocate_rates_in_class_order(&mut classes, &g, g.caps(), f64::INFINITY, &mut buf, &mut work);
+/// assert_eq!(buf.rates(), &[70.0, 30.0]);
+/// assert_eq!(buf.bottleneck(), &[Some(g.tx_link(0)), Some(g.rx_link(2))]);
+/// ```
+pub fn allocate_rates_in_class_order(
+    classes: &mut [(usize, FlowSpec)],
+    graph: &LinkGraph,
+    caps: &[f64],
+    flow_cap: f64,
+    buf: &mut AllocBuffers,
+    work: &mut AllocWork,
+) {
     assert_eq!(
         caps.len(),
         graph.num_links(),
@@ -111,7 +207,8 @@ pub fn allocate_rates_on_graph(
     );
     assert!(flow_cap > 0.0, "non-positive flow cap");
     let machines = graph.machines();
-    for f in flows {
+    for &(slot, f) in classes.iter() {
+        assert!(slot < classes.len(), "slot {slot} out of range");
         assert!(
             f.src < machines && f.dst < machines,
             "flow {f:?} references unknown machine"
@@ -121,153 +218,133 @@ pub fn allocate_rates_on_graph(
             "loopback flow {f:?} has no path in the graph"
         );
     }
+    assert!(
+        classes.is_sorted_by_key(|(_, f)| f.priority),
+        "flows not grouped by priority, most urgent first"
+    );
 
+    let AllocBuffers {
+        res,
+        count,
+        rates,
+        bottleneck,
+    } = buf;
+    res.clear();
+    res.extend_from_slice(caps);
+    count.clear();
+    count.resize(caps.len(), 0);
+    rates.clear();
+    rates.resize(classes.len(), 0.0);
+    bottleneck.clear();
+    bottleneck.resize(classes.len(), None);
     let mut fill = WaterFill {
-        flows,
         graph,
         flow_cap,
-        res: caps.to_vec(),
-        count: vec![0; caps.len()],
-        rates: vec![0.0; flows.len()],
-        bottleneck: vec![None; flows.len()],
+        res,
+        count,
+        rates,
+        bottleneck,
         work,
     };
-    // Bucket flows by class, most urgent first. The sort is stable, so
-    // each class keeps its members in input order.
-    let mut order: Vec<usize> = (0..flows.len()).collect();
-    order.sort_by_key(|&i| flows[i].priority);
-    for members in order.chunk_by_mut(|&a, &b| flows[a].priority == flows[b].priority) {
-        fill.class(members);
-    }
-    GraphAllocation {
-        rates: fill.rates,
-        bottleneck: fill.bottleneck,
+    for class in classes.chunk_by_mut(|(_, a), (_, b)| a.priority == b.priority) {
+        fill.class(class);
     }
 }
 
-/// Inputs and running state of one allocation.
+/// One allocation's inputs and running state, borrowed from the caller's
+/// [`AllocBuffers`].
 struct WaterFill<'a> {
-    flows: &'a [FlowSpec],
     graph: &'a LinkGraph,
     flow_cap: f64,
-    /// Residual capacity per link after serving more urgent flows.
-    res: Vec<f64>,
-    /// Scratch: active flows per link in the current round.
-    count: Vec<u32>,
-    rates: Vec<f64>,
-    bottleneck: Vec<Option<LinkId>>,
+    res: &'a mut [f64],
+    count: &'a mut [u32],
+    rates: &'a mut [f64],
+    bottleneck: &'a mut [Option<LinkId>],
     work: &'a mut AllocWork,
 }
 
-impl<'a> WaterFill<'a> {
+impl WaterFill<'_> {
     /// Progressive filling of one priority class over the residual link
     /// capacities. On return the members' rates and bottlenecks are set and
-    /// the residuals are reduced by the allocation. `members` is reused as
-    /// the working set: the flows still rising stay at its front, in input
-    /// order, so its contents are unspecified afterwards.
-    fn class(&mut self, members: &mut [usize]) {
+    /// the residuals are reduced by the allocation. `members` is the
+    /// working set: the flows still rising stay at its front, in order, so
+    /// its order is unspecified afterwards.
+    ///
+    /// Every rising member holds the same rate, the class's level: all
+    /// start at zero and each round raises them by the same `delta`. So the
+    /// per-flow cap test and the rate raise are one comparison and one
+    /// addition per round, and a member's rate is written when it freezes.
+    fn class(&mut self, members: &mut [(usize, FlowSpec)]) {
         const EPS: f64 = 1e-9;
         /// Residual capacity below this (bytes/sec — one byte per ~12
         /// days) is numerical noise left over from freezing a saturated
         /// link; treat it as zero so no flow is ever assigned an absurdly
         /// small positive rate.
         const FLOOR: f64 = 1e-6;
-        let WaterFill {
-            flows,
-            graph,
-            flow_cap,
-            res,
-            count,
-            rates,
-            bottleneck,
-            work,
-        } = self;
-        let (flows, graph, flow_cap) = (*flows, *graph, *flow_cap);
-        let machines = graph.machines();
-        // Transit hops of a flow's route; tx and rx come from the flow.
-        let routed = graph.has_transit();
-        let hops = |f: &FlowSpec| -> &'a [LinkId] {
-            if routed {
-                graph.transit(f.src, f.dst)
-            } else {
-                &[]
-            }
-        };
-
+        let graph = self.graph;
+        let mut level = 0.0f64;
         // The flows still rising are `members[..n]`.
         let mut n = members.len();
         while n > 0 {
-            let active = &members[..n];
-            for r in res.iter_mut() {
+            for (r, c) in self.res.iter_mut().zip(self.count.iter_mut()) {
                 if *r < FLOOR {
                     *r = 0.0;
                 }
+                *c = 0;
             }
             // Count active flows per link.
-            count.fill(0);
-            for &i in active {
-                let f = &flows[i];
-                count[f.src] += 1;
-                count[machines + f.dst] += 1;
-                for l in hops(f) {
-                    count[l.0] += 1;
-                }
+            for (_, f) in members.iter().take(n) {
+                on_route(self.count, graph, f, |c| *c += 1);
             }
-            work.rounds += 1;
-            work.flow_touches += active.len() as u64;
-            work.port_touches += count.iter().filter(|&&c| c > 0).count() as u64;
+            self.work.rounds += 1;
+            self.work.flow_touches += n as u64;
+            self.work.port_touches += self.count.iter().filter(|&&c| c > 0).count() as u64;
 
             // The common rate increment is limited by the tightest link, or
-            // by the first flow to reach the per-flow ceiling.
+            // by the class reaching the per-flow ceiling.
             let mut delta = f64::INFINITY;
-            for (&r, &c) in res.iter().zip(count.iter()) {
+            for (&r, &c) in self.res.iter().zip(self.count.iter()) {
                 if c > 0 {
                     delta = delta.min(r / c as f64);
                 }
             }
-            for &i in active {
-                delta = delta.min(flow_cap - rates[i]);
-            }
+            delta = delta.min(self.flow_cap - level);
             debug_assert!(delta.is_finite(), "active flows but no limiting link");
             let delta = delta.max(0.0);
 
-            // Raise every active flow by delta and charge its whole route.
-            for &i in active {
-                let f = &flows[i];
-                rates[i] += delta;
-                res[f.src] -= delta;
-                for l in hops(f) {
-                    res[l.0] -= delta;
-                }
-                res[machines + f.dst] -= delta;
+            // Raise the class by delta and charge every active route.
+            level += delta;
+            for (_, f) in members.iter().take(n) {
+                on_route(self.res, graph, f, |r| *r -= delta);
             }
-            for r in res.iter_mut() {
+            for r in self.res.iter_mut() {
                 if *r < 0.0 {
                     *r = 0.0;
                 }
             }
 
+            if level >= self.flow_cap * (1.0 - EPS) {
+                // The whole class froze at the per-flow cap, not on a link.
+                self.freeze_all(members.iter().take(n), level);
+                return;
+            }
             // Freeze flows crossing any saturated link, recording the first
             // one on the route (tx, transit hops, rx) as the bottleneck, and
             // move the rest to the front in order. Capacity scale for the
             // epsilon test: the largest residual in use.
-            let scale = res.iter().fold(1.0f64, |a, &b| a.max(b)).max(delta);
+            let scale = self.res.iter().fold(1.0f64, |a, &b| a.max(b)).max(delta);
             let thr = (EPS * scale).max(FLOOR);
             let mut kept = 0;
             for k in 0..n {
-                let i = members[k];
-                if rates[i] >= flow_cap * (1.0 - EPS) {
-                    // Frozen by the per-flow cap, not by a link.
-                    continue;
-                }
-                let f = &flows[i];
-                let mut route = std::iter::once(LinkId(f.src))
-                    .chain(hops(f).iter().copied())
-                    .chain(std::iter::once(LinkId(machines + f.dst)));
-                match route.find(|l| res[l.0] <= thr) {
-                    Some(l) => bottleneck[i] = Some(l),
+                let (slot, f) = members[k];
+                let res = &*self.res;
+                let hit = graph
+                    .route(f.src, f.dst)
+                    .find(|l| res.get(l.0).is_some_and(|&r| r <= thr));
+                match hit {
+                    Some(l) => self.freeze(slot, level, Some(l)),
                     None => {
-                        members[kept] = i;
+                        members.swap(kept, k);
                         kept += 1;
                     }
                 }
@@ -276,11 +353,45 @@ impl<'a> WaterFill<'a> {
             // zero residual growth possible (e.g. zero-capacity links) —
             // terminate.
             if kept == n {
-                break;
+                self.freeze_all(members.iter().take(n), level);
+                return;
             }
             n = kept;
         }
     }
+
+    /// Sets a frozen flow's rate and bottleneck.
+    fn freeze(&mut self, slot: usize, rate: f64, at: Option<LinkId>) {
+        if let (Some(r), Some(b)) = (self.rates.get_mut(slot), self.bottleneck.get_mut(slot)) {
+            *r = rate;
+            *b = at;
+        }
+    }
+
+    /// Freezes flows that no link bounds at `rate`.
+    fn freeze_all<'m>(&mut self, flows: impl Iterator<Item = &'m (usize, FlowSpec)>, rate: f64) {
+        for &(slot, _) in flows {
+            self.freeze(slot, rate, None);
+        }
+    }
+}
+
+/// Applies `op` to the entry of `links` for every link on `f`'s route:
+/// tx port, transit hops, rx port. Cheaper than [`LinkGraph::route`] in the
+/// water-fill's per-round loops.
+fn on_route<T>(links: &mut [T], graph: &LinkGraph, f: &FlowSpec, mut op: impl FnMut(&mut T)) {
+    let mut apply = |l: usize| {
+        if let Some(x) = links.get_mut(l) {
+            op(x);
+        }
+    };
+    apply(f.src);
+    if graph.has_transit() {
+        for l in graph.transit(f.src, f.dst) {
+            apply(l.0);
+        }
+    }
+    apply(graph.machines() + f.dst);
 }
 
 /// The original flat water-fill over two ports per machine, kept as the

@@ -1,7 +1,8 @@
-//! Unit and property tests for [`allocate_rates_on_graph`]: max-min and
-//! strict-priority behaviour on endpoint-only and racked graphs, the
-//! per-flow cap, the work counters, and bit-identity with the flat
-//! two-port oracle.
+//! Unit and property tests for [`allocate_rates_on_graph`] and
+//! [`allocate_rates_in_class_order`]: max-min and strict-priority
+//! behaviour on endpoint-only and racked graphs, the per-flow cap, the
+//! work counters, bit-identity with the flat two-port oracle, and
+//! independence from the order of flows within a class.
 
 use super::oracle::flat_rates;
 use super::*;
@@ -262,6 +263,22 @@ fn endpoint_only_graph_matches_the_flat_oracle_exactly() {
     );
 }
 
+#[test]
+#[should_panic(expected = "grouped by priority")]
+fn class_order_must_put_the_most_urgent_class_first() {
+    let g = LinkGraph::new(&[10.0, 10.0]);
+    let mut classes = [(0, flow(0, 1, 3)), (1, flow(1, 0, 1))];
+    let mut buf = AllocBuffers::default();
+    allocate_rates_in_class_order(
+        &mut classes,
+        &g,
+        g.caps(),
+        f64::INFINITY,
+        &mut buf,
+        &mut AllocWork::default(),
+    );
+}
+
 #[cfg(test)]
 mod properties {
     use super::*;
@@ -310,6 +327,18 @@ mod properties {
         [LinkGraph::new(&[nic; 6]), racked(3, 2, nic, oversub)]
     }
 
+    /// Every flow as `(slot, spec)` in class order, each class shuffled by
+    /// `keys` (one key per slot).
+    fn class_order(flows: &[FlowSpec], keys: &[u32]) -> Vec<(usize, FlowSpec)> {
+        let mut classes: Vec<(usize, FlowSpec)> = flows.iter().copied().enumerate().collect();
+        classes.sort_by_key(|&(slot, f)| (f.priority, keys[slot]));
+        classes
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     /// Load each link carries under `rates`.
     fn loads(flows: &[FlowSpec], g: &LinkGraph, rates: &[f64]) -> Vec<f64> {
         let mut load = vec![0.0; g.num_links()];
@@ -337,6 +366,60 @@ mod properties {
                     "flow {i}: not bit-identical: {} vs {}", a, b);
             }
             prop_assert_eq!(graph_work, flat_work);
+        }
+
+        /// The class-ordered entry, on any order within each class and
+        /// in buffers reused across calls, reproduces the flat oracle's
+        /// rates and work counters bit for bit, capped or not.
+        #[test]
+        fn class_order_matches_flat_oracle(
+            flows in arb_flows(5),
+            keys in prop::collection::vec(any::<u32>(), 24),
+            cap in 1.0f64..1e10,
+            frac in 0.05f64..1.5,
+        ) {
+            let caps = vec![cap; 5];
+            let g = LinkGraph::with_ports(&caps, &caps);
+            let mut buf = AllocBuffers::default();
+            for flow_cap in [f64::INFINITY, cap * frac] {
+                let mut classes = class_order(&flows, &keys);
+                let mut work = AllocWork::default();
+                allocate_rates_in_class_order(&mut classes, &g, g.caps(), flow_cap, &mut buf, &mut work);
+                let mut flat_work = AllocWork::default();
+                let flat = flat_rates(&flows, &caps, &caps, flow_cap, &mut flat_work);
+                prop_assert!(same_bits(buf.rates(), &flat), "{:?} vs {:?}", buf.rates(), flat);
+                prop_assert_eq!(work, flat_work);
+            }
+        }
+
+        /// Permuting flows within a class changes no rate bit, no
+        /// bottleneck and no work count, on flat and racked graphs with
+        /// transit hops, capped or not: the class-ordered entry matches
+        /// the sorting wrapper for two shuffles of every class.
+        #[test]
+        fn order_within_a_class_changes_nothing(
+            flows in arb_flows(6),
+            keys in prop::collection::vec(any::<u32>(), 24),
+            oversub in 1.0f64..8.0,
+            frac in 0.05f64..1.5,
+        ) {
+            let mut buf = AllocBuffers::default();
+            for g in fabrics(100.0, oversub) {
+                for flow_cap in [f64::INFINITY, 100.0 * frac] {
+                    let mut want_work = AllocWork::default();
+                    let want = allocate_rates_on_graph(&flows, &g, g.caps(), flow_cap, &mut want_work);
+                    let reversed: Vec<u32> = keys.iter().map(|k| u32::MAX - k).collect();
+                    for shuffle in [&keys, &reversed] {
+                        let mut classes = class_order(&flows, shuffle);
+                        let mut work = AllocWork::default();
+                        allocate_rates_in_class_order(&mut classes, &g, g.caps(), flow_cap, &mut buf, &mut work);
+                        prop_assert!(same_bits(buf.rates(), &want.rates),
+                            "{:?} vs {:?}", buf.rates(), want.rates);
+                        prop_assert_eq!(buf.bottleneck(), &want.bottleneck[..]);
+                        prop_assert_eq!(work, want_work);
+                    }
+                }
+            }
         }
 
         /// Same, with a per-flow cap in play.

@@ -42,7 +42,10 @@ mod packet;
 mod trace;
 mod types;
 
-pub use allocator::{allocate_rates_on_graph, AllocWork, FlowSpec, GraphAllocation};
+pub use allocator::{
+    allocate_rates_in_class_order, allocate_rates_on_graph, AllocBuffers, AllocWork, FlowSpec,
+    GraphAllocation,
+};
 pub use analysis::{overlap_coefficient, trace_stats, TraceStats};
 pub use multilink::{LinkGraph, LinkId};
 pub use network::{

@@ -235,6 +235,21 @@ impl LinkGraph {
         path
     }
 
+    /// The links of `src -> dst`'s route in [`LinkGraph::path`] order,
+    /// without allocating. The route table is consulted only when the
+    /// graph has one, so on an endpoint-only graph the caller must have
+    /// checked both machines.
+    pub(crate) fn route(&self, src: usize, dst: usize) -> impl Iterator<Item = LinkId> + '_ {
+        let via = if self.has_transit() {
+            self.transit(src, dst)
+        } else {
+            &[]
+        };
+        std::iter::once(LinkId(src))
+            .chain(via.iter().copied())
+            .chain(std::iter::once(LinkId(self.machines + dst)))
+    }
+
     /// Link capacities scaled by a protocol-efficiency factor and by
     /// per-machine port factors (fault injection): the tx port of machine
     /// `m` is scaled by `tx_scale[m]`, its rx port by `rx_scale[m]`,

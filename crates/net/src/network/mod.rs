@@ -6,13 +6,22 @@
 //! [`Network`] facade — flow lifecycle, rate recomputation, snapshots,
 //! and the deterministic work counters ([`NetStats`]).
 //!
-//! Every fabric allocates rates with [`crate::allocate_rates_on_graph`]
-//! over a [`LinkGraph`]: the configured topology, or else the
-//! endpoint-only graph of the flat single switch, built from
-//! `bandwidth`. Whether a topology was configured decides only what the
-//! fabric reports: per-link usage and each flow's bottleneck link exist
-//! for topologies alone.
+//! Every fabric allocates rates with
+//! [`crate::allocate_rates_in_class_order`] over a [`LinkGraph`]: the
+//! configured topology, or else the endpoint-only graph of the flat single
+//! switch, built from `bandwidth`. Whether a topology was configured
+//! decides only what the fabric reports: per-link usage and each flow's
+//! bottleneck link exist for topologies alone.
+//!
+//! A reallocation runs on every flow start, drain, cancel and rescale, so
+//! the fabric keeps what the water-fill needs between calls: a class index
+//! of its flows (no per-call sort), the allocator's buffers (no per-call
+//! allocation), and the scaled link capacities (recomputed only when a
+//! port factor changes). `next_event_time` remembers its answer until the
+//! fabric next changes.
 
+#[cfg(test)]
+mod cache_tests;
 mod config;
 mod multihop;
 #[cfg(test)]
@@ -20,12 +29,13 @@ mod tests;
 
 pub use config::NetworkConfig;
 
-use crate::allocator::{allocate_rates_on_graph, AllocWork, FlowSpec};
+use crate::allocator::{allocate_rates_in_class_order, AllocBuffers, AllocWork, FlowSpec};
 use crate::multilink::{LinkGraph, LinkId};
 use crate::trace::PortTrace;
 use crate::types::{FlowId, MachineId, Priority};
 use p3_des::{SimDuration, SimTime};
 use p3_trace::{TraceEvent, TraceHandle};
+use std::cell::Cell;
 
 /// A finished transfer, handed back by [`Network::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +69,16 @@ struct ActiveFlow {
     rate: f64, // bytes/sec under the current allocation
     /// Saturated link bounding the current rate (configured topology only).
     bottleneck: Option<LinkId>,
+}
+
+impl ActiveFlow {
+    fn spec(&self) -> FlowSpec {
+        FlowSpec {
+            src: self.src,
+            dst: self.dst,
+            priority: self.priority,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -123,7 +143,26 @@ pub struct Network {
     /// The graph rates are allocated over: the configured topology, or
     /// the endpoint-only graph of the flat fabric.
     graph: LinkGraph,
+    /// Working capacity of each link: the graph's capacities scaled by
+    /// protocol efficiency and the port factors. Recomputed only when a
+    /// factor changes.
+    caps: Vec<f64>,
+    /// In-flight flows. Their order is observable — per-link usage and the
+    /// utilization traces accumulate floats in it, and snapshots serialize
+    /// it — so it changes only by `push` and `swap_remove`.
     flows: Vec<ActiveFlow>,
+    /// Class index: every flow as `(slot in flows, spec)`, grouped by
+    /// priority with the most urgent class first; a flow joins at the end
+    /// of its class. This is the allocator's input, so no reallocation
+    /// sorts. Order within a class is free: the allocator reorders it and
+    /// no result depends on it.
+    by_class: Vec<(usize, FlowSpec)>,
+    /// The allocator's working memory, reused by every reallocation.
+    alloc: AllocBuffers,
+    /// `next_event_time`'s last answer, or `None` once the fabric has
+    /// changed since: time advanced, rates were reallocated, or a delivery
+    /// was queued, delivered or cancelled.
+    next_event: Cell<Option<Option<SimTime>>>,
     delivering: Vec<Delivering>,
     last_update: SimTime,
     next_flow_id: u64,
@@ -257,18 +296,24 @@ impl Network {
                 0,
             ),
         };
+        let tx_scale = vec![1.0; machines];
+        let rx_scale = vec![1.0; machines];
         Network {
+            caps: graph.scaled_caps(cfg.efficiency, &tx_scale, &rx_scale),
             cfg,
             graph,
             flows: Vec::new(),
+            by_class: Vec::new(),
+            alloc: AllocBuffers::default(),
+            next_event: Cell::new(None),
             delivering: Vec::new(),
             last_update: SimTime::ZERO,
             next_flow_id: 0,
             tx_traces,
             rx_traces,
             dirty: false,
-            tx_scale: vec![1.0; machines],
-            rx_scale: vec![1.0; machines],
+            tx_scale,
+            rx_scale,
             tracer: None,
             link_busy: vec![0.0; num_links],
             link_bytes: vec![0.0; num_links],
@@ -343,6 +388,7 @@ impl Network {
             // Loopback: never touches the NIC; fixed-rate private channel.
             let secs = bytes as f64 / self.cfg.loopback.bytes_per_sec();
             let at = now + self.cfg.latency + SimDuration::from_secs_f64(secs);
+            self.next_event.set(None);
             self.delivering.push(Delivering {
                 at,
                 flow: CompletedFlow {
@@ -357,7 +403,7 @@ impl Network {
             return id;
         }
 
-        self.flows.push(ActiveFlow {
+        let flow = ActiveFlow {
             id,
             src: src.0,
             dst: dst.0,
@@ -367,7 +413,13 @@ impl Network {
             remaining: bytes as f64,
             rate: 0.0,
             bottleneck: None,
-        });
+        };
+        let class_end = self
+            .by_class
+            .partition_point(|(_, f)| f.priority <= priority);
+        self.by_class
+            .insert(class_end, (self.flows.len(), flow.spec()));
+        self.flows.push(flow);
         // Flows only ever join here, so sampling at the push is exact.
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.flows.len() as u64);
         self.dirty = true;
@@ -378,6 +430,17 @@ impl Network {
     /// The earliest future instant at which the fabric changes state (a flow
     /// drains or a drained message is delivered), or `None` when idle.
     pub fn next_event_time(&self) -> Option<SimTime> {
+        if let Some(known) = self.next_event.get() {
+            return known;
+        }
+        let best = self.scan_next_event();
+        self.next_event.set(Some(best));
+        best
+    }
+
+    /// [`Network::next_event_time`] computed afresh from every flow and
+    /// pending delivery.
+    fn scan_next_event(&self) -> Option<SimTime> {
         let mut best: Option<SimTime> = None;
         for f in &self.flows {
             if f.rate > 0.0 {
@@ -409,6 +472,7 @@ impl Network {
             let eps = f.rate * 1e-9 + 1e-9;
             if f.remaining <= eps {
                 let f = self.flows.swap_remove(i);
+                self.unindex(i);
                 self.delivering.push(Delivering {
                     at: now + latency,
                     flow: CompletedFlow {
@@ -439,6 +503,9 @@ impl Network {
             } else {
                 i += 1;
             }
+        }
+        if !done.is_empty() {
+            self.next_event.set(None);
         }
         done.sort_by_key(|d| (d.at, d.flow.id));
         if let Some(t) = &self.tracer {
@@ -475,6 +542,7 @@ impl Network {
         self.advance(now);
         self.tx_scale[machine.0] = tx;
         self.rx_scale[machine.0] = rx;
+        self.rescale();
         self.dirty = true;
         self.reallocate();
     }
@@ -491,12 +559,14 @@ impl Network {
         self.advance(now);
         if let Some(i) = self.flows.iter().position(|f| f.id == id) {
             self.flows.swap_remove(i);
+            self.unindex(i);
             self.dirty = true;
             self.reallocate();
             return true;
         }
         if let Some(i) = self.delivering.iter().position(|d| d.flow.id == id) {
             self.delivering.swap_remove(i);
+            self.next_event.set(None);
             return true;
         }
         false
@@ -604,8 +674,17 @@ impl Network {
             .collect();
         self.last_update = snap.last_update;
         self.next_flow_id = snap.next_flow_id;
+        self.by_class = self
+            .flows
+            .iter()
+            .map(ActiveFlow::spec)
+            .enumerate()
+            .collect();
+        self.by_class.sort_by_key(|(_, f)| f.priority);
+        self.next_event.set(None);
         self.tx_scale = snap.tx_scale.clone();
         self.rx_scale = snap.rx_scale.clone();
+        self.rescale();
         self.link_busy = snap.link_busy.clone();
         self.link_bytes = snap.link_bytes.clone();
         self.stats = snap.stats;
@@ -628,6 +707,7 @@ impl Network {
         if now == self.last_update {
             return;
         }
+        self.next_event.set(None);
         let dt = (now - self.last_update).as_secs_f64();
         multihop::account_advance(self, dt);
         for f in &mut self.flows {
@@ -642,6 +722,28 @@ impl Network {
         self.last_update = now;
     }
 
+    /// Removes slot `slot` from the class index after
+    /// `flows.swap_remove(slot)`, renumbering the flow that moved into it.
+    fn unindex(&mut self, slot: usize) {
+        let moved = self.flows.len();
+        self.by_class.retain_mut(|(s, _)| {
+            if *s == slot {
+                return false;
+            }
+            if *s == moved {
+                *s = slot;
+            }
+            true
+        });
+    }
+
+    /// Recomputes the working link capacities from the port factors.
+    fn rescale(&mut self) {
+        self.caps = self
+            .graph
+            .scaled_caps(self.cfg.efficiency, &self.tx_scale, &self.rx_scale);
+    }
+
     /// Recomputes the strict-priority max-min rates over the fabric's
     /// graph, with link capacities scaled by protocol efficiency and any
     /// fault-injected port degradation.
@@ -650,23 +752,18 @@ impl Network {
             return;
         }
         self.dirty = false;
+        self.next_event.set(None);
         self.stats.reallocations += 1;
         self.stats.flows_touched += self.flows.len() as u64;
-        let specs: Vec<FlowSpec> = self
-            .flows
-            .iter()
-            .map(|f| FlowSpec {
-                src: f.src,
-                dst: f.dst,
-                priority: f.priority,
-            })
-            .collect();
-        let caps = self
-            .graph
-            .scaled_caps(self.cfg.efficiency, &self.tx_scale, &self.rx_scale);
         let mut work = AllocWork::default();
-        let alloc =
-            allocate_rates_on_graph(&specs, &self.graph, &caps, self.cfg.flow_cap, &mut work);
+        allocate_rates_in_class_order(
+            &mut self.by_class,
+            &self.graph,
+            &self.caps,
+            self.cfg.flow_cap,
+            &mut self.alloc,
+            &mut work,
+        );
         self.stats.waterfill_rounds += work.rounds;
         self.stats.ports_touched += work.port_touches;
         // A rate below one byte per simulated second is allocator noise; a
@@ -676,7 +773,8 @@ impl Network {
         let floor = (cap * 1e-12).max(1e-6);
         // Bottlenecks are reported only for a configured topology.
         let topology = self.cfg.link_graph.is_some();
-        for ((f, r), b) in self.flows.iter_mut().zip(alloc.rates).zip(alloc.bottleneck) {
+        let alloc = self.alloc.rates().iter().zip(self.alloc.bottleneck());
+        for (f, (&r, &b)) in self.flows.iter_mut().zip(alloc) {
             f.rate = if r < floor { 0.0 } else { r };
             if topology {
                 f.bottleneck = b;

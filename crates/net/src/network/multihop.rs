@@ -18,11 +18,9 @@ pub(super) fn account_advance(net: &mut Network, dt: f64) {
     let mut rate_sum = vec![0.0; g.num_links()];
     for f in &net.flows {
         if f.rate > 0.0 {
-            rate_sum[f.src] += f.rate;
-            for l in g.transit(f.src, f.dst) {
+            for l in g.route(f.src, f.dst) {
                 rate_sum[l.0] += f.rate;
             }
-            rate_sum[g.machines() + f.dst] += f.rate;
         }
     }
     for (l, &r) in rate_sum.iter().enumerate() {

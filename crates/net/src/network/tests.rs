@@ -592,11 +592,13 @@ mod properties {
                 let src = MachineId(i % 4);
                 let dst = MachineId((i + 1 + i / 4) % 4);
                 ids.push(n.start_flow(SimTime::ZERO, src, dst, s, Priority((i % 3) as u32), i as u64));
+                cache_tests::assert_class_index(&n);
             }
             // Cancel the masked flows at the first network event instant.
             let mid = n.next_event_time().unwrap();
             let mut cancelled = vec![false; sizes.len()];
             let early = n.poll(mid);
+            cache_tests::assert_class_index(&n);
             let mut delivered = vec![false; sizes.len()];
             for c in &early {
                 delivered[c.tag as usize] = true;
@@ -605,6 +607,7 @@ mod properties {
                 if cancel_mask[i] && !delivered[i] {
                     cancelled[i] = n.cancel_flow(mid, id);
                     prop_assert!(cancelled[i], "live flow {i} failed to cancel");
+                    cache_tests::assert_class_index(&n);
                 }
             }
             let mut guard = 0;
@@ -617,6 +620,7 @@ mod properties {
                     prop_assert!(!cancelled[i], "cancelled flow {i} was delivered");
                     delivered[i] = true;
                 }
+                cache_tests::assert_class_index(&n);
             }
             for i in 0..sizes.len() {
                 prop_assert!(delivered[i] ^ cancelled[i], "flow {i}: delivered={} cancelled={}", delivered[i], cancelled[i]);
