@@ -2,15 +2,19 @@
 //! boundary and resumed from its snapshot must be bit-identical to the
 //! uninterrupted run — same result, same rolling event hash, and a trace
 //! that is an exact suffix of the full trace — across the parameter-server
-//! and collective backends, with and without faults. Malformed snapshot
-//! bytes must surface as structured [`SnapshotError`]s, never panics.
+//! and collective backends, with and without faults. The snapshot bytes
+//! themselves are pinned by digest. Malformed snapshot bytes must surface
+//! as structured [`SnapshotError`]s, never panics.
 
 use p3::audit::check_resume_equivalence;
-use p3::cluster::{BackendKind, ClusterConfig, ClusterSim, FaultPlan, SnapshotError, WorkerCrash};
+use p3::cluster::{
+    BackendKind, ClusterConfig, ClusterSim, FaultPlan, LinkDegradation, SnapshotError, WorkerCrash,
+};
 use p3::core::SyncStrategy;
 use p3::des::{SimDuration, SimTime};
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
+use p3::topo::Topology;
 use p3::trace::TraceEvent;
 
 /// Same small skewed model as `tests/determinism.rs`: fast in debug
@@ -115,6 +119,35 @@ fn assert_snapshot_resume_bit_identical(label: &str, mk: impl Fn() -> ClusterCon
     );
 }
 
+/// Message loss: armed retry timers and in-flight message contexts at
+/// the snapshot boundary.
+fn lossy() -> ClusterConfig {
+    let faults = FaultPlan {
+        loss_probability: 0.05,
+        ..FaultPlan::none()
+    };
+    base(BackendKind::Ps, 13).with_faults(faults)
+}
+
+/// A racked fabric with utilization bins and a port degradation that
+/// spans the first iteration boundary (about 45 ms): the snapshot carries
+/// non-empty link accounting, tx/rx bins, and scaled port capacities.
+fn degraded_racked() -> ClusterConfig {
+    let faults = FaultPlan {
+        link_degradations: vec![LinkDegradation {
+            machine: 1,
+            start: SimTime::from_millis(20),
+            duration: SimDuration::from_millis(80),
+            capacity_factor: 0.5,
+        }],
+        ..FaultPlan::none()
+    };
+    base(BackendKind::Ps, 3)
+        .with_topology(Topology::new(2, 2, 2.0))
+        .with_trace(SimDuration::from_millis(10))
+        .with_faults(faults)
+}
+
 // ---------------------------------------------------------------------
 // Resume equivalence per backend, clean and faulty.
 
@@ -147,6 +180,81 @@ fn ring_crash_rejoin_snapshot_resume_is_bit_identical() {
     assert_snapshot_resume_bit_identical("ring-crash", || {
         base(BackendKind::Ring, 7).with_faults(crash_plan(2, 40, 30))
     });
+}
+
+#[test]
+fn lossy_snapshot_resume_is_bit_identical() {
+    assert_snapshot_resume_bit_identical("lossy", lossy);
+}
+
+#[test]
+fn degraded_racked_snapshot_resume_is_bit_identical() {
+    assert_snapshot_resume_bit_identical("degraded-racked", degraded_racked);
+}
+
+// ---------------------------------------------------------------------
+// Snapshot bytes pinned: the format is the byte stream, so any change to
+// field order, width, or content moves one of these digests.
+
+/// FNV-1a over a byte stream (independent of the crate's own copy).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest and length of the snapshot taken at the first iteration
+/// boundary of `cfg`.
+fn snapshot_digest(cfg: ClusterConfig) -> (u64, usize) {
+    let mut sim = ClusterSim::new(cfg);
+    sim.run_until(1).expect("run to the first boundary failed");
+    let bytes = sim.snapshot();
+    (fnv1a(&bytes), bytes.len())
+}
+
+#[test]
+fn snapshot_bytes_match_the_golden_digests() {
+    let cases: [(&str, ClusterConfig, u64, usize); 7] = [
+        ("ps", base(BackendKind::Ps, 7), 0x8125_5e23_681c_4e5e, 12088),
+        (
+            "ring",
+            base(BackendKind::Ring, 7),
+            0xb264_4d55_1655_a49e,
+            7724,
+        ),
+        (
+            "halving-doubling",
+            base(BackendKind::HalvingDoubling, 11),
+            0x1361_4d2d_59d7_0016,
+            8084,
+        ),
+        (
+            "ps-crash",
+            base(BackendKind::Ps, 7).with_faults(crash_plan(1, 40, 30)),
+            0x71d1_f748_b72c_90b6,
+            8426,
+        ),
+        (
+            "ring-crash",
+            base(BackendKind::Ring, 7).with_faults(crash_plan(2, 40, 30)),
+            0x105d_5eb2_11ac_b3b2,
+            11484,
+        ),
+        ("lossy", lossy(), 0xf15d_aa65_4ca8_013c, 14327),
+        (
+            "degraded-racked",
+            degraded_racked(),
+            0x014f_3e67_841f_7046,
+            12974,
+        ),
+    ];
+    for (label, cfg, digest, len) in cases {
+        assert_eq!(
+            snapshot_digest(cfg),
+            (digest, len),
+            "{label}: snapshot bytes moved"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -208,6 +316,19 @@ fn every_truncation_point_errors_instead_of_panicking() {
         let err = ClusterSim::restore(base(BackendKind::Ps, 7), &bytes[..cut]).map(|_| ());
         assert!(err.is_err(), "truncation at {cut}/{} restored", bytes.len());
         cut += 97;
+    }
+}
+
+#[test]
+fn every_flipped_byte_errors_or_restores_instead_of_panicking() {
+    // Invert each byte in turn: every offset must yield `Ok` (a payload
+    // byte whose new value is still valid) or a structured error, never a
+    // panic. A panic inside `restore` fails the test on the spot.
+    let (_, mut bytes) = snapshot_fixture();
+    for i in 0..bytes.len() {
+        bytes[i] ^= 0xff;
+        let _ = ClusterSim::restore(base(BackendKind::Ps, 7), &bytes);
+        bytes[i] ^= 0xff;
     }
 }
 
