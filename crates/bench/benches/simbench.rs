@@ -61,7 +61,7 @@ fn bench_snapshot(c: &mut Criterion) {
     let mut paused = ClusterSim::new(mk());
     paused.run_until(1).expect("benchmark run");
     let bytes = paused.snapshot();
-    let sim = ClusterSim::restore(mk(), &bytes).expect("restore captured snapshot");
+    let mut sim = ClusterSim::restore(mk(), &bytes).expect("restore captured snapshot");
     g.bench_function("encode_resnet50_4m_mid_run", |b| b.iter(|| sim.snapshot()));
     g.bench_function("state_hash_resnet50_4m_mid_run", |b| {
         b.iter(|| sim.state_hash())

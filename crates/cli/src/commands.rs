@@ -483,12 +483,9 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     if measure == 0 {
         return Err(bad_value("measure", "0", "positive integer"));
     }
-    let backend = match args.get("backend").unwrap_or("ps") {
-        "ps" => BackendKind::Ps,
-        "ring" => BackendKind::Ring,
-        "halving-doubling" => BackendKind::HalvingDoubling,
-        other => return Err(bad_value("backend", other, "ps|ring|halving-doubling")),
-    };
+    let name = args.get("backend").unwrap_or("ps");
+    let backend = BackendKind::from_name(name)
+        .ok_or_else(|| bad_value("backend", name, "ps|ring|halving-doubling"))?;
     let plan = parse_fault_plan(args)?;
     let faulty = !plan.is_empty();
     let trace_out = args.get("trace-out").map(str::to_string);

@@ -141,6 +141,17 @@ impl BackendKind {
         }
     }
 
+    /// The backend whose [`BackendKind::name`] is `name`, if any.
+    pub fn from_name(name: &str) -> Option<BackendKind> {
+        [
+            BackendKind::Ps,
+            BackendKind::Ring,
+            BackendKind::HalvingDoubling,
+        ]
+        .into_iter()
+        .find(|b| b.name() == name)
+    }
+
     /// True for the collective (non-parameter-server) backends.
     pub fn is_collective(self) -> bool {
         self != BackendKind::Ps
@@ -533,6 +544,23 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backend_names_round_trip() {
+        for backend in [
+            BackendKind::Ps,
+            BackendKind::Ring,
+            BackendKind::HalvingDoubling,
+        ] {
+            // Exhaustive: a new variant must be added to this list.
+            match backend {
+                BackendKind::Ps | BackendKind::Ring | BackendKind::HalvingDoubling => {}
+            }
+            assert_eq!(BackendKind::from_name(backend.name()), Some(backend));
+        }
+        assert_eq!(BackendKind::from_name("gossip"), None);
+        assert_eq!(BackendKind::from_name("Ring"), None);
+    }
 
     #[test]
     fn defaults_follow_the_paper() {

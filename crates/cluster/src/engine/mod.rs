@@ -457,8 +457,10 @@ impl ClusterSim {
 
     /// Serializes the complete dynamic engine state (clock, pending
     /// events, network flows, endpoint queues, RNG streams, counters) into
-    /// a versioned byte stream. See `snap.rs` for the format.
-    pub fn snapshot(&self) -> Vec<u8> {
+    /// a versioned byte stream. See `snap.rs` for the format. Takes
+    /// `&mut self` because the one field walk that writes a snapshot also
+    /// reads one back; writing leaves the state as it was.
+    pub fn snapshot(&mut self) -> Vec<u8> {
         snapshot::snapshot(self)
     }
 
@@ -466,7 +468,7 @@ impl ClusterSim {
     /// [`ClusterSim::snapshot`]'s byte stream). Two runs of the same
     /// configuration have equal state hashes at the same event count; the
     /// first event after which they differ is where they diverged.
-    pub fn state_hash(&self) -> u64 {
+    pub fn state_hash(&mut self) -> u64 {
         crate::snap::fnv64(&self.snapshot())
     }
 

@@ -11,7 +11,7 @@
 //!
 //! [`restore`] is the inverse. It never panics on malformed input: every
 //! length, index, and cross-reference that the engine would later trust
-//! (and index with) is validated here, and violations surface as
+//! (and index with) is validated, and violations surface as
 //! [`SnapshotError::Corrupt`].
 //!
 //! [`fold_event`] is the cheap rolling digest: an allocation-free FNV-1a
@@ -19,23 +19,20 @@
 //! configurations produce equal fold sequences, so two runs that diverge
 //! do so at the exact event where their hashes first differ.
 //!
-//! The module splits along the codec direction: [`encode`] writes a live
-//! engine out, [`decode`] validates bytes back into one. This file keeps
-//! only what both sides (and the hot loop) share.
+//! All three run the one field walk in [`walk`], with a different
+//! [`crate::snap::Coder`] each.
 //!
 //! [`ClusterSim::new`]: super::ClusterSim::new
 //! [`ClusterConfig`]: crate::config::ClusterConfig
 
-mod decode;
-mod encode;
+mod walk;
 
-pub(super) use decode::restore;
-pub(super) use encode::snapshot;
-
-use super::types::{Ev, Phase, Role};
+use super::types::Ev;
+use super::ClusterSim;
 use crate::config::ClusterConfig;
-use crate::snap::{fnv64, fnv64_fold, SnapshotError};
+use crate::snap::{fnv64, fnv64_fold, FnvFold, SnapReader, SnapWriter, SnapshotError};
 use p3_des::SimTime;
+use walk::Bounds;
 
 /// Digest of the configuration a snapshot belongs to. The `Debug` form
 /// covers every field (the struct derives it exhaustively), so any
@@ -45,71 +42,43 @@ fn config_fingerprint(cfg: &ClusterConfig) -> u64 {
     fnv64(format!("{cfg:?}").as_bytes())
 }
 
-fn check(ok: bool, what: &str) -> Result<(), SnapshotError> {
-    if ok {
-        Ok(())
-    } else {
-        Err(SnapshotError::Corrupt(what.to_string()))
-    }
+/// Serializes the complete dynamic state of a simulation.
+pub(super) fn snapshot(sim: &mut ClusterSim) -> Vec<u8> {
+    let mut w = SnapWriter::new(config_fingerprint(&sim.cfg));
+    let written = walk::walk(sim, &mut w);
+    debug_assert!(written.is_ok(), "only a reader fails");
+    w.finish()
 }
 
-// ---------------------------------------------------------------------
-// Rolling per-event hash.
+/// Rebuilds a mid-run simulation from snapshot bytes. Never panics on
+/// malformed input: structural violations return [`SnapshotError`].
+pub(super) fn restore(cfg: ClusterConfig, bytes: &[u8]) -> Result<ClusterSim, SnapshotError> {
+    let expected = config_fingerprint(&cfg);
+    let (mut r, found) = SnapReader::new(bytes)?;
+    if found != expected {
+        return Err(SnapshotError::ConfigMismatch);
+    }
+    let mut sim = ClusterSim::new(cfg);
+    if sim.config_error.is_some() {
+        // The fingerprint matched a configuration the engine itself
+        // rejects — the original run could never have snapshotted it.
+        return Err(SnapshotError::ConfigMismatch);
+    }
+    walk::walk(&mut sim, &mut r)?;
+    r.expect_end()?;
+    sim.config_error = None;
+    Ok(sim)
+}
 
-/// Folds one processed `(time, event)` pair into the rolling run digest.
-/// Allocation-free: called once per event in the hot loop.
+/// Folds one processed `(time, event)` pair into the rolling run digest:
+/// the time, then the event exactly as a snapshot lays it out, one `u64`
+/// word per field. Allocation-free: called once per event in the hot loop.
 pub(super) fn fold_event(h: u64, t: SimTime, ev: &Ev) -> u64 {
-    let h = fnv64_fold(h, t.as_nanos());
-    match *ev {
-        Ev::StartWorker { worker } => fnv64_fold(fnv64_fold(h, 0), worker as u64),
-        Ev::Compute { worker, phase, inc } => {
-            let h = fnv64_fold(fnv64_fold(h, 1), worker as u64);
-            let (p, b) = match phase {
-                Phase::Fwd(b) => (0, b),
-                Phase::Bwd(b) => (1, b),
-            };
-            fnv64_fold(fnv64_fold(fnv64_fold(h, p), b as u64), inc as u64)
-        }
-        Ev::EgressReady {
-            machine,
-            role,
-            dst,
-            inc,
-        } => {
-            let h = fnv64_fold(fnv64_fold(h, 2), machine as u64);
-            let h = fnv64_fold(h, role_tag(role) as u64);
-            fnv64_fold(fnv64_fold(h, dst.0 as u64), inc as u64)
-        }
-        Ev::AdmitKick { machine, role } => {
-            let h = fnv64_fold(fnv64_fold(h, 3), machine as u64);
-            fnv64_fold(h, role_tag(role) as u64)
-        }
-        Ev::ProcDone { server } => fnv64_fold(fnv64_fold(h, 4), server as u64),
-        Ev::NetWake => fnv64_fold(h, 5),
-        Ev::StragglerStart { idx } => fnv64_fold(fnv64_fold(h, 6), idx as u64),
-        Ev::StragglerEnd { idx } => fnv64_fold(fnv64_fold(h, 7), idx as u64),
-        Ev::LinkDegradeStart { idx } => fnv64_fold(fnv64_fold(h, 8), idx as u64),
-        Ev::LinkDegradeEnd { idx } => fnv64_fold(fnv64_fold(h, 9), idx as u64),
-        Ev::Crash { idx } => fnv64_fold(fnv64_fold(h, 10), idx as u64),
-        Ev::Rejoin { worker } => fnv64_fold(fnv64_fold(h, 11), worker as u64),
-        Ev::RetryTimer { msg_id, attempt } => {
-            fnv64_fold(fnv64_fold(fnv64_fold(h, 12), msg_id), attempt as u64)
-        }
-        Ev::LivenessTimeout { worker } => fnv64_fold(fnv64_fold(h, 13), worker as u64),
-    }
+    let mut fold = FnvFold(fnv64_fold(h, t.as_nanos()));
+    let folded = walk::ev(&mut fold, &mut { *ev }, &Bounds::UNCHECKED);
+    debug_assert!(folded.is_ok(), "only a reader fails");
+    fold.0
 }
 
-fn role_tag(role: Role) -> u8 {
-    match role {
-        Role::Worker => 0,
-        Role::Server => 1,
-    }
-}
-
-fn role_from(tag: u8) -> Result<Role, SnapshotError> {
-    match tag {
-        0 => Ok(Role::Worker),
-        1 => Ok(Role::Server),
-        _ => Err(SnapshotError::Corrupt(format!("bad role tag {tag}"))),
-    }
-}
+#[cfg(test)]
+mod tests;

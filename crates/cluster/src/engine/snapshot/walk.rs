@@ -1,0 +1,706 @@
+//! The snapshot format: one walk over the engine's dynamic state that
+//! names every field once, in stream order. Driven by a [`Coder`], the
+//! same walk writes a live engine out, reads bytes back into a fresh one,
+//! or (for events) folds the rolling hash. Field order here is the format;
+//! any reordering is a (version-bumped) format change.
+//!
+//! A reader walks the fresh engine [`ClusterSim::new`] built from the
+//! snapshot's configuration, so every vector whose length the
+//! configuration fixes already has that length, and the stream must
+//! repeat it. Containers the engine rebuilds rather than fills (the event
+//! calendar, priority queues, the network) are walked as a plain list and
+//! rebuilt on the read side only. Every index and cross-reference the
+//! engine would later trust is checked while reading, so hostile or
+//! truncated input surfaces as [`SnapshotError`], never a panic.
+
+use super::super::collective::{ActiveCollective, CollectiveState};
+use super::super::types::{Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, ServerState, WorkerState};
+use super::super::ClusterSim;
+use crate::egress::{EgressUnit, OutMsg};
+use crate::snap::{Coder, SnapshotError};
+use p3_core::PrioQueue;
+use p3_des::{EventQueue, SimDuration, SimTime, SplitMix64};
+use p3_net::{
+    CompletedFlow, DeliveringSnapshot, FlowId, FlowSnapshot, MachineId, NetworkSnapshot, Priority,
+};
+use std::collections::BTreeMap;
+
+type Res = Result<(), SnapshotError>;
+
+/// Index bounds a read snapshot must respect — anything the engine will
+/// later use as an array index.
+pub(super) struct Bounds {
+    pub(super) machines: usize,
+    pub(super) blocks: usize,
+    pub(super) num_keys: usize,
+    pub(super) stragglers: usize,
+    pub(super) degradations: usize,
+    pub(super) crashes: usize,
+}
+
+impl Bounds {
+    /// For coders that check nothing (writing, folding).
+    pub(super) const UNCHECKED: Bounds = Bounds {
+        machines: 0,
+        blocks: 0,
+        num_keys: 0,
+        stragglers: 0,
+        degradations: 0,
+        crashes: 0,
+    };
+
+    fn of(sim: &ClusterSim) -> Bounds {
+        Bounds {
+            machines: sim.cfg.machines,
+            blocks: sim.cfg.model.blocks().len(),
+            num_keys: sim.plan.num_keys(),
+            stragglers: sim.cfg.faults.stragglers.len(),
+            degradations: sim.cfg.faults.link_degradations.len(),
+            crashes: sim.cfg.faults.crashes.len(),
+        }
+    }
+}
+
+/// Walks the complete dynamic state of a simulation, header excluded.
+pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
+    let b = Bounds::of(sim);
+    let mut now = sim.queue.now();
+    time(c, &mut now)?;
+    let mut pending = sim.queue.pending_sorted();
+    let blank = (SimTime::ZERO, Ev::NetWake);
+    seq(c, &mut pending, blank, |c, (t, e)| {
+        time(c, t)?;
+        c.check(*t >= now, "pending event scheduled before the clock")?;
+        ev(c, e, &b)
+    })?;
+    if C::READING {
+        sim.queue = EventQueue::from_pending(now, pending);
+    }
+
+    for ws in &mut sim.workers {
+        worker(c, ws, &b)?;
+    }
+    for ss in &mut sim.servers {
+        server(c, ss, &b)?;
+    }
+    let mut ns = sim.net.snapshot();
+    net(c, &mut ns, &b)?;
+
+    let dup = "duplicate message id";
+    map(c, &mut sim.msgs, (0, BLANK_CTX), dup, |c, id, ctx| {
+        c.u64(id)?;
+        msg_ctx(c, ctx, &b)
+    })?;
+    let (msgs, dup) = (&sim.msgs, "duplicate flow id");
+    map(c, &mut sim.flows, (FlowId(0), 0), dup, |c, flow, mid| {
+        c.u64(&mut flow.0)?;
+        c.u64(mid)?;
+        c.check(msgs.contains_key(mid), "flow references unknown message")
+    })?;
+    if C::READING {
+        // Every flow the network will eventually deliver must resolve to
+        // a registered message, or delivery would panic.
+        for f in &ns.flows {
+            let known = sim.flows.contains_key(&FlowId(f.id));
+            c.check(known, "network flow unknown to the engine")?;
+        }
+        for d in &ns.delivering {
+            let known = sim.flows.contains_key(&d.flow.id);
+            c.check(known, "delivering flow unknown to the engine")?;
+        }
+        sim.net.restore_from(&ns);
+    }
+
+    c.u64(&mut sim.next_msg_id)?;
+    if let Some((&max_id, _)) = sim.msgs.last_key_value() {
+        c.check(
+            sim.next_msg_id > max_id,
+            "message id counter behind live ids",
+        )?;
+    }
+    opt_time(c, &mut sim.next_wake)?;
+    for gate in &mut sim.admit_gate {
+        gate.iter_mut().try_for_each(|t| time(c, t))?;
+    }
+    for kick in &mut sim.admit_kick_at {
+        kick.iter_mut().try_for_each(|t| opt_time(c, t))?;
+    }
+    c.u64(&mut sim.events)?;
+
+    let st = &mut sim.stats;
+    c.u64(&mut st.pushes)?;
+    c.u64(&mut st.responses)?;
+    c.u64(&mut st.notifies)?;
+    c.u64(&mut st.pull_requests)?;
+    c.u64(&mut st.rack_pushes)?;
+    c.u64(&mut st.combined_pushes)?;
+    c.u64(&mut st.collective_chunks)?;
+
+    rng(c, &mut sim.loss_rng)?;
+    for dead in &mut sim.dead_members {
+        c.bool(dead)?;
+    }
+    c.u32(&mut sim.expected_pushes)?;
+
+    let f = &mut sim.faults;
+    c.u64(&mut f.messages_lost)?;
+    c.u64(&mut f.retransmits)?;
+    c.u64(&mut f.gave_up)?;
+    c.u64(&mut f.stale_pushes_dropped)?;
+    c.u64(&mut f.duplicate_pushes_dropped)?;
+    c.u64(&mut f.degraded_rounds)?;
+    c.u64(&mut f.flows_cancelled)?;
+    c.u64(&mut f.collectives_aborted)?;
+
+    let (agg, dup) = (&mut sim.rack_agg, "duplicate rack-aggregation entry");
+    map(
+        c,
+        agg,
+        ((0, 0, 0), 0),
+        dup,
+        |c, (machine, key, round), mask| {
+            c.idx(machine, b.machines, "rack aggregator out of range")?;
+            c.idx(key, b.num_keys, "rack-aggregation key out of range")?;
+            c.u64(round)?;
+            c.u128(mask)
+        },
+    )?;
+
+    let mut has_collective = sim.collective.is_some();
+    c.bool(&mut has_collective)?;
+    c.check(
+        has_collective == sim.collective.is_some(),
+        "collective state presence contradicts the backend",
+    )?;
+    if let Some(st) = sim.collective.as_mut() {
+        collective(c, st, &b)?;
+    }
+    c.u64(&mut sim.hash)
+}
+
+/// One scheduled event. Indices are checked against `b` when reading.
+pub(super) fn ev<C: Coder>(c: &mut C, e: &mut Ev, b: &Bounds) -> Res {
+    variant(c, e, "event", |t| {
+        Some(match t {
+            0 => Ev::StartWorker { worker: 0 },
+            1 => Ev::Compute {
+                worker: 0,
+                phase: Phase::Fwd(0),
+                inc: 0,
+            },
+            2 => Ev::EgressReady {
+                machine: 0,
+                role: Role::Worker,
+                dst: MachineId(0),
+                inc: 0,
+            },
+            3 => Ev::AdmitKick {
+                machine: 0,
+                role: Role::Worker,
+            },
+            4 => Ev::ProcDone { server: 0 },
+            5 => Ev::NetWake,
+            6 => Ev::StragglerStart { idx: 0 },
+            7 => Ev::StragglerEnd { idx: 0 },
+            8 => Ev::LinkDegradeStart { idx: 0 },
+            9 => Ev::LinkDegradeEnd { idx: 0 },
+            10 => Ev::Crash { idx: 0 },
+            11 => Ev::Rejoin { worker: 0 },
+            12 => Ev::RetryTimer {
+                msg_id: 0,
+                attempt: 0,
+            },
+            13 => Ev::LivenessTimeout { worker: 0 },
+            _ => return None,
+        })
+    })?;
+    const WORKER: &str = "event worker out of range";
+    const MACHINE: &str = "event machine out of range";
+    const STRAGGLER: &str = "straggler index out of range";
+    const DEGRADATION: &str = "degradation index out of range";
+    // The tag, then the one index most variants carry.
+    let mut tagged_idx = |tag, v: &mut usize, bound, what| {
+        c.tag(tag)?;
+        c.idx(v, bound, what)
+    };
+    match e {
+        Ev::StartWorker { worker } => tagged_idx(0, worker, b.machines, WORKER),
+        Ev::Compute { worker, phase, inc } => {
+            c.tag(1)?;
+            c.idx(worker, b.machines, WORKER)?;
+            compute_phase(c, phase, b)?;
+            c.u32(inc)
+        }
+        Ev::EgressReady {
+            machine,
+            role: r,
+            dst,
+            inc,
+        } => {
+            c.tag(2)?;
+            c.idx(machine, b.machines, MACHINE)?;
+            role(c, r)?;
+            c.idx(&mut dst.0, b.machines, "event destination out of range")?;
+            c.u32(inc)
+        }
+        Ev::AdmitKick { machine, role: r } => {
+            c.tag(3)?;
+            c.idx(machine, b.machines, MACHINE)?;
+            role(c, r)
+        }
+        Ev::ProcDone { server } => tagged_idx(4, server, b.machines, "event server out of range"),
+        Ev::NetWake => c.tag(5),
+        Ev::StragglerStart { idx } => tagged_idx(6, idx, b.stragglers, STRAGGLER),
+        Ev::StragglerEnd { idx } => tagged_idx(7, idx, b.stragglers, STRAGGLER),
+        Ev::LinkDegradeStart { idx } => tagged_idx(8, idx, b.degradations, DEGRADATION),
+        Ev::LinkDegradeEnd { idx } => tagged_idx(9, idx, b.degradations, DEGRADATION),
+        Ev::Crash { idx } => tagged_idx(10, idx, b.crashes, "crash index out of range"),
+        Ev::Rejoin { worker } => tagged_idx(11, worker, b.machines, WORKER),
+        Ev::RetryTimer { msg_id, attempt } => {
+            c.tag(12)?;
+            c.u64(msg_id)?;
+            c.u32(attempt)
+        }
+        Ev::LivenessTimeout { worker } => tagged_idx(13, worker, b.machines, WORKER),
+    }
+}
+
+fn compute_phase<C: Coder>(c: &mut C, p: &mut Phase, b: &Bounds) -> Res {
+    variant(c, p, "phase", |t| match t {
+        0 => Some(Phase::Fwd(0)),
+        1 => Some(Phase::Bwd(0)),
+        _ => None,
+    })?;
+    let (tag, block) = match p {
+        Phase::Fwd(block) => (0, block),
+        Phase::Bwd(block) => (1, block),
+    };
+    c.tag(tag)?;
+    c.idx(block, b.blocks, "event block out of range")
+}
+
+fn role<C: Coder>(c: &mut C, r: &mut Role) -> Res {
+    variant(c, r, "role", |t| match t {
+        0 => Some(Role::Worker),
+        1 => Some(Role::Server),
+        _ => None,
+    })?;
+    c.tag(match r {
+        Role::Worker => 0,
+        Role::Server => 1,
+    })
+}
+
+fn worker<C: Coder>(c: &mut C, ws: &mut WorkerState, b: &Bounds) -> Res {
+    c.u64(&mut ws.iter)?;
+    c.u64(&mut ws.completed)?;
+    let what = "worker version vector length";
+    fixed(c, &mut ws.received_version, what, C::u64)?;
+    fixed(c, &mut ws.notified_version, what, C::u64)?;
+    opt(c, &mut ws.waiting_block, 0, |c, blk| {
+        c.idx(blk, b.blocks, "waiting block out of range")
+    })?;
+    opt_time(c, &mut ws.stalled_since)?;
+    let mut stalled = ws.stalled_total.as_nanos();
+    c.u64(&mut stalled)?;
+    ws.stalled_total = SimDuration::from_nanos(stalled);
+    c.bool(&mut ws.started)?;
+    opt_time(c, &mut ws.measure_start)?;
+    opt_time(c, &mut ws.measure_end)?;
+    c.f64(&mut ws.jitter)?;
+    c.f64(&mut ws.slowdown)?;
+    c.bool(&mut ws.crashed)?;
+    c.bool(&mut ws.permanently_dead)?;
+    c.u32(&mut ws.incarnation)?;
+    c.u64(&mut ws.resume_iter)?;
+    time(c, &mut ws.iter_started)?;
+    seq(c, &mut ws.measured_iters, 0.0, C::f64)?;
+    egress(c, &mut ws.egress, b)?;
+    rng(c, &mut ws.rng)
+}
+
+fn server<C: Coder>(c: &mut C, ss: &mut ServerState, b: &Bounds) -> Res {
+    prio_queue(c, &mut ss.proc_queue, BLANK_ITEM, |c, (prio, item)| {
+        c.u32(prio)?;
+        proc_item(c, item, b)
+    })?;
+    c.bool(&mut ss.proc_busy)?;
+    fixed(c, &mut ss.received, "server mask vector length", C::u128)?;
+    fixed(c, &mut ss.version, "server version vector length", C::u64)?;
+    let (pullers, what) = (b.machines, "pending puller out of range");
+    fixed(
+        c,
+        &mut ss.pending_pulls,
+        "pending-pull vector length",
+        |c, pulls| seq(c, pulls, 0, |c, w| c.idx(w, pullers, what)),
+    )?;
+    opt(c, &mut ss.current, BLANK_ITEM, |c, it| proc_item(c, it, b))?;
+    egress(c, &mut ss.egress, b)
+}
+
+const BLANK_ITEM: ProcItem = ProcItem {
+    key: 0,
+    round: 0,
+    worker: 0,
+    members: 0,
+};
+
+fn proc_item<C: Coder>(c: &mut C, item: &mut ProcItem, b: &Bounds) -> Res {
+    let what = "processing-item key out of range";
+    c.idx(&mut item.key, b.num_keys, what)?;
+    c.u64(&mut item.round)?;
+    let what = "processing-item worker out of range";
+    c.idx(&mut item.worker, b.machines, what)?;
+    c.u128(&mut item.members)
+}
+
+fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, b: &Bounds) -> Res {
+    variant(c, e, "egress", |t| match t {
+        0 => Some(EgressUnit::single(1)),
+        1 => Some(EgressUnit::per_dest(b.machines)),
+        _ => None,
+    })?;
+    match e {
+        EgressUnit::Single {
+            queue,
+            in_flight,
+            window,
+        } => {
+            c.tag(0)?;
+            c.usize(window)?;
+            c.check(*window > 0, "zero egress window")?;
+            c.usize(in_flight)?;
+            // The queue's priority is the message's own.
+            prio_queue(c, queue, BLANK_MSG, |c, (prio, msg)| {
+                out_msg(c, msg, b)?;
+                *prio = msg.priority.0;
+                Ok(())
+            })
+        }
+        EgressUnit::PerDest { queues, busy } => {
+            c.tag(1)?;
+            fixed(c, queues, "per-destination lane count", |c, lane| {
+                let mut msgs = Vec::from(std::mem::take(lane));
+                seq(c, &mut msgs, BLANK_MSG, |c, msg| out_msg(c, msg, b))?;
+                *lane = msgs.into();
+                Ok(())
+            })?;
+            fixed(c, busy, "per-destination busy count", C::bool)
+        }
+    }
+}
+
+const BLANK_MSG: OutMsg = OutMsg {
+    dst: MachineId(0),
+    bytes: 0,
+    priority: Priority(0),
+    msg_id: 0,
+};
+
+fn out_msg<C: Coder>(c: &mut C, msg: &mut OutMsg, b: &Bounds) -> Res {
+    let what = "egress destination out of range";
+    c.idx(&mut msg.dst.0, b.machines, what)?;
+    c.u64(&mut msg.bytes)?;
+    c.u32(&mut msg.priority.0)?;
+    c.u64(&mut msg.msg_id)
+}
+
+const BLANK_CTX: MsgCtx = MsgCtx {
+    kind: MsgKind::Push { key: 0, round: 0 },
+    src: 0,
+    dst: 0,
+    bytes: 0,
+    priority: Priority(0),
+    attempt: 0,
+    in_flight: false,
+};
+
+fn msg_ctx<C: Coder>(c: &mut C, ctx: &mut MsgCtx, b: &Bounds) -> Res {
+    msg_kind(c, &mut ctx.kind, b)?;
+    c.idx(&mut ctx.src, b.machines, "message source out of range")?;
+    c.idx(&mut ctx.dst, b.machines, "message destination out of range")?;
+    c.u64(&mut ctx.bytes)?;
+    c.u32(&mut ctx.priority.0)?;
+    c.u32(&mut ctx.attempt)?;
+    c.bool(&mut ctx.in_flight)
+}
+
+fn msg_kind<C: Coder>(c: &mut C, k: &mut MsgKind, b: &Bounds) -> Res {
+    variant(c, k, "message-kind", |t| {
+        let (key, n, step) = (0, 0, 0);
+        Some(match t {
+            0 => MsgKind::Push { key, round: n },
+            1 => MsgKind::Response { key, version: n },
+            2 => MsgKind::Notify { key, version: n },
+            3 => MsgKind::PullReq { key, round: n },
+            4 => MsgKind::RackPush { key, round: n },
+            5 => MsgKind::CombinedPush {
+                key,
+                round: n,
+                members: 0,
+            },
+            6 => MsgKind::ReduceScatter {
+                key,
+                round: n,
+                step,
+            },
+            7 => MsgKind::AllGather {
+                key,
+                version: n,
+                step,
+            },
+            _ => return None,
+        })
+    })?;
+    // Every kind leads with its key and a round or version.
+    let (tag, key, n) = match k {
+        MsgKind::Push { key, round } => (0, key, round),
+        MsgKind::Response { key, version } => (1, key, version),
+        MsgKind::Notify { key, version } => (2, key, version),
+        MsgKind::PullReq { key, round } => (3, key, round),
+        MsgKind::RackPush { key, round } => (4, key, round),
+        MsgKind::CombinedPush { key, round, .. } => (5, key, round),
+        MsgKind::ReduceScatter { key, round, .. } => (6, key, round),
+        MsgKind::AllGather { key, version, .. } => (7, key, version),
+    };
+    c.tag(tag)?;
+    c.idx(key, b.num_keys, "message key out of range")?;
+    c.u64(n)?;
+    match k {
+        MsgKind::CombinedPush { members, .. } => c.u128(members),
+        MsgKind::ReduceScatter { step, .. } | MsgKind::AllGather { step, .. } => c.usize(step),
+        _ => Ok(()),
+    }
+}
+
+const BLANK_FLOW: FlowSnapshot = FlowSnapshot {
+    id: 0,
+    src: 0,
+    dst: 0,
+    priority: 0,
+    tag: 0,
+    bytes: 0,
+    remaining: 0.0,
+    rate: 0.0,
+    bottleneck: None,
+};
+
+const BLANK_DELIVERY: DeliveringSnapshot = DeliveringSnapshot {
+    at: SimTime::ZERO,
+    flow: CompletedFlow {
+        id: FlowId(0),
+        src: MachineId(0),
+        dst: MachineId(0),
+        tag: 0,
+        bytes: 0,
+        bottleneck: None,
+    },
+};
+
+fn net<C: Coder>(c: &mut C, ns: &mut NetworkSnapshot, b: &Bounds) -> Res {
+    let nlinks = ns.link_busy.len();
+    seq(c, &mut ns.flows, BLANK_FLOW, |c, f| {
+        c.u64(&mut f.id)?;
+        c.idx(&mut f.src, b.machines, "flow source out of range")?;
+        c.idx(&mut f.dst, b.machines, "flow destination out of range")?;
+        c.u32(&mut f.priority)?;
+        c.u64(&mut f.tag)?;
+        c.u64(&mut f.bytes)?;
+        c.f64(&mut f.remaining)?;
+        c.f64(&mut f.rate)?;
+        opt(c, &mut f.bottleneck, 0, |c, l| {
+            c.idx(l, nlinks, "flow bottleneck link out of range")
+        })
+    })?;
+    seq(c, &mut ns.delivering, BLANK_DELIVERY, |c, d| {
+        time(c, &mut d.at)?;
+        let f = &mut d.flow;
+        c.u64(&mut f.id.0)?;
+        c.idx(&mut f.src.0, b.machines, "delivering source out of range")?;
+        let what = "delivering destination out of range";
+        c.idx(&mut f.dst.0, b.machines, what)?;
+        c.u64(&mut f.tag)?;
+        c.u64(&mut f.bytes)?;
+        opt(c, &mut f.bottleneck, 0, C::usize)
+    })?;
+    time(c, &mut ns.last_update)?;
+    c.u64(&mut ns.next_flow_id)?;
+    fixed(c, &mut ns.tx_scale, "port scale vector length", C::f64)?;
+    fixed(c, &mut ns.rx_scale, "port scale vector length", C::f64)?;
+    let what = "link accounting vector length";
+    fixed(c, &mut ns.link_busy, what, C::f64)?;
+    fixed(c, &mut ns.link_bytes, what, C::f64)?;
+    for bins in [&mut ns.tx_bins, &mut ns.rx_bins] {
+        fixed(c, bins, "trace bin vector count", |c, port| {
+            seq(c, port, 0.0, C::f64)
+        })?;
+    }
+    let s = &mut ns.stats;
+    c.u64(&mut s.reallocations)?;
+    c.u64(&mut s.flows_touched)?;
+    c.u64(&mut s.waterfill_rounds)?;
+    c.u64(&mut s.ports_touched)?;
+    c.u64(&mut s.peak_in_flight)
+}
+
+fn collective<C: Coder>(c: &mut C, st: &mut CollectiveState, b: &Bounds) -> Res {
+    let what = "block-barrier vector length";
+    fixed(c, &mut st.block_ready, what, C::u128)?;
+    fixed(c, &mut st.block_round, "block-round vector length", C::u64)?;
+    prio_queue(c, &mut st.pending, (0, 0, 0), |c, (prio, entry)| {
+        c.u32(prio)?;
+        c.idx(
+            &mut entry.0,
+            b.num_keys,
+            "pending collective key out of range",
+        )?;
+        c.u64(&mut entry.1)?;
+        c.u128(&mut entry.2)
+    })?;
+    let blank = ActiveCollective {
+        key: 0,
+        round: 0,
+        step: 0,
+        outstanding: 0,
+        members: 0,
+    };
+    opt(c, &mut st.active, blank, |c, a| {
+        c.idx(&mut a.key, b.num_keys, "active collective key out of range")?;
+        c.u64(&mut a.round)?;
+        let steps = 2 * b.machines.max(2);
+        c.idx(&mut a.step, steps, "collective step out of range")?;
+        c.usize(&mut a.outstanding)?;
+        c.u128(&mut a.members)
+    })?;
+    let what = "collective version vector length";
+    fixed(c, &mut st.completed_version, what, C::u64)
+}
+
+// ---------------------------------------------------------------------
+// Shapes: how each kind of container is laid out.
+
+/// Reader side of an enum: reads the tag and replaces `v` with the blank
+/// variant `blank` maps it to, which the walk then fills. Writers emit
+/// the tag from inside the variant's arm ([`Coder::tag`]).
+fn variant<C: Coder, T>(
+    c: &mut C,
+    v: &mut T,
+    what: &str,
+    blank: impl FnOnce(u8) -> Option<T>,
+) -> Res {
+    if C::READING {
+        let mut t = 0;
+        c.u8(&mut t)?;
+        *v = blank(t).ok_or_else(|| SnapshotError::Corrupt(format!("bad {what} tag {t}")))?;
+    }
+    Ok(())
+}
+
+/// A free-length list: its length, then each element. A reader rebuilds
+/// `v` from copies of `blank`, each filled by `each`.
+fn seq<C: Coder, T: Clone>(
+    c: &mut C,
+    v: &mut Vec<T>,
+    blank: T,
+    mut each: impl FnMut(&mut C, &mut T) -> Res,
+) -> Res {
+    let n = c.len(v.len())?;
+    if C::READING {
+        v.clear();
+        for _ in 0..n {
+            let mut x = blank.clone();
+            each(c, &mut x)?;
+            v.push(x);
+        }
+        return Ok(());
+    }
+    v.iter_mut().try_for_each(|x| each(c, x))
+}
+
+/// A list whose length the configuration fixes: the reader's fresh
+/// engine already has it, so the stream must carry the same length.
+fn fixed<C: Coder, T>(
+    c: &mut C,
+    v: &mut [T],
+    what: &str,
+    mut each: impl FnMut(&mut C, &mut T) -> Res,
+) -> Res {
+    c.fixed_len(v.len(), what)?;
+    v.iter_mut().try_for_each(|x| each(c, x))
+}
+
+/// A presence flag, then the value if present.
+fn opt<C: Coder, T>(
+    c: &mut C,
+    v: &mut Option<T>,
+    blank: T,
+    each: impl FnOnce(&mut C, &mut T) -> Res,
+) -> Res {
+    let mut some = v.is_some();
+    c.bool(&mut some)?;
+    if C::READING {
+        *v = some.then_some(blank);
+    }
+    match v {
+        Some(x) => each(c, x),
+        None => Ok(()),
+    }
+}
+
+/// A priority queue as its `(priority, value)` list in pop order. A
+/// reader re-pushes the list in order, which reproduces the pop sequence.
+fn prio_queue<C: Coder, T: Clone>(
+    c: &mut C,
+    q: &mut PrioQueue<T>,
+    blank: T,
+    each: impl FnMut(&mut C, &mut (u32, T)) -> Res,
+) -> Res {
+    let mut items = q.snapshot_sorted();
+    seq(c, &mut items, (0, blank), each)?;
+    if C::READING {
+        *q = items.into_iter().collect();
+    }
+    Ok(())
+}
+
+/// A map as its entry list in key order; a reader rejects repeated keys.
+fn map<C: Coder, K: Ord + Copy, V: Clone>(
+    c: &mut C,
+    m: &mut BTreeMap<K, V>,
+    blank: (K, V),
+    dup: &str,
+    mut each: impl FnMut(&mut C, &mut K, &mut V) -> Res,
+) -> Res {
+    let n = c.len(m.len())?;
+    if C::READING {
+        m.clear();
+        for _ in 0..n {
+            let (mut k, mut v) = blank.clone();
+            each(c, &mut k, &mut v)?;
+            c.check(m.insert(k, v).is_none(), dup)?;
+        }
+        return Ok(());
+    }
+    m.iter_mut().try_for_each(|(&k, v)| each(c, &mut { k }, v))
+}
+
+fn time<C: Coder>(c: &mut C, t: &mut SimTime) -> Res {
+    let mut nanos = t.as_nanos();
+    c.u64(&mut nanos)?;
+    *t = SimTime::from_nanos(nanos);
+    Ok(())
+}
+
+fn opt_time<C: Coder>(c: &mut C, t: &mut Option<SimTime>) -> Res {
+    opt(c, t, SimTime::ZERO, time)
+}
+
+/// An RNG stream as its state word.
+fn rng<C: Coder>(c: &mut C, r: &mut SplitMix64) -> Res {
+    let mut state = r.state();
+    c.u64(&mut state)?;
+    if C::READING {
+        *r = SplitMix64::new(state);
+    }
+    Ok(())
+}

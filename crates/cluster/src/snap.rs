@@ -4,8 +4,13 @@
 //! and fail loudly on malformed input, so the format is a flat
 //! little-endian byte stream with an explicit magic + version header and
 //! no external dependencies. Every scalar the engine holds maps onto one
-//! of the primitives here; composites are written as `len` followed by
-//! elements.
+//! of the [`Coder`] primitives here; composites are written as `len`
+//! followed by elements.
+//!
+//! A [`Coder`] is one direction of the codec. The engine's snapshot walk
+//! names each field once and hands it over by `&mut`: [`SnapWriter`]
+//! appends it, [`SnapReader`] overwrites it, [`FnvFold`] hashes it. So
+//! the field order is written down in exactly one place.
 //!
 //! Layout: `b"P3SNAP\0\0"` (8 bytes) · format version (`u32`) · config
 //! fingerprint (`u64`) · body. Readers verify magic and version before
@@ -88,6 +93,101 @@ pub fn fnv64_fold(mut h: u64, word: u64) -> u64 {
     h
 }
 
+type Res = Result<(), SnapshotError>;
+
+/// One direction of the snapshot codec. Every primitive takes its field
+/// by `&mut`: a writer or folder consumes the value, a reader overwrites
+/// it. Checks (`idx`, `fixed_len`, `check`) fire only when reading.
+pub(crate) trait Coder {
+    /// True for the reader. The only direction test a walk makes.
+    const READING: bool;
+
+    /// Fixed-width little-endian integers: all a direction implements.
+    fn u8(&mut self, v: &mut u8) -> Res;
+    fn u32(&mut self, v: &mut u32) -> Res;
+    fn u64(&mut self, v: &mut u64) -> Res;
+    fn u128(&mut self, v: &mut u128) -> Res;
+
+    /// A `usize` as `u64` (lengths, indices).
+    fn usize(&mut self, v: &mut usize) -> Res {
+        let mut w = *v as u64;
+        self.u64(&mut w)?;
+        if Self::READING {
+            *v = usize::try_from(w)
+                .map_err(|_| SnapshotError::Corrupt(format!("usize overflow: {w}")))?;
+        }
+        Ok(())
+    }
+
+    /// An `f64` as its exact bit pattern.
+    fn f64(&mut self, v: &mut f64) -> Res {
+        let mut bits = v.to_bits();
+        self.u64(&mut bits)?;
+        if Self::READING {
+            *v = f64::from_bits(bits);
+        }
+        Ok(())
+    }
+
+    /// A bool as one byte; a reader rejects anything but 0 or 1.
+    fn bool(&mut self, v: &mut bool) -> Res {
+        let mut b = u8::from(*v);
+        self.u8(&mut b)?;
+        if Self::READING {
+            *v = match b {
+                0 => false,
+                1 => true,
+                _ => return Err(SnapshotError::Corrupt(format!("bool byte {b:#04x}"))),
+            };
+        }
+        Ok(())
+    }
+
+    /// Fails with [`SnapshotError::Corrupt`]`(what)` when reading and
+    /// `ok` is false; a no-op in every other direction.
+    fn check(&mut self, ok: bool, what: &str) -> Res {
+        if Self::READING && !ok {
+            return Err(SnapshotError::Corrupt(what.to_string()));
+        }
+        Ok(())
+    }
+
+    /// An index the engine will later trust: a reader rejects `v >= bound`.
+    fn idx(&mut self, v: &mut usize, bound: usize, what: &str) -> Res {
+        self.usize(v)?;
+        self.check(*v < bound, what)
+    }
+
+    /// A free length `n`, returning the length the stream carries. A
+    /// reader caps it so a corrupt stream cannot trigger a huge allocation.
+    fn len(&mut self, n: usize) -> Result<usize, SnapshotError> {
+        let mut v = n;
+        self.usize(&mut v)?;
+        // No engine collection remotely approaches this; a larger value
+        // is a mis-framed stream.
+        if Self::READING && v > 1 << 32 {
+            return Err(SnapshotError::Corrupt(format!("implausible length {v}")));
+        }
+        Ok(v)
+    }
+
+    /// A length the configuration fixes at `n`: a reader rejects any other.
+    fn fixed_len(&mut self, n: usize, what: &str) -> Res {
+        let found = self.len(n)?;
+        self.check(found == n, what)
+    }
+
+    /// An enum variant's tag, coded from inside the variant's arm of a
+    /// walk. A reader skips it: it already read the tag to pick the
+    /// variant it fills.
+    fn tag(&mut self, tag: u8) -> Res {
+        if Self::READING {
+            return Ok(());
+        }
+        self.u8(&mut { tag })
+    }
+}
+
 /// Append-only snapshot encoder.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
@@ -100,8 +200,8 @@ impl SnapWriter {
     pub fn new(config_fingerprint: u64) -> SnapWriter {
         let mut w = SnapWriter { buf: Vec::new() };
         w.buf.extend_from_slice(&SNAP_MAGIC);
-        w.u32(SNAP_VERSION);
-        w.u64(config_fingerprint);
+        w.buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        w.buf.extend_from_slice(&config_fingerprint.to_le_bytes());
         w
     }
 
@@ -109,60 +209,33 @@ impl SnapWriter {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
+}
 
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+impl Coder for SnapWriter {
+    const READING: bool = false;
+
+    fn u8(&mut self, v: &mut u8) -> Res {
+        self.buf.push(*v);
+        Ok(())
     }
 
-    /// Writes a bool as one byte (0 or 1).
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    /// Writes a `u32` little-endian.
-    pub fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: &mut u32) -> Res {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
     }
 
-    /// Writes a `u64` little-endian.
-    pub fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: &mut u64) -> Res {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
     }
 
-    /// Writes a `u128` little-endian.
-    pub fn u128(&mut self, v: u128) {
+    fn u128(&mut self, v: &mut u128) -> Res {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `usize` as `u64` (lengths, indices).
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Writes an `f64` as its exact bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes an optional `u64` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    /// Writes an optional `usize` as a presence byte plus the value.
-    pub fn opt_usize(&mut self, v: Option<usize>) {
-        self.opt_u64(v.map(|x| x as u64));
+        Ok(())
     }
 }
 
-/// Cursor-based snapshot decoder. Every accessor returns
+/// Cursor-based snapshot decoder. Every primitive returns
 /// [`SnapshotError::Truncated`] instead of panicking when the stream
 /// runs out.
 #[derive(Debug)]
@@ -173,7 +246,7 @@ pub struct SnapReader<'a> {
 
 impl<'a> SnapReader<'a> {
     /// Validates the header (magic + version) and returns a reader
-    /// positioned at the config fingerprint along with that fingerprint.
+    /// positioned at the body along with the config fingerprint.
     pub fn new(data: &'a [u8]) -> Result<(SnapReader<'a>, u64), SnapshotError> {
         if data.len() < SNAP_MAGIC.len() {
             return Err(SnapshotError::Truncated);
@@ -185,25 +258,29 @@ impl<'a> SnapReader<'a> {
             data,
             pos: SNAP_MAGIC.len(),
         };
-        let version = r.u32()?;
+        let mut version = 0;
+        r.u32(&mut version)?;
         if version != SNAP_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 expected: SNAP_VERSION,
             });
         }
-        let fingerprint = r.u64()?;
+        let mut fingerprint = 0;
+        r.u64(&mut fingerprint)?;
         Ok((r, fingerprint))
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.data.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.data[self.pos..end];
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let end = self.pos.checked_add(N).ok_or(SnapshotError::Truncated)?;
+        let bytes = self
+            .data
+            .get(self.pos..end)
+            .ok_or(SnapshotError::Truncated)?;
         self.pos = end;
-        Ok(s)
+        let mut out = [0; N];
+        out.copy_from_slice(bytes);
+        Ok(out)
     }
 
     /// Fails unless the whole stream was consumed — trailing bytes mean
@@ -218,85 +295,58 @@ impl<'a> SnapReader<'a> {
             )))
         }
     }
+}
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+impl Coder for SnapReader<'_> {
+    const READING: bool = true;
+
+    fn u8(&mut self, v: &mut u8) -> Res {
+        *v = u8::from_le_bytes(self.take()?);
+        Ok(())
     }
 
-    /// Reads a bool; any byte other than 0/1 is corrupt.
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapshotError::Corrupt(format!("bool byte {b:#04x}"))),
-        }
+    fn u32(&mut self, v: &mut u32) -> Res {
+        *v = u32::from_le_bytes(self.take()?);
+        Ok(())
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
+    fn u64(&mut self, v: &mut u64) -> Res {
+        *v = u64::from_le_bytes(self.take()?);
+        Ok(())
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
+    fn u128(&mut self, v: &mut u128) -> Res {
+        *v = u128::from_le_bytes(self.take()?);
+        Ok(())
+    }
+}
+
+/// A coder that folds every primitive into a rolling FNV-1a hash as one
+/// `u64` word (see [`fnv64_fold`]) and checks nothing.
+#[derive(Debug)]
+pub(crate) struct FnvFold(pub(crate) u64);
+
+impl Coder for FnvFold {
+    const READING: bool = false;
+
+    fn u8(&mut self, v: &mut u8) -> Res {
+        self.0 = fnv64_fold(self.0, u64::from(*v));
+        Ok(())
     }
 
-    /// Reads a little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, SnapshotError> {
-        let s = self.take(16)?;
-        let mut b = [0u8; 16];
-        b.copy_from_slice(s);
-        Ok(u128::from_le_bytes(b))
+    fn u32(&mut self, v: &mut u32) -> Res {
+        self.0 = fnv64_fold(self.0, u64::from(*v));
+        Ok(())
     }
 
-    /// Reads a `usize` written as `u64`, rejecting values that do not fit.
-    pub fn usize(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("usize overflow: {v}")))
+    fn u64(&mut self, v: &mut u64) -> Res {
+        self.0 = fnv64_fold(self.0, *v);
+        Ok(())
     }
 
-    /// Reads a length field, sanity-capped so a corrupt stream cannot
-    /// trigger a huge allocation.
-    pub fn len(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.usize()?;
-        // No engine collection remotely approaches this; a larger value
-        // is a mis-framed stream.
-        if v > 1 << 32 {
-            return Err(SnapshotError::Corrupt(format!("implausible length {v}")));
-        }
-        Ok(v)
-    }
-
-    /// Reads an `f64` from its exact bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an optional `u64`.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        if self.bool()? {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads an optional `usize`.
-    pub fn opt_usize(&mut self) -> Result<Option<usize>, SnapshotError> {
-        match self.opt_u64()? {
-            Some(v) => usize::try_from(v)
-                .map(Some)
-                .map_err(|_| SnapshotError::Corrupt(format!("usize overflow: {v}"))),
-            None => Ok(None),
-        }
+    fn u128(&mut self, v: &mut u128) -> Res {
+        self.0 = fnv64_fold(fnv64_fold(self.0, *v as u64), (*v >> 64) as u64);
+        Ok(())
     }
 }
 
@@ -304,38 +354,72 @@ impl<'a> SnapReader<'a> {
 mod tests {
     use super::*;
 
+    /// Codes one of each primitive, in both directions.
+    fn primitives<C: Coder>(c: &mut C, v: &mut Primitives) -> Res {
+        c.u8(&mut v.byte)?;
+        c.bool(&mut v.yes)?;
+        c.bool(&mut v.no)?;
+        c.u32(&mut v.word)?;
+        c.u64(&mut v.long)?;
+        c.u128(&mut v.wide)?;
+        c.usize(&mut v.size)?;
+        c.f64(&mut v.real)?;
+        c.f64(&mut v.nan)
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Primitives {
+        byte: u8,
+        yes: bool,
+        no: bool,
+        word: u32,
+        long: u64,
+        wide: u128,
+        size: usize,
+        real: f64,
+        nan: f64,
+    }
+
+    fn write(f: impl FnOnce(&mut SnapWriter) -> Res) -> Vec<u8> {
+        let mut w = SnapWriter::new(1);
+        f(&mut w).unwrap();
+        w.finish()
+    }
+
     #[test]
     fn primitives_round_trip() {
+        let mut v = Primitives {
+            byte: 7,
+            yes: true,
+            no: false,
+            word: 0xdead_beef,
+            long: u64::MAX,
+            wide: 0x0123_4567_89ab_cdef_0123_4567_89ab_cdef,
+            size: 42,
+            real: -0.125,
+            nan: f64::NAN,
+        };
         let mut w = SnapWriter::new(0xfeed);
-        w.u8(7);
-        w.bool(true);
-        w.bool(false);
-        w.u32(0xdead_beef);
-        w.u64(u64::MAX);
-        w.u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
-        w.usize(42);
-        w.f64(-0.125);
-        w.f64(f64::NAN);
-        w.opt_u64(Some(99));
-        w.opt_u64(None);
-        w.opt_usize(Some(3));
+        primitives(&mut w, &mut v).unwrap();
         let bytes = w.finish();
 
         let (mut r, fp) = SnapReader::new(&bytes).unwrap();
         assert_eq!(fp, 0xfeed);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.u128().unwrap(), 0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
-        assert_eq!(r.usize().unwrap(), 42);
-        assert_eq!(r.f64().unwrap(), -0.125);
-        assert!(r.f64().unwrap().is_nan()); // exact bit pattern preserved
-        assert_eq!(r.opt_u64().unwrap(), Some(99));
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_usize().unwrap(), Some(3));
+        let mut back = Primitives::default();
+        primitives(&mut r, &mut back).unwrap();
         r.expect_end().unwrap();
+        assert_eq!(back.nan.to_bits(), v.nan.to_bits()); // exact bit pattern
+        (back.nan, v.nan) = (0.0, 0.0);
+        assert_eq!(back, v);
+    }
+
+    #[test]
+    fn fold_hashes_each_primitive_as_one_word() {
+        let mut f = FnvFold(5);
+        f.u8(&mut 1).unwrap();
+        f.u32(&mut 2).unwrap();
+        f.usize(&mut 3).unwrap();
+        assert_eq!(f.0, fnv64_fold(fnv64_fold(fnv64_fold(5, 1), 2), 3));
     }
 
     #[test]
@@ -363,14 +447,14 @@ mod tests {
 
     #[test]
     fn truncation_reported_not_panicked() {
-        let mut w = SnapWriter::new(1);
-        w.u64(5);
-        let bytes = w.finish();
+        let bytes = write(|w| w.u64(&mut 5));
         for cut in 0..bytes.len() {
             let r = SnapReader::new(&bytes[..cut]);
             match r {
                 Err(SnapshotError::Truncated) => {}
-                Ok((mut rd, _)) => assert_eq!(rd.u64().unwrap_err(), SnapshotError::Truncated),
+                Ok((mut rd, _)) => {
+                    assert_eq!(rd.u64(&mut 0).unwrap_err(), SnapshotError::Truncated)
+                }
                 Err(e) => panic!("unexpected error at cut {cut}: {e}"),
             }
         }
@@ -386,10 +470,38 @@ mod tests {
 
     #[test]
     fn bad_bool_byte_is_corrupt() {
-        let mut w = SnapWriter::new(1);
-        w.u8(2);
-        let bytes = w.finish();
+        let bytes = write(|w| w.u8(&mut 2));
         let (mut r, _) = SnapReader::new(&bytes).unwrap();
-        assert!(matches!(r.bool(), Err(SnapshotError::Corrupt(_))));
+        assert!(matches!(r.bool(&mut false), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn reader_checks_bounds_and_lengths_writer_does_not() {
+        let bytes = write(|w| {
+            w.idx(&mut 4, 4, "ignored")?;
+            w.fixed_len(3, "ignored")?;
+            w.usize(&mut (1 << 33))
+        });
+        let (mut r, _) = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            r.idx(&mut 0, 4, "index out of range"),
+            Err(SnapshotError::Corrupt("index out of range".into()))
+        );
+        assert_eq!(
+            r.fixed_len(2, "length"),
+            Err(SnapshotError::Corrupt("length".into()))
+        );
+        assert!(matches!(r.len(0), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn tags_are_written_but_not_read() {
+        let bytes = write(|w| w.tag(9));
+        let (mut r, _) = SnapReader::new(&bytes).unwrap();
+        r.tag(9).unwrap();
+        let mut t = 0;
+        r.u8(&mut t).unwrap();
+        assert_eq!(t, 9);
+        r.expect_end().unwrap();
     }
 }

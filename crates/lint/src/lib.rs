@@ -38,7 +38,7 @@
 //!    profile/bench/tune JSON reports, the trace export, the snapshot
 //!    codec) are cross-checked against their parsers: every member a
 //!    writer emits must have a reader, version constants must be
-//!    validated, every encoder must have its decoder.
+//!    validated.
 //! 5. **Invariant coverage** ([`coverage`]) — every checker in the
 //!    p3-audit catalog must be exercised by at least one test or fixture.
 //!
@@ -823,13 +823,6 @@ pub fn lint_workspace_with(
             &files[i].path,
             &files[i].stripped,
             &["SNAP_MAGIC", "SNAP_VERSION"],
-        ));
-        let enc = find("crates/cluster/src/engine/snapshot/encode.rs")?;
-        let dec = find("crates/cluster/src/engine/snapshot/decode.rs")?;
-        report.findings.extend(schema::check_codec_pairing(
-            &files[enc].path,
-            &files[enc].stripped,
-            &files[dec].stripped,
         ));
 
         let cat = find("crates/audit/src/report.rs")?;

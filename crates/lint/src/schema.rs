@@ -16,8 +16,9 @@
 //!   match arms of `decode_row`, and that the importer validates the
 //!   `p3TraceVersion` stamp the exporter writes.
 //! * **Snapshot codec** — `SNAP_MAGIC`/`SNAP_VERSION` referenced on both
-//!   the write and the verify path, and every `fn encode_X` paired with a
-//!   `fn decode_X` (decode-only helpers are fine).
+//!   the write and the verify path. The body needs no pairing check: one
+//!   walk both writes and reads it, so an unreadable field cannot be
+//!   written.
 //!
 //! All extraction runs on the stripped views, so tests and doc examples
 //! cannot satisfy (or trip) a check.
@@ -333,41 +334,6 @@ pub fn check_snap_header(path: &Path, stripped: &Stripped, consts: &[&str]) -> V
     findings
 }
 
-fn fns_with_prefix(stripped: &Stripped, prefix: &str) -> BTreeMap<String, usize> {
-    let code = &stripped.code;
-    let toks = tokenize(code);
-    let mut out = BTreeMap::new();
-    for i in 0..toks.len().saturating_sub(1) {
-        if toks[i].ident && toks[i].text(code) == "fn" && toks[i + 1].ident {
-            let name = toks[i + 1].text(code);
-            if name.starts_with(prefix) {
-                out.entry(name.to_string())
-                    .or_insert_with(|| line_of(code, toks[i].start));
-            }
-        }
-    }
-    out
-}
-
-/// Requires every `fn encode_X` in the encoder module to have a matching
-/// `fn decode_X` in the decoder module. Decode-only helpers are fine.
-pub fn check_codec_pairing(enc_path: &Path, enc: &Stripped, dec: &Stripped) -> Vec<Finding> {
-    let encoders = fns_with_prefix(enc, "encode_");
-    let decoders = fns_with_prefix(dec, "decode_");
-    let mut findings = Vec::new();
-    for (e, &line) in &encoders {
-        let want = format!("decode_{}", &e["encode_".len()..]);
-        if !decoders.contains_key(&want) {
-            findings.push(finding(
-                enc_path,
-                line,
-                format!("`fn {e}` has no matching `fn {want}`: snapshots written here cannot be read back"),
-            ));
-        }
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,14 +417,5 @@ fn read(_b: &[u8]) -> bool { true }
 "#;
         let f = check_snap_header(Path::new("t.rs"), &strip(bad), &["MAGIC"]);
         assert!(f.iter().any(|x| x.message.contains("MAGIC")), "{f:?}");
-    }
-
-    #[test]
-    fn unpaired_encoder_is_reported() {
-        let enc = strip("fn encode_ev(e: &E) {}\nfn encode_worker(w: &W) {}\n");
-        let dec = strip("fn decode_ev() -> E { E }\nfn decode_u64s() {}\n");
-        let f = check_codec_pairing(Path::new("enc.rs"), &enc, &dec);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("encode_worker"), "{f:?}");
     }
 }

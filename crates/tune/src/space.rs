@@ -299,7 +299,11 @@ impl SearchSpace {
                 "backend" => {
                     space.backends = values
                         .iter()
-                        .map(|v| parse_backend(v))
+                        .map(|v| {
+                            BackendKind::from_name(v).ok_or_else(|| {
+                                format!("unknown backend `{v}` (expected ps|ring|halving-doubling)")
+                            })
+                        })
                         .collect::<Result<_, _>>()?;
                 }
                 "channels" => {
@@ -443,22 +447,6 @@ impl SearchSpace {
             m.placement = *pick(&self.placements, rng);
         }
         m
-    }
-}
-
-/// Parses a backend name as accepted by `p3 simulate --backend`.
-///
-/// # Errors
-///
-/// A message listing the valid names on unknown input.
-pub fn parse_backend(name: &str) -> Result<BackendKind, String> {
-    match name {
-        "ps" => Ok(BackendKind::Ps),
-        "ring" => Ok(BackendKind::Ring),
-        "halving-doubling" => Ok(BackendKind::HalvingDoubling),
-        other => Err(format!(
-            "unknown backend `{other}` (expected ps|ring|halving-doubling)"
-        )),
     }
 }
 
