@@ -601,166 +601,4 @@ pub fn import_trace_json(doc: &str) -> Result<(TraceLog, TraceMeta), String> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sink::TraceHandle;
-
-    fn sample_log() -> TraceLog {
-        let h = TraceHandle::new();
-        let mut t = 0u64;
-        let mut rec = |ev: TraceEvent| {
-            t += 100;
-            h.record(SimTime::from_nanos(t), ev);
-        };
-        rec(TraceEvent::ComputeStart {
-            worker: 0,
-            phase: ComputePhase::Forward,
-            block: 0,
-        });
-        rec(TraceEvent::ComputeEnd {
-            worker: 0,
-            phase: ComputePhase::Forward,
-            block: 0,
-        });
-        rec(TraceEvent::StallStart {
-            worker: 1,
-            block: 2,
-        });
-        rec(TraceEvent::StallEnd {
-            worker: 1,
-            block: 2,
-        });
-        rec(TraceEvent::GradReady {
-            worker: 0,
-            key: 3,
-            round: 1,
-            priority: 7,
-        });
-        rec(TraceEvent::EgressEnqueue {
-            machine: 0,
-            role: EndpointRole::Worker,
-            msg_id: 11,
-            class: MsgClass::Push,
-            key: 3,
-            round: 1,
-            priority: 7,
-            queue_depth: 1,
-        });
-        rec(TraceEvent::WireStart {
-            msg_id: 11,
-            src: 0,
-            dst: 1,
-            bytes: 4096,
-            priority: 7,
-        });
-        rec(TraceEvent::WireEnd {
-            msg_id: 11,
-            src: 0,
-            dst: 1,
-            bytes: 4096,
-            bottleneck: Some(4),
-        });
-        rec(TraceEvent::AggStart {
-            server: 1,
-            key: 3,
-            round: 1,
-            worker: 0,
-        });
-        rec(TraceEvent::AggEnd {
-            server: 1,
-            key: 3,
-            round: 1,
-            worker: 0,
-        });
-        rec(TraceEvent::RoundComplete {
-            server: 1,
-            key: 3,
-            version: 2,
-            degraded: true,
-        });
-        rec(TraceEvent::SliceConsumed {
-            worker: 0,
-            key: 3,
-            round: 2,
-        });
-        rec(TraceEvent::IterationEnd { worker: 0, iter: 2 });
-        rec(TraceEvent::Fault {
-            kind: FaultKind::Retransmit,
-            machine: 0,
-            msg_id: Some(11),
-        });
-        rec(TraceEvent::Fault {
-            kind: FaultKind::Crash,
-            machine: 1,
-            msg_id: None,
-        });
-        rec(TraceEvent::Fault {
-            kind: FaultKind::CollectiveAbort,
-            machine: 1,
-            msg_id: None,
-        });
-        rec(TraceEvent::StateHash {
-            events: 1000,
-            hash: 0xdead_beef_cafe_f00d,
-        });
-        h.drain()
-    }
-
-    #[test]
-    fn round_trips_every_variant() {
-        let log = sample_log();
-        let meta = TraceMeta {
-            machines: 2,
-            single_consumer: Some(true),
-            window: Some(2),
-            port_bytes_per_sec: Some(3.125e8),
-            strategy: Some("P3".into()),
-            model: Some("resnet50".into()),
-            collective: Some(false),
-        };
-        let doc = export_trace_json(&log, &meta);
-        let (back, meta2) = import_trace_json(&doc).unwrap();
-        assert_eq!(meta2, meta);
-        assert_eq!(back.len(), log.len());
-        for (a, b) in log.events().iter().zip(back.events()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn stays_a_valid_chrome_trace() {
-        let log = sample_log();
-        let meta = TraceMeta {
-            machines: 2,
-            ..TraceMeta::default()
-        };
-        let doc = export_trace_json(&log, &meta);
-        crate::validate_chrome_trace(&doc).expect("Perfetto view still schema-valid");
-    }
-
-    #[test]
-    fn rejects_plain_chrome_traces_with_guidance() {
-        let log = sample_log();
-        let doc = chrome_trace_json(&log, 2);
-        let err = import_trace_json(&doc).unwrap_err();
-        assert!(err.contains("p3Events"), "{err}");
-    }
-
-    #[test]
-    fn rejects_malformed_rows() {
-        let doc = r#"{"p3Events": [[1, "ws", 1]]}"#;
-        assert!(import_trace_json(doc).is_err());
-        let doc = r#"{"p3Events": [[1, "zz", 1, 2, 3]]}"#;
-        assert!(import_trace_json(doc).unwrap_err().contains("unknown tag"));
-        let doc = r#"{"p3Events": [[-5, "it", 0, 1]]}"#;
-        assert!(import_trace_json(doc).is_err());
-    }
-
-    #[test]
-    fn meta_defaults_when_absent() {
-        let doc = r#"{"p3Events": []}"#;
-        let (log, meta) = import_trace_json(doc).unwrap();
-        assert!(log.is_empty());
-        assert_eq!(meta, TraceMeta::default());
-    }
-}
+mod tests;

@@ -1,4 +1,4 @@
-//! Golden-digest pin for the parameter-server path.
+//! Golden-digest pins for the exported trace.
 //!
 //! The engine decomposition (DESIGN.md §11) promised that splitting
 //! `ClusterSim` into layers would be behaviour-preserving: the PS path
@@ -8,11 +8,12 @@
 //! scheduling behaviour — either revert, or (for an intentional protocol
 //! change) regenerate the constant and call the change out in the PR.
 
-use p3::cluster::{ClusterConfig, ClusterSim};
+use p3::cluster::{BackendKind, ClusterConfig, ClusterSim, FaultPlan, WorkerCrash};
 use p3::core::SyncStrategy;
+use p3::des::{SimDuration, SimTime};
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
-use p3::trace::export_trace_json;
+use p3::trace::{export_trace_json, TraceEvent};
 
 /// Digest of the exported trace for [`golden_config`], captured from the
 /// pre-refactor monolithic `sim.rs` (commit 6ef229d lineage), re-pinned
@@ -92,5 +93,66 @@ fn ps_trace_digest_matches_pre_refactor_golden() {
          (got fnv={digest:#018x} throughput_bits={:#018x} events={})",
         result.throughput.to_bits(),
         result.events,
+    );
+}
+
+/// Digest and length of the exported trace for [`ring_fault_config`].
+/// Pins the export bytes themselves (row layout, number formatting,
+/// `null` fields) on a log with `Fault`, `WireEnd { bottleneck: None }`
+/// and `StateHash` rows, so a rewrite of the exporter cannot move a byte.
+const GOLDEN_RING_FAULT_FNV: u64 = 0xb181_968e_b89a_3e8e;
+/// Byte length of the same export.
+const GOLDEN_RING_FAULT_LEN: usize = 1_199_506;
+
+/// A ring all-reduce run on a lossy flat fabric with a mid-run crash and
+/// rejoin, hashing its state every 200 events.
+fn ring_fault_config() -> ClusterConfig {
+    let faults = FaultPlan {
+        loss_probability: 0.02,
+        crashes: vec![WorkerCrash {
+            worker: 1,
+            at: SimTime::from_millis(40),
+            rejoin_after: Some(SimDuration::from_millis(30)),
+        }],
+        ..FaultPlan::none()
+    };
+    ClusterConfig::new(
+        tiny_model(),
+        SyncStrategy::p3(),
+        4,
+        Bandwidth::from_gbps(5.0),
+    )
+    .with_iters(1, 2)
+    .with_seed(9)
+    .with_backend(BackendKind::Ring)
+    .with_faults(faults)
+    .with_state_hash_every(200)
+}
+
+#[test]
+fn ring_fault_trace_export_bytes_match_golden() {
+    let cfg = ring_fault_config();
+    let meta = cfg.trace_meta();
+    let (_, log) = ClusterSim::new(cfg)
+        .try_run_traced()
+        .expect("ring fault config must run clean");
+    let log = log.expect("slice tracing was enabled");
+    let has = |f: fn(&TraceEvent) -> bool| log.events().iter().any(|e| f(&e.event));
+    assert!(has(|e| matches!(e, TraceEvent::Fault { .. })));
+    assert!(has(|e| matches!(
+        e,
+        TraceEvent::WireEnd {
+            bottleneck: None,
+            ..
+        }
+    )));
+    assert!(has(|e| matches!(e, TraceEvent::StateHash { .. })));
+    let doc = export_trace_json(&log, &meta);
+    assert_eq!(
+        (fnv(&doc), doc.len()),
+        (GOLDEN_RING_FAULT_FNV, GOLDEN_RING_FAULT_LEN),
+        "ring fault trace export bytes moved (got fnv={:#018x} len={})",
+        fnv(&doc),
+        doc.len(),
     );
 }
