@@ -12,9 +12,9 @@
 //!   `get`/`get_u64`/… helpers, plus `format`/`version` implied by
 //!   `parse_checked`), and that the reader validates the format's version
 //!   constant.
-//! * **Trace export** — the two-letter row tags the writer emits vs the
-//!   match arms of `decode_row`, and that the importer validates the
-//!   `p3TraceVersion` stamp the exporter writes.
+//! * **Trace export** — that the importer validates the
+//!   `p3TraceVersion` stamp the exporter writes. The rows need no
+//!   pairing check: one walk both writes and reads them.
 //! * **Snapshot codec** — `SNAP_MAGIC`/`SNAP_VERSION` referenced on both
 //!   the write and the verify path. The body needs no pairing check: one
 //!   walk both writes and reads it, so an unreadable field cannot be
@@ -23,7 +23,7 @@
 //! All extraction runs on the stripped views, so tests and doc examples
 //! cannot satisfy (or trip) a check.
 
-use crate::lexer::{brace_span_end, delimited, line_of, string_literals, tokenize, Stripped};
+use crate::lexer::{delimited, line_of, string_literals, tokenize, Stripped};
 use crate::Finding;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -188,109 +188,25 @@ pub fn check_json_format(path: &Path, stripped: &Stripped, version_const: &str) 
     findings
 }
 
-/// Two-letter row tags emitted by the trace writer: `,\"xx\",` escapes in
-/// non-test string literals.
-fn trace_writer_tags(stripped: &Stripped) -> BTreeMap<String, usize> {
-    let mut tags = BTreeMap::new();
-    for (pos, lit) in string_literals(&stripped.text) {
-        let b = lit.as_bytes();
-        for i in 0..b.len().saturating_sub(7) {
-            if b[i] == b','
-                && b[i + 1] == b'\\'
-                && b[i + 2] == b'"'
-                && b[i + 3].is_ascii_lowercase()
-                && b[i + 4].is_ascii_lowercase()
-                && b[i + 5] == b'\\'
-                && b[i + 6] == b'"'
-                && b[i + 7] == b','
-            {
-                tags.entry(String::from_utf8_lossy(&b[i + 3..i + 5]).into_owned())
-                    .or_insert_with(|| line_of(&stripped.text, pos));
-            }
-        }
-    }
-    tags
-}
-
-/// Byte span of `fn {name}`'s body in the code view, if present.
-fn fn_body_span(stripped: &Stripped, name: &str) -> Option<(usize, usize)> {
-    let code = &stripped.code;
-    let toks = tokenize(code);
-    for i in 0..toks.len().saturating_sub(1) {
-        if toks[i].ident && toks[i].text(code) == "fn" && toks[i + 1].text(code) == name {
-            let mut j = i + 2;
-            let mut paren = 0i32;
-            while j < toks.len() {
-                match toks[j].text(code) {
-                    "(" => paren += 1,
-                    ")" => paren -= 1,
-                    "{" if paren == 0 => {
-                        let open = toks[j].start;
-                        return Some((open, brace_span_end(code, open)));
-                    }
-                    ";" if paren == 0 => return None,
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-    }
-    None
-}
-
-/// Cross-checks the typed trace export: writer row tags vs `decode_row`'s
-/// accept-set, and the `p3TraceVersion` stamp vs importer validation.
+/// Cross-checks the typed trace export: the `p3TraceVersion` stamp vs
+/// importer validation. Row tags need no check: one walk both writes
+/// and reads them.
 pub fn check_trace_export(path: &Path, stripped: &Stripped) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let writer_tags = trace_writer_tags(stripped);
-    let reader_tags: BTreeMap<String, usize> = match fn_body_span(stripped, "decode_row") {
-        Some((a, z)) => string_literals(&stripped.text[a..z])
-            .into_iter()
-            .filter(|(_, s)| s.len() == 2 && s.bytes().all(|c| c.is_ascii_lowercase()))
-            .map(|(pos, s)| (s, line_of(&stripped.text, a + pos)))
-            .collect(),
-        None => {
-            findings.push(finding(
-                path,
-                1,
-                "no `fn decode_row` found: the trace import accept-set cannot be checked".into(),
-            ));
-            return findings;
-        }
-    };
-    for (tag, &line) in &writer_tags {
-        if !reader_tags.contains_key(tag) {
-            findings.push(finding(
-                path,
-                line,
-                format!("trace writer emits row tag \"{tag}\" that `decode_row` does not accept"),
-            ));
-        }
-    }
-    for (tag, &line) in &reader_tags {
-        if !writer_tags.contains_key(tag) {
-            findings.push(finding(
-                path,
-                line,
-                format!("`decode_row` accepts row tag \"{tag}\" the writer never emits"),
-            ));
-        }
-    }
-    // Version stamp: the writer emits the escaped member; a reader must
-    // look it up by (plain) name and compare it to the constant.
+    // The writer emits the escaped member; a reader must look it up by
+    // (plain) name and compare it to the constant.
     let lits = string_literals(&stripped.text);
     let stamped = lits
         .iter()
         .any(|(_, s)| s.contains("\\\"p3TraceVersion\\\""));
     let validated = lits.iter().any(|(_, s)| s == "p3TraceVersion");
-    if stamped && !validated {
-        findings.push(finding(
-            path,
-            1,
-            "the exporter stamps `p3TraceVersion` but the importer never validates it".into(),
-        ));
+    if !stamped || validated {
+        return Vec::new();
     }
-    findings
+    vec![finding(
+        path,
+        1,
+        "the exporter stamps `p3TraceVersion` but the importer never validates it".into(),
+    )]
 }
 
 /// Requires each header constant (e.g. `SNAP_MAGIC`, `SNAP_VERSION`) to be
@@ -373,19 +289,6 @@ fn from_json(text: &str) -> u64 {
 "#;
         let f = check_json_format(Path::new("t.rs"), &strip(src), "FORMAT_VERSION");
         assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn trace_tag_drift_is_reported() {
-        let src = r#"
-fn encode(t: u64) -> String { format!("[{t},\"cs\",1]") }
-fn encode2(t: u64) -> String { format!("[{t},\"zz\",1]") }
-fn decode_row(tag: &str) -> u32 { match tag { "cs" => 1, "ws" => 2, _ => 0 } }
-"#;
-        let f = check_trace_export(Path::new("t.rs"), &strip(src));
-        assert!(f.iter().any(|x| x.message.contains("\"zz\"")), "{f:?}");
-        assert!(f.iter().any(|x| x.message.contains("\"ws\"")), "{f:?}");
-        assert!(!f.iter().any(|x| x.message.contains("\"cs\"")), "{f:?}");
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! (instant) events, and `M` metadata records naming processes and
 //! threads.
 
-use crate::event::{ComputePhase, TraceEvent};
-use crate::json::{escape, format_number, parse, JsonValue};
+use crate::event::{ComputePhase, MsgClass, TraceEvent};
+use crate::json::{parse, push_number, JsonValue};
 use crate::sink::TraceLog;
 use p3_des::SimTime;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// Lane (thread) ids within each machine's process.
 const LANE_COMPUTE: u32 = 0;
@@ -31,49 +32,62 @@ fn us(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1_000.0
 }
 
-fn span(name: &str, pid: usize, tid: u32, start: SimTime, end: SimTime) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}, \"dur\": {}}}",
-        escape(name),
-        format_number(us(start)),
-        format_number(us(end).max(us(start)) - us(start)),
-    )
+/// Appends trace-event objects to one buffer, `,\n`-separated. Names are
+/// labels and integers, which need no JSON escaping.
+struct Events<'o> {
+    out: &'o mut String,
+    first: bool,
 }
 
-fn span_with_bottleneck(
-    name: &str,
-    pid: usize,
-    tid: u32,
-    start: SimTime,
-    end: SimTime,
-    bottleneck: usize,
-) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}, \"dur\": {}, \"args\": {{\"bottleneck\": {bottleneck}}}}}",
-        escape(name),
-        format_number(us(start)),
-        format_number(us(end).max(us(start)) - us(start)),
-    )
-}
+impl Events<'_> {
+    /// Starts the next event object, up to and including its name.
+    fn open(&mut self, name: fmt::Arguments<'_>) {
+        if !self.first {
+            self.out.push_str(",\n");
+        }
+        self.first = false;
+        let _ = write!(self.out, "{{\"name\": \"{name}\"");
+    }
 
-fn instant(name: &str, pid: usize, tid: u32, at: SimTime) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}}}",
-        escape(name),
-        format_number(us(at)),
-    )
-}
+    fn span(
+        &mut self,
+        name: fmt::Arguments<'_>,
+        pid: usize,
+        tid: u32,
+        (start, end): (SimTime, SimTime),
+        bottleneck: Option<usize>,
+    ) {
+        self.open(name);
+        let _ = write!(
+            self.out,
+            ", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": "
+        );
+        push_number(self.out, us(start));
+        self.out.push_str(", \"dur\": ");
+        push_number(self.out, us(end).max(us(start)) - us(start));
+        if let Some(link) = bottleneck {
+            let _ = write!(self.out, ", \"args\": {{\"bottleneck\": {link}}}");
+        }
+        self.out.push('}');
+    }
 
-fn metadata(kind: &str, pid: usize, tid: Option<u32>, name: &str) -> String {
-    match tid {
-        Some(tid) => format!(
-            "{{\"name\": \"{kind}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \"{}\"}}}}",
-            escape(name)
-        ),
-        None => format!(
-            "{{\"name\": \"{kind}\", \"ph\": \"M\", \"pid\": {pid}, \"args\": {{\"name\": \"{}\"}}}}",
-            escape(name)
-        ),
+    fn instant(&mut self, name: fmt::Arguments<'_>, pid: usize, tid: u32, at: SimTime) {
+        self.open(name);
+        let _ = write!(
+            self.out,
+            ", \"ph\": \"i\", \"s\": \"t\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": "
+        );
+        push_number(self.out, us(at));
+        self.out.push('}');
+    }
+
+    fn metadata(&mut self, kind: &str, pid: usize, tid: Option<u32>, name: &str) {
+        self.open(format_args!("{kind}"));
+        let _ = write!(self.out, ", \"ph\": \"M\", \"pid\": {pid}");
+        if let Some(tid) = tid {
+            let _ = write!(self.out, ", \"tid\": {tid}");
+        }
+        let _ = write!(self.out, ", \"args\": {{\"name\": \"{name}\"}}}}");
     }
 }
 
@@ -84,22 +98,32 @@ fn metadata(kind: &str, pid: usize, tid: Option<u32>, name: &str) -> String {
 /// dropped; a retransmitted message's wire span reflects its last
 /// transmission.
 pub fn chrome_trace_json(log: &TraceLog, machines: usize) -> String {
-    let mut lines: Vec<String> = Vec::new();
+    let mut out = String::with_capacity(64 * log.len());
+    write_chrome_events(&mut out, log, machines);
+    out.push_str("}\n");
+    out
+}
+
+/// Appends the Chrome document up to, not including, its closing brace,
+/// so the typed export can add members to the same object.
+pub(crate) fn write_chrome_events(out: &mut String, log: &TraceLog, machines: usize) {
+    out.push_str("{\"traceEvents\": [\n");
+    let mut ev = Events { out, first: true };
     for m in 0..machines {
-        lines.push(metadata("process_name", m, None, &format!("machine {m}")));
-        lines.push(metadata("thread_name", m, Some(LANE_COMPUTE), "compute"));
-        lines.push(metadata("thread_name", m, Some(LANE_TX), "tx"));
-        lines.push(metadata("thread_name", m, Some(LANE_RX), "rx"));
-        lines.push(metadata("thread_name", m, Some(LANE_SERVER), "server"));
+        ev.metadata("process_name", m, None, &format!("machine {m}"));
+        ev.metadata("thread_name", m, Some(LANE_COMPUTE), "compute");
+        ev.metadata("thread_name", m, Some(LANE_TX), "tx");
+        ev.metadata("thread_name", m, Some(LANE_RX), "rx");
+        ev.metadata("thread_name", m, Some(LANE_SERVER), "server");
     }
 
     // Open-span state.
     let mut compute_open: BTreeMap<(usize, usize, u8), SimTime> = BTreeMap::new();
     let mut stall_open: BTreeMap<(usize, usize), SimTime> = BTreeMap::new();
     let mut agg_open: BTreeMap<(usize, usize, u64, usize), SimTime> = BTreeMap::new();
-    // msg_id → (class label, key) learned at enqueue; wire spans are named
+    // msg_id → (class, key) learned at enqueue; wire spans are named
     // after the protocol class even when the enqueue predates the capture.
-    let mut msg_name: BTreeMap<u64, String> = BTreeMap::new();
+    let mut msg_name: BTreeMap<u64, (MsgClass, usize)> = BTreeMap::new();
     // msg_id → (start, src, dst); last start wins so a retransmitted
     // message's span covers its final (delivered) transmission.
     let mut wire_open: BTreeMap<u64, (SimTime, usize, usize)> = BTreeMap::new();
@@ -120,11 +144,12 @@ pub fn chrome_trace_json(log: &TraceLog, machines: usize) -> String {
                 block,
             } => {
                 if let Some(t0) = compute_open.remove(&(worker, block, phase as u8)) {
-                    let name = match phase {
-                        ComputePhase::Forward => format!("fwd b{block}"),
-                        ComputePhase::Backward => format!("bwd b{block}"),
+                    let dir = match phase {
+                        ComputePhase::Forward => "fwd",
+                        ComputePhase::Backward => "bwd",
                     };
-                    lines.push(span(&name, worker, LANE_COMPUTE, t0, at));
+                    let name = format_args!("{dir} b{block}");
+                    ev.span(name, worker, LANE_COMPUTE, (t0, at), None);
                 }
             }
             TraceEvent::StallStart { worker, block } => {
@@ -132,19 +157,14 @@ pub fn chrome_trace_json(log: &TraceLog, machines: usize) -> String {
             }
             TraceEvent::StallEnd { worker, block } => {
                 if let Some(t0) = stall_open.remove(&(worker, block)) {
-                    lines.push(span(
-                        &format!("stall b{block}"),
-                        worker,
-                        LANE_COMPUTE,
-                        t0,
-                        at,
-                    ));
+                    let name = format_args!("stall b{block}");
+                    ev.span(name, worker, LANE_COMPUTE, (t0, at), None);
                 }
             }
             TraceEvent::EgressEnqueue {
                 msg_id, class, key, ..
             } => {
-                msg_name.insert(msg_id, format!("{} k{key}", class.label()));
+                msg_name.insert(msg_id, (class, key));
             }
             TraceEvent::WireStart {
                 msg_id, src, dst, ..
@@ -155,18 +175,17 @@ pub fn chrome_trace_json(log: &TraceLog, machines: usize) -> String {
                 msg_id, bottleneck, ..
             } => {
                 if let Some((t0, src, dst)) = wire_open.remove(&msg_id) {
-                    let name = msg_name
-                        .get(&msg_id)
-                        .cloned()
-                        .unwrap_or_else(|| format!("msg {msg_id}"));
-                    match bottleneck {
-                        Some(l) => {
-                            lines.push(span_with_bottleneck(&name, src, LANE_TX, t0, at, l));
-                            lines.push(span_with_bottleneck(&name, dst, LANE_RX, t0, at, l));
-                        }
-                        None => {
-                            lines.push(span(&name, src, LANE_TX, t0, at));
-                            lines.push(span(&name, dst, LANE_RX, t0, at));
+                    let label = msg_name.get(&msg_id);
+                    for (pid, tid) in [(src, LANE_TX), (dst, LANE_RX)] {
+                        match label {
+                            Some((class, key)) => {
+                                let name = format_args!("{} k{key}", class.label());
+                                ev.span(name, pid, tid, (t0, at), bottleneck);
+                            }
+                            None => {
+                                let name = format_args!("msg {msg_id}");
+                                ev.span(name, pid, tid, (t0, at), bottleneck);
+                            }
                         }
                     }
                 }
@@ -186,7 +205,8 @@ pub fn chrome_trace_json(log: &TraceLog, machines: usize) -> String {
                 worker,
             } => {
                 if let Some(t0) = agg_open.remove(&(server, key, round, worker)) {
-                    lines.push(span(&format!("agg k{key}"), server, LANE_SERVER, t0, at));
+                    let name = format_args!("agg k{key}");
+                    ev.span(name, server, LANE_SERVER, (t0, at), None);
                 }
             }
             TraceEvent::RoundComplete {
@@ -195,53 +215,39 @@ pub fn chrome_trace_json(log: &TraceLog, machines: usize) -> String {
                 version,
                 degraded,
             } => {
-                let name = if degraded {
-                    format!("update k{key} v{version} (degraded)")
-                } else {
-                    format!("update k{key} v{version}")
-                };
-                lines.push(instant(&name, server, LANE_SERVER, at));
+                let note = if degraded { " (degraded)" } else { "" };
+                let name = format_args!("update k{key} v{version}{note}");
+                ev.instant(name, server, LANE_SERVER, at);
             }
             TraceEvent::SliceConsumed { worker, key, .. } => {
-                lines.push(instant(
-                    &format!("consume k{key}"),
-                    worker,
-                    LANE_COMPUTE,
-                    at,
-                ));
+                ev.instant(format_args!("consume k{key}"), worker, LANE_COMPUTE, at);
             }
             TraceEvent::GradReady { worker, key, .. } => {
-                lines.push(instant(&format!("grad k{key}"), worker, LANE_COMPUTE, at));
+                ev.instant(format_args!("grad k{key}"), worker, LANE_COMPUTE, at);
             }
             TraceEvent::IterationEnd { worker, iter } => {
-                lines.push(instant(
-                    &format!("iteration {iter}"),
-                    worker,
-                    LANE_COMPUTE,
-                    at,
-                ));
+                ev.instant(format_args!("iteration {iter}"), worker, LANE_COMPUTE, at);
             }
             TraceEvent::Fault {
                 kind,
                 machine,
                 msg_id,
-            } => {
-                let name = match msg_id {
-                    Some(id) => format!("fault {} msg{id}", kind.label()),
-                    None => format!("fault {}", kind.label()),
-                };
-                lines.push(instant(&name, machine, LANE_COMPUTE, at));
-            }
+            } => match msg_id {
+                Some(id) => {
+                    let name = format_args!("fault {} msg{id}", kind.label());
+                    ev.instant(name, machine, LANE_COMPUTE, at);
+                }
+                None => {
+                    let name = format_args!("fault {}", kind.label());
+                    ev.instant(name, machine, LANE_COMPUTE, at);
+                }
+            },
             // Engine bookkeeping, not a machine-attributable span: the hash
             // stream is for digest comparison, not for the Perfetto view.
             TraceEvent::StateHash { .. } => {}
         }
     }
-
-    let mut out = String::from("{\"traceEvents\": [\n");
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    out.push_str("\n]");
 }
 
 /// One validated `X` (complete) span from a Chrome trace document.
@@ -343,7 +349,7 @@ pub fn validate_chrome_trace(doc: &str) -> Result<Vec<ChromeSpan>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EndpointRole, MsgClass};
+    use crate::event::EndpointRole;
     use crate::sink::TraceSink;
 
     fn t(us: u64) -> SimTime {

@@ -28,13 +28,22 @@
 //! Events are encoded as compact JSON arrays `[nanos, tag, fields…]`; the
 //! tag is a two-letter code per variant. All integers fit in an `f64`
 //! mantissa at simulation scale (2⁵³ ns ≈ 104 days).
+//!
+//! One walk, [`walk_row`], names each row's fields once, in order: the
+//! writer appends them to the export buffer, the reader reads them
+//! straight from the document bytes. Tags and enum codes have one table
+//! each, used both ways. The import builds no JSON tree: it decodes
+//! `p3Events` row by row and passes over `traceEvents` with a skip that
+//! checks the same grammar as a full parse.
 
-use crate::chrome::chrome_trace_json;
+use crate::chrome::write_chrome_events;
 use crate::event::{ComputePhase, EndpointRole, FaultKind, MsgClass, TraceEvent};
-use crate::json::{self, format_number, JsonValue};
+use crate::json::{self, push_number, JsonError, JsonValue, Parser};
 use crate::sink::{TraceLog, TraceSink};
 use p3_des::SimTime;
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::mem::discriminant;
 
 /// Format version written as `p3TraceVersion`.
 pub const TRACE_FORMAT_VERSION: u64 = 1;
@@ -71,183 +80,416 @@ pub struct TraceMeta {
     pub collective: Option<bool>,
 }
 
-fn opt_bool(v: Option<bool>) -> String {
-    match v {
-        Some(true) => "true".into(),
-        Some(false) => "false".into(),
-        None => "null".into(),
-    }
-}
-
-fn meta_json(meta: &TraceMeta) -> String {
-    let mut out = String::from("{");
-    let _ = write!(out, "\"machines\":{}", meta.machines);
+fn write_meta(out: &mut String, meta: &TraceMeta) {
+    let opt = |v: Option<bool>| v.map_or("null", |b| if b { "true" } else { "false" });
     let _ = write!(
         out,
-        ",\"singleConsumer\":{}",
-        opt_bool(meta.single_consumer)
+        "{{\"machines\":{},\"singleConsumer\":{},\"window\":",
+        meta.machines,
+        opt(meta.single_consumer)
     );
-    match meta.window {
-        Some(w) => {
-            let _ = write!(out, ",\"window\":{w}");
-        }
-        None => out.push_str(",\"window\":null"),
-    }
+    let _ = match meta.window {
+        Some(w) => write!(out, "{w}"),
+        None => write!(out, "null"),
+    };
+    out.push_str(",\"portBytesPerSec\":");
     match meta.port_bytes_per_sec {
-        Some(c) => {
-            let _ = write!(out, ",\"portBytesPerSec\":{}", format_number(c));
+        Some(c) => push_number(out, c),
+        None => out.push_str("null"),
+    }
+    for (key, text) in [("strategy", &meta.strategy), ("model", &meta.model)] {
+        if let Some(text) = text {
+            let _ = write!(out, ",\"{key}\":\"{}\"", json::escape(text));
         }
-        None => out.push_str(",\"portBytesPerSec\":null"),
     }
-    if let Some(s) = &meta.strategy {
-        let _ = write!(out, ",\"strategy\":\"{}\"", json::escape(s));
-    }
-    if let Some(m) = &meta.model {
-        let _ = write!(out, ",\"model\":\"{}\"", json::escape(m));
-    }
-    let _ = write!(out, ",\"collective\":{}", opt_bool(meta.collective));
-    out.push('}');
-    out
+    let _ = write!(out, ",\"collective\":{}}}", opt(meta.collective));
 }
 
-fn phase_code(p: ComputePhase) -> u64 {
-    match p {
-        ComputePhase::Forward => 0,
-        ComputePhase::Backward => 1,
+/// `n` as a row integer: non-negative, integral and below 2⁵³, where a
+/// JSON number stops being exact.
+fn uint(n: f64, what: &str) -> Result<u64, String> {
+    // Below 2⁵³ the cast round-trips exactly when `n` is integral.
+    if !(0.0..9.007_199_254_740_992e15).contains(&n) || (n as u64) as f64 != n {
+        return Err(format!("{what} is not a u64 ({n})"));
+    }
+    Ok(n as u64)
+}
+
+/// An enum's wire codes: its variants in code order, and the name an
+/// unknown code is reported under.
+type Codes<T> = (&'static str, &'static [T]);
+
+const PHASES: Codes<ComputePhase> = ("phase", &[ComputePhase::Forward, ComputePhase::Backward]);
+
+const ROLES: Codes<EndpointRole> = ("role", &[EndpointRole::Worker, EndpointRole::Server]);
+
+#[rustfmt::skip]
+const CLASSES: Codes<MsgClass> = ("class", {
+    use MsgClass::*;
+    &[Push, Response, Notify, PullRequest, RackPush, CombinedPush, ReduceScatter, AllGather]
+});
+
+#[rustfmt::skip]
+const FAULTS: Codes<FaultKind> = ("fault", {
+    use FaultKind::*;
+    &[
+        Loss, Retransmit, GiveUp, Crash, Rejoin, Eviction, DegradedRound, StalePush,
+        DuplicatePush, FlowCancelled, CollectiveAbort,
+    ]
+});
+
+/// Every row tag, with a blank of its variant for a reader to fill.
+#[rustfmt::skip]
+const TAGS: [(&str, TraceEvent); 15] = {
+    use TraceEvent::*;
+    const FWD: ComputePhase = ComputePhase::Forward;
+    [
+        ("cs", ComputeStart { worker: 0, phase: FWD, block: 0 }),
+        ("ce", ComputeEnd { worker: 0, phase: FWD, block: 0 }),
+        ("ss", StallStart { worker: 0, block: 0 }),
+        ("se", StallEnd { worker: 0, block: 0 }),
+        ("it", IterationEnd { worker: 0, iter: 0 }),
+        ("gr", GradReady { worker: 0, key: 0, round: 0, priority: 0 }),
+        ("eq", EgressEnqueue {
+            machine: 0, role: EndpointRole::Worker, msg_id: 0, class: MsgClass::Push,
+            key: 0, round: 0, priority: 0, queue_depth: 0,
+        }),
+        ("ws", WireStart { msg_id: 0, src: 0, dst: 0, bytes: 0, priority: 0 }),
+        ("we", WireEnd { msg_id: 0, src: 0, dst: 0, bytes: 0, bottleneck: None }),
+        ("as", AggStart { server: 0, key: 0, round: 0, worker: 0 }),
+        ("ae", AggEnd { server: 0, key: 0, round: 0, worker: 0 }),
+        ("rc", RoundComplete { server: 0, key: 0, version: 0, degraded: false }),
+        ("sc", SliceConsumed { worker: 0, key: 0, round: 0 }),
+        ("ft", Fault { kind: FaultKind::Loss, machine: 0, msg_id: None }),
+        ("sh", StateHash { events: 0, hash: 0 }),
+    ]
+};
+
+type Res = Result<(), String>;
+
+/// One direction of the row format. Every primitive takes its field by
+/// `&mut`: a writer appends it, a reader overwrites it. Only a reader
+/// fails; its messages leave naming the row to the importer.
+trait RowCoder {
+    /// An integer as a JSON number; a reader applies [`uint`].
+    fn uint(&mut self, v: &mut u64, what: &str) -> Res;
+    /// `null` or an integer.
+    fn opt_uint(&mut self, v: &mut Option<u64>, what: &str) -> Res;
+    /// A full 64-bit value, wider than an `f64` mantissa, as a hex string.
+    fn hex(&mut self, v: &mut u64, what: &str) -> Res;
+    /// The row's variant as its [`TAGS`] entry; a reader replaces `ev`
+    /// with that entry's blank.
+    fn tag(&mut self, ev: &mut TraceEvent) -> Res;
+
+    fn idx(&mut self, v: &mut usize, what: &str) -> Res {
+        let mut w = *v as u64;
+        self.uint(&mut w, what)?;
+        *v = w as usize;
+        Ok(())
+    }
+
+    fn u32(&mut self, v: &mut u32, what: &str) -> Res {
+        let mut w = u64::from(*v);
+        self.uint(&mut w, what)?;
+        *v = w as u32;
+        Ok(())
+    }
+
+    /// A bool as `0`/`1`; a reader takes any non-zero integer as true.
+    fn flag(&mut self, v: &mut bool, what: &str) -> Res {
+        let mut w = u64::from(*v);
+        self.uint(&mut w, what)?;
+        *v = w != 0;
+        Ok(())
+    }
+
+    /// An enum as its index in `codes`.
+    fn code<T: Copy + PartialEq>(&mut self, v: &mut T, what: &str, codes: Codes<T>) -> Res {
+        let (name, table) = codes;
+        let mut w = table.iter().position(|t| t == v).map_or(0, |i| i as u64);
+        self.uint(&mut w, what)?;
+        *v = *table
+            .get(w as usize)
+            .ok_or_else(|| format!("unknown {name} code {w}"))?;
+        Ok(())
     }
 }
 
-fn role_code(r: EndpointRole) -> u64 {
-    match r {
-        EndpointRole::Worker => 0,
-        EndpointRole::Server => 1,
-    }
-}
-
-fn class_code(c: MsgClass) -> u64 {
-    match c {
-        MsgClass::Push => 0,
-        MsgClass::Response => 1,
-        MsgClass::Notify => 2,
-        MsgClass::PullRequest => 3,
-        MsgClass::RackPush => 4,
-        MsgClass::CombinedPush => 5,
-        MsgClass::ReduceScatter => 6,
-        MsgClass::AllGather => 7,
-    }
-}
-
-fn fault_code(k: FaultKind) -> u64 {
-    match k {
-        FaultKind::Loss => 0,
-        FaultKind::Retransmit => 1,
-        FaultKind::GiveUp => 2,
-        FaultKind::Crash => 3,
-        FaultKind::Rejoin => 4,
-        FaultKind::Eviction => 5,
-        FaultKind::DegradedRound => 6,
-        FaultKind::StalePush => 7,
-        FaultKind::DuplicatePush => 8,
-        FaultKind::FlowCancelled => 9,
-        FaultKind::CollectiveAbort => 10,
-    }
-}
-
-fn event_row(at: SimTime, ev: &TraceEvent) -> String {
-    let t = at.as_nanos();
-    match *ev {
-        TraceEvent::ComputeStart {
-            worker,
-            phase,
-            block,
-        } => format!("[{t},\"cs\",{worker},{},{block}]", phase_code(phase)),
-        TraceEvent::ComputeEnd {
-            worker,
-            phase,
-            block,
-        } => format!("[{t},\"ce\",{worker},{},{block}]", phase_code(phase)),
-        TraceEvent::StallStart { worker, block } => format!("[{t},\"ss\",{worker},{block}]"),
-        TraceEvent::StallEnd { worker, block } => format!("[{t},\"se\",{worker},{block}]"),
-        TraceEvent::IterationEnd { worker, iter } => format!("[{t},\"it\",{worker},{iter}]"),
-        TraceEvent::GradReady {
-            worker,
-            key,
-            round,
-            priority,
-        } => format!("[{t},\"gr\",{worker},{key},{round},{priority}]"),
-        TraceEvent::EgressEnqueue {
-            machine,
-            role,
-            msg_id,
-            class,
-            key,
-            round,
-            priority,
-            queue_depth,
-        } => format!(
-            "[{t},\"eq\",{machine},{},{msg_id},{},{key},{round},{priority},{queue_depth}]",
-            role_code(role),
-            class_code(class)
-        ),
-        TraceEvent::WireStart {
-            msg_id,
-            src,
-            dst,
-            bytes,
-            priority,
-        } => format!("[{t},\"ws\",{msg_id},{src},{dst},{bytes},{priority}]"),
-        TraceEvent::WireEnd {
-            msg_id,
-            src,
-            dst,
-            bytes,
-            bottleneck,
-        } => {
-            let b = match bottleneck {
-                Some(l) => l.to_string(),
-                None => "null".into(),
-            };
-            format!("[{t},\"we\",{msg_id},{src},{dst},{bytes},{b}]")
+/// The `p3Events` row format: the timestamp, the tag, then the variant's
+/// fields, in row order. The one place that order is written down, laid
+/// out as a table: one variant pattern a line, one field a line.
+#[rustfmt::skip]
+fn walk_row<C: RowCoder>(c: &mut C, at: &mut u64, ev: &mut TraceEvent) -> Res {
+    use TraceEvent::*;
+    c.uint(at, "timestamp")?;
+    c.tag(ev)?;
+    match ev {
+        ComputeStart { worker, phase, block } | ComputeEnd { worker, phase, block } => {
+            c.idx(worker, "worker")?;
+            c.code(phase, "phase", PHASES)?;
+            c.idx(block, "block")
         }
-        TraceEvent::AggStart {
-            server,
-            key,
-            round,
-            worker,
-        } => format!("[{t},\"as\",{server},{key},{round},{worker}]"),
-        TraceEvent::AggEnd {
-            server,
-            key,
-            round,
-            worker,
-        } => format!("[{t},\"ae\",{server},{key},{round},{worker}]"),
-        TraceEvent::RoundComplete {
-            server,
-            key,
-            version,
-            degraded,
-        } => format!(
-            "[{t},\"rc\",{server},{key},{version},{}]",
-            u8::from(degraded)
-        ),
-        TraceEvent::SliceConsumed { worker, key, round } => {
-            format!("[{t},\"sc\",{worker},{key},{round}]")
+        StallStart { worker, block } | StallEnd { worker, block } => {
+            c.idx(worker, "worker")?;
+            c.idx(block, "block")
         }
-        TraceEvent::Fault {
-            kind,
-            machine,
-            msg_id,
-        } => {
-            let m = match msg_id {
-                Some(id) => id.to_string(),
-                None => "null".into(),
-            };
-            format!("[{t},\"ft\",{},{machine},{m}]", fault_code(kind))
+        IterationEnd { worker, iter } => {
+            c.idx(worker, "worker")?;
+            c.uint(iter, "iter")
         }
-        // The hash is a full 64-bit value, wider than an f64 mantissa, so
-        // it travels as a hex string rather than a JSON number.
-        TraceEvent::StateHash { events, hash } => format!("[{t},\"sh\",{events},\"{hash:016x}\"]"),
+        GradReady { worker, key, round, priority } => {
+            c.idx(worker, "worker")?;
+            c.idx(key, "key")?;
+            c.uint(round, "round")?;
+            c.u32(priority, "priority")
+        }
+        EgressEnqueue { machine, role, msg_id, class, key, round, priority, queue_depth } => {
+            c.idx(machine, "machine")?;
+            c.code(role, "role", ROLES)?;
+            c.uint(msg_id, "msg_id")?;
+            c.code(class, "class", CLASSES)?;
+            c.idx(key, "key")?;
+            c.uint(round, "round")?;
+            c.u32(priority, "priority")?;
+            c.idx(queue_depth, "queue_depth")
+        }
+        WireStart { msg_id, src, dst, bytes, priority } => {
+            c.uint(msg_id, "msg_id")?;
+            c.idx(src, "src")?;
+            c.idx(dst, "dst")?;
+            c.uint(bytes, "bytes")?;
+            c.u32(priority, "priority")
+        }
+        WireEnd { msg_id, src, dst, bytes, bottleneck } => {
+            c.uint(msg_id, "msg_id")?;
+            c.idx(src, "src")?;
+            c.idx(dst, "dst")?;
+            c.uint(bytes, "bytes")?;
+            let mut link = bottleneck.map(|l| l as u64);
+            c.opt_uint(&mut link, "bottleneck")?;
+            *bottleneck = link.map(|l| l as usize);
+            Ok(())
+        }
+        AggStart { server, key, round, worker } | AggEnd { server, key, round, worker } => {
+            c.idx(server, "server")?;
+            c.idx(key, "key")?;
+            c.uint(round, "round")?;
+            c.idx(worker, "worker")
+        }
+        RoundComplete { server, key, version, degraded } => {
+            c.idx(server, "server")?;
+            c.idx(key, "key")?;
+            c.uint(version, "version")?;
+            c.flag(degraded, "degraded")
+        }
+        SliceConsumed { worker, key, round } => {
+            c.idx(worker, "worker")?;
+            c.idx(key, "key")?;
+            c.uint(round, "round")
+        }
+        Fault { kind, machine, msg_id } => {
+            c.code(kind, "kind", FAULTS)?;
+            c.idx(machine, "machine")?;
+            c.opt_uint(msg_id, "msg_id")
+        }
+        StateHash { events, hash } => {
+            c.uint(events, "events")?;
+            c.hex(hash, "hash")
+        }
     }
+}
+
+/// Appends one row to the export buffer.
+struct RowWriter<'o> {
+    out: &'o mut String,
+    fields: usize,
+}
+
+impl RowWriter<'_> {
+    /// Opens the next field: the row's `[`, or the `,` before it.
+    fn field(&mut self) -> &mut String {
+        self.out.push(if self.fields == 0 { '[' } else { ',' });
+        self.fields += 1;
+        self.out
+    }
+}
+
+impl RowCoder for RowWriter<'_> {
+    fn uint(&mut self, v: &mut u64, _: &str) -> Res {
+        let _ = write!(self.field(), "{v}");
+        Ok(())
+    }
+
+    fn opt_uint(&mut self, v: &mut Option<u64>, _: &str) -> Res {
+        let _ = match v {
+            Some(n) => write!(self.field(), "{n}"),
+            None => write!(self.field(), "null"),
+        };
+        Ok(())
+    }
+
+    fn hex(&mut self, v: &mut u64, _: &str) -> Res {
+        let _ = write!(self.field(), "\"{v:016x}\"");
+        Ok(())
+    }
+
+    fn tag(&mut self, ev: &mut TraceEvent) -> Res {
+        let tag = TAGS
+            .iter()
+            .find(|(_, blank)| discriminant(blank) == discriminant(ev))
+            .map_or("", |(tag, _)| tag);
+        let _ = write!(self.field(), "\"{tag}\"");
+        Ok(())
+    }
+}
+
+/// Reads one row straight from the document bytes. A missing delimiter
+/// is left unnamed: [`read_row`] names it.
+struct RowReader<'p, 'a> {
+    p: &'p mut Parser<'a>,
+    fields: usize,
+    tagged: bool,
+}
+
+impl RowReader<'_, '_> {
+    /// Steps past `delim` (the row's `[` or `]`, a field's `,`) and the
+    /// whitespace around it.
+    fn step(&mut self, delim: u8) -> Res {
+        self.p.skip_ws();
+        if self.p.peek() != Some(delim) {
+            return Err(String::new());
+        }
+        self.p.pos += 1;
+        self.p.skip_ws();
+        Ok(())
+    }
+
+    /// Steps to the next field, past the row's `[` or the `,` before it.
+    fn field(&mut self) -> Res {
+        let delim = if self.fields == 0 { b'[' } else { b',' };
+        self.fields += 1;
+        self.step(delim)
+    }
+
+    fn number(&mut self, what: &str) -> Result<u64, String> {
+        match self.p.peek() {
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                uint(self.p.number().map_err(|e| e.to_string())?, what)
+            }
+            _ => Err(format!("{what} is not a number")),
+        }
+    }
+
+    fn string(&mut self, what: &str) -> Result<Cow<'_, str>, String> {
+        if self.p.peek() != Some(b'"') {
+            return Err(format!("{what} is not a string"));
+        }
+        self.p.string().map_err(|e| e.to_string())
+    }
+}
+
+impl RowCoder for RowReader<'_, '_> {
+    fn uint(&mut self, v: &mut u64, what: &str) -> Res {
+        self.field()?;
+        *v = self.number(what)?;
+        Ok(())
+    }
+
+    fn opt_uint(&mut self, v: &mut Option<u64>, what: &str) -> Res {
+        self.field()?;
+        *v = if self.p.peek() == Some(b'n') {
+            self.p.literal("null").map_err(|e| e.to_string())?;
+            None
+        } else {
+            Some(self.number(what)?)
+        };
+        Ok(())
+    }
+
+    fn hex(&mut self, v: &mut u64, what: &str) -> Res {
+        self.field()?;
+        let text = self.string(what)?;
+        *v = u64::from_str_radix(&text, 16).map_err(|_| format!("{what} {text:?} is not hex"))?;
+        Ok(())
+    }
+
+    fn tag(&mut self, ev: &mut TraceEvent) -> Res {
+        self.field()?;
+        let tag = self.string("tag")?;
+        *ev = TAGS
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .ok_or_else(|| format!("unknown tag {tag:?}"))?
+            .1;
+        self.tagged = true;
+        Ok(())
+    }
+}
+
+/// Reads row `i` of `p3Events`; the outer error is a JSON syntax error.
+/// A row that fails is re-read as plain JSON to rank its faults as a
+/// whole-row decoder would: syntax, too short, timestamp or tag, field
+/// count, then the field.
+fn read_row(p: &mut Parser, i: usize) -> Result<Result<(SimTime, TraceEvent), String>, JsonError> {
+    let start = p.pos;
+    if p.peek() != Some(b'[') {
+        p.skip_value()?;
+        return Ok(Err(format!("p3Events[{i}] is not an array")));
+    }
+    let mut r = RowReader {
+        p,
+        fields: 0,
+        tagged: false,
+    };
+    let (mut at, mut ev) = (0, TAGS[0].1);
+    let fault = match walk_row(&mut r, &mut at, &mut ev).and_then(|()| r.step(b']')) {
+        Ok(()) => return Ok(Ok((SimTime::from_nanos(at), ev))),
+        Err(fault) => fault,
+    };
+    let tagged = r.tagged;
+    p.pos = start;
+    let mut got = 0;
+    p.elements(|p| {
+        got += 1;
+        p.skip_value()
+    })?;
+    // The field count of the row's variant: write a blank one.
+    let mut need = RowWriter {
+        out: &mut String::new(),
+        fields: 0,
+    };
+    let _ = walk_row(&mut need, &mut 0, &mut ev);
+    let why = if got < 2 {
+        "row too short".to_string()
+    } else if tagged && got != need.fields {
+        format!("expected {} fields, got {got}", need.fields)
+    } else {
+        fault
+    };
+    Ok(Err(format!("p3Events[{i}]: {why}")))
+}
+
+/// Decodes a `p3Events` array row by row. Rows after the first bad one
+/// are only checked as JSON.
+fn read_events(p: &mut Parser) -> Result<Result<TraceLog, String>, JsonError> {
+    if p.peek() != Some(b'[') {
+        p.skip_value()?;
+        return Ok(Err("p3Events is not an array".into()));
+    }
+    let mut log = Ok(TraceLog::new());
+    let mut i = 0;
+    p.elements(|p| {
+        match &mut log {
+            Ok(rows) => match read_row(p, i)? {
+                Ok((at, ev)) => rows.record(at, ev),
+                Err(e) => log = Err(e),
+            },
+            Err(_) => p.skip_value()?,
+        }
+        i += 1;
+        Ok(())
+    })?;
+    Ok(log)
 }
 
 /// Exports a trace as one JSON document carrying both the lossy Chrome
@@ -272,292 +514,51 @@ fn event_row(at: SimTime, ev: &TraceEvent) -> String {
 /// assert_eq!(parsed.machines, 2);
 /// ```
 pub fn export_trace_json(log: &TraceLog, meta: &TraceMeta) -> String {
-    let chrome = chrome_trace_json(log, meta.machines);
-    let trimmed = chrome.trim_end();
-    debug_assert!(trimmed.ends_with('}'), "chrome export is a JSON object");
-    let mut out = String::with_capacity(trimmed.len() + 64 * log.len());
-    out.push_str(&trimmed[..trimmed.len() - 1]);
-    let _ = write!(out, ",\n\"p3TraceVersion\": {TRACE_FORMAT_VERSION}");
-    let _ = write!(out, ",\n\"p3Meta\": {}", meta_json(meta));
+    // About 100 bytes an event: two thirds Chrome spans, one third rows.
+    let mut out = String::with_capacity(100 * log.len() + 256);
+    write_chrome_events(&mut out, log, meta.machines);
+    let _ = write!(
+        out,
+        ",\n\"p3TraceVersion\": {TRACE_FORMAT_VERSION},\n\"p3Meta\": "
+    );
+    write_meta(&mut out, meta);
     out.push_str(",\n\"p3Events\": [\n");
-    let mut first = true;
-    for e in log.events() {
-        if !first {
+    for (n, e) in log.events().iter().enumerate() {
+        if n > 0 {
             out.push_str(",\n");
         }
-        first = false;
-        out.push_str(&event_row(e.at, &e.event));
+        let (mut at, mut ev) = (e.at.as_nanos(), e.event);
+        let mut w = RowWriter {
+            out: &mut out,
+            fields: 0,
+        };
+        // Writing cannot fail: only a reader reports errors.
+        let _ = walk_row(&mut w, &mut at, &mut ev);
+        out.push(']');
     }
     out.push_str("\n]}\n");
     out
 }
 
-fn num(v: &JsonValue, row: usize, what: &str) -> Result<f64, String> {
-    v.as_number()
-        .ok_or_else(|| format!("p3Events[{row}]: {what} is not a number"))
-}
-
-fn uint(v: &JsonValue, row: usize, what: &str) -> Result<u64, String> {
-    let n = num(v, row, what)?;
-    if n < 0.0 || n.fract() != 0.0 || n >= 9.007_199_254_740_992e15 {
-        return Err(format!("p3Events[{row}]: {what} is not a u64 ({n})"));
-    }
-    Ok(n as u64)
-}
-
-fn idx(v: &JsonValue, row: usize, what: &str) -> Result<usize, String> {
-    Ok(uint(v, row, what)? as usize)
-}
-
-fn opt_uint(v: &JsonValue, row: usize, what: &str) -> Result<Option<u64>, String> {
-    match v {
-        JsonValue::Null => Ok(None),
-        other => uint(other, row, what).map(Some),
-    }
-}
-
-fn decode_phase(code: u64, row: usize) -> Result<ComputePhase, String> {
-    match code {
-        0 => Ok(ComputePhase::Forward),
-        1 => Ok(ComputePhase::Backward),
-        c => Err(format!("p3Events[{row}]: unknown phase code {c}")),
-    }
-}
-
-fn decode_role(code: u64, row: usize) -> Result<EndpointRole, String> {
-    match code {
-        0 => Ok(EndpointRole::Worker),
-        1 => Ok(EndpointRole::Server),
-        c => Err(format!("p3Events[{row}]: unknown role code {c}")),
-    }
-}
-
-fn decode_class(code: u64, row: usize) -> Result<MsgClass, String> {
-    match code {
-        0 => Ok(MsgClass::Push),
-        1 => Ok(MsgClass::Response),
-        2 => Ok(MsgClass::Notify),
-        3 => Ok(MsgClass::PullRequest),
-        4 => Ok(MsgClass::RackPush),
-        5 => Ok(MsgClass::CombinedPush),
-        6 => Ok(MsgClass::ReduceScatter),
-        7 => Ok(MsgClass::AllGather),
-        c => Err(format!("p3Events[{row}]: unknown class code {c}")),
-    }
-}
-
-fn decode_fault(code: u64, row: usize) -> Result<FaultKind, String> {
-    match code {
-        0 => Ok(FaultKind::Loss),
-        1 => Ok(FaultKind::Retransmit),
-        2 => Ok(FaultKind::GiveUp),
-        3 => Ok(FaultKind::Crash),
-        4 => Ok(FaultKind::Rejoin),
-        5 => Ok(FaultKind::Eviction),
-        6 => Ok(FaultKind::DegradedRound),
-        7 => Ok(FaultKind::StalePush),
-        8 => Ok(FaultKind::DuplicatePush),
-        9 => Ok(FaultKind::FlowCancelled),
-        10 => Ok(FaultKind::CollectiveAbort),
-        c => Err(format!("p3Events[{row}]: unknown fault code {c}")),
-    }
-}
-
-fn decode_row(row: &[JsonValue], i: usize) -> Result<(SimTime, TraceEvent), String> {
-    let need = |n: usize| -> Result<(), String> {
-        if row.len() != n + 2 {
-            Err(format!(
-                "p3Events[{i}]: expected {} fields, got {}",
-                n + 2,
-                row.len()
-            ))
-        } else {
-            Ok(())
-        }
-    };
-    if row.len() < 2 {
-        return Err(format!("p3Events[{i}]: row too short"));
-    }
-    let at = SimTime::from_nanos(uint(&row[0], i, "timestamp")?);
-    let tag = row[1]
-        .as_str()
-        .ok_or_else(|| format!("p3Events[{i}]: tag is not a string"))?;
-    let ev = match tag {
-        "cs" | "ce" => {
-            need(3)?;
-            let worker = idx(&row[2], i, "worker")?;
-            let phase = decode_phase(uint(&row[3], i, "phase")?, i)?;
-            let block = idx(&row[4], i, "block")?;
-            if tag == "cs" {
-                TraceEvent::ComputeStart {
-                    worker,
-                    phase,
-                    block,
-                }
-            } else {
-                TraceEvent::ComputeEnd {
-                    worker,
-                    phase,
-                    block,
-                }
-            }
-        }
-        "ss" | "se" => {
-            need(2)?;
-            let worker = idx(&row[2], i, "worker")?;
-            let block = idx(&row[3], i, "block")?;
-            if tag == "ss" {
-                TraceEvent::StallStart { worker, block }
-            } else {
-                TraceEvent::StallEnd { worker, block }
-            }
-        }
-        "it" => {
-            need(2)?;
-            TraceEvent::IterationEnd {
-                worker: idx(&row[2], i, "worker")?,
-                iter: uint(&row[3], i, "iter")?,
-            }
-        }
-        "gr" => {
-            need(4)?;
-            TraceEvent::GradReady {
-                worker: idx(&row[2], i, "worker")?,
-                key: idx(&row[3], i, "key")?,
-                round: uint(&row[4], i, "round")?,
-                priority: uint(&row[5], i, "priority")? as u32,
-            }
-        }
-        "eq" => {
-            need(8)?;
-            TraceEvent::EgressEnqueue {
-                machine: idx(&row[2], i, "machine")?,
-                role: decode_role(uint(&row[3], i, "role")?, i)?,
-                msg_id: uint(&row[4], i, "msg_id")?,
-                class: decode_class(uint(&row[5], i, "class")?, i)?,
-                key: idx(&row[6], i, "key")?,
-                round: uint(&row[7], i, "round")?,
-                priority: uint(&row[8], i, "priority")? as u32,
-                queue_depth: idx(&row[9], i, "queue_depth")?,
-            }
-        }
-        "ws" => {
-            need(5)?;
-            TraceEvent::WireStart {
-                msg_id: uint(&row[2], i, "msg_id")?,
-                src: idx(&row[3], i, "src")?,
-                dst: idx(&row[4], i, "dst")?,
-                bytes: uint(&row[5], i, "bytes")?,
-                priority: uint(&row[6], i, "priority")? as u32,
-            }
-        }
-        "we" => {
-            need(5)?;
-            TraceEvent::WireEnd {
-                msg_id: uint(&row[2], i, "msg_id")?,
-                src: idx(&row[3], i, "src")?,
-                dst: idx(&row[4], i, "dst")?,
-                bytes: uint(&row[5], i, "bytes")?,
-                bottleneck: opt_uint(&row[6], i, "bottleneck")?.map(|l| l as usize),
-            }
-        }
-        "as" | "ae" => {
-            need(4)?;
-            let server = idx(&row[2], i, "server")?;
-            let key = idx(&row[3], i, "key")?;
-            let round = uint(&row[4], i, "round")?;
-            let worker = idx(&row[5], i, "worker")?;
-            if tag == "as" {
-                TraceEvent::AggStart {
-                    server,
-                    key,
-                    round,
-                    worker,
-                }
-            } else {
-                TraceEvent::AggEnd {
-                    server,
-                    key,
-                    round,
-                    worker,
-                }
-            }
-        }
-        "rc" => {
-            need(4)?;
-            TraceEvent::RoundComplete {
-                server: idx(&row[2], i, "server")?,
-                key: idx(&row[3], i, "key")?,
-                version: uint(&row[4], i, "version")?,
-                degraded: uint(&row[5], i, "degraded")? != 0,
-            }
-        }
-        "sc" => {
-            need(3)?;
-            TraceEvent::SliceConsumed {
-                worker: idx(&row[2], i, "worker")?,
-                key: idx(&row[3], i, "key")?,
-                round: uint(&row[4], i, "round")?,
-            }
-        }
-        "ft" => {
-            need(3)?;
-            TraceEvent::Fault {
-                kind: decode_fault(uint(&row[2], i, "kind")?, i)?,
-                machine: idx(&row[3], i, "machine")?,
-                msg_id: opt_uint(&row[4], i, "msg_id")?,
-            }
-        }
-        "sh" => {
-            need(2)?;
-            let hex = row[3]
-                .as_str()
-                .ok_or_else(|| format!("p3Events[{i}]: hash is not a string"))?;
-            TraceEvent::StateHash {
-                events: uint(&row[2], i, "events")?,
-                hash: u64::from_str_radix(hex, 16)
-                    .map_err(|_| format!("p3Events[{i}]: hash {hex:?} is not hex"))?,
-            }
-        }
-        other => return Err(format!("p3Events[{i}]: unknown tag {other:?}")),
-    };
-    Ok((at, ev))
-}
-
 fn meta_from_json(v: &JsonValue) -> Result<TraceMeta, String> {
+    let flag = |key| v.get(key).and_then(JsonValue::as_bool);
+    let text = |key| v.get(key).and_then(JsonValue::as_str).map(str::to_string);
     let machines = v
         .get("machines")
         .and_then(JsonValue::as_number)
-        .ok_or("p3Meta.machines missing or not a number")? as usize;
-    let single_consumer = match v.get("singleConsumer") {
-        Some(JsonValue::Bool(b)) => Some(*b),
-        _ => None,
-    };
-    let window = v
-        .get("window")
-        .and_then(JsonValue::as_number)
-        .map(|w| w as usize);
-    let port_bytes_per_sec = v.get("portBytesPerSec").and_then(JsonValue::as_number);
-    let strategy = v
-        .get("strategy")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    let model = v
-        .get("model")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    let collective = match v.get("collective") {
-        Some(JsonValue::Bool(b)) => Some(*b),
-        _ => None,
+        .ok_or("p3Meta.machines missing or not a number")?;
+    let window = match v.get("window").and_then(JsonValue::as_number) {
+        Some(w) => Some(uint(w, "p3Meta.window")? as usize),
+        None => None,
     };
     Ok(TraceMeta {
-        machines,
-        single_consumer,
+        machines: uint(machines, "p3Meta.machines")? as usize,
+        single_consumer: flag("singleConsumer"),
         window,
-        port_bytes_per_sec,
-        strategy,
-        model,
-        collective,
+        port_bytes_per_sec: v.get("portBytesPerSec").and_then(JsonValue::as_number),
+        strategy: text("strategy"),
+        model: text("model"),
+        collective: flag("collective"),
     })
 }
 
@@ -566,13 +567,33 @@ fn meta_from_json(v: &JsonValue) -> Result<TraceMeta, String> {
 ///
 /// Fails with a description when the document is not JSON, lacks the
 /// `p3Events` array (e.g. a plain Chrome trace), or contains a malformed
-/// row.
+/// row. Of several faults, a JSON syntax error is reported first.
 pub fn import_trace_json(doc: &str) -> Result<(TraceLog, TraceMeta), String> {
-    let v = json::parse(doc).map_err(|e| e.to_string())?;
-    if let Some(version) = v.get("p3TraceVersion") {
-        let version = version
+    let mut p = Parser::new(doc);
+    let (mut version, mut meta, mut events) = (None, None, None);
+    p.skip_ws();
+    let scanned = if p.peek() == Some(b'{') {
+        // A repeated member keeps its last value, as in a parsed tree.
+        p.members(|p, key| {
+            match &*key {
+                "p3TraceVersion" => version = Some(p.value()?),
+                "p3Meta" => meta = Some(p.value()?),
+                "p3Events" => events = Some(read_events(p)?),
+                _ => p.skip_value()?,
+            }
+            Ok(())
+        })
+    } else {
+        p.skip_value()
+    };
+    scanned
+        .and_then(|()| p.finish())
+        .map_err(|e| e.to_string())?;
+    if let Some(version) = version {
+        let n = version
             .as_number()
-            .ok_or("p3TraceVersion is not a number")? as u64;
+            .ok_or("p3TraceVersion is not a number")?;
+        let version = uint(n, "p3TraceVersion")?;
         if version != TRACE_FORMAT_VERSION {
             return Err(format!(
                 "p3TraceVersion {version} is not the supported version {TRACE_FORMAT_VERSION} \
@@ -580,24 +601,13 @@ pub fn import_trace_json(doc: &str) -> Result<(TraceLog, TraceMeta), String> {
             ));
         }
     }
-    let events = v
-        .get("p3Events")
-        .ok_or("no p3Events array: not a p3 typed trace (re-export with a current build)")?
-        .as_array()
-        .ok_or("p3Events is not an array")?;
-    let meta = match v.get("p3Meta") {
-        Some(m) => meta_from_json(m)?,
+    let log =
+        events.ok_or("no p3Events array: not a p3 typed trace (re-export with a current build)")?;
+    let meta = match meta {
+        Some(m) => meta_from_json(&m)?,
         None => TraceMeta::default(),
     };
-    let mut log = TraceLog::new();
-    for (i, row) in events.iter().enumerate() {
-        let row = row
-            .as_array()
-            .ok_or_else(|| format!("p3Events[{i}] is not an array"))?;
-        let (at, ev) = decode_row(row, i)?;
-        log.record(at, ev);
-    }
-    Ok((log, meta))
+    Ok((log?, meta))
 }
 
 #[cfg(test)]

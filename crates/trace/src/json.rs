@@ -1,13 +1,17 @@
-//! A minimal JSON parser used to validate exported traces.
+//! A minimal JSON parser used to validate and import exported traces.
 //!
 //! The workspace is offline and dependency-free by policy, so trace-schema
 //! checks (CI golden-file test, unit tests) cannot lean on `serde_json`.
 //! This is a small recursive-descent parser for the JSON the exporters
 //! emit; it accepts standard JSON (RFC 8259) minus `\u` surrogate-pair
 //! pedantics (escapes are decoded, lone surrogates are replaced).
+//! [`parse`] builds a [`JsonValue`] tree; the typed-trace import drives
+//! the same `Parser` member by member and passes over what it does not
+//! need with `Parser::skip_value`, which allocates nothing.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,40 +96,54 @@ impl std::error::Error for JsonError {}
 
 /// Parses a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    p.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// The one JSON tokenizer (see the module docs).
+pub(crate) struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
-    pos: usize,
+    /// Byte offset of the next unread character.
+    pub(crate) pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
+    pub(crate) fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    pub(crate) fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
             message: message.to_string(),
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// Fails unless only whitespace is left.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -137,36 +155,71 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    pub(crate) fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => {
+                let mut members = BTreeMap::new();
+                self.members(|p, key| {
+                    members.insert(key.into_owned(), p.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Object(members))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(JsonValue::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+    /// Passes over one value, checking the same grammar as
+    /// [`Parser::value`] without building it.
+    pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.members(|p, _| p.skip_value()),
+            Some(b'[') => self.elements(Parser::skip_value),
+            Some(b'"') => self.string().map(drop),
+            // Literals and numbers allocate nothing.
+            _ => self.value().map(drop),
+        }
+    }
+
+    pub(crate) fn literal(&mut self, word: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Reads a number; `f64` parsing also lets `01` and `1.` through.
+    pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let mut int = 0u64;
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
+        }
+        // Up to 15 plain digits are below 2⁵³: exact without `f64` parsing.
+        let plain = !negative && (1..=15).contains(&(self.pos - start));
+        if plain && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return Ok(int as f64);
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -183,21 +236,29 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
+        // ASCII bytes, so both ends are char boundaries.
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| self.err("malformed number"))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string, borrowed from the input when it has no escapes.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Runs end at ASCII delimiters, so their slices are on char boundaries.
+        let start = self.pos;
+        self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -222,18 +283,18 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy the whole run up to the next delimiter in one
-                    // slice. The stop bytes are ASCII, so they always land
-                    // on a char boundary of the (already valid) input.
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .expect("input came from a &str");
-                    out.push_str(run);
+                    let run = self.pos;
+                    self.plain_run();
+                    out.push_str(&self.text[run..self.pos]);
                 }
             }
+        }
+    }
+
+    /// Steps over string bytes that need no decoding.
+    fn plain_run(&mut self) {
+        while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+            self.pos += 1;
         }
     }
 
@@ -248,53 +309,52 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
+    /// Reads an array, handing `each` every element.
+    pub(crate) fn elements(
+        &mut self,
+        each: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.sequence(b'[', b']', each)
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut members = BTreeMap::new();
+    /// Reads an object, handing `each` every key, positioned at its value.
+    pub(crate) fn members(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.sequence(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            each(p, key)
+        })
+    }
+
+    /// Reads `open`, items separated by `,`, then `close`.
+    fn sequence(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Object(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.insert(key, value);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(members));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or '}'")),
+                _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
             }
         }
     }
@@ -320,11 +380,18 @@ pub fn escape(s: &str) -> String {
 /// Formats an `f64` the way the exporters do: integral values without a
 /// fractional part, everything else via shortest-roundtrip `{}`.
 pub fn format_number(x: f64) -> String {
-    if x.is_finite() && x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i64)
+    let mut out = String::new();
+    push_number(&mut out, x);
+    out
+}
+
+/// Appends `x` to `out` as [`format_number`] formats it.
+pub(crate) fn push_number(out: &mut String, x: f64) {
+    let _ = if x.is_finite() && x.fract() == 0.0 && x.abs() < 1e15 {
+        write!(out, "{}", x as i64)
     } else {
-        format!("{x}")
-    }
+        write!(out, "{x}")
+    };
 }
 
 #[cfg(test)]
