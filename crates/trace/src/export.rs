@@ -206,6 +206,7 @@ trait RowCoder {
     /// An enum as its index in `codes`.
     fn code<T: Copy + PartialEq>(&mut self, v: &mut T, what: &str, codes: Codes<T>) -> Res {
         let (name, table) = codes;
+        debug_assert!(table.contains(v), "the {name} code table misses a variant");
         let mut w = table.iter().position(|t| t == v).map_or(0, |i| i as u64);
         self.uint(&mut w, what)?;
         *v = *table
