@@ -739,3 +739,381 @@ fn queue_depth_lie_is_causal_violation() {
     }
     assert_only(&build(&evs), &opts(2, 2), "causal-order");
 }
+
+/// Wire start and end of one `bytes`-sized transfer.
+fn transfer(
+    id: u64,
+    src: usize,
+    dst: usize,
+    t0: u64,
+    t1: u64,
+    bytes: u64,
+) -> [(u64, TraceEvent); 2] {
+    [
+        (
+            t0,
+            TraceEvent::WireStart {
+                msg_id: id,
+                src,
+                dst,
+                bytes,
+                priority: 0,
+            },
+        ),
+        (
+            t1,
+            TraceEvent::WireEnd {
+                msg_id: id,
+                src,
+                dst,
+                bytes,
+                bottleneck: None,
+            },
+        ),
+    ]
+}
+
+/// Ready gradient and enqueue of worker 0's push `id` at priority `prio`.
+fn ready_push(id: u64, prio: u32, depth: usize) -> [(u64, TraceEvent); 2] {
+    [
+        (
+            0,
+            TraceEvent::GradReady {
+                worker: 0,
+                key: id as usize,
+                round: 0,
+                priority: prio,
+            },
+        ),
+        (
+            0,
+            TraceEvent::EgressEnqueue {
+                machine: 0,
+                role: EndpointRole::Worker,
+                msg_id: id,
+                class: MsgClass::Push,
+                key: id as usize,
+                round: 0,
+                priority: prio,
+                queue_depth: depth,
+            },
+        ),
+    ]
+}
+
+fn with_base_round(f: impl Fn(&mut Vec<(u64, TraceEvent)>)) -> TraceLog {
+    let mut evs = base_round();
+    f(&mut evs);
+    build(&evs)
+}
+
+fn position(evs: &[(u64, TraceEvent)], f: impl Fn(&TraceEvent) -> bool) -> usize {
+    evs.iter().position(|(_, e)| f(e)).unwrap()
+}
+
+/// Every mutation above, rebuilt, with its full report text pinned: the
+/// violations in discovery order, the suppressed count and the skipped
+/// notes. A checker rewrite must reproduce each report byte for byte.
+#[test]
+fn mutation_reports_are_pinned() {
+    let capacity_opts = AuditOptions {
+        machines: Some(5),
+        single_consumer: Some(true),
+        window: Some(5),
+        port_bytes_per_sec: Some(2e11),
+        collective: None,
+    };
+    let overcommitted = {
+        let mut evs: Vec<_> = (0..4)
+            .flat_map(|id| ready_push(id, 0, id as usize + 1))
+            .collect();
+        for id in 0..4u64 {
+            evs.extend(transfer(id, 0, 1 + id as usize, 1_000, 9_000, 1_000_000));
+        }
+        let (starts, ends): (Vec<_>, Vec<_>) =
+            evs.drain(8..).enumerate().partition(|(j, _)| j % 2 == 0);
+        evs.extend(starts.into_iter().chain(ends).map(|(_, e)| e));
+        build(&evs)
+    };
+    let window_overrun = {
+        let mut evs: Vec<_> = (0..3)
+            .flat_map(|id| ready_push(id, 0, id as usize + 1))
+            .collect();
+        let wire: Vec<_> = (0..3u64)
+            .map(|id| transfer(id, 0, 1, 1_000, 40_000 + id, 1_000_000))
+            .collect();
+        evs.extend(wire.iter().map(|w| w[0]));
+        evs.extend(wire.iter().map(|w| w[1]));
+        build(&evs)
+    };
+    let cases: Vec<(&str, TraceLog, AuditOptions, &[&str])> = vec![
+        (
+            "base round",
+            build(&base_round()),
+            opts(2, 2),
+            &[
+                "audit: clean — 31 events",
+            ],
+        ),
+        (
+            "base round without metadata",
+            build(&base_round()),
+            AuditOptions::default(),
+            &[
+                "audit: clean — 31 events",
+                "  note: capacity-feasibility: no uniform port capacity in the trace metadata (topology fabrics carry per-link limits the flat check cannot express)",
+                "  note: priority-inversion / in-flight-window: egress discipline unknown (no metadata)",
+                "  note: per-round aggregation accounting: machine count unknown (no metadata)",
+            ],
+        ),
+        (
+            "clock regression",
+            with_base_round(|evs| {
+                let idx = position(evs, |e| matches!(e, TraceEvent::WireEnd { msg_id: 0, .. }));
+                evs[idx].0 = 19_000;
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 1 violation(s) in 31 events (invariants: monotone-clock)",
+                "  [monotone-clock] event #11 @ 19000ns: recorded at 19000ns after an event at 20000ns — the DES clock ran backwards",
+            ],
+        ),
+        (
+            "swapped wire events",
+            with_base_round(|evs| {
+                let start = position(evs, |e| {
+                    matches!(e, TraceEvent::WireStart { msg_id: 1, .. })
+                });
+                let end = position(evs, |e| matches!(e, TraceEvent::WireEnd { msg_id: 1, .. }));
+                let (t_start, t_end) = (evs[start].0, evs[end].0);
+                evs.swap(start, end);
+                evs[start].0 = t_start;
+                evs[end].0 = t_end;
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 3 violation(s) in 31 events (invariants: causal-order)",
+                "  [causal-order] event #16 @ 22000ns: msg 1 delivered while Queued",
+                "  [causal-order] event #19 @ 30000ns: msg 1 starts transmitting while Delivered",
+                "  [causal-order] event #20 @ 30000ns: server 0 aggregates k0 r0 from w1 but no matching push was delivered",
+            ],
+        ),
+        (
+            "inflated byte count",
+            with_base_round(|evs| {
+                for (_, e) in evs {
+                    if let TraceEvent::WireEnd {
+                        msg_id: 1, bytes, ..
+                    } = e
+                    {
+                        *bytes += 500_000;
+                    }
+                }
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 1 violation(s) in 31 events (invariants: byte-conservation)",
+                "  [byte-conservation] event #19 @ 30000ns: msg 1 delivered as 1500000 bytes to m0 but started as Some(1000000) bytes to mSome(0)",
+            ],
+        ),
+        (
+            "missing aggregation",
+            with_base_round(|evs| {
+                evs.retain(|(_, e)| {
+                    !matches!(
+                        e,
+                        TraceEvent::AggStart { worker: 1, .. }
+                            | TraceEvent::AggEnd { worker: 1, .. }
+                    )
+                })
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 1 violation(s) in 29 events (invariants: byte-conservation)",
+                "  [byte-conservation] event #20 @ 34000ns: server 0 completes k0 v1 with full membership but only 1/2 workers' pushes were aggregated",
+            ],
+        ),
+        (
+            "stretched iteration",
+            with_base_round(|evs| {
+                let idx = position(evs, |e| {
+                    matches!(e, TraceEvent::IterationEnd { worker: 0, .. })
+                });
+                evs[idx].0 = 21_000;
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 1 violation(s) in 31 events (invariants: stall-accounting)",
+                "  [stall-accounting] event #10 @ 21000ns: worker 0: iteration span 21000ns != compute 20000ns + stall 0ns (unaccounted 1000ns)",
+            ],
+        ),
+        (
+            "priority order drain",
+            build(&priority_drain(&[1, 2, 0])),
+            opts(2, 1),
+            &[
+                "audit: clean — 12 events",
+            ],
+        ),
+        (
+            "reordered drain",
+            build(&priority_drain(&[0, 1, 2])),
+            opts(2, 1),
+            &[
+                "audit: FAILED — 1 violation(s) in 12 events (invariants: priority-inversion)",
+                "  [priority-inversion] event #6 @ 1000ns: msg 0 (priority 5) starts while more urgent msg 1 (priority 1) waits in the same queue",
+            ],
+        ),
+        ("window overrun", window_overrun, opts(2, 2), &[
+                "audit: FAILED — 1 violation(s) in 12 events (invariants: in-flight-window)",
+                "  [in-flight-window] event #8 @ 1000ns: endpoint m0/0 has 3 messages in flight (window 2)",
+            ]),
+        (
+            "overcommitted port",
+            overcommitted.clone(),
+            capacity_opts.clone(),
+            &[
+                "audit: FAILED — 1 violation(s) in 16 events (invariants: capacity-feasibility)",
+                "  [capacity-feasibility] port m0 (tx): 2000000 bytes delivered in a 0.008ms window — exceeds capacity 200000000000 bytes/sec",
+            ],
+        ),
+        (
+            "overcommitted port on a fat port",
+            overcommitted,
+            AuditOptions {
+                port_bytes_per_sec: Some(6e11),
+                ..capacity_opts
+            },
+            &[
+                "audit: clean — 16 events",
+            ],
+        ),
+        (
+            "phantom aggregation",
+            with_base_round(|evs| {
+                for (_, e) in evs {
+                    if let TraceEvent::AggStart { worker, .. } | TraceEvent::AggEnd { worker, .. } =
+                        e
+                    {
+                        if *worker == 1 {
+                            *worker = 0;
+                        }
+                    }
+                }
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 2 violation(s) in 31 events (invariants: causal-order, byte-conservation)",
+                "  [causal-order] event #20 @ 30000ns: server 0 aggregates k0 r0 from w0 but no matching push was delivered",
+                "  [byte-conservation] event #22 @ 34000ns: server 0 completes k0 v1 with full membership but only 1/2 workers' pushes were aggregated",
+            ],
+        ),
+        (
+            "skipped version",
+            with_base_round(|evs| {
+                for (_, e) in evs {
+                    if let TraceEvent::RoundComplete { version, .. } = e {
+                        *version = 2;
+                    }
+                }
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 2 violation(s) in 31 events (invariants: causal-order, byte-conservation)",
+                "  [causal-order] event #22 @ 34000ns: server 0 completes k0 at version 2 after version 0 — versions must advance by exactly one",
+                "  [byte-conservation] event #22 @ 34000ns: server 0 completes k0 v2 with full membership but only 0/2 workers' pushes were aggregated",
+            ],
+        ),
+        (
+            "premature consume",
+            with_base_round(|evs| {
+                let end = position(evs, |e| matches!(e, TraceEvent::WireEnd { msg_id: 3, .. }));
+                evs.insert(
+                    end,
+                    (
+                        40_000,
+                        TraceEvent::SliceConsumed {
+                            worker: 1,
+                            key: 0,
+                            round: 1,
+                        },
+                    ),
+                );
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 1 violation(s) in 32 events (invariants: causal-order)",
+                "  [causal-order] event #28 @ 40000ns: worker 1 consumes k0 at round 1 while holding version 0",
+            ],
+        ),
+        (
+            "queue depth lie",
+            with_base_round(|evs| {
+                for (_, e) in evs {
+                    if let TraceEvent::EgressEnqueue {
+                        msg_id: 1,
+                        queue_depth,
+                        ..
+                    } = e
+                    {
+                        *queue_depth = 7;
+                    }
+                }
+            }),
+            opts(2, 2),
+            &[
+                "audit: FAILED — 1 violation(s) in 31 events (invariants: causal-order)",
+                "  [causal-order] event #15 @ 22000ns: endpoint m1/worker reports queue depth 7 but 1 messages are queued",
+            ],
+        ),
+    ];
+    let mut diffs = Vec::new();
+    for (name, log, o, want) in &cases {
+        let got = check_with(log, o).to_string();
+        if got != want.join("\n") {
+            diffs.push(format!("{name}:\n{got:?}"));
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "pinned reports differ:\n{}",
+        diffs.join("\n")
+    );
+}
+
+/// Thousands of pushes queued on one worker, drained in strict priority
+/// order except for one message that jumps 60 places ahead: exactly one
+/// inversion. It names the lowest-id message more urgent than the jumper
+/// (msg 86 at priority 51), not the most urgent one (a priority-50 msg).
+#[test]
+fn deep_queue_inversion_is_pinned() {
+    const N: u64 = 3_000;
+    let prio = |id: u64| (id * 37 % 101) as u32;
+    let mut evs = Vec::new();
+    for id in 0..N {
+        evs.extend(ready_push(id, prio(id), id as usize + 1));
+    }
+    let mut order: Vec<u64> = (0..N).collect();
+    order.sort_by_key(|&id| (prio(id), id));
+    let jumper = order.remove(1_560);
+    order.insert(1_500, jumper);
+    for (step, &id) in order.iter().enumerate() {
+        let t0 = 1_000 + 2_000 * step as u64;
+        let [(ts, mut start), end] = transfer(id, 0, 1, t0, t0 + 1_000, 100);
+        if let TraceEvent::WireStart { priority, .. } = &mut start {
+            *priority = prio(id);
+        }
+        evs.push((ts, start));
+        evs.push(end);
+    }
+    let report = check_with(&build(&evs), &opts(2, 1));
+    assert_eq!(
+        report.to_string(),
+        [
+            "audit: FAILED — 1 violation(s) in 12000 events (invariants: priority-inversion)",
+            "  [priority-inversion] event #9000 @ 3001000ns: msg 1672 (priority 52) starts while \
+             more urgent msg 86 (priority 51) waits in the same queue",
+        ]
+        .join("\n")
+    );
+}

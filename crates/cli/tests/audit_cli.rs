@@ -98,3 +98,82 @@ fn simulate_audit_flag_checks_inline() {
     .expect("audited run");
     assert!(out.contains("audit: clean"), "{out}");
 }
+
+#[test]
+fn fixture_reports_are_pinned() {
+    // The full report text of every checked-in fixture: violations in
+    // discovery order, suppressed count and skipped notes.
+    let cases: [(&str, &[&str]); 8] = [
+        (
+            "clean_round.json",
+            &[
+                "audit: clean — 31 events",
+            ],
+        ),
+        (
+            "monotone_clock.json",
+            &[
+                "audit: FAILED — 1 violation(s) in 31 events (invariants: monotone-clock)",
+                "  [monotone-clock] event #11 @ 19000ns: recorded at 19000ns after an event at 20000ns — the DES clock ran backwards",
+            ],
+        ),
+        (
+            "causal_order.json",
+            &[
+                "audit: FAILED — 3 violation(s) in 31 events (invariants: causal-order)",
+                "  [causal-order] event #16 @ 22000ns: msg 1 delivered while Queued",
+                "  [causal-order] event #19 @ 30000ns: msg 1 starts transmitting while Delivered",
+                "  [causal-order] event #20 @ 30000ns: server 0 aggregates k0 r0 from w1 but no matching push was delivered",
+            ],
+        ),
+        (
+            "byte_conservation.json",
+            &[
+                "audit: FAILED — 1 violation(s) in 31 events (invariants: byte-conservation)",
+                "  [byte-conservation] event #19 @ 30000ns: msg 1 delivered as 1500000 bytes to m0 but started as Some(1000000) bytes to mSome(0)",
+            ],
+        ),
+        (
+            "capacity_feasibility.json",
+            &[
+                "audit: FAILED — 1 violation(s) in 16 events (invariants: capacity-feasibility)",
+                "  [capacity-feasibility] port m0 (tx): 2000000 bytes delivered in a 0.008ms window — exceeds capacity 200000000000 bytes/sec",
+            ],
+        ),
+        (
+            "priority_inversion.json",
+            &[
+                "audit: FAILED — 1 violation(s) in 12 events (invariants: priority-inversion)",
+                "  [priority-inversion] event #6 @ 1000ns: msg 0 (priority 5) starts while more urgent msg 1 (priority 1) waits in the same queue",
+            ],
+        ),
+        (
+            "in_flight_window.json",
+            &[
+                "audit: FAILED — 1 violation(s) in 12 events (invariants: in-flight-window)",
+                "  [in-flight-window] event #8 @ 1000ns: endpoint m0/0 has 3 messages in flight (window 2)",
+            ],
+        ),
+        (
+            "stall_accounting.json",
+            &[
+                "audit: FAILED — 1 violation(s) in 31 events (invariants: stall-accounting)",
+                "  [stall-accounting] event #10 @ 21000ns: worker 0: iteration span 21000ns != compute 20000ns + stall 0ns (unaccounted 1000ns)",
+            ],
+        ),
+    ];
+    let mut diffs = Vec::new();
+    for (file, want) in cases {
+        let doc = std::fs::read_to_string(fixture(file)).expect("fixture");
+        let (log, meta) = p3_trace::import_trace_json(&doc).expect("fixture imports");
+        let got = p3_audit::check_with(&log, &p3_audit::AuditOptions::from_meta(&meta)).to_string();
+        if got != want.join("\n") {
+            diffs.push(format!("{file}:\n{got:?}"));
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "pinned reports differ:\n{}",
+        diffs.join("\n")
+    );
+}
