@@ -1,14 +1,20 @@
 //! Port-capacity feasibility: Hall-style windows over every busy period
 //! of every NIC port, in both directions.
+//!
+//! A window `[a, e]` over-commits a port when the attempts lying wholly
+//! inside it carry more than `cap · (e − a)` bytes, beyond the tolerance.
+//! The tightest windows start at an attempt's start and end at an
+//! attempt's end, so a busy period of `k` attempts has `O(k²)` candidate
+//! windows. One sweep checks all of them in `O(k log k)`: anchors `a` in
+//! descending start order, each adding its attempts to a range-add /
+//! range-max tree over the sorted end times that holds `S(e) − c·e`, the
+//! bytes ending by `e` less the capacity up to `e`. One suffix query per
+//! anchor then finds its worst window. Only the anchors it flags are
+//! rescanned window by window, to name the violation exactly.
 
 use super::Checker;
 use crate::report::Invariant;
 use std::collections::BTreeMap;
-
-/// Work cap for the quadratic capacity-window scan of one busy period;
-/// beyond it window anchors are strided (the check stays sound, just
-/// coarser).
-const CAPACITY_WORK_CAP: u64 = 4_000_000;
 
 /// Relative tolerance on capacity windows, covering the fluid allocator's
 /// floating-point drains.
@@ -39,6 +45,212 @@ impl Checker {
             tx.entry(a.src).or_default().push(a);
             rx.entry(a.dst).or_default().push(a);
         }
+        let ports = tx
+            .into_iter()
+            .map(|(p, l)| (p, l, "tx"))
+            .chain(rx.into_iter().map(|(p, l)| (p, l, "rx")));
+        for (port, mut list, dir) in ports {
+            list.sort_by_key(|a| (a.start, a.end));
+            // One violation per port is enough to act on.
+            if let Some((a, sum, end)) = busy_periods(&list).find_map(|p| first_violation(cap, p)) {
+                self.rep.violate(
+                    Invariant::CapacityFeasibility,
+                    None,
+                    a,
+                    format!(
+                        "port m{port} ({dir}): {sum} bytes delivered in a {:.3}ms window — \
+                         exceeds capacity {cap:.0} bytes/sec",
+                        (end - a) as f64 / 1e6,
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// Splits a port's attempts, sorted by `(start, end)`, into maximal busy
+/// periods: runs in which each attempt starts before every earlier one
+/// has ended. No window that crosses a gap can be tighter than one
+/// inside a period.
+fn busy_periods(list: &[Attempt]) -> impl Iterator<Item = &[Attempt]> {
+    let mut rest = list;
+    std::iter::from_fn(move || {
+        let mut max_end = rest.first()?.end;
+        let len = rest
+            .iter()
+            .skip(1)
+            .position(|a| {
+                let gap = a.start >= max_end;
+                max_end = max_end.max(a.end);
+                gap
+            })
+            .map_or(rest.len(), |n| n + 1);
+        let (period, tail) = rest.split_at(len);
+        rest = tail;
+        Some(period)
+    })
+}
+
+/// Whether `sum` bytes over `span_ns` exceed `cap` beyond the tolerance.
+fn exceeds(cap: f64, sum: u64, span_ns: u64) -> bool {
+    sum as f64 > cap * (span_ns as f64 / 1e9) * (1.0 + CAPACITY_REL_TOL) + CAPACITY_ABS_SLACK
+}
+
+/// The earliest over-committed window of one busy period (sorted by
+/// `(start, end)`), as `(anchor, bytes, end)`: the smallest violating
+/// anchor, and within it the first attempt in `(end, start)` order at
+/// which the running sum exceeds the bound.
+fn first_violation(cap: f64, period: &[Attempt]) -> Option<(u64, u64, u64)> {
+    let anchors = flagged_anchors(cap, period);
+    if anchors.is_empty() {
+        return None;
+    }
+    let mut by_end: Vec<&Attempt> = period.iter().collect();
+    by_end.sort_by_key(|a| (a.end, a.start));
+    anchors.into_iter().find_map(|a| {
+        let mut sum = 0u64;
+        by_end
+            .iter()
+            .filter(|iv| iv.start >= a && iv.end > a)
+            .find_map(|iv| {
+                sum += iv.bytes;
+                exceeds(cap, sum, iv.end - a).then_some((a, sum, iv.end))
+            })
+    })
+}
+
+/// Ascending starts of the anchors whose windows may over-commit the
+/// port: a superset of the violating ones, by a margin far above the
+/// sweep's rounding, so [`first_violation`] confirms each exactly.
+///
+/// With `c` the tolerated capacity in bytes/ns, a window `[a, e]` holding
+/// `S_a(e)` bytes violates iff `S_a(e) − c·(e − a) > slack`, that is iff
+/// `S_a(e) − c·e > slack − c·a`. Times are taken relative to the period's
+/// first start to keep the floats small.
+fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
+    let Some(t0) = period.first().map(|a| a.start) else {
+        return Vec::new();
+    };
+    let c = cap * (1.0 + CAPACITY_REL_TOL) / 1e9;
+    let mut ends: Vec<u64> = period.iter().map(|a| a.end).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    let last = ends.last().copied().unwrap_or(t0);
+    let total: u64 = period.iter().map(|a| a.bytes).sum();
+    let margin = 1.0 + 1e-9 * (total as f64 + c * (last - t0) as f64);
+    let mut tree = SuffixMax::new(ends.iter().map(|&e| -c * (e - t0) as f64).collect());
+    let pos = |t: u64| ends.partition_point(|&e| e < t);
+
+    let mut flagged = Vec::new();
+    let mut hi = period.len();
+    while hi > 0 {
+        let a = period[hi - 1].start;
+        let lo = period[..hi].partition_point(|x| x.start < a);
+        let group = &period[lo..hi];
+        // An attempt ending exactly at the anchor lies in no window
+        // `(a, e]` of its own anchor, only in those of earlier anchors.
+        for iv in group.iter().filter(|iv| iv.end > a) {
+            tree.add_from(pos(iv.end), iv.bytes);
+        }
+        let worst = tree.max_from(ends.partition_point(|&e| e <= a));
+        if worst > CAPACITY_ABS_SLACK - c * (a - t0) as f64 - margin {
+            flagged.push(a);
+        }
+        for iv in group.iter().filter(|iv| iv.end == a) {
+            tree.add_from(pos(iv.end), iv.bytes);
+        }
+        hi = lo;
+    }
+    flagged.reverse();
+    flagged
+}
+
+/// Suffix-add / suffix-max over a fixed array of leaf values: a segment
+/// tree whose byte additions stay in exact integer tags at the covering
+/// nodes, so each read rounds once per level.
+struct SuffixMax {
+    size: usize,
+    /// Per node: the max over its children's values, its own tag excluded
+    /// (at a leaf, the leaf's base value).
+    below: Vec<f64>,
+    /// Per node: bytes added to its whole subtree.
+    tag: Vec<u64>,
+}
+
+impl SuffixMax {
+    fn new(leaves: Vec<f64>) -> SuffixMax {
+        let size = leaves.len().next_power_of_two();
+        let mut below = vec![f64::NEG_INFINITY; 2 * size];
+        below[size..size + leaves.len()].copy_from_slice(&leaves);
+        for n in (1..size).rev() {
+            below[n] = below[2 * n].max(below[2 * n + 1]);
+        }
+        SuffixMax {
+            size,
+            below,
+            tag: vec![0; 2 * size],
+        }
+    }
+
+    fn value(&self, n: usize) -> f64 {
+        self.below[n] + self.tag[n] as f64
+    }
+
+    /// Adds `bytes` to every leaf at or after `from`.
+    fn add_from(&mut self, from: usize, bytes: u64) {
+        self.add(1, 0, self.size, from, bytes);
+    }
+
+    fn add(&mut self, n: usize, lo: usize, hi: usize, from: usize, bytes: u64) {
+        if hi <= from {
+            return;
+        }
+        if from <= lo {
+            self.tag[n] += bytes;
+            return;
+        }
+        let mid = (lo + hi) / 2;
+        self.add(2 * n, lo, mid, from, bytes);
+        self.add(2 * n + 1, mid, hi, from, bytes);
+        self.below[n] = self.value(2 * n).max(self.value(2 * n + 1));
+    }
+
+    /// Max over the leaves at or after `from` (−∞ if there are none).
+    fn max_from(&self, from: usize) -> f64 {
+        self.max(1, 0, self.size, from)
+    }
+
+    fn max(&self, n: usize, lo: usize, hi: usize, from: usize) -> f64 {
+        if hi <= from {
+            return f64::NEG_INFINITY;
+        }
+        if from <= lo {
+            return self.value(n);
+        }
+        let mid = (lo + hi) / 2;
+        self.max(2 * n, lo, mid, from)
+            .max(self.max(2 * n + 1, mid, hi, from))
+            + self.tag[n] as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::check::AuditOptions;
+    use proptest::prelude::*;
+
+    /// The quadratic scan the sweep replaced, at stride 1: every anchor in
+    /// `(start, end)` order, every end in `(end, start)` order, the first
+    /// violating window of each port reported.
+    fn oracle(cap: f64, attempts: &[Attempt]) -> Vec<(u64, String)> {
+        let mut out = Vec::new();
+        let mut tx: BTreeMap<usize, Vec<Attempt>> = BTreeMap::new();
+        let mut rx: BTreeMap<usize, Vec<Attempt>> = BTreeMap::new();
+        for &a in attempts {
+            tx.entry(a.src).or_default().push(a);
+            rx.entry(a.dst).or_default().push(a);
+        }
         for (port, mut list, dir) in tx
             .into_iter()
             .map(|(p, l)| (p, l, "tx"))
@@ -47,22 +259,20 @@ impl Checker {
             list.sort_by_key(|a| (a.start, a.end));
             let mut period: Vec<Attempt> = Vec::new();
             let mut max_end = 0u64;
-            let mut done = false;
-            for a in list.into_iter().chain(std::iter::once(Attempt {
+            let sentinel = Attempt {
                 src: 0,
                 dst: 0,
                 start: u64::MAX,
                 end: u64::MAX,
                 bytes: 0,
-            })) {
+            };
+            for a in list.into_iter().chain(std::iter::once(sentinel)) {
                 if a.start >= max_end && !period.is_empty() {
-                    if self.check_busy_period(cap, port, dir, &period) {
-                        done = true;
+                    if let Some(v) = oracle_period(cap, port, dir, &period) {
+                        out.push(v);
+                        break;
                     }
                     period.clear();
-                }
-                if done {
-                    break;
                 }
                 if a.start != u64::MAX {
                     max_end = max_end.max(a.end);
@@ -70,16 +280,18 @@ impl Checker {
                 }
             }
         }
+        out
     }
 
-    /// Checks one maximal busy period of a port; returns true once a
-    /// violation is recorded (one per port is enough to act on).
-    fn check_busy_period(&mut self, cap: f64, port: usize, dir: &str, period: &[Attempt]) -> bool {
+    fn oracle_period(
+        cap: f64,
+        port: usize,
+        dir: &str,
+        period: &[Attempt],
+    ) -> Option<(u64, String)> {
         let mut by_end: Vec<&Attempt> = period.iter().collect();
         by_end.sort_by_key(|a| (a.end, a.start));
-        let k = period.len() as u64;
-        let stride = ((k * k) / CAPACITY_WORK_CAP + 1) as usize;
-        for anchor in period.iter().step_by(stride) {
+        for anchor in period {
             let a = anchor.start;
             let mut sum = 0u64;
             for iv in &by_end {
@@ -89,21 +301,117 @@ impl Checker {
                 sum += iv.bytes;
                 let span_secs = (iv.end - a) as f64 / 1e9;
                 if sum as f64 > cap * span_secs * (1.0 + CAPACITY_REL_TOL) + CAPACITY_ABS_SLACK {
-                    self.rep.violate(
-                        Invariant::CapacityFeasibility,
-                        None,
-                        a,
-                        format!(
-                            "port m{port} ({dir}): {sum} bytes delivered in a {:.3}ms window — \
-                             exceeds capacity {:.0} bytes/sec",
-                            (iv.end - a) as f64 / 1e6,
-                            cap
-                        ),
+                    let message = format!(
+                        "port m{port} ({dir}): {sum} bytes delivered in a {:.3}ms window — \
+                         exceeds capacity {:.0} bytes/sec",
+                        (iv.end - a) as f64 / 1e6,
+                        cap
                     );
-                    return true;
+                    return Some((a, message));
                 }
             }
         }
-        false
+        None
+    }
+
+    fn sweep(cap: f64, attempts: &[Attempt]) -> Vec<(u64, String)> {
+        let mut c = Checker::new(AuditOptions::default());
+        c.attempts = attempts.to_vec();
+        c.check_capacity(cap);
+        c.rep
+            .violations
+            .into_iter()
+            .map(|v| (v.at_nanos, v.message))
+            .collect()
+    }
+
+    /// Bytes the window bound allows over `span_ns`, rounded down.
+    fn bound(cap: f64, span_ns: u64) -> u64 {
+        (cap * (span_ns as f64 / 1e9) * (1.0 + CAPACITY_REL_TOL) + CAPACITY_ABS_SLACK) as u64
+    }
+
+    /// Attempts on a coarse grid of `unit` ns, so starts and ends tie and
+    /// intervals nest, touch and stand apart. Byte counts are small, a
+    /// few bytes either side of the attempt's own bound, about half of
+    /// it (two such attempts straddle a shared window's bound), or far
+    /// over it.
+    fn attempts(
+        n: std::ops::Range<usize>,
+        slots: u64,
+        unit: u64,
+    ) -> impl Strategy<Value = Vec<Attempt>> {
+        prop::collection::vec(
+            (0usize..3, 1usize..3, 0..slots, 0u64..12, 0u8..4, 0u64..5),
+            n,
+        )
+        .prop_map(move |raw| {
+            raw.into_iter()
+                .map(|(src, shift, slot, len, kind, jitter)| {
+                    let (start, end) = (slot * unit, (slot + len) * unit);
+                    let own = bound(1e9, end - start);
+                    let bytes = match kind {
+                        0 => jitter * 300,
+                        1 => own - 2 + jitter,
+                        2 => own / 2 - 2 + jitter,
+                        _ => 3 * own,
+                    };
+                    Attempt {
+                        src,
+                        dst: (src + shift) % 3,
+                        start,
+                        end,
+                        bytes,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn sweep_matches_the_quadratic_scan(
+            list in attempts(0..40, 40, 1_000),
+            cap in prop_oneof![Just(1e9), 0.5e9f64..3e9],
+        ) {
+            prop_assert_eq!(sweep(cap, &list), oracle(cap, &list));
+        }
+
+        #[test]
+        fn sweep_matches_on_long_busy_periods(
+            list in attempts(100..300, 400, 700),
+            cap in 0.8e9f64..2e9,
+        ) {
+            prop_assert_eq!(sweep(cap, &list), oracle(cap, &list));
+        }
+    }
+
+    #[test]
+    fn zero_length_attempt_counts_only_for_earlier_anchors() {
+        let at = |start, end, bytes| Attempt {
+            src: 0,
+            dst: 1,
+            start,
+            end,
+            bytes,
+        };
+        // 3000 bytes ending at their own start fit no window anchored
+        // there, but with the attempt before them they overfill [0, 1000].
+        let list = [at(0, 1_000, 100), at(500, 500, 3_000)];
+        assert!(sweep(1e9, &list[1..]).is_empty());
+        assert_eq!(sweep(1e9, &list), oracle(1e9, &list));
+        assert_eq!(sweep(1e9, &list).len(), 2, "{:?}", sweep(1e9, &list));
+        // Beside a real over-commitment at the same anchor, inside a busy
+        // period that began long before, they add nothing to its window.
+        let list = [
+            at(0, 10_500, 100),
+            at(10_000, 10_000, 3_000),
+            at(10_000, 11_000, 4_000),
+        ];
+        assert_eq!(sweep(1e9, &list), oracle(1e9, &list));
+        assert!(
+            sweep(1e9, &list)[0].1.contains(": 4000 bytes"),
+            "{:?}",
+            sweep(1e9, &list)
+        );
     }
 }

@@ -1117,3 +1117,37 @@ fn deep_queue_inversion_is_pinned() {
         .join("\n")
     );
 }
+
+/// One busy period of 2,400 overlapping pushes on machine 0's port, each
+/// far under capacity except msg 1001, which over-commits only the window
+/// it spans itself. Every window anchored earlier is long enough to
+/// absorb it. The old scan strided its anchors at this size and skipped
+/// msg 1001's start, reporting the trace clean.
+#[test]
+fn overcommitment_at_any_anchor_of_a_long_busy_period_is_caught() {
+    let mut evs = Vec::new();
+    for id in 0..2_400u64 {
+        let t0 = 1_000 * id;
+        let bytes = if id == 1_001 { 4_000 } else { 100 };
+        let [(_, ready), (_, enqueue)] = ready_push(id, 0, 1);
+        evs.extend([(t0, ready), (t0, enqueue)]);
+        evs.extend(transfer(id, 0, 1, t0, t0 + 1_500, bytes));
+    }
+    evs.sort_by_key(|&(t, _)| t);
+    let o = AuditOptions {
+        port_bytes_per_sec: Some(1e9),
+        ..opts(2, 2)
+    };
+    let report = check_with(&build(&evs), &o);
+    assert_eq!(
+        report.to_string(),
+        [
+            "audit: FAILED — 2 violation(s) in 9600 events (invariants: capacity-feasibility)",
+            "  [capacity-feasibility] port m0 (tx): 4000 bytes delivered in a 0.002ms window — \
+             exceeds capacity 1000000000 bytes/sec",
+            "  [capacity-feasibility] port m1 (rx): 4000 bytes delivered in a 0.002ms window — \
+             exceeds capacity 1000000000 bytes/sec",
+        ]
+        .join("\n")
+    );
+}
