@@ -38,18 +38,22 @@ impl Checker {
                 ),
             );
         }
-        let claimed = self
-            .delivered_pushes
-            .get_mut(&(server, key, round, worker))
-            .and_then(|ids| {
-                let pos = ids.iter().position(|id| {
-                    self.msgs
-                        .get(id)
-                        .is_some_and(|m| m.state == MsgState::Delivered)
-                });
-                pos.map(|p| ids.remove(p))
+        let push = (server, key, round, worker);
+        let mut claimed = false;
+        if let Some(slots) = self.delivered_pushes.get_mut(&push) {
+            let pos = slots.iter().position(|&slot| {
+                matches!(self.msgs.get(slot), Some(Some(m)) if m.state == MsgState::Delivered)
             });
-        if claimed.is_none() {
+            if let Some(p) = pos {
+                slots.remove(p);
+                claimed = true;
+            }
+            // Drop spent entries: the map holds only unclaimed pushes.
+            if slots.is_empty() {
+                self.delivered_pushes.remove(&push);
+            }
+        }
+        if !claimed {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),

@@ -167,7 +167,8 @@ fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
 
 /// Suffix-add / suffix-max over a fixed array of leaf values: a segment
 /// tree whose byte additions stay in exact integer tags at the covering
-/// nodes, so each read rounds once per level.
+/// nodes, so each read rounds once per level. Both operations walk one
+/// leaf-to-root path.
 struct SuffixMax {
     size: usize,
     /// Per node: the max over its children's values, its own tag excluded
@@ -196,41 +197,40 @@ impl SuffixMax {
         self.below[n] + self.tag[n] as f64
     }
 
-    /// Adds `bytes` to every leaf at or after `from`.
+    /// Adds `bytes` to every leaf at or after `from`: the leaf, and the
+    /// right sibling of each left child on its path to the root.
     fn add_from(&mut self, from: usize, bytes: u64) {
-        self.add(1, 0, self.size, from, bytes);
-    }
-
-    fn add(&mut self, n: usize, lo: usize, hi: usize, from: usize, bytes: u64) {
-        if hi <= from {
+        if from >= self.size {
             return;
         }
-        if from <= lo {
-            self.tag[n] += bytes;
-            return;
+        let mut n = from + self.size;
+        self.tag[n] += bytes;
+        while n > 1 {
+            if n.is_multiple_of(2) {
+                self.tag[n + 1] += bytes;
+            }
+            n /= 2;
+            self.below[n] = self.value(2 * n).max(self.value(2 * n + 1));
         }
-        let mid = (lo + hi) / 2;
-        self.add(2 * n, lo, mid, from, bytes);
-        self.add(2 * n + 1, mid, hi, from, bytes);
-        self.below[n] = self.value(2 * n).max(self.value(2 * n + 1));
     }
 
-    /// Max over the leaves at or after `from` (−∞ if there are none).
+    /// Max over the leaves at or after `from` (−∞ if there are none), over
+    /// the same nodes as [`SuffixMax::add_from`], adding each ancestor's
+    /// tag on the way up.
     fn max_from(&self, from: usize) -> f64 {
-        self.max(1, 0, self.size, from)
-    }
-
-    fn max(&self, n: usize, lo: usize, hi: usize, from: usize) -> f64 {
-        if hi <= from {
+        if from >= self.size {
             return f64::NEG_INFINITY;
         }
-        if from <= lo {
-            return self.value(n);
+        let mut n = from + self.size;
+        let mut best = self.value(n);
+        while n > 1 {
+            if n.is_multiple_of(2) {
+                best = best.max(self.value(n + 1));
+            }
+            n /= 2;
+            best += self.tag[n] as f64;
         }
-        let mid = (lo + hi) / 2;
-        self.max(2 * n, lo, mid, from)
-            .max(self.max(2 * n + 1, mid, hi, from))
-            + self.tag[n] as f64
+        best
     }
 }
 
@@ -315,7 +315,7 @@ mod tests {
     }
 
     fn sweep(cap: f64, attempts: &[Attempt]) -> Vec<(u64, String)> {
-        let mut c = Checker::new(AuditOptions::default());
+        let mut c = Checker::new(AuditOptions::default(), Vec::new());
         c.attempts = attempts.to_vec();
         c.check_capacity(cap);
         c.rep
@@ -413,5 +413,27 @@ mod tests {
             "{:?}",
             sweep(1e9, &list)
         );
+    }
+
+    proptest! {
+        #[test]
+        fn suffix_max_matches_a_plain_array(
+            base in prop::collection::vec((-1e6f64..1e6).prop_map(f64::round), 1..40),
+            ops in prop::collection::vec((0usize..45, 0u64..1_000, any::<bool>()), 0..60),
+        ) {
+            let mut tree = SuffixMax::new(base.clone());
+            let mut plain = base;
+            for (from, bytes, query) in ops {
+                if query {
+                    let want = plain.iter().skip(from).copied().fold(f64::NEG_INFINITY, f64::max);
+                    prop_assert_eq!(tree.max_from(from), want);
+                } else {
+                    tree.add_from(from, bytes);
+                    for v in plain.iter_mut().skip(from) {
+                        *v += bytes as f64;
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Fault-transition checkers: loss/retransmit/give-up state machines,
 //! flow cancellation, crash/rejoin teardown, and collective aborts.
 
-use super::{is_push_class, Checker, MsgState, ROLE_WORKER};
+use super::{is_push_class, Checker, Msg, MsgState, ROLE_WORKER};
 use crate::report::Invariant;
 use p3_trace::{FaultKind, MsgClass};
 
@@ -12,22 +12,22 @@ impl Checker {
         t: u64,
         kind: FaultKind,
         machine: usize,
-        msg_id: Option<u64>,
+        msg: Option<Msg>,
     ) {
         match kind {
             FaultKind::Loss => {
-                self.msg_transition(i, t, msg_id, MsgState::Delivered, MsgState::Lost, "lost");
-                if let Some(id) = msg_id {
-                    if let Some(info) = self.msgs.get(&id) {
+                self.msg_transition(i, t, msg, MsgState::Delivered, MsgState::Lost, "lost");
+                if let Some(Msg { slot, .. }) = msg {
+                    if let Some(Some(info)) = self.msgs.get(slot) {
                         if is_push_class(info.class) {
                             if let (Some(dst), key, round) = (info.dst, info.key, info.round) {
-                                if let Some(ids) = self.delivered_pushes.get_mut(&(
+                                if let Some(slots) = self.delivered_pushes.get_mut(&(
                                     dst,
                                     key,
                                     round,
                                     info.endpoint.0,
                                 )) {
-                                    ids.retain(|&x| x != id);
+                                    slots.retain(|&x| x != slot);
                                 }
                             }
                         }
@@ -38,18 +38,18 @@ impl Checker {
                 self.msg_transition(
                     i,
                     t,
-                    msg_id,
+                    msg,
                     MsgState::Lost,
                     MsgState::RetryPending,
                     "retransmitted",
                 );
             }
             FaultKind::GiveUp => {
-                self.msg_transition(i, t, msg_id, MsgState::Lost, MsgState::Dead, "abandoned");
+                self.msg_transition(i, t, msg, MsgState::Lost, MsgState::Dead, "abandoned");
             }
             FaultKind::FlowCancelled => {
-                if let Some(id) = msg_id {
-                    if let Some(info) = self.msgs.get_mut(&id) {
+                if let Some(Msg { id, slot }) = msg {
+                    if let Some(Some(info)) = self.msgs.get_mut(slot) {
                         if info.state != MsgState::InFlight {
                             let state = info.state;
                             self.rep.violate(
@@ -79,13 +79,13 @@ impl Checker {
                 // the FlowCancelled events that follow.
                 let endpoint = (machine, ROLE_WORKER);
                 if let Some(q) = self.queued.get_mut(&endpoint) {
-                    for (id, _) in std::mem::take(q) {
-                        if let Some(info) = self.msgs.get_mut(&id) {
+                    for slot in q.take() {
+                        if let Some(Some(info)) = self.msgs.get_mut(slot) {
                             info.state = MsgState::Dead;
                         }
                     }
                 }
-                for info in self.msgs.values_mut() {
+                for info in self.msgs.iter_mut().flatten() {
                     if info.endpoint == endpoint
                         && matches!(info.state, MsgState::Lost | MsgState::RetryPending)
                     {
@@ -122,27 +122,21 @@ impl Checker {
                 // or the next enqueue's reported depth would mismatch.
                 // Only one collective is in flight at a time, so every
                 // live chunk message belongs to the aborted one.
-                let chunk_ids: Vec<u64> = self
-                    .msgs
-                    .iter()
-                    .filter(|(_, info)| {
-                        matches!(info.class, MsgClass::ReduceScatter | MsgClass::AllGather)
-                            && matches!(
-                                info.state,
-                                MsgState::Queued | MsgState::Lost | MsgState::RetryPending
-                            )
-                    })
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in chunk_ids {
-                    if let Some(info) = self.msgs.get_mut(&id) {
-                        if info.state == MsgState::Queued {
+                for (slot, entry) in self.msgs.iter_mut().enumerate() {
+                    let Some(info) = entry else { continue };
+                    if !matches!(info.class, MsgClass::ReduceScatter | MsgClass::AllGather) {
+                        continue;
+                    }
+                    match info.state {
+                        MsgState::Queued => {
                             if let Some(q) = self.queued.get_mut(&info.endpoint) {
-                                q.remove(&id);
+                                q.remove(slot);
                             }
                         }
-                        info.state = MsgState::Dead;
+                        MsgState::Lost | MsgState::RetryPending => {}
+                        MsgState::InFlight | MsgState::Delivered | MsgState::Dead => continue,
                     }
+                    info.state = MsgState::Dead;
                 }
             }
             FaultKind::Eviction

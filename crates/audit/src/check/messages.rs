@@ -5,6 +5,63 @@
 use super::{is_push_class, Checker, ROLE_WORKER};
 use crate::report::Invariant;
 use p3_trace::MsgClass;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A message as the replay addresses it: its trace id, for reports, and
+/// its dense slot in the replay's per-message tables. Slots are numbered
+/// in id order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Msg {
+    pub(crate) id: u64,
+    pub(crate) slot: usize,
+}
+
+/// One endpoint's egress queue: the queued messages' slots, each with
+/// the priority it was enqueued at, indexed by slot and by priority.
+#[derive(Debug, Default)]
+pub(crate) struct EgressQueue {
+    by_slot: BTreeMap<usize, u32>,
+    by_priority: BTreeSet<(u32, usize)>,
+}
+
+impl EgressQueue {
+    /// Queues `slot` at `priority`, replacing any earlier entry for it.
+    fn insert(&mut self, slot: usize, priority: u32) {
+        if let Some(old) = self.by_slot.insert(slot, priority) {
+            self.by_priority.remove(&(old, slot));
+        }
+        self.by_priority.insert((priority, slot));
+    }
+
+    pub(crate) fn remove(&mut self, slot: usize) {
+        if let Some(p) = self.by_slot.remove(&slot) {
+            self.by_priority.remove(&(p, slot));
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.by_slot.len()
+    }
+
+    /// Empties the queue, returning the slots it held.
+    pub(crate) fn take(&mut self) -> impl Iterator<Item = usize> {
+        self.by_priority.clear();
+        std::mem::take(&mut self.by_slot).into_keys()
+    }
+
+    /// The lowest-slot queued message strictly more urgent than
+    /// `priority`, with its priority. The common no-inversion answer
+    /// costs one look at the most urgent entry.
+    fn more_urgent(&self, priority: u32) -> Option<(usize, u32)> {
+        if self.by_priority.first()?.0 >= priority {
+            return None;
+        }
+        self.by_priority
+            .range(..(priority, 0))
+            .map(|&(p, slot)| (slot, p))
+            .min()
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MsgState {
@@ -42,7 +99,7 @@ impl Checker {
         i: usize,
         t: u64,
         endpoint: (usize, u8),
-        msg_id: u64,
+        msg: Msg,
         class: MsgClass,
         key: usize,
         round: u64,
@@ -72,24 +129,23 @@ impl Checker {
                 ),
             );
         }
-        match self.msgs.get_mut(&msg_id) {
-            None => {
-                self.msgs.insert(
-                    msg_id,
-                    MsgInfo {
-                        endpoint,
-                        class,
-                        key,
-                        round,
-                        priority,
-                        bytes: None,
-                        dst: None,
-                        state: MsgState::Queued,
-                        open_start: None,
-                    },
-                );
+        let msg_id = msg.id;
+        match self.msgs.get_mut(msg.slot) {
+            None => {}
+            Some(entry @ None) => {
+                *entry = Some(MsgInfo {
+                    endpoint,
+                    class,
+                    key,
+                    round,
+                    priority,
+                    bytes: None,
+                    dst: None,
+                    state: MsgState::Queued,
+                    open_start: None,
+                });
             }
-            Some(info) => {
+            Some(Some(info)) => {
                 if info.state != MsgState::RetryPending {
                     let state = info.state;
                     self.rep.violate(
@@ -111,7 +167,7 @@ impl Checker {
             }
         }
         let q = self.queued.entry(endpoint).or_default();
-        q.insert(msg_id, priority);
+        q.insert(msg.slot, priority);
         let depth = q.len();
         if depth != queue_depth {
             self.rep.violate(
@@ -137,13 +193,14 @@ impl Checker {
         &mut self,
         i: usize,
         t: u64,
-        msg_id: u64,
+        msg: Msg,
         src: usize,
         dst: usize,
         bytes: u64,
         priority: u32,
     ) {
-        let Some(info) = self.msgs.get_mut(&msg_id) else {
+        let msg_id = msg.id;
+        let Some(info) = self.msgs.get_mut(msg.slot).and_then(Option::as_mut) else {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
@@ -212,18 +269,15 @@ impl Checker {
         let msg_prio = priority;
 
         if let Some(q) = self.queued.get_mut(&endpoint) {
-            q.remove(&msg_id);
+            q.remove(msg.slot);
         }
         if self.opts.single_consumer == Some(true) {
             let inversion = self
                 .queued
                 .get(&endpoint)
-                .into_iter()
-                .flatten()
-                .filter(|&(_, &p)| p < msg_prio)
-                .map(|(&id, &p)| (id, p))
-                .next();
-            if let Some((qid, qp)) = inversion {
+                .and_then(|q| q.more_urgent(msg_prio));
+            if let Some((qslot, qp)) = inversion {
+                let qid = self.msg_ids[qslot];
                 self.rep.violate(
                     Invariant::PriorityInversion,
                     Some(i),
@@ -279,12 +333,13 @@ impl Checker {
         &mut self,
         i: usize,
         t: u64,
-        msg_id: u64,
+        msg: Msg,
         src: usize,
         dst: usize,
         bytes: u64,
     ) {
-        let Some(info) = self.msgs.get_mut(&msg_id) else {
+        let msg_id = msg.id;
+        let Some(info) = self.msgs.get_mut(msg.slot).and_then(Option::as_mut) else {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
@@ -341,7 +396,7 @@ impl Checker {
             self.delivered_pushes
                 .entry((dst, key, round, src))
                 .or_default()
-                .push(msg_id);
+                .push(msg.slot);
         }
         // Allgather chunks are the collective backends' parameter
         // deliveries: like a PS response, they advance the receiving
@@ -364,13 +419,13 @@ impl Checker {
         &mut self,
         i: usize,
         t: u64,
-        msg_id: Option<u64>,
+        msg: Option<Msg>,
         from: MsgState,
         to: MsgState,
         what: &str,
     ) {
-        let Some(id) = msg_id else { return };
-        match self.msgs.get_mut(&id) {
+        let Some(Msg { id, slot }) = msg else { return };
+        match self.msgs.get_mut(slot).and_then(Option::as_mut) {
             Some(info) => {
                 if info.state != from {
                     let state = info.state;

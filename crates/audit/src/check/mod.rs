@@ -19,8 +19,8 @@ mod messages;
 use crate::report::{AuditReport, Invariant, Violation};
 use capacity::Attempt;
 use compute::WorkerState;
-use messages::{MsgInfo, MsgState};
-use p3_trace::{EndpointRole, MsgClass, TraceEvent, TraceLog, TraceMeta};
+use messages::{EgressQueue, Msg, MsgInfo, MsgState};
+use p3_trace::{EndpointRole, MsgClass, TimedEvent, TraceEvent, TraceLog, TraceMeta};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Violations reported per invariant before the rest are counted as
@@ -74,11 +74,63 @@ pub fn check(log: &TraceLog) -> AuditReport {
 /// ([`Invariant`](crate::Invariant)), enabling the configuration-dependent
 /// checks `opts` provides facts for.
 pub fn check_with(log: &TraceLog, opts: &AuditOptions) -> AuditReport {
-    let mut c = Checker::new(opts.clone());
+    let (ids, slots) = intern_msg_ids(log.events());
+    let mut c = Checker::new(opts.clone(), ids);
+    let mut slots = slots.into_iter();
     for (i, e) in log.events().iter().enumerate() {
-        c.step(i, e.at.as_nanos(), &e.event);
+        let msg = msg_id(&e.event).and_then(|id| {
+            Some(Msg {
+                id,
+                slot: slots.next()?,
+            })
+        });
+        c.step(i, e.at.as_nanos(), &e.event, msg);
     }
     c.finish(log.len())
+}
+
+/// The message an event concerns, if any.
+fn msg_id(ev: &TraceEvent) -> Option<u64> {
+    match *ev {
+        TraceEvent::EgressEnqueue { msg_id, .. }
+        | TraceEvent::WireStart { msg_id, .. }
+        | TraceEvent::WireEnd { msg_id, .. } => Some(msg_id),
+        TraceEvent::Fault { msg_id, .. } => msg_id,
+        TraceEvent::ComputeStart { .. }
+        | TraceEvent::ComputeEnd { .. }
+        | TraceEvent::StallStart { .. }
+        | TraceEvent::StallEnd { .. }
+        | TraceEvent::IterationEnd { .. }
+        | TraceEvent::GradReady { .. }
+        | TraceEvent::AggStart { .. }
+        | TraceEvent::AggEnd { .. }
+        | TraceEvent::RoundComplete { .. }
+        | TraceEvent::SliceConsumed { .. }
+        | TraceEvent::StateHash { .. } => None,
+    }
+}
+
+/// Numbers the distinct message ids of a log densely, in id order, so
+/// the replay keeps per-message state in flat tables whose size depends
+/// only on the log's length. Returns each slot's id and the slot of
+/// every message-carrying event, in log order.
+fn intern_msg_ids(events: &[TimedEvent]) -> (Vec<u64>, Vec<usize>) {
+    let mut keyed: Vec<(u64, usize)> = events
+        .iter()
+        .filter_map(|e| msg_id(&e.event))
+        .enumerate()
+        .map(|(n, id)| (id, n))
+        .collect();
+    keyed.sort_unstable();
+    let mut ids: Vec<u64> = Vec::new();
+    let mut slots = vec![0; keyed.len()];
+    for (id, n) in keyed {
+        if ids.last() != Some(&id) {
+            ids.push(id);
+        }
+        slots[n] = ids.len() - 1;
+    }
+    (ids, slots)
 }
 
 /// Violation bookkeeping, split out so handlers can report while holding
@@ -118,13 +170,17 @@ pub(crate) struct Checker {
     rep: Reporter,
 
     prev_t: u64,
-    msgs: BTreeMap<u64, MsgInfo>,
-    queued: BTreeMap<(usize, u8), BTreeMap<u64, u32>>,
+    /// Per message slot: its trace id.
+    msg_ids: Vec<u64>,
+    /// Per message slot: its replay state, once first enqueued.
+    msgs: Vec<Option<MsgInfo>>,
+    queued: BTreeMap<(usize, u8), EgressQueue>,
     inflight: BTreeMap<(usize, u8), usize>,
     lane_busy: BTreeMap<(usize, u8, usize), u64>,
     attempts: Vec<Attempt>,
     grad_ready: BTreeSet<(usize, usize, u64)>,
-    delivered_pushes: BTreeMap<(usize, usize, u64, usize), Vec<u64>>,
+    /// Slots of delivered pushes not yet claimed by an aggregation.
+    delivered_pushes: BTreeMap<(usize, usize, u64, usize), Vec<usize>>,
     received: BTreeMap<(usize, usize), u64>,
     allgather_high: BTreeMap<usize, u64>,
     crashed: BTreeSet<usize>,
@@ -150,12 +206,13 @@ fn is_push_class(c: MsgClass) -> bool {
 }
 
 impl Checker {
-    fn new(opts: AuditOptions) -> Checker {
+    fn new(opts: AuditOptions, msg_ids: Vec<u64>) -> Checker {
         Checker {
             opts,
             rep: Reporter::default(),
             prev_t: 0,
-            msgs: BTreeMap::new(),
+            msgs: vec![None; msg_ids.len()],
+            msg_ids,
             queued: BTreeMap::new(),
             inflight: BTreeMap::new(),
             lane_busy: BTreeMap::new(),
@@ -180,7 +237,8 @@ impl Checker {
         })
     }
 
-    fn step(&mut self, i: usize, t: u64, ev: &TraceEvent) {
+    /// Replays one event; `msg` is the message it concerns, if any.
+    fn step(&mut self, i: usize, t: u64, ev: &TraceEvent, msg: Option<Msg>) {
         if t < self.prev_t {
             self.rep.violate(
                 Invariant::MonotoneClock,
@@ -213,45 +271,39 @@ impl Checker {
             } => {
                 self.grad_ready.insert((worker, key, round));
             }
+            // Every message-carrying event has its `msg` (see `check_with`).
             TraceEvent::EgressEnqueue {
                 machine,
                 role,
-                msg_id,
                 class,
                 key,
                 round,
                 priority,
                 queue_depth,
+                ..
             } => {
-                self.on_enqueue(
-                    i,
-                    t,
-                    (machine, role_code(role)),
-                    msg_id,
-                    class,
-                    key,
-                    round,
-                    priority,
-                    queue_depth,
-                );
+                if let Some(m) = msg {
+                    let endpoint = (machine, role_code(role));
+                    self.on_enqueue(i, t, endpoint, m, class, key, round, priority, queue_depth);
+                }
             }
             TraceEvent::WireStart {
-                msg_id,
                 src,
                 dst,
                 bytes,
                 priority,
-            } => {
-                self.on_wire_start(i, t, msg_id, src, dst, bytes, priority);
-            }
-            TraceEvent::WireEnd {
-                msg_id,
-                src,
-                dst,
-                bytes,
                 ..
             } => {
-                self.on_wire_end(i, t, msg_id, src, dst, bytes);
+                if let Some(m) = msg {
+                    self.on_wire_start(i, t, m, src, dst, bytes, priority);
+                }
+            }
+            TraceEvent::WireEnd {
+                src, dst, bytes, ..
+            } => {
+                if let Some(m) = msg {
+                    self.on_wire_end(i, t, m, src, dst, bytes);
+                }
             }
             TraceEvent::AggStart {
                 server,
@@ -280,13 +332,7 @@ impl Checker {
             TraceEvent::SliceConsumed { worker, key, round } => {
                 self.on_slice_consumed(i, t, worker, key, round);
             }
-            TraceEvent::Fault {
-                kind,
-                machine,
-                msg_id,
-            } => {
-                self.on_fault(i, t, kind, machine, msg_id);
-            }
+            TraceEvent::Fault { kind, machine, .. } => self.on_fault(i, t, kind, machine, msg),
             // A state-hash row is a pure digest of the run so far; it
             // drives no entity model (resume-equivalence compares them
             // across runs instead).
