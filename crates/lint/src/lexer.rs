@@ -167,8 +167,9 @@ pub fn strip(source: &str) -> Stripped {
                 }
             }
             b'\'' => {
-                // Char literal or lifetime. 'x' / '\n' are literals; 'a
-                // followed by an identifier continuation is a lifetime.
+                // Char literal or lifetime. 'x' / '\n' / 'é' are literals;
+                // 'a followed by an identifier continuation is a lifetime.
+                let width = char_width(source, i + 1);
                 if i + 2 < b.len() && b[i + 1] == b'\\' {
                     code.extend_from_slice(b"   ");
                     text.extend_from_slice(&b[i..i + 3]);
@@ -183,10 +184,12 @@ pub fn strip(source: &str) -> Stripped {
                         text.push(b'\'');
                         i += 1;
                     }
-                } else if i + 2 < b.len() && b[i + 2] == b'\'' {
-                    code.extend_from_slice(b"   ");
-                    text.extend_from_slice(&b[i..i + 3]);
-                    i += 3;
+                } else if b.get(i + 1 + width) == Some(&b'\'') {
+                    // Blanked whole, so no slice of `code` can land inside
+                    // a multi-byte char.
+                    code.extend(std::iter::repeat_n(b' ', width + 2));
+                    text.extend_from_slice(&b[i..i + width + 2]);
+                    i += width + 2;
                 } else {
                     code.push(b'\'');
                     text.push(b'\'');
@@ -323,6 +326,14 @@ pub fn brace_span_end(code: &str, open: usize) -> usize {
         i += 1;
     }
     b.len()
+}
+
+/// Byte length of the char starting at `pos` (1 past the end or off a
+/// char boundary).
+fn char_width(s: &str, pos: usize) -> usize {
+    s.get(pos..)
+        .and_then(|rest| rest.chars().next())
+        .map_or(1, char::len_utf8)
 }
 
 pub(crate) fn is_ident(c: u8) -> bool {
@@ -470,14 +481,15 @@ pub fn string_literals(text: &str) -> Vec<(usize, String)> {
             }
             b'\'' => {
                 // Skip char literals so a '"' char does not open a string.
+                let width = char_width(text, i + 1);
                 if i + 2 < b.len() && b[i + 1] == b'\\' {
                     i += 3;
                     while i < b.len() && b[i] != b'\'' {
                         i += 1;
                     }
                     i += 1;
-                } else if i + 2 < b.len() && b[i + 2] == b'\'' {
-                    i += 3;
+                } else if b.get(i + 1 + width) == Some(&b'\'') {
+                    i += width + 2;
                 } else {
                     i += 1;
                 }
@@ -536,6 +548,19 @@ mod tests {
         let text = "let a = \"alpha\"; let q = '\"'; let r = r#\"raw \"stuff\"\"#;";
         let lits: Vec<String> = string_literals(text).into_iter().map(|(_, s)| s).collect();
         assert_eq!(lits, vec!["alpha".to_string(), "raw \"stuff\"".to_string()]);
+    }
+
+    #[test]
+    fn non_ascii_char_literals_are_blanked_whole() {
+        let src = "let a = '\u{e9}'; let b = 'é'; let q = '日'; let s = \"x\";\n";
+        let s = strip(src);
+        assert!(s.code.is_ascii(), "{:?}", s.code);
+        assert_eq!(s.code.len(), src.len());
+        let lits: Vec<String> = string_literals(&s.text)
+            .into_iter()
+            .map(|(_, l)| l)
+            .collect();
+        assert_eq!(lits, vec!["x".to_string()]);
     }
 
     #[test]

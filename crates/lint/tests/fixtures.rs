@@ -343,3 +343,16 @@ fn every_rule_in_the_catalog_has_a_tripping_fixture() {
         );
     }
 }
+
+/// Bugfix: a non-ASCII char literal (`'é'`, `'日'`) used to lex as a
+/// lifetime, leaving its bytes as one-byte tokens whose slices split the
+/// char, and the workspace lint panicked building its call graph.
+#[test]
+fn non_ascii_char_literals_lint_clean() {
+    let root = fixture_root("ws_unicode");
+    let report = lint_workspace_with(&root, &ws_options(&["glyphs"])).expect("ws lint");
+    assert!(report.is_clean(), "{report:#?}");
+    let path = root.join("crates/glyphs/src/lib.rs");
+    let source = std::fs::read_to_string(&path).expect("fixture");
+    assert_eq!(lint_source(&path, &source), Vec::new());
+}
