@@ -125,8 +125,9 @@ fn first_violation(cap: f64, period: &[Attempt]) -> Option<(u64, u64, u64)> {
 ///
 /// With `c` the tolerated capacity in bytes/ns, a window `[a, e]` holding
 /// `S_a(e)` bytes violates iff `S_a(e) − c·(e − a) > slack`, that is iff
-/// `S_a(e) − c·e > slack − c·a`. Times are taken relative to the period's
-/// first start to keep the floats small.
+/// `S_a(e) − c·e > slack − c·a`. The tree holds `S_a(e) − c·e` for each
+/// end `e > a`, so its max is the anchor's worst window. Times are taken
+/// relative to the period's first start to keep the floats small.
 fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
     let Some(t0) = period.first().map(|a| a.start) else {
         return Vec::new();
@@ -138,22 +139,30 @@ fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
     let last = ends.last().copied().unwrap_or(t0);
     let total: u64 = period.iter().map(|a| a.bytes).sum();
     let margin = 1.0 + 1e-9 * (total as f64 + c * (last - t0) as f64);
-    let mut tree = SuffixMax::new(ends.iter().map(|&e| -c * (e - t0) as f64).collect());
+    let mut tree = SuffixMax::new(ends.len());
     let pos = |t: u64| ends.partition_point(|&e| e < t);
 
     let mut flagged = Vec::new();
+    // Ends at `ends[after..]` lie after the current anchor.
+    let mut after = ends.len();
     let mut hi = period.len();
     while hi > 0 {
         let a = period[hi - 1].start;
-        let lo = period[..hi].partition_point(|x| x.start < a);
+        let mut lo = hi - 1;
+        while lo > 0 && period[lo - 1].start == a {
+            lo -= 1;
+        }
         let group = &period[lo..hi];
         // An attempt ending exactly at the anchor lies in no window
         // `(a, e]` of its own anchor, only in those of earlier anchors.
         for iv in group.iter().filter(|iv| iv.end > a) {
             tree.add_from(pos(iv.end), iv.bytes);
         }
-        let worst = tree.max_from(ends.partition_point(|&e| e <= a));
-        if worst > CAPACITY_ABS_SLACK - c * (a - t0) as f64 - margin {
+        while after > 0 && ends[after - 1] > a {
+            after -= 1;
+            tree.set(after, -c * (ends[after] - t0) as f64);
+        }
+        if tree.max() > CAPACITY_ABS_SLACK - c * (a - t0) as f64 - margin {
             flagged.push(a);
         }
         for iv in group.iter().filter(|iv| iv.end == a) {
@@ -165,10 +174,10 @@ fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
     flagged
 }
 
-/// Suffix-add / suffix-max over a fixed array of leaf values: a segment
-/// tree whose byte additions stay in exact integer tags at the covering
-/// nodes, so each read rounds once per level. Both operations walk one
-/// leaf-to-root path.
+/// Suffix-add / max over an array of leaves that start at −∞ and are set
+/// once each: a segment tree whose byte additions stay in exact integer
+/// tags at the covering nodes, so each read rounds once per level. Every
+/// update walks one leaf-to-root path; the max is read at the root.
 struct SuffixMax {
     size: usize,
     /// Per node: the max over its children's values, its own tag excluded
@@ -179,22 +188,31 @@ struct SuffixMax {
 }
 
 impl SuffixMax {
-    fn new(leaves: Vec<f64>) -> SuffixMax {
-        let size = leaves.len().next_power_of_two();
-        let mut below = vec![f64::NEG_INFINITY; 2 * size];
-        below[size..size + leaves.len()].copy_from_slice(&leaves);
-        for n in (1..size).rev() {
-            below[n] = below[2 * n].max(below[2 * n + 1]);
-        }
+    fn new(leaves: usize) -> SuffixMax {
+        let size = leaves.next_power_of_two();
         SuffixMax {
             size,
-            below,
+            below: vec![f64::NEG_INFINITY; 2 * size],
             tag: vec![0; 2 * size],
         }
     }
 
     fn value(&self, n: usize) -> f64 {
         self.below[n] + self.tag[n] as f64
+    }
+
+    /// Recomputes the ancestors of node `n`.
+    fn rebuild_above(&mut self, mut n: usize) {
+        while n > 1 {
+            n /= 2;
+            self.below[n] = self.value(2 * n).max(self.value(2 * n + 1));
+        }
+    }
+
+    /// Sets leaf `i`'s base value; bytes already added over it still count.
+    fn set(&mut self, i: usize, base: f64) {
+        self.below[self.size + i] = base;
+        self.rebuild_above(self.size + i);
     }
 
     /// Adds `bytes` to every leaf at or after `from`: the leaf, and the
@@ -214,23 +232,9 @@ impl SuffixMax {
         }
     }
 
-    /// Max over the leaves at or after `from` (−∞ if there are none), over
-    /// the same nodes as [`SuffixMax::add_from`], adding each ancestor's
-    /// tag on the way up.
-    fn max_from(&self, from: usize) -> f64 {
-        if from >= self.size {
-            return f64::NEG_INFINITY;
-        }
-        let mut n = from + self.size;
-        let mut best = self.value(n);
-        while n > 1 {
-            if n.is_multiple_of(2) {
-                best = best.max(self.value(n + 1));
-            }
-            n /= 2;
-            best += self.tag[n] as f64;
-        }
-        best
+    /// Max over all leaves (−∞ while none is set).
+    fn max(&self) -> f64 {
+        self.value(1)
     }
 }
 
@@ -418,21 +422,31 @@ mod tests {
     proptest! {
         #[test]
         fn suffix_max_matches_a_plain_array(
-            base in prop::collection::vec((-1e6f64..1e6).prop_map(f64::round), 1..40),
-            ops in prop::collection::vec((0usize..45, 0u64..1_000, any::<bool>()), 0..60),
+            n in 1usize..40,
+            ops in prop::collection::vec((0usize..45, (-1e6f64..1e6).prop_map(f64::round), 0u8..3), 0..80),
         ) {
-            let mut tree = SuffixMax::new(base.clone());
-            let mut plain = base;
-            for (from, bytes, query) in ops {
-                if query {
-                    let want = plain.iter().skip(from).copied().fold(f64::NEG_INFINITY, f64::max);
-                    prop_assert_eq!(tree.max_from(from), want);
-                } else {
-                    tree.add_from(from, bytes);
-                    for v in plain.iter_mut().skip(from) {
-                        *v += bytes as f64;
+            let mut tree = SuffixMax::new(n);
+            let mut base = vec![f64::NEG_INFINITY; n];
+            let mut added = vec![0u64; n];
+            for (i, v, op) in ops {
+                match op {
+                    0 if i < n => {
+                        tree.set(i, v);
+                        base[i] = v;
                     }
+                    1 => {
+                        let bytes = v.abs() as u64;
+                        tree.add_from(i, bytes);
+                        added.iter_mut().skip(i).for_each(|a| *a += bytes);
+                    }
+                    _ => {}
                 }
+                let want = base
+                    .iter()
+                    .zip(&added)
+                    .map(|(&b, &a)| b + a as f64)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                prop_assert_eq!(tree.max(), want);
             }
         }
     }

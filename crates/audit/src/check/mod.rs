@@ -9,6 +9,13 @@
 //! [`capacity`] (Hall-style port-feasibility windows). This module owns
 //! the shared replay state ([`Checker`]), the event dispatch, and the
 //! report assembly.
+//!
+//! The audit costs O(n log n) in the log's length. One sort before the
+//! pass numbers the message ids densely, in id order, so per-message
+//! state lives in flat tables indexed by slot. Each egress queue is
+//! indexed by priority as well as by slot, so the inversion check at a
+//! wire start reads the most urgent entry in O(log n). After the pass,
+//! one O(k log k) sweep per busy period checks every capacity window.
 
 mod aggregation;
 mod capacity;
@@ -121,7 +128,8 @@ fn intern_msg_ids(events: &[TimedEvent]) -> (Vec<u64>, Vec<usize>) {
         .enumerate()
         .map(|(n, id)| (id, n))
         .collect();
-    keyed.sort_unstable();
+    // Ties on an id may land in any order: all of them get its slot.
+    keyed.sort_unstable_by_key(|&(id, _)| id);
     let mut ids: Vec<u64> = Vec::new();
     let mut slots = vec![0; keyed.len()];
     for (id, n) in keyed {
