@@ -7,10 +7,11 @@
 //! attempt's end, so a busy period of `k` attempts has `O(k²)` candidate
 //! windows. One sweep checks all of them in `O(k log k)`: anchors `a` in
 //! descending start order, each adding its attempts to a range-add /
-//! range-max tree over the sorted end times that holds `S(e) − c·e`, the
-//! bytes ending by `e` less the capacity up to `e`. One suffix query per
-//! anchor then finds its worst window. Only the anchors it flags are
-//! rescanned window by window, to name the violation exactly.
+//! max tree over the sorted end times. For each end `e > a` the tree
+//! holds `S(e) − c·e`, the anchor's bytes ending by `e` less the capacity
+//! up to `e`, so its root is the anchor's worst window. Only the anchors
+//! it flags are rescanned window by window, to name the violation
+//! exactly.
 
 use super::Checker;
 use crate::report::Invariant;
