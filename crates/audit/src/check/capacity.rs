@@ -137,27 +137,37 @@ fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
     let mut ends: Vec<u64> = period.iter().map(|a| a.end).collect();
     ends.sort_unstable();
     ends.dedup();
-    let last = ends.last().copied().unwrap_or(t0);
-    let total: u64 = period.iter().map(|a| a.bytes).sum();
-    let margin = 1.0 + 1e-9 * (total as f64 + c * (last - t0) as f64);
+    // A corrupt log may hold an attempt that ends before it starts, even
+    // before `t0`; such an end is never after an anchor.
+    let span = ends.last().map_or(0, |&e| e.saturating_sub(t0));
+    let total: u128 = period.iter().map(|a| u128::from(a.bytes)).sum();
+    let margin = 1.0 + 1e-9 * (total as f64 + c * span as f64);
     let mut tree = SuffixMax::new(ends.len());
-    let pos = |t: u64| ends.partition_point(|&e| e < t);
+
+    // An attempt lies in the windows `(a, e]` of the anchors `a` with
+    // `a <= start` and `a < end`: it joins the sweep at the first anchor
+    // at or below `min(start, end - 1)`. That is its own start unless it
+    // ends there or earlier.
+    let mut joining: Vec<(u64, usize, u64)> = period
+        .iter()
+        .filter_map(|iv| {
+            let last_anchor = iv.start.min(iv.end.checked_sub(1)?);
+            Some((last_anchor, ends.partition_point(|&e| e < iv.end), iv.bytes))
+        })
+        .collect();
+    joining.sort_unstable_by_key(|&(last_anchor, ..)| last_anchor);
 
     let mut flagged = Vec::new();
     // Ends at `ends[after..]` lie after the current anchor.
     let mut after = ends.len();
-    let mut hi = period.len();
-    while hi > 0 {
-        let a = period[hi - 1].start;
-        let mut lo = hi - 1;
-        while lo > 0 && period[lo - 1].start == a {
-            lo -= 1;
+    for (i, iv) in period.iter().enumerate().rev() {
+        let a = iv.start;
+        if period.get(i + 1).is_some_and(|next| next.start == a) {
+            continue;
         }
-        let group = &period[lo..hi];
-        // An attempt ending exactly at the anchor lies in no window
-        // `(a, e]` of its own anchor, only in those of earlier anchors.
-        for iv in group.iter().filter(|iv| iv.end > a) {
-            tree.add_from(pos(iv.end), iv.bytes);
+        while let Some(&(_, leaf, bytes)) = joining.last().filter(|j| j.0 >= a) {
+            tree.add_from(leaf, bytes);
+            joining.pop();
         }
         while after > 0 && ends[after - 1] > a {
             after -= 1;
@@ -166,10 +176,6 @@ fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
         if tree.max() > CAPACITY_ABS_SLACK - c * (a - t0) as f64 - margin {
             flagged.push(a);
         }
-        for iv in group.iter().filter(|iv| iv.end == a) {
-            tree.add_from(pos(iv.end), iv.bytes);
-        }
-        hi = lo;
     }
     flagged.reverse();
     flagged
@@ -184,8 +190,9 @@ struct SuffixMax {
     /// Per node: the max over its children's values, its own tag excluded
     /// (at a leaf, the leaf's base value).
     below: Vec<f64>,
-    /// Per node: bytes added to its whole subtree.
-    tag: Vec<u64>,
+    /// Per node: bytes added to its whole subtree (wide enough never to
+    /// overflow on byte counts read from a log).
+    tag: Vec<u128>,
 }
 
 impl SuffixMax {
@@ -223,6 +230,7 @@ impl SuffixMax {
             return;
         }
         let mut n = from + self.size;
+        let bytes = u128::from(bytes);
         self.tag[n] += bytes;
         while n > 1 {
             if n.is_multiple_of(2) {
@@ -346,14 +354,21 @@ mod tests {
         unit: u64,
     ) -> impl Strategy<Value = Vec<Attempt>> {
         prop::collection::vec(
-            (0usize..3, 1usize..3, 0..slots, 0u64..12, 0u8..4, 0u64..5),
+            (0usize..3, 1usize..3, 0..slots, 0u64..14, 0u8..4, 0u64..5),
             n,
         )
         .prop_map(move |raw| {
             raw.into_iter()
                 .map(|(src, shift, slot, len, kind, jitter)| {
-                    let (start, end) = (slot * unit, (slot + len) * unit);
-                    let own = bound(1e9, end - start);
+                    // Lengths 12 and 13 make an attempt that ends one or
+                    // two units before it starts, as only a corrupt log
+                    // can hold.
+                    let (start, end) = if len < 12 {
+                        (slot * unit, (slot + len) * unit)
+                    } else {
+                        ((slot + len - 11) * unit, slot * unit)
+                    };
+                    let own = bound(1e9, end.abs_diff(start));
                     let bytes = match kind {
                         0 => jitter * 300,
                         1 => own - 2 + jitter,
