@@ -182,17 +182,17 @@ fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
 }
 
 /// Suffix-add / max over an array of leaves that start at −∞ and are set
-/// once each: a segment tree whose byte additions stay in exact integer
-/// tags at the covering nodes, so each read rounds once per level. Every
-/// update walks one leaf-to-root path; the max is read at the root.
+/// once each: a segment tree whose byte additions stay in tags at the
+/// covering nodes, so a value rounds once per level, never once per add.
+/// Every update walks one leaf-to-root path; the max is read at the root.
 struct SuffixMax {
     size: usize,
     /// Per node: the max over its children's values, its own tag excluded
     /// (at a leaf, the leaf's base value).
     below: Vec<f64>,
-    /// Per node: bytes added to its whole subtree (wide enough never to
-    /// overflow on byte counts read from a log).
-    tag: Vec<u128>,
+    /// Per node: bytes added to its whole subtree. Sums of byte counts
+    /// are exact below 2⁵³ bytes and cannot overflow.
+    tag: Vec<f64>,
 }
 
 impl SuffixMax {
@@ -201,12 +201,12 @@ impl SuffixMax {
         SuffixMax {
             size,
             below: vec![f64::NEG_INFINITY; 2 * size],
-            tag: vec![0; 2 * size],
+            tag: vec![0.0; 2 * size],
         }
     }
 
     fn value(&self, n: usize) -> f64 {
-        self.below[n] + self.tag[n] as f64
+        self.below[n] + self.tag[n]
     }
 
     /// Recomputes the ancestors of node `n`.
@@ -230,7 +230,7 @@ impl SuffixMax {
             return;
         }
         let mut n = from + self.size;
-        let bytes = u128::from(bytes);
+        let bytes = bytes as f64;
         self.tag[n] += bytes;
         while n > 1 {
             if n.is_multiple_of(2) {
