@@ -10,9 +10,9 @@
 //! the shared replay state ([`Checker`]), the event dispatch, and the
 //! report assembly.
 //!
-//! The audit costs O(n log n) in the log's length. One sort before the
-//! pass numbers the message ids densely, in id order, so per-message
-//! state lives in flat tables indexed by slot. Each egress queue is
+//! The pass is near-linear in the log's length. One sort before it
+//! numbers the message ids densely, in id order, so per-message state
+//! lives in flat tables indexed by slot. Each egress queue is
 //! indexed by priority as well as by slot, so the inversion check at a
 //! wire start reads the most urgent entry in O(log n). After the pass,
 //! one O(k log k) sweep per busy period checks every capacity window.
@@ -85,12 +85,7 @@ pub fn check_with(log: &TraceLog, opts: &AuditOptions) -> AuditReport {
     let mut c = Checker::new(opts.clone(), ids);
     let mut slots = slots.into_iter();
     for (i, e) in log.events().iter().enumerate() {
-        let msg = msg_id(&e.event).and_then(|id| {
-            Some(Msg {
-                id,
-                slot: slots.next()?,
-            })
-        });
+        let msg = msg_id(&e.event).and_then(|id| slots.next().map(|slot| Msg { id, slot }));
         c.step(i, e.at.as_nanos(), &e.event, msg);
     }
     c.finish(log.len())
