@@ -552,7 +552,7 @@ mod tests {
 
     #[test]
     fn non_ascii_char_literals_are_blanked_whole() {
-        let src = "let a = '\u{e9}'; let b = 'é'; let q = '日'; let s = \"x\";\n";
+        let src = "let a = '\\u{e9}'; let b = 'é'; let q = '日'; let s = \"x\";\n";
         let s = strip(src);
         assert!(s.code.is_ascii(), "{:?}", s.code);
         assert_eq!(s.code.len(), src.len());
