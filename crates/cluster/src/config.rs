@@ -1,8 +1,8 @@
 //! Experiment configuration and results.
 
 use crate::faults::FaultPlan;
-use crate::snap::SnapshotError;
 use p3_core::SyncStrategy;
+use p3_des::snap::SnapshotError;
 use p3_des::{SimDuration, SimTime};
 use p3_models::{ComputeProfile, ModelSpec, SampleUnit};
 use p3_net::Bandwidth;

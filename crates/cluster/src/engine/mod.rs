@@ -42,10 +42,10 @@ mod tests;
 
 use crate::config::{BackendKind, ClusterConfig, FaultStats, MessageStats, RunError, RunResult};
 use crate::egress::EgressUnit;
-use crate::snap::SnapshotError;
 use collective::CollectiveState;
 use p3_allreduce::{CollectiveSchedule, ScheduleKind};
 use p3_core::{Egress, PrioQueue};
+use p3_des::snap::SnapshotError;
 use p3_des::{EventQueue, SimDuration, SimTime, SplitMix64};
 use p3_models::BlockTiming;
 use p3_net::{FlowId, MachineId, Network, NetworkConfig};
@@ -469,7 +469,7 @@ impl ClusterSim {
     /// configuration have equal state hashes at the same event count; the
     /// first event after which they differ is where they diverged.
     pub fn state_hash(&mut self) -> u64 {
-        crate::snap::fnv64(&self.snapshot())
+        p3_des::snap::fnv64(&self.snapshot())
     }
 
     /// Rolling per-event hash folded so far (also reported as

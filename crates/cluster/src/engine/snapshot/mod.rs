@@ -2,7 +2,7 @@
 //!
 //! [`snapshot`] serializes every piece of *dynamic* engine state — the
 //! clock, pending events, endpoint queues, in-flight messages and network
-//! flows, RNG streams, counters — through the versioned [`crate::snap`]
+//! flows, RNG streams, counters — through the versioned [`p3_des::snap`]
 //! codec. Static state (the shard plan, priorities, block timings, link
 //! graph) is deliberately excluded: it is a pure function of the
 //! [`ClusterConfig`] and is rebuilt by [`ClusterSim::new`] on restore. A
@@ -20,7 +20,7 @@
 //! do so at the exact event where their hashes first differ.
 //!
 //! All three run the one field walk in [`walk`], with a different
-//! [`crate::snap::Coder`] each.
+//! [`Coder`](p3_des::snap::Coder) each.
 //!
 //! [`ClusterSim::new`]: super::ClusterSim::new
 //! [`ClusterConfig`]: crate::config::ClusterConfig
@@ -30,7 +30,7 @@ mod walk;
 use super::types::Ev;
 use super::ClusterSim;
 use crate::config::ClusterConfig;
-use crate::snap::{fnv64, fnv64_fold, FnvFold, SnapReader, SnapWriter, SnapshotError};
+use p3_des::snap::{fnv64, fnv64_fold, FnvFold, SnapReader, SnapWriter, SnapshotError};
 use p3_des::SimTime;
 use walk::Bounds;
 

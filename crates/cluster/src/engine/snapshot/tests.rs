@@ -4,7 +4,7 @@
 use super::super::types::{Ev, Phase, Role};
 use super::fold_event;
 use super::walk::{ev, Bounds};
-use crate::snap::{fnv64_fold, SnapReader, SnapWriter};
+use p3_des::snap::{fnv64_fold, SnapReader, SnapWriter};
 use p3_des::SimTime;
 use p3_net::MachineId;
 

@@ -8,21 +8,21 @@
 //! snapshot's configuration, so every vector whose length the
 //! configuration fixes already has that length, and the stream must
 //! repeat it. Containers the engine rebuilds rather than fills (the event
-//! calendar, priority queues, the network) are walked as a plain list and
-//! rebuilt on the read side only. Every index and cross-reference the
-//! engine would later trust is checked while reading, so hostile or
-//! truncated input surfaces as [`SnapshotError`], never a panic.
+//! calendar, priority queues) are walked as a plain list and rebuilt on
+//! the read side only. The network walks its own fields
+//! ([`p3_net::Network::walk`]); this walk only places its section. Every
+//! index and cross-reference the engine would later trust is checked
+//! while reading, so hostile or truncated input surfaces as
+//! [`SnapshotError`], never a panic.
 
 use super::super::collective::{ActiveCollective, CollectiveState};
 use super::super::types::{Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, ServerState, WorkerState};
 use super::super::ClusterSim;
 use crate::egress::{EgressUnit, OutMsg};
-use crate::snap::{Coder, SnapshotError};
 use p3_core::PrioQueue;
+use p3_des::snap::{fixed, opt, opt_time, seq, time, Coder, SnapshotError};
 use p3_des::{EventQueue, SimDuration, SimTime, SplitMix64};
-use p3_net::{
-    CompletedFlow, DeliveringSnapshot, FlowId, FlowSnapshot, MachineId, NetworkSnapshot, Priority,
-};
+use p3_net::{FlowId, MachineId, Priority};
 use std::collections::BTreeMap;
 
 type Res = Result<(), SnapshotError>;
@@ -83,8 +83,7 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
     for ss in &mut sim.servers {
         server(c, ss, &b)?;
     }
-    let mut ns = sim.net.snapshot();
-    net(c, &mut ns, &b)?;
+    sim.net.walk(c, now)?;
 
     let dup = "duplicate message id";
     map(c, &mut sim.msgs, (0, BLANK_CTX), dup, |c, id, ctx| {
@@ -100,15 +99,14 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
     if C::READING {
         // Every flow the network will eventually deliver must resolve to
         // a registered message, or delivery would panic.
-        for f in &ns.flows {
-            let known = sim.flows.contains_key(&FlowId(f.id));
-            c.check(known, "network flow unknown to the engine")?;
+        for (id, delivering) in sim.net.flow_ids() {
+            let what = if delivering {
+                "delivering flow unknown to the engine"
+            } else {
+                "network flow unknown to the engine"
+            };
+            c.check(sim.flows.contains_key(&id), what)?;
         }
-        for d in &ns.delivering {
-            let known = sim.flows.contains_key(&d.flow.id);
-            c.check(known, "delivering flow unknown to the engine")?;
-        }
-        sim.net.restore_from(&ns);
     }
 
     c.u64(&mut sim.next_msg_id)?;
@@ -473,76 +471,6 @@ fn msg_kind<C: Coder>(c: &mut C, k: &mut MsgKind, b: &Bounds) -> Res {
     }
 }
 
-const BLANK_FLOW: FlowSnapshot = FlowSnapshot {
-    id: 0,
-    src: 0,
-    dst: 0,
-    priority: 0,
-    tag: 0,
-    bytes: 0,
-    remaining: 0.0,
-    rate: 0.0,
-    bottleneck: None,
-};
-
-const BLANK_DELIVERY: DeliveringSnapshot = DeliveringSnapshot {
-    at: SimTime::ZERO,
-    flow: CompletedFlow {
-        id: FlowId(0),
-        src: MachineId(0),
-        dst: MachineId(0),
-        tag: 0,
-        bytes: 0,
-        bottleneck: None,
-    },
-};
-
-fn net<C: Coder>(c: &mut C, ns: &mut NetworkSnapshot, b: &Bounds) -> Res {
-    let nlinks = ns.link_busy.len();
-    seq(c, &mut ns.flows, BLANK_FLOW, |c, f| {
-        c.u64(&mut f.id)?;
-        c.idx(&mut f.src, b.machines, "flow source out of range")?;
-        c.idx(&mut f.dst, b.machines, "flow destination out of range")?;
-        c.u32(&mut f.priority)?;
-        c.u64(&mut f.tag)?;
-        c.u64(&mut f.bytes)?;
-        c.f64(&mut f.remaining)?;
-        c.f64(&mut f.rate)?;
-        opt(c, &mut f.bottleneck, 0, |c, l| {
-            c.idx(l, nlinks, "flow bottleneck link out of range")
-        })
-    })?;
-    seq(c, &mut ns.delivering, BLANK_DELIVERY, |c, d| {
-        time(c, &mut d.at)?;
-        let f = &mut d.flow;
-        c.u64(&mut f.id.0)?;
-        c.idx(&mut f.src.0, b.machines, "delivering source out of range")?;
-        let what = "delivering destination out of range";
-        c.idx(&mut f.dst.0, b.machines, what)?;
-        c.u64(&mut f.tag)?;
-        c.u64(&mut f.bytes)?;
-        opt(c, &mut f.bottleneck, 0, C::usize)
-    })?;
-    time(c, &mut ns.last_update)?;
-    c.u64(&mut ns.next_flow_id)?;
-    fixed(c, &mut ns.tx_scale, "port scale vector length", C::f64)?;
-    fixed(c, &mut ns.rx_scale, "port scale vector length", C::f64)?;
-    let what = "link accounting vector length";
-    fixed(c, &mut ns.link_busy, what, C::f64)?;
-    fixed(c, &mut ns.link_bytes, what, C::f64)?;
-    for bins in [&mut ns.tx_bins, &mut ns.rx_bins] {
-        fixed(c, bins, "trace bin vector count", |c, port| {
-            seq(c, port, 0.0, C::f64)
-        })?;
-    }
-    let s = &mut ns.stats;
-    c.u64(&mut s.reallocations)?;
-    c.u64(&mut s.flows_touched)?;
-    c.u64(&mut s.waterfill_rounds)?;
-    c.u64(&mut s.ports_touched)?;
-    c.u64(&mut s.peak_in_flight)
-}
-
 fn collective<C: Coder>(c: &mut C, st: &mut CollectiveState, b: &Bounds) -> Res {
     let what = "block-barrier vector length";
     fixed(c, &mut st.block_ready, what, C::u128)?;
@@ -596,57 +524,6 @@ fn variant<C: Coder, T>(
     Ok(())
 }
 
-/// A free-length list: its length, then each element. A reader rebuilds
-/// `v` from copies of `blank`, each filled by `each`.
-fn seq<C: Coder, T: Clone>(
-    c: &mut C,
-    v: &mut Vec<T>,
-    blank: T,
-    mut each: impl FnMut(&mut C, &mut T) -> Res,
-) -> Res {
-    let n = c.len(v.len())?;
-    if C::READING {
-        v.clear();
-        for _ in 0..n {
-            let mut x = blank.clone();
-            each(c, &mut x)?;
-            v.push(x);
-        }
-        return Ok(());
-    }
-    v.iter_mut().try_for_each(|x| each(c, x))
-}
-
-/// A list whose length the configuration fixes: the reader's fresh
-/// engine already has it, so the stream must carry the same length.
-fn fixed<C: Coder, T>(
-    c: &mut C,
-    v: &mut [T],
-    what: &str,
-    mut each: impl FnMut(&mut C, &mut T) -> Res,
-) -> Res {
-    c.fixed_len(v.len(), what)?;
-    v.iter_mut().try_for_each(|x| each(c, x))
-}
-
-/// A presence flag, then the value if present.
-fn opt<C: Coder, T>(
-    c: &mut C,
-    v: &mut Option<T>,
-    blank: T,
-    each: impl FnOnce(&mut C, &mut T) -> Res,
-) -> Res {
-    let mut some = v.is_some();
-    c.bool(&mut some)?;
-    if C::READING {
-        *v = some.then_some(blank);
-    }
-    match v {
-        Some(x) => each(c, x),
-        None => Ok(()),
-    }
-}
-
 /// A priority queue as its `(priority, value)` list in pop order. A
 /// reader re-pushes the list in order, which reproduces the pop sequence.
 fn prio_queue<C: Coder, T: Clone>(
@@ -682,17 +559,6 @@ fn map<C: Coder, K: Ord + Copy, V: Clone>(
         return Ok(());
     }
     m.iter_mut().try_for_each(|(&k, v)| each(c, &mut { k }, v))
-}
-
-fn time<C: Coder>(c: &mut C, t: &mut SimTime) -> Res {
-    let mut nanos = t.as_nanos();
-    c.u64(&mut nanos)?;
-    *t = SimTime::from_nanos(nanos);
-    Ok(())
-}
-
-fn opt_time<C: Coder>(c: &mut C, t: &mut Option<SimTime>) -> Res {
-    opt(c, t, SimTime::ZERO, time)
 }
 
 /// An RNG stream as its state word.

@@ -41,7 +41,6 @@ mod egress;
 mod engine;
 mod faults;
 pub mod gantt;
-mod snap;
 mod sweep;
 mod timeline;
 
@@ -52,6 +51,6 @@ pub use config::{
 pub use egress::{EgressUnit, OutMsg};
 pub use engine::ClusterSim;
 pub use faults::{FaultPlan, LinkDegradation, StragglerEpisode, WorkerCrash};
-pub use snap::{SnapshotError, SNAP_MAGIC, SNAP_VERSION};
+pub use p3_des::snap::{SnapshotError, SNAP_MAGIC, SNAP_VERSION};
 pub use sweep::{sweep, throughput_of, SweepPoint};
 pub use timeline::{ascii_timeline, timeline_schedule};

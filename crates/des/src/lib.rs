@@ -3,8 +3,9 @@
 //! The foundation of the P3 reproduction: integer-nanosecond simulated time
 //! ([`SimTime`], [`SimDuration`]), a deterministic FIFO-tie-breaking event
 //! calendar ([`EventQueue`]), a seedable generator for workload jitter
-//! ([`SplitMix64`]), and streaming statistics ([`Summary`]) used by the
-//! experiment harnesses.
+//! ([`SplitMix64`]), streaming statistics ([`Summary`]) used by the
+//! experiment harnesses, and the snapshot codec ([`snap`]) the engine and
+//! the network fabric both walk their state through.
 //!
 //! Determinism is a design requirement, not an accident: every experiment in
 //! the paper reproduction is a pure function of its configuration and seed,
@@ -37,6 +38,7 @@
 
 mod queue;
 mod rng;
+pub mod snap;
 mod stats;
 mod time;
 

@@ -1,22 +1,24 @@
-//! Hand-rolled binary codec for engine snapshots.
+//! Hand-rolled binary codec for simulation snapshots.
 //!
 //! Snapshots must round-trip bit-exactly (floating-point rates included)
 //! and fail loudly on malformed input, so the format is a flat
 //! little-endian byte stream with an explicit magic + version header and
-//! no external dependencies. Every scalar the engine holds maps onto one
-//! of the [`Coder`] primitives here; composites are written as `len`
-//! followed by elements.
+//! no external dependencies. Every scalar a simulation holds maps onto
+//! one of the [`Coder`] primitives here; composites are written with the
+//! shapes below ([`seq`], [`fixed`], [`opt`]).
 //!
-//! A [`Coder`] is one direction of the codec. The engine's snapshot walk
-//! names each field once and hands it over by `&mut`: [`SnapWriter`]
-//! appends it, [`SnapReader`] overwrites it, [`FnvFold`] hashes it. So
-//! the field order is written down in exactly one place.
+//! A [`Coder`] is one direction of the codec. A snapshot walk names each
+//! field once and hands it over by `&mut`: [`SnapWriter`] appends it,
+//! [`SnapReader`] overwrites it, [`FnvFold`] hashes it. So each field
+//! order is written down in exactly one place: the cluster engine walks
+//! its own state, and the network fabric walks its own fields.
 //!
 //! Layout: `b"P3SNAP\0\0"` (8 bytes) · format version (`u32`) · config
 //! fingerprint (`u64`) · body. Readers verify magic and version before
 //! touching the body and report [`SnapshotError::Truncated`] instead of
 //! panicking when the stream ends early.
 
+use crate::SimTime;
 use std::error::Error;
 use std::fmt;
 
@@ -25,7 +27,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"P3SNAP\0\0";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing. v2 appended the network's
-/// deterministic work counters ([`p3_net::NetStats`]) to the net section.
+/// deterministic work counters (`NetStats` in `p3-net`) to the net section.
 pub const SNAP_VERSION: u32 = 2;
 
 /// Why a snapshot byte stream could not be decoded.
@@ -85,6 +87,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Folds one `u64` into a rolling FNV-1a hash.
+#[inline]
 pub fn fnv64_fold(mut h: u64, word: u64) -> u64 {
     for b in word.to_le_bytes() {
         h ^= u64::from(b);
@@ -98,14 +101,19 @@ type Res = Result<(), SnapshotError>;
 /// One direction of the snapshot codec. Every primitive takes its field
 /// by `&mut`: a writer or folder consumes the value, a reader overwrites
 /// it. Checks (`idx`, `fixed_len`, `check`) fire only when reading.
-pub(crate) trait Coder {
+pub trait Coder {
     /// True for the reader. The only direction test a walk makes.
     const READING: bool;
 
-    /// Fixed-width little-endian integers: all a direction implements.
+    // Fixed-width little-endian integers: all a direction implements.
+
+    /// One byte.
     fn u8(&mut self, v: &mut u8) -> Res;
+    /// A little-endian `u32`.
     fn u32(&mut self, v: &mut u32) -> Res;
+    /// A little-endian `u64`.
     fn u64(&mut self, v: &mut u64) -> Res;
+    /// A little-endian `u128`.
     fn u128(&mut self, v: &mut u128) -> Res;
 
     /// A `usize` as `u64` (lengths, indices).
@@ -214,21 +222,25 @@ impl SnapWriter {
 impl Coder for SnapWriter {
     const READING: bool = false;
 
+    #[inline]
     fn u8(&mut self, v: &mut u8) -> Res {
         self.buf.push(*v);
         Ok(())
     }
 
+    #[inline]
     fn u32(&mut self, v: &mut u32) -> Res {
         self.buf.extend_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
+    #[inline]
     fn u64(&mut self, v: &mut u64) -> Res {
         self.buf.extend_from_slice(&v.to_le_bytes());
         Ok(())
     }
 
+    #[inline]
     fn u128(&mut self, v: &mut u128) -> Res {
         self.buf.extend_from_slice(&v.to_le_bytes());
         Ok(())
@@ -251,7 +263,7 @@ impl<'a> SnapReader<'a> {
         if data.len() < SNAP_MAGIC.len() {
             return Err(SnapshotError::Truncated);
         }
-        if data[..SNAP_MAGIC.len()] != SNAP_MAGIC {
+        if !data.starts_with(&SNAP_MAGIC) {
             return Err(SnapshotError::BadMagic);
         }
         let mut r = SnapReader {
@@ -300,21 +312,25 @@ impl<'a> SnapReader<'a> {
 impl Coder for SnapReader<'_> {
     const READING: bool = true;
 
+    #[inline]
     fn u8(&mut self, v: &mut u8) -> Res {
         *v = u8::from_le_bytes(self.take()?);
         Ok(())
     }
 
+    #[inline]
     fn u32(&mut self, v: &mut u32) -> Res {
         *v = u32::from_le_bytes(self.take()?);
         Ok(())
     }
 
+    #[inline]
     fn u64(&mut self, v: &mut u64) -> Res {
         *v = u64::from_le_bytes(self.take()?);
         Ok(())
     }
 
+    #[inline]
     fn u128(&mut self, v: &mut u128) -> Res {
         *v = u128::from_le_bytes(self.take()?);
         Ok(())
@@ -324,30 +340,102 @@ impl Coder for SnapReader<'_> {
 /// A coder that folds every primitive into a rolling FNV-1a hash as one
 /// `u64` word (see [`fnv64_fold`]) and checks nothing.
 #[derive(Debug)]
-pub(crate) struct FnvFold(pub(crate) u64);
+pub struct FnvFold(pub u64);
 
 impl Coder for FnvFold {
     const READING: bool = false;
 
+    #[inline]
     fn u8(&mut self, v: &mut u8) -> Res {
         self.0 = fnv64_fold(self.0, u64::from(*v));
         Ok(())
     }
 
+    #[inline]
     fn u32(&mut self, v: &mut u32) -> Res {
         self.0 = fnv64_fold(self.0, u64::from(*v));
         Ok(())
     }
 
+    #[inline]
     fn u64(&mut self, v: &mut u64) -> Res {
         self.0 = fnv64_fold(self.0, *v);
         Ok(())
     }
 
+    #[inline]
     fn u128(&mut self, v: &mut u128) -> Res {
         self.0 = fnv64_fold(fnv64_fold(self.0, *v as u64), (*v >> 64) as u64);
         Ok(())
     }
+}
+
+// ---------------------------------------------------------------------
+// Shapes: how each kind of container is laid out.
+
+/// A free-length list: its length, then each element. A reader rebuilds
+/// `v` from copies of `blank`, each filled by `each`.
+pub fn seq<C: Coder, T: Clone>(
+    c: &mut C,
+    v: &mut Vec<T>,
+    blank: T,
+    mut each: impl FnMut(&mut C, &mut T) -> Res,
+) -> Res {
+    let n = c.len(v.len())?;
+    if C::READING {
+        v.clear();
+        for _ in 0..n {
+            let mut x = blank.clone();
+            each(c, &mut x)?;
+            v.push(x);
+        }
+        return Ok(());
+    }
+    v.iter_mut().try_for_each(|x| each(c, x))
+}
+
+/// A list whose length the configuration fixes: a reader walks a fresh
+/// value built from the same configuration, which already has that
+/// length, so the stream must carry the same one.
+pub fn fixed<C: Coder, T>(
+    c: &mut C,
+    v: &mut [T],
+    what: &str,
+    mut each: impl FnMut(&mut C, &mut T) -> Res,
+) -> Res {
+    c.fixed_len(v.len(), what)?;
+    v.iter_mut().try_for_each(|x| each(c, x))
+}
+
+/// A presence flag, then the value if present.
+pub fn opt<C: Coder, T>(
+    c: &mut C,
+    v: &mut Option<T>,
+    blank: T,
+    each: impl FnOnce(&mut C, &mut T) -> Res,
+) -> Res {
+    let mut some = v.is_some();
+    c.bool(&mut some)?;
+    if C::READING {
+        *v = some.then_some(blank);
+    }
+    match v {
+        Some(x) => each(c, x),
+        None => Ok(()),
+    }
+}
+
+/// An instant as its nanosecond count.
+pub fn time<C: Coder>(c: &mut C, t: &mut SimTime) -> Res {
+    let mut nanos = t.as_nanos();
+    c.u64(&mut nanos)?;
+    *t = SimTime::from_nanos(nanos);
+    Ok(())
+}
+
+/// An optional instant.
+pub fn opt_time<C: Coder>(c: &mut C, t: &mut Option<SimTime>) -> Res {
+    opt(c, t, SimTime::ZERO, time)
 }
 
 #[cfg(test)]

@@ -818,7 +818,7 @@ pub fn lint_workspace_with(
             &files[i].path,
             &files[i].stripped,
         ));
-        let i = find("crates/cluster/src/snap.rs")?;
+        let i = find("crates/des/src/snap.rs")?;
         report.findings.extend(schema::check_snap_header(
             &files[i].path,
             &files[i].stripped,

@@ -40,25 +40,27 @@ pub fn count_panics(stripped: &Stripped) -> usize {
 
 /// Counts index expressions (`x[i]`, `x[a..b]`, `f()[0]`) in a stripped
 /// file: a `[` whose previous non-space character ends an expression
-/// (identifier, `)` or `]`). Attributes (`#[…]`), slice types (`&[T]`),
-/// array literals and patterns do not count.
+/// (identifier, `)` or `]`). Attributes (`#[…]`), slice types (`&[T]`,
+/// `&'a [T]`, `&mut [T]`), array literals (`for x in [a, b]`) and
+/// patterns do not count.
 pub fn count_index_sites(stripped: &Stripped) -> usize {
     let b = stripped.code.as_bytes();
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
     let mut n = 0;
     for (i, &c) in b.iter().enumerate() {
         if c != b'[' {
             continue;
         }
-        let mut j = i;
-        while j > 0 {
-            j -= 1;
-            if b[j].is_ascii_whitespace() {
-                continue;
-            }
-            if b[j].is_ascii_alphanumeric() || b[j] == b'_' || b[j] == b')' || b[j] == b']' {
-                n += 1;
-            }
-            break;
+        let Some(j) = b[..i].iter().rposition(|c| !c.is_ascii_whitespace()) else {
+            continue;
+        };
+        if b[j] == b')' || b[j] == b']' {
+            n += 1;
+        } else if ident(b[j]) {
+            let start = b[..j].iter().rposition(|&c| !ident(c)).map_or(0, |k| k + 1);
+            let lifetime = start > 0 && b[start - 1] == b'\'';
+            let keyword = matches!(&b[start..=j], b"mut" | b"in");
+            n += usize::from(!lifetime && !keyword);
         }
     }
     n
@@ -100,6 +102,19 @@ fn f(v: &[u64], s: &S, i: usize) -> u64 {
     let head = v[0];
     let tail = &v[1..];
     head + tail[i] + u64::from(s.a[2])
+}
+"#;
+        assert_eq!(count_index_sites(&strip(src)), 4);
+    }
+
+    #[test]
+    fn lifetimes_and_keywords_before_a_bracket_are_not_indexing() {
+        let src = r#"
+struct R<'a> { data: &'a [u8] }
+fn f(v: &mut [u64], w: &'static [u8], win: [u8; 2]) -> u64 {
+    for x in [1, 2] { v[0] += x; }
+    let min = v[1];
+    min + u64::from(w[0]) + u64::from(win[1])
 }
 "#;
         assert_eq!(count_index_sites(&strip(src)), 4);

@@ -48,10 +48,7 @@ pub use allocator::{
 };
 pub use analysis::{overlap_coefficient, trace_stats, TraceStats};
 pub use multilink::{LinkGraph, LinkId};
-pub use network::{
-    CompletedFlow, DeliveringSnapshot, FlowSnapshot, LinkUsage, NetStats, Network, NetworkConfig,
-    NetworkSnapshot,
-};
+pub use network::{CompletedFlow, LinkUsage, NetStats, Network, NetworkConfig};
 pub use packet::{packet_simulate, PacketMessage, DEFAULT_MTU};
 pub use trace::PortTrace;
 pub use types::{Bandwidth, FlowId, MachineId, Priority};

@@ -2,6 +2,7 @@
 //! class index, the scaled link capacities and the remembered next event,
 //! including across snapshot and restore.
 
+use super::walk::tests::{racked, restore};
 use super::*;
 use crate::types::Bandwidth;
 
@@ -43,23 +44,7 @@ fn drain(n: &mut Network) -> (Vec<Delivery>, Vec<SimTime>) {
 
 #[test]
 fn restore_rebuilds_capacities_and_class_index() {
-    // Two racks of two machines; the cross-rack core links carry less than
-    // two NICs' worth.
-    let nic = Bandwidth::from_gbps(8.0).bytes_per_sec();
-    let mut graph = LinkGraph::new(&[nic; 4]);
-    let core: Vec<LinkId> = ["rack0.up", "rack1.up", "rack0.down", "rack1.down"]
-        .map(|name| graph.add_link(name, 0.75 * nic))
-        .to_vec();
-    for src in 0..4 {
-        for dst in 0..4 {
-            if src / 2 != dst / 2 {
-                graph.set_transit(src, dst, &[core[src / 2], core[2 + dst / 2]]);
-            }
-        }
-    }
-    let cfg = NetworkConfig::new(4, Bandwidth::from_gbps(8.0))
-        .with_latency(SimDuration::from_micros(20))
-        .with_link_graph(graph);
+    let cfg = racked();
     // (src, dst, bytes, priority): five classes, several flows per class.
     let script = [
         (0, 2, 3_000_000, 0),
@@ -105,7 +90,7 @@ fn restore_rebuilds_capacities_and_class_index() {
 
     let mut b = Network::new(cfg);
     assert_eq!(b.next_event_time(), None, "a fresh fabric is idle");
-    b.restore_from(&a.snapshot());
+    restore(&mut b, &mut a, t);
     assert_class_index(&b);
     let (want, want_times) = drain(&mut a);
     let (got, got_times) = drain(&mut b);

@@ -1,10 +1,11 @@
 //! The fluid network: flow lifecycle, exact completion events, utilization
 //! traces.
 //!
-//! `config` holds the static cluster description and `multihop` the
-//! per-link accounting of configured topologies. This file keeps the
-//! [`Network`] facade — flow lifecycle, rate recomputation, snapshots,
-//! and the deterministic work counters ([`NetStats`]).
+//! `config` holds the static cluster description, `multihop` the
+//! per-link accounting of configured topologies, and `walk` the fabric's
+//! snapshot section ([`Network::walk`]). This file keeps the [`Network`]
+//! facade — flow lifecycle, rate recomputation, and the deterministic
+//! work counters ([`NetStats`]).
 //!
 //! Every fabric allocates rates with
 //! [`crate::allocate_rates_in_class_order`] over a [`LinkGraph`]: the
@@ -26,6 +27,7 @@ mod config;
 mod multihop;
 #[cfg(test)]
 mod tests;
+mod walk;
 
 pub use config::NetworkConfig;
 
@@ -187,74 +189,6 @@ pub struct Network {
     stats: NetStats,
 }
 
-/// Dynamic state of one in-flight flow, as captured by
-/// [`Network::snapshot`]. Field order mirrors the private `ActiveFlow`;
-/// float fields carry exact bit patterns so a restored fabric continues
-/// bit-identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowSnapshot {
-    /// Flow handle (monotone, unique for the run).
-    pub id: u64,
-    /// Transmitting machine index.
-    pub src: usize,
-    /// Receiving machine index.
-    pub dst: usize,
-    /// Priority class.
-    pub priority: u32,
-    /// Caller correlation tag.
-    pub tag: u64,
-    /// Message size in bytes.
-    pub bytes: u64,
-    /// Bytes not yet drained.
-    pub remaining: f64,
-    /// Current allocated rate in bytes/sec.
-    pub rate: f64,
-    /// Saturated link bounding the rate (configured topology only).
-    pub bottleneck: Option<usize>,
-}
-
-/// A drained transfer awaiting its delivery instant, as captured by
-/// [`Network::snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveringSnapshot {
-    /// Delivery instant.
-    pub at: SimTime,
-    /// The completed transfer to hand back at `at`.
-    pub flow: CompletedFlow,
-}
-
-/// The full dynamic state of a [`Network`], sufficient to resume the fluid
-/// model bit-identically on a fresh fabric built from the same
-/// [`NetworkConfig`]. Static configuration (bandwidths, link graph,
-/// latency) is not captured — it is rebuilt from the config.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkSnapshot {
-    /// In-flight flows, in the fabric's internal (semantically
-    /// significant) order.
-    pub flows: Vec<FlowSnapshot>,
-    /// Drained transfers awaiting delivery.
-    pub delivering: Vec<DeliveringSnapshot>,
-    /// Instant the fluid model was last integrated to.
-    pub last_update: SimTime,
-    /// Next flow handle to hand out.
-    pub next_flow_id: u64,
-    /// Per-machine transmit capacity factors (fault injection).
-    pub tx_scale: Vec<f64>,
-    /// Per-machine receive capacity factors.
-    pub rx_scale: Vec<f64>,
-    /// Per-link busy seconds (configured topology; empty otherwise).
-    pub link_busy: Vec<f64>,
-    /// Per-link bytes carried.
-    pub link_bytes: Vec<f64>,
-    /// Per-machine transmit utilization bins (empty when tracing is off).
-    pub tx_bins: Vec<Vec<f64>>,
-    /// Per-machine receive utilization bins.
-    pub rx_bins: Vec<Vec<f64>>,
-    /// Deterministic work counters, carried so a resumed run reports the
-    /// same totals as the uninterrupted one.
-    pub stats: NetStats,
-}
-
 /// Observed usage of one link over a run, from [`Network::link_usage`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkUsage {
@@ -332,11 +266,6 @@ impl Network {
     /// The configuration this fabric was built from.
     pub fn config(&self) -> &NetworkConfig {
         &self.cfg
-    }
-
-    /// Number of transfers currently using NIC bandwidth.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
     }
 
     /// Deterministic work counters accumulated so far (see [`NetStats`]).
@@ -589,114 +518,6 @@ impl Network {
         multihop::usage(self)
     }
 
-    /// Captures the fabric's full dynamic state. Restoring it with
-    /// [`Network::restore_from`] onto a fresh fabric built from the same
-    /// configuration resumes the fluid model bit-identically (rates are
-    /// carried verbatim rather than recomputed, so no reallocation noise
-    /// enters at the restore point).
-    pub fn snapshot(&self) -> NetworkSnapshot {
-        NetworkSnapshot {
-            flows: self
-                .flows
-                .iter()
-                .map(|f| FlowSnapshot {
-                    id: f.id.0,
-                    src: f.src,
-                    dst: f.dst,
-                    priority: f.priority.0,
-                    tag: f.tag,
-                    bytes: f.bytes,
-                    remaining: f.remaining,
-                    rate: f.rate,
-                    bottleneck: f.bottleneck.map(|l| l.0),
-                })
-                .collect(),
-            delivering: self
-                .delivering
-                .iter()
-                .map(|d| DeliveringSnapshot {
-                    at: d.at,
-                    flow: d.flow,
-                })
-                .collect(),
-            last_update: self.last_update,
-            next_flow_id: self.next_flow_id,
-            tx_scale: self.tx_scale.clone(),
-            rx_scale: self.rx_scale.clone(),
-            link_busy: self.link_busy.clone(),
-            link_bytes: self.link_bytes.clone(),
-            tx_bins: self
-                .tx_traces
-                .iter()
-                .map(|t| t.bytes_per_bin().to_vec())
-                .collect(),
-            rx_bins: self
-                .rx_traces
-                .iter()
-                .map(|t| t.bytes_per_bin().to_vec())
-                .collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrites this fabric's dynamic state with a snapshot taken from a
-    /// fabric with the same configuration (see [`Network::snapshot`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's per-machine vectors do not match this
-    /// fabric's machine count.
-    pub fn restore_from(&mut self, snap: &NetworkSnapshot) {
-        assert_eq!(snap.tx_scale.len(), self.cfg.machines, "snapshot mismatch");
-        assert_eq!(snap.rx_scale.len(), self.cfg.machines, "snapshot mismatch");
-        self.flows = snap
-            .flows
-            .iter()
-            .map(|f| ActiveFlow {
-                id: FlowId(f.id),
-                src: f.src,
-                dst: f.dst,
-                priority: Priority(f.priority),
-                tag: f.tag,
-                bytes: f.bytes,
-                remaining: f.remaining,
-                rate: f.rate,
-                bottleneck: f.bottleneck.map(LinkId),
-            })
-            .collect();
-        self.delivering = snap
-            .delivering
-            .iter()
-            .map(|d| Delivering {
-                at: d.at,
-                flow: d.flow,
-            })
-            .collect();
-        self.last_update = snap.last_update;
-        self.next_flow_id = snap.next_flow_id;
-        self.by_class = self
-            .flows
-            .iter()
-            .map(ActiveFlow::spec)
-            .enumerate()
-            .collect();
-        self.by_class.sort_by_key(|(_, f)| f.priority);
-        self.next_event.set(None);
-        self.tx_scale = snap.tx_scale.clone();
-        self.rx_scale = snap.rx_scale.clone();
-        self.rescale();
-        self.link_busy = snap.link_busy.clone();
-        self.link_bytes = snap.link_bytes.clone();
-        self.stats = snap.stats;
-        self.dirty = false;
-        for (t, bins) in self.tx_traces.iter_mut().zip(&snap.tx_bins) {
-            t.restore_bins(bins.clone());
-        }
-        for (t, bins) in self.rx_traces.iter_mut().zip(&snap.rx_bins) {
-            t.restore_bins(bins.clone());
-        }
-    }
-
     /// Integrates flow progress from `last_update` to `now`.
     fn advance(&mut self, now: SimTime) {
         assert!(
@@ -737,6 +558,12 @@ impl Network {
         });
     }
 
+    /// The rate under which an allocation counts as 0 (see `reallocate`).
+    fn rate_floor(&self) -> f64 {
+        let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
+        (cap * 1e-12).max(1e-6)
+    }
+
     /// Recomputes the working link capacities from the port factors.
     fn rescale(&mut self) {
         self.caps = self
@@ -769,8 +596,7 @@ impl Network {
         // A rate below one byte per simulated second is allocator noise; a
         // "running" flow at such a rate would never finish within any
         // realistic horizon and only destabilizes event times.
-        let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
-        let floor = (cap * 1e-12).max(1e-6);
+        let floor = self.rate_floor();
         // Bottlenecks are reported only for a configured topology.
         let topology = self.cfg.link_graph.is_some();
         let alloc = self.alloc.rates().iter().zip(self.alloc.bottleneck());

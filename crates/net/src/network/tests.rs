@@ -2,6 +2,7 @@
 //! the flat fabric, the flat-versus-topology reporting switch, and the
 //! deterministic work counters.
 
+use super::walk::tests::restore;
 use super::*;
 use crate::types::Bandwidth;
 
@@ -506,9 +507,8 @@ fn stats_survive_snapshot_restore() {
     // Snapshot mid-run, restore onto a fresh fabric, drain both.
     let mid = a.next_event_time().unwrap();
     a.poll(mid);
-    let snap = a.snapshot();
     let mut b = net(3, 8.0);
-    b.restore_from(&snap);
+    restore(&mut b, &mut a, mid);
     assert_eq!(b.stats(), a.stats(), "counters must ride the snapshot");
     while let Some(t) = a.next_event_time() {
         a.poll(t);

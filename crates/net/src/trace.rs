@@ -23,7 +23,8 @@ use p3_des::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct PortTrace {
     bin: SimDuration,
-    bytes: Vec<f64>,
+    /// Bytes per bin; the network's snapshot walk reads and writes it.
+    pub(crate) bytes: Vec<f64>,
 }
 
 impl PortTrace {
@@ -38,11 +39,6 @@ impl PortTrace {
             bin,
             bytes: Vec::new(),
         }
-    }
-
-    /// Bin width.
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
     }
 
     /// Records a constant transfer rate (bytes/sec) over `[from, to)`,
@@ -79,13 +75,6 @@ impl PortTrace {
     /// Bytes accumulated in each bin, from simulation start.
     pub fn bytes_per_bin(&self) -> &[f64] {
         &self.bytes
-    }
-
-    /// Replaces the accumulated bins wholesale (snapshot restore). The bin
-    /// width is unchanged; `bins` must come from a trace with the same
-    /// width (see [`PortTrace::bytes_per_bin`]).
-    pub fn restore_bins(&mut self, bins: Vec<f64>) {
-        self.bytes = bins;
     }
 
     /// Average throughput per bin in gigabits per second — the series the

@@ -260,10 +260,16 @@ fn snapshot_bytes_match_the_golden_digests() {
 // ---------------------------------------------------------------------
 // Malformed snapshots are structured errors, never panics.
 
-fn snapshot_fixture() -> (ClusterConfig, Vec<u8>) {
-    let mut sim = ClusterSim::new(base(BackendKind::Ps, 7));
+/// The configuration `mk()` builds and its snapshot at the first
+/// iteration boundary.
+fn fixture_of(mk: impl Fn() -> ClusterConfig) -> (ClusterConfig, Vec<u8>) {
+    let mut sim = ClusterSim::new(mk());
     sim.run_until(1).expect("fixture run failed");
-    (base(BackendKind::Ps, 7), sim.snapshot())
+    (mk(), sim.snapshot())
+}
+
+fn snapshot_fixture() -> (ClusterConfig, Vec<u8>) {
+    fixture_of(|| base(BackendKind::Ps, 7))
 }
 
 #[test]
@@ -323,12 +329,15 @@ fn every_truncation_point_errors_instead_of_panicking() {
 fn every_flipped_byte_errors_or_restores_instead_of_panicking() {
     // Invert each byte in turn: every offset must yield `Ok` (a payload
     // byte whose new value is still valid) or a structured error, never a
-    // panic. A panic inside `restore` fails the test on the spot.
-    let (_, mut bytes) = snapshot_fixture();
-    for i in 0..bytes.len() {
-        bytes[i] ^= 0xff;
-        let _ = ClusterSim::restore(base(BackendKind::Ps, 7), &bytes);
-        bytes[i] ^= 0xff;
+    // panic. A panic inside `restore` fails the test on the spot. The flat
+    // fixture's fabric has no link accounting, bins or scaled ports; the
+    // degraded racked one carries all three, and flow bottlenecks.
+    for (cfg, mut bytes) in [snapshot_fixture(), fixture_of(degraded_racked)] {
+        for i in 0..bytes.len() {
+            bytes[i] ^= 0xff;
+            let _ = ClusterSim::restore(cfg.clone(), &bytes);
+            bytes[i] ^= 0xff;
+        }
     }
 }
 
