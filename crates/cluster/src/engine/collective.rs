@@ -48,7 +48,7 @@ use super::ClusterSim;
 use crate::egress::OutMsg;
 use p3_allreduce::{CollectiveSchedule, ScheduleKind};
 use p3_core::PrioQueue;
-use p3_net::{FlowId, MachineId, Priority};
+use p3_net::{MachineId, Priority};
 use p3_pserver::HEADER_BYTES;
 use p3_trace::{FaultKind, MsgClass, TraceEvent};
 
@@ -498,33 +498,23 @@ impl CollectiveBackend {
         let queued: Vec<u64> = sim
             .msgs
             .iter()
-            .filter(|(_, ctx)| is_chunk(ctx.kind) && !ctx.in_flight)
-            .filter(|(id, _)| !sim.flows.values().any(|mid| mid == *id))
-            .map(|(&id, _)| id)
+            .filter(|(_, ctx)| is_chunk(ctx.kind) && ctx.flow.is_none())
+            .map(|(id, _)| id)
             .collect();
-        for id in &queued {
+        for &id in &queued {
             for w in sim.workers.iter_mut() {
-                w.egress.retain(|m| m.msg_id != *id);
+                w.egress.retain(|m| m.msg_id != id);
             }
             sim.msgs.remove(id);
         }
 
         // Cancel chunks already in the network and free their senders'
         // consumer slots.
-        let doomed: Vec<(FlowId, u64)> = sim
-            .flows
-            .iter()
-            .filter(|(_, mid)| sim.msgs.get(mid).is_some_and(|c| is_chunk(c.kind)))
-            .map(|(&f, &mid)| (f, mid))
-            .collect();
-        for (flow, mid) in doomed {
+        for (flow, mid, ctx) in sim.msgs.flows(|c| is_chunk(c.kind)) {
             let cancelled = sim.net.cancel_flow(now, flow);
             debug_assert!(cancelled, "registered flow unknown to the network");
-            sim.flows.remove(&flow);
             sim.faults.flows_cancelled += 1;
-            let Some(ctx) = sim.msgs.remove(&mid) else {
-                unreachable!("cancelled flow without a message context")
-            };
+            sim.msgs.remove(mid);
             sim.trace_fault(FaultKind::FlowCancelled, ctx.src, Some(mid));
             if ctx.src != crashed {
                 sim.workers[ctx.src].egress.complete(MachineId(ctx.dst));

@@ -8,7 +8,6 @@ use super::ClusterSim;
 use crate::egress::EgressUnit;
 use p3_core::Egress;
 use p3_des::SimTime;
-use p3_net::FlowId;
 use p3_trace::{FaultKind, TraceEvent};
 
 impl ClusterSim {
@@ -29,22 +28,15 @@ impl ClusterSim {
 
         // Cancel the dead process's in-network transmissions and reclaim
         // their bandwidth.
-        let doomed: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|&(_, mid)| {
-                let ctx = &self.msgs[mid];
-                ctx.src == w && worker_originated(ctx.kind)
-            })
-            .map(|(&f, _)| f)
-            .collect();
+        let doomed = self
+            .msgs
+            .flows(|ctx| ctx.src == w && worker_originated(ctx.kind));
         self.trace_fault(FaultKind::Crash, w, None);
-        for flow in doomed {
+        for (flow, mid, _) in doomed {
             let cancelled = self.net.cancel_flow(now, flow);
             debug_assert!(cancelled, "registered flow unknown to the network");
-            let mid = self.flows.remove(&flow);
             self.faults.flows_cancelled += 1;
-            self.trace_fault(FaultKind::FlowCancelled, w, mid);
+            self.trace_fault(FaultKind::FlowCancelled, w, Some(mid));
         }
 
         // Discard every worker-originated message (queued or formerly in

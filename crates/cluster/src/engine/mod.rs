@@ -28,6 +28,7 @@
 mod backend;
 mod collective;
 mod membership;
+mod msg_table;
 mod results;
 mod server;
 mod snapshot;
@@ -43,20 +44,20 @@ mod tests;
 use crate::config::{BackendKind, ClusterConfig, FaultStats, MessageStats, RunError, RunResult};
 use crate::egress::EgressUnit;
 use collective::CollectiveState;
+use msg_table::MsgTable;
 use p3_allreduce::{CollectiveSchedule, ScheduleKind};
 use p3_core::{Egress, PrioQueue};
 use p3_des::snap::SnapshotError;
 use p3_des::{EventQueue, SimDuration, SimTime, SplitMix64};
 use p3_models::BlockTiming;
-use p3_net::{FlowId, MachineId, Network, NetworkConfig};
+use p3_net::{MachineId, Network, NetworkConfig};
 use p3_prof::{SimProfiler, SpanToken};
 use p3_pserver::ShardPlan;
 use p3_topo::Placement;
 use p3_trace::{TraceHandle, TraceLog};
 use std::collections::BTreeMap;
 use types::{
-    role_slot, trace_phase, Ev, MsgCtx, Phase, Role, ServerState, WorkerState, EVENT_CAP,
-    MAX_MACHINES,
+    role_slot, trace_phase, Ev, Phase, Role, ServerState, WorkerState, EVENT_CAP, MAX_MACHINES,
 };
 
 /// One fully configured simulation, ready to [`ClusterSim::run`].
@@ -96,8 +97,9 @@ pub struct ClusterSim {
     block_times: Vec<BlockTiming>,
     /// Key indices per compute block, in block order.
     keys_of_block: Vec<Vec<usize>>,
-    msgs: BTreeMap<u64, MsgCtx>,
-    flows: BTreeMap<FlowId, u64>,
+    /// Every live message, by id; a message in the fabric also carries
+    /// its flow.
+    msgs: MsgTable,
     next_msg_id: u64,
     next_wake: Option<SimTime>,
     /// Per-(machine, role) earliest next admission instant for
@@ -291,8 +293,7 @@ impl ClusterSim {
             prio,
             block_times,
             keys_of_block,
-            msgs: BTreeMap::new(),
-            flows: BTreeMap::new(),
+            msgs: MsgTable::default(),
             next_msg_id: 0,
             next_wake: None,
             admit_gate: vec![[SimTime::ZERO; 2]; cfg.machines],
@@ -395,6 +396,11 @@ impl ClusterSim {
     /// Any [`RunError`]: an invalid configuration, a deadlock, or an
     /// exceeded event cap.
     pub fn run_until(&mut self, iteration: u64) -> Result<u64, RunError> {
+        self.drive(iteration, EVENT_CAP)
+    }
+
+    /// [`ClusterSim::run_until`] with the processed-event cap `cap`.
+    fn drive(&mut self, iteration: u64, cap: u64) -> Result<u64, RunError> {
         if !self.started {
             self.validate()?;
             self.begin();
@@ -415,8 +421,8 @@ impl ClusterSim {
                 });
             };
             self.events += 1;
-            if self.events >= EVENT_CAP {
-                return Err(RunError::EventCapExceeded { cap: EVENT_CAP });
+            if self.events >= cap {
+                return Err(RunError::EventCapExceeded { cap });
             }
             self.hash = snapshot::fold_event(self.hash, t, &ev);
             let span = self.prof_begin();
@@ -675,11 +681,7 @@ impl ClusterSim {
                 let done = self.net.poll(now);
                 self.prof_end("net/poll", span);
                 for flow in done {
-                    let msg_id = self
-                        .flows
-                        .remove(&flow.id)
-                        .expect("completed flow without a registered message");
-                    self.on_delivered(msg_id);
+                    self.on_delivered(flow.tag);
                 }
                 self.schedule_net_wake();
             }

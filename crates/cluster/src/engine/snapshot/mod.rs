@@ -25,6 +25,7 @@
 //! [`ClusterSim::new`]: super::ClusterSim::new
 //! [`ClusterConfig`]: crate::config::ClusterConfig
 
+mod invariants;
 mod walk;
 
 use super::types::Ev;

@@ -1,12 +1,22 @@
-//! Per-variant pins of the event layout: the rolling hash, the
-//! round trip, and the reader's index checks.
+//! Per-variant pins of the event layout (the rolling hash, the round
+//! trip, and the reader's index checks), and substitution sweeps over
+//! the engine's own fields: whatever a reader accepts must resume and
+//! run to its end without panicking.
 
-use super::super::types::{Ev, Phase, Role};
+use super::super::msg_table::MsgTable;
+use super::super::types::{Ev, MsgCtx, MsgKind, Phase, Role};
+use super::super::ClusterSim;
 use super::fold_event;
-use super::walk::{ev, Bounds};
-use p3_des::snap::{fnv64_fold, SnapReader, SnapWriter};
-use p3_des::SimTime;
-use p3_net::MachineId;
+use super::walk::{ev, messages, Bounds};
+use crate::config::{BackendKind, ClusterConfig, RunError};
+use crate::faults::{FaultPlan, LinkDegradation};
+use p3_core::SyncStrategy;
+use p3_des::snap::{fnv64_fold, SnapReader, SnapWriter, SnapshotError};
+use p3_des::{SimDuration, SimTime};
+use p3_models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
+use p3_net::{Bandwidth, FlowId, MachineId};
+use p3_topo::Topology;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Every event variant with the words its layout holds: the tag,
 /// then each field.
@@ -111,4 +121,309 @@ fn every_event_round_trips_and_rejects_out_of_range_indices() {
         let indexed = words.len() > 1 && !matches!(e, Ev::RetryTimer { .. });
         assert_eq!(narrowed.is_err(), indexed, "{e:?}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Substitution sweeps.
+
+/// A three-block model small enough to resume thousands of times.
+fn tiny_model() -> ModelSpec {
+    let block = |name, kind, flops, arrays| ComputeBlock::new(name, kind, flops, arrays);
+    let blocks = vec![
+        block(
+            "conv1",
+            BlockKind::Conv,
+            40_000_000,
+            vec![ParamArray::new("conv1.weight", 40_000)],
+        ),
+        block(
+            "conv2",
+            BlockKind::Conv,
+            40_000_000,
+            vec![ParamArray::new("conv2.weight", 120_000)],
+        ),
+        block(
+            "head",
+            BlockKind::Dense,
+            10_000_000,
+            vec![
+                ParamArray::new("head.weight", 900_000),
+                ParamArray::new("head.bias", 3_000),
+            ],
+        ),
+    ];
+    ModelSpec::from_blocks("TinyDet", SampleUnit::Images, blocks, 800.0, 32, 0.0)
+}
+
+/// P3 on a 2x2 racked fabric with machine 1's port at half capacity
+/// across the first iteration boundary, as `tests/snapshot_resume.rs`'s
+/// `degraded_racked`.
+fn degraded_racked() -> ClusterConfig {
+    let faults = FaultPlan {
+        link_degradations: vec![LinkDegradation {
+            machine: 1,
+            start: SimTime::from_millis(20),
+            duration: SimDuration::from_millis(80),
+            capacity_factor: 0.5,
+        }],
+        ..FaultPlan::none()
+    };
+    ClusterConfig::new(
+        tiny_model(),
+        SyncStrategy::p3(),
+        4,
+        Bandwidth::from_gbps(5.0),
+    )
+    .with_iters(1, 2)
+    .with_seed(3)
+    .with_backend(BackendKind::Ps)
+    .with_slice_trace()
+    .with_topology(Topology::new(2, 2, 2.0))
+    .with_trace(SimDuration::from_millis(10))
+    .with_faults(faults)
+}
+
+/// Restores `bytes` under `degraded_racked` and runs the result to its
+/// end within `steps` more
+/// events. `None` when the reader refuses the bytes; otherwise why the
+/// run failed to finish, if it did.
+fn resume_within(bytes: &[u8], steps: u64) -> Option<Result<(), String>> {
+    let mut sim = ClusterSim::restore(degraded_racked(), bytes).ok()?;
+    let target = sim.cfg.warmup_iters + sim.cfg.measure_iters;
+    let cap = sim.events + steps;
+    let run = catch_unwind(AssertUnwindSafe(move || {
+        sim.drive(target, cap)?;
+        sim.try_run_traced().map(|_| ())
+    }));
+    Some(match run {
+        Ok(Ok(()) | Err(RunError::Deadlock { .. })) => Ok(()),
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(_) => Err("panicked".into()),
+    })
+}
+
+/// Substitutes NaN and -1.0 words at every byte offset of `range` in
+/// `bytes`; each restore the reader accepts must resume to its end.
+/// Returns how many it accepted, and the failures.
+fn sweep(bytes: &[u8], range: std::ops::Range<usize>, steps: u64) -> (usize, Vec<String>) {
+    let (mut accepted, mut failures) = (0, Vec::new());
+    for off in range {
+        for word in [f64::NAN, -1.0] {
+            let mut b = bytes.to_vec();
+            let n = (b.len() - off).min(8);
+            b[off..off + n].copy_from_slice(&word.to_bits().to_le_bytes()[..n]);
+            let Some(finished) = resume_within(&b, steps) else {
+                continue;
+            };
+            accepted += 1;
+            if let Err(why) = finished {
+                failures.push(format!("offset {off}, {word}: {why}"));
+            }
+        }
+    }
+    (accepted, failures)
+}
+
+/// `degraded_racked` paused at its first iteration boundary.
+fn racked_at_boundary() -> Result<ClusterSim, RunError> {
+    let mut sim = ClusterSim::new(degraded_racked());
+    sim.run_until(1)?;
+    Ok(sim)
+}
+
+/// Why the reader refuses `bytes` as corrupt, if it does.
+fn refusal(bytes: &[u8]) -> Option<String> {
+    match ClusterSim::restore(degraded_racked(), bytes) {
+        Err(SnapshotError::Corrupt(why)) => Some(why),
+        _ => None,
+    }
+}
+
+/// The snapshot at `degraded_racked`'s first iteration boundary, the
+/// span of its message and flow sections, and the events the clean
+/// resume takes to finish.
+fn racked_fixture() -> Option<(Vec<u8>, std::ops::Range<usize>, u64)> {
+    let mut sim = racked_at_boundary().ok()?;
+    let bytes = sim.snapshot();
+    let header = SnapWriter::new(0).finish().len();
+    let mut w = SnapWriter::new(0);
+    messages(&mut w, &mut sim, &Bounds::UNCHECKED).ok()?;
+    let section = w.finish().split_off(header);
+    let start = bytes
+        .windows(section.len())
+        .position(|w| w == section.as_slice())?;
+    let before = sim.events;
+    let sim = ClusterSim::restore(degraded_racked(), &bytes).ok()?;
+    let events = sim.try_run().ok()?.events - before;
+    Some((bytes, start..start + section.len(), events))
+}
+
+/// The message and flow sections hold ids and cross-references a
+/// delivery trusts. Whatever the reader accepts there must resume and
+/// run to its end (or a structured deadlock) without panicking and
+/// within four times the clean resume's events.
+#[test]
+fn substituted_message_words_are_refused_or_resume_to_the_end() {
+    let (bytes, range, clean) = racked_fixture().expect("fixture run failed");
+    let (accepted, failures) = sweep(&bytes, range.clone(), 4 * clean);
+    assert!(
+        failures.is_empty(),
+        "{} of {accepted} accepted substitutions in bytes {range:?} failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    assert!(accepted > 0, "the sweep accepted nothing");
+}
+
+/// A worker's compute multipliers: a jitter outside the clamp
+/// `resample_jitter` applies, or a slowdown that is not finite and
+/// positive, would panic the first compute it scales.
+#[test]
+fn impossible_compute_multipliers_are_refused() {
+    let mut sim = racked_at_boundary().expect("fixture run failed");
+    let bytes = sim.snapshot();
+    let (jitter, slowdown) = (sim.workers[0].jitter, sim.workers[0].slowdown);
+    for (field, value) in [("jitter", jitter), ("slowdown", slowdown)] {
+        // Each worker writes the two fields next to each other, worker 0
+        // first, so the first such pair in the stream is worker 0's.
+        let pair: Vec<u8> = [jitter, slowdown]
+            .iter()
+            .flat_map(|f| f.to_le_bytes())
+            .collect();
+        let at = bytes
+            .windows(16)
+            .position(|w| w == pair.as_slice())
+            .expect("worker 0's pair");
+        let at = if field == "jitter" { at } else { at + 8 };
+        assert_eq!(bytes[at..at + 8], value.to_le_bytes());
+        for bad in [f64::NAN, -1.0] {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            match ClusterSim::restore(degraded_racked(), &b).map(|_| ()) {
+                Err(SnapshotError::Corrupt(why)) => assert!(why.contains(field), "{why}"),
+                other => panic!("{field} = {bad} was not refused: {other:?}"),
+            }
+        }
+    }
+}
+
+/// Each message in the fabric names one flow the fabric holds, tagged
+/// with its id, and no two flows name one message; live ids sit below
+/// the id counter within a span the table indexes. A restore refuses
+/// every other link, so no delivery meets an unknown message.
+#[test]
+fn flow_links_that_are_not_one_to_one_are_refused() {
+    let mut sim = racked_at_boundary().expect("fixture run failed");
+    let in_fabric = sim.msgs.flows(|_| true);
+    assert!(in_fabric.len() >= 2, "the fixture needs two flows");
+    let ((fa, a, _), (fb, b, _)) = (in_fabric[0], in_fabric[1]);
+    let queued = sim.msgs.iter().find(|(_, c)| c.flow.is_none());
+    let queued = queued.expect("the fixture needs a queued message").0;
+    let bytes = sim.snapshot();
+    assert!(ClusterSim::restore(degraded_racked(), &bytes).is_ok());
+
+    // Two flows that name one message: the flow section closes the
+    // message sections as `(count, [flow id, message id]…)`, so point its
+    // second entry at the first entry's message.
+    let (fixture, sections, _) = racked_fixture().expect("fixture run failed");
+    assert_eq!(fixture, bytes);
+    let at = sections.end - (8 + 16 * in_fabric.len());
+    let mut twice = bytes.clone();
+    twice.copy_within(at + 16..at + 24, at + 32);
+    assert_eq!(
+        refusal(&twice).as_deref(),
+        Some("two flows name one message")
+    );
+
+    type Corrupt = fn(&mut ClusterSim, [u64; 3], [FlowId; 2]);
+    let cases: [(&str, Corrupt); 5] = [
+        (
+            "fabric flow tag is not its message's id",
+            |sim, [a, b, _], [fa, fb]| {
+                sim.msgs.get_mut(a).unwrap().flow = Some(fb);
+                sim.msgs.get_mut(b).unwrap().flow = Some(fa);
+            },
+        ),
+        (
+            "message names a flow the fabric does not hold",
+            |sim, [.., q], _| {
+                sim.msgs.get_mut(q).unwrap().flow = Some(FlowId(u64::MAX));
+            },
+        ),
+        ("flow unknown to the engine", |sim, [a, ..], _| {
+            sim.msgs.get_mut(a).unwrap().flow = None;
+        }),
+        ("message id counter behind live ids", |sim, _, _| {
+            sim.next_msg_id = sim.msgs.iter().last().unwrap().0;
+        }),
+        (
+            "message ids span more than the table indexes",
+            |sim, _, _| {
+                sim.next_msg_id = sim.msgs.iter().next().unwrap().0 + MsgTable::MAX_SPAN + 1;
+            },
+        ),
+    ];
+    for (what, corrupt) in cases {
+        let mut sim = racked_at_boundary().expect("fixture run failed");
+        corrupt(&mut sim, [a, b, queued], [fa, fb]);
+        let why = refusal(&sim.snapshot()).unwrap_or_default();
+        assert!(why.contains(what), "{what}: refused with {why:?}");
+    }
+}
+
+/// A message waiting in an egress queue must be a live one, of a kind
+/// the configuration sends, on its own sender's queue, and queued once;
+/// otherwise its delivery would meet state it cannot handle.
+#[test]
+fn queued_messages_the_engine_cannot_deliver_are_refused() {
+    type Corrupt = fn(&mut ClusterSim, u64);
+    let cases: [(&str, Corrupt); 3] = [
+        ("queued message unknown to the engine", |sim, q| {
+            sim.msgs.remove(q);
+        }),
+        (
+            "rack aggregation message without rack-local placement",
+            |sim, q| {
+                let ctx = sim.msgs.get_mut(q).unwrap();
+                ctx.kind = MsgKind::RackPush { key: 0, round: 0 };
+            },
+        ),
+        ("queued message on another sender's egress", |sim, q| {
+            let ctx = sim.msgs.get_mut(q).unwrap();
+            ctx.src = (ctx.src + 1) % 4;
+        }),
+    ];
+    for (what, corrupt) in cases {
+        let mut sim = racked_at_boundary().expect("fixture run failed");
+        let queued = sim.msgs.iter().find(|(_, c)| c.flow.is_none());
+        let queued = queued.expect("the fixture needs a queued message").0;
+        corrupt(&mut sim, queued);
+        assert_eq!(refusal(&sim.snapshot()).as_deref(), Some(what));
+    }
+}
+
+/// Each context's in-flight byte is derived from the flows: set only on
+/// messages in the fabric, and only when the fault plan can lose them.
+/// `degraded_racked` cannot, so a set byte contradicts the flows.
+#[test]
+fn an_in_flight_byte_that_contradicts_the_flows_is_refused() {
+    let sim = racked_at_boundary().expect("fixture run failed");
+    let (bytes, sections, _) = racked_fixture().expect("fixture run failed");
+    // The first message's entry, alone: a one-message table's sections
+    // are its count, the entry, and an empty flow list.
+    let (id, ctx) = sim.msgs.iter().next().expect("a live message");
+    let mut one = ClusterSim::new(degraded_racked());
+    assert!(one.msgs.insert(id, MsgCtx { flow: None, ..*ctx }));
+    let header = SnapWriter::new(0).finish().len();
+    let mut w = SnapWriter::new(0);
+    messages(&mut w, &mut one, &Bounds::UNCHECKED).expect("only a reader fails");
+    let entry = w.finish().len() - header - 16;
+    let flag = sections.start + 8 + entry - 1;
+    assert_eq!(bytes[flag], 0);
+    let mut set = bytes.clone();
+    set[flag] = 1;
+    assert_eq!(
+        refusal(&set).as_deref(),
+        Some("message in-flight flag contradicts its flow")
+    );
 }

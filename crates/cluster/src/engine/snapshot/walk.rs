@@ -12,12 +12,15 @@
 //! the read side only. The network walks its own fields
 //! ([`p3_net::Network::walk`]); this walk only places its section. Every
 //! index and cross-reference the engine would later trust is checked
-//! while reading, so hostile or truncated input surfaces as
+//! while reading, and the invariants that span sections once the stream
+//! is read ([`invariants`]), so hostile or truncated input surfaces as
 //! [`SnapshotError`], never a panic.
 
 use super::super::collective::{ActiveCollective, CollectiveState};
+use super::super::msg_table::MsgTable;
 use super::super::types::{Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, ServerState, WorkerState};
 use super::super::ClusterSim;
+use super::invariants;
 use crate::egress::{EgressUnit, OutMsg};
 use p3_core::PrioQueue;
 use p3_des::snap::{fixed, opt, opt_time, seq, time, Coder, SnapshotError};
@@ -85,36 +88,14 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
     }
     sim.net.walk(c, now)?;
 
-    let dup = "duplicate message id";
-    map(c, &mut sim.msgs, (0, BLANK_CTX), dup, |c, id, ctx| {
-        c.u64(id)?;
-        msg_ctx(c, ctx, &b)
-    })?;
-    let (msgs, dup) = (&sim.msgs, "duplicate flow id");
-    map(c, &mut sim.flows, (FlowId(0), 0), dup, |c, flow, mid| {
-        c.u64(&mut flow.0)?;
-        c.u64(mid)?;
-        c.check(msgs.contains_key(mid), "flow references unknown message")
-    })?;
-    if C::READING {
-        // Every flow the network will eventually deliver must resolve to
-        // a registered message, or delivery would panic.
-        for (id, delivering) in sim.net.flow_ids() {
-            let what = if delivering {
-                "delivering flow unknown to the engine"
-            } else {
-                "network flow unknown to the engine"
-            };
-            c.check(sim.flows.contains_key(&id), what)?;
-        }
-    }
+    let span = messages(c, sim, &b)?;
 
     c.u64(&mut sim.next_msg_id)?;
-    if let Some((&max_id, _)) = sim.msgs.last_key_value() {
-        c.check(
-            sim.next_msg_id > max_id,
-            "message id counter behind live ids",
-        )?;
+    if let Some((oldest, newest)) = span {
+        let next = sim.next_msg_id;
+        c.check(next > newest, "message id counter behind live ids")?;
+        let what = "message ids span more than the table indexes";
+        c.check(next - oldest <= MsgTable::MAX_SPAN, what)?;
     }
     opt_time(c, &mut sim.next_wake)?;
     for gate in &mut sim.admit_gate {
@@ -173,7 +154,112 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
     if let Some(st) = sim.collective.as_mut() {
         collective(c, st, &b)?;
     }
-    c.u64(&mut sim.hash)
+    c.u64(&mut sim.hash)?;
+    if C::READING {
+        invariants::check_messages(sim).map_err(|what| SnapshotError::Corrupt(what.into()))?;
+    }
+    Ok(())
+}
+
+/// The message table, in two sections: the messages as `(count, [id,
+/// context]…)` in ascending id order, then the messages in the fabric as
+/// `(count, [flow id, message id]…)` in ascending flow id order ([`flows`]).
+/// A context's in-flight flag is derived, not stored: it is set on the
+/// messages in the fabric when the fault plan can lose messages. A
+/// reader refuses ids that do not ascend or that span more than the
+/// table indexes, and a flag that contradicts the flows; it returns the
+/// oldest and newest id it read.
+pub(super) fn messages<C: Coder>(
+    c: &mut C,
+    sim: &mut ClusterSim,
+    b: &Bounds,
+) -> Result<Option<(u64, u64)>, SnapshotError> {
+    let reliable = sim.cfg.faults.needs_reliability();
+    let t = &mut sim.msgs;
+    let n = c.len(t.len())?;
+    let (mut span, mut flagged) = (None, Vec::new());
+    if C::READING {
+        *t = MsgTable::default();
+        for _ in 0..n {
+            let (mut id, mut ctx, mut in_flight) = (0, BLANK_CTX, false);
+            c.u64(&mut id)?;
+            msg_ctx(c, &mut ctx, &mut in_flight, b)?;
+            let (oldest, _) = *span.get_or_insert((id, id));
+            let what = "message ids span more than the table indexes";
+            c.check(id.saturating_sub(oldest) < MsgTable::MAX_SPAN, what)?;
+            c.check(t.insert(id, ctx), "message ids not ascending")?;
+            span = Some((oldest, id));
+            if in_flight {
+                flagged.push(id);
+            }
+        }
+    } else {
+        for (id, ctx) in t.iter() {
+            let mut in_flight = reliable && ctx.flow.is_some();
+            c.u64(&mut { id })?;
+            msg_ctx(c, &mut { *ctx }, &mut in_flight, b)?;
+        }
+    }
+    flows(c, sim)?;
+    if C::READING {
+        let derived = sim
+            .msgs
+            .iter()
+            .filter(|(_, ctx)| reliable && ctx.flow.is_some());
+        let agree = flagged.into_iter().eq(derived.map(|(id, _)| id));
+        c.check(agree, "message in-flight flag contradicts its flow")?;
+    }
+    Ok(span)
+}
+
+/// The messages in the fabric as their `(count, [flow id, message
+/// id]…)` list in ascending flow id order. A reader links each flow to
+/// its message and refuses any link that is not one-to-one with the
+/// fabric's own flows and their tags.
+fn flows<C: Coder>(c: &mut C, sim: &mut ClusterSim) -> Res {
+    let mut flows: Vec<(FlowId, u64)> = sim
+        .msgs
+        .flows(|_| true)
+        .iter()
+        .map(|&(f, id, _)| (f, id))
+        .collect();
+    seq(c, &mut flows, (FlowId(0), 0), |c, (flow, mid)| {
+        c.u64(&mut flow.0)?;
+        c.u64(mid)
+    })?;
+    if !C::READING {
+        return Ok(());
+    }
+    for (i, &(flow, mid)) in flows.iter().enumerate() {
+        c.check(i == 0 || flows[i - 1].0 < flow, "flow ids not ascending")?;
+        let Some(ctx) = sim.msgs.get_mut(mid) else {
+            return c.check(false, "flow references unknown message");
+        };
+        c.check(ctx.flow.is_none(), "two flows name one message")?;
+        ctx.flow = Some(flow);
+    }
+    // Every transfer the fabric holds must be one of those flows, tagged
+    // with its message's id, and the fabric must hold each of them once.
+    let mut held = vec![false; flows.len()];
+    for (id, tag, delivering) in sim.net.flow_ids() {
+        let Ok(i) = flows.binary_search_by_key(&id, |&(f, _)| f) else {
+            let what = if delivering {
+                "delivering flow unknown to the engine"
+            } else {
+                "network flow unknown to the engine"
+            };
+            return c.check(false, what);
+        };
+        c.check(flows[i].1 == tag, "fabric flow tag is not its message's id")?;
+        c.check(
+            !std::mem::replace(&mut held[i], true),
+            "two fabric flows share an id",
+        )?;
+    }
+    c.check(
+        held.iter().all(|&h| h),
+        "message names a flow the fabric does not hold",
+    )
 }
 
 /// One scheduled event. Indices are checked against `b` when reading.
@@ -306,7 +392,14 @@ fn worker<C: Coder>(c: &mut C, ws: &mut WorkerState, b: &Bounds) -> Res {
     opt_time(c, &mut ws.measure_start)?;
     opt_time(c, &mut ws.measure_end)?;
     c.f64(&mut ws.jitter)?;
+    // The clamp `resample_jitter` applies.
+    c.check(
+        (0.5..=2.0).contains(&ws.jitter),
+        "worker jitter outside [0.5, 2]",
+    )?;
     c.f64(&mut ws.slowdown)?;
+    let ok = ws.slowdown.is_finite() && ws.slowdown > 0.0;
+    c.check(ok, "worker slowdown not finite and positive")?;
     c.bool(&mut ws.crashed)?;
     c.bool(&mut ws.permanently_dead)?;
     c.u32(&mut ws.incarnation)?;
@@ -377,9 +470,14 @@ fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, b: &Bounds) -> Res {
         }
         EgressUnit::PerDest { queues, busy } => {
             c.tag(1)?;
+            let mut d = 0;
             fixed(c, queues, "per-destination lane count", |c, lane| {
                 let mut msgs = Vec::from(std::mem::take(lane));
-                seq(c, &mut msgs, BLANK_MSG, |c, msg| out_msg(c, msg, b))?;
+                seq(c, &mut msgs, BLANK_MSG, |c, msg| {
+                    out_msg(c, msg, b)?;
+                    c.check(msg.dst.0 == d, "message in another destination's lane")
+                })?;
+                d += 1;
                 *lane = msgs.into();
                 Ok(())
             })?;
@@ -410,17 +508,17 @@ const BLANK_CTX: MsgCtx = MsgCtx {
     bytes: 0,
     priority: Priority(0),
     attempt: 0,
-    in_flight: false,
+    flow: None,
 };
 
-fn msg_ctx<C: Coder>(c: &mut C, ctx: &mut MsgCtx, b: &Bounds) -> Res {
+fn msg_ctx<C: Coder>(c: &mut C, ctx: &mut MsgCtx, in_flight: &mut bool, b: &Bounds) -> Res {
     msg_kind(c, &mut ctx.kind, b)?;
     c.idx(&mut ctx.src, b.machines, "message source out of range")?;
     c.idx(&mut ctx.dst, b.machines, "message destination out of range")?;
     c.u64(&mut ctx.bytes)?;
     c.u32(&mut ctx.priority.0)?;
     c.u32(&mut ctx.attempt)?;
-    c.bool(&mut ctx.in_flight)
+    c.bool(in_flight)
 }
 
 fn msg_kind<C: Coder>(c: &mut C, k: &mut MsgKind, b: &Bounds) -> Res {

@@ -13,7 +13,7 @@ use super::types::{class_of, role_slot, sender_role_of, Ev, MsgCtx, MsgKind, Rol
 use super::ClusterSim;
 use crate::egress::{EgressUnit, OutMsg};
 use p3_des::SimTime;
-use p3_net::{MachineId, Priority};
+use p3_net::{FlowId, MachineId, Priority};
 use p3_pserver::{wire_bytes, RetryDecision, HEADER_BYTES};
 use p3_trace::{EndpointRole, FaultKind, MsgClass, TraceEvent};
 
@@ -107,7 +107,7 @@ impl ClusterSim {
     ) -> u64 {
         let id = self.next_msg_id;
         self.next_msg_id += 1;
-        self.msgs.insert(
+        let fresh = self.msgs.insert(
             id,
             MsgCtx {
                 kind,
@@ -116,23 +116,24 @@ impl ClusterSim {
                 bytes,
                 priority,
                 attempt: 0,
-                in_flight: false,
+                flow: None,
             },
         );
+        debug_assert!(fresh, "message ids issued out of order");
         id
     }
 
-    /// Arms the retry timer for a just-admitted message. Only called when
-    /// the fault plan can lose messages; fault-free runs never schedule
-    /// retry events.
-    fn note_admitted(&mut self, msg_id: u64, now: SimTime) {
+    /// Records a just-admitted message's flow and, when the fault plan
+    /// can lose messages, arms its retry timer (fault-free runs never
+    /// schedule retry events).
+    fn note_admitted(&mut self, msg_id: u64, flow: FlowId, now: SimTime) {
+        let Some(ctx) = self.msgs.get_mut(msg_id) else {
+            return;
+        };
+        ctx.flow = Some(flow);
         if !self.cfg.faults.needs_reliability() {
             return;
         }
-        let Some(ctx) = self.msgs.get_mut(&msg_id) else {
-            return;
-        };
-        ctx.in_flight = true;
         let attempt = ctx.attempt;
         let timeout = self.cfg.retry.timeout_for(attempt);
         self.queue
@@ -183,8 +184,7 @@ impl ClusterSim {
                         m.msg_id,
                     );
                     self.prof_end("net/start_flow", span);
-                    self.flows.insert(flow, m.msg_id);
-                    self.note_admitted(m.msg_id, now);
+                    self.note_admitted(m.msg_id, flow, now);
                     let next = now + self.cfg.msg_overhead;
                     self.admit_gate[machine][slot] = next;
                     let backlog = match role {
@@ -212,8 +212,7 @@ impl ClusterSim {
                     m.msg_id,
                 );
                 self.prof_end("net/start_flow", span);
-                self.flows.insert(flow, m.msg_id);
-                self.note_admitted(m.msg_id, now);
+                self.note_admitted(m.msg_id, flow, now);
             }
         }
         self.schedule_net_wake();
@@ -239,11 +238,15 @@ impl ClusterSim {
     // ------------------------------------------------------------------
     // Delivery.
 
+    /// A message's flow left the fabric: free its sender, draw its loss,
+    /// and hand a survivor to the backend.
     pub(crate) fn on_delivered(&mut self, msg_id: u64) {
-        let ctx = *self
+        let ctx = self
             .msgs
-            .get(&msg_id)
+            .get_mut(msg_id)
             .expect("delivery for unknown message");
+        ctx.flow = None;
+        let ctx = *ctx;
         let now = self.queue.now();
 
         // Free the sender: its NIC finished transmitting whether or not the
@@ -282,7 +285,7 @@ impl ClusterSim {
         }
 
         // Lossy network: the message died in the fabric. Keep its context
-        // (marked not-in-flight) so the retry timer retransmits it.
+        // (out of the fabric now) so the retry timer retransmits it.
         // Loopback traffic never touches the fabric and cannot be lost.
         if self.cfg.faults.loss_probability > 0.0
             && ctx.src != ctx.dst
@@ -290,13 +293,9 @@ impl ClusterSim {
         {
             self.faults.messages_lost += 1;
             self.trace_fault(FaultKind::Loss, ctx.src, Some(msg_id));
-            self.msgs
-                .get_mut(&msg_id)
-                .expect("lost message context vanished")
-                .in_flight = false;
             return;
         }
-        self.msgs.remove(&msg_id);
+        self.msgs.remove(msg_id);
 
         // Deliveries to a crashed worker vanish at the dead endpoint. (The
         // colocated server shard stays alive, so server-bound messages
@@ -322,13 +321,13 @@ impl ClusterSim {
 
     pub(crate) fn on_retry_timer(&mut self, msg_id: u64, attempt: u32) {
         let now = self.queue.now();
-        let Some(ctx) = self.msgs.get(&msg_id) else {
+        let Some(&ctx) = self.msgs.get(msg_id) else {
             return; // delivered or discarded in the meantime
         };
         if ctx.attempt != attempt {
             return; // an older attempt's timer; a newer one is armed
         }
-        if ctx.in_flight {
+        if ctx.flow.is_some() {
             // Still transiting a slow network: spurious timeout, wait more.
             let timeout = self.cfg.retry.timeout_for(attempt);
             self.queue
@@ -346,15 +345,21 @@ impl ClusterSim {
         }
         match decision {
             RetryDecision::GiveUp => {
-                self.msgs.remove(&msg_id);
+                self.msgs.remove(msg_id);
                 self.faults.gave_up += 1;
             }
             RetryDecision::Retransmit { .. } => {
-                let (src, dst, bytes, priority, kind) = {
-                    let ctx = self.msgs.get_mut(&msg_id).expect("retry context vanished");
-                    ctx.attempt += 1;
-                    (ctx.src, ctx.dst, ctx.bytes, ctx.priority, ctx.kind)
-                };
+                if let Some(retried) = self.msgs.get_mut(msg_id) {
+                    retried.attempt += 1;
+                }
+                let MsgCtx {
+                    src,
+                    dst,
+                    bytes,
+                    priority,
+                    kind,
+                    ..
+                } = ctx;
                 self.faults.retransmits += 1;
                 let role = sender_role_of(kind);
                 let (class, key, round) = class_of(kind);

@@ -9,7 +9,7 @@
 use crate::egress::EgressUnit;
 use p3_core::PrioQueue;
 use p3_des::{SimDuration, SimTime, SplitMix64};
-use p3_net::{MachineId, Priority};
+use p3_net::{FlowId, MachineId, Priority};
 use p3_trace::{ComputePhase, MsgClass};
 
 /// Hard cap on processed events — a run that exceeds it is wedged.
@@ -214,8 +214,10 @@ pub(crate) struct MsgCtx {
     pub(crate) priority: Priority,
     /// Transmission attempts so far (0 = first send).
     pub(crate) attempt: u32,
-    /// True while a flow for this message is in the network.
-    pub(crate) in_flight: bool,
+    /// The message's flow while it is in the fabric. Its completion names
+    /// the message back through the flow's tag, which is the message id;
+    /// a retry timer that finds none knows the message was lost.
+    pub(crate) flow: Option<FlowId>,
 }
 
 #[derive(Debug)]

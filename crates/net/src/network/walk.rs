@@ -121,11 +121,15 @@ impl Network {
         Ok(())
     }
 
-    /// Every transfer the fabric holds, as `(id, delivering)`: the flows
-    /// in flight, then the drained ones awaiting delivery.
-    pub fn flow_ids(&self) -> impl Iterator<Item = (FlowId, bool)> + '_ {
-        let in_flight = self.flows.iter().map(|f| (f.id, false));
-        in_flight.chain(self.delivering.iter().map(|d| (d.flow.id, true)))
+    /// Every transfer the fabric holds, as `(id, tag, delivering)`: the
+    /// flows in flight, then the drained ones awaiting delivery.
+    pub fn flow_ids(&self) -> impl Iterator<Item = (FlowId, u64, bool)> + '_ {
+        let in_flight = self.flows.iter().map(|f| (f.id, f.tag, false));
+        in_flight.chain(
+            self.delivering
+                .iter()
+                .map(|d| (d.flow.id, d.flow.tag, true)),
+        )
     }
 }
 

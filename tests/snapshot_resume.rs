@@ -15,7 +15,7 @@ use p3::des::{SimDuration, SimTime};
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
 use p3::topo::Topology;
-use p3::trace::TraceEvent;
+use p3::trace::{FaultKind, TraceEvent};
 
 /// Same small skewed model as `tests/determinism.rs`: fast in debug
 /// builds, still exercises slicing, priorities, and multi-block overlap.
@@ -180,6 +180,68 @@ fn ring_crash_rejoin_snapshot_resume_is_bit_identical() {
     assert_snapshot_resume_bit_identical("ring-crash", || {
         base(BackendKind::Ring, 7).with_faults(crash_plan(2, 40, 30))
     });
+}
+
+/// A crash after the snapshot boundary: the restored engine cancels the
+/// crashed worker's in-network flows (and, under ring, the aborted
+/// collective's), so the resumed run replays a cancellation driven by
+/// the restored message table. Returns how many flows the crash cancelled
+/// at its instant, and the event hash.
+fn crash_after_the_snapshot(label: &str, cfg: impl Fn() -> ClusterConfig) -> (usize, u64) {
+    assert_snapshot_resume_bit_identical(label, &cfg);
+    let mut sim = ClusterSim::new(cfg());
+    sim.run_until(1).expect("run to the first boundary failed");
+    let bytes = sim.snapshot();
+    let (r, log) = ClusterSim::restore(cfg(), &bytes)
+        .expect("restore failed")
+        .try_run_traced()
+        .expect("resumed run failed");
+    let mut crashed_at = None;
+    let mut cancelled = 0;
+    for e in log.expect("slice tracing was enabled").events() {
+        match e.event {
+            TraceEvent::Fault {
+                kind: FaultKind::Crash,
+                ..
+            } => crashed_at = Some(e.at),
+            TraceEvent::Fault {
+                kind: FaultKind::FlowCancelled,
+                ..
+            } if crashed_at == Some(e.at) => {
+                cancelled += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        crashed_at.is_some(),
+        "{label}: the crash fell before the snapshot"
+    );
+    (cancelled, r.event_hash)
+}
+
+#[test]
+fn ps_crash_after_the_snapshot_cancels_in_flow_order() {
+    let (cancelled, hash) = crash_after_the_snapshot("ps-crash-late", || {
+        base(BackendKind::Ps, 7).with_faults(crash_plan(1, 70, 30))
+    });
+    assert!(cancelled >= 3, "the crash cancelled {cancelled} flows");
+    assert_eq!(
+        hash, 0x5d4c_7bad_2888_cee9,
+        "cancellation order moved the run"
+    );
+}
+
+#[test]
+fn ring_crash_after_the_snapshot_aborts_in_flow_order() {
+    let (cancelled, hash) = crash_after_the_snapshot("ring-crash-late", || {
+        base(BackendKind::Ring, 7).with_faults(crash_plan(2, 50, 30))
+    });
+    assert!(cancelled >= 3, "the crash cancelled {cancelled} flows");
+    assert_eq!(
+        hash, 0xe282_dc0d_2b15_5237,
+        "cancellation order moved the run"
+    );
 }
 
 #[test]
