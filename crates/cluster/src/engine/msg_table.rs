@@ -55,7 +55,8 @@ impl MsgTable {
         if self.window.is_empty() {
             self.base = id;
         }
-        let Some(gap) = id.checked_sub(self.base + self.window.len() as u64) else {
+        let end = self.base.checked_add(self.window.len() as u64);
+        let Some(gap) = end.and_then(|end| id.checked_sub(end)) else {
             return false;
         };
         let slot = self.alloc(ctx);
@@ -160,10 +161,12 @@ impl MsgTable {
     }
 
     /// Drops vacant ids off the window's front, so `base` is live again.
+    /// `base` wraps only past id `u64::MAX`, which the window ends with,
+    /// so it wraps only as the window empties and `insert` resets it.
     fn trim(&mut self) {
         while self.window.front() == Some(&VACANT) {
             self.window.pop_front();
-            self.base += 1;
+            self.base = self.base.wrapping_add(1);
         }
     }
 }
@@ -216,6 +219,17 @@ mod tests {
             "an empty table restarts anywhere"
         );
         assert_eq!(t.iter().map(|(id, _)| id).collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
+    fn nothing_follows_the_last_id() {
+        let mut t = MsgTable::default();
+        assert!(t.insert(u64::MAX, ctx(0, None)));
+        assert!(!t.insert(u64::MAX, ctx(1, None)), "repeated id");
+        assert!(!t.insert(3, ctx(2, None)), "no id is above u64::MAX");
+        assert_eq!(t.iter().map(|(id, _)| id).collect::<Vec<_>>(), [u64::MAX]);
+        assert!(t.remove(u64::MAX).is_some());
+        assert!(t.insert(3, ctx(3, None)));
     }
 
     #[test]

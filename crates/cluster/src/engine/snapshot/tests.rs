@@ -4,17 +4,18 @@
 //! run to its end without panicking.
 
 use super::super::msg_table::MsgTable;
-use super::super::types::{Ev, MsgCtx, MsgKind, Phase, Role};
+use super::super::types::{sender_role_of, Ev, MsgCtx, MsgKind, Phase, ProcItem, Role};
 use super::super::ClusterSim;
 use super::fold_event;
-use super::walk::{ev, messages, Bounds};
+use super::walk::{egress, ev, messages, Bounds};
 use crate::config::{BackendKind, ClusterConfig, RunError};
+use crate::egress::{EgressUnit, OutMsg};
 use crate::faults::{FaultPlan, LinkDegradation};
 use p3_core::SyncStrategy;
 use p3_des::snap::{fnv64_fold, SnapReader, SnapWriter, SnapshotError};
 use p3_des::{SimDuration, SimTime};
 use p3_models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
-use p3_net::{Bandwidth, FlowId, MachineId};
+use p3_net::{Bandwidth, FlowId, MachineId, Priority};
 use p3_topo::Topology;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -239,6 +240,67 @@ fn refusal(bytes: &[u8]) -> Option<String> {
     }
 }
 
+/// Ring all-reduce on the same model, without faults, as
+/// `tests/snapshot_resume.rs`'s `base(BackendKind::Ring, 7)`.
+fn ring() -> ClusterConfig {
+    ClusterConfig::new(
+        tiny_model(),
+        SyncStrategy::p3(),
+        4,
+        Bandwidth::from_gbps(5.0),
+    )
+    .with_iters(1, 2)
+    .with_seed(7)
+    .with_backend(BackendKind::Ring)
+    .with_slice_trace()
+}
+
+/// Pauses `cfg` at its first iteration boundary, lets `corrupt` change
+/// the live engine, and says why a restore of its snapshot is refused
+/// as corrupt, if it is.
+fn corrupted_refusal(
+    cfg: fn() -> ClusterConfig,
+    corrupt: impl FnOnce(&mut ClusterSim),
+) -> Option<String> {
+    let mut sim = ClusterSim::new(cfg());
+    sim.run_until(1).ok()?;
+    corrupt(&mut sim);
+    match ClusterSim::restore(cfg(), &sim.snapshot()) {
+        Err(SnapshotError::Corrupt(why)) => Some(why),
+        _ => None,
+    }
+}
+
+/// The egress unit that sends message `ctx`, and the entry it queues.
+fn sender_egress(sim: &mut ClusterSim, id: u64, ctx: MsgCtx) -> (&mut EgressUnit, OutMsg) {
+    let unit = match sender_role_of(ctx.kind) {
+        Role::Worker => &mut sim.workers[ctx.src].egress,
+        Role::Server => &mut sim.servers[ctx.src].egress,
+    };
+    let msg = OutMsg {
+        dst: MachineId(ctx.dst),
+        bytes: ctx.bytes,
+        priority: ctx.priority,
+        msg_id: id,
+    };
+    (unit, msg)
+}
+
+/// The length of the first message's entry, id and context, in the
+/// message section.
+fn first_entry_len(sim: &ClusterSim) -> Option<usize> {
+    let (id, ctx) = sim.msgs.iter().next()?;
+    let mut one = ClusterSim::new(degraded_racked());
+    one.msgs
+        .insert(id, MsgCtx { flow: None, ..*ctx })
+        .then_some(())?;
+    let header = SnapWriter::new(0).finish().len();
+    let mut w = SnapWriter::new(0);
+    messages(&mut w, &mut one, &Bounds::UNCHECKED).ok()?;
+    // Less the two counts: one message, no flows.
+    Some(w.finish().len() - header - 16)
+}
+
 /// The snapshot at `degraded_racked`'s first iteration boundary, the
 /// span of its message and flow sections, and the events the clean
 /// resume takes to finish.
@@ -372,14 +434,33 @@ fn flow_links_that_are_not_one_to_one_are_refused() {
 }
 
 /// A message waiting in an egress queue must be a live one, of a kind
-/// the configuration sends, on its own sender's queue, and queued once;
+/// the configuration sends, on its own sender's queue, out of the
+/// fabric, and queued once;
 /// otherwise its delivery would meet state it cannot handle.
 #[test]
 fn queued_messages_the_engine_cannot_deliver_are_refused() {
     type Corrupt = fn(&mut ClusterSim, u64);
-    let cases: [(&str, Corrupt); 3] = [
+    let cases: [(&str, Corrupt); 6] = [
         ("queued message unknown to the engine", |sim, q| {
             sim.msgs.remove(q);
+        }),
+        ("queued message also in the fabric", |sim, _| {
+            let (_, id, ctx) = sim.msgs.flows(|_| true)[0];
+            let (unit, msg) = sender_egress(sim, id, ctx);
+            unit.enqueue(msg);
+        }),
+        ("message queued twice", |sim, q| {
+            let ctx = *sim.msgs.get(q).unwrap();
+            let (unit, msg) = sender_egress(sim, q, ctx);
+            unit.enqueue(msg);
+        }),
+        ("message kind foreign to the backend", |sim, q| {
+            let kind = MsgKind::ReduceScatter {
+                key: 0,
+                round: 0,
+                step: 0,
+            };
+            sim.msgs.get_mut(q).unwrap().kind = kind;
         }),
         (
             "rack aggregation message without rack-local placement",
@@ -409,15 +490,8 @@ fn queued_messages_the_engine_cannot_deliver_are_refused() {
 fn an_in_flight_byte_that_contradicts_the_flows_is_refused() {
     let sim = racked_at_boundary().expect("fixture run failed");
     let (bytes, sections, _) = racked_fixture().expect("fixture run failed");
-    // The first message's entry, alone: a one-message table's sections
-    // are its count, the entry, and an empty flow list.
-    let (id, ctx) = sim.msgs.iter().next().expect("a live message");
-    let mut one = ClusterSim::new(degraded_racked());
-    assert!(one.msgs.insert(id, MsgCtx { flow: None, ..*ctx }));
-    let header = SnapWriter::new(0).finish().len();
-    let mut w = SnapWriter::new(0);
-    messages(&mut w, &mut one, &Bounds::UNCHECKED).expect("only a reader fails");
-    let entry = w.finish().len() - header - 16;
+    // The first message's entry ends with its flag.
+    let entry = first_entry_len(&sim).expect("a live message");
     let flag = sections.start + 8 + entry - 1;
     assert_eq!(bytes[flag], 0);
     let mut set = bytes.clone();
@@ -426,4 +500,134 @@ fn an_in_flight_byte_that_contradicts_the_flows_is_refused() {
         refusal(&set).as_deref(),
         Some("message in-flight flag contradicts its flow")
     );
+}
+
+/// Ids ascend strictly and end at `u64::MAX`: ids at the top of the
+/// range are refused, never wrapped into the table's window.
+#[test]
+fn message_ids_at_the_top_of_the_range_are_refused() {
+    let sim = racked_at_boundary().expect("fixture run failed");
+    let (bytes, sections, _) = racked_fixture().expect("fixture run failed");
+    let first = sections.start + 8;
+    let second = first + first_entry_len(&sim).expect("a live message");
+    for ids in [[u64::MAX, u64::MAX], [u64::MAX, 3]] {
+        let mut b = bytes.clone();
+        b[first..first + 8].copy_from_slice(&ids[0].to_le_bytes());
+        b[second..second + 8].copy_from_slice(&ids[1].to_le_bytes());
+        assert_eq!(
+            refusal(&b).as_deref(),
+            Some("message ids not ascending"),
+            "{ids:?}"
+        );
+    }
+}
+
+/// Engine state beyond the messages' own fields: every egress unit's
+/// in-flight count matches the messages it has in the fabric, and a
+/// server processes only rounds it has reached.
+#[test]
+fn state_a_delivery_would_trip_over_is_refused() {
+    type Corrupt = fn(&mut ClusterSim);
+    let cases: [(&str, Corrupt); 2] = [
+        (
+            "egress in-flight count disagrees with its messages",
+            |sim| {
+                let EgressUnit::Single { in_flight, .. } = &mut sim.workers[0].egress else {
+                    panic!("P3 sends from a single-consumer unit");
+                };
+                *in_flight += 1;
+            },
+        ),
+        (
+            "processing item from a round its server has not reached",
+            |sim| {
+                let item = ProcItem {
+                    key: 0,
+                    round: u64::MAX,
+                    worker: 0,
+                    members: 1,
+                };
+                sim.servers[0].proc_queue.push(0, item);
+            },
+        ),
+    ];
+    for (what, corrupt) in cases {
+        let why = corrupted_refusal(degraded_racked, corrupt);
+        assert_eq!(why.as_deref(), Some(what));
+    }
+}
+
+/// Under a collective backend, every message is a chunk of the active
+/// step, and no more of them are live than the step still awaits.
+#[test]
+fn collective_chunks_outside_the_active_step_are_refused() {
+    let mut sim = ClusterSim::new(ring());
+    sim.run_until(1).expect("fixture run failed");
+    let active = sim.collective.as_ref().and_then(|st| st.active);
+    assert!(active.is_some(), "the fixture needs a collective in flight");
+    assert!(sim.msgs.len() > 0, "the fixture needs a chunk in flight");
+    assert!(ClusterSim::restore(ring(), &sim.snapshot()).is_ok());
+
+    type Corrupt = fn(&mut ClusterSim);
+    let cases: [(&str, Corrupt); 3] = [
+        ("message kind foreign to the backend", |sim| {
+            let id = sim.msgs.iter().next().unwrap().0;
+            let kind = MsgKind::Push { key: 0, round: 0 };
+            sim.msgs.get_mut(id).unwrap().kind = kind;
+        }),
+        ("collective chunk outside the active step", |sim| {
+            let id = sim.msgs.iter().next().unwrap().0;
+            match &mut sim.msgs.get_mut(id).unwrap().kind {
+                MsgKind::ReduceScatter { step, .. } | MsgKind::AllGather { step, .. } => {
+                    *step += 1;
+                }
+                kind => panic!("{kind:?} under the ring backend"),
+            }
+        }),
+        (
+            "more collective chunks than the active step awaits",
+            |sim| {
+                let chunks = sim.msgs.len();
+                let st = sim.collective.as_mut().unwrap();
+                st.active.as_mut().unwrap().outstanding = chunks - 1;
+            },
+        ),
+    ];
+    for (what, corrupt) in cases {
+        assert_eq!(corrupted_refusal(ring, corrupt).as_deref(), Some(what));
+    }
+}
+
+/// A per-destination unit keeps each queued message in its own
+/// destination's lane; the lane it is read from must be that lane.
+#[test]
+fn a_message_in_another_destinations_lane_is_refused() {
+    let b = Bounds {
+        machines: 4,
+        ..Bounds::UNCHECKED
+    };
+    for (lane, refused) in [(2, false), (1, true)] {
+        let mut unit = EgressUnit::per_dest(4);
+        let EgressUnit::PerDest { queues, .. } = &mut unit else {
+            unreachable!("built per destination");
+        };
+        queues[lane].push_back(OutMsg {
+            dst: MachineId(2),
+            bytes: 100,
+            priority: Priority(0),
+            msg_id: 0,
+        });
+        let mut w = SnapWriter::new(0);
+        egress(&mut w, &mut unit, &Bounds::UNCHECKED).expect("only a reader fails");
+        let bytes = w.finish();
+        let (mut r, _) = SnapReader::new(&bytes).unwrap();
+        let mut back = EgressUnit::single(1);
+        match egress(&mut r, &mut back, &b) {
+            Err(SnapshotError::Corrupt(why)) if refused => {
+                assert_eq!(why, "message in another destination's lane");
+            }
+            Ok(()) if !refused => assert_eq!(back.backlog(), 1),
+            other => panic!("lane {lane}: {other:?}"),
+        }
+    }
 }

@@ -88,14 +88,11 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
     }
     sim.net.walk(c, now)?;
 
-    let span = messages(c, sim, &b)?;
+    let read = messages(c, sim, &b)?;
 
     c.u64(&mut sim.next_msg_id)?;
-    if let Some((oldest, newest)) = span {
-        let next = sim.next_msg_id;
-        c.check(next > newest, "message id counter behind live ids")?;
-        let what = "message ids span more than the table indexes";
-        c.check(next - oldest <= MsgTable::MAX_SPAN, what)?;
+    if C::READING {
+        fill_table(c, sim, read)?;
     }
     opt_time(c, &mut sim.next_wake)?;
     for gate in &mut sim.admit_gate {
@@ -166,57 +163,69 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
 /// `(count, [flow id, message id]…)` in ascending flow id order ([`flows`]).
 /// A context's in-flight flag is derived, not stored: it is set on the
 /// messages in the fabric when the fault plan can lose messages. A
-/// reader refuses ids that do not ascend or that span more than the
-/// table indexes, and a flag that contradicts the flows; it returns the
-/// oldest and newest id it read.
+/// reader refuses ids that do not ascend and a flag that contradicts the
+/// flows, and returns the messages it read, flows linked, for
+/// [`fill_table`]; a writer returns nothing.
 pub(super) fn messages<C: Coder>(
     c: &mut C,
     sim: &mut ClusterSim,
     b: &Bounds,
-) -> Result<Option<(u64, u64)>, SnapshotError> {
+) -> Result<Vec<(u64, MsgCtx)>, SnapshotError> {
     let reliable = sim.cfg.faults.needs_reliability();
-    let t = &mut sim.msgs;
-    let n = c.len(t.len())?;
-    let (mut span, mut flagged) = (None, Vec::new());
+    let n = c.len(sim.msgs.len())?;
+    let (mut read, mut flagged) = (Vec::new(), Vec::new());
     if C::READING {
-        *t = MsgTable::default();
         for _ in 0..n {
             let (mut id, mut ctx, mut in_flight) = (0, BLANK_CTX, false);
             c.u64(&mut id)?;
             msg_ctx(c, &mut ctx, &mut in_flight, b)?;
-            let (oldest, _) = *span.get_or_insert((id, id));
-            let what = "message ids span more than the table indexes";
-            c.check(id.saturating_sub(oldest) < MsgTable::MAX_SPAN, what)?;
-            c.check(t.insert(id, ctx), "message ids not ascending")?;
-            span = Some((oldest, id));
+            let ascends = read.last().is_none_or(|&(prev, _)| id > prev);
+            c.check(ascends, "message ids not ascending")?;
+            read.push((id, ctx));
             if in_flight {
                 flagged.push(id);
             }
         }
     } else {
-        for (id, ctx) in t.iter() {
+        for (id, ctx) in sim.msgs.iter() {
             let mut in_flight = reliable && ctx.flow.is_some();
             c.u64(&mut { id })?;
             msg_ctx(c, &mut { *ctx }, &mut in_flight, b)?;
         }
     }
-    flows(c, sim)?;
+    flows(c, sim, &mut read)?;
     if C::READING {
-        let derived = sim
-            .msgs
+        let derived = read
             .iter()
             .filter(|(_, ctx)| reliable && ctx.flow.is_some());
-        let agree = flagged.into_iter().eq(derived.map(|(id, _)| id));
+        let agree = flagged.into_iter().eq(derived.map(|&(id, _)| id));
         c.check(agree, "message in-flight flag contradicts its flow")?;
     }
-    Ok(span)
+    Ok(read)
+}
+
+/// Builds the table from the messages [`messages`] read, once the id
+/// counter is known: every live id must sit below it, within a span the
+/// table indexes, so no id's value sizes the window.
+fn fill_table<C: Coder>(c: &mut C, sim: &mut ClusterSim, read: Vec<(u64, MsgCtx)>) -> Res {
+    let next = sim.next_msg_id;
+    if let (Some(&(oldest, _)), Some(&(newest, _))) = (read.first(), read.last()) {
+        c.check(next > newest, "message id counter behind live ids")?;
+        let what = "message ids span more than the table indexes";
+        c.check(next - oldest <= MsgTable::MAX_SPAN, what)?;
+    }
+    sim.msgs = MsgTable::default();
+    for (id, ctx) in read {
+        c.check(sim.msgs.insert(id, ctx), "message ids not ascending")?;
+    }
+    Ok(())
 }
 
 /// The messages in the fabric as their `(count, [flow id, message
 /// id]…)` list in ascending flow id order. A reader links each flow to
-/// its message and refuses any link that is not one-to-one with the
-/// fabric's own flows and their tags.
-fn flows<C: Coder>(c: &mut C, sim: &mut ClusterSim) -> Res {
+/// its message in `read` (ascending ids) and refuses any link that is
+/// not one-to-one with the fabric's own flows and their tags.
+fn flows<C: Coder>(c: &mut C, sim: &mut ClusterSim, read: &mut [(u64, MsgCtx)]) -> Res {
     let mut flows: Vec<(FlowId, u64)> = sim
         .msgs
         .flows(|_| true)
@@ -232,9 +241,10 @@ fn flows<C: Coder>(c: &mut C, sim: &mut ClusterSim) -> Res {
     }
     for (i, &(flow, mid)) in flows.iter().enumerate() {
         c.check(i == 0 || flows[i - 1].0 < flow, "flow ids not ascending")?;
-        let Some(ctx) = sim.msgs.get_mut(mid) else {
+        let Ok(at) = read.binary_search_by_key(&mid, |&(id, _)| id) else {
             return c.check(false, "flow references unknown message");
         };
+        let ctx = &mut read[at].1;
         c.check(ctx.flow.is_none(), "two flows name one message")?;
         ctx.flow = Some(flow);
     }
@@ -445,7 +455,8 @@ fn proc_item<C: Coder>(c: &mut C, item: &mut ProcItem, b: &Bounds) -> Res {
     c.u128(&mut item.members)
 }
 
-fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, b: &Bounds) -> Res {
+/// One egress unit. Queued messages are checked against `b` when reading.
+pub(super) fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, b: &Bounds) -> Res {
     variant(c, e, "egress", |t| match t {
         0 => Some(EgressUnit::single(1)),
         1 => Some(EgressUnit::per_dest(b.machines)),
