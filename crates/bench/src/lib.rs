@@ -62,18 +62,6 @@ pub fn speedup_line(name: &str, base: f64, ours: f64) -> String {
     )
 }
 
-/// Downsamples a dense series to at most `max` points (every k-th bin),
-/// keeping traces printable.
-///
-/// # Panics
-///
-/// Panics if `max == 0`.
-pub fn downsample(series: &[f64], max: usize) -> Vec<(usize, f64)> {
-    assert!(max > 0, "max must be positive");
-    let stride = series.len().div_ceil(max).max(1);
-    series.iter().copied().enumerate().step_by(stride).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,20 +70,5 @@ mod tests {
     fn speedup_formatting() {
         let line = speedup_line("VGG-19@15G", 40.0, 60.0);
         assert!(line.contains("+50.0%"), "{line}");
-    }
-
-    #[test]
-    fn downsample_bounds() {
-        let xs: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let d = downsample(&xs, 100);
-        assert!(d.len() <= 100);
-        assert_eq!(d[0], (0, 0.0));
-        assert_eq!(d[1].0, 10);
-    }
-
-    #[test]
-    fn downsample_short_series_untouched() {
-        let xs = [1.0, 2.0, 3.0];
-        assert_eq!(downsample(&xs, 10).len(), 3);
     }
 }

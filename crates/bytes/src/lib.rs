@@ -2,10 +2,13 @@
 //! crate.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors the tiny slice of the `bytes` API that the `p3-pserver` wire
-//! codec and the benches actually use: the [`Buf`]/[`BufMut`] cursor
+//! vendors a tiny slice of the `bytes` API: the [`Buf`]/[`BufMut`] cursor
 //! traits (big-endian accessors, as in the real crate), a growable
 //! [`BytesMut`], and an immutable [`Bytes`] view with cheap slicing.
+//!
+//! No code calls it. `p3-pserver` still declares the dependency because
+//! the benchmark's own lockfile (`ledger/Cargo.lock`) records that edge;
+//! the crate and the edge go together with the next change to that lock.
 //!
 //! Semantics match the upstream crate for the covered surface; anything
 //! outside it is intentionally absent.

@@ -470,14 +470,6 @@ impl ClusterSim {
         snapshot::snapshot(self)
     }
 
-    /// A digest of the complete dynamic engine state (the FNV-1a hash of
-    /// [`ClusterSim::snapshot`]'s byte stream). Two runs of the same
-    /// configuration have equal state hashes at the same event count; the
-    /// first event after which they differ is where they diverged.
-    pub fn state_hash(&mut self) -> u64 {
-        p3_des::snap::fnv64(&self.snapshot())
-    }
-
     /// Rolling per-event hash folded so far (also reported as
     /// [`RunResult::event_hash`] when the run finishes).
     pub fn event_hash(&self) -> u64 {

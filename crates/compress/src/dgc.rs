@@ -129,11 +129,6 @@ impl Dgc {
         }
         SparseGrad::new(n, indices, values)
     }
-
-    /// Sum of |residual| still held locally (diagnostics).
-    pub fn residual_mass(&self) -> f64 {
-        self.v.iter().map(|x| x.abs() as f64).sum()
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@
 //! let sparse = dgc.step(&grad);
 //! // 99.9% sparsity: 10 of 10,000 coordinates transmitted.
 //! assert_eq!(sparse.nnz(), 10);
-//! assert!(sparse.compression_ratio() >= 500.0);
 //! ```
 
 #![warn(missing_docs)]

@@ -62,12 +62,6 @@ impl Qsgd {
             })
             .collect()
     }
-
-    /// Bits per coordinate on the wire (log2(levels+1) for magnitude + 1
-    /// sign bit), ignoring the norm scalar and entropy coding.
-    pub fn bits_per_value(&self) -> f64 {
-        ((self.levels + 1) as f64).log2() + 1.0
-    }
 }
 
 /// TernGrad: values quantized to `{-s, 0, +s}` with `s = max|g|`,
@@ -166,11 +160,6 @@ impl OneBitSgd {
         }
         out
     }
-
-    /// Current residual (diagnostics).
-    pub fn residual(&self) -> &[f32] {
-        &self.residual
-    }
 }
 
 #[cfg(test)]
@@ -267,11 +256,5 @@ mod tests {
         distinct.sort_by(|a, b| a.partial_cmp(b).unwrap());
         distinct.dedup();
         assert!(distinct.len() <= 2, "more than two levels: {distinct:?}");
-    }
-
-    #[test]
-    fn qsgd_bits_accounting() {
-        assert!((Qsgd::new(1, 0).bits_per_value() - 2.0).abs() < 1e-12);
-        assert!((Qsgd::new(3, 0).bits_per_value() - 3.0).abs() < 1e-12);
     }
 }

@@ -56,11 +56,6 @@ impl SparseGrad {
         self.indices.len()
     }
 
-    /// Transmitted indices.
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
-    }
-
     /// Transmitted values.
     pub fn values(&self) -> &[f32] {
         &self.values
@@ -74,33 +69,6 @@ impl SparseGrad {
         }
         out
     }
-
-    /// Adds this sparse gradient into a dense accumulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc.len() != self.len()`.
-    pub fn add_into(&self, acc: &mut [f32]) {
-        assert_eq!(acc.len(), self.len, "accumulator length mismatch");
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            acc[i as usize] += v;
-        }
-    }
-
-    /// Wire size in bytes: 4-byte index + 4-byte value per entry.
-    pub fn wire_bytes(&self) -> u64 {
-        self.nnz() as u64 * 8
-    }
-
-    /// Achieved compression ratio vs dense f32 transmission (dense bytes /
-    /// sparse bytes); infinite for an empty gradient.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.nnz() == 0 {
-            f64::INFINITY
-        } else {
-            (self.len as f64 * 4.0) / self.wire_bytes() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,25 +79,6 @@ mod tests {
     fn dense_roundtrip() {
         let s = SparseGrad::new(4, vec![0, 3], vec![1.0, 2.0]);
         assert_eq!(s.to_dense(), vec![1.0, 0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn add_into_accumulates() {
-        let s = SparseGrad::new(3, vec![1], vec![5.0]);
-        let mut acc = vec![1.0, 1.0, 1.0];
-        s.add_into(&mut acc);
-        s.add_into(&mut acc);
-        assert_eq!(acc, vec![1.0, 11.0, 1.0]);
-    }
-
-    #[test]
-    fn ratio_and_bytes() {
-        let s = SparseGrad::new(1000, vec![1], vec![2.0]);
-        assert_eq!(s.wire_bytes(), 8);
-        assert_eq!(s.compression_ratio(), 500.0);
-        let empty = SparseGrad::new(10, vec![], vec![]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.compression_ratio(), f64::INFINITY);
     }
 
     #[test]

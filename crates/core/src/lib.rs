@@ -46,7 +46,7 @@ mod slicing;
 mod strategy;
 
 pub use queue::PrioQueue;
-pub use slicing::{p3_plan, p3_plan_for_model, DEFAULT_SLICE_PARAMS};
+pub use slicing::{p3_plan, DEFAULT_SLICE_PARAMS};
 pub use strategy::{
     Egress, PriorityMode, PullTiming, ResponseMode, ServerProcessing, Slicing, SyncStrategy,
 };

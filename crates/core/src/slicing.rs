@@ -7,7 +7,6 @@
 //! placement is round-robin over slices rather than equal-split per array,
 //! which load-balances even when one array dominates the model.
 
-use p3_models::ModelSpec;
 use p3_pserver::{ServerId, ShardPlan};
 
 /// The slice-size threshold found optimal in the paper's sweep (§5.7,
@@ -56,13 +55,6 @@ pub fn p3_plan(array_params: &[u64], servers: usize, max_slice_params: u64) -> S
     ShardPlan::from_slices(slices, servers)
 }
 
-/// Convenience: the P3 plan for a model with the paper's default slice
-/// size.
-pub fn p3_plan_for_model(model: &ModelSpec, servers: usize) -> ShardPlan {
-    let arrays: Vec<u64> = model.param_arrays().map(|a| a.params).collect();
-    p3_plan(&arrays, servers, DEFAULT_SLICE_PARAMS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +96,8 @@ mod tests {
     #[test]
     fn vgg19_plan_statistics() {
         let model = p3_models::ModelSpec::vgg19();
-        let plan = p3_plan_for_model(&model, 4);
+        let arrays: Vec<u64> = model.param_arrays().map(|a| a.params).collect();
+        let plan = p3_plan(&arrays, 4, DEFAULT_SLICE_PARAMS);
         assert_eq!(plan.total_params(), model.total_params());
         // VGG-19 at 50k slices: roughly 143.7M / 50k ≈ 2900+ keys.
         assert!(plan.num_keys() > 2_800, "got {}", plan.num_keys());

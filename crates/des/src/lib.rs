@@ -44,5 +44,5 @@ mod time;
 
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
-pub use stats::{mean, quantile, Histogram, Summary};
+pub use stats::{quantile, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

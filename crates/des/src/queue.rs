@@ -146,17 +146,6 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Schedules `event` to fire now (after all other events already
-    /// scheduled for the current instant).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule_at(self.now, event);
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -263,12 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_now_fires_after_existing_same_instant_events() {
+    fn events_scheduled_at_the_clock_fire_after_earlier_same_instant_ones() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(1), "first");
         q.pop();
-        q.schedule_now("second");
-        q.schedule_now("third");
+        q.schedule_at(q.now(), "second");
+        q.schedule_at(q.now(), "third");
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "second")));
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "third")));
     }
@@ -277,24 +266,23 @@ mod tests {
     fn len_and_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.schedule_now(1);
-        q.schedule_now(2);
+        q.schedule_at(q.now(), 1);
+        q.schedule_at(q.now(), 2);
         assert_eq!(q.len(), 2);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn high_water_and_scheduled_total_track_load() {
         let mut q = EventQueue::new();
         assert_eq!(q.high_water(), 0);
-        q.schedule_now(1);
-        q.schedule_now(2);
-        q.schedule_now(3);
+        q.schedule_at(q.now(), 1);
+        q.schedule_at(q.now(), 2);
+        q.schedule_at(q.now(), 3);
         q.pop();
         q.pop();
-        q.schedule_now(4);
+        q.schedule_at(q.now(), 4);
         assert_eq!(q.high_water(), 3);
         assert_eq!(q.scheduled_total(), 4);
     }

@@ -46,20 +46,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or either bound is non-finite.
-    #[inline]
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo <= hi,
-            "bad uniform range [{lo}, {hi})"
-        );
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Uniform integer in `[0, n)` using Lemire's unbiased method.
     ///
     /// # Panics
@@ -86,19 +72,6 @@ impl SplitMix64 {
         let u1 = 1.0 - self.next_f64();
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// A normal sample with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or non-finite.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(
-            std_dev.is_finite() && std_dev >= 0.0,
-            "bad std_dev {std_dev}"
-        );
-        mean + std_dev * self.normal()
     }
 
     /// The generator's current internal state. Feeding it back through
@@ -175,15 +148,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean} too far from 0");
         assert!((var - 1.0).abs() < 0.03, "variance {var} too far from 1");
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let mut r = SplitMix64::new(8);
-        for _ in 0..1000 {
-            let x = r.uniform(3.0, 4.5);
-            assert!((3.0..4.5).contains(&x));
-        }
     }
 
     #[test]

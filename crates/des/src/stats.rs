@@ -1,7 +1,7 @@
 //! Lightweight descriptive statistics used by the experiment harnesses.
 
-/// Running summary statistics over a stream of `f64` samples (Welford's
-/// online algorithm, numerically stable).
+/// Running count, mean, minimum and maximum over a stream of `f64`
+/// samples.
 ///
 /// # Examples
 ///
@@ -14,13 +14,12 @@
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_std_dev(), 2.0);
+/// assert_eq!((s.min(), s.max()), (2.0, 9.0));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -31,7 +30,6 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -45,9 +43,7 @@ impl Summary {
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "cannot record NaN");
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -74,51 +70,6 @@ impl Summary {
     /// Largest sample, or −∞ when empty.
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Population variance (divides by `n`), or 0.0 with fewer than one
-    /// sample.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample variance (divides by `n − 1`), or 0.0 with fewer than two
-    /// samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Merges another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -254,15 +205,6 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Arithmetic mean of a slice, or `None` when empty.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,8 +214,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]
@@ -283,60 +223,17 @@ mod tests {
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.min(), 3.5);
         assert_eq!(s.max(), 3.5);
-        assert_eq!(s.population_variance(), 0.0);
     }
 
     #[test]
-    fn welford_matches_naive() {
+    fn running_mean_matches_naive() {
         let xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 100.0).collect();
         let mut s = Summary::new();
         for &x in &xs {
             s.record(x);
         }
         let naive_mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let naive_var = xs
-            .iter()
-            .map(|x| (x - naive_mean) * (x - naive_mean))
-            .sum::<f64>()
-            / xs.len() as f64;
         assert!((s.mean() - naive_mean).abs() < 1e-9);
-        assert!((s.population_variance() - naive_var).abs() < 1e-6);
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        let xs: Vec<f64> = (0..100).map(|i| i as f64 * 0.7).collect();
-        let mut whole = Summary::new();
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for (i, &x) in xs.iter().enumerate() {
-            whole.record(x);
-            if i < 37 {
-                left.record(x);
-            } else {
-                right.record(x);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - whole.population_variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::new();
-        a.record(1.0);
-        a.record(2.0);
-        let before = a.clone();
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-
-        let mut empty = Summary::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]
@@ -353,12 +250,6 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), Some(30.0));
         assert_eq!(quantile(&xs, 0.25), Some(15.0));
         assert_eq!(quantile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn mean_helper() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
     }
 
     #[test]

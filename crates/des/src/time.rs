@@ -96,15 +96,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Duration since an earlier instant, or `None` if `earlier` is later.
-    #[inline]
-    pub const fn checked_duration_since(self, earlier: SimTime) -> Option<SimDuration> {
-        match self.0.checked_sub(earlier.0) {
-            Some(d) => Some(SimDuration(d)),
-            None => None,
-        }
-    }
-
     /// Duration since an earlier instant, clamping to zero if `earlier` is
     /// actually later.
     #[inline]
@@ -172,12 +163,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Returns this duration as fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// True if this is the zero duration.
     #[inline]
     pub const fn is_zero(self) -> bool {
@@ -211,21 +196,6 @@ impl SimDuration {
         let nanos = self.0 as f64 * factor;
         assert!(nanos <= u64::MAX as f64, "duration overflow in mul_f64");
         SimDuration(nanos.round() as u64)
-    }
-
-    /// The ratio of two durations as a float. Returns `f64::INFINITY` if
-    /// `other` is zero and `self` is not, and `0.0` if both are zero.
-    #[inline]
-    pub fn ratio(self, other: SimDuration) -> f64 {
-        if other.0 == 0 {
-            if self.0 == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.0 as f64 / other.0 as f64
-        }
     }
 }
 
@@ -407,18 +377,6 @@ mod tests {
             SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
             SimDuration::ZERO
         );
-        assert_eq!(
-            SimTime::from_secs(5).checked_duration_since(SimTime::from_secs(6)),
-            None
-        );
-    }
-
-    #[test]
-    fn ratio_handles_zero_denominator() {
-        let one = SimDuration::from_secs(1);
-        assert_eq!(one.ratio(SimDuration::ZERO), f64::INFINITY);
-        assert_eq!(SimDuration::ZERO.ratio(SimDuration::ZERO), 0.0);
-        assert!((SimDuration::from_millis(500).ratio(one) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -69,25 +69,6 @@ impl ComputeProfile {
         }
     }
 
-    /// Overrides the backward/forward cost ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio` is not positive.
-    pub fn with_bwd_ratio(mut self, ratio: f64) -> Self {
-        assert!(
-            ratio > 0.0 && ratio.is_finite(),
-            "invalid bwd ratio {ratio}"
-        );
-        self.bwd_ratio = ratio;
-        self
-    }
-
-    /// Relative speed vs the P4000 baseline.
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
     /// Iteration wall time for a whole minibatch when compute-bound.
     pub fn iteration_time(&self, model: &ModelSpec, batch: usize) -> SimDuration {
         assert!(batch > 0, "zero batch size");

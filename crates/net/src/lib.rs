@@ -35,7 +35,6 @@
 #![warn(missing_debug_implementations)]
 
 mod allocator;
-mod analysis;
 mod multilink;
 mod network;
 mod packet;
@@ -46,7 +45,6 @@ pub use allocator::{
     allocate_rates_in_class_order, allocate_rates_on_graph, AllocBuffers, AllocWork, FlowSpec,
     GraphAllocation,
 };
-pub use analysis::{overlap_coefficient, trace_stats, TraceStats};
 pub use multilink::{LinkGraph, LinkId};
 pub use network::{CompletedFlow, LinkUsage, NetStats, Network, NetworkConfig};
 pub use packet::{packet_simulate, PacketMessage, DEFAULT_MTU};

@@ -263,11 +263,6 @@ impl Network {
         self.tracer = Some(tracer);
     }
 
-    /// The configuration this fabric was built from.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
     /// Deterministic work counters accumulated so far (see [`NetStats`]).
     pub fn stats(&self) -> NetStats {
         self.stats

@@ -91,46 +91,6 @@ impl PortTrace {
     pub fn total_bytes(&self) -> f64 {
         self.bytes.iter().sum()
     }
-
-    /// Fraction of all recorded bins whose utilization is below
-    /// `threshold_fraction` of `capacity_bps` — the paper's "network idle
-    /// time" observation. Use [`PortTrace::idle_fraction_window`] to
-    /// restrict the computation to a bin range.
-    pub fn idle_fraction(&self, capacity_bps: f64, threshold_fraction: f64) -> f64 {
-        self.idle_fraction_window(capacity_bps, threshold_fraction, 0, self.bytes.len())
-    }
-
-    /// Fraction of bins in `[from_bin, to_bin)` whose utilization is below
-    /// `threshold_fraction` of `capacity_bps`. `to_bin` is clamped to the
-    /// number of recorded bins; an empty window counts as fully idle
-    /// (matching the full-range behaviour on an empty trace).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from_bin > to_bin`.
-    pub fn idle_fraction_window(
-        &self,
-        capacity_bps: f64,
-        threshold_fraction: f64,
-        from_bin: usize,
-        to_bin: usize,
-    ) -> f64 {
-        assert!(
-            from_bin <= to_bin,
-            "bin window reversed: {from_bin}..{to_bin}"
-        );
-        let to = to_bin.min(self.bytes.len());
-        let from = from_bin.min(to);
-        if from == to {
-            return 1.0;
-        }
-        let bin_secs = self.bin.as_secs_f64();
-        let idle = self.bytes[from..to]
-            .iter()
-            .filter(|&&b| b * 8.0 / bin_secs < capacity_bps * threshold_fraction)
-            .count();
-        idle as f64 / (to - from) as f64
-    }
 }
 
 #[cfg(test)]
@@ -175,42 +135,6 @@ mod tests {
         t.add_rate(ms(5), ms(5), 1e9);
         assert_eq!(t.total_bytes(), 0.0);
         assert!(t.bytes_per_bin().is_empty());
-    }
-
-    #[test]
-    fn idle_fraction_counts_quiet_bins() {
-        let mut t = PortTrace::new(SimDuration::from_millis(10));
-        t.add_rate(ms(0), ms(10), 1.25e8); // 1 Gbps in bin 0
-        t.add_rate(ms(30), ms(40), 100.0); // negligible in bin 3
-                                           // 4 bins total (0..4); bins 1,2,3 below 10% of 1 Gbps.
-        assert!((t.idle_fraction(1e9, 0.1) - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn idle_fraction_window_restricts_the_bin_range() {
-        let mut t = PortTrace::new(SimDuration::from_millis(10));
-        t.add_rate(ms(0), ms(10), 1.25e8); // 1 Gbps in bin 0
-        t.add_rate(ms(30), ms(40), 100.0); // negligible in bin 3
-                                           // Busy bin only.
-        assert_eq!(t.idle_fraction_window(1e9, 0.1, 0, 1), 0.0);
-        // Quiet bins only.
-        assert_eq!(t.idle_fraction_window(1e9, 0.1, 1, 4), 1.0);
-        // Half-busy window.
-        assert!((t.idle_fraction_window(1e9, 0.1, 0, 2) - 0.5).abs() < 1e-9);
-        // Out-of-range end clamps; empty window is fully idle.
-        assert_eq!(t.idle_fraction_window(1e9, 0.1, 2, 100), 1.0);
-        assert_eq!(t.idle_fraction_window(1e9, 0.1, 2, 2), 1.0);
-        // Full-range helper agrees with the explicit full window.
-        assert_eq!(
-            t.idle_fraction(1e9, 0.1),
-            t.idle_fraction_window(1e9, 0.1, 0, 4)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "window reversed")]
-    fn reversed_window_panics() {
-        PortTrace::new(SimDuration::from_millis(1)).idle_fraction_window(1e9, 0.1, 3, 1);
     }
 
     #[test]

@@ -35,24 +35,10 @@ impl fmt::Display for FlowId {
 /// ```
 /// use p3_net::Priority;
 ///
-/// assert!(Priority(0).is_more_urgent_than(Priority(3)));
-/// assert_eq!(Priority::BULK, Priority(u32::MAX));
+/// assert!(Priority(0) < Priority(3)); // 0 is served first
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Priority(pub u32);
-
-impl Priority {
-    /// The most urgent class.
-    pub const URGENT: Priority = Priority(0);
-    /// The least urgent class; the default for unprioritized traffic.
-    pub const BULK: Priority = Priority(u32::MAX);
-
-    /// True if `self` is served strictly before `other`.
-    #[inline]
-    pub fn is_more_urgent_than(self, other: Priority) -> bool {
-        self.0 < other.0
-    }
-}
 
 impl fmt::Display for Priority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -69,7 +55,6 @@ impl fmt::Display for Priority {
 /// use p3_net::Bandwidth;
 ///
 /// let bw = Bandwidth::from_gbps(10.0);
-/// assert_eq!(bw.bits_per_sec(), 10e9);
 /// assert_eq!(bw.bytes_per_sec(), 1.25e9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -89,17 +74,6 @@ impl Bandwidth {
     /// Creates a bandwidth from gigabits per second.
     pub fn from_gbps(gbps: f64) -> Self {
         Bandwidth::from_bps(gbps * 1e9)
-    }
-
-    /// Creates a bandwidth from megabits per second.
-    pub fn from_mbps(mbps: f64) -> Self {
-        Bandwidth::from_bps(mbps * 1e6)
-    }
-
-    /// This bandwidth in bits per second.
-    #[inline]
-    pub fn bits_per_sec(self) -> f64 {
-        self.0
     }
 
     /// This bandwidth in bytes per second.
@@ -127,14 +101,12 @@ mod tests {
 
     #[test]
     fn priority_ordering() {
-        assert!(Priority::URGENT.is_more_urgent_than(Priority::BULK));
-        assert!(!Priority(5).is_more_urgent_than(Priority(5)));
         assert!(Priority(1) < Priority(2));
     }
 
     #[test]
     fn bandwidth_units() {
-        let bw = Bandwidth::from_mbps(800.0);
+        let bw = Bandwidth::from_bps(800e6);
         assert!((bw.gbps() - 0.8).abs() < 1e-12);
         assert_eq!(bw.bytes_per_sec(), 1e8);
     }

@@ -112,13 +112,6 @@ impl SimProfiler {
         *self.counters.entry(key).or_insert(0) += n;
     }
 
-    /// Raises the high-water counter `key` to at least `v`.
-    #[inline]
-    pub fn record_max(&mut self, key: &'static str, v: u64) {
-        let e = self.counters.entry(key).or_insert(0);
-        *e = (*e).max(v);
-    }
-
     /// Overwrites the counter `key` (for values computed once at the end
     /// of a run, e.g. heap-op totals read off the event calendar).
     #[inline]
@@ -197,15 +190,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_add_max_and_set() {
+    fn counters_add_and_set() {
         let mut p = SimProfiler::new();
         p.add("net/reallocations", 2);
         p.add("net/reallocations", 3);
-        p.record_max("net/peak_in_flight", 7);
-        p.record_max("net/peak_in_flight", 4);
         p.set("heap/pushes", 99);
         assert_eq!(p.counters()["net/reallocations"], 5);
-        assert_eq!(p.counters()["net/peak_in_flight"], 7);
         assert_eq!(p.counters()["heap/pushes"], 99);
     }
 

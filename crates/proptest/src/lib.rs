@@ -4,9 +4,8 @@
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the slice of the proptest API its test suites use: the
 //! [`Strategy`] trait with `prop_map`, range and tuple strategies,
-//! [`prop::collection::vec`], [`any`], `prop_oneof!`, the float-class
-//! strategies of [`prop::num::f32`], and the `proptest!`/`prop_assert!`
-//! macros.
+//! [`prop::collection::vec`], [`any`], `prop_oneof!`, and the
+//! `proptest!`/`prop_assert!` macros.
 //!
 //! Unlike the real crate there is no shrinking: a failing case reports its
 //! deterministic case index, and because generation is a pure function of
@@ -325,65 +324,6 @@ pub mod prop {
             VecStrategy { element, len }
         }
     }
-
-    /// Numeric class strategies.
-    pub mod num {
-        /// `f32` class strategies, combinable with `|`.
-        pub mod f32 {
-            use super::super::super::{Strategy, TestRng};
-
-            /// A set of `f32` value classes; `a | b` draws uniformly from
-            /// the union's member classes.
-            #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-            pub struct F32Class(u8);
-
-            const C_NORMAL: u8 = 1;
-            const C_ZERO: u8 = 2;
-            const C_NEGATIVE: u8 = 4;
-
-            /// Positive normal values.
-            pub const NORMAL: F32Class = F32Class(C_NORMAL);
-            /// Exactly zero.
-            pub const ZERO: F32Class = F32Class(C_ZERO);
-            /// Negative normal values.
-            pub const NEGATIVE: F32Class = F32Class(C_NEGATIVE);
-
-            impl std::ops::BitOr for F32Class {
-                type Output = F32Class;
-
-                fn bitor(self, rhs: F32Class) -> F32Class {
-                    F32Class(self.0 | rhs.0)
-                }
-            }
-
-            impl Strategy for F32Class {
-                type Value = f32;
-
-                fn generate(&self, rng: &mut TestRng) -> f32 {
-                    let classes: Vec<u8> = [C_NORMAL, C_ZERO, C_NEGATIVE]
-                        .into_iter()
-                        .filter(|c| self.0 & c != 0)
-                        .collect();
-                    assert!(!classes.is_empty(), "empty f32 class set");
-                    let class = classes[rng.below(classes.len() as u64) as usize];
-                    match class {
-                        C_ZERO => 0.0,
-                        c => {
-                            // A normal magnitude spanning many decades.
-                            let exp = rng.unit_f64() * 60.0 - 30.0;
-                            let mag = (10f64.powf(exp)) as f32;
-                            let mag = if mag.is_normal() { mag } else { 1.0 };
-                            if c == C_NEGATIVE {
-                                -mag
-                            } else {
-                                mag
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Everything a property-test module needs.
@@ -485,25 +425,5 @@ mod tests {
         ]) {
             prop_assert!(v < 5 || v == 100 || v == 200);
         }
-    }
-
-    #[test]
-    fn f32_classes_cover_requested_kinds() {
-        use crate::prop::num::f32::{NEGATIVE, NORMAL, ZERO};
-        let s = NORMAL | ZERO | NEGATIVE;
-        let mut rng = crate::TestRng::for_case("f32", 1);
-        let (mut pos, mut zero, mut neg) = (0, 0, 0);
-        for _ in 0..3000 {
-            let x = s.generate(&mut rng);
-            assert!(x == 0.0 || x.is_normal());
-            if x == 0.0 {
-                zero += 1;
-            } else if x > 0.0 {
-                pos += 1;
-            } else {
-                neg += 1;
-            }
-        }
-        assert!(pos > 0 && zero > 0 && neg > 0);
     }
 }

@@ -7,8 +7,8 @@
 //!   including KVStore's split-large/randomize-small heuristic;
 //! * [`KvServer`] — the aggregation state machine: wait for all workers'
 //!   pushes, average, apply the optimizer, bump the version, serve pulls;
-//! * [`Message`] — the wire format (header + f32 payload) that gives every
-//!   simulated transfer its size;
+//! * [`wire_bytes`] — the size on the wire (header + f32 payload) of every
+//!   simulated transfer;
 //! * [`OptimizerKind`] — server-side SGD / momentum update rules, shared
 //!   with the real training harness in `p3-train`.
 //!
@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cluster;
 mod optim;
 mod protocol;
 mod reliability;
@@ -39,9 +38,8 @@ mod server;
 mod sharding;
 mod types;
 
-pub use cluster::KvCluster;
 pub use optim::{Optimizer, OptimizerKind};
-pub use protocol::{wire_bytes, DecodeError, Message, HEADER_BYTES, MAGIC};
+pub use protocol::{wire_bytes, HEADER_BYTES};
 pub use reliability::{RetryDecision, RetryPolicy};
 pub use server::{KvServer, PushOutcome};
 pub use sharding::{ShardPlan, ShardSlice, KVSTORE_SPLIT_THRESHOLD};

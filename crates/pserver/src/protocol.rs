@@ -1,22 +1,13 @@
-//! Wire format for worker ⇄ server messages.
+//! Wire size of worker ⇄ server messages.
 //!
 //! ps-lite frames every request with a small header; P3 additionally carries
 //! the slice priority in the header so the receiving server can order its
-//! processing queue (§4.2). The exact header layout here is our own (ps-lite
-//! speaks protobuf), but the *size* is what matters to the simulation: every
-//! simulated message is `HEADER_BYTES + 4·params` on the wire, which is also
-//! what this codec produces.
-
-use crate::types::{Key, WorkerId};
-use bytes::{Buf, BufMut};
-use core::fmt;
+//! processing queue (§4.2). The simulator models the framing only by its
+//! size: every simulated message is `HEADER_BYTES + 4·params` on the wire.
 
 /// Fixed wire header size in bytes: magic(2) + type(1) + pad(1) + key(8) +
 /// worker(4) + priority(4) + version(8) + payload-len(4).
 pub const HEADER_BYTES: usize = 32;
-
-/// Frame magic, for catching misframed streams early.
-pub const MAGIC: u16 = 0x5033; // "P3"
 
 /// Wire size in bytes of a gradient/parameter message carrying `params`
 /// values — the quantity the cluster simulator charges to the network.
@@ -24,367 +15,15 @@ pub fn wire_bytes(params: u64) -> u64 {
     HEADER_BYTES as u64 + 4 * params
 }
 
-/// A worker ⇄ server message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Worker sends gradients for one key.
-    Push {
-        /// Target key.
-        key: Key,
-        /// Originating worker.
-        worker: WorkerId,
-        /// Slice priority (P3) — `0` in baseline KVStore traffic.
-        priority: u32,
-        /// Gradient values.
-        values: Vec<f32>,
-    },
-    /// Worker requests the current parameters of one key.
-    PullRequest {
-        /// Requested key.
-        key: Key,
-        /// Requesting worker.
-        worker: WorkerId,
-    },
-    /// Server returns updated parameters.
-    PullResponse {
-        /// Key being answered.
-        key: Key,
-        /// Version of the returned parameters.
-        version: u64,
-        /// Slice priority (P3 broadcasts carry it too).
-        priority: u32,
-        /// Parameter values.
-        values: Vec<f32>,
-    },
-    /// Server notifies workers that a key finished an update round
-    /// (baseline KVStore; removed by P3 in favour of immediate broadcast).
-    UpdateNotify {
-        /// Updated key.
-        key: Key,
-        /// New version.
-        version: u64,
-    },
-}
-
-/// Decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Fewer bytes than a header.
-    Truncated,
-    /// Wrong magic bytes.
-    BadMagic(u16),
-    /// Unknown message-type tag.
-    BadType(u8),
-    /// Declared payload exceeds the remaining bytes.
-    BadLength {
-        /// Values declared in the header.
-        declared: u32,
-        /// Bytes actually remaining.
-        remaining: usize,
-    },
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "frame shorter than header"),
-            DecodeError::BadMagic(m) => write!(f, "bad frame magic {m:#06x}"),
-            DecodeError::BadType(t) => write!(f, "unknown message type {t}"),
-            DecodeError::BadLength {
-                declared,
-                remaining,
-            } => {
-                write!(
-                    f,
-                    "payload of {declared} values but only {remaining} bytes remain"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-impl Message {
-    fn type_tag(&self) -> u8 {
-        match self {
-            Message::Push { .. } => 0,
-            Message::PullRequest { .. } => 1,
-            Message::PullResponse { .. } => 2,
-            Message::UpdateNotify { .. } => 3,
-        }
-    }
-
-    /// Total encoded size in bytes.
-    pub fn wire_size(&self) -> usize {
-        let payload = match self {
-            Message::Push { values, .. } | Message::PullResponse { values, .. } => values.len() * 4,
-            _ => 0,
-        };
-        HEADER_BYTES + payload
-    }
-
-    /// Serializes the message to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        let (key, worker, priority, version, values): (u64, u32, u32, u64, &[f32]) = match self {
-            Message::Push {
-                key,
-                worker,
-                priority,
-                values,
-            } => (key.0, worker.0 as u32, *priority, 0, values),
-            Message::PullRequest { key, worker } => (key.0, worker.0 as u32, 0, 0, &[]),
-            Message::PullResponse {
-                key,
-                version,
-                priority,
-                values,
-            } => (key.0, 0, *priority, *version, values),
-            Message::UpdateNotify { key, version } => (key.0, 0, 0, *version, &[]),
-        };
-        buf.put_u16(MAGIC);
-        buf.put_u8(self.type_tag());
-        buf.put_u8(0);
-        buf.put_u64(key);
-        buf.put_u32(worker);
-        buf.put_u32(priority);
-        buf.put_u64(version);
-        buf.put_u32(values.len() as u32);
-        for v in values {
-            buf.put_f32(*v);
-        }
-    }
-
-    /// Deserializes one message from `buf`, consuming exactly one frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if the buffer does not hold a complete,
-    /// well-formed frame.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Message, DecodeError> {
-        if buf.remaining() < HEADER_BYTES {
-            return Err(DecodeError::Truncated);
-        }
-        let magic = buf.get_u16();
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic(magic));
-        }
-        let tag = buf.get_u8();
-        let _pad = buf.get_u8();
-        let key = Key(buf.get_u64());
-        let worker = WorkerId(buf.get_u32() as usize);
-        let priority = buf.get_u32();
-        let version = buf.get_u64();
-        let len = buf.get_u32();
-        let need = len as usize * 4;
-        if buf.remaining() < need {
-            return Err(DecodeError::BadLength {
-                declared: len,
-                remaining: buf.remaining(),
-            });
-        }
-        let mut values = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            values.push(buf.get_f32());
-        }
-        match tag {
-            0 => Ok(Message::Push {
-                key,
-                worker,
-                priority,
-                values,
-            }),
-            1 => Ok(Message::PullRequest { key, worker }),
-            2 => Ok(Message::PullResponse {
-                key,
-                version,
-                priority,
-                values,
-            }),
-            3 => Ok(Message::UpdateNotify { key, version }),
-            t => Err(DecodeError::BadType(t)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
-
-    fn roundtrip(msg: Message) {
-        let mut buf = BytesMut::new();
-        msg.encode(&mut buf);
-        assert_eq!(buf.len(), msg.wire_size());
-        let mut r = buf.freeze();
-        let back = Message::decode(&mut r).expect("decode");
-        assert_eq!(back, msg);
-        assert_eq!(r.remaining(), 0, "frame fully consumed");
-    }
 
     #[test]
-    fn push_roundtrip() {
-        roundtrip(Message::Push {
-            key: Key(42),
-            worker: WorkerId(3),
-            priority: 7,
-            values: vec![1.0, -2.5, 3.25],
-        });
-    }
-
-    #[test]
-    fn pull_request_roundtrip() {
-        roundtrip(Message::PullRequest {
-            key: Key(0),
-            worker: WorkerId(0),
-        });
-    }
-
-    #[test]
-    fn pull_response_roundtrip() {
-        roundtrip(Message::PullResponse {
-            key: Key(u64::MAX),
-            version: 99,
-            priority: 2,
-            values: vec![0.0; 128],
-        });
-    }
-
-    #[test]
-    fn notify_roundtrip() {
-        roundtrip(Message::UpdateNotify {
-            key: Key(5),
-            version: 12,
-        });
-    }
-
-    #[test]
-    fn wire_bytes_matches_codec() {
-        let msg = Message::Push {
-            key: Key(1),
-            worker: WorkerId(0),
-            priority: 0,
-            values: vec![0.0; 50_000],
-        };
-        assert_eq!(msg.wire_size() as u64, wire_bytes(50_000));
-    }
-
-    #[test]
-    fn truncated_header_rejected() {
-        let mut short = &[0u8; 8][..];
-        assert_eq!(Message::decode(&mut short), Err(DecodeError::Truncated));
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut buf = BytesMut::new();
-        Message::UpdateNotify {
-            key: Key(0),
-            version: 0,
-        }
-        .encode(&mut buf);
-        buf[0] = 0xFF;
-        let err = Message::decode(&mut buf.freeze()).unwrap_err();
-        assert!(matches!(err, DecodeError::BadMagic(_)));
-    }
-
-    #[test]
-    fn bad_type_rejected() {
-        let mut buf = BytesMut::new();
-        Message::UpdateNotify {
-            key: Key(0),
-            version: 0,
-        }
-        .encode(&mut buf);
-        buf[2] = 200;
-        let err = Message::decode(&mut buf.freeze()).unwrap_err();
-        assert_eq!(err, DecodeError::BadType(200));
-    }
-
-    #[test]
-    fn short_payload_rejected() {
-        let mut buf = BytesMut::new();
-        Message::Push {
-            key: Key(0),
-            worker: WorkerId(0),
-            priority: 0,
-            values: vec![1.0; 10],
-        }
-        .encode(&mut buf);
-        let mut truncated = buf.freeze().slice(0..HEADER_BYTES + 8);
-        let err = Message::decode(&mut truncated).unwrap_err();
-        assert!(matches!(err, DecodeError::BadLength { declared: 10, .. }));
-    }
-
-    #[test]
-    fn error_display() {
-        assert_eq!(
-            DecodeError::Truncated.to_string(),
-            "frame shorter than header"
-        );
-        assert!(DecodeError::BadMagic(1).to_string().contains("magic"));
-    }
-}
-
-#[cfg(test)]
-mod properties {
-    use super::*;
-    use bytes::BytesMut;
-    use proptest::prelude::*;
-
-    fn arb_message() -> impl Strategy<Value = Message> {
-        let vals = prop::collection::vec(
-            prop::num::f32::NORMAL | prop::num::f32::ZERO | prop::num::f32::NEGATIVE,
-            0..64,
-        );
-        prop_oneof![
-            (any::<u64>(), 0usize..64, any::<u32>(), vals.clone()).prop_map(|(k, w, p, values)| {
-                Message::Push {
-                    key: Key(k),
-                    worker: WorkerId(w),
-                    priority: p,
-                    values,
-                }
-            }),
-            (any::<u64>(), 0usize..64).prop_map(|(k, w)| Message::PullRequest {
-                key: Key(k),
-                worker: WorkerId(w)
-            }),
-            (any::<u64>(), any::<u64>(), any::<u32>(), vals).prop_map(|(k, v, p, values)| {
-                Message::PullResponse {
-                    key: Key(k),
-                    version: v,
-                    priority: p,
-                    values,
-                }
-            }),
-            (any::<u64>(), any::<u64>()).prop_map(|(k, v)| Message::UpdateNotify {
-                key: Key(k),
-                version: v
-            }),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn encode_decode_roundtrips(msg in arb_message()) {
-            let mut buf = BytesMut::new();
-            msg.encode(&mut buf);
-            prop_assert_eq!(buf.len(), msg.wire_size());
-            let mut frozen = buf.freeze();
-            let back = Message::decode(&mut frozen).unwrap();
-            prop_assert_eq!(back, msg);
-            prop_assert_eq!(frozen.remaining(), 0);
-        }
-
-        #[test]
-        fn back_to_back_frames_decode(a in arb_message(), b in arb_message()) {
-            let mut buf = BytesMut::new();
-            a.encode(&mut buf);
-            b.encode(&mut buf);
-            let mut frozen = buf.freeze();
-            prop_assert_eq!(Message::decode(&mut frozen).unwrap(), a);
-            prop_assert_eq!(Message::decode(&mut frozen).unwrap(), b);
+    fn header_is_32_bytes_and_each_value_4() {
+        assert_eq!(HEADER_BYTES, 32);
+        for n in [0, 1, 50_000] {
+            assert_eq!(wire_bytes(n), 32 + 4 * n);
         }
     }
 }

@@ -144,9 +144,9 @@ mod tests {
     #[test]
     fn backoff_doubles() {
         let p = RetryPolicy::new(SimDuration::from_millis(5), 2.0, 4);
-        assert_eq!(p.timeout_for(0).as_millis_f64(), 5.0);
-        assert_eq!(p.timeout_for(1).as_millis_f64(), 10.0);
-        assert_eq!(p.timeout_for(3).as_millis_f64(), 40.0);
+        assert_eq!(p.timeout_for(0), SimDuration::from_millis(5));
+        assert_eq!(p.timeout_for(1), SimDuration::from_millis(10));
+        assert_eq!(p.timeout_for(3), SimDuration::from_millis(40));
     }
 
     #[test]

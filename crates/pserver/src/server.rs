@@ -183,11 +183,6 @@ impl KvServer {
         self.entries.is_empty()
     }
 
-    /// Workers expected per aggregation round.
-    pub fn num_workers(&self) -> usize {
-        self.num_workers
-    }
-
     /// Iterates over hosted keys in arbitrary order.
     pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
         self.entries.keys().copied()

@@ -34,4 +34,4 @@ mod mlp;
 
 pub use data::{gather, gaussian_blobs, spirals, BatchSchedule, Dataset};
 pub use matrix::Matrix;
-pub use mlp::{DenseGrad, DenseLayer, Mlp};
+pub use mlp::{DenseGrad, Mlp};

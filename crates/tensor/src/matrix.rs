@@ -16,7 +16,7 @@ use std::fmt;
 /// use p3_tensor::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::eye(2);
+/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -39,15 +39,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// The identity matrix.
-    pub fn eye(n: usize) -> Matrix {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            *m.get_mut(i, i) = 1.0;
-        }
-        m
     }
 
     /// A matrix with entries drawn from `N(0, std²)`.
@@ -373,13 +364,6 @@ mod tests {
         let mut a = Matrix::zeros(3, 2);
         a.add_bias(&[1.0, -2.0]);
         assert_eq!(a.col_sums(), vec![3.0, -6.0]);
-    }
-
-    #[test]
-    fn eye_is_identity_for_matmul() {
-        let mut rng = SplitMix64::new(1);
-        let a = Matrix::randn(3, 3, 1.0, &mut rng);
-        assert_eq!(a.matmul(&Matrix::eye(3)), a);
     }
 
     #[test]

@@ -5,13 +5,11 @@
 use crate::matrix::Matrix;
 use p3_des::SplitMix64;
 
-/// One dense layer (weights `in × out`, bias `out`).
+/// One dense layer: weights `input_dim × output_dim`, bias `output_dim`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DenseLayer {
-    /// Weight matrix, `input_dim × output_dim`.
-    pub w: Matrix,
-    /// Bias vector, `output_dim`.
-    pub b: Vec<f32>,
+struct DenseLayer {
+    w: Matrix,
+    b: Vec<f32>,
 }
 
 /// Gradients for one dense layer, same shapes as the layer.
@@ -70,24 +68,6 @@ impl Mlp {
             })
             .collect();
         Mlp { layers }
-    }
-
-    /// The layers, in forward order.
-    pub fn layers(&self) -> &[DenseLayer] {
-        &self.layers
-    }
-
-    /// Number of dense layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Total scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.w.rows() * l.w.cols() + l.b.len())
-            .sum()
     }
 
     /// Class logits for a batch (`rows = samples`).
@@ -343,7 +323,8 @@ mod tests {
     fn param_count() {
         let mut rng = SplitMix64::new(0);
         let mlp = Mlp::new(&[10, 20, 5], &mut rng);
-        assert_eq!(mlp.num_params(), 10 * 20 + 20 + 20 * 5 + 5);
+        let params: usize = mlp.export_arrays().iter().map(Vec::len).sum();
+        assert_eq!(params, 10 * 20 + 20 + 20 * 5 + 5);
     }
 
     #[test]

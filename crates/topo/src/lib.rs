@@ -203,12 +203,6 @@ impl Topology {
         self.rack_members(r).start
     }
 
-    /// True when the topology is a single rack — cross-rack links exist
-    /// on no path, so the fabric degenerates to the flat switch model.
-    pub fn is_single_rack(&self) -> bool {
-        self.racks == 1
-    }
-
     /// The NIC speed of one machine given the cluster default.
     ///
     /// # Panics
@@ -345,7 +339,6 @@ mod tests {
     #[test]
     fn single_rack_compiles_to_endpoint_only_graph() {
         let t = Topology::new(1, 4, 1.0);
-        assert!(t.is_single_rack());
         let g = t.compile(Bandwidth::from_gbps(10.0));
         assert_eq!(g.num_links(), 8, "4 tx + 4 rx ports, no transit links");
         for src in 0..4 {

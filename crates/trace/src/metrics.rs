@@ -69,11 +69,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// All counter names, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
     /// Records the busy fraction of one fabric link as the gauge
     /// `link_busy_<name>`. Busy fractions come from the network's per-link
     /// occupancy accounting (topology runs), not from the trace itself —

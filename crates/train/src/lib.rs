@@ -37,12 +37,10 @@
 
 mod asgd;
 mod config;
-mod localsgd;
 mod parallel;
 mod sync;
 
 pub use asgd::train_async;
 pub use config::{EpochRecord, LrDecay, SyncMode, TrainConfig, TrainRun};
-pub use localsgd::train_local_sgd;
 pub use parallel::{accuracy_band, sweep};
 pub use sync::train_sync;

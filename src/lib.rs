@@ -15,7 +15,7 @@
 //! | [`net`] | `p3-net` | fluid flow network, strict-priority max-min sharing |
 //! | [`topo`] | `p3-topo` | racks, oversubscribed cores, placement policies |
 //! | [`models`] | `p3-models` | ResNet-50 / VGG-19 / InceptionV3 / Sockeye zoo |
-//! | [`pserver`] | `p3-pserver` | sharding, push/pull protocol, KV aggregation |
+//! | [`pserver`] | `p3-pserver` | sharding, wire sizes, KV aggregation |
 //! | [`core`] | `p3-core` | **the contribution**: slicing, priorities, strategies |
 //! | [`cluster`] | `p3-cluster` | end-to-end training-cluster simulation |
 //! | [`trace`] | `p3-trace` | typed event traces, Perfetto export, trace files |
