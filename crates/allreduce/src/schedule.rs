@@ -17,7 +17,7 @@
 /// optimum: every ring allreduce pays `2(N−1)` fixed step costs, so
 /// thousands of tiny collectives drown in startup latency — the same
 /// economics that drive Horovod's tensor-fusion buffers. The
-/// `extension_allreduce` bench sweeps this trade-off.
+/// `allreduce` figure of `p3 figures` sweeps this trade-off.
 pub const DEFAULT_COLLECTIVE_SLICE: u64 = 2_000_000;
 
 /// Which stepwise collective algorithm a schedule describes.

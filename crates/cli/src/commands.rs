@@ -49,6 +49,9 @@ pub enum CliError {
     /// `p3 lint` found budget overruns or baseline regressions; the string
     /// is the rendered findings report.
     Lint(String),
+    /// `p3 figures` measured a claim outside its band; the string is the
+    /// claims table.
+    Claims(String),
 }
 
 impl fmt::Display for CliError {
@@ -70,6 +73,7 @@ impl fmt::Display for CliError {
             CliError::Audit(report) => write!(f, "{report}"),
             CliError::Regression(report) => write!(f, "{report}"),
             CliError::Lint(report) => write!(f, "{report}"),
+            CliError::Claims(table) => write!(f, "claims outside their band:\n{table}"),
         }
     }
 }
@@ -298,6 +302,7 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "compare" => crate::perf::compare(args),
         "tune" => crate::tune::tune_cmd(args),
         "lint" => lint(args),
+        "figures" => figures(args),
         other => Err(CliError::UnknownCommand(other.to_string())),
     }
 }
@@ -347,6 +352,11 @@ COMMANDS:
               of the workspace: taint,     [--json]  deterministic JSON report
               panic/unwrap ratchets,       [--baseline]  print a fresh
               schema drift, coverage       [findings-baseline] section to ratchet
+  figures     Paper figures, then the      [--quick]  quick-scale claims only
+              claims table; exits 1 if     [--only F]  one figure: fig4 fig5 fig6
+              a claim leaves its band        fig7 fig8_9 fig10 fig11 fig12 fig13_14
+                                             fig15 ablations allreduce dgc_p3
+                                             transformer robustness oversub
   help        This text
 
 FAULT FLAGS (simulate, sweep):
@@ -391,6 +401,28 @@ SWEEP RESUME (sweep):
   --resume                        reuse rows already present in --out FILE
 "
     .to_string()
+}
+
+fn figures(args: &Args) -> Result<String, CliError> {
+    let scale = if args.switch("quick") {
+        p3_bench::Scale::Quick
+    } else {
+        p3_bench::Scale::Full
+    };
+    let all = p3_bench::FIGURES;
+    let figures = match args.get("only") {
+        None => all,
+        Some(id) => match all.iter().position(|f| f.id == id) {
+            Some(i) => &all[i..=i],
+            None => return Err(bad_value("only", id, "a figure id listed by `p3 help`")),
+        },
+    };
+    let report = p3_bench::run(figures, p3_bench::CLAIMS, scale);
+    if report.misses == 0 {
+        Ok(report.text)
+    } else {
+        Err(CliError::Claims(report.table))
+    }
 }
 
 fn models_table() -> String {
@@ -950,9 +982,26 @@ mod tests {
     #[test]
     fn help_lists_commands() {
         let h = run("help").unwrap();
-        for cmd in ["models", "plan", "simulate", "sweep", "train", "lint"] {
+        for cmd in [
+            "models", "plan", "simulate", "sweep", "train", "lint", "figures",
+        ] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
+        for f in p3_bench::FIGURES {
+            assert!(h.contains(f.id), "help missing figure {}", f.id);
+        }
+    }
+
+    #[test]
+    fn figures_runs_one_figure_and_rejects_unknown_ids() {
+        let out = run("figures --quick --only fig4").unwrap();
+        assert!(out.starts_with("# ==== fig4 ===="), "{out}");
+        assert!(
+            out.contains("| fig4-p3 |") && !out.contains("| fig5-"),
+            "{out}"
+        );
+        let err = run("figures --only fig99").unwrap_err();
+        assert!(err.to_string().contains("fig99"), "{err}");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! p3 tune      --models resnet50 --gbps 5,10 --genetic-generations 2
 //! p3 simulate  --model vgg19 --backend ring --strategy p3 --slice-params 2000000
 //! p3 train     --mode dgc --epochs 20
+//! p3 figures   --quick                        # the paper's figures + claims
 //! p3 help
 //! ```
 //!

@@ -70,6 +70,14 @@ mod tests {
         assert_eq!(pts[0].series.len(), 2);
         assert_eq!(pts[0].series[0].0, "Baseline");
         assert!(pts[0].series.iter().all(|(_, t)| *t > 0.0));
+
+        // A builder that rewrites the strategy names the series after it.
+        let sliced = sweep(&[5e4], &[SyncStrategy::p3()], |sz, _| {
+            let s = SyncStrategy::p3_with_slice_params(sz as u64);
+            ClusterConfig::new(ModelSpec::resnet50(), s, 2, Bandwidth::from_gbps(20.0))
+                .with_iters(1, 1)
+        });
+        assert_eq!(sliced[0].series[0].0, "P3-50k");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   `p3-compress`;
 //! * [`train_async`] — barrier-free ASGD with delayed gradients.
 //!
-//! Every run is deterministic given its seed; [`sweep`] fans independent
-//! hyper-parameter settings across threads without changing any result.
+//! Every run is deterministic given its seed, so independent runs can
+//! share a thread pool without changing any result.
 //!
 //! # Examples
 //!
@@ -42,5 +42,5 @@ mod sync;
 
 pub use asgd::train_async;
 pub use config::{EpochRecord, LrDecay, SyncMode, TrainConfig, TrainRun};
-pub use parallel::{accuracy_band, sweep};
+pub use parallel::accuracy_band;
 pub use sync::train_sync;

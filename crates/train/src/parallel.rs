@@ -1,60 +1,8 @@
-//! Parallel hyper-parameter sweeps.
-//!
-//! Figure 11 trains P3 and DGC under **five hyper-parameter settings** and
-//! plots the band between the worst and best validation accuracy. Each
-//! setting is an independent deterministic run, so we fan the settings out
-//! across OS threads; results are ordered by input, never by completion,
-//! keeping the sweep reproducible.
+//! The accuracy band of Figure 11: P3 and DGC train under **five
+//! hyper-parameter settings**, and the figure plots the band between the
+//! worst and best validation accuracy per epoch.
 
-use crate::asgd::train_async;
-use crate::config::{SyncMode, TrainConfig, TrainRun};
-use crate::sync::train_sync;
-use p3_tensor::Dataset;
-use std::sync::Mutex;
-
-/// Runs one training job per `(config, mode)` pair, in parallel, returning
-/// results in input order.
-///
-/// # Panics
-///
-/// Propagates panics from worker threads (a failed run is a bug, not a
-/// result).
-///
-/// # Examples
-///
-/// ```
-/// use p3_tensor::gaussian_blobs;
-/// use p3_train::{sweep, SyncMode, TrainConfig};
-///
-/// let data = gaussian_blobs(3, 6, 300, 60, 0.8, 5);
-/// let mut cfg = TrainConfig::new(2);
-/// cfg.hidden = vec![8];
-/// let jobs = vec![(cfg.clone(), SyncMode::FullSync), (cfg, SyncMode::TernGrad)];
-/// let runs = sweep(&data, &jobs);
-/// assert_eq!(runs.len(), 2);
-/// assert_eq!(runs[0].mode_name, "P3/FullSync");
-/// ```
-pub fn sweep(data: &Dataset, jobs: &[(TrainConfig, SyncMode)]) -> Vec<TrainRun> {
-    let results: Mutex<Vec<Option<TrainRun>>> = Mutex::new(vec![None; jobs.len()]);
-    std::thread::scope(|scope| {
-        for (i, (cfg, mode)) in jobs.iter().enumerate() {
-            let results = &results;
-            scope.spawn(move || {
-                let run = match mode {
-                    SyncMode::Async { staleness } => train_async(data, cfg, *staleness),
-                    other => train_sync(data, cfg, *other),
-                };
-                results.lock().expect("sweep mutex poisoned")[i] = Some(run);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("sweep mutex poisoned")
-        .into_iter()
-        .map(|r| r.expect("every job produces a run"))
-        .collect()
-}
+use crate::config::TrainRun;
 
 /// The per-epoch min/max band across runs — the shaded region of
 /// Figure 11.
@@ -84,35 +32,16 @@ mod tests {
     use p3_tensor::gaussian_blobs;
 
     #[test]
-    fn sweep_matches_serial_runs() {
-        let data = gaussian_blobs(3, 6, 300, 60, 0.9, 3);
-        let mut cfg = TrainConfig::new(2);
-        cfg.hidden = vec![12];
-        let jobs = vec![
-            (cfg.clone(), SyncMode::FullSync),
-            (cfg.clone(), SyncMode::TernGrad),
-            (cfg.clone(), SyncMode::Async { staleness: 3 }),
-        ];
-        let parallel = sweep(&data, &jobs);
-        let serial: Vec<TrainRun> = vec![
-            train_sync(&data, &cfg, SyncMode::FullSync),
-            train_sync(&data, &cfg, SyncMode::TernGrad),
-            train_async(&data, &cfg, 3),
-        ];
-        assert_eq!(parallel, serial, "thread fan-out changed results");
-    }
-
-    #[test]
     fn band_covers_all_runs() {
         let data = gaussian_blobs(2, 4, 200, 50, 1.0, 1);
-        let mut jobs = Vec::new();
-        for seed in 0..3 {
-            let mut cfg = TrainConfig::new(3);
-            cfg.hidden = vec![8];
-            cfg.seed = seed;
-            jobs.push((cfg, SyncMode::FullSync));
-        }
-        let runs = sweep(&data, &jobs);
+        let runs: Vec<TrainRun> = (0..3)
+            .map(|seed| {
+                let mut cfg = crate::TrainConfig::new(3);
+                cfg.hidden = vec![8];
+                cfg.seed = seed;
+                crate::train_sync(&data, &cfg, crate::SyncMode::FullSync)
+            })
+            .collect();
         let band = accuracy_band(&runs);
         assert_eq!(band.len(), 3);
         for (e, lo, hi) in band {
