@@ -2,11 +2,14 @@
 //! one invariant, asserting the auditor flags that invariant and no other.
 //!
 //! This is the auditor's own audit — if a mutation slips through, the
-//! checker is not actually enforcing what it claims.
+//! checker is not actually enforcing what it claims. The census at the
+//! end asks for one mutation per catalog invariant, so a new `Invariant`
+//! without a case that flags it fails here.
 
-use p3_audit::{check_with, AuditOptions};
+use p3_audit::{check_resume_equivalence, check_with, AuditOptions, Invariant};
 use p3_des::SimTime;
 use p3_trace::{ComputePhase, EndpointRole, MsgClass, TraceEvent, TraceHandle, TraceLog};
+use std::collections::BTreeSet;
 
 fn build(events: &[(u64, TraceEvent)]) -> TraceLog {
     let h = TraceHandle::new();
@@ -811,11 +814,19 @@ fn position(evs: &[(u64, TraceEvent)], f: impl Fn(&TraceEvent) -> bool) -> usize
     evs.iter().position(|(_, e)| f(e)).unwrap()
 }
 
-/// Every mutation above, rebuilt, with its full report text pinned: the
+/// One rebuilt mutation: its name, trace, audit options and pinned
+/// report lines.
+type Case = (
+    &'static str,
+    TraceLog,
+    AuditOptions,
+    &'static [&'static str],
+);
+
+/// Every mutation above, rebuilt, with its full report text: the
 /// violations in discovery order, the suppressed count and the skipped
-/// notes. A checker rewrite must reproduce each report byte for byte.
-#[test]
-fn mutation_reports_are_pinned() {
+/// notes.
+fn pinned_cases() -> Vec<Case> {
     let capacity_opts = AuditOptions {
         machines: Some(5),
         single_consumer: Some(true),
@@ -846,7 +857,7 @@ fn mutation_reports_are_pinned() {
         evs.extend(wire.iter().map(|w| w[1]));
         build(&evs)
     };
-    let cases: Vec<(&str, TraceLog, AuditOptions, &[&str])> = vec![
+    vec![
         (
             "base round",
             build(&base_round()),
@@ -1066,9 +1077,14 @@ fn mutation_reports_are_pinned() {
                 "  [causal-order] event #15 @ 22000ns: endpoint m1/worker reports queue depth 7 but 1 messages are queued",
             ],
         ),
-    ];
+    ]
+}
+
+/// A checker rewrite must reproduce each pinned report byte for byte.
+#[test]
+fn mutation_reports_are_pinned() {
     let mut diffs = Vec::new();
-    for (name, log, o, want) in &cases {
+    for (name, log, o, want) in &pinned_cases() {
         let got = check_with(log, o).to_string();
         if got != want.join("\n") {
             diffs.push(format!("{name}:\n{got:?}"));
@@ -1150,4 +1166,52 @@ fn overcommitment_at_any_anchor_of_a_long_busy_period_is_caught() {
         ]
         .join("\n")
     );
+}
+
+/// The census: each catalog invariant has a mutation that flags it and
+/// nothing else. Together with one diverging resume (that checker
+/// compares two traces instead of replaying one), the cases flag exactly
+/// `Invariant::ALL`.
+#[test]
+fn every_invariant_is_flagged_by_a_mutation_of_its_own() {
+    let census = [
+        ("clock regression", Invariant::MonotoneClock),
+        ("swapped wire events", Invariant::CausalOrder),
+        ("inflated byte count", Invariant::ByteConservation),
+        ("overcommitted port", Invariant::CapacityFeasibility),
+        ("reordered drain", Invariant::PriorityInversion),
+        ("window overrun", Invariant::InFlightWindow),
+        ("stretched iteration", Invariant::StallAccounting),
+    ];
+    let cases = pinned_cases();
+    let mut reports = Vec::new();
+    for (name, own) in census {
+        let (_, log, o, _) = cases
+            .iter()
+            .find(|c| c.0 == name)
+            .unwrap_or_else(|| panic!("no pinned case `{name}`"));
+        reports.push((name, own, check_with(log, o)));
+    }
+    let full = build(&base_round());
+    let mut tail = base_round().split_off(20);
+    tail[0].0 += 1;
+    let diverged = check_resume_equivalence(&full, &build(&tail));
+    reports.push(("diverging resume", Invariant::ResumeEquivalence, diverged));
+
+    let mut flagged = BTreeSet::new();
+    for (name, own, report) in &reports {
+        let got: BTreeSet<Invariant> = report.violations.iter().map(|v| v.invariant).collect();
+        assert_eq!(
+            got,
+            BTreeSet::from([*own]),
+            "`{name}` must flag {own} alone:\n{report}"
+        );
+        flagged.insert(*own);
+    }
+    let unflagged: Vec<Invariant> = Invariant::ALL
+        .into_iter()
+        .filter(|i| !flagged.contains(i))
+        .collect();
+    assert!(unflagged.is_empty(), "no mutation flags {unflagged:?}");
+    assert_eq!(flagged, BTreeSet::from(Invariant::ALL));
 }

@@ -351,7 +351,7 @@ COMMANDS:
   lint        Static determinism analysis  [--root DIR]  workspace root (default .)
               of the workspace: taint,     [--json]  deterministic JSON report
               panic/unwrap ratchets,       [--baseline]  print a fresh
-              schema drift, coverage       [findings-baseline] section to ratchet
+              schema drift                 [findings-baseline] section to ratchet
   figures     Paper figures, then the      [--quick]  quick-scale claims only
               claims table; exits 1 if     [--only F]  one figure: fig4 fig5 fig6
               a claim leaves its band        fig7 fig8_9 fig10 fig11 fig12 fig13_14
@@ -793,6 +793,19 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let (topology, placement) = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
     let gbps = gbps_list(args, &[1.0, 2.0, 4.0, 8.0, 16.0])?;
+    // A row is keyed by its printed bandwidth (the `--out` file's first
+    // column), so two bandwidths that print alike would share one row.
+    let key = |g: f64| format!("{g:.1}");
+    for (i, &g) in gbps.iter().enumerate() {
+        if let Some(&twin) = gbps[..i].iter().find(|&&h| key(h) == key(g)) {
+            return Err(bad_value(
+                "gbps",
+                &format!("{twin},{g}"),
+                "bandwidths that differ at one decimal place (sweep rows are keyed by \
+                 their printed Gbps)",
+            ));
+        }
+    }
     let warmup: u64 = args.get_or("warmup", 1, "integer")?;
     let measure: u64 = args.get_or("measure", 5, "integer")?;
     let seed: u64 = args.get_or("seed", 42, "integer")?;
@@ -869,21 +882,15 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         let missing: Vec<f64> = gbps
             .iter()
             .copied()
-            .filter(|g| {
-                let key = format!("{g:.1}");
-                !done.iter().any(|(k, _)| *k == key)
-            })
+            .filter(|&g| !done.iter().any(|(k, _)| *k == key(g)))
             .collect();
         let computed = p3_tune::run_indexed(jobs, missing.len(), |i| row_line(missing[i]));
-        let mut fresh: Vec<(String, String)> = missing
-            .iter()
-            .map(|g| format!("{g:.1}"))
-            .zip(computed)
-            .collect();
+        let mut fresh: Vec<(String, String)> =
+            missing.iter().map(|&g| key(g)).zip(computed).collect();
         let mut reused = 0usize;
         for &g in &gbps {
-            let key = format!("{g:.1}");
-            let line = match done.iter().find(|(k, _)| *k == key) {
+            let row = key(g);
+            let line = match done.iter().find(|(k, _)| *k == row) {
                 Some((_, line)) => {
                     reused += 1;
                     line.clone()
@@ -891,10 +898,10 @@ fn sweep(args: &Args) -> Result<String, CliError> {
                 None => {
                     let idx = fresh
                         .iter()
-                        .position(|(k, _)| *k == key)
-                        .ok_or_else(|| CliError::Sim(format!("sweep row {key} went missing")))?;
+                        .position(|(k, _)| *k == row)
+                        .ok_or_else(|| CliError::Sim(format!("sweep row {row} went missing")))?;
                     let (_, line) = fresh.remove(idx);
-                    done.push((key, line.clone()));
+                    done.push((row, line.clone()));
                     let doc: String = done.iter().map(|(_, l)| format!("{l}\n")).collect();
                     std::fs::write(path, doc).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
                     line
@@ -1188,6 +1195,28 @@ mod tests {
     #[test]
     fn simulate_rejects_out_of_range_machines_and_gbps() {
         assert_rejects_out_of_range("simulate");
+    }
+
+    #[test]
+    fn sweep_rejects_bandwidths_that_share_a_row() {
+        let path = std::env::temp_dir().join(format!("p3-sweep-twins-{}.txt", std::process::id()));
+        let out = path.display().to_string();
+        for cmd in [
+            format!("sweep --model resnet50 --machines 2 --gbps 1,1.04 --measure 1 --out {out}"),
+            "sweep --model resnet50 --machines 2 --gbps 2,1,2 --measure 1".to_string(),
+        ] {
+            let err = run(&cmd).unwrap_err();
+            assert!(
+                matches!(err, CliError::Args(ArgError::BadValue { .. })),
+                "{cmd}: {err}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("1,1.04") || msg.contains("2,2"), "{msg}");
+        }
+        assert!(
+            !path.exists(),
+            "a rejected sweep must not write its --out file"
+        );
     }
 
     #[test]

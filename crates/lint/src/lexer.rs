@@ -9,7 +9,7 @@
 //! * `code` — comments, string/char literals and `#[cfg(test)]`/`#[test]`
 //!   items blanked. The view the pattern rules and the call-graph walk.
 //! * `text` — comments and test items blanked, **string literals kept**.
-//!   The view the schema-drift pass reads JSON member names from.
+//!   The view the schema-drift pass reads the trace version stamp from.
 //!
 //! Allow markers are collected from *comment text only*: a comment whose
 //! content starts with `p3-lint:` (after doc-comment `/`/`!`/`*` dressing)
@@ -34,8 +34,6 @@ pub struct Stripped {
     pub allows: BTreeMap<usize, String>,
     /// Markers missing the required justification text.
     pub bad_markers: Vec<usize>,
-    /// Byte spans of blanked `#[cfg(test)]`/`#[test]` items (in both views).
-    pub test_spans: Vec<(usize, usize)>,
 }
 
 impl Stripped {
@@ -246,7 +244,6 @@ pub fn strip(source: &str) -> Stripped {
         text,
         allows,
         bad_markers,
-        test_spans,
     }
 }
 

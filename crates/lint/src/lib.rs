@@ -34,13 +34,11 @@
 //!    `panic!`-family macros (`[panic-budget]`) and, for hot-path crates,
 //!    slice indexing (`[index-budget]`), extending the existing
 //!    `.unwrap()`/`.expect(` budget (`[unwrap-budget]`).
-//! 4. **Schema drift** ([`schema`]) — the versioned wire formats (the
-//!    profile/bench/tune JSON reports, the trace export, the snapshot
-//!    codec) are cross-checked against their parsers: every member a
-//!    writer emits must have a reader, version constants must be
-//!    validated.
-//! 5. **Invariant coverage** ([`coverage`]) — every checker in the
-//!    p3-audit catalog must be exercised by at least one test or fixture.
+//! 4. **Schema drift** ([`schema`]) — the trace export's
+//!    `p3TraceVersion` stamp must be validated on import, and the
+//!    snapshot header constants checked on both the write and the verify
+//!    path. (Members cannot drift: the trace rows, the snapshot body and
+//!    the JSON reports are each one walk that both writes and reads.)
 //!
 //! Findings are compared against the ratcheted `[findings-baseline]`
 //! section of `p3-lint.toml`: a per-rule count may only go down, so new
@@ -58,7 +56,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod callgraph;
-pub mod coverage;
 pub mod lexer;
 pub mod panics;
 pub mod report;
@@ -325,31 +322,53 @@ impl Budget {
     ///
     /// Returns a message naming the first malformed line.
     pub fn parse_section(text: &str, section: &str) -> Result<Budget, String> {
-        let header = format!("[{section}]");
         let mut map = BTreeMap::new();
-        let mut in_section = false;
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                in_section = line == header;
-                continue;
-            }
-            if !in_section {
-                continue;
-            }
-            let Some((name, value)) = line.split_once('=') else {
-                return Err(format!("p3-lint.toml:{}: expected `name = N`", i + 1));
-            };
-            let n: usize = value.trim().parse().map_err(|_| {
-                format!("p3-lint.toml:{}: `{}` is not a count", i + 1, value.trim())
-            })?;
-            map.insert(name.trim().trim_matches('"').to_string(), n);
-        }
+        for_each_entry(text, section, "name = N", |line, name, value| {
+            let n: usize = value
+                .parse()
+                .map_err(|_| format!("p3-lint.toml:{line}: `{value}` is not a count"))?;
+            map.insert(name.trim_matches('"').to_string(), n);
+            Ok(())
+        })?;
         Ok(Budget(map))
     }
+}
+
+/// Calls `entry(line, name, value)` for each `name = value` line of the
+/// `[section]` of `p3-lint.toml` in `text`, with both sides trimmed and
+/// `line` 1-based. `#` comments and blank lines are skipped; a missing
+/// section has no entries.
+///
+/// # Errors
+///
+/// A message naming the first line without `=` and the `shape` its
+/// section expects, or the first error `entry` returns.
+fn for_each_entry(
+    text: &str,
+    section: &str,
+    shape: &str,
+    mut entry: impl FnMut(usize, &str, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let header = format!("[{section}]");
+    let mut in_section = false;
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        if line.starts_with('[') {
+            in_section = line == header;
+            continue;
+        }
+        if !in_section {
+            continue;
+        }
+        let Some((name, value)) = line.split_once('=') else {
+            return Err(format!("p3-lint.toml:{}: expected `{shape}`", i + 1));
+        };
+        entry(i + 1, name.trim(), value.trim())?;
+    }
+    Ok(())
 }
 
 /// Crate-scoped rule exemptions: crate name (short, without the `p3-`
@@ -376,48 +395,34 @@ impl CrateAllow {
     /// Returns a message naming the first malformed line.
     pub fn parse(text: &str) -> Result<CrateAllow, String> {
         let mut map = BTreeMap::new();
-        let mut in_section = false;
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                in_section = line == "[crate-allow]";
-                continue;
-            }
-            if !in_section {
-                continue;
-            }
-            let Some((name, value)) = line.split_once('=') else {
-                return Err(format!(
-                    "p3-lint.toml:{}: expected `name = [\"rule\", ...]`",
-                    i + 1
-                ));
-            };
-            let value = value.trim();
-            let Some(list) = value.strip_prefix('[').and_then(|v| v.strip_suffix(']')) else {
-                return Err(format!(
-                    "p3-lint.toml:{}: `{value}` is not a [\"rule\", ...] list",
-                    i + 1
-                ));
-            };
-            let mut rules = Vec::new();
-            for item in list.split(',') {
-                let item = item.trim();
-                if item.is_empty() {
-                    continue;
-                }
-                let Some(rule) = item.strip_prefix('"').and_then(|r| r.strip_suffix('"')) else {
+        for_each_entry(
+            text,
+            "crate-allow",
+            "name = [\"rule\", ...]",
+            |line, name, value| {
+                let Some(list) = value.strip_prefix('[').and_then(|v| v.strip_suffix(']')) else {
                     return Err(format!(
-                        "p3-lint.toml:{}: `{item}` is not a quoted rule name",
-                        i + 1
+                        "p3-lint.toml:{line}: `{value}` is not a [\"rule\", ...] list"
                     ));
                 };
-                rules.push(rule.to_string());
-            }
-            map.insert(name.trim().to_string(), rules);
-        }
+                let mut rules = Vec::new();
+                for item in list.split(',') {
+                    let item = item.trim();
+                    if item.is_empty() {
+                        continue;
+                    }
+                    let Some(rule) = item.strip_prefix('"').and_then(|r| r.strip_suffix('"'))
+                    else {
+                        return Err(format!(
+                            "p3-lint.toml:{line}: `{item}` is not a quoted rule name"
+                        ));
+                    };
+                    rules.push(rule.to_string());
+                }
+                map.insert(name.to_string(), rules);
+                Ok(())
+            },
+        )?;
         Ok(CrateAllow(map))
     }
 
@@ -441,45 +446,26 @@ impl CrateAllow {
 /// an empty reason).
 pub fn parse_sanitizers(text: &str) -> Result<BTreeMap<String, String>, String> {
     let mut map = BTreeMap::new();
-    let mut in_section = false;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            in_section = line == "[taint-sanitizer]";
-            continue;
-        }
-        if !in_section {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!(
-                "p3-lint.toml:{}: expected `\"crate::Type::fn\" = \"reason\"`",
-                i + 1
-            ));
-        };
-        let unquote = |s: &str| -> Option<String> {
-            s.trim()
-                .strip_prefix('"')
+    let shape = "\"crate::Type::fn\" = \"reason\"";
+    for_each_entry(text, "taint-sanitizer", shape, |line, key, value| {
+        let unquote = |s: &str| {
+            s.strip_prefix('"')
                 .and_then(|s| s.strip_suffix('"'))
                 .map(str::to_string)
         };
         let (Some(key), Some(reason)) = (unquote(key), unquote(value)) else {
             return Err(format!(
-                "p3-lint.toml:{}: sanitizer entries are `\"crate::Type::fn\" = \"reason\"`",
-                i + 1
+                "p3-lint.toml:{line}: sanitizer entries are `{shape}`"
             ));
         };
         if reason.trim().is_empty() {
             return Err(format!(
-                "p3-lint.toml:{}: sanitizer `{key}` needs a non-empty reason",
-                i + 1
+                "p3-lint.toml:{line}: sanitizer `{key}` needs a non-empty reason"
             ));
         }
         map.insert(key, reason);
-    }
+        Ok(())
+    })?;
     Ok(map)
 }
 
@@ -614,23 +600,8 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn all_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            all_files(&p, out);
-        } else {
-            out.push(p);
-        }
-    }
-}
-
 /// Which crates [`lint_workspace_with`] checks, and whether the
-/// repo-specific schema/coverage passes run. [`Default`] matches this
+/// repo-specific schema-drift pass runs. [`Default`] matches this
 /// workspace; fixture tests substitute their own mini-workspaces.
 #[derive(Debug, Clone)]
 pub struct WorkspaceOptions {
@@ -638,8 +609,8 @@ pub struct WorkspaceOptions {
     pub sim_crates: Vec<String>,
     /// Crates whose unwrap and panic budgets are enforced.
     pub budget_crates: Vec<String>,
-    /// Run the schema-drift and invariant-coverage passes (they name
-    /// specific files of this repository).
+    /// Run the schema-drift pass (it names specific files of this
+    /// repository).
     pub repo_checks: bool,
 }
 
@@ -652,14 +623,6 @@ impl Default for WorkspaceOptions {
         }
     }
 }
-
-/// The versioned-format files the schema-drift pass cross-checks, as
-/// `(workspace-relative path, version constant)`.
-const JSON_FORMAT_SPECS: [(&str, &str); 3] = [
-    ("crates/prof/src/report.rs", "PROFILE_FORMAT_VERSION"),
-    ("crates/prof/src/bench.rs", "BENCH_FORMAT_VERSION"),
-    ("crates/tune/src/report.rs", "TUNE_FORMAT_VERSION"),
-];
 
 /// Lints the workspace rooted at `root` (the directory holding
 /// `Cargo.toml` and `crates/`) with the default [`WorkspaceOptions`]:
@@ -792,46 +755,23 @@ pub fn lint_workspace_with(
         track_budget(&mut report, name, "index", n, b);
     }
 
-    // ── Passes 4–5: schema drift and invariant coverage (repo-specific). ──
+    // ── Pass 4: schema drift (repo-specific). ──
     if opts.repo_checks {
-        let by_rel: BTreeMap<&Path, usize> = files
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.path.as_path(), i))
-            .collect();
-        let find = |rel: &str| -> Result<usize, String> {
-            by_rel
-                .get(Path::new(rel))
-                .copied()
+        let find = |rel: &str| {
+            files
+                .iter()
+                .find(|f| f.path == Path::new(rel))
                 .ok_or_else(|| format!("schema-drift: expected file `{rel}` is missing"))
         };
-        for (rel, version_const) in JSON_FORMAT_SPECS {
-            let i = find(rel)?;
-            report.findings.extend(schema::check_json_format(
-                &files[i].path,
-                &files[i].stripped,
-                version_const,
-            ));
-        }
-        let i = find("crates/trace/src/export.rs")?;
-        report.findings.extend(schema::check_trace_export(
-            &files[i].path,
-            &files[i].stripped,
-        ));
-        let i = find("crates/des/src/snap.rs")?;
+        let export = find("crates/trace/src/export.rs")?;
+        report
+            .findings
+            .extend(schema::check_trace_export(&export.path, &export.stripped));
+        let snap = find("crates/des/src/snap.rs")?;
         report.findings.extend(schema::check_snap_header(
-            &files[i].path,
-            &files[i].stripped,
+            &snap.path,
+            &snap.stripped,
             &["SNAP_MAGIC", "SNAP_VERSION"],
-        ));
-
-        let cat = find("crates/audit/src/report.rs")?;
-        let corpus = test_corpus(root, &files, &sources);
-        report.findings.extend(coverage::check_invariant_coverage(
-            &files[cat].path,
-            &sources[cat],
-            "Invariant",
-            &corpus,
         ));
     }
 
@@ -869,51 +809,6 @@ fn track_budget(
     } else if used < budget {
         report.slack.push(line);
     }
-}
-
-/// The searchable corpus for the invariant-coverage pass: every file under
-/// any crate's `tests/` directory (fixture file *names* count too), plus
-/// the `#[cfg(test)]` spans of each sim-crate source.
-fn test_corpus(
-    root: &Path,
-    files: &[callgraph::SourceFile],
-    sources: &[String],
-) -> Vec<coverage::CorpusEntry> {
-    let mut corpus = Vec::new();
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
-        let mut dirs: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        dirs.sort();
-        for d in dirs {
-            let tests = d.join("tests");
-            let mut paths = Vec::new();
-            all_files(&tests, &mut paths);
-            for p in paths {
-                let text = std::fs::read_to_string(&p).unwrap_or_default();
-                corpus.push(coverage::CorpusEntry {
-                    path: p.strip_prefix(root).unwrap_or(&p).to_path_buf(),
-                    text,
-                });
-            }
-        }
-    }
-    for (sf, source) in files.iter().zip(sources) {
-        if sf.stripped.test_spans.is_empty() {
-            continue;
-        }
-        let text: String = sf
-            .stripped
-            .test_spans
-            .iter()
-            .filter_map(|&(a, z)| source.get(a..z.min(source.len())))
-            .collect::<Vec<_>>()
-            .join("\n");
-        corpus.push(coverage::CorpusEntry {
-            path: sf.path.clone(),
-            text,
-        });
-    }
-    corpus
 }
 
 #[cfg(test)]
@@ -1110,5 +1005,46 @@ mod tests {
             budget: 0,
         });
         assert!(!r.is_clean());
+    }
+
+    #[test]
+    fn config_errors_name_the_line_and_the_expected_shape() {
+        let cases = [
+            (
+                Budget::parse("[unwrap-budget]\n\ncluster three\n").unwrap_err(),
+                "p3-lint.toml:3: expected `name = N`",
+            ),
+            (
+                Budget::parse("[unwrap-budget]\ncluster = x # why\n").unwrap_err(),
+                "p3-lint.toml:2: `x` is not a count",
+            ),
+            (
+                CrateAllow::parse("[crate-allow]\nprof\n").unwrap_err(),
+                "p3-lint.toml:2: expected `name = [\"rule\", ...]`",
+            ),
+            (
+                CrateAllow::parse("[crate-allow]\nprof = wall\n").unwrap_err(),
+                "p3-lint.toml:2: `wall` is not a [\"rule\", ...] list",
+            ),
+            (
+                CrateAllow::parse("[crate-allow]\nprof = [wall]\n").unwrap_err(),
+                "p3-lint.toml:2: `wall` is not a quoted rule name",
+            ),
+            (
+                parse_sanitizers("[taint-sanitizer]\nx\n").unwrap_err(),
+                "p3-lint.toml:2: expected `\"crate::Type::fn\" = \"reason\"`",
+            ),
+            (
+                parse_sanitizers("[taint-sanitizer]\nx = \"r\"\n").unwrap_err(),
+                "p3-lint.toml:2: sanitizer entries are `\"crate::Type::fn\" = \"reason\"`",
+            ),
+            (
+                parse_sanitizers("[taint-sanitizer]\n\"x\" = \" \"\n").unwrap_err(),
+                "p3-lint.toml:2: sanitizer `x` needs a non-empty reason",
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
     }
 }

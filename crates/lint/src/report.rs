@@ -2,8 +2,7 @@
 //!
 //! `p3 lint --json` emits the workspace report as a small hand-rolled JSON
 //! document (the same no-dependency discipline as every other exporter in
-//! the workspace — and the schema-drift pass lints this file like any
-//! other). The output is **byte-deterministic**: findings are sorted,
+//! the workspace). The output is **byte-deterministic**: findings are sorted,
 //! per-rule counts live in ordered maps, and nothing timestamps the run —
 //! CI runs the lint twice and byte-compares the two reports.
 

@@ -14,9 +14,9 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use p3_lint::{
-    coverage, lint_source, lint_source_for_crate, lint_workspace, lint_workspace_with, report,
-    schema, taint, CrateAllow, Finding, WorkspaceOptions, FILE_LENGTH_RULE, FLOAT_ACCUM_RULE,
-    MAX_FILE_LINES, RULES,
+    lint_source, lint_source_for_crate, lint_workspace, lint_workspace_with, report, schema, taint,
+    CrateAllow, Finding, WorkspaceOptions, FILE_LENGTH_RULE, FLOAT_ACCUM_RULE, MAX_FILE_LINES,
+    RULES,
 };
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -291,7 +291,6 @@ fn every_rule_in_the_catalog_has_a_tripping_fixture() {
         catalog.push(t.into());
     }
     catalog.push(schema::SCHEMA_RULE.into());
-    catalog.push(coverage::COVERAGE_RULE.into());
 
     let mut tripped: BTreeSet<String> = BTreeSet::new();
     // Token-rule fixture files.
@@ -316,24 +315,12 @@ fn every_rule_in_the_catalog_has_a_tripping_fixture() {
     let ws = lint_workspace_with(&fixture_root("ws"), &ws_options(&["helper", "sim1"]))
         .expect("ws lint");
     tripped.extend(ws.findings.into_iter().map(|f| f.rule));
-    // Schema drift: a writer/reader pair that drifted.
-    let drifting = "fn w() -> String { format!(\"{{\\\"a\\\": 1}}\") }\n\
-                    fn r(v: &V) -> u64 { get_u64(v, \"b\").unwrap_or(0) }\n";
+    // Schema drift: an exporter stamps a version no importer validates.
+    let unvalidated = r#"fn export(out: &mut String) { out.push_str("\"p3TraceVersion\": 1"); }"#;
     tripped.extend(
-        schema::check_json_format(Path::new("s.rs"), &p3_lint::strip(drifting), "V1")
+        schema::check_trace_export(Path::new("s.rs"), &p3_lint::strip(unvalidated))
             .into_iter()
             .map(|f| f.rule),
-    );
-    // Invariant coverage: a catalog variant with an empty corpus.
-    tripped.extend(
-        coverage::check_invariant_coverage(
-            Path::new("c.rs"),
-            "pub enum Invariant { MonotoneClock }",
-            "Invariant",
-            &[],
-        )
-        .into_iter()
-        .map(|f| f.rule),
     );
 
     for rule in &catalog {

@@ -8,17 +8,16 @@
 //! `events_per_sec` are wall-clock and machine-dependent, so the differ
 //! only holds them to a tolerance band.
 
-use crate::report::{get_array, get_f64, get_str, get_u64, parse_checked, ReportError};
-use p3_trace::json::{escape, format_number};
+use crate::doc::{Doc, Layout, ReportError};
 
 /// Version stamp of the [`BenchReport`] JSON schema.
 pub const BENCH_FORMAT_VERSION: u64 = 1;
 
 /// Discriminator value of the `"format"` member of a bench document.
-pub(crate) const BENCH_FORMAT: &str = "p3-bench";
+const BENCH_FORMAT: &str = "p3-bench";
 
 /// One measured configuration of the bench sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchPoint {
     /// Backend name (`ps`, `ring`, `halving-doubling`).
     pub backend: String,
@@ -48,7 +47,7 @@ impl BenchPoint {
 }
 
 /// A full bench sweep, ready to serialize or diff.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchReport {
     /// Schema version ([`BENCH_FORMAT_VERSION`]).
     pub version: u64,
@@ -57,78 +56,32 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
+    /// The report's one member list, run by both `to_json` and
+    /// `from_json`.
+    fn walk(d: &mut Doc<'_>, r: &mut BenchReport) -> Result<(), ReportError> {
+        d.header(BENCH_FORMAT, BENCH_FORMAT_VERSION, &mut r.version)?;
+        d.list("points", Layout::Inline, &mut r.points, |d, p| {
+            d.str("backend", &mut p.backend)?;
+            d.u64("machines", &mut p.machines)?;
+            d.u64("events", &mut p.events)?;
+            d.hex("event_hash", &mut p.event_hash)?;
+            d.f64("sim_seconds", &mut p.sim_seconds)?;
+            d.u64("peak_in_flight", &mut p.peak_in_flight)?;
+            d.f64("throughput", &mut p.throughput)?;
+            d.f64("wall_seconds", &mut p.wall_seconds)?;
+            d.f64("events_per_sec", &mut p.events_per_sec)
+        })
+    }
+
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"format\": \"{BENCH_FORMAT}\",\n"));
-        out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str("  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                concat!(
-                    "\n    {{\"backend\": \"{}\", \"machines\": {}, ",
-                    "\"events\": {}, \"event_hash\": \"{:#018x}\", ",
-                    "\"sim_seconds\": {}, \"peak_in_flight\": {}, ",
-                    "\"throughput\": {}, \"wall_seconds\": {}, ",
-                    "\"events_per_sec\": {}}}"
-                ),
-                escape(&p.backend),
-                p.machines,
-                p.events,
-                p.event_hash,
-                format_number(p.sim_seconds),
-                p.peak_in_flight,
-                format_number(p.throughput),
-                format_number(p.wall_seconds),
-                format_number(p.events_per_sec),
-            ));
-        }
-        out.push_str(if self.points.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        Doc::write(self, Self::walk)
     }
 
     /// Parses a report back from JSON. Never panics: every malformed
     /// input maps to a [`ReportError`].
     pub fn from_json(text: &str) -> Result<BenchReport, ReportError> {
-        let root = parse_checked(text, BENCH_FORMAT, BENCH_FORMAT_VERSION)?;
-        let mut points = Vec::new();
-        for p in get_array(&root, "points")? {
-            let hash_text = get_str(p, "event_hash")?;
-            let digits = hash_text.strip_prefix("0x").ok_or_else(|| {
-                ReportError::Schema(format!(
-                    "member `event_hash` is not a 0x-prefixed hex string: `{hash_text}`"
-                ))
-            })?;
-            let event_hash = u64::from_str_radix(digits, 16).map_err(|_| {
-                ReportError::Schema(format!(
-                    "member `event_hash` is not a 64-bit hex value: `{hash_text}`"
-                ))
-            })?;
-            points.push(BenchPoint {
-                backend: get_str(p, "backend")?.to_string(),
-                machines: get_u64(p, "machines")?,
-                events: get_u64(p, "events")?,
-                event_hash,
-                sim_seconds: get_f64(p, "sim_seconds")?,
-                peak_in_flight: get_u64(p, "peak_in_flight")?,
-                throughput: get_f64(p, "throughput")?,
-                wall_seconds: get_f64(p, "wall_seconds")?,
-                events_per_sec: get_f64(p, "events_per_sec")?,
-            });
-        }
-        Ok(BenchReport {
-            version: BENCH_FORMAT_VERSION,
-            points,
-        })
+        Doc::read(text, Self::walk)
     }
 }
 

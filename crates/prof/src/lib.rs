@@ -25,22 +25,20 @@
 //! * [`compare_reports`] — the regression differ behind `p3 compare`,
 //!   which holds deterministic fields (event counts, digests) to exact
 //!   equality and wall-clock throughput to a tolerance band.
+//!
+//! Every versioned report, the tuner's `TuneReport` included, names its
+//! members once in a walk over a [`Doc`], which both prints and parses
+//! it, so a member the writer emits and the reader rejects cannot exist.
 
 mod bench;
 mod compare;
+mod doc;
 mod report;
 
 pub use bench::{BenchPoint, BenchReport, BENCH_FORMAT_VERSION};
 pub use compare::{compare_reports, compare_reports_subset, Comparison};
-pub use report::{CounterEntry, ProfileReport, ReportError, TimerEntry, PROFILE_FORMAT_VERSION};
-
-/// Typed JSON-member access shared by every versioned report format in
-/// the workspace. Downstream crates that define their own report schema
-/// (the tuner's `TuneReport`) build their readers from these so all
-/// formats fail with the same structured [`ReportError`]s.
-pub mod schema {
-    pub use crate::report::{get, get_array, get_f64, get_str, get_u64, parse_checked};
-}
+pub use doc::{Doc, Layout, ReportError};
+pub use report::{CounterEntry, ProfileReport, TimerEntry, PROFILE_FORMAT_VERSION};
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -1,22 +1,17 @@
 //! The per-run [`ProfileReport`]: versioned JSON written by
-//! `p3 simulate --profile-out`, parsed back for tests and tooling.
-//!
-//! Hand-rolled like every other serialized artifact in the workspace (the
-//! policy is offline and dependency-free): writing is string assembly,
-//! reading goes through `p3_trace::json` and surfaces every failure as a
-//! structured [`ReportError`] — malformed input must never panic.
+//! `p3 simulate --profile-out`, parsed back for tests and tooling. One
+//! member list ([`crate::Doc`]) both writes and reads it.
 
-use p3_trace::json::{escape, format_number, parse, JsonValue};
-use std::fmt;
+use crate::doc::{Doc, Layout, ReportError};
 
 /// Version stamp of the [`ProfileReport`] JSON schema.
 pub const PROFILE_FORMAT_VERSION: u64 = 1;
 
 /// Discriminator value of the `"format"` member of a profile document.
-pub(crate) const PROFILE_FORMAT: &str = "p3-profile";
+const PROFILE_FORMAT: &str = "p3-profile";
 
 /// One scoped timer in a report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimerEntry {
     /// Timer key, e.g. `dispatch/Compute` or `net/poll`.
     pub key: String,
@@ -27,7 +22,7 @@ pub struct TimerEntry {
 }
 
 /// One monotonic counter in a report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterEntry {
     /// Counter key, e.g. `net/reallocations`.
     pub key: String,
@@ -36,7 +31,7 @@ pub struct CounterEntry {
 }
 
 /// Everything one profiled run measured about the simulator itself.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileReport {
     /// Schema version ([`PROFILE_FORMAT_VERSION`]).
     pub version: u64,
@@ -57,199 +52,36 @@ pub struct ProfileReport {
     pub counters: Vec<CounterEntry>,
 }
 
-/// Why a serialized report could not be understood.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReportError {
-    /// The document is not JSON at all.
-    Json(String),
-    /// The document is JSON but not this schema (wrong `"format"`
-    /// discriminator, missing member, ill-typed value…). The string names
-    /// the offending member.
-    Schema(String),
-    /// The document is a future (or alien) version of this schema.
-    Version {
-        /// Version stamp found in the document.
-        found: u64,
-        /// Version this build understands.
-        expected: u64,
-    },
-}
-
-impl fmt::Display for ReportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReportError::Json(e) => write!(f, "not valid JSON: {e}"),
-            ReportError::Schema(what) => write!(f, "schema mismatch: {what}"),
-            ReportError::Version { found, expected } => {
-                write!(
-                    f,
-                    "unsupported report version {found} (expected {expected})"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReportError {}
-
-// ---------------------------------------------------------------------
-// Typed member access shared by the profile and bench readers, and —
-// via the crate's public `schema` module — by downstream report formats
-// (the tuner's `TuneReport` is the first).
-
-/// Fetches member `key` of object `v`, or a schema error naming it.
-pub fn get<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ReportError> {
-    v.get(key)
-        .ok_or_else(|| ReportError::Schema(format!("missing member `{key}`")))
-}
-
-/// Fetches member `key` as a non-negative integer.
-pub fn get_u64(v: &JsonValue, key: &str) -> Result<u64, ReportError> {
-    let n = get(v, key)?
-        .as_number()
-        .ok_or_else(|| ReportError::Schema(format!("member `{key}` is not a number")))?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(ReportError::Schema(format!(
-            "member `{key}` is not a non-negative integer: {n}"
-        )));
-    }
-    Ok(n as u64)
-}
-
-/// Fetches member `key` as a number.
-pub fn get_f64(v: &JsonValue, key: &str) -> Result<f64, ReportError> {
-    get(v, key)?
-        .as_number()
-        .ok_or_else(|| ReportError::Schema(format!("member `{key}` is not a number")))
-}
-
-/// Fetches member `key` as a string.
-pub fn get_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, ReportError> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| ReportError::Schema(format!("member `{key}` is not a string")))
-}
-
-/// Fetches member `key` as an array.
-pub fn get_array<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], ReportError> {
-    get(v, key)?
-        .as_array()
-        .ok_or_else(|| ReportError::Schema(format!("member `{key}` is not an array")))
-}
-
-/// Parses a document and checks its `"format"` discriminator and
-/// `"version"` stamp, returning the root value.
-pub fn parse_checked(text: &str, format: &str, version: u64) -> Result<JsonValue, ReportError> {
-    let root = parse(text).map_err(|e| ReportError::Json(e.to_string()))?;
-    if root.as_object().is_none() {
-        return Err(ReportError::Schema("document root is not an object".into()));
-    }
-    let found_format = get_str(&root, "format")?;
-    if found_format != format {
-        return Err(ReportError::Schema(format!(
-            "member `format` is `{found_format}`, expected `{format}`"
-        )));
-    }
-    let found = get_u64(&root, "version")?;
-    if found != version {
-        return Err(ReportError::Version {
-            found,
-            expected: version,
-        });
-    }
-    Ok(root)
-}
-
 impl ProfileReport {
+    /// The report's one member list, run by both `to_json` and
+    /// `from_json`.
+    fn walk(d: &mut Doc<'_>, r: &mut ProfileReport) -> Result<(), ReportError> {
+        d.header(PROFILE_FORMAT, PROFILE_FORMAT_VERSION, &mut r.version)?;
+        d.f64("wall_seconds", &mut r.wall_seconds)?;
+        d.f64("sim_seconds", &mut r.sim_seconds)?;
+        d.u64("events", &mut r.events)?;
+        d.f64("events_per_sec", &mut r.events_per_sec)?;
+        d.f64("sim_rate", &mut r.sim_rate)?;
+        d.list("timers", Layout::Inline, &mut r.timers, |d, t| {
+            d.str("key", &mut t.key)?;
+            d.u64("calls", &mut t.calls)?;
+            d.f64("seconds", &mut t.seconds)
+        })?;
+        d.list("counters", Layout::Inline, &mut r.counters, |d, c| {
+            d.str("key", &mut c.key)?;
+            d.u64("value", &mut c.value)
+        })
+    }
+
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"format\": \"{PROFILE_FORMAT}\",\n"));
-        out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str(&format!(
-            "  \"wall_seconds\": {},\n",
-            format_number(self.wall_seconds)
-        ));
-        out.push_str(&format!(
-            "  \"sim_seconds\": {},\n",
-            format_number(self.sim_seconds)
-        ));
-        out.push_str(&format!("  \"events\": {},\n", self.events));
-        out.push_str(&format!(
-            "  \"events_per_sec\": {},\n",
-            format_number(self.events_per_sec)
-        ));
-        out.push_str(&format!(
-            "  \"sim_rate\": {},\n",
-            format_number(self.sim_rate)
-        ));
-        out.push_str("  \"timers\": [");
-        for (i, t) in self.timers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"calls\": {}, \"seconds\": {}}}",
-                escape(&t.key),
-                t.calls,
-                format_number(t.seconds)
-            ));
-        }
-        out.push_str(if self.timers.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"counters\": [");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"value\": {}}}",
-                escape(&c.key),
-                c.value
-            ));
-        }
-        out.push_str(if self.counters.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        Doc::write(self, Self::walk)
     }
 
     /// Parses a report back from JSON. Never panics: every malformed
     /// input maps to a [`ReportError`].
     pub fn from_json(text: &str) -> Result<ProfileReport, ReportError> {
-        let root = parse_checked(text, PROFILE_FORMAT, PROFILE_FORMAT_VERSION)?;
-        let mut timers = Vec::new();
-        for t in get_array(&root, "timers")? {
-            timers.push(TimerEntry {
-                key: get_str(t, "key")?.to_string(),
-                calls: get_u64(t, "calls")?,
-                seconds: get_f64(t, "seconds")?,
-            });
-        }
-        let mut counters = Vec::new();
-        for c in get_array(&root, "counters")? {
-            counters.push(CounterEntry {
-                key: get_str(c, "key")?.to_string(),
-                value: get_u64(c, "value")?,
-            });
-        }
-        Ok(ProfileReport {
-            version: PROFILE_FORMAT_VERSION,
-            wall_seconds: get_f64(&root, "wall_seconds")?,
-            sim_seconds: get_f64(&root, "sim_seconds")?,
-            events: get_u64(&root, "events")?,
-            events_per_sec: get_f64(&root, "events_per_sec")?,
-            sim_rate: get_f64(&root, "sim_rate")?,
-            timers,
-            counters,
-        })
+        Doc::read(text, Self::walk)
     }
 
     /// The value of counter `key`, if present.

@@ -35,7 +35,7 @@ impl Default for EvalParams {
 
 /// The three objectives the Pareto frontier is computed over. Lower is
 /// better on every axis.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Objectives {
     /// Mean measured iteration time, seconds.
     pub iter_secs: f64,

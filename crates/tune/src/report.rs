@@ -1,18 +1,16 @@
 //! The versioned `TuneReport`: the search's byte-stable JSON artifact
 //! and the human-readable recommended-config table.
 //!
-//! Hand-rolled like every serialized artifact in the workspace; reading
-//! goes through `p3_prof::schema`'s typed accessors so malformed input
-//! surfaces as structured [`ReportError`]s, never a panic. The report
-//! deliberately contains **no wall-clock values** — search cost appears
-//! as deterministic counters — because byte-identity across repeated
-//! runs and across `--jobs` values is the contract tests pin.
+//! One member list, a walk over a [`p3_prof::Doc`], both writes and
+//! reads it, so malformed input surfaces as structured [`ReportError`]s,
+//! never a panic. The report deliberately contains **no wall-clock
+//! values** — search cost appears as deterministic counters — because
+//! byte-identity across repeated runs and across `--jobs` values is the
+//! contract tests pin.
 
 use crate::eval::Objectives;
 use crate::search::{SearchCost, TuneOutcome, TuneSettings};
-use p3_prof::schema::{get, get_array, get_f64, get_str, get_u64, parse_checked};
-use p3_prof::ReportError;
-use p3_trace::json::{escape, format_number, JsonValue};
+use p3_prof::{Doc, Layout, ReportError};
 
 /// Version stamp of the [`TuneReport`] JSON schema.
 pub const TUNE_FORMAT_VERSION: u64 = 1;
@@ -21,7 +19,7 @@ pub const TUNE_FORMAT_VERSION: u64 = 1;
 const TUNE_FORMAT: &str = "p3-tune";
 
 /// One frontier (or recommended) configuration in a cell's report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigEntry {
     /// Candidate key (`backend=...,slice=...,...`).
     pub candidate: String,
@@ -46,7 +44,7 @@ pub struct ConfigEntry {
 }
 
 /// One cell in the report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellReport {
     /// Cell display name.
     pub name: String,
@@ -68,7 +66,7 @@ pub struct CellReport {
 }
 
 /// The whole tuning artifact written by `p3 tune --out`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TuneReport {
     /// Schema version ([`TUNE_FORMAT_VERSION`]).
     pub version: u64,
@@ -100,11 +98,7 @@ impl TuneReport {
             .map(|o| {
                 let entry = |ei: usize| {
                     let e = &o.evaluations[ei];
-                    let obj = e.objectives().copied().unwrap_or(Objectives {
-                        iter_secs: 0.0,
-                        wire_bytes: 0,
-                        stall_p99_secs: 0.0,
-                    });
+                    let obj = e.objectives().copied().unwrap_or_default();
                     ConfigEntry {
                         candidate: e.candidate.key(),
                         slice: e.candidate.slice,
@@ -143,82 +137,51 @@ impl TuneReport {
         }
     }
 
+    /// The report's one member list, run by both `to_json` and
+    /// `from_json`.
+    fn walk(d: &mut Doc<'_>, r: &mut TuneReport) -> Result<(), ReportError> {
+        d.header(TUNE_FORMAT, TUNE_FORMAT_VERSION, &mut r.version)?;
+        d.u64("seed", &mut r.seed)?;
+        d.u64("warmup", &mut r.warmup)?;
+        d.u64("screen_measure", &mut r.screen_measure)?;
+        d.u64("measure", &mut r.measure)?;
+        d.u64("generations", &mut r.generations)?;
+        d.u64("population", &mut r.population)?;
+        d.obj("cost", Layout::Pretty, &mut r.cost, |d, c| {
+            d.u64("screening_runs", &mut c.screening_runs)?;
+            d.u64("refinement_runs", &mut c.refinement_runs)?;
+            d.u64("warm_restores", &mut c.warm_restores)?;
+            d.u64("warm_fallbacks", &mut c.warm_fallbacks)?;
+            d.u64("cache_hits", &mut c.cache_hits)?;
+            d.u64("infeasible", &mut c.infeasible)?;
+            d.u64("sim_events", &mut c.sim_events)
+        })?;
+        d.list("cells", Layout::Pretty, &mut r.cells, |d, c| {
+            d.str("name", &mut c.name)?;
+            d.u64("machines", &mut c.machines)?;
+            d.f64("gbps", &mut c.gbps)?;
+            d.str("fault", &mut c.fault)?;
+            d.u64("evaluated", &mut c.evaluated)?;
+            d.u64("infeasible", &mut c.infeasible)?;
+            d.list(
+                "frontier",
+                Layout::Inline,
+                &mut c.frontier,
+                ConfigEntry::walk,
+            )?;
+            d.opt(
+                "recommended",
+                Layout::Inline,
+                &mut c.recommended,
+                ConfigEntry::walk,
+            )
+        })
+    }
+
     /// Serializes the report as pretty-printed JSON. Deterministic: equal
     /// reports produce equal bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"format\": \"{TUNE_FORMAT}\",\n"));
-        out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"warmup\": {},\n", self.warmup));
-        out.push_str(&format!("  \"screen_measure\": {},\n", self.screen_measure));
-        out.push_str(&format!("  \"measure\": {},\n", self.measure));
-        out.push_str(&format!("  \"generations\": {},\n", self.generations));
-        out.push_str(&format!("  \"population\": {},\n", self.population));
-        out.push_str("  \"cost\": {\n");
-        out.push_str(&format!(
-            "    \"screening_runs\": {},\n",
-            self.cost.screening_runs
-        ));
-        out.push_str(&format!(
-            "    \"refinement_runs\": {},\n",
-            self.cost.refinement_runs
-        ));
-        out.push_str(&format!(
-            "    \"warm_restores\": {},\n",
-            self.cost.warm_restores
-        ));
-        out.push_str(&format!(
-            "    \"warm_fallbacks\": {},\n",
-            self.cost.warm_fallbacks
-        ));
-        out.push_str(&format!("    \"cache_hits\": {},\n", self.cost.cache_hits));
-        out.push_str(&format!("    \"infeasible\": {},\n", self.cost.infeasible));
-        out.push_str(&format!("    \"sim_events\": {}\n", self.cost.sim_events));
-        out.push_str("  },\n");
-        out.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", escape(&c.name)));
-            out.push_str(&format!("      \"machines\": {},\n", c.machines));
-            out.push_str(&format!("      \"gbps\": {},\n", format_number(c.gbps)));
-            out.push_str(&format!("      \"fault\": \"{}\",\n", escape(&c.fault)));
-            out.push_str(&format!("      \"evaluated\": {},\n", c.evaluated));
-            out.push_str(&format!("      \"infeasible\": {},\n", c.infeasible));
-            out.push_str("      \"frontier\": [");
-            for (j, e) in c.frontier.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        ");
-                out.push_str(&entry_json(e));
-            }
-            out.push_str(if c.frontier.is_empty() {
-                "],\n"
-            } else {
-                "\n      ],\n"
-            });
-            match &c.recommended {
-                Some(e) => {
-                    out.push_str("      \"recommended\": ");
-                    out.push_str(&entry_json(e));
-                    out.push('\n');
-                }
-                None => out.push_str("      \"recommended\": null\n"),
-            }
-            out.push_str("    }");
-        }
-        out.push_str(if self.cells.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        Doc::write(self, Self::walk)
     }
 
     /// Parses a report back from JSON. Never panics: every malformed
@@ -228,49 +191,7 @@ impl TuneReport {
     ///
     /// Any [`ReportError`]: not JSON, wrong schema, future version.
     pub fn from_json(text: &str) -> Result<TuneReport, ReportError> {
-        let root = parse_checked(text, TUNE_FORMAT, TUNE_FORMAT_VERSION)?;
-        let cost_v = get(&root, "cost")?;
-        let cost = SearchCost {
-            screening_runs: get_u64(cost_v, "screening_runs")?,
-            refinement_runs: get_u64(cost_v, "refinement_runs")?,
-            warm_restores: get_u64(cost_v, "warm_restores")?,
-            warm_fallbacks: get_u64(cost_v, "warm_fallbacks")?,
-            cache_hits: get_u64(cost_v, "cache_hits")?,
-            infeasible: get_u64(cost_v, "infeasible")?,
-            sim_events: get_u64(cost_v, "sim_events")?,
-        };
-        let mut cells = Vec::new();
-        for c in get_array(&root, "cells")? {
-            let mut frontier = Vec::new();
-            for e in get_array(c, "frontier")? {
-                frontier.push(entry_from_json(e)?);
-            }
-            let recommended = match get(c, "recommended")? {
-                JsonValue::Null => None,
-                other => Some(entry_from_json(other)?),
-            };
-            cells.push(CellReport {
-                name: get_str(c, "name")?.to_string(),
-                machines: get_u64(c, "machines")?,
-                gbps: get_f64(c, "gbps")?,
-                fault: get_str(c, "fault")?.to_string(),
-                evaluated: get_u64(c, "evaluated")?,
-                infeasible: get_u64(c, "infeasible")?,
-                frontier,
-                recommended,
-            });
-        }
-        Ok(TuneReport {
-            version: TUNE_FORMAT_VERSION,
-            seed: get_u64(&root, "seed")?,
-            warmup: get_u64(&root, "warmup")?,
-            screen_measure: get_u64(&root, "screen_measure")?,
-            measure: get_u64(&root, "measure")?,
-            generations: get_u64(&root, "generations")?,
-            population: get_u64(&root, "population")?,
-            cost,
-            cells,
-        })
+        Doc::read(text, Self::walk)
     }
 
     /// The human-readable recommended-config table `p3 tune` prints.
@@ -309,53 +230,21 @@ impl TuneReport {
     }
 }
 
-fn entry_json(e: &ConfigEntry) -> String {
-    format!(
-        "{{\"candidate\": \"{}\", \"slice\": {}, \"policy\": \"{}\", \"backend\": \"{}\", \
-         \"channels\": {}, \"placement\": \"{}\", \"iter_secs\": {}, \"wire_bytes\": {}, \
-         \"stall_p99_secs\": {}, \"refined\": {}, \"events\": {}, \"event_hash\": \"{:#018x}\"}}",
-        escape(&e.candidate),
-        e.slice,
-        escape(&e.policy),
-        escape(&e.backend),
-        e.channels,
-        escape(&e.placement),
-        format_number(e.objectives.iter_secs),
-        e.objectives.wire_bytes,
-        format_number(e.objectives.stall_p99_secs),
-        e.refined,
-        e.events,
-        e.event_hash,
-    )
-}
-
-fn entry_from_json(v: &JsonValue) -> Result<ConfigEntry, ReportError> {
-    let refined = get(v, "refined")?
-        .as_bool()
-        .ok_or_else(|| ReportError::Schema("member `refined` is not a boolean".into()))?;
-    let hash_str = get_str(v, "event_hash")?;
-    let event_hash = hash_str
-        .strip_prefix("0x")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| {
-            ReportError::Schema(format!("member `event_hash` is not a hex hash: {hash_str}"))
-        })?;
-    Ok(ConfigEntry {
-        candidate: get_str(v, "candidate")?.to_string(),
-        slice: get_u64(v, "slice")?,
-        policy: get_str(v, "policy")?.to_string(),
-        backend: get_str(v, "backend")?.to_string(),
-        channels: get_u64(v, "channels")?,
-        placement: get_str(v, "placement")?.to_string(),
-        objectives: Objectives {
-            iter_secs: get_f64(v, "iter_secs")?,
-            wire_bytes: get_u64(v, "wire_bytes")?,
-            stall_p99_secs: get_f64(v, "stall_p99_secs")?,
-        },
-        refined,
-        events: get_u64(v, "events")?,
-        event_hash,
-    })
+impl ConfigEntry {
+    fn walk(d: &mut Doc<'_>, e: &mut ConfigEntry) -> Result<(), ReportError> {
+        d.str("candidate", &mut e.candidate)?;
+        d.u64("slice", &mut e.slice)?;
+        d.str("policy", &mut e.policy)?;
+        d.str("backend", &mut e.backend)?;
+        d.u64("channels", &mut e.channels)?;
+        d.str("placement", &mut e.placement)?;
+        d.f64("iter_secs", &mut e.objectives.iter_secs)?;
+        d.u64("wire_bytes", &mut e.objectives.wire_bytes)?;
+        d.f64("stall_p99_secs", &mut e.objectives.stall_p99_secs)?;
+        d.bool("refined", &mut e.refined)?;
+        d.u64("events", &mut e.events)?;
+        d.hex("event_hash", &mut e.event_hash)
+    }
 }
 
 #[cfg(test)]
