@@ -94,6 +94,17 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
         None if args.switch("quick") => QUICK_LADDER.to_vec(),
         None => FULL_LADDER.to_vec(),
     };
+    // Points are keyed by (backend, machines), so a repeated rung would
+    // write a report that no reader accepts.
+    for (i, &m) in ladder.iter().enumerate() {
+        if ladder[..i].contains(&m) {
+            return Err(bad_value(
+                "machines",
+                &m.to_string(),
+                "each cluster size at most once",
+            ));
+        }
+    }
     let ladder = &ladder[..];
     let out_path = args.get("out").unwrap_or(BENCH_OUT).to_string();
     let backends = [
@@ -322,6 +333,40 @@ mod tests {
     fn bench_rejects_bad_machine_lists() {
         assert!(run("bench --machines 0").is_err());
         assert!(run("bench --machines 2,x").is_err());
+        // Rejected before any point runs, so no report is written.
+        let out_file = tmp("repeated.json");
+        let line = format!("bench --machines 2,4,2 --out {}", out_file.display());
+        let err = run(&line).unwrap_err().to_string();
+        assert!(
+            err.contains("--machines 2: expected each cluster size at most once"),
+            "{err}"
+        );
+        assert!(!out_file.exists());
+    }
+
+    #[test]
+    fn compare_refuses_a_candidate_with_a_repeated_point() {
+        let base = tmp("base_dup.json");
+        let cand = tmp("cand_dup.json");
+        std::fs::write(&base, sample_report(2000.0, 7)).unwrap();
+        // The drifted copy comes first, so a reader that kept the last
+        // duplicate would see only the clean point.
+        let clean: BenchReport = BenchReport::from_json(&sample_report(2000.0, 7)).unwrap();
+        let mut drifted = clean.points[0].clone();
+        drifted.events = 1;
+        drifted.event_hash = 8;
+        let dup = BenchReport {
+            version: BENCH_FORMAT_VERSION,
+            points: vec![drifted, clean.points[0].clone()],
+        };
+        std::fs::write(&cand, dup.to_json()).unwrap();
+        let err = run(&format!("compare {} {}", base.display(), cand.display()))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("(ps, 4) appears more than once"), "{err}");
+        for f in [&base, &cand] {
+            let _ = std::fs::remove_file(f);
+        }
     }
 
     #[test]

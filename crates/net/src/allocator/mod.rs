@@ -13,7 +13,8 @@
 //! [`allocate_rates_in_class_order`] is the one water-fill. Its caller
 //! passes the flows already grouped by class and owns the working memory
 //! ([`AllocBuffers`]), so a caller that keeps its flows in class order —
-//! the [`crate::Network`] — neither sorts nor allocates per call.
+//! the [`crate::Network`] — neither sorts nor allocates per call. The
+//! fill only reads the caller's flows, so their order is the caller's.
 //! [`allocate_rates_on_graph`] is the one-shot form: it stable-sorts the
 //! flows by class and runs the same fill. The flat single-switch fabric is
 //! the endpoint-only graph. The test-only `oracle` module keeps the
@@ -78,6 +79,8 @@ pub struct AllocBuffers {
     rates: Vec<f64>,
     /// The link that froze each flow, by slot.
     bottleneck: Vec<Option<LinkId>>,
+    /// The class being filled; the flows still rising stay at its front.
+    rising: Vec<(usize, FlowSpec)>,
 }
 
 impl AllocBuffers {
@@ -92,6 +95,25 @@ impl AllocBuffers {
     /// (or it never froze on a link).
     pub fn bottleneck(&self) -> &[Option<LinkId>] {
         &self.bottleneck
+    }
+
+    /// Loads a stored allocation of `len` flows, as the fill would have
+    /// left it: `outs` gives each slot's rate and bottleneck.
+    pub(crate) fn load(
+        &mut self,
+        len: usize,
+        outs: impl Iterator<Item = (usize, f64, Option<LinkId>)>,
+    ) {
+        self.rates.clear();
+        self.rates.resize(len, 0.0);
+        self.bottleneck.clear();
+        self.bottleneck.resize(len, None);
+        for (slot, rate, at) in outs {
+            if let (Some(r), Some(b)) = (self.rates.get_mut(slot), self.bottleneck.get_mut(slot)) {
+                *r = rate;
+                *b = at;
+            }
+        }
     }
 }
 
@@ -146,7 +168,7 @@ pub fn allocate_rates_on_graph(
     let mut classes: Vec<(usize, FlowSpec)> = flows.iter().copied().enumerate().collect();
     classes.sort_by_key(|(_, f)| f.priority);
     let mut buf = AllocBuffers::default();
-    allocate_rates_in_class_order(&mut classes, graph, caps, flow_cap, &mut buf, work);
+    allocate_rates_in_class_order(&classes, graph, caps, flow_cap, &mut buf, work);
     GraphAllocation {
         rates: buf.rates,
         bottleneck: buf.bottleneck,
@@ -158,12 +180,13 @@ pub fn allocate_rates_on_graph(
 ///
 /// `classes` lists every flow as `(slot, spec)`, grouped by priority with
 /// the most urgent class first; the slots are a permutation of
-/// `0..classes.len()`. The fill works in place on each class's chunk, so
-/// the order within each class is unspecified afterwards. That order
-/// changes no result bit and no work count: every rising flow of a class
-/// takes the same increment each round, and each link is charged once per
-/// flow crossing it in any order. Each flow's rate and bottleneck land at
-/// its slot in [`AllocBuffers::rates`] and [`AllocBuffers::bottleneck`].
+/// `0..classes.len()`. The order within a class changes no result bit and
+/// no work count: every rising flow of a class takes the same increment
+/// each round, and each link is charged once per flow crossing it in any
+/// order. The fill copies each class into [`AllocBuffers`] and works on
+/// the copy, so `classes` is only read. Each flow's rate and bottleneck
+/// land at its slot in [`AllocBuffers::rates`] and
+/// [`AllocBuffers::bottleneck`].
 /// `caps`, `flow_cap` and `work` are as for [`allocate_rates_on_graph`].
 ///
 /// # Panics
@@ -187,13 +210,13 @@ pub fn allocate_rates_on_graph(
 /// let g = LinkGraph::with_ports(&[100.0, 100.0, 100.0], &[100.0, 100.0, 30.0]);
 /// let mut buf = AllocBuffers::default();
 /// let mut work = AllocWork::default();
-/// let mut classes = [(1, urgent), (0, bulk)];
-/// allocate_rates_in_class_order(&mut classes, &g, g.caps(), f64::INFINITY, &mut buf, &mut work);
+/// let classes = [(1, urgent), (0, bulk)];
+/// allocate_rates_in_class_order(&classes, &g, g.caps(), f64::INFINITY, &mut buf, &mut work);
 /// assert_eq!(buf.rates(), &[70.0, 30.0]);
 /// assert_eq!(buf.bottleneck(), &[Some(g.tx_link(0)), Some(g.rx_link(2))]);
 /// ```
 pub fn allocate_rates_in_class_order(
-    classes: &mut [(usize, FlowSpec)],
+    classes: &[(usize, FlowSpec)],
     graph: &LinkGraph,
     caps: &[f64],
     flow_cap: f64,
@@ -228,6 +251,7 @@ pub fn allocate_rates_in_class_order(
         count,
         rates,
         bottleneck,
+        rising,
     } = buf;
     res.clear();
     res.extend_from_slice(caps);
@@ -246,8 +270,10 @@ pub fn allocate_rates_in_class_order(
         bottleneck,
         work,
     };
-    for class in classes.chunk_by_mut(|(_, a), (_, b)| a.priority == b.priority) {
-        fill.class(class);
+    for class in classes.chunk_by(|(_, a), (_, b)| a.priority == b.priority) {
+        rising.clear();
+        rising.extend_from_slice(class);
+        fill.class(rising);
     }
 }
 
@@ -266,9 +292,9 @@ struct WaterFill<'a> {
 impl WaterFill<'_> {
     /// Progressive filling of one priority class over the residual link
     /// capacities. On return the members' rates and bottlenecks are set and
-    /// the residuals are reduced by the allocation. `members` is the
-    /// working set: the flows still rising stay at its front, in order, so
-    /// its order is unspecified afterwards.
+    /// the residuals are reduced by the allocation. `members` is a working
+    /// copy of the class: the flows still rising stay at its front, in
+    /// order.
     ///
     /// Every rising member holds the same rate, the class's level: all
     /// start at zero and each round raises them by the same `delta`. So the

@@ -267,10 +267,10 @@ fn endpoint_only_graph_matches_the_flat_oracle_exactly() {
 #[should_panic(expected = "grouped by priority")]
 fn class_order_must_put_the_most_urgent_class_first() {
     let g = LinkGraph::new(&[10.0, 10.0]);
-    let mut classes = [(0, flow(0, 1, 3)), (1, flow(1, 0, 1))];
+    let classes = [(0, flow(0, 1, 3)), (1, flow(1, 0, 1))];
     let mut buf = AllocBuffers::default();
     allocate_rates_in_class_order(
-        &mut classes,
+        &classes,
         &g,
         g.caps(),
         f64::INFINITY,
@@ -382,9 +382,9 @@ mod properties {
             let g = LinkGraph::with_ports(&caps, &caps);
             let mut buf = AllocBuffers::default();
             for flow_cap in [f64::INFINITY, cap * frac] {
-                let mut classes = class_order(&flows, &keys);
+                let classes = class_order(&flows, &keys);
                 let mut work = AllocWork::default();
-                allocate_rates_in_class_order(&mut classes, &g, g.caps(), flow_cap, &mut buf, &mut work);
+                allocate_rates_in_class_order(&classes, &g, g.caps(), flow_cap, &mut buf, &mut work);
                 let mut flat_work = AllocWork::default();
                 let flat = flat_rates(&flows, &caps, &caps, flow_cap, &mut flat_work);
                 prop_assert!(same_bits(buf.rates(), &flat), "{:?} vs {:?}", buf.rates(), flat);
@@ -410,9 +410,9 @@ mod properties {
                     let want = allocate_rates_on_graph(&flows, &g, g.caps(), flow_cap, &mut want_work);
                     let reversed: Vec<u32> = keys.iter().map(|k| u32::MAX - k).collect();
                     for shuffle in [&keys, &reversed] {
-                        let mut classes = class_order(&flows, shuffle);
+                        let classes = class_order(&flows, shuffle);
                         let mut work = AllocWork::default();
-                        allocate_rates_in_class_order(&mut classes, &g, g.caps(), flow_cap, &mut buf, &mut work);
+                        allocate_rates_in_class_order(&classes, &g, g.caps(), flow_cap, &mut buf, &mut work);
                         prop_assert!(same_bits(buf.rates(), &want.rates),
                             "{:?} vs {:?}", buf.rates(), want.rates);
                         prop_assert_eq!(buf.bottleneck(), &want.bottleneck[..]);

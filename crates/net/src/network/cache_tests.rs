@@ -7,24 +7,30 @@ use super::*;
 use crate::types::Bandwidth;
 
 /// Checks the class index against the flows: a permutation of the flow
-/// slots, grouped by priority with the most urgent class first, each
-/// entry carrying its flow's spec.
+/// slots in canonical order (priority, source, destination), each entry
+/// carrying its flow's spec, with the specs and fingerprint an index built
+/// afresh from the flows would have.
 pub(super) fn assert_class_index(n: &Network) {
-    for &(slot, spec) in &n.by_class {
+    let entries = n.by_class.entries();
+    for &(slot, spec) in entries {
         let flow = n.flows.get(slot).map(ActiveFlow::spec);
         assert_eq!(flow, Some(spec), "stale entry for slot {slot}");
     }
-    let mut slots: Vec<usize> = n.by_class.iter().map(|&(slot, _)| slot).collect();
+    let mut slots: Vec<usize> = entries.iter().map(|&(slot, _)| slot).collect();
     slots.sort_unstable();
     assert!(
         slots.into_iter().eq(0..n.flows.len()),
         "not a permutation of the slots"
     );
     assert!(
-        n.by_class.is_sorted_by_key(|(_, f)| f.priority),
-        "class index not grouped by priority: {:?}",
-        n.by_class
+        entries.is_sorted_by_key(|(_, f)| (f.priority, f.src, f.dst)),
+        "class index not in canonical order: {entries:?}"
     );
+    let fresh = memo::ClassIndex::build(n.flows.iter().map(ActiveFlow::spec));
+    let specs = |e: &[(usize, FlowSpec)]| e.iter().map(|&(_, f)| f).collect::<Vec<_>>();
+    assert_eq!(specs(entries), specs(fresh.entries()));
+    let drift = "fingerprint drifted from the flow set";
+    assert_eq!(n.by_class.fingerprint(), fresh.fingerprint(), "{drift}");
 }
 
 /// A delivery as `(instant, tag, bottleneck)`.
@@ -85,6 +91,7 @@ fn restore_rebuilds_capacities_and_class_index() {
     assert_class_index(&a);
     let classes = a
         .by_class
+        .entries()
         .chunk_by(|(_, x), (_, y)| x.priority == y.priority);
     assert!(classes.count() >= 3, "fewer than three classes in flight");
 

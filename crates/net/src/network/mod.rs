@@ -2,10 +2,11 @@
 //! traces.
 //!
 //! `config` holds the static cluster description, `multihop` the
-//! per-link accounting of configured topologies, and `walk` the fabric's
-//! snapshot section ([`Network::walk`]). This file keeps the [`Network`]
-//! facade — flow lifecycle, rate recomputation, and the deterministic
-//! work counters ([`NetStats`]).
+//! per-link accounting of configured topologies, `memo` the class index
+//! and the memo of allocations, and `walk` the fabric's snapshot section
+//! ([`Network::walk`]). This file keeps the [`Network`] facade — flow
+//! lifecycle, rate recomputation, and the deterministic work counters
+//! ([`NetStats`]).
 //!
 //! Every fabric allocates rates with
 //! [`crate::allocate_rates_in_class_order`] over a [`LinkGraph`]: the
@@ -16,14 +17,18 @@
 //!
 //! A reallocation runs on every flow start, drain, cancel and rescale, so
 //! the fabric keeps what the water-fill needs between calls: a class index
-//! of its flows (no per-call sort), the allocator's buffers (no per-call
-//! allocation), and the scaled link capacities (recomputed only when a
-//! port factor changes). `next_event_time` remembers its answer until the
-//! fabric next changes.
+//! of its flows in canonical order (no per-call sort), the allocator's
+//! buffers (no per-call allocation), and the scaled link capacities
+//! (recomputed only when a port factor changes). It also keeps a bounded
+//! memo of allocations keyed by the exact flow set, so a set it has
+//! already allocated under the same capacities is replayed, bit for bit
+//! and with the same work counts, instead of filled again.
+//! `next_event_time` remembers its answer until the fabric next changes.
 
 #[cfg(test)]
 mod cache_tests;
 mod config;
+mod memo;
 mod multihop;
 #[cfg(test)]
 mod tests;
@@ -35,6 +40,7 @@ use crate::allocator::{allocate_rates_in_class_order, AllocBuffers, AllocWork, F
 use crate::multilink::{LinkGraph, LinkId};
 use crate::trace::PortTrace;
 use crate::types::{FlowId, MachineId, Priority};
+use memo::{ClassIndex, Memo};
 use p3_des::{SimDuration, SimTime};
 use p3_trace::{TraceEvent, TraceHandle};
 use std::cell::Cell;
@@ -153,14 +159,14 @@ pub struct Network {
     /// utilization traces accumulate floats in it, and snapshots serialize
     /// it — so it changes only by `push` and `swap_remove`.
     flows: Vec<ActiveFlow>,
-    /// Class index: every flow as `(slot in flows, spec)`, grouped by
-    /// priority with the most urgent class first; a flow joins at the end
-    /// of its class. This is the allocator's input, so no reallocation
-    /// sorts. Order within a class is free: the allocator reorders it and
-    /// no result depends on it.
-    by_class: Vec<(usize, FlowSpec)>,
+    /// Class index: every flow as `(slot in flows, spec)` in canonical
+    /// order, with the flow multiset's fingerprint. This is the
+    /// allocator's input, so no reallocation sorts.
+    by_class: ClassIndex,
     /// The allocator's working memory, reused by every reallocation.
     alloc: AllocBuffers,
+    /// Allocations already made, keyed by flow set; never serialized.
+    memo: Memo,
     /// `next_event_time`'s last answer, or `None` once the fabric has
     /// changed since: time advanced, rates were reallocated, or a delivery
     /// was queued, delivered or cancelled.
@@ -237,8 +243,9 @@ impl Network {
             cfg,
             graph,
             flows: Vec::new(),
-            by_class: Vec::new(),
+            by_class: ClassIndex::default(),
             alloc: AllocBuffers::default(),
+            memo: Memo::default(),
             next_event: Cell::new(None),
             delivering: Vec::new(),
             last_update: SimTime::ZERO,
@@ -338,11 +345,7 @@ impl Network {
             rate: 0.0,
             bottleneck: None,
         };
-        let class_end = self
-            .by_class
-            .partition_point(|(_, f)| f.priority <= priority);
-        self.by_class
-            .insert(class_end, (self.flows.len(), flow.spec()));
+        self.by_class.insert(self.flows.len(), flow.spec());
         self.flows.push(flow);
         // Flows only ever join here, so sampling at the push is exact.
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.flows.len() as u64);
@@ -396,7 +399,7 @@ impl Network {
             let eps = f.rate * 1e-9 + 1e-9;
             if f.remaining <= eps {
                 let f = self.flows.swap_remove(i);
-                self.unindex(i);
+                self.by_class.remove(i, self.flows.len());
                 self.delivering.push(Delivering {
                     at: now + latency,
                     flow: CompletedFlow {
@@ -483,7 +486,7 @@ impl Network {
         self.advance(now);
         if let Some(i) = self.flows.iter().position(|f| f.id == id) {
             self.flows.swap_remove(i);
-            self.unindex(i);
+            self.by_class.remove(i, self.flows.len());
             self.dirty = true;
             self.reallocate();
             return true;
@@ -538,37 +541,25 @@ impl Network {
         self.last_update = now;
     }
 
-    /// Removes slot `slot` from the class index after
-    /// `flows.swap_remove(slot)`, renumbering the flow that moved into it.
-    fn unindex(&mut self, slot: usize) {
-        let moved = self.flows.len();
-        self.by_class.retain_mut(|(s, _)| {
-            if *s == slot {
-                return false;
-            }
-            if *s == moved {
-                *s = slot;
-            }
-            true
-        });
-    }
-
     /// The rate under which an allocation counts as 0 (see `reallocate`).
     fn rate_floor(&self) -> f64 {
         let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
         (cap * 1e-12).max(1e-6)
     }
 
-    /// Recomputes the working link capacities from the port factors.
+    /// Recomputes the working link capacities from the port factors, and
+    /// retires every allocation the memo holds for the old ones.
     fn rescale(&mut self) {
         self.caps = self
             .graph
             .scaled_caps(self.cfg.efficiency, &self.tx_scale, &self.rx_scale);
+        self.memo.rescale();
     }
 
     /// Recomputes the strict-priority max-min rates over the fabric's
     /// graph, with link capacities scaled by protocol efficiency and any
-    /// fault-injected port degradation.
+    /// fault-injected port degradation. A flow set the memo holds is
+    /// replayed from it, work counts included.
     fn reallocate(&mut self) {
         if !self.dirty {
             return;
@@ -577,15 +568,21 @@ impl Network {
         self.next_event.set(None);
         self.stats.reallocations += 1;
         self.stats.flows_touched += self.flows.len() as u64;
-        let mut work = AllocWork::default();
-        allocate_rates_in_class_order(
-            &mut self.by_class,
-            &self.graph,
-            &self.caps,
-            self.cfg.flow_cap,
-            &mut self.alloc,
-            &mut work,
-        );
+        let work = if let Some(work) = self.memo.replay(&self.by_class, &mut self.alloc) {
+            work
+        } else {
+            let mut work = AllocWork::default();
+            allocate_rates_in_class_order(
+                self.by_class.entries(),
+                &self.graph,
+                &self.caps,
+                self.cfg.flow_cap,
+                &mut self.alloc,
+                &mut work,
+            );
+            self.memo.offer(&self.by_class, &self.alloc, work);
+            work
+        };
         self.stats.waterfill_rounds += work.rounds;
         self.stats.ports_touched += work.port_touches;
         // A rate below one byte per simulated second is allocator noise; a

@@ -6,6 +6,7 @@
 //!
 //! [`NetworkConfig`]: super::NetworkConfig
 
+use super::memo::{ClassIndex, Memo};
 use super::{ActiveFlow, CompletedFlow, Delivering, Network};
 use crate::multilink::LinkId;
 use crate::types::{FlowId, MachineId, Priority};
@@ -106,14 +107,10 @@ impl Network {
         c.u64(&mut s.peak_in_flight)?;
         if C::READING {
             // Rates were read verbatim, so nothing is stale; rebuild what
-            // the fabric derives from the flows and the port factors.
-            self.by_class = self
-                .flows
-                .iter()
-                .map(ActiveFlow::spec)
-                .enumerate()
-                .collect();
-            self.by_class.sort_by_key(|(_, f)| f.priority);
+            // the fabric derives from the flows and the port factors. The
+            // memo is not part of the state: it starts empty.
+            self.by_class = ClassIndex::build(self.flows.iter().map(ActiveFlow::spec));
+            self.memo = Memo::default();
             self.rescale();
             self.next_event.set(None);
             self.dirty = false;

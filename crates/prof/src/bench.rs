@@ -79,9 +79,20 @@ impl BenchReport {
     }
 
     /// Parses a report back from JSON. Never panics: every malformed
-    /// input maps to a [`ReportError`].
+    /// input maps to a [`ReportError`], and so does a point whose
+    /// `(backend, machines)` key appears twice, since the differ matches
+    /// points by that key.
     pub fn from_json(text: &str) -> Result<BenchReport, ReportError> {
-        Doc::read(text, Self::walk)
+        let report = Doc::read(text, Self::walk)?;
+        for (i, p) in report.points.iter().enumerate() {
+            if report.points[..i].iter().any(|q| q.key() == p.key()) {
+                return Err(ReportError::Schema(format!(
+                    "point ({}, {}) appears more than once",
+                    p.backend, p.machines
+                )));
+            }
+        }
+        Ok(report)
     }
 }
 
@@ -140,6 +151,21 @@ mod tests {
             BenchReport::from_json(doc),
             Err(ReportError::Schema(ref s)) if s.contains("event_hash")
         ));
+    }
+
+    #[test]
+    fn repeated_point_is_a_schema_error() {
+        let mut drifted = point("ps", 16);
+        drifted.events = 1;
+        let r = BenchReport {
+            version: BENCH_FORMAT_VERSION,
+            points: vec![point("ring", 16), drifted, point("ps", 16)],
+        };
+        let err = BenchReport::from_json(&r.to_json()).unwrap_err();
+        assert!(
+            matches!(err, ReportError::Schema(ref s) if s.contains("(ps, 16)")),
+            "{err}"
+        );
     }
 
     #[test]
