@@ -102,6 +102,10 @@ pub struct ClusterSim {
     msgs: MsgTable,
     next_msg_id: u64,
     next_wake: Option<SimTime>,
+    /// The fabric changed since its next event was last asked for (see
+    /// [`ClusterSim::schedule_net_wake`]). Never snapshotted: a restored
+    /// engine starts with it set.
+    wake_pending: bool,
     /// Per-(machine, role) earliest next admission instant for
     /// single-consumer egress (serial per-message serialization cost).
     admit_gate: Vec<[SimTime; 2]>,
@@ -296,6 +300,7 @@ impl ClusterSim {
             msgs: MsgTable::default(),
             next_msg_id: 0,
             next_wake: None,
+            wake_pending: false,
             admit_gate: vec![[SimTime::ZERO; 2]; cfg.machines],
             admit_kick_at: vec![[None; 2]; cfg.machines],
             events: 0,
@@ -429,6 +434,10 @@ impl ClusterSim {
             let key = ev.dispatch_key();
             self.dispatch(ev);
             self.prof_end(key, span);
+            // The last event of an instant flushes the deferred wake query.
+            if self.wake_pending && self.queue.peek_time().is_none_or(|next| next > t) {
+                self.flush_net_wake();
+            }
             if self.cfg.hash_every > 0 && self.events.is_multiple_of(self.cfg.hash_every) {
                 self.trace(p3_trace::TraceEvent::StateHash {
                     events: self.events,
@@ -458,6 +467,11 @@ impl ClusterSim {
         let mut sim = snapshot::restore(cfg, bytes)?;
         sim.started = true;
         sim.resumed = true;
+        // The snapshot may have been taken mid-instant with the wake query
+        // still deferred. Flushing again when it was not is a no-op: a
+        // flush leaves a wake at or before the fabric's next event, and
+        // nothing moves that event without deferring another query.
+        sim.wake_pending = true;
         Ok(sim)
     }
 
@@ -465,7 +479,8 @@ impl ClusterSim {
     /// events, network flows, endpoint queues, RNG streams, counters) into
     /// a versioned byte stream. See `snap.rs` for the format. Takes
     /// `&mut self` because the one field walk that writes a snapshot also
-    /// reads one back; writing leaves the state as it was.
+    /// reads one back. Writing leaves the run as it was: the fabric
+    /// allocates any stale rates first, which only its work counters see.
     pub fn snapshot(&mut self) -> Vec<u8> {
         snapshot::snapshot(self)
     }

@@ -3,7 +3,7 @@
 //! `fault_tests`.)
 
 use super::ClusterSim;
-use crate::config::ClusterConfig;
+use crate::config::{BackendKind, ClusterConfig};
 use p3_core::SyncStrategy;
 use p3_des::SimDuration;
 use p3_models::ModelSpec;
@@ -231,6 +231,31 @@ fn run_until_past_the_end_stops_there_and_perturbs_nothing() {
     let (paused, _) = sim.try_run_traced().unwrap();
     assert_eq!(plain, paused);
     assert_eq!(plain.event_hash, paused.event_hash);
+}
+
+#[test]
+fn a_wake_flush_with_nothing_deferred_schedules_nothing() {
+    // A restored engine flushes once without knowing whether the snapshot
+    // left a wake query deferred; that is exact only if a flush with
+    // nothing deferred is a no-op.
+    for backend in [
+        BackendKind::Ps,
+        BackendKind::Ring,
+        BackendKind::HalvingDoubling,
+    ] {
+        let mut sim = ClusterSim::new(cfg(SyncStrategy::p3(), 8.0).with_backend(backend));
+        for boundary in 1..3 {
+            sim.run_until(boundary).unwrap();
+            assert!(
+                !sim.wake_pending,
+                "{backend:?}: a pause at an instant's end left a query"
+            );
+            let before = (sim.queue.scheduled_total(), sim.next_wake, sim.net.stats());
+            sim.flush_net_wake();
+            let after = (sim.queue.scheduled_total(), sim.next_wake, sim.net.stats());
+            assert_eq!(before, after, "{backend:?}: the flush scheduled a wake");
+        }
+    }
 }
 
 #[test]

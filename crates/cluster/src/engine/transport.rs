@@ -226,8 +226,30 @@ impl ClusterSim {
         }
     }
 
+    /// Notes that the fabric changed, so its next event may have moved.
+    ///
+    /// A collective backend defers the query: the run loop flushes it once
+    /// per simulated instant, so a burst of chunk sends pays for one
+    /// allocation. The PS backend queries at once. Deferring there is not
+    /// exact: two kicks at one instant can each schedule a wake, or an
+    /// early wake can be overtaken by a later start, and either moves the
+    /// event stream.
     pub(crate) fn schedule_net_wake(&mut self) {
-        if let Some(t) = self.net.next_event_time() {
+        self.wake_pending = true;
+        if self.collective.is_none() {
+            self.flush_net_wake();
+        }
+    }
+
+    /// Schedules a `NetWake` at the fabric's next event unless an earlier
+    /// one is already pending. The query allocates stale rates, so it is
+    /// timed as `net/poll`.
+    pub(crate) fn flush_net_wake(&mut self) {
+        self.wake_pending = false;
+        let span = self.prof_begin();
+        let next = self.net.next_event_time();
+        self.prof_end("net/poll", span);
+        if let Some(t) = next {
             if self.next_wake.is_none_or(|w| t < w) {
                 self.queue.schedule_at(t, Ev::NetWake);
                 self.next_wake = Some(t);

@@ -146,6 +146,13 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
+    /// The instant of the next event, without popping it or moving the
+    /// clock; `None` when the calendar is empty.
+    #[inline]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.time)
+    }
+
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -222,6 +229,27 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn peek_time_reports_the_next_pop_without_taking_it() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at(SimTime::from_secs(4), "b");
+        q.schedule_at(SimTime::from_secs(2), "a");
+        q.schedule_at(SimTime::from_secs(2), "a2");
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(
+            (q.len(), q.now()),
+            (3, SimTime::ZERO),
+            "peeking moved the calendar"
+        );
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "a")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
+        q.pop();
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

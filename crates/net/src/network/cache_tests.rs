@@ -1,6 +1,7 @@
 //! Tests of the state the [`Network`] keeps between reallocations: the
-//! class index, the scaled link capacities and the remembered next event,
-//! including across snapshot and restore.
+//! class index, the scaled link capacities, the remembered next event and
+//! the rates it leaves stale until they are read, including across
+//! snapshot and restore.
 
 use super::walk::tests::{racked, restore};
 use super::*;
@@ -107,11 +108,107 @@ fn restore_rebuilds_capacities_and_class_index() {
     assert_eq!(b.stats(), a.stats());
 }
 
+/// One scripted change: `(kind, machine, machine, priority, x)` is a start,
+/// a cancel or a port rescale.
+type Change = (u8, usize, usize, u32, u64);
+
+fn change(n: &mut Network, now: SimTime, (kind, a, b, p, x): Change) {
+    match kind {
+        0 | 1 => {
+            let bytes = 50_000 * (1 + x % 8);
+            n.start_flow(now, MachineId(a), MachineId(b), bytes, Priority(p), x);
+        }
+        2 => {
+            let id = n.flow_ids().nth(x as usize % 4).map(|(id, _, _)| id);
+            n.cancel_flow(now, id.unwrap_or(FlowId(u64::MAX)));
+        }
+        _ => n.set_port_scale(now, MachineId(a), 0.25 * (1 + b) as f64, 1.0),
+    }
+}
+
+#[test]
+fn a_poll_drains_with_the_rates_of_its_own_instant() {
+    // At 16 Gbps a one-byte flow is inside a nanosecond's drain residue
+    // the moment it starts, so a poll at that instant drains it, as it
+    // would had the start been allocated at once.
+    let cfg = NetworkConfig::new(2, Bandwidth::from_gbps(16.0)).with_latency(SimDuration::ZERO);
+    let (mut lazy, mut eager) = (Network::new(cfg.clone()), Network::new(cfg));
+    for n in [&mut lazy, &mut eager] {
+        n.start_flow(SimTime::ZERO, MachineId(0), MachineId(1), 1, Priority(0), 7);
+    }
+    eager.next_event_time();
+    let done = eager.poll(SimTime::ZERO);
+    assert_eq!(done.len(), 1, "the flow did not drain at once");
+    assert_eq!(lazy.poll(SimTime::ZERO), done);
+}
+
+/// Asserts that two fabrics run through the same script hold the same
+/// flows, bit for bit: order, remaining bytes, rates and bottlenecks.
+fn assert_same_flows(lazy: &Network, eager: &Network) {
+    let key = |f: &ActiveFlow| (f.id, f.remaining.to_bits(), f.rate.to_bits(), f.bottleneck);
+    let lazy: Vec<_> = lazy.flows.iter().map(key).collect();
+    let eager: Vec<_> = eager.flows.iter().map(key).collect();
+    assert_eq!(lazy, eager, "rates read lazily differ from eager ones");
+}
+
 mod properties {
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
+        /// Rates allocated only when read equal rates allocated after
+        /// every operation. Each instant applies several starts, cancels
+        /// and rescales, then mostly queries; the eager fabric also queries
+        /// after each operation. After every query both fabrics agree bit
+        /// for bit on every flow and on `next_event_time`, and polls, with
+        /// or without a query first, deliver the same transfers. The lazy
+        /// fabric never allocates more often.
+        #[test]
+        fn lazy_rates_match_rates_allocated_after_every_change(
+            instants in prop::collection::vec(
+                (prop::collection::vec((0u8..4, 0usize..4, 0usize..4, 0u32..3, 0u64..64), 0..6), 0u8..4, 0u64..3),
+                1..25,
+            ),
+            fabric in 0u8..4,
+        ) {
+            let cfg = if fabric < 2 {
+                NetworkConfig::new(4, Bandwidth::from_gbps(8.0))
+                    .with_latency(SimDuration::from_micros(5))
+            } else {
+                racked()
+            };
+            let cfg = if fabric % 2 == 1 { cfg.with_flow_cap(0.3e9) } else { cfg };
+            let (mut lazy, mut eager) = (Network::new(cfg.clone()), Network::new(cfg));
+            let mut now = SimTime::ZERO;
+            for (changes, query, step_us) in instants {
+                for c in changes {
+                    change(&mut lazy, now, c);
+                    change(&mut eager, now, c);
+                    eager.next_event_time();
+                }
+                // Without a query, the poll below reads stale rates.
+                let next = if query > 0 {
+                    let next = lazy.next_event_time();
+                    prop_assert_eq!(next, eager.next_event_time());
+                    assert_same_flows(&lazy, &eager);
+                    next
+                } else {
+                    None
+                };
+                // Step to the fabric's next event, or a few µs on.
+                now = match next {
+                    Some(t) if step_us == 0 => t,
+                    _ => now + SimDuration::from_micros(step_us * 40),
+                };
+                prop_assert_eq!(lazy.poll(now), eager.poll(now));
+                eager.next_event_time();
+            }
+            prop_assert_eq!(lazy.next_event_time(), eager.next_event_time());
+            assert_same_flows(&lazy, &eager);
+            prop_assert!(lazy.stats().reallocations <= eager.stats().reallocations);
+            prop_assert_eq!(lazy.stats().peak_in_flight, eager.stats().peak_in_flight);
+        }
+
         /// `next_event_time`'s remembered answer always equals a fresh
         /// scan, whatever mix of starts (loopback included), polls at
         /// arbitrary instants, rescales and cancellations came before.

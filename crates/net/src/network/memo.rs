@@ -446,8 +446,9 @@ mod tests {
     /// Runs `ops` on a fabric built from `cfg`, restoring it onto a fresh
     /// fabric before op `restore_at`, and checks every flow's rate and
     /// bottleneck and the fabric's [`NetStats`] against a fill with no
-    /// memo after every op. Returns how many reallocations the memo could
-    /// have replayed: those whose set it held afterwards.
+    /// memo after every op and the query that allocates it. Returns how
+    /// many reallocations the memo could have replayed: those whose set it
+    /// held afterwards.
     fn check_against_fresh_fills(cfg: NetworkConfig, ops: &[Op], restore_at: usize) -> usize {
         let mut n = Network::new(cfg.clone());
         let mut now = SimTime::ZERO;
@@ -462,6 +463,8 @@ mod tests {
             }
             let before = n.stats().reallocations;
             apply(&mut n, &mut now, op);
+            // Rates are allocated when read.
+            n.next_event_time();
             let work = fresh_fill(&n);
             if n.stats().reallocations != before {
                 want.reallocations += 1;
@@ -512,6 +515,7 @@ mod tests {
         assert!(n.is_idle());
         n.memo.rates.fill(1.5e6);
         apply(&mut n, &mut now, starts[0]);
+        n.next_event_time();
         let rates: Vec<f64> = n.flows.iter().map(|f| f.rate).collect();
         assert_eq!(rates, [1.5e6], "the set was filled, not replayed");
     }

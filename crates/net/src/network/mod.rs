@@ -15,14 +15,18 @@
 //! decides only what the fabric reports: per-link usage and each flow's
 //! bottleneck link exist for topologies alone.
 //!
-//! A reallocation runs on every flow start, drain, cancel and rescale, so
-//! the fabric keeps what the water-fill needs between calls: a class index
-//! of its flows in canonical order (no per-call sort), the allocator's
-//! buffers (no per-call allocation), and the scaled link capacities
-//! (recomputed only when a port factor changes). It also keeps a bounded
-//! memo of allocations keyed by the exact flow set, so a set it has
-//! already allocated under the same capacities is replayed, bit for bit
-//! and with the same work counts, instead of filled again.
+//! A flow start, drain, cancel or rescale only marks the rates stale. They
+//! are reallocated when next read: by `next_event_time`, by `poll`, before
+//! time advances, and before a snapshot walk. The allocation depends only
+//! on the flow set and the capacities, so a burst of changes at one instant
+//! costs one water-fill, with the rates an eager fill of each change would
+//! end on. The fabric keeps what the water-fill needs between calls: a
+//! class index of its flows in canonical order (no per-call sort), the
+//! allocator's buffers (no per-call allocation), and the scaled link
+//! capacities (recomputed only when a port factor changes). It also keeps
+//! a bounded memo of allocations keyed by the exact flow set, so a set it
+//! has already allocated under the same capacities is replayed, bit for
+//! bit and with the same work counts, instead of filled again.
 //! `next_event_time` remembers its answer until the fabric next changes.
 
 #[cfg(test)]
@@ -43,7 +47,6 @@ use crate::types::{FlowId, MachineId, Priority};
 use memo::{ClassIndex, Memo};
 use p3_des::{SimDuration, SimTime};
 use p3_trace::{TraceEvent, TraceHandle};
-use std::cell::Cell;
 
 /// A finished transfer, handed back by [`Network::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +108,8 @@ struct Delivering {
 /// property tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Rate recomputations (the flow set or port capacities changed).
+    /// Rate recomputations: one per read of the rates after the flow set
+    /// or port capacities changed, so changes between two reads share one.
     pub reallocations: u64,
     /// Active flows summed over all reallocations — the allocator's input
     /// volume.
@@ -170,13 +174,13 @@ pub struct Network {
     /// `next_event_time`'s last answer, or `None` once the fabric has
     /// changed since: time advanced, rates were reallocated, or a delivery
     /// was queued, delivered or cancelled.
-    next_event: Cell<Option<Option<SimTime>>>,
+    next_event: Option<Option<SimTime>>,
     delivering: Vec<Delivering>,
     last_update: SimTime,
     next_flow_id: u64,
     tx_traces: Vec<PortTrace>,
     rx_traces: Vec<PortTrace>,
-    dirty: bool, // rates stale (flow set changed since last allocation)
+    dirty: bool, // rates stale (flows or capacities changed since last allocation)
     /// Per-machine transmit capacity factor in `(0, 1]` (fault injection:
     /// a degraded NIC or congested uplink).
     tx_scale: Vec<f64>,
@@ -246,7 +250,7 @@ impl Network {
             by_class: ClassIndex::default(),
             alloc: AllocBuffers::default(),
             memo: Memo::default(),
-            next_event: Cell::new(None),
+            next_event: None,
             delivering: Vec::new(),
             last_update: SimTime::ZERO,
             next_flow_id: 0,
@@ -319,7 +323,7 @@ impl Network {
             // Loopback: never touches the NIC; fixed-rate private channel.
             let secs = bytes as f64 / self.cfg.loopback.bytes_per_sec();
             let at = now + self.cfg.latency + SimDuration::from_secs_f64(secs);
-            self.next_event.set(None);
+            self.next_event = None;
             self.delivering.push(Delivering {
                 at,
                 flow: CompletedFlow {
@@ -350,18 +354,19 @@ impl Network {
         // Flows only ever join here, so sampling at the push is exact.
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.flows.len() as u64);
         self.dirty = true;
-        self.reallocate();
         id
     }
 
     /// The earliest future instant at which the fabric changes state (a flow
     /// drains or a drained message is delivered), or `None` when idle.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        if let Some(known) = self.next_event.get() {
+    /// Reallocates first if the rates are stale.
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        self.reallocate();
+        if let Some(known) = self.next_event {
             return known;
         }
         let best = self.scan_next_event();
-        self.next_event.set(Some(best));
+        self.next_event = Some(best);
         best
     }
 
@@ -388,6 +393,9 @@ impl Network {
     /// delivery order.
     pub fn poll(&mut self, now: SimTime) -> Vec<CompletedFlow> {
         self.advance(now);
+        // The drain test reads rates, so a change at this very instant
+        // (which `advance` skips) must be allocated first.
+        self.reallocate();
 
         // Flows that drained move to the latency (delivery) stage.
         let mut changed = false;
@@ -418,7 +426,6 @@ impl Network {
         }
         if changed {
             self.dirty = true;
-            self.reallocate();
         }
 
         // Deliveries due now.
@@ -432,7 +439,7 @@ impl Network {
             }
         }
         if !done.is_empty() {
-            self.next_event.set(None);
+            self.next_event = None;
         }
         done.sort_by_key(|d| (d.at, d.flow.id));
         if let Some(t) = &self.tracer {
@@ -471,7 +478,6 @@ impl Network {
         self.rx_scale[machine.0] = rx;
         self.rescale();
         self.dirty = true;
-        self.reallocate();
     }
 
     /// Aborts an in-flight transfer (fault injection: the sending process
@@ -488,12 +494,11 @@ impl Network {
             self.flows.swap_remove(i);
             self.by_class.remove(i, self.flows.len());
             self.dirty = true;
-            self.reallocate();
             return true;
         }
         if let Some(i) = self.delivering.iter().position(|d| d.flow.id == id) {
             self.delivering.swap_remove(i);
-            self.next_event.set(None);
+            self.next_event = None;
             return true;
         }
         false
@@ -516,7 +521,8 @@ impl Network {
         multihop::usage(self)
     }
 
-    /// Integrates flow progress from `last_update` to `now`.
+    /// Integrates flow progress from `last_update` to `now`, under rates
+    /// reallocated first if they are stale.
     fn advance(&mut self, now: SimTime) {
         assert!(
             now >= self.last_update,
@@ -526,7 +532,8 @@ impl Network {
         if now == self.last_update {
             return;
         }
-        self.next_event.set(None);
+        self.reallocate();
+        self.next_event = None;
         let dt = (now - self.last_update).as_secs_f64();
         multihop::account_advance(self, dt);
         for f in &mut self.flows {
@@ -558,14 +565,14 @@ impl Network {
 
     /// Recomputes the strict-priority max-min rates over the fabric's
     /// graph, with link capacities scaled by protocol efficiency and any
-    /// fault-injected port degradation. A flow set the memo holds is
-    /// replayed from it, work counts included.
+    /// fault-injected port degradation, if they are stale. A flow set the
+    /// memo holds is replayed from it, work counts included.
     fn reallocate(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
-        self.next_event.set(None);
+        self.next_event = None;
         self.stats.reallocations += 1;
         self.stats.flows_touched += self.flows.len() as u64;
         let work = if let Some(work) = self.memo.replay(&self.by_class, &mut self.alloc) {

@@ -459,12 +459,21 @@ fn stats_track_peak_and_allocator_work() {
         Priority(0),
         2,
     );
+    assert_eq!(
+        n.stats().reallocations,
+        0,
+        "an admission only marks rates stale"
+    );
+    // The first query allocates once, for both flows of the instant.
+    n.next_event_time();
     let s = n.stats();
     assert_eq!(s.peak_in_flight, 2);
-    assert_eq!(s.reallocations, 2, "one reallocation per flow admission");
-    // First admission: one flow; second: two flows.
-    assert_eq!(s.flows_touched, 3);
-    assert!(s.waterfill_rounds >= 2, "{s:?}");
+    assert_eq!(
+        s.reallocations, 1,
+        "one reallocation per instant's admissions"
+    );
+    assert_eq!(s.flows_touched, 2);
+    assert!(s.waterfill_rounds >= 1, "{s:?}");
     assert!(s.ports_touched >= s.waterfill_rounds, "{s:?}");
     // Draining the fabric reallocates again but never raises the peak.
     while let Some(t) = n.next_event_time() {
@@ -473,7 +482,7 @@ fn stats_track_peak_and_allocator_work() {
     let s = n.stats();
     assert!(n.is_idle());
     assert_eq!(s.peak_in_flight, 2);
-    assert!(s.reallocations >= 3, "{s:?}");
+    assert!(s.reallocations >= 2, "{s:?}");
 }
 
 #[test]

@@ -55,6 +55,8 @@ impl Network {
     /// Only a reader fails: [`SnapshotError::Truncated`] when the stream
     /// ends early, [`SnapshotError::Corrupt`] when a check fails.
     pub fn walk<C: Coder>(&mut self, c: &mut C, now: SimTime) -> Result<(), SnapshotError> {
+        // Stale rates are allocated before they are written.
+        self.reallocate();
         let (machines, links) = (self.cfg.machines, self.link_busy.len());
         seq(c, &mut self.flows, BLANK_FLOW, |c, f| {
             c.u64(&mut f.id.0)?;
@@ -112,7 +114,7 @@ impl Network {
             self.by_class = ClassIndex::build(self.flows.iter().map(ActiveFlow::spec));
             self.memo = Memo::default();
             self.rescale();
-            self.next_event.set(None);
+            self.next_event = None;
             self.dirty = false;
         }
         Ok(())

@@ -281,25 +281,25 @@ fn snapshot_bytes_match_the_golden_digests() {
         (
             "ring",
             base(BackendKind::Ring, 7),
-            0xb264_4d55_1655_a49e,
+            0x4832_1620_34ca_1ac8,
             7724,
         ),
         (
             "halving-doubling",
             base(BackendKind::HalvingDoubling, 11),
-            0x1361_4d2d_59d7_0016,
+            0x0ded_b604_ad5d_2817,
             8084,
         ),
         (
             "ps-crash",
             base(BackendKind::Ps, 7).with_faults(crash_plan(1, 40, 30)),
-            0x71d1_f748_b72c_90b6,
+            0x088a_b047_dd50_a2cd,
             8426,
         ),
         (
             "ring-crash",
             base(BackendKind::Ring, 7).with_faults(crash_plan(2, 40, 30)),
-            0x105d_5eb2_11ac_b3b2,
+            0xa712_97cb_0080_b5be,
             11484,
         ),
         ("lossy", lossy(), 0xf15d_aa65_4ca8_013c, 14327),
