@@ -810,6 +810,10 @@ fn with_base_round(f: impl Fn(&mut Vec<(u64, TraceEvent)>)) -> TraceLog {
     build(&evs)
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a mutation names an event the base round holds"
+)]
 fn position(evs: &[(u64, TraceEvent)], f: impl Fn(&TraceEvent) -> bool) -> usize {
     evs.iter().position(|(_, e)| f(e)).unwrap()
 }

@@ -1,9 +1,6 @@
 //! One function per figure, ablation and extension, in EXPERIMENTS.md order.
 //! Quick keeps the operating points the quick claims read and little else.
 
-// p3-lint: allow(file-length): sixteen figures, each a screen or less; a
-// figure is the unit a reader looks for, so they stay side by side.
-
 use crate::{speedup_line, Figure, FigureDef, Lab, Scale};
 use p3_allreduce::DEFAULT_COLLECTIVE_SLICE;
 use p3_cluster::bound::iteration_bound;

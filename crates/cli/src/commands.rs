@@ -1,9 +1,6 @@
 //! Command implementations. Each returns its output as a `String` so tests
 //! can assert on it; `main` prints.
 
-// p3-lint: allow(file-length): one function per subcommand plus their
-// tests; grows a few lines per flag, split when a command outgrows a screen.
-
 use crate::args::{ArgError, Args};
 use core::fmt;
 use p3_cluster::{
@@ -46,9 +43,6 @@ pub enum CliError {
     /// `p3 compare` found performance or determinism regressions; the
     /// string is the full comparison report.
     Regression(String),
-    /// `p3 lint` found budget overruns or baseline regressions; the string
-    /// is the rendered findings report.
-    Lint(String),
     /// `p3 figures` measured a claim outside its band; the string is the
     /// claims table.
     Claims(String),
@@ -72,7 +66,6 @@ impl fmt::Display for CliError {
             CliError::Io(why) => write!(f, "{why}"),
             CliError::Audit(report) => write!(f, "{report}"),
             CliError::Regression(report) => write!(f, "{report}"),
-            CliError::Lint(report) => write!(f, "{report}"),
             CliError::Claims(table) => write!(f, "claims outside their band:\n{table}"),
         }
     }
@@ -301,7 +294,6 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "bench" => crate::perf::bench(args),
         "compare" => crate::perf::compare(args),
         "tune" => crate::tune::tune_cmd(args),
-        "lint" => lint(args),
         "figures" => figures(args),
         other => Err(CliError::UnknownCommand(other.to_string())),
     }
@@ -348,10 +340,6 @@ COMMANDS:
               and fail on regressions      [--tolerance T]  (default 0.1)
                                            [--subset]  skip baseline rungs the
                                            candidate does not cover
-  lint        Static determinism analysis  [--root DIR]  workspace root (default .)
-              of the workspace: taint,     [--json]  deterministic JSON report
-              panic/unwrap ratchets,       [--baseline]  print a fresh
-              schema drift                 [findings-baseline] section to ratchet
   figures     Paper figures, then the      [--quick]  quick-scale claims only
               claims table; exits 1 if     [--only F]  one figure: fig4 fig5 fig6
               a claim leaves its band        fig7 fig8_9 fig10 fig11 fig12 fig13_14
@@ -491,6 +479,10 @@ fn plan(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the wall time is printed for the user and never reaches the simulation"
+)]
 fn simulate(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let mut strategy = strategy_by_name(args.get("strategy").unwrap_or("p3"))?;
@@ -763,31 +755,6 @@ fn audit(args: &Args) -> Result<String, CliError> {
     }
 }
 
-fn lint(args: &Args) -> Result<String, CliError> {
-    let root = args.get("root").unwrap_or(".");
-    let report = p3_lint::lint_workspace(std::path::Path::new(root))
-        .map_err(|why| CliError::Io(format!("{root}: {why}")))?;
-    if args.switch("baseline") {
-        // Ratcheting aid: always succeeds so the fresh section can be
-        // pasted into `p3-lint.toml` even when the current run is dirty.
-        let mut out = String::from("[findings-baseline]\n");
-        for (rule, n) in &report.counts {
-            let _ = writeln!(out, "\"{rule}\" = {n}");
-        }
-        return Ok(out);
-    }
-    let rendered = if args.switch("json") {
-        p3_lint::report::report_json(&report)
-    } else {
-        report.to_string()
-    };
-    if report.is_clean() {
-        Ok(rendered)
-    } else {
-        Err(CliError::Lint(rendered))
-    }
-}
-
 fn sweep(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let (topology, placement) = parse_topology_flags(args)?;
@@ -989,9 +956,7 @@ mod tests {
     #[test]
     fn help_lists_commands() {
         let h = run("help").unwrap();
-        for cmd in [
-            "models", "plan", "simulate", "sweep", "train", "lint", "figures",
-        ] {
+        for cmd in ["models", "plan", "simulate", "sweep", "train", "figures"] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
         for f in p3_bench::FIGURES {
@@ -1009,20 +974,6 @@ mod tests {
         );
         let err = run("figures --only fig99").unwrap_err();
         assert!(err.to_string().contains("fig99"), "{err}");
-    }
-
-    #[test]
-    fn lint_runs_clean_on_this_workspace() {
-        // Tests run with the crate dir as cwd; the workspace root is two up.
-        let out = run("lint --root ../..").unwrap();
-        assert!(out.contains("clean"), "{out}");
-
-        let json = run("lint --root ../.. --json").unwrap();
-        assert!(json.contains("\"format\": \"p3-lint\""), "{json}");
-        assert!(json.contains("\"clean\": true"), "{json}");
-
-        let baseline = run("lint --root ../.. --baseline").unwrap();
-        assert!(baseline.starts_with("[findings-baseline]"), "{baseline}");
     }
 
     #[test]

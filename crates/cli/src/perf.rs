@@ -40,6 +40,10 @@ const QUICK_LADDER: &[usize] = &[16, 32];
 /// One benchmark run: a fixed, seed-pinned configuration so the
 /// deterministic fields of the resulting point are reproducible on any
 /// machine. Returns `None` when the configuration fails to run.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the wall time is the measured quantity of a bench point and never reaches the simulation"
+)]
 fn bench_point(backend: BackendKind, machines: usize) -> Option<BenchPoint> {
     // Collectives want coarse slices (the PS optimum drowns them in
     // per-chunk overhead).

@@ -6,6 +6,7 @@ use std::path::{Path, PathBuf};
 
 use p3_cli::{dispatch, Args, CliError};
 
+#[expect(clippy::expect_used, reason = "test command lines are well formed")]
 fn run(line: &str) -> Result<String, CliError> {
     let args = Args::parse(line.split_whitespace().map(String::from)).expect("parse");
     dispatch(&args)

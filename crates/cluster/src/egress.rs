@@ -96,6 +96,10 @@ impl EgressUnit {
     ///
     /// Panics on a per-destination unit — its admission is per lane via
     /// [`EgressUnit::start_ready`].
+    #[expect(
+        clippy::panic,
+        reason = "per-destination units admit per lane through start_ready; the engine calls start_one on single-consumer units only"
+    )]
     pub fn start_one(&mut self) -> Option<OutMsg> {
         match self {
             EgressUnit::Single {

@@ -91,6 +91,10 @@ impl CommBackend for PsBackend {
         sim.kick_egress(worker, Role::Worker);
     }
 
+    #[expect(
+        clippy::unreachable,
+        reason = "the PS backend never sends collective chunks"
+    )]
     fn delivered(sim: &mut ClusterSim, ctx: MsgCtx) {
         match ctx.kind {
             MsgKind::Push { key, round } => {

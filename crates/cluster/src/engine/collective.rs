@@ -133,9 +133,7 @@ pub(crate) struct CollectiveBackend;
 
 impl CommBackend for CollectiveBackend {
     fn grads_ready(sim: &mut ClusterSim, worker: usize, block: usize, round: u64) {
-        let Some(mut st) = sim.collective.take() else {
-            unreachable!("collective backend without collective state")
-        };
+        let mut st = Self::take_state(sim);
         let keys = &sim.keys_of_block[block];
         for &k in keys {
             sim.trace(TraceEvent::GradReady {
@@ -163,9 +161,7 @@ impl CommBackend for CollectiveBackend {
     }
 
     fn delivered(sim: &mut ClusterSim, ctx: MsgCtx) {
-        let Some(mut st) = sim.collective.take() else {
-            unreachable!("collective backend without collective state")
-        };
+        let mut st = Self::take_state(sim);
         Self::on_chunk_delivered(sim, &mut st, ctx);
         sim.collective = Some(st);
     }
@@ -176,17 +172,13 @@ impl CommBackend for CollectiveBackend {
     }
 
     fn worker_crashed(sim: &mut ClusterSim, worker: usize) {
-        let Some(mut st) = sim.collective.take() else {
-            unreachable!("collective backend without collective state")
-        };
+        let mut st = Self::take_state(sim);
         Self::on_member_lost(sim, &mut st, worker);
         sim.collective = Some(st);
     }
 
     fn worker_rejoined(sim: &mut ClusterSim, worker: usize) {
-        let Some(mut st) = sim.collective.take() else {
-            unreachable!("collective backend without collective state")
-        };
+        let mut st = Self::take_state(sim);
         // Re-sync: the restarted process adopts the collectively-agreed
         // parameters (every completed version), then participates in
         // future barriers only — its in-progress round was aggregated
@@ -207,6 +199,19 @@ impl CommBackend for CollectiveBackend {
 }
 
 impl CollectiveBackend {
+    /// The backend's state, taken out of `sim` while a handler runs; the
+    /// handler puts it back.
+    #[expect(
+        clippy::unreachable,
+        reason = "the collective backend is installed only together with its state"
+    )]
+    fn take_state(sim: &mut ClusterSim) -> CollectiveState {
+        let Some(st) = sim.collective.take() else {
+            unreachable!("collective backend without collective state")
+        };
+        st
+    }
+
     /// Mask of workers currently able to participate in a barrier.
     fn live_mask(sim: &ClusterSim) -> u128 {
         sim.workers
@@ -233,6 +238,10 @@ impl CollectiveBackend {
         }
     }
 
+    #[expect(
+        clippy::unreachable,
+        reason = "a collective backend sends only chunks, and a chunk is in flight only while its collective is active"
+    )]
     fn on_chunk_delivered(sim: &mut ClusterSim, st: &mut CollectiveState, ctx: MsgCtx) {
         let chunk_step = match ctx.kind {
             MsgKind::ReduceScatter { step, .. } | MsgKind::AllGather { step, .. } => step,
@@ -266,6 +275,10 @@ impl CollectiveBackend {
     }
 
     /// The transfer schedule for a launch over `members`.
+    #[expect(
+        clippy::unreachable,
+        reason = "effective_kind falls back to ring where halving-doubling needs a power of two, and ring accepts every group size"
+    )]
     fn group_schedule(kind: ScheduleKind, members: u128) -> CollectiveSchedule {
         let count = members.count_ones() as usize;
         match CollectiveSchedule::new(effective_kind(kind, count), count) {
@@ -478,6 +491,10 @@ impl CollectiveBackend {
     /// (freeing its sender's consumer slot), all chunk contexts are
     /// dropped so armed retry timers lapse, and the slice is requeued over
     /// the surviving members.
+    #[expect(
+        clippy::unreachable,
+        reason = "on_member_lost aborts only an active collective"
+    )]
     fn abort_active(sim: &mut ClusterSim, st: &mut CollectiveState, crashed: usize) {
         let Some(a) = st.active.take() else {
             unreachable!("abort without an active collective")

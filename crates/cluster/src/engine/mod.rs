@@ -357,6 +357,10 @@ impl ClusterSim {
     /// Panics on any [`RunError`]: an invalid fault plan, a deadlocked
     /// simulation, or an exceeded event cap. Sweeps over possibly-bad
     /// configurations should prefer [`ClusterSim::try_run`].
+    #[expect(
+        clippy::panic,
+        reason = "run is the documented panicking form of try_run"
+    )]
     pub fn run(self) -> RunResult {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }

@@ -11,6 +11,10 @@ use p3_net::MachineId;
 impl ClusterSim {
     /// Consumes the finished engine and computes the measured result.
     /// `target` is the iteration count every surviving worker reached.
+    #[expect(
+        clippy::expect_used,
+        reason = "a finished run has measured every surviving worker, and trace series exist whenever trace_bin is set"
+    )]
     pub(super) fn finish(mut self, target: u64) -> RunResult {
         // Freeze the profile first: copy the network's deterministic work
         // counters and the calendar's heap statistics in, then derive the

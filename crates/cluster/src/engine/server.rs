@@ -84,6 +84,10 @@ impl ClusterSim {
     /// transfers); once the whole rack has contributed, the combined
     /// gradient is forwarded to the key's home server through the
     /// aggregator machine's server-role egress.
+    #[expect(
+        clippy::expect_used,
+        reason = "rack pushes are sent only on a configured topology"
+    )]
     pub(crate) fn on_rack_push(&mut self, agg: usize, key: usize, round: u64, from: usize) {
         let topo = self
             .cfg
@@ -204,6 +208,10 @@ impl ClusterSim {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "ProcDone is scheduled only when an item starts processing"
+    )]
     pub(crate) fn on_proc_done(&mut self, server: usize) {
         let item = self.servers[server]
             .current

@@ -82,4 +82,8 @@ pub(super) fn fold_event(h: u64, t: SimTime, ev: &Ev) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unreachable,
+    reason = "tests destructure the variants they build"
+)]
 mod tests;

@@ -262,6 +262,10 @@ impl ClusterSim {
 
     /// A message's flow left the fabric: free its sender, draw its loss,
     /// and hand a survivor to the backend.
+    #[expect(
+        clippy::expect_used,
+        reason = "a message's context lives until its flow is delivered"
+    )]
     pub(crate) fn on_delivered(&mut self, msg_id: u64) {
         let ctx = self
             .msgs

@@ -100,6 +100,10 @@ impl PipelineSpec {
 ///
 /// Panics if the spec's vectors are empty, differ in length, or contain
 /// invalid durations.
+#[expect(
+    clippy::expect_used,
+    reason = "segment times are sums of finite durations"
+)]
 pub fn schedule_sync(spec: &PipelineSpec, order: SyncOrder) -> Schedule {
     spec.validate();
     let n = spec.fwd.len();

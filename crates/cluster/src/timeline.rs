@@ -23,6 +23,10 @@ use std::collections::BTreeMap;
 /// an endpoint port) additionally appear on a `link l{id}` row, making
 /// core congestion visible as its own lane. Spans still open at the
 /// cutoff are dropped.
+#[expect(
+    clippy::expect_used,
+    reason = "segment times are finite trace timestamps"
+)]
 pub fn timeline_schedule(log: &TraceLog, machines: usize, iterations: u64) -> Schedule {
     let mut cutoff: Option<SimTime> = None;
     if iterations > 0 {

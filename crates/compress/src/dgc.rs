@@ -92,6 +92,7 @@ impl Dgc {
     /// # Panics
     ///
     /// Panics if `grad.len()` differs from the construction length.
+    #[expect(clippy::expect_used, reason = "gradient magnitudes are finite")]
     pub fn step(&mut self, grad: &[f32]) -> SparseGrad {
         assert_eq!(grad.len(), self.u.len(), "gradient length mismatch");
         let n = grad.len();

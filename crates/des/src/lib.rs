@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::indexing_slicing)]
 
 mod queue;
 mod rng;

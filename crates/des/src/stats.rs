@@ -137,6 +137,10 @@ impl Histogram {
     ///
     /// Panics if `x` is NaN or negative — histogram samples are
     /// durations/depths, which are non-negative by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "position returns an index into bounds, and counts is parallel to bounds"
+    )]
     pub fn record(&mut self, x: f64) {
         assert!(x >= 0.0, "histogram samples must be non-negative, got {x}");
         self.summary.record(x);
@@ -191,6 +195,11 @@ impl Histogram {
 /// assert_eq!(quantile(&xs, 0.0), Some(1.0));
 /// assert_eq!(quantile(&xs, 1.0), Some(4.0));
 /// ```
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "NaN input is a documented panic; lo <= hi <= len - 1 for q in [0, 1]"
+)]
 pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
     if values.is_empty() {

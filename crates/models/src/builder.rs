@@ -152,6 +152,10 @@ impl ConvStack {
 
     /// Adds a dense (fully-connected) layer. Requires [`ConvStack::flatten`]
     /// first (or a previous dense layer).
+    #[expect(
+        clippy::expect_used,
+        reason = "dense() after flatten() is the documented builder contract"
+    )]
     pub fn dense(&mut self, name: &str, out: u64, bias: bool) {
         let input = self.flattened.expect("dense() requires flatten() first");
         let weight = input * out;

@@ -300,6 +300,10 @@ impl WaterFill<'_> {
     /// start at zero and each round raises them by the same `delta`. So the
     /// per-flow cap test and the rate raise are one comparison and one
     /// addition per round, and a member's rate is written when it freezes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the loop index k stays below n <= members.len()"
+    )]
     fn class(&mut self, members: &mut [(usize, FlowSpec)]) {
         const EPS: f64 = 1e-9;
         /// Residual capacity below this (bytes/sec — one byte per ~12

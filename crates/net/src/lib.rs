@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::indexing_slicing)]
 
 mod allocator;
 mod multilink;

@@ -140,6 +140,10 @@ impl LinkGraph {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an out-of-range link is a documented panic"
+    )]
     pub fn link_name(&self, link: LinkId) -> String {
         let m = self.machines;
         match link.0 {
@@ -154,6 +158,10 @@ impl LinkGraph {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an out-of-range link is a documented panic"
+    )]
     pub fn link_cap(&self, link: LinkId) -> f64 {
         self.caps[link.0]
     }
@@ -182,6 +190,10 @@ impl LinkGraph {
     ///
     /// Panics if a machine or link is out of range, `src == dst`, or `via`
     /// contains a duplicate or an endpoint port.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "k indexes via, and src and dst are asserted below machines"
+    )]
     pub fn set_transit(&mut self, src: usize, dst: usize, via: &[LinkId]) {
         assert!(
             src < self.machines && dst < self.machines,
@@ -258,6 +270,10 @@ impl LinkGraph {
     /// # Panics
     ///
     /// Panics if a scale table's length differs from the machine count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the scale tables are asserted to hold one entry per machine, and caps starts with every tx then every rx port"
+    )]
     pub fn scaled_caps(&self, efficiency: f64, tx_scale: &[f64], rx_scale: &[f64]) -> Vec<f64> {
         assert_eq!(tx_scale.len(), self.machines, "tx scale table length");
         assert_eq!(rx_scale.len(), self.machines, "rx scale table length");

@@ -391,6 +391,10 @@ impl Network {
     /// Advances the fluid model to `now` and returns every transfer whose
     /// last byte has been delivered (drain time + latency ≤ `now`), in
     /// delivery order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i is below the length of the vector it indexes, checked by each loop condition"
+    )]
     pub fn poll(&mut self, now: SimTime) -> Vec<CompletedFlow> {
         self.advance(now);
         // The drain test reads rates, so a change at this very instant
@@ -469,6 +473,10 @@ impl Network {
     ///
     /// Panics if `machine` is out of range, a factor is outside `(0, 1]`,
     /// or `now` precedes the network's last update.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "machine is asserted below machines, and the scale tables hold one entry per machine"
+    )]
     pub fn set_port_scale(&mut self, now: SimTime, machine: MachineId, tx: f64, rx: f64) {
         assert!(machine.0 < self.cfg.machines, "unknown machine {machine}");
         assert!(tx > 0.0 && tx <= 1.0, "tx scale {tx} outside (0, 1]");
@@ -523,6 +531,10 @@ impl Network {
 
     /// Integrates flow progress from `last_update` to `now`, under rates
     /// reallocated first if they are stale.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "traces, when enabled, exist for every machine, and flow endpoints are machines"
+    )]
     fn advance(&mut self, now: SimTime) {
         assert!(
             now >= self.last_update,

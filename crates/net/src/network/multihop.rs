@@ -11,6 +11,10 @@ use crate::multilink::LinkId;
 /// Accrues per-link occupancy (busy seconds and bytes carried) for the
 /// elapsed interval `dt`, under the rates in force over that interval.
 /// Called from `Network::advance` before flow progress is integrated.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "route links, rate_sum and the per-link totals all span the configured graph"
+)]
 pub(super) fn account_advance(net: &mut Network, dt: f64) {
     let Some(g) = &net.cfg.link_graph else {
         return;
@@ -33,6 +37,10 @@ pub(super) fn account_advance(net: &mut Network, dt: f64) {
 
 /// Builds the per-link usage report for [`Network::link_usage`]. Empty on
 /// the flat single-switch fabric.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the per-link totals span the configured graph"
+)]
 pub(super) fn usage(net: &Network) -> Vec<LinkUsage> {
     let Some(g) = &net.cfg.link_graph else {
         return Vec::new();

@@ -110,6 +110,10 @@ pub struct PacketMessage {
 /// // 10 packets of 9 kB at 90 kB/ms: ~1 ms + one packet of rx pipeline.
 /// assert!((done[0].as_secs_f64() - 0.0011).abs() < 1e-6);
 /// ```
+#[expect(
+    clippy::indexing_slicing,
+    reason = "message endpoints are asserted below machines, and events carry indices into messages"
+)]
 pub fn packet_simulate(
     messages: &[PacketMessage],
     machines: usize,

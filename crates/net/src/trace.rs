@@ -47,6 +47,10 @@ impl PortTrace {
     /// # Panics
     ///
     /// Panics if `to < from` or the rate is negative/non-finite.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bytes is resized to cover idx just before the write"
+    )]
     pub fn add_rate(&mut self, from: SimTime, to: SimTime, bytes_per_sec: f64) {
         assert!(to >= from, "time interval reversed: {from}..{to}");
         assert!(

@@ -8,11 +8,12 @@
 //! `Option` — the same idiom as its trace handle — so an unprofiled run
 //! pays one untaken branch per hook and nothing else.
 //!
-//! Wall-clock time is banned in every simulation crate (`p3-lint`'s
-//! `wall-clock` rule) because it is the canonical determinism hazard. This
-//! crate is the single scoped exemption: `Instant::now` lives *here*, the
-//! engine only moves opaque [`SpanToken`]s around, and no wall-clock value
-//! ever feeds back into simulation state. The non-intrusiveness invariant
+//! Wall-clock time is banned workspace-wide (`clippy.toml` disallows
+//! `Instant::now`) because it is the canonical determinism hazard. This
+//! crate is the single scoped exemption in the simulation: `Instant::now`
+//! lives *here*, under a reasoned `#[expect]`, the engine only moves
+//! opaque [`SpanToken`]s around, and no wall-clock value ever feeds back
+//! into simulation state. The non-intrusiveness invariant
 //! is pinned by test: a profiled run's event digest is bit-identical to an
 //! unprofiled run's.
 //!
@@ -80,6 +81,10 @@ impl Default for SimProfiler {
 
 impl SimProfiler {
     /// A fresh profiler; the run's total wall clock starts now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "constructor stores the start instant; the profiled-vs-unprofiled bit-identity test pins that it never feeds simulation state"
+    )]
     pub fn new() -> Self {
         SimProfiler {
             started: Instant::now(),
@@ -89,6 +94,10 @@ impl SimProfiler {
     }
 
     /// Opens a scoped span. Pair with [`SimProfiler::record`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span token is consumed by record() into wall-time totals only, never into simulated state"
+    )]
     #[inline]
     pub fn begin(&self) -> SpanToken {
         SpanToken(Instant::now())

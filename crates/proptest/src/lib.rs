@@ -22,6 +22,10 @@ use std::rc::Rc;
 
 /// Number of cases each property runs (`PROPTEST_CASES` overrides; default
 /// 64).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the case count changes how many cases a property runs, never what a case computes"
+)]
 pub fn cases() -> u64 {
     std::env::var("PROPTEST_CASES")
         .ok()

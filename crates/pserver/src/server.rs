@@ -108,6 +108,7 @@ impl KvServer {
     /// Panics if the key is unknown, the gradient length mismatches, the
     /// worker id is out of range, or the worker pushes the same key twice
     /// in one round (a protocol violation in synchronous SGD).
+    #[expect(clippy::panic, reason = "an unknown key is a documented panic")]
     pub fn push(&mut self, worker: WorkerId, key: Key, grad: &[f32]) -> PushOutcome {
         let nw = self.num_workers;
         let e = self
@@ -156,6 +157,7 @@ impl KvServer {
     /// # Panics
     ///
     /// Panics if the key is unknown.
+    #[expect(clippy::panic, reason = "an unknown key is a documented panic")]
     pub fn pull(&self, key: Key) -> (&[f32], u64) {
         let e = self
             .entries

@@ -46,6 +46,10 @@ mod tests {
         assert_eq!(Key(17).to_string(), "k17");
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "checks the Hash derive; no iteration order is observed"
+    )]
     #[test]
     fn ordering_and_hash_derive() {
         use std::collections::HashSet;

@@ -17,6 +17,10 @@ use std::sync::Mutex;
 ///
 /// Propagates a panic from `f` (the scope join panics), and panics if the
 /// results mutex was poisoned by such a panic.
+#[expect(
+    clippy::panic,
+    reason = "every job index in 0..n is claimed and filled before the scope joins"
+)]
 pub fn run_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,

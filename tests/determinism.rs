@@ -2,9 +2,9 @@
 //! bit-identical results AND byte-identical exported traces, across flat,
 //! faulty, and topology-aware clusters.
 //!
-//! This is the behavioural counterpart of the `p3-lint` ban on unordered
-//! collections in simulation crates: any HashMap iteration order leaking
-//! into scheduling decisions shows up here as a digest mismatch.
+//! This is the behavioural counterpart of `clippy.toml`'s ban on unordered
+//! collections: any HashMap iteration order leaking into scheduling
+//! decisions shows up here as a digest mismatch.
 
 use p3::cluster::{ClusterConfig, ClusterSim, FaultPlan};
 use p3::core::SyncStrategy;
