@@ -8,12 +8,12 @@
 //! scheduling behaviour — either revert, or (for an intentional protocol
 //! change) regenerate the constant and call the change out in the PR.
 
-use p3::cluster::{BackendKind, ClusterConfig, ClusterSim, FaultPlan, WorkerCrash};
+use p3::cluster::{ascii_timeline, BackendKind, ClusterConfig, ClusterSim, FaultPlan, WorkerCrash};
 use p3::core::SyncStrategy;
 use p3::des::{SimDuration, SimTime};
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
-use p3::trace::{export_trace_json, TraceEvent};
+use p3::trace::{export_trace_json, MetricsRegistry, TraceEvent};
 
 /// Digest of the exported trace for [`golden_config`], captured from the
 /// pre-refactor monolithic `sim.rs` (commit 6ef229d lineage), re-pinned
@@ -93,6 +93,30 @@ fn ps_trace_digest_matches_pre_refactor_golden() {
          (got fnv={digest:#018x} throughput_bits={:#018x} events={})",
         result.throughput.to_bits(),
         result.events,
+    );
+}
+
+/// Digest of `MetricsRegistry::from_trace(..).to_json()` for
+/// [`golden_config`]'s trace: pins the stage-latency, gauge and counter
+/// derivation byte for byte.
+const GOLDEN_METRICS_FNV: u64 = 0xe824_d93e_09ab_1f3d;
+/// Digest of the first iteration of [`golden_config`]'s trace rendered by
+/// `ascii_timeline` at 72 columns: pins the timeline's span pairing and
+/// iteration cutoff.
+const GOLDEN_TIMELINE_FNV: u64 = 0xe88f_8a50_02c4_54d2;
+
+#[test]
+fn metrics_and_timeline_digests_match_golden() {
+    let (_, log) = ClusterSim::new(golden_config())
+        .try_run_traced()
+        .expect("golden config must run clean");
+    let log = log.expect("slice tracing was enabled");
+    let metrics = fnv(&MetricsRegistry::from_trace(&log).to_json());
+    let timeline = fnv(&ascii_timeline(&log, 4, 1, 72));
+    assert_eq!(
+        (metrics, timeline),
+        (GOLDEN_METRICS_FNV, GOLDEN_TIMELINE_FNV),
+        "trace consumers moved (got metrics fnv={metrics:#018x} timeline fnv={timeline:#018x})",
     );
 }
 
