@@ -16,19 +16,24 @@
 //! explanatory note rather than guessed at: the auditor never reports a
 //! violation the real system could have legally produced.
 //!
+//! The auditor pairs span starts and ends with its own state machines
+//! rather than `p3_trace::TraceLog::paired`: that walk silently drops an
+//! end without a start and lets a second start replace the first, and
+//! those are exactly the mismatches the auditor must report.
+//!
 //! # Examples
 //!
 //! ```
 //! use p3_des::SimTime;
-//! use p3_trace::{TraceEvent, TraceHandle};
+//! use p3_trace::{TraceEvent, TraceLog};
 //!
-//! let handle = TraceHandle::new();
-//! handle.record(
+//! let mut log = TraceLog::new();
+//! log.record(
 //!     SimTime::from_micros(7),
 //!     TraceEvent::WireEnd { msg_id: 0, src: 0, dst: 1, bytes: 512, bottleneck: None },
 //! );
 //! // Delivery of a message that was never enqueued: causally impossible.
-//! let report = p3_audit::check(&handle.drain());
+//! let report = p3_audit::check(&log);
 //! assert!(!report.is_clean());
 //! assert_eq!(report.violated_invariants(), vec!["causal-order"]);
 //! ```

@@ -70,17 +70,17 @@ pub fn check_resume_equivalence(full: &TraceLog, resumed: &TraceLog) -> AuditRep
 mod tests {
     use super::*;
     use p3_des::SimTime;
-    use p3_trace::{TraceEvent, TraceHandle};
+    use p3_trace::TraceEvent;
 
     fn log_of(hashes: &[(u64, u64)]) -> TraceLog {
-        let h = TraceHandle::new();
+        let mut log = TraceLog::new();
         for &(at, hash) in hashes {
-            h.record(
+            log.record(
                 SimTime::from_nanos(at),
                 TraceEvent::StateHash { events: at, hash },
             );
         }
-        h.drain()
+        log
     }
 
     #[test]

@@ -8,12 +8,12 @@
 
 use p3_audit::{check_with, AuditOptions};
 use p3_des::SimTime;
-use p3_trace::{EndpointRole, FaultKind, MsgClass, TraceEvent, TraceHandle};
+use p3_trace::{EndpointRole, FaultKind, MsgClass, TraceEvent, TraceLog};
 
 fn report(events: &[(u64, TraceEvent)]) -> String {
-    let h = TraceHandle::new();
+    let mut log = TraceLog::new();
     for &(t, e) in events {
-        h.record(SimTime::from_nanos(t), e);
+        log.record(SimTime::from_nanos(t), e);
     }
     let opts = AuditOptions {
         machines: Some(2),
@@ -22,7 +22,7 @@ fn report(events: &[(u64, TraceEvent)]) -> String {
         port_bytes_per_sec: None,
         collective: None,
     };
-    check_with(&h.drain(), &opts).to_string()
+    check_with(&log, &opts).to_string()
 }
 
 /// Worker 0's gradient for key `id` and its enqueue of msg `id`.

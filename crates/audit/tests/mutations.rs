@@ -8,15 +8,15 @@
 
 use p3_audit::{check_resume_equivalence, check_with, AuditOptions, Invariant};
 use p3_des::SimTime;
-use p3_trace::{ComputePhase, EndpointRole, MsgClass, TraceEvent, TraceHandle, TraceLog};
+use p3_trace::{ComputePhase, EndpointRole, MsgClass, TraceEvent, TraceLog};
 use std::collections::BTreeSet;
 
 fn build(events: &[(u64, TraceEvent)]) -> TraceLog {
-    let h = TraceHandle::new();
+    let mut log = TraceLog::new();
     for &(t, e) in events {
-        h.record(SimTime::from_nanos(t), e);
+        log.record(SimTime::from_nanos(t), e);
     }
-    h.drain()
+    log
 }
 
 fn opts(machines: usize, window: usize) -> AuditOptions {

@@ -1,7 +1,8 @@
 //! Experiment configuration and results.
 
+use crate::egress::EgressUnit;
 use crate::faults::FaultPlan;
-use p3_core::SyncStrategy;
+use p3_core::{Egress, SyncStrategy};
 use p3_des::snap::SnapshotError;
 use p3_des::{SimDuration, SimTime};
 use p3_models::{ComputeProfile, ModelSpec, SampleUnit};
@@ -286,19 +287,37 @@ impl ClusterConfig {
         self
     }
 
+    /// The send window of every endpoint's single-consumer egress, or
+    /// `None` when each endpoint keeps per-destination FIFO lanes.
+    /// Collective backends step every worker through strictly ordered
+    /// chunk sends, so their egress is always single-lane whatever the
+    /// strategy says; the PS backend follows the strategy.
+    pub(crate) fn egress_window(&self) -> Option<usize> {
+        let single =
+            self.backend.is_collective() || matches!(self.strategy.egress, Egress::SingleConsumer);
+        single.then_some(self.machines)
+    }
+
+    /// A fresh egress unit for one worker or server endpoint, as
+    /// [`ClusterConfig::egress_window`] decides.
+    pub(crate) fn endpoint_egress(&self) -> EgressUnit {
+        match self.egress_window() {
+            Some(window) => EgressUnit::single(window),
+            None => EgressUnit::per_dest(self.machines),
+        }
+    }
+
     /// The audit-relevant facts of this configuration, for embedding in an
     /// exported trace (`p3_trace::export_trace_json`) so `p3 audit` can run
     /// the configuration-gated checks offline.
     pub fn trace_meta(&self) -> p3_trace::TraceMeta {
+        let window = self.egress_window();
         p3_trace::TraceMeta {
             machines: self.machines,
-            // Collective backends force single-lane worker egress (chunk
-            // steps are strictly ordered), whatever the strategy says.
-            single_consumer: Some(
-                self.backend.is_collective()
-                    || matches!(self.strategy.egress, p3_core::Egress::SingleConsumer),
-            ),
-            window: Some(self.machines),
+            single_consumer: Some(window.is_some()),
+            // Per-destination lanes have no window; the meta records the
+            // machine count for them.
+            window: Some(window.unwrap_or(self.machines)),
             // Uniform per-port capacity only exists on the flat fabric;
             // topology runs bound flows per link, which the flat check
             // cannot express.

@@ -134,14 +134,20 @@ pub(crate) struct CollectiveBackend;
 impl CommBackend for CollectiveBackend {
     fn grads_ready(sim: &mut ClusterSim, worker: usize, block: usize, round: u64) {
         let mut st = Self::take_state(sim);
-        let keys = &sim.keys_of_block[block];
-        for &k in keys {
-            sim.trace(TraceEvent::GradReady {
-                worker,
-                key: k,
-                round,
-                priority: sim.prio[k],
-            });
+        if let Some(log) = &mut sim.trace_log {
+            let now = sim.queue.now();
+            for &k in &sim.keys_of_block[block] {
+                let priority = sim.prio[k];
+                log.record(
+                    now,
+                    TraceEvent::GradReady {
+                        worker,
+                        key: k,
+                        round,
+                        priority,
+                    },
+                );
+            }
         }
         if round < st.block_round[block] {
             // A rejoined worker replaying a round that was already

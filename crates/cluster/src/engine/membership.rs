@@ -5,22 +5,10 @@
 
 use super::types::{role_slot, worker_originated, Ev, MsgKind, Role};
 use super::ClusterSim;
-use crate::egress::EgressUnit;
-use p3_core::Egress;
 use p3_des::SimTime;
 use p3_trace::{FaultKind, TraceEvent};
 
 impl ClusterSim {
-    fn fresh_worker_egress(&self) -> EgressUnit {
-        if self.cfg.backend.is_collective() {
-            return EgressUnit::single(self.cfg.machines);
-        }
-        match self.cfg.strategy.egress {
-            Egress::SingleConsumer => EgressUnit::single(self.cfg.machines),
-            Egress::PerServerFifo => EgressUnit::per_dest(self.cfg.machines),
-        }
-    }
-
     pub(crate) fn on_crash(&mut self, idx: usize) {
         let c = self.cfg.faults.crashes[idx];
         let now = self.queue.now();
@@ -55,7 +43,7 @@ impl ClusterSim {
             }
         });
 
-        let fresh = self.fresh_worker_egress();
+        let fresh = self.cfg.endpoint_egress();
         let stall_ended = {
             let ws = &mut self.workers[w];
             ws.crashed = true;

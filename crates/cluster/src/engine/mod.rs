@@ -42,11 +42,10 @@ mod fault_tests;
 mod tests;
 
 use crate::config::{BackendKind, ClusterConfig, FaultStats, MessageStats, RunError, RunResult};
-use crate::egress::EgressUnit;
 use collective::CollectiveState;
 use msg_table::MsgTable;
 use p3_allreduce::{CollectiveSchedule, ScheduleKind};
-use p3_core::{Egress, PrioQueue};
+use p3_core::PrioQueue;
 use p3_des::snap::SnapshotError;
 use p3_des::{EventQueue, SimDuration, SimTime, SplitMix64};
 use p3_models::BlockTiming;
@@ -54,7 +53,7 @@ use p3_net::{MachineId, Network, NetworkConfig};
 use p3_prof::{SimProfiler, SpanToken};
 use p3_pserver::ShardPlan;
 use p3_topo::Placement;
-use p3_trace::{TraceHandle, TraceLog};
+use p3_trace::{TraceEvent, TraceLog};
 use std::collections::BTreeMap;
 use types::{
     role_slot, trace_phase, Ev, Phase, Role, ServerState, WorkerState, EVENT_CAP, MAX_MACHINES,
@@ -122,11 +121,12 @@ pub struct ClusterSim {
     /// Pushes required to complete a round (live membership size).
     expected_pushes: u32,
     faults: FaultStats,
-    /// Slice-lifecycle event recorder, present only when
-    /// [`ClusterConfig::slice_trace`] is set. Recording draws no
+    /// The slice-lifecycle trace, present only when
+    /// [`ClusterConfig::slice_trace`] is set. The engine is its one
+    /// writer, wire starts and deliveries included. Recording draws no
     /// randomness and schedules nothing, so results are bit-identical with
     /// it on or off.
-    tracer: Option<TraceHandle>,
+    trace_log: Option<TraceLog>,
     /// Partial-sum state of rack-local aggregation: (aggregator machine,
     /// key, round) → mask of rack members whose gradient has arrived.
     rack_agg: BTreeMap<(usize, usize, u64), u128>,
@@ -211,19 +211,7 @@ impl ClusterSim {
             c
         };
 
-        // Collective backends step every worker through strictly ordered
-        // chunk sends, so their egress is always single-lane whatever the
-        // strategy says; the PS backend follows the strategy.
         let num_keys = plan.num_keys();
-        let mk_worker_egress = || {
-            if cfg.backend.is_collective() {
-                return EgressUnit::single(cfg.machines);
-            }
-            match cfg.strategy.egress {
-                Egress::SingleConsumer => EgressUnit::single(cfg.machines),
-                Egress::PerServerFifo => EgressUnit::per_dest(cfg.machines),
-            }
-        };
         let collective = match cfg.backend {
             BackendKind::Ps => None,
             BackendKind::Ring | BackendKind::HalvingDoubling => {
@@ -266,7 +254,7 @@ impl ClusterSim {
                 resume_iter: 0,
                 iter_started: SimTime::ZERO,
                 measured_iters: Vec::new(),
-                egress: mk_worker_egress(),
+                egress: cfg.endpoint_egress(),
                 rng: rng.fork(),
             })
             .collect();
@@ -278,19 +266,13 @@ impl ClusterSim {
                 version: vec![0; num_keys],
                 pending_pulls: vec![Vec::new(); num_keys],
                 current: None,
-                egress: mk_worker_egress(),
+                egress: cfg.endpoint_egress(),
             })
             .collect();
 
-        let tracer = cfg.slice_trace.then(TraceHandle::default);
-        let mut net = Network::new(net_cfg);
-        if let Some(t) = &tracer {
-            net.set_tracer(t.clone());
-        }
-
         ClusterSim {
             queue: EventQueue::new(),
-            net,
+            net: Network::new(net_cfg),
             workers,
             servers,
             plan,
@@ -309,7 +291,7 @@ impl ClusterSim {
             dead_members: vec![false; cfg.machines],
             expected_pushes: cfg.machines as u32,
             faults: FaultStats::default(),
-            tracer,
+            trace_log: cfg.slice_trace.then(TraceLog::new),
             rack_agg: BTreeMap::new(),
             collective,
             hash: 0,
@@ -443,7 +425,7 @@ impl ClusterSim {
                 self.flush_net_wake();
             }
             if self.cfg.hash_every > 0 && self.events.is_multiple_of(self.cfg.hash_every) {
-                self.trace(p3_trace::TraceEvent::StateHash {
+                self.trace(TraceEvent::StateHash {
                     events: self.events,
                     hash: self.hash,
                 });
@@ -590,8 +572,8 @@ impl ClusterSim {
 
     /// Drains the trace, runs the inline audit (unless resumed), and
     /// computes the measured result.
-    fn finalize(self, target: u64) -> Result<(RunResult, Option<TraceLog>), RunError> {
-        let log = self.tracer.as_ref().map(|t| t.drain());
+    fn finalize(mut self, target: u64) -> Result<(RunResult, Option<TraceLog>), RunError> {
+        let log = self.trace_log.take();
         if self.cfg.audit && !self.resumed {
             let Some(log) = &log else {
                 return Err(RunError::InvalidConfig(
@@ -649,7 +631,7 @@ impl ClusterSim {
                     return; // echo of a crashed incarnation
                 }
                 let (tp, block) = trace_phase(phase);
-                self.trace(p3_trace::TraceEvent::ComputeEnd {
+                self.trace(TraceEvent::ComputeEnd {
                     worker,
                     phase: tp,
                     block,
@@ -691,6 +673,19 @@ impl ClusterSim {
                 let span = self.prof_begin();
                 let done = self.net.poll(now);
                 self.prof_end("net/poll", span);
+                // Every delivery is traced before any is handled.
+                if let Some(log) = &mut self.trace_log {
+                    for f in &done {
+                        let event = TraceEvent::WireEnd {
+                            msg_id: f.tag,
+                            src: f.src.0,
+                            dst: f.dst.0,
+                            bytes: f.bytes,
+                            bottleneck: f.bottleneck,
+                        };
+                        log.record(now, event);
+                    }
+                }
                 for flow in done {
                     self.on_delivered(flow.tag);
                 }

@@ -13,7 +13,7 @@ use super::types::{class_of, role_slot, sender_role_of, Ev, MsgCtx, MsgKind, Rol
 use super::ClusterSim;
 use crate::egress::{EgressUnit, OutMsg};
 use p3_des::SimTime;
-use p3_net::{FlowId, MachineId, Priority};
+use p3_net::{MachineId, Priority};
 use p3_pserver::{wire_bytes, RetryDecision, HEADER_BYTES};
 use p3_trace::{EndpointRole, FaultKind, MsgClass, TraceEvent};
 
@@ -25,14 +25,14 @@ impl ClusterSim {
     /// this is a single branch; recording draws no randomness and
     /// schedules nothing, preserving determinism either way.
     #[inline]
-    pub(crate) fn trace(&self, event: TraceEvent) {
-        if let Some(t) = &self.tracer {
-            t.record(self.queue.now(), event);
+    pub(crate) fn trace(&mut self, event: TraceEvent) {
+        if let Some(log) = &mut self.trace_log {
+            log.record(self.queue.now(), event);
         }
     }
 
     /// Records one fault event.
-    pub(crate) fn trace_fault(&self, kind: FaultKind, machine: usize, msg_id: Option<u64>) {
+    pub(crate) fn trace_fault(&mut self, kind: FaultKind, machine: usize, msg_id: Option<u64>) {
         self.trace(TraceEvent::Fault {
             kind,
             machine,
@@ -55,7 +55,7 @@ impl ClusterSim {
             Role::Worker => self.workers[machine].egress.enqueue(msg),
             Role::Server => self.servers[machine].egress.enqueue(msg),
         }
-        if self.tracer.is_some() {
+        if self.trace_log.is_some() {
             let queue_depth = match role {
                 Role::Worker => self.workers[machine].egress.backlog(),
                 Role::Server => self.servers[machine].egress.backlog(),
@@ -123,10 +123,30 @@ impl ClusterSim {
         id
     }
 
-    /// Records a just-admitted message's flow and, when the fault plan
-    /// can lose messages, arms its retry timer (fault-free runs never
-    /// schedule retry events).
-    fn note_admitted(&mut self, msg_id: u64, flow: FlowId, now: SimTime) {
+    /// Puts an admitted message on the wire: starts its flow (timed as
+    /// `net/start_flow`), records the `WireStart`, notes the flow on the
+    /// message and, when the fault plan can lose messages, arms its retry
+    /// timer (fault-free runs never schedule retry events).
+    fn start_wire(&mut self, machine: usize, m: OutMsg) {
+        let OutMsg {
+            dst,
+            bytes,
+            priority,
+            msg_id,
+        } = m;
+        let now = self.queue.now();
+        let span = self.prof_begin();
+        let flow = self
+            .net
+            .start_flow(now, MachineId(machine), dst, bytes, priority, msg_id);
+        self.prof_end("net/start_flow", span);
+        self.trace(TraceEvent::WireStart {
+            msg_id,
+            src: machine,
+            dst: dst.0,
+            bytes,
+            priority: priority.0,
+        });
         let Some(ctx) = self.msgs.get_mut(msg_id) else {
             return;
         };
@@ -174,17 +194,7 @@ impl ClusterSim {
                     Role::Server => self.servers[machine].egress.start_one(),
                 };
                 if let Some(m) = admitted {
-                    let span = self.prof_begin();
-                    let flow = self.net.start_flow(
-                        now,
-                        MachineId(machine),
-                        m.dst,
-                        m.bytes,
-                        m.priority,
-                        m.msg_id,
-                    );
-                    self.prof_end("net/start_flow", span);
-                    self.note_admitted(m.msg_id, flow, now);
+                    self.start_wire(machine, m);
                     let next = now + self.cfg.msg_overhead;
                     self.admit_gate[machine][slot] = next;
                     let backlog = match role {
@@ -202,17 +212,7 @@ impl ClusterSim {
                 Role::Server => self.servers[machine].egress.start_ready(),
             };
             for m in ready {
-                let span = self.prof_begin();
-                let flow = self.net.start_flow(
-                    now,
-                    MachineId(machine),
-                    m.dst,
-                    m.bytes,
-                    m.priority,
-                    m.msg_id,
-                );
-                self.prof_end("net/start_flow", span);
-                self.note_admitted(m.msg_id, flow, now);
+                self.start_wire(machine, m);
             }
         }
         self.schedule_net_wake();
@@ -366,9 +366,7 @@ impl ClusterSim {
         // cross-checked against per-event counts.
         let sender = ctx.src;
         let decision = self.cfg.retry.decide(attempt);
-        if let Some(t) = &self.tracer {
-            decision.record(&mut t.clone(), now, sender, msg_id);
-        }
+        self.trace_fault(decision.fault_kind(), sender, Some(msg_id));
         match decision {
             RetryDecision::GiveUp => {
                 self.msgs.remove(msg_id);

@@ -51,7 +51,7 @@ impl ClusterSim {
             if was_stalled {
                 self.trace(TraceEvent::StallEnd { worker, block });
             }
-            if self.tracer.is_some() {
+            if self.trace_log.is_some() {
                 let round = self.workers[worker].iter;
                 for k in self.keys_of_block[block].clone() {
                     self.trace(TraceEvent::SliceConsumed {

@@ -9,8 +9,7 @@
 
 use crate::gantt::{ascii_gantt, Lane, Schedule, Segment};
 use p3_des::SimTime;
-use p3_trace::{TraceEvent, TraceLog};
-use std::collections::BTreeMap;
+use p3_trace::{TimedEvent, TraceEvent, TraceLog};
 
 /// Builds a Gantt [`Schedule`] from a recorded trace, cut off at the
 /// instant every one of the `machines` workers has completed `iterations`
@@ -45,10 +44,6 @@ pub fn timeline_schedule(log: &TraceLog, machines: usize, iterations: u64) -> Sc
     }
 
     let mut segments: Vec<Segment> = Vec::new();
-    let mut compute_open: BTreeMap<(usize, usize, u8), SimTime> = BTreeMap::new();
-    let mut stall_open: BTreeMap<(usize, usize), SimTime> = BTreeMap::new();
-    let mut agg_open: BTreeMap<(usize, usize, u64, usize), SimTime> = BTreeMap::new();
-    let mut wire_open: BTreeMap<u64, (SimTime, usize, usize)> = BTreeMap::new();
     let mut push = |label: String, lane: Lane, s: SimTime, e: SimTime| {
         segments.push(Segment {
             label,
@@ -58,74 +53,40 @@ pub fn timeline_schedule(log: &TraceLog, machines: usize, iterations: u64) -> Sc
         });
     };
 
-    for te in log.events() {
-        let at = te.at;
+    for (TimedEvent { at, event }, opened) in log.paired() {
         if cutoff.is_some_and(|c| at > c) {
             break;
         }
-        match te.event {
-            TraceEvent::ComputeStart {
-                worker,
-                phase,
-                block,
-            } => {
-                compute_open.insert((worker, block, phase as u8), at);
+        let Some(t0) = opened else {
+            continue;
+        };
+        match event {
+            TraceEvent::ComputeEnd { worker, .. } => {
+                push(format!("w{worker} compute"), Lane::Compute, t0, at);
             }
-            TraceEvent::ComputeEnd {
-                worker,
-                phase,
-                block,
-            } => {
-                if let Some(t0) = compute_open.remove(&(worker, block, phase as u8)) {
-                    push(format!("w{worker} compute"), Lane::Compute, t0, at);
-                }
-            }
-            TraceEvent::StallStart { worker, block } => {
-                stall_open.insert((worker, block), at);
-            }
-            TraceEvent::StallEnd { worker, block } => {
-                if let Some(t0) = stall_open.remove(&(worker, block)) {
-                    push(format!("w{worker} stall"), Lane::Compute, t0, at);
-                }
-            }
-            TraceEvent::WireStart {
-                msg_id, src, dst, ..
-            } => {
-                wire_open.insert(msg_id, (at, src, dst));
+            TraceEvent::StallEnd { worker, .. } => {
+                push(format!("w{worker} stall"), Lane::Compute, t0, at);
             }
             TraceEvent::WireEnd {
-                msg_id, bottleneck, ..
+                src,
+                dst,
+                bottleneck,
+                ..
             } => {
-                if let Some((t0, src, dst)) = wire_open.remove(&msg_id) {
-                    push(format!("m{src} tx"), Lane::Send, t0, at);
-                    push(format!("m{dst} rx"), Lane::Receive, t0, at);
-                    // Transit (core) bottlenecks get their own lane; port
-                    // bottlenecks are already visible on the tx/rx rows.
-                    if let Some(l) = bottleneck {
-                        if l >= 2 * machines {
-                            push(format!("link l{l}"), Lane::Send, t0, at);
-                        }
+                push(format!("m{src} tx"), Lane::Send, t0, at);
+                push(format!("m{dst} rx"), Lane::Receive, t0, at);
+                // Transit (core) bottlenecks get their own lane; port
+                // bottlenecks are already visible on the tx/rx rows.
+                if let Some(l) = bottleneck {
+                    if l >= 2 * machines {
+                        push(format!("link l{l}"), Lane::Send, t0, at);
                     }
                 }
             }
-            TraceEvent::AggStart {
-                server,
-                key,
-                round,
-                worker,
-            } => {
-                agg_open.insert((server, key, round, worker), at);
+            TraceEvent::AggEnd { server, .. } => {
+                push(format!("s{server} agg"), Lane::Update, t0, at);
             }
-            TraceEvent::AggEnd {
-                server,
-                key,
-                round,
-                worker,
-            } => {
-                if let Some(t0) = agg_open.remove(&(server, key, round, worker)) {
-                    push(format!("s{server} agg"), Lane::Update, t0, at);
-                }
-            }
+            // A cancelled transfer never reached its receiver: no bar.
             _ => {}
         }
     }
@@ -158,7 +119,7 @@ pub fn ascii_timeline(log: &TraceLog, machines: usize, iterations: u64, width: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p3_trace::{ComputePhase, TraceSink};
+    use p3_trace::ComputePhase;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)

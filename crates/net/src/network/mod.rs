@@ -46,7 +46,6 @@ use crate::trace::PortTrace;
 use crate::types::{FlowId, MachineId, Priority};
 use memo::{ClassIndex, Memo};
 use p3_des::{SimDuration, SimTime};
-use p3_trace::{TraceEvent, TraceHandle};
 
 /// A finished transfer, handed back by [`Network::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,9 +185,6 @@ pub struct Network {
     tx_scale: Vec<f64>,
     /// Per-machine receive capacity factor in `(0, 1]`.
     rx_scale: Vec<f64>,
-    /// Event sink for wire-level spans; `None` (the default) records
-    /// nothing and costs one branch per flow transition.
-    tracer: Option<TraceHandle>,
     /// Per-link busy time in seconds (configured topology only; indexed by
     /// `LinkId`). A link is busy while any flow crossing it has a
     /// positive rate.
@@ -259,19 +255,10 @@ impl Network {
             dirty: false,
             tx_scale,
             rx_scale,
-            tracer: None,
             link_busy: vec![0.0; num_links],
             link_bytes: vec![0.0; num_links],
             stats: NetStats::default(),
         }
-    }
-
-    /// Attaches a trace sink: every flow emits a `WireStart` when it enters
-    /// the fabric (loopback included) and a `WireEnd` when its last byte is
-    /// delivered, tagged with the caller's correlation tag as `msg_id`.
-    /// Tracing is purely observational — it never changes flow timing.
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = Some(tracer);
     }
 
     /// Deterministic work counters accumulated so far (see [`NetStats`]).
@@ -306,19 +293,6 @@ impl Network {
         self.advance(now);
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
-        if let Some(t) = &self.tracer {
-            t.record(
-                now,
-                TraceEvent::WireStart {
-                    msg_id: tag,
-                    src: src.0,
-                    dst: dst.0,
-                    bytes,
-                    priority: priority.0,
-                },
-            );
-        }
-
         if src == dst {
             // Loopback: never touches the NIC; fixed-rate private channel.
             let secs = bytes as f64 / self.cfg.loopback.bytes_per_sec();
@@ -446,20 +420,6 @@ impl Network {
             self.next_event = None;
         }
         done.sort_by_key(|d| (d.at, d.flow.id));
-        if let Some(t) = &self.tracer {
-            for d in &done {
-                t.record(
-                    d.at,
-                    TraceEvent::WireEnd {
-                        msg_id: d.flow.tag,
-                        src: d.flow.src.0,
-                        dst: d.flow.dst.0,
-                        bytes: d.flow.bytes,
-                        bottleneck: d.flow.bottleneck,
-                    },
-                );
-            }
-        }
         done.into_iter().map(|d| d.flow).collect()
     }
 

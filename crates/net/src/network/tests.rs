@@ -297,59 +297,6 @@ fn cancel_in_delivery_stage_suppresses_delivery() {
 }
 
 #[test]
-fn tracer_sees_wire_events_including_loopback() {
-    use p3_trace::TraceEvent;
-
-    let cfg = NetworkConfig::new(2, Bandwidth::from_gbps(8.0)).with_latency(SimDuration::ZERO);
-    let mut n = Network::new(cfg);
-    let handle = TraceHandle::new();
-    n.set_tracer(handle.clone());
-    n.start_flow(
-        SimTime::ZERO,
-        MachineId(0),
-        MachineId(1),
-        1_000_000,
-        Priority(2),
-        7,
-    );
-    n.start_flow(
-        SimTime::ZERO,
-        MachineId(1),
-        MachineId(1),
-        1_000_000,
-        Priority(0),
-        8,
-    );
-    let mut guard = 0;
-    while let Some(t) = n.next_event_time() {
-        n.poll(t);
-        guard += 1;
-        assert!(guard < 10);
-    }
-    let log = handle.drain();
-    let starts: Vec<u64> = log
-        .events()
-        .iter()
-        .filter_map(|e| match e.event {
-            TraceEvent::WireStart { msg_id, .. } => Some(msg_id),
-            _ => None,
-        })
-        .collect();
-    let ends: Vec<u64> = log
-        .events()
-        .iter()
-        .filter_map(|e| match e.event {
-            TraceEvent::WireEnd { msg_id, .. } => Some(msg_id),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(starts, vec![7, 8], "both flows start, loopback included");
-    let mut sorted = ends.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, vec![7, 8], "both flows end, loopback included");
-}
-
-#[test]
 fn flow_ids_are_unique_and_monotone() {
     let mut n = net(2, 8.0);
     let a = n.start_flow(

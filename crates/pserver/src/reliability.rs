@@ -9,13 +9,13 @@
 //! budget. Keeping it here — beside the wire protocol it protects — lets
 //! both the simulator and any future real transport share one policy.
 
-use p3_des::{SimDuration, SimTime};
-use p3_trace::{FaultKind, TraceEvent, TraceSink};
+use p3_des::SimDuration;
+use p3_trace::FaultKind;
 
 /// What the retry machinery does with a timed-out message.
 ///
 /// Produced by [`RetryPolicy::decide`]; the simulator acts on the decision
-/// and [`RetryDecision::record`] emits the matching fault event so the
+/// and traces it as the fault [`RetryDecision::fault_kind`] names, so the
 /// trace mirrors exactly what happened.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RetryDecision {
@@ -29,25 +29,12 @@ pub enum RetryDecision {
 }
 
 impl RetryDecision {
-    /// Records this decision as a trace fault event (`Retransmit` or
-    /// `GiveUp`) attributed to `machine` and `msg_id`. Pass a
-    /// [`p3_trace::NullSink`] when tracing is off.
-    pub fn record(&self, sink: &mut dyn TraceSink, at: SimTime, machine: usize, msg_id: u64) {
-        if !sink.is_enabled() {
-            return;
-        }
-        let kind = match self {
+    /// The trace fault this decision records as: `Retransmit` or `GiveUp`.
+    pub fn fault_kind(&self) -> FaultKind {
+        match self {
             RetryDecision::Retransmit { .. } => FaultKind::Retransmit,
             RetryDecision::GiveUp => FaultKind::GiveUp,
-        };
-        sink.record(
-            at,
-            TraceEvent::Fault {
-                kind,
-                machine,
-                msg_id: Some(msg_id),
-            },
-        );
+        }
     }
 }
 
@@ -197,35 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn decisions_record_matching_fault_events() {
-        use p3_trace::{NullSink, TraceLog};
-
+    fn decisions_name_their_fault_kind() {
         let p = RetryPolicy::new(SimDuration::from_millis(1), 2.0, 1);
-        let mut log = TraceLog::new();
-        let at = SimTime::from_millis(3);
-        p.decide(0).record(&mut log, at, 2, 99);
-        p.decide(1).record(&mut log, at, 2, 99);
-        assert_eq!(log.len(), 2);
-        assert_eq!(
-            log.events()[0].event,
-            TraceEvent::Fault {
-                kind: FaultKind::Retransmit,
-                machine: 2,
-                msg_id: Some(99)
-            }
-        );
-        assert_eq!(
-            log.events()[1].event,
-            TraceEvent::Fault {
-                kind: FaultKind::GiveUp,
-                machine: 2,
-                msg_id: Some(99)
-            }
-        );
-
-        // The no-op sink swallows everything without being consulted for
-        // event payloads.
-        p.decide(0).record(&mut NullSink, at, 2, 99);
+        assert_eq!(p.decide(0).fault_kind(), FaultKind::Retransmit);
+        assert_eq!(p.decide(1).fault_kind(), FaultKind::GiveUp);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::event::{ComputePhase, MsgClass, TraceEvent};
 use crate::json::{parse, push_number, JsonValue};
-use crate::sink::TraceLog;
+use crate::sink::{TimedEvent, TraceLog};
 use p3_des::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -117,122 +117,97 @@ pub(crate) fn write_chrome_events(out: &mut String, log: &TraceLog, machines: us
         ev.metadata("thread_name", m, Some(LANE_SERVER), "server");
     }
 
-    // Open-span state.
-    let mut compute_open: BTreeMap<(usize, usize, u8), SimTime> = BTreeMap::new();
-    let mut stall_open: BTreeMap<(usize, usize), SimTime> = BTreeMap::new();
-    let mut agg_open: BTreeMap<(usize, usize, u64, usize), SimTime> = BTreeMap::new();
     // msg_id → (class, key) learned at enqueue; wire spans are named
     // after the protocol class even when the enqueue predates the capture.
     let mut msg_name: BTreeMap<u64, (MsgClass, usize)> = BTreeMap::new();
-    // msg_id → (start, src, dst); last start wins so a retransmitted
-    // message's span covers its final (delivered) transmission.
-    let mut wire_open: BTreeMap<u64, (SimTime, usize, usize)> = BTreeMap::new();
 
-    for te in log.events() {
-        let at = te.at;
-        match te.event {
-            TraceEvent::ComputeStart {
-                worker,
-                phase,
-                block,
-            } => {
-                compute_open.insert((worker, block, phase as u8), at);
+    for (TimedEvent { at, event }, opened) in log.paired() {
+        match (event, opened) {
+            (
+                TraceEvent::ComputeEnd {
+                    worker,
+                    phase,
+                    block,
+                },
+                Some(t0),
+            ) => {
+                let dir = match phase {
+                    ComputePhase::Forward => "fwd",
+                    ComputePhase::Backward => "bwd",
+                };
+                let name = format_args!("{dir} b{block}");
+                ev.span(name, worker, LANE_COMPUTE, (t0, at), None);
             }
-            TraceEvent::ComputeEnd {
-                worker,
-                phase,
-                block,
-            } => {
-                if let Some(t0) = compute_open.remove(&(worker, block, phase as u8)) {
-                    let dir = match phase {
-                        ComputePhase::Forward => "fwd",
-                        ComputePhase::Backward => "bwd",
-                    };
-                    let name = format_args!("{dir} b{block}");
-                    ev.span(name, worker, LANE_COMPUTE, (t0, at), None);
-                }
+            (TraceEvent::StallEnd { worker, block }, Some(t0)) => {
+                let name = format_args!("stall b{block}");
+                ev.span(name, worker, LANE_COMPUTE, (t0, at), None);
             }
-            TraceEvent::StallStart { worker, block } => {
-                stall_open.insert((worker, block), at);
-            }
-            TraceEvent::StallEnd { worker, block } => {
-                if let Some(t0) = stall_open.remove(&(worker, block)) {
-                    let name = format_args!("stall b{block}");
-                    ev.span(name, worker, LANE_COMPUTE, (t0, at), None);
-                }
-            }
-            TraceEvent::EgressEnqueue {
-                msg_id, class, key, ..
-            } => {
+            (
+                TraceEvent::EgressEnqueue {
+                    msg_id, class, key, ..
+                },
+                _,
+            ) => {
                 msg_name.insert(msg_id, (class, key));
             }
-            TraceEvent::WireStart {
-                msg_id, src, dst, ..
-            } => {
-                wire_open.insert(msg_id, (at, src, dst));
-            }
-            TraceEvent::WireEnd {
-                msg_id, bottleneck, ..
-            } => {
-                if let Some((t0, src, dst)) = wire_open.remove(&msg_id) {
-                    let label = msg_name.get(&msg_id);
-                    for (pid, tid) in [(src, LANE_TX), (dst, LANE_RX)] {
-                        match label {
-                            Some((class, key)) => {
-                                let name = format_args!("{} k{key}", class.label());
-                                ev.span(name, pid, tid, (t0, at), bottleneck);
-                            }
-                            None => {
-                                let name = format_args!("msg {msg_id}");
-                                ev.span(name, pid, tid, (t0, at), bottleneck);
-                            }
+            (
+                TraceEvent::WireEnd {
+                    msg_id,
+                    src,
+                    dst,
+                    bottleneck,
+                    ..
+                },
+                Some(t0),
+            ) => {
+                let label = msg_name.get(&msg_id);
+                for (pid, tid) in [(src, LANE_TX), (dst, LANE_RX)] {
+                    match label {
+                        Some((class, key)) => {
+                            let name = format_args!("{} k{key}", class.label());
+                            ev.span(name, pid, tid, (t0, at), bottleneck);
+                        }
+                        None => {
+                            let name = format_args!("msg {msg_id}");
+                            ev.span(name, pid, tid, (t0, at), bottleneck);
                         }
                     }
                 }
             }
-            TraceEvent::AggStart {
-                server,
-                key,
-                round,
-                worker,
-            } => {
-                agg_open.insert((server, key, round, worker), at);
+            (TraceEvent::AggEnd { server, key, .. }, Some(t0)) => {
+                let name = format_args!("agg k{key}");
+                ev.span(name, server, LANE_SERVER, (t0, at), None);
             }
-            TraceEvent::AggEnd {
-                server,
-                key,
-                round,
-                worker,
-            } => {
-                if let Some(t0) = agg_open.remove(&(server, key, round, worker)) {
-                    let name = format_args!("agg k{key}");
-                    ev.span(name, server, LANE_SERVER, (t0, at), None);
-                }
-            }
-            TraceEvent::RoundComplete {
-                server,
-                key,
-                version,
-                degraded,
-            } => {
+            (
+                TraceEvent::RoundComplete {
+                    server,
+                    key,
+                    version,
+                    degraded,
+                },
+                _,
+            ) => {
                 let note = if degraded { " (degraded)" } else { "" };
                 let name = format_args!("update k{key} v{version}{note}");
                 ev.instant(name, server, LANE_SERVER, at);
             }
-            TraceEvent::SliceConsumed { worker, key, .. } => {
+            (TraceEvent::SliceConsumed { worker, key, .. }, _) => {
                 ev.instant(format_args!("consume k{key}"), worker, LANE_COMPUTE, at);
             }
-            TraceEvent::GradReady { worker, key, .. } => {
+            (TraceEvent::GradReady { worker, key, .. }, _) => {
                 ev.instant(format_args!("grad k{key}"), worker, LANE_COMPUTE, at);
             }
-            TraceEvent::IterationEnd { worker, iter } => {
+            (TraceEvent::IterationEnd { worker, iter }, _) => {
                 ev.instant(format_args!("iteration {iter}"), worker, LANE_COMPUTE, at);
             }
-            TraceEvent::Fault {
-                kind,
-                machine,
-                msg_id,
-            } => match msg_id {
+            (
+                TraceEvent::Fault {
+                    kind,
+                    machine,
+                    msg_id,
+                },
+                _,
+            ) => match msg_id {
                 Some(id) => {
                     let name = format_args!("fault {} msg{id}", kind.label());
                     ev.instant(name, machine, LANE_COMPUTE, at);
@@ -242,9 +217,10 @@ pub(crate) fn write_chrome_events(out: &mut String, log: &TraceLog, machines: us
                     ev.instant(name, machine, LANE_COMPUTE, at);
                 }
             },
-            // Engine bookkeeping, not a machine-attributable span: the hash
-            // stream is for digest comparison, not for the Perfetto view.
-            TraceEvent::StateHash { .. } => {}
+            // Span starts draw nothing until their end; an end whose start
+            // is not on record is dropped. The hash stream is engine
+            // bookkeeping for digest comparison, not for the Perfetto view.
+            _ => {}
         }
     }
     out.push_str("\n]");
@@ -350,7 +326,6 @@ pub fn validate_chrome_trace(doc: &str) -> Result<Vec<ChromeSpan>, String> {
 mod tests {
     use super::*;
     use crate::event::EndpointRole;
-    use crate::sink::TraceSink;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)

@@ -39,7 +39,7 @@
 use crate::chrome::write_chrome_events;
 use crate::event::{ComputePhase, EndpointRole, FaultKind, MsgClass, TraceEvent};
 use crate::json::{self, push_number, JsonError, JsonValue, Parser};
-use crate::sink::{TraceLog, TraceSink};
+use crate::sink::TraceLog;
 use p3_des::SimTime;
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -501,15 +501,15 @@ fn read_events(p: &mut Parser) -> Result<Result<TraceLog, String>, JsonError> {
 ///
 /// ```
 /// use p3_des::SimTime;
-/// use p3_trace::{export_trace_json, import_trace_json, TraceEvent, TraceHandle, TraceMeta};
+/// use p3_trace::{export_trace_json, import_trace_json, TraceEvent, TraceLog, TraceMeta};
 ///
-/// let h = TraceHandle::new();
-/// h.record(
+/// let mut log = TraceLog::new();
+/// log.record(
 ///     SimTime::from_micros(1),
 ///     TraceEvent::WireStart { msg_id: 0, src: 0, dst: 1, bytes: 64, priority: 2 },
 /// );
 /// let meta = TraceMeta { machines: 2, ..TraceMeta::default() };
-/// let doc = export_trace_json(&h.drain(), &meta);
+/// let doc = export_trace_json(&log, &meta);
 /// let (log, parsed) = import_trace_json(&doc).unwrap();
 /// assert_eq!(log.len(), 1);
 /// assert_eq!(parsed.machines, 2);

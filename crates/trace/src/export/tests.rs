@@ -1,13 +1,12 @@
 use super::*;
 use crate::chrome::chrome_trace_json;
-use crate::sink::TraceHandle;
 
 fn sample_log() -> TraceLog {
-    let h = TraceHandle::new();
+    let mut log = TraceLog::new();
     let mut t = 0u64;
     let mut rec = |ev: TraceEvent| {
         t += 100;
-        h.record(SimTime::from_nanos(t), ev);
+        log.record(SimTime::from_nanos(t), ev);
     };
     rec(TraceEvent::ComputeStart {
         worker: 0,
@@ -100,7 +99,7 @@ fn sample_log() -> TraceLog {
         events: 1000,
         hash: 0xdead_beef_cafe_f00d,
     });
-    h.drain()
+    log
 }
 
 #[test]

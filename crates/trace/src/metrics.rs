@@ -1,15 +1,15 @@
-//! A metrics registry derived from (or fed alongside) a trace.
+//! A metrics registry derived from a trace.
 //!
 //! Counters, gauges and histograms keyed by name, built on
-//! [`p3_des::Summary`] / [`p3_des::Histogram`]. The registry can be
-//! populated directly by instrumented code, or — the usual path — derived
-//! wholesale from a recorded [`TraceLog`] by [`MetricsRegistry::from_trace`],
-//! which computes the per-stage latency breakdown of the
-//! push→aggregate→pull pipeline the way Parameter Hub's analysis does.
+//! [`p3_des::Summary`] / [`p3_des::Histogram`]. [`MetricsRegistry::from_trace`]
+//! derives the registry from a recorded [`TraceLog`], computing the
+//! per-stage latency breakdown of the push→aggregate→pull pipeline the
+//! way Parameter Hub's analysis does; the owner of the run adds link
+//! occupancy with [`MetricsRegistry::record_link_busy`].
 
-use crate::event::{MsgClass, TraceEvent};
+use crate::event::{ComputePhase, MsgClass, TraceEvent};
 use crate::json::{escape, format_number};
-use crate::sink::TraceLog;
+use crate::sink::{TimedEvent, TraceLog};
 use p3_des::{Histogram, SimTime, Summary};
 use std::collections::BTreeMap;
 
@@ -29,17 +29,17 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    fn new() -> Self {
         MetricsRegistry::default()
     }
 
     /// Adds `delta` to the named counter, creating it at zero.
-    pub fn inc_counter(&mut self, name: &str, delta: u64) {
+    fn inc_counter(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Records one observation of the named gauge.
-    pub fn observe_gauge(&mut self, name: &str, value: f64) {
+    fn observe_gauge(&mut self, name: &str, value: f64) {
         self.gauges
             .entry(name.to_string())
             .or_default()
@@ -47,7 +47,7 @@ impl MetricsRegistry {
     }
 
     /// Records one sample into the named stage histogram.
-    pub fn observe_histogram(&mut self, name: &str, value: f64) {
+    fn observe_histogram(&mut self, name: &str, value: f64) {
         self.histograms
             .entry(name.to_string())
             .or_insert_with(stage_histogram)
@@ -97,7 +97,7 @@ impl MetricsRegistry {
     ///   `rounds_degraded`, `iterations`, `slices_consumed`
     /// - gauges `egress_depth_p<P>` (queue depth at each enqueue, per
     ///   priority class) and `inflight_msgs` (sampled at every wire
-    ///   start/end)
+    ///   start/end, and at a crash's cancel of a transfer in flight)
     /// - stage histograms in seconds: `stage_queue_wait`
     ///   (egress-enqueue → wire start), `stage_wire` (wire start → end),
     ///   `stage_agg_wait` (push delivered → aggregation start), `stage_agg`
@@ -108,17 +108,13 @@ impl MetricsRegistry {
         let mut m = MetricsRegistry::new();
         // Correlation state, all keyed by ids already in the events.
         let mut enqueue_at: BTreeMap<u64, (SimTime, MsgClass)> = BTreeMap::new();
-        let mut wire_start_at: BTreeMap<u64, SimTime> = BTreeMap::new();
         let mut push_delivered_at: BTreeMap<(usize, usize, u64), SimTime> = BTreeMap::new();
         let mut push_identity: BTreeMap<u64, (usize, usize, u64)> = BTreeMap::new();
-        let mut agg_start_at: BTreeMap<(usize, usize, u64, usize), SimTime> = BTreeMap::new();
-        let mut compute_start: BTreeMap<(usize, usize, u8), SimTime> = BTreeMap::new();
-        let mut stall_start: BTreeMap<(usize, usize), SimTime> = BTreeMap::new();
         let mut in_flight: i64 = 0;
 
-        for te in log.events() {
-            let at = te.at;
-            match te.event {
+        for (TimedEvent { at, event }, opened) in log.paired() {
+            let span_secs = opened.map(|t0| at.saturating_duration_since(t0).as_secs_f64());
+            match event {
                 TraceEvent::EgressEnqueue {
                     msg_id,
                     class,
@@ -142,7 +138,6 @@ impl MetricsRegistry {
                     if let Some(&(t0, _)) = enqueue_at.get(&msg_id) {
                         m.observe_histogram("stage_queue_wait", (at - t0).as_secs_f64());
                     }
-                    wire_start_at.insert(msg_id, at);
                 }
                 TraceEvent::WireEnd {
                     msg_id,
@@ -159,8 +154,8 @@ impl MetricsRegistry {
                     if let Some(l) = bottleneck {
                         m.inc_counter(&format!("wire_bottleneck_l{l}"), 1);
                     }
-                    if let Some(t0) = wire_start_at.remove(&msg_id) {
-                        m.observe_histogram("stage_wire", (at - t0).as_secs_f64());
+                    if let Some(secs) = span_secs {
+                        m.observe_histogram("stage_wire", secs);
                     }
                     match enqueue_at.get(&msg_id) {
                         Some(&(_, MsgClass::Push)) => {
@@ -175,10 +170,7 @@ impl MetricsRegistry {
                     }
                 }
                 TraceEvent::AggStart {
-                    server,
-                    key,
-                    round,
-                    worker,
+                    key, round, worker, ..
                 } => {
                     if let Some(&t0) = push_delivered_at.get(&(worker, key, round)) {
                         m.observe_histogram(
@@ -186,16 +178,10 @@ impl MetricsRegistry {
                             at.saturating_duration_since(t0).as_secs_f64(),
                         );
                     }
-                    agg_start_at.insert((server, key, round, worker), at);
                 }
-                TraceEvent::AggEnd {
-                    server,
-                    key,
-                    round,
-                    worker,
-                } => {
-                    if let Some(t0) = agg_start_at.remove(&(server, key, round, worker)) {
-                        m.observe_histogram("stage_agg", (at - t0).as_secs_f64());
+                TraceEvent::AggEnd { .. } => {
+                    if let Some(secs) = span_secs {
+                        m.observe_histogram("stage_agg", secs);
                     }
                 }
                 TraceEvent::RoundComplete { degraded, .. } => {
@@ -204,40 +190,34 @@ impl MetricsRegistry {
                         m.inc_counter("rounds_degraded", 1);
                     }
                 }
-                TraceEvent::ComputeStart {
-                    worker,
-                    phase,
-                    block,
-                } => {
-                    compute_start.insert((worker, block, phase as u8), at);
-                }
-                TraceEvent::ComputeEnd {
-                    worker,
-                    phase,
-                    block,
-                } => {
-                    if let Some(t0) = compute_start.remove(&(worker, block, phase as u8)) {
+                TraceEvent::ComputeEnd { phase, .. } => {
+                    if let Some(secs) = span_secs {
                         let name = match phase {
-                            crate::event::ComputePhase::Forward => "compute_fwd",
-                            crate::event::ComputePhase::Backward => "compute_bwd",
+                            ComputePhase::Forward => "compute_fwd",
+                            ComputePhase::Backward => "compute_bwd",
                         };
-                        m.observe_histogram(name, (at - t0).as_secs_f64());
+                        m.observe_histogram(name, secs);
                     }
                 }
-                TraceEvent::StallStart { worker, block } => {
-                    stall_start.insert((worker, block), at);
-                }
-                TraceEvent::StallEnd { worker, block } => {
-                    if let Some(t0) = stall_start.remove(&(worker, block)) {
-                        m.observe_histogram("stall", (at - t0).as_secs_f64());
+                TraceEvent::StallEnd { .. } => {
+                    if let Some(secs) = span_secs {
+                        m.observe_histogram("stall", secs);
                     }
                 }
                 TraceEvent::IterationEnd { .. } => m.inc_counter("iterations", 1),
                 TraceEvent::SliceConsumed { .. } => m.inc_counter("slices_consumed", 1),
                 TraceEvent::Fault { kind, .. } => {
                     m.inc_counter(&format!("fault_{}", kind.label()), 1);
+                    // Only a cancel closes a transfer without a `WireEnd`.
+                    if opened.is_some() {
+                        in_flight -= 1;
+                        m.observe_gauge("inflight_msgs", in_flight.max(0) as f64);
+                    }
                 }
-                TraceEvent::GradReady { .. } | TraceEvent::StateHash { .. } => {}
+                TraceEvent::ComputeStart { .. }
+                | TraceEvent::StallStart { .. }
+                | TraceEvent::GradReady { .. }
+                | TraceEvent::StateHash { .. } => {}
             }
         }
         m
@@ -302,7 +282,6 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use crate::event::{EndpointRole, FaultKind, TraceEvent};
-    use crate::sink::TraceSink;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -398,6 +377,43 @@ mod tests {
         assert!((aw.summary().mean() - 10e-6).abs() < 1e-12);
         let agg = m.histogram("stage_agg").unwrap();
         assert!((agg.summary().mean() - 15e-6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_cancelled_transfer_leaves_the_in_flight_gauge() {
+        let mut log = TraceLog::new();
+        let start = |msg_id| TraceEvent::WireStart {
+            msg_id,
+            src: 0,
+            dst: 1,
+            bytes: 8,
+            priority: 0,
+        };
+        log.record(t(0), start(1));
+        log.record(
+            t(5),
+            TraceEvent::Fault {
+                kind: FaultKind::FlowCancelled,
+                machine: 0,
+                msg_id: Some(1),
+            },
+        );
+        log.record(t(6), start(2));
+        log.record(
+            t(9),
+            TraceEvent::WireEnd {
+                msg_id: 2,
+                src: 0,
+                dst: 1,
+                bytes: 8,
+                bottleneck: None,
+            },
+        );
+        let m = MetricsRegistry::from_trace(&log);
+        let gauge = m.gauge("inflight_msgs").expect("sampled");
+        assert_eq!((gauge.count(), gauge.max()), (4, 1.0));
+        assert_eq!(m.counter("fault_flow-cancelled"), 1);
+        assert_eq!(m.histogram("stage_wire").map(Histogram::count), Some(1));
     }
 
     #[test]

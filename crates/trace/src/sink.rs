@@ -1,48 +1,13 @@
-//! Event sinks: where instrumented code sends [`TraceEvent`]s.
+//! The recording: a [`TraceLog`] of timestamped [`TraceEvent`]s.
 //!
-//! The design goal is *zero overhead when disabled*: producers hold an
-//! `Option<TraceHandle>` (or a `&mut dyn TraceSink` whose no-op impl reports
-//! `is_enabled() == false`) and pay a single branch per potential event.
-//! Recording never draws randomness, never schedules events, and never
-//! observes anything the simulation logic depends on, so tracing cannot
-//! perturb a deterministic run.
+//! The simulation engine is the one writer. It holds an
+//! `Option<TraceLog>` and pays a single branch per potential event when
+//! tracing is off. Recording never draws randomness, never schedules
+//! events, and never observes anything the simulation logic depends on, so
+//! tracing cannot perturb a deterministic run.
 
 use crate::event::TraceEvent;
 use p3_des::SimTime;
-use std::cell::RefCell;
-use std::fmt;
-use std::rc::Rc;
-
-/// Anything that can accept timestamped [`TraceEvent`]s.
-///
-/// Instrumented code that cannot hold a [`TraceHandle`] directly (e.g. a
-/// leaf crate that should not know about shared ownership) takes a
-/// `&mut dyn TraceSink`; callers pass [`NullSink`] when tracing is off.
-pub trait TraceSink {
-    /// Records one event at simulated time `at`.
-    fn record(&mut self, at: SimTime, event: TraceEvent);
-
-    /// False if this sink discards everything, letting producers skip
-    /// event construction that needs extra work (e.g. computing a queue
-    /// depth).
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// A sink that drops every event. [`TraceSink::is_enabled`] is `false`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn record(&mut self, _at: SimTime, _event: TraceEvent) {}
-
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
 
 /// One recorded event with its simulated timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +19,7 @@ pub struct TimedEvent {
 }
 
 /// An in-memory recording of a run: every event in the order it was
-/// recorded (which, because producers record at the current clock, is
+/// recorded (which, because the engine records at the current clock, is
 /// nondecreasing in time).
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
@@ -65,6 +30,12 @@ impl TraceLog {
     /// Creates an empty log.
     pub fn new() -> Self {
         TraceLog { events: Vec::new() }
+    }
+
+    /// Records one event at simulated time `at`.
+    #[inline]
+    pub fn record(&mut self, at: SimTime, event: TraceEvent) {
+        self.events.push(TimedEvent { at, event });
     }
 
     /// All recorded events, in recording order.
@@ -80,118 +51,5 @@ impl TraceLog {
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-}
-
-impl TraceSink for TraceLog {
-    #[inline]
-    fn record(&mut self, at: SimTime, event: TraceEvent) {
-        self.events.push(TimedEvent { at, event });
-    }
-}
-
-/// A cloneable, shared handle to a [`TraceLog`].
-///
-/// The simulator and the network model both record into the same log; a
-/// `Rc<RefCell<…>>` handle lets them share it without threading mutable
-/// borrows through every call. Single-threaded by design — the DES kernel
-/// itself is single-threaded.
-#[derive(Clone, Default)]
-pub struct TraceHandle {
-    inner: Rc<RefCell<TraceLog>>,
-}
-
-impl TraceHandle {
-    /// Creates a handle to a fresh empty log.
-    pub fn new() -> Self {
-        TraceHandle::default()
-    }
-
-    /// Records one event at simulated time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly from inside another `record` (cannot
-    /// happen from straight-line instrumentation code).
-    #[inline]
-    pub fn record(&self, at: SimTime, event: TraceEvent) {
-        self.inner.borrow_mut().record(at, event);
-    }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-
-    /// True if nothing was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().is_empty()
-    }
-
-    /// Takes the accumulated log out of the handle, leaving it empty.
-    /// Other clones of this handle keep recording into the (now empty)
-    /// shared log.
-    pub fn drain(&self) -> TraceLog {
-        std::mem::take(&mut *self.inner.borrow_mut())
-    }
-}
-
-impl TraceSink for TraceHandle {
-    #[inline]
-    fn record(&mut self, at: SimTime, event: TraceEvent) {
-        TraceHandle::record(self, at, event);
-    }
-}
-
-impl fmt::Debug for TraceHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceHandle")
-            .field("events", &self.len())
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::{ComputePhase, TraceEvent};
-
-    #[test]
-    fn null_sink_reports_disabled_and_discards() {
-        let mut sink = NullSink;
-        assert!(!sink.is_enabled());
-        sink.record(
-            SimTime::ZERO,
-            TraceEvent::ComputeStart {
-                worker: 0,
-                phase: ComputePhase::Forward,
-                block: 0,
-            },
-        );
-    }
-
-    #[test]
-    fn handle_clones_share_one_log() {
-        let h = TraceHandle::new();
-        let h2 = h.clone();
-        h.record(
-            SimTime::from_nanos(1),
-            TraceEvent::StallStart {
-                worker: 0,
-                block: 3,
-            },
-        );
-        h2.record(
-            SimTime::from_nanos(2),
-            TraceEvent::StallEnd {
-                worker: 0,
-                block: 3,
-            },
-        );
-        assert_eq!(h.len(), 2);
-        let log = h.drain();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.events()[0].at, SimTime::from_nanos(1));
-        assert!(h2.is_empty(), "drain leaves the shared log empty");
     }
 }
