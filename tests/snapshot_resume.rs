@@ -119,6 +119,34 @@ fn assert_snapshot_resume_bit_identical(label: &str, mk: impl Fn() -> ClusterCon
     );
 }
 
+/// The baseline strategy: per-destination lanes, whose sends release
+/// their lane through a pending `EgressReady` rather than at delivery.
+fn baseline(seed: u64) -> ClusterConfig {
+    ClusterConfig {
+        strategy: SyncStrategy::baseline(),
+        ..base(BackendKind::Ps, seed)
+    }
+}
+
+/// Baseline with a crash and rejoin of worker 1 just after it finished
+/// its first iteration, under a 2 ms per-message cost: the snapshot at
+/// the first boundary carries `EgressReady` lane releases of the crashed
+/// worker's dead incarnation, which a restore must keep and then ignore.
+fn baseline_crash_rejoin() -> ClusterConfig {
+    let faults = FaultPlan {
+        crashes: vec![WorkerCrash {
+            worker: 1,
+            at: SimTime::from_micros(41_500),
+            rejoin_after: Some(SimDuration::from_millis(30)),
+        }],
+        ..FaultPlan::none()
+    };
+    ClusterConfig {
+        msg_overhead: SimDuration::from_millis(2),
+        ..baseline(7).with_faults(faults)
+    }
+}
+
 /// Message loss: armed retry timers and in-flight message contexts at
 /// the snapshot boundary.
 fn lossy() -> ClusterConfig {
@@ -166,6 +194,16 @@ fn halving_doubling_snapshot_resume_is_bit_identical() {
     assert_snapshot_resume_bit_identical("halving-doubling", || {
         base(BackendKind::HalvingDoubling, 11)
     });
+}
+
+#[test]
+fn baseline_snapshot_resume_is_bit_identical() {
+    assert_snapshot_resume_bit_identical("baseline", || baseline(7));
+}
+
+#[test]
+fn baseline_crash_rejoin_snapshot_resume_is_bit_identical() {
+    assert_snapshot_resume_bit_identical("baseline-crash", baseline_crash_rejoin);
 }
 
 #[test]
@@ -276,7 +314,7 @@ fn snapshot_digest(cfg: ClusterConfig) -> (u64, usize) {
 
 #[test]
 fn snapshot_bytes_match_the_golden_digests() {
-    let cases: [(&str, ClusterConfig, u64, usize); 7] = [
+    let cases: [(&str, ClusterConfig, u64, usize); 9] = [
         ("ps", base(BackendKind::Ps, 7), 0x8125_5e23_681c_4e5e, 12088),
         (
             "ring",
@@ -308,6 +346,13 @@ fn snapshot_bytes_match_the_golden_digests() {
             degraded_racked(),
             0x014f_3e67_841f_7046,
             12974,
+        ),
+        ("baseline", baseline(7), 0xbb67_6b62_0040_7b03, 3611),
+        (
+            "baseline-crash",
+            baseline_crash_rejoin(),
+            0x2901_4049_21ee_ebe8,
+            4529,
         ),
     ];
     for (label, cfg, digest, len) in cases {
