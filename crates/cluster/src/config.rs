@@ -116,7 +116,7 @@ pub struct ClusterConfig {
 /// All backends share the worker compute engine, the fluid network, the
 /// fault machinery, and the trace/audit pipeline; they differ only in how
 /// ready gradients travel and how updated parameters come back (the
-/// `CommBackend` seam, DESIGN.md §11).
+/// backend hooks, DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Sharded parameter server: push → aggregate → pull, under the

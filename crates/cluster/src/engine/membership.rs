@@ -3,9 +3,8 @@
 //! and rolls its restart point back; an eviction shrinks the aggregation
 //! membership so rounds complete degraded with the survivors.
 
-use super::types::{role_slot, worker_originated, Ev, MsgKind, Role};
+use super::types::{worker_originated, Ev, MsgKind, Role};
 use super::ClusterSim;
-use p3_des::SimTime;
 use p3_trace::{FaultKind, TraceEvent};
 
 impl ClusterSim {
@@ -43,6 +42,8 @@ impl ClusterSim {
             }
         });
 
+        // The egress unit dies with the process: the fresh one has nothing
+        // queued or in flight, and no admission gate or pending kick.
         let fresh = self.cfg.endpoint_egress();
         let stall_ended = {
             let ws = &mut self.workers[w];
@@ -62,8 +63,6 @@ impl ClusterSim {
                 block: b,
             });
         }
-        self.admit_gate[w][role_slot(Role::Worker)] = SimTime::ZERO;
-        self.admit_kick_at[w][role_slot(Role::Worker)] = None;
 
         match c.rejoin_after {
             None => self.workers[w].permanently_dead = true,

@@ -6,16 +6,17 @@
 //!
 //! - [`worker`] — the compute engine: forward/backward scheduling, stall
 //!   accounting, iteration bookkeeping, jitter.
-//! - [`transport`] — the network adapter: egress admission, flow
+//! - [`transport`] — the network adapter: the endpoints' egress units
+//!   (which decide admission and lane release, [`crate::egress`]), flow
 //!   start/delivery, loss draws, retry timers, trace recording.
 //! - [`server`] — the parameter-server engine: shard processing queues,
 //!   aggregation, round completion, response fan-out, rack aggregation.
 //! - [`membership`] — crash/rejoin/eviction handling.
-//! - [`backend`] — the [`CommBackend`](backend::CommBackend) seam: how
-//!   ready gradients travel and how parameters come back. The PS backend
-//!   implements the paper's push→aggregate→pull; the collective backend
-//!   ([`collective`]) replays `p3-allreduce`'s ring and halving–doubling
-//!   schedules on the same engine.
+//! - [`backend`] — the backend hooks, each a `match` on
+//!   [`BackendKind`]: how ready gradients travel and how parameters come
+//!   back. The PS backend implements the paper's push→aggregate→pull; the
+//!   collective backend ([`collective`]) replays `p3-allreduce`'s ring and
+//!   halving–doubling schedules on the same engine.
 //!
 //! An optional [`FaultPlan`](crate::FaultPlan) injects stragglers, degraded
 //! links, message loss, and worker crashes. Loss and crashes arm a
@@ -55,9 +56,7 @@ use p3_pserver::ShardPlan;
 use p3_topo::Placement;
 use p3_trace::{TraceEvent, TraceLog};
 use std::collections::BTreeMap;
-use types::{
-    role_slot, trace_phase, Ev, Phase, Role, ServerState, WorkerState, EVENT_CAP, MAX_MACHINES,
-};
+use types::{trace_phase, Ev, Phase, Role, ServerState, WorkerState, EVENT_CAP, MAX_MACHINES};
 
 /// One fully configured simulation, ready to [`ClusterSim::run`].
 ///
@@ -105,11 +104,6 @@ pub struct ClusterSim {
     /// [`ClusterSim::schedule_net_wake`]). Never snapshotted: a restored
     /// engine starts with it set.
     wake_pending: bool,
-    /// Per-(machine, role) earliest next admission instant for
-    /// single-consumer egress (serial per-message serialization cost).
-    admit_gate: Vec<[SimTime; 2]>,
-    /// Deduplication of scheduled AdmitKick events.
-    admit_kick_at: Vec<[Option<SimTime>; 2]>,
     events: u64,
     stats: MessageStats,
     /// Dedicated RNG stream for message-loss draws, independent of the
@@ -283,8 +277,6 @@ impl ClusterSim {
             next_msg_id: 0,
             next_wake: None,
             wake_pending: false,
-            admit_gate: vec![[SimTime::ZERO; 2]; cfg.machines],
-            admit_kick_at: vec![[None; 2]; cfg.machines],
             events: 0,
             stats: MessageStats::default(),
             loss_rng: SplitMix64::new(cfg.seed ^ 0x10_55_10_55),
@@ -650,18 +642,12 @@ impl ClusterSim {
                 if role == Role::Worker && self.workers[machine].incarnation != inc {
                     return; // the egress unit this completion refers to is gone
                 }
-                match role {
-                    Role::Worker => self.workers[machine].egress.complete(dst),
-                    Role::Server => self.servers[machine].egress.complete(dst),
-                }
+                self.egress_mut(machine, role).complete(dst);
                 self.kick_egress(machine, role);
             }
             Ev::AdmitKick { machine, role } => {
                 let now = self.queue.now();
-                let slot = role_slot(role);
-                if self.admit_kick_at[machine][slot] == Some(now) {
-                    self.admit_kick_at[machine][slot] = None;
-                }
+                self.egress_mut(machine, role).kicked(now);
                 self.kick_egress(machine, role);
             }
             Ev::ProcDone { server } => self.on_proc_done(server),

@@ -3,7 +3,7 @@
 //! units, its servers and the collective, which no single field's range
 //! check can see.
 
-use super::super::types::{role_slot, sender_role_of, Ev, MsgKind, Role};
+use super::super::types::{sender_role_of, Ev, MsgKind, Role};
 use super::super::ClusterSim;
 use crate::egress::EgressUnit;
 use p3_pserver::Key;
@@ -21,7 +21,7 @@ pub(super) fn check_messages(sim: &ClusterSim) -> Result<(), &'static str> {
     let active = sim.collective.as_ref().and_then(|st| st.active);
     let rack_local = sim.cfg.topology.is_some() && sim.cfg.placement == Placement::RackLocal;
     // In-fabric messages and pending lane releases per (sender, role, dst).
-    let mut busy: BTreeMap<(usize, usize, usize), (usize, usize)> = BTreeMap::new();
+    let mut busy: BTreeMap<(usize, Role, usize), (usize, usize)> = BTreeMap::new();
     let mut chunks = 0;
     for (_, ctx) in sim.msgs.iter() {
         let chunk = matches!(
@@ -59,7 +59,7 @@ pub(super) fn check_messages(sim: &ClusterSim) -> Result<(), &'static str> {
             _ => {}
         }
         if ctx.flow.is_some() {
-            let role = role_slot(sender_role_of(ctx.kind));
+            let role = sender_role_of(ctx.kind);
             busy.entry((ctx.src, role, ctx.dst)).or_default().0 += 1;
         }
     }
@@ -87,7 +87,7 @@ pub(super) fn check_messages(sim: &ClusterSim) -> Result<(), &'static str> {
         } = ev
         {
             if role == Role::Server || sim.workers[machine].incarnation == inc {
-                busy.entry((machine, role_slot(role), dst.0)).or_default().1 += 1;
+                busy.entry((machine, role, dst.0)).or_default().1 += 1;
             }
         }
     }
@@ -96,11 +96,7 @@ pub(super) fn check_messages(sim: &ClusterSim) -> Result<(), &'static str> {
     let machines = sim.cfg.machines;
     let mut queued = Vec::new();
     for (machine, (role, unit)) in workers.enumerate().chain(servers.enumerate()) {
-        let lane = |d: usize| {
-            busy.get(&(machine, role_slot(role), d))
-                .copied()
-                .unwrap_or_default()
-        };
+        let lane = |d: usize| busy.get(&(machine, role, d)).copied().unwrap_or_default();
         let accounted = match unit {
             EgressUnit::Single {
                 queue, in_flight, ..

@@ -273,10 +273,7 @@ fn corrupted_refusal(
 
 /// The egress unit that sends message `ctx`, and the entry it queues.
 fn sender_egress(sim: &mut ClusterSim, id: u64, ctx: MsgCtx) -> (&mut EgressUnit, OutMsg) {
-    let unit = match sender_role_of(ctx.kind) {
-        Role::Worker => &mut sim.workers[ctx.src].egress,
-        Role::Server => &mut sim.servers[ctx.src].egress,
-    };
+    let unit = sim.egress_mut(ctx.src, sender_role_of(ctx.kind));
     let msg = OutMsg {
         dst: MachineId(ctx.dst),
         bytes: ctx.bytes,
@@ -557,6 +554,30 @@ fn state_a_delivery_would_trip_over_is_refused() {
     }
 }
 
+/// An endpoint's egress discipline and window are the configuration's:
+/// a snapshot edited to another window restores into a state the live
+/// engine never reaches, so it is refused.
+#[test]
+fn an_egress_window_the_configuration_did_not_choose_is_refused() {
+    let why = corrupted_refusal(degraded_racked, |sim| {
+        let EgressUnit::Single { window, .. } = &mut sim.workers[0].egress else {
+            panic!("P3 sends from a single-consumer unit");
+        };
+        *window = 1;
+    });
+    assert_eq!(
+        why.as_deref(),
+        Some("egress window differs from the configuration's")
+    );
+    let why = corrupted_refusal(degraded_racked, |sim| {
+        sim.workers[0].egress = EgressUnit::per_dest(sim.cfg.machines);
+    });
+    assert_eq!(
+        why.as_deref(),
+        Some("egress discipline differs from the configuration's")
+    );
+}
+
 /// Under a collective backend, every message is a chunk of the active
 /// step, and no more of them are live than the step still awaits.
 #[test]
@@ -621,7 +642,7 @@ fn a_message_in_another_destinations_lane_is_refused() {
         egress(&mut w, &mut unit, &Bounds::UNCHECKED).expect("only a reader fails");
         let bytes = w.finish();
         let (mut r, _) = SnapReader::new(&bytes).unwrap();
-        let mut back = EgressUnit::single(1);
+        let mut back = EgressUnit::per_dest(4);
         match egress(&mut r, &mut back, &b) {
             Err(SnapshotError::Corrupt(why)) if refused => {
                 assert_eq!(why, "message in another destination's lane");

@@ -95,11 +95,28 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
         fill_table(c, sim, read)?;
     }
     opt_time(c, &mut sim.next_wake)?;
-    for gate in &mut sim.admit_gate {
-        gate.iter_mut().try_for_each(|t| time(c, t))?;
+    // Every single consumer's admission gate, then its pending kick, per
+    // machine as [worker, server]. Per-destination lanes have neither:
+    // they write `ZERO` and `None`, and a reader refuses anything else.
+    let endpoints = (0..b.machines).flat_map(|m| [(m, Role::Worker), (m, Role::Server)]);
+    for (m, r) in endpoints.clone() {
+        let mut absent = SimTime::ZERO;
+        let gate = match sim.egress_mut(m, r) {
+            EgressUnit::Single { next_admit, .. } => next_admit,
+            EgressUnit::PerDest { .. } => &mut absent,
+        };
+        time(c, gate)?;
+        let what = "admission gate on per-destination lanes";
+        c.check(absent == SimTime::ZERO, what)?;
     }
-    for kick in &mut sim.admit_kick_at {
-        kick.iter_mut().try_for_each(|t| opt_time(c, t))?;
+    for (m, r) in endpoints {
+        let mut absent = None;
+        let kick = match sim.egress_mut(m, r) {
+            EgressUnit::Single { kick_at, .. } => kick_at,
+            EgressUnit::PerDest { .. } => &mut absent,
+        };
+        opt_time(c, kick)?;
+        c.check(absent.is_none(), "admission kick on per-destination lanes")?;
     }
     c.u64(&mut sim.events)?;
 
@@ -455,22 +472,28 @@ fn proc_item<C: Coder>(c: &mut C, item: &mut ProcItem, b: &Bounds) -> Res {
     c.u128(&mut item.members)
 }
 
-/// One egress unit. Queued messages are checked against `b` when reading.
+/// One egress unit. A reader walks the unit [`ClusterSim::new`] built
+/// from the configuration and refuses any other discipline or window;
+/// queued messages are checked against `b`.
 pub(super) fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, b: &Bounds) -> Res {
-    variant(c, e, "egress", |t| match t {
-        0 => Some(EgressUnit::single(1)),
-        1 => Some(EgressUnit::per_dest(b.machines)),
-        _ => None,
-    })?;
+    let tag = match e {
+        EgressUnit::Single { .. } => 0,
+        EgressUnit::PerDest { .. } => 1,
+    };
+    let mut found = tag;
+    c.u8(&mut found)?;
+    let what = "egress discipline differs from the configuration's";
+    c.check(found == tag, what)?;
     match e {
         EgressUnit::Single {
             queue,
             in_flight,
             window,
+            ..
         } => {
-            c.tag(0)?;
-            c.usize(window)?;
-            c.check(*window > 0, "zero egress window")?;
+            let (mut w, what) = (*window, "egress window differs from the configuration's");
+            c.usize(&mut w)?;
+            c.check(w == *window, what)?;
             c.usize(in_flight)?;
             // The queue's priority is the message's own.
             prio_queue(c, queue, BLANK_MSG, |c, (prio, msg)| {
@@ -480,7 +503,6 @@ pub(super) fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, b: &Bounds) -> Res
             })
         }
         EgressUnit::PerDest { queues, busy } => {
-            c.tag(1)?;
             let mut d = 0;
             fixed(c, queues, "per-destination lane count", |c, lane| {
                 let mut msgs = Vec::from(std::mem::take(lane));

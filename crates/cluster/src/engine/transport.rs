@@ -1,18 +1,17 @@
 //! Transport layer: the engine's adapter onto the fluid [`Network`].
-//! Owns message registration, egress admission (single-consumer gates and
-//! per-destination lanes), flow start and delivery, loss draws, retry
-//! timers, and trace recording of the enqueue→wire lifecycle.
+//! Owns message registration, the endpoints' egress units (which decide
+//! admission and lane release), flow start and delivery, loss draws,
+//! retry timers, and trace recording of the enqueue→wire lifecycle.
 //!
 //! Delivery is protocol-agnostic: once the sender is freed and the loss
-//! draw survives, the payload is handed to the configured
-//! [`CommBackend`](super::backend::CommBackend) for protocol handling.
+//! draw survives, the payload is handed to the configured backend
+//! ([`ClusterSim::backend_delivered`]) for protocol handling.
 //!
 //! [`Network`]: p3_net::Network
 
-use super::types::{class_of, role_slot, sender_role_of, Ev, MsgCtx, MsgKind, Role};
+use super::types::{class_of, sender_role_of, Ev, MsgCtx, MsgKind, Role};
 use super::ClusterSim;
-use crate::egress::{EgressUnit, OutMsg};
-use p3_des::SimTime;
+use crate::egress::{Admit, EgressUnit, OutMsg};
 use p3_net::{MachineId, Priority};
 use p3_pserver::{wire_bytes, RetryDecision, HEADER_BYTES};
 use p3_trace::{EndpointRole, FaultKind, MsgClass, TraceEvent};
@@ -51,15 +50,9 @@ impl ClusterSim {
         key: usize,
         round: u64,
     ) {
-        match role {
-            Role::Worker => self.workers[machine].egress.enqueue(msg),
-            Role::Server => self.servers[machine].egress.enqueue(msg),
-        }
+        self.egress_mut(machine, role).enqueue(msg);
         if self.trace_log.is_some() {
-            let queue_depth = match role {
-                Role::Worker => self.workers[machine].egress.backlog(),
-                Role::Server => self.servers[machine].egress.backlog(),
-            };
+            let queue_depth = self.egress_mut(machine, role).backlog();
             let erole = match role {
                 Role::Worker => EndpointRole::Worker,
                 Role::Server => EndpointRole::Server,
@@ -163,67 +156,33 @@ impl ClusterSim {
     // ------------------------------------------------------------------
     // Egress admission.
 
-    /// Starts any transmissions an endpoint's scheduler allows.
-    ///
-    /// Per-destination (baseline) lanes transmit whenever idle — each
-    /// connection has its own sender thread in MXNet. A single-consumer
-    /// (P3) endpoint serializes per-message work on one thread: it admits
-    /// at most one message per `msg_overhead`, modelling the consumer's
-    /// serialization/syscall cost — the source of Figure 12's small-slice
-    /// falloff.
+    /// The egress unit of machine `machine`'s worker or server endpoint.
+    pub(crate) fn egress_mut(&mut self, machine: usize, role: Role) -> &mut EgressUnit {
+        match role {
+            Role::Worker => &mut self.workers[machine].egress,
+            Role::Server => &mut self.servers[machine].egress,
+        }
+    }
+
+    /// Starts every transmission the endpoint's egress unit admits now,
+    /// and schedules the `AdmitKick` it asks for ([`EgressUnit::admit`]).
     pub(crate) fn kick_egress(&mut self, machine: usize, role: Role) {
         if role == Role::Worker && self.workers[machine].crashed {
             return; // a dead process transmits nothing
         }
-        let now = self.queue.now();
-        let single = {
-            let unit = match role {
-                Role::Worker => &self.workers[machine].egress,
-                Role::Server => &self.servers[machine].egress,
-            };
-            matches!(unit, EgressUnit::Single { .. })
+        let (now, overhead) = (self.queue.now(), self.cfg.msg_overhead);
+        let mut pass = 0;
+        let again = loop {
+            let unit = self.egress_mut(machine, role);
+            match unit.admit(now, overhead, &mut pass) {
+                Admit::Start(m) => self.start_wire(machine, m),
+                Admit::Done(again) => break again,
+            }
         };
-        if single {
-            let slot = role_slot(role);
-            let gate = self.admit_gate[machine][slot];
-            if now < gate {
-                self.schedule_admit_kick(machine, role, gate);
-            } else {
-                let admitted = match role {
-                    Role::Worker => self.workers[machine].egress.start_one(),
-                    Role::Server => self.servers[machine].egress.start_one(),
-                };
-                if let Some(m) = admitted {
-                    self.start_wire(machine, m);
-                    let next = now + self.cfg.msg_overhead;
-                    self.admit_gate[machine][slot] = next;
-                    let backlog = match role {
-                        Role::Worker => self.workers[machine].egress.backlog(),
-                        Role::Server => self.servers[machine].egress.backlog(),
-                    };
-                    if backlog > 0 {
-                        self.schedule_admit_kick(machine, role, next);
-                    }
-                }
-            }
-        } else {
-            let ready = match role {
-                Role::Worker => self.workers[machine].egress.start_ready(),
-                Role::Server => self.servers[machine].egress.start_ready(),
-            };
-            for m in ready {
-                self.start_wire(machine, m);
-            }
+        if let Some(at) = again {
+            self.queue.schedule_at(at, Ev::AdmitKick { machine, role });
         }
         self.schedule_net_wake();
-    }
-
-    fn schedule_admit_kick(&mut self, machine: usize, role: Role, at: SimTime) {
-        let slot = role_slot(role);
-        if self.admit_kick_at[machine][slot].is_none_or(|t| at < t) {
-            self.queue.schedule_at(at, Ev::AdmitKick { machine, role });
-            self.admit_kick_at[machine][slot] = Some(at);
-        }
     }
 
     /// Notes that the fabric changed, so its next event may have moved.
@@ -276,38 +235,26 @@ impl ClusterSim {
         let now = self.queue.now();
 
         // Free the sender: its NIC finished transmitting whether or not the
-        // message survives the network or finds its receiver alive.
-        // Single-consumer units release their window slot immediately
-        // (their per-message cost was charged at admission);
-        // per-destination lanes pay the endpoint overhead before reuse.
-        let sender_role = sender_role_of(ctx.kind);
-        let sender_single = {
-            let unit = match sender_role {
-                Role::Worker => &self.workers[ctx.src].egress,
-                Role::Server => &self.servers[ctx.src].egress,
-            };
-            matches!(unit, EgressUnit::Single { .. })
-        };
-        if sender_single {
-            match sender_role {
-                Role::Worker => self.workers[ctx.src].egress.complete(MachineId(ctx.dst)),
-                Role::Server => self.servers[ctx.src].egress.complete(MachineId(ctx.dst)),
-            }
-            self.kick_egress(ctx.src, sender_role);
-        } else {
-            let inc = match sender_role {
-                Role::Worker => self.workers[ctx.src].incarnation,
-                Role::Server => 0,
-            };
-            self.queue.schedule_at(
-                now + self.cfg.msg_overhead,
-                Ev::EgressReady {
-                    machine: ctx.src,
-                    role: sender_role,
-                    dst: MachineId(ctx.dst),
+        // message survives the network or finds its receiver alive. Its
+        // egress unit says when the lane frees ([`EgressUnit::release`]).
+        let (role, dst) = (sender_role_of(ctx.kind), MachineId(ctx.dst));
+        let overhead = self.cfg.msg_overhead;
+        match self.egress_mut(ctx.src, role).release(dst, now, overhead) {
+            None => self.kick_egress(ctx.src, role),
+            Some(at) => {
+                let machine = ctx.src;
+                let inc = match role {
+                    Role::Worker => self.workers[machine].incarnation,
+                    Role::Server => 0,
+                };
+                let ready = Ev::EgressReady {
+                    machine,
+                    role,
+                    dst,
                     inc,
-                },
-            );
+                };
+                self.queue.schedule_at(at, ready);
+            }
         }
 
         // Lossy network: the message died in the fabric. Keep its context

@@ -18,21 +18,13 @@ pub(crate) const EVENT_CAP: u64 = 500_000_000;
 /// Round-membership masks are `u128` bitsets, one bit per worker.
 pub(crate) const MAX_MACHINES: usize = 128;
 
-/// Index of a role in per-machine `[worker, server]` state arrays.
-pub(crate) fn role_slot(role: Role) -> usize {
-    match role {
-        Role::Worker => 0,
-        Role::Server => 1,
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
     Fwd(usize),
     Bwd(usize),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Role {
     Worker,
     Server,

@@ -48,7 +48,6 @@ pub use config::{
     BackendKind, ClusterConfig, FaultStats, LinkUtilization, MessageStats, RunError, RunResult,
     UtilizationTrace, WireCompression,
 };
-pub use egress::{EgressUnit, OutMsg};
 pub use engine::ClusterSim;
 pub use faults::{FaultPlan, LinkDegradation, StragglerEpisode, WorkerCrash};
 pub use p3_des::snap::{SnapshotError, SNAP_MAGIC, SNAP_VERSION};

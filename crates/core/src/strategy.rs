@@ -39,7 +39,9 @@ pub enum Egress {
     /// (baseline frameworks over TCP).
     PerServerFifo,
     /// P3Worker: a single consumer thread drains one priority queue with
-    /// blocking sends — exactly one message in flight per worker.
+    /// blocking sends, most urgent message first. A send returns once the
+    /// message is buffered, so the cluster simulator admits one message
+    /// per per-message cost and keeps up to one per machine in flight.
     SingleConsumer,
 }
 
