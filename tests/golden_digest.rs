@@ -13,6 +13,7 @@ use p3::core::SyncStrategy;
 use p3::des::{SimDuration, SimTime};
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
+use p3::topo::Topology;
 use p3::trace::{export_trace_json, MetricsRegistry, TraceEvent};
 
 /// Digest of the exported trace for [`golden_config`], captured from the
@@ -176,6 +177,55 @@ fn ring_fault_trace_export_bytes_match_golden() {
         (fnv(&doc), doc.len()),
         (GOLDEN_RING_FAULT_FNV, GOLDEN_RING_FAULT_LEN),
         "ring fault trace export bytes moved (got fnv={:#018x} len={})",
+        fnv(&doc),
+        doc.len(),
+    );
+}
+
+/// Digest and length of the exported trace for [`racked_config`]. Pins
+/// what the flat fabrics above never write: Chrome `args.bottleneck` and
+/// `WireEnd` rows with `Some` bottleneck link, on timestamps past 1 s.
+const GOLDEN_RACKED_FNV: u64 = 0x9d50_e163_4690_12ee;
+/// Byte length of the same export.
+const GOLDEN_RACKED_LEN: usize = 975_222;
+
+/// P3 on 2 racks of 2 machines behind a 4:1 oversubscribed core, run long
+/// enough that simulated time passes 1 s.
+fn racked_config() -> ClusterConfig {
+    ClusterConfig::new(
+        tiny_model(),
+        SyncStrategy::p3(),
+        4,
+        Bandwidth::from_gbps(5.0),
+    )
+    .with_iters(1, 9)
+    .with_seed(11)
+    .with_topology(Topology::new(2, 2, 4.0))
+    .with_slice_trace()
+}
+
+#[test]
+fn racked_trace_export_bytes_match_golden() {
+    let cfg = racked_config();
+    let meta = cfg.trace_meta();
+    let (_, log) = ClusterSim::new(cfg)
+        .try_run_traced()
+        .expect("racked config must run clean");
+    let log = log.expect("slice tracing was enabled");
+    assert!(log.events().iter().any(|e| matches!(
+        e.event,
+        TraceEvent::WireEnd {
+            bottleneck: Some(_),
+            ..
+        }
+    )));
+    let last = log.events().last().expect("a traced run records events");
+    assert!(last.at > SimTime::from_secs(1), "ends at {:?}", last.at);
+    let doc = export_trace_json(&log, &meta);
+    assert_eq!(
+        (fnv(&doc), doc.len()),
+        (GOLDEN_RACKED_FNV, GOLDEN_RACKED_LEN),
+        "racked trace export bytes moved (got fnv={:#018x} len={})",
         fnv(&doc),
         doc.len(),
     );
