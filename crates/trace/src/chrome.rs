@@ -13,11 +13,10 @@
 //! threads.
 
 use crate::event::{ComputePhase, MsgClass, TraceEvent};
-use crate::json::{parse, push_number, JsonValue};
+use crate::json::{parse, push_digits, push_number, push_uint, JsonValue};
 use crate::sink::{TimedEvent, TraceLog};
 use p3_des::SimTime;
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
 
 /// Lane (thread) ids within each machine's process.
 const LANE_COMPUTE: u32 = 0;
@@ -32,8 +31,88 @@ fn us(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1_000.0
 }
 
-/// Appends trace-event objects to one buffer, `,\n`-separated. Names are
-/// labels and integers, which need no JSON escaping.
+/// Appends `ns` nanoseconds in microseconds, as the bytes
+/// `push_number(ns as f64 / 1e3)` writes: the exact decimal, with the
+/// fractional digits' trailing zeros dropped. Below 2⁵⁰ ns the quotient
+/// is under 2⁴¹, where an `f64` step is under 0.001, so that decimal is
+/// the shortest that round-trips. At or above it, the float is written.
+fn push_micros(out: &mut String, ns: u64) {
+    if ns >= 1 << 50 {
+        return push_number(out, ns as f64 / 1_000.0);
+    }
+    push_uint(out, ns / 1_000);
+    let (mut frac, mut width) = (ns % 1_000, 3);
+    if frac == 0 {
+        return;
+    }
+    while frac % 10 == 0 {
+        frac /= 10;
+        width -= 1;
+    }
+    out.push('.');
+    push_digits(out, frac, width);
+}
+
+/// A span's duration in microseconds, rendered into `buf`. It stays the
+/// difference of the two floats: its shortest form is not a decimal of
+/// the nanosecond difference.
+fn render_dur(buf: &mut String, start: SimTime, end: SimTime) -> &str {
+    buf.clear();
+    push_number(buf, us(end).max(us(start)) - us(start));
+    buf
+}
+
+/// One piece of an event name. Names are labels and integers, which
+/// need no JSON escaping.
+#[derive(Clone, Copy)]
+enum Piece<'a> {
+    Text(&'a str),
+    Int(u64),
+}
+
+use Piece::{Int, Text};
+
+/// `msg_id` → `(class, key)`, learned at enqueue. The engine numbers
+/// messages upward from 0, so ids index a vector, which grows to at most
+/// two slots per name plus [`MsgNames::SLACK`]. An id past that (only a
+/// hand-made log has one) goes to a map. Once the vector covers an id,
+/// every later name of it goes to its slot, so a filled slot is the
+/// latest name and only an empty one defers to the map.
+#[derive(Default)]
+struct MsgNames {
+    dense: Vec<Option<(MsgClass, usize)>>,
+    sparse: BTreeMap<u64, (MsgClass, usize)>,
+    names: usize,
+}
+
+impl MsgNames {
+    const SLACK: usize = 1 << 10;
+
+    /// Names `id`, replacing an earlier name.
+    fn insert(&mut self, id: u64, name: (MsgClass, usize)) {
+        self.names += 1;
+        match usize::try_from(id) {
+            Ok(i) if i < self.dense.len() => self.dense[i] = Some(name),
+            Ok(i) if i < 2 * self.names + Self::SLACK => {
+                self.dense.resize(i, None);
+                self.dense.push(Some(name));
+            }
+            _ => {
+                self.sparse.insert(id, name);
+            }
+        }
+    }
+
+    fn get(&self, id: u64) -> Option<(MsgClass, usize)> {
+        let dense = usize::try_from(id).ok().and_then(|i| self.dense.get(i));
+        dense
+            .copied()
+            .flatten()
+            .or_else(|| self.sparse.get(&id).copied())
+    }
+}
+
+/// Appends trace-event objects to one buffer, `,\n`-separated.
 struct Events<'o> {
     out: &'o mut String,
     first: bool,
@@ -41,53 +120,74 @@ struct Events<'o> {
 
 impl Events<'_> {
     /// Starts the next event object, up to and including its name.
-    fn open(&mut self, name: fmt::Arguments<'_>) {
+    fn open(&mut self, name: &[Piece<'_>]) {
         if !self.first {
             self.out.push_str(",\n");
         }
         self.first = false;
-        let _ = write!(self.out, "{{\"name\": \"{name}\"");
+        self.out.push_str("{\"name\": \"");
+        self.pieces(name);
+        self.out.push('"');
     }
 
+    fn pieces(&mut self, pieces: &[Piece<'_>]) {
+        for piece in pieces {
+            match *piece {
+                Text(text) => self.out.push_str(text),
+                Int(n) => push_uint(self.out, n),
+            }
+        }
+    }
+
+    /// Appends `head` (the phase, up to the `pid` key), the pid, then the
+    /// tid if given.
+    fn place(&mut self, head: &str, pid: usize, tid: Option<u32>) {
+        self.out.push_str(head);
+        push_uint(self.out, pid as u64);
+        if let Some(tid) = tid {
+            self.out.push_str(", \"tid\": ");
+            push_uint(self.out, tid.into());
+        }
+    }
+
+    /// A complete span from `start`, lasting `dur` (see [`render_dur`]).
     fn span(
         &mut self,
-        name: fmt::Arguments<'_>,
+        name: &[Piece<'_>],
         pid: usize,
         tid: u32,
-        (start, end): (SimTime, SimTime),
+        start: SimTime,
+        dur: &str,
         bottleneck: Option<usize>,
     ) {
         self.open(name);
-        let _ = write!(
-            self.out,
-            ", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": "
-        );
-        push_number(self.out, us(start));
+        self.place(", \"ph\": \"X\", \"pid\": ", pid, Some(tid));
+        self.out.push_str(", \"ts\": ");
+        push_micros(self.out, start.as_nanos());
         self.out.push_str(", \"dur\": ");
-        push_number(self.out, us(end).max(us(start)) - us(start));
+        self.out.push_str(dur);
         if let Some(link) = bottleneck {
-            let _ = write!(self.out, ", \"args\": {{\"bottleneck\": {link}}}");
+            self.out.push_str(", \"args\": {\"bottleneck\": ");
+            push_uint(self.out, link as u64);
+            self.out.push('}');
         }
         self.out.push('}');
     }
 
-    fn instant(&mut self, name: fmt::Arguments<'_>, pid: usize, tid: u32, at: SimTime) {
+    fn instant(&mut self, name: &[Piece<'_>], pid: usize, tid: u32, at: SimTime) {
         self.open(name);
-        let _ = write!(
-            self.out,
-            ", \"ph\": \"i\", \"s\": \"t\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": "
-        );
-        push_number(self.out, us(at));
+        self.place(", \"ph\": \"i\", \"s\": \"t\", \"pid\": ", pid, Some(tid));
+        self.out.push_str(", \"ts\": ");
+        push_micros(self.out, at.as_nanos());
         self.out.push('}');
     }
 
-    fn metadata(&mut self, kind: &str, pid: usize, tid: Option<u32>, name: &str) {
-        self.open(format_args!("{kind}"));
-        let _ = write!(self.out, ", \"ph\": \"M\", \"pid\": {pid}");
-        if let Some(tid) = tid {
-            let _ = write!(self.out, ", \"tid\": {tid}");
-        }
-        let _ = write!(self.out, ", \"args\": {{\"name\": \"{name}\"}}}}");
+    fn metadata(&mut self, kind: &str, pid: usize, tid: Option<u32>, name: &[Piece<'_>]) {
+        self.open(&[Text(kind)]);
+        self.place(", \"ph\": \"M\", \"pid\": ", pid, tid);
+        self.out.push_str(", \"args\": {\"name\": \"");
+        self.pieces(name);
+        self.out.push_str("\"}}");
     }
 }
 
@@ -110,16 +210,21 @@ pub(crate) fn write_chrome_events(out: &mut String, log: &TraceLog, machines: us
     out.push_str("{\"traceEvents\": [\n");
     let mut ev = Events { out, first: true };
     for m in 0..machines {
-        ev.metadata("process_name", m, None, &format!("machine {m}"));
-        ev.metadata("thread_name", m, Some(LANE_COMPUTE), "compute");
-        ev.metadata("thread_name", m, Some(LANE_TX), "tx");
-        ev.metadata("thread_name", m, Some(LANE_RX), "rx");
-        ev.metadata("thread_name", m, Some(LANE_SERVER), "server");
+        ev.metadata("process_name", m, None, &[Text("machine "), Int(m as u64)]);
+        for (tid, lane) in [
+            (LANE_COMPUTE, "compute"),
+            (LANE_TX, "tx"),
+            (LANE_RX, "rx"),
+            (LANE_SERVER, "server"),
+        ] {
+            ev.metadata("thread_name", m, Some(tid), &[Text(lane)]);
+        }
     }
 
-    // msg_id → (class, key) learned at enqueue; wire spans are named
-    // after the protocol class even when the enqueue predates the capture.
-    let mut msg_name: BTreeMap<u64, (MsgClass, usize)> = BTreeMap::new();
+    // Wire spans are named after the protocol class even when the
+    // enqueue predates the capture.
+    let mut msg_name = MsgNames::default();
+    let mut dur_buf = String::new();
 
     for (TimedEvent { at, event }, opened) in log.paired() {
         match (event, opened) {
@@ -132,15 +237,17 @@ pub(crate) fn write_chrome_events(out: &mut String, log: &TraceLog, machines: us
                 Some(t0),
             ) => {
                 let dir = match phase {
-                    ComputePhase::Forward => "fwd",
-                    ComputePhase::Backward => "bwd",
+                    ComputePhase::Forward => "fwd b",
+                    ComputePhase::Backward => "bwd b",
                 };
-                let name = format_args!("{dir} b{block}");
-                ev.span(name, worker, LANE_COMPUTE, (t0, at), None);
+                let name = [Text(dir), Int(block as u64)];
+                let dur = render_dur(&mut dur_buf, t0, at);
+                ev.span(&name, worker, LANE_COMPUTE, t0, dur, None);
             }
             (TraceEvent::StallEnd { worker, block }, Some(t0)) => {
-                let name = format_args!("stall b{block}");
-                ev.span(name, worker, LANE_COMPUTE, (t0, at), None);
+                let name = [Text("stall b"), Int(block as u64)];
+                let dur = render_dur(&mut dur_buf, t0, at);
+                ev.span(&name, worker, LANE_COMPUTE, t0, dur, None);
             }
             (
                 TraceEvent::EgressEnqueue {
@@ -160,23 +267,19 @@ pub(crate) fn write_chrome_events(out: &mut String, log: &TraceLog, machines: us
                 },
                 Some(t0),
             ) => {
-                let label = msg_name.get(&msg_id);
+                let name: &[Piece] = match msg_name.get(msg_id) {
+                    Some((class, key)) => &[Text(class.label()), Text(" k"), Int(key as u64)],
+                    None => &[Text("msg "), Int(msg_id)],
+                };
+                let dur = render_dur(&mut dur_buf, t0, at);
                 for (pid, tid) in [(src, LANE_TX), (dst, LANE_RX)] {
-                    match label {
-                        Some((class, key)) => {
-                            let name = format_args!("{} k{key}", class.label());
-                            ev.span(name, pid, tid, (t0, at), bottleneck);
-                        }
-                        None => {
-                            let name = format_args!("msg {msg_id}");
-                            ev.span(name, pid, tid, (t0, at), bottleneck);
-                        }
-                    }
+                    ev.span(name, pid, tid, t0, dur, bottleneck);
                 }
             }
             (TraceEvent::AggEnd { server, key, .. }, Some(t0)) => {
-                let name = format_args!("agg k{key}");
-                ev.span(name, server, LANE_SERVER, (t0, at), None);
+                let name = [Text("agg k"), Int(key as u64)];
+                let dur = render_dur(&mut dur_buf, t0, at);
+                ev.span(&name, server, LANE_SERVER, t0, dur, None);
             }
             (
                 TraceEvent::RoundComplete {
@@ -188,17 +291,26 @@ pub(crate) fn write_chrome_events(out: &mut String, log: &TraceLog, machines: us
                 _,
             ) => {
                 let note = if degraded { " (degraded)" } else { "" };
-                let name = format_args!("update k{key} v{version}{note}");
-                ev.instant(name, server, LANE_SERVER, at);
+                let name = [
+                    Text("update k"),
+                    Int(key as u64),
+                    Text(" v"),
+                    Int(version),
+                    Text(note),
+                ];
+                ev.instant(&name, server, LANE_SERVER, at);
             }
             (TraceEvent::SliceConsumed { worker, key, .. }, _) => {
-                ev.instant(format_args!("consume k{key}"), worker, LANE_COMPUTE, at);
+                let name = [Text("consume k"), Int(key as u64)];
+                ev.instant(&name, worker, LANE_COMPUTE, at);
             }
             (TraceEvent::GradReady { worker, key, .. }, _) => {
-                ev.instant(format_args!("grad k{key}"), worker, LANE_COMPUTE, at);
+                let name = [Text("grad k"), Int(key as u64)];
+                ev.instant(&name, worker, LANE_COMPUTE, at);
             }
             (TraceEvent::IterationEnd { worker, iter }, _) => {
-                ev.instant(format_args!("iteration {iter}"), worker, LANE_COMPUTE, at);
+                let name = [Text("iteration "), Int(iter)];
+                ev.instant(&name, worker, LANE_COMPUTE, at);
             }
             (
                 TraceEvent::Fault {
@@ -207,16 +319,13 @@ pub(crate) fn write_chrome_events(out: &mut String, log: &TraceLog, machines: us
                     msg_id,
                 },
                 _,
-            ) => match msg_id {
-                Some(id) => {
-                    let name = format_args!("fault {} msg{id}", kind.label());
-                    ev.instant(name, machine, LANE_COMPUTE, at);
-                }
-                None => {
-                    let name = format_args!("fault {}", kind.label());
-                    ev.instant(name, machine, LANE_COMPUTE, at);
-                }
-            },
+            ) => {
+                let name: &[Piece] = match msg_id {
+                    Some(id) => &[Text("fault "), Text(kind.label()), Text(" msg"), Int(id)],
+                    None => &[Text("fault "), Text(kind.label())],
+                };
+                ev.instant(name, machine, LANE_COMPUTE, at);
+            }
             // Span starts draw nothing until their end; an end whose start
             // is not on record is dropped. The hash stream is engine
             // bookkeeping for digest comparison, not for the Perfetto view.
@@ -435,6 +544,120 @@ mod tests {
             .find(|s| s.name == "bwd b1")
             .expect("compute span");
         assert_eq!(bwd.bottleneck, None);
+    }
+
+    fn micros(ns: u64) -> String {
+        let mut out = String::new();
+        push_micros(&mut out, ns);
+        out
+    }
+
+    /// What `ts` was before the exact-decimal writer.
+    fn float_micros(ns: u64) -> String {
+        let mut out = String::new();
+        push_number(&mut out, us(SimTime::from_nanos(ns)));
+        out
+    }
+
+    #[test]
+    fn timestamps_are_exact_decimals_of_the_nanoseconds() {
+        for (ns, want) in [
+            (0, "0"),
+            (999, "0.999"),
+            (1_000, "1"),
+            (1_001, "1.001"),
+            (1_010, "1.01"),
+            (1_100, "1.1"),
+            ((1 << 50) - 1, "1125899906842.623"),
+            (1 << 50, "1125899906842.624"),
+        ] {
+            assert_eq!(micros(ns), want, "{ns} ns");
+            assert_eq!(micros(ns), float_micros(ns), "{ns} ns");
+        }
+    }
+
+    proptest::proptest! {
+        /// The exact-decimal `ts` writes the bytes the float one wrote:
+        /// at any magnitude, on multiples of 10, 100 and 1000 (trailing
+        /// zeros dropped), and around the 2⁵⁰ ns fallback.
+        #[test]
+        fn timestamps_match_the_float_timestamps(raw in proptest::any::<u64>()) {
+            for ns in [
+                raw >> (raw % 64),
+                (raw >> 12) * 10,
+                (raw >> 12) * 100,
+                (raw >> 12) * 1_000,
+                (1 << 50) - 4_096 + raw % 8_192,
+                raw >> 11,
+            ] {
+                proptest::prop_assert_eq!(micros(ns), float_micros(ns), "{} ns", ns);
+            }
+        }
+    }
+
+    fn enqueue(msg_id: u64, class: MsgClass, key: usize) -> TraceEvent {
+        TraceEvent::EgressEnqueue {
+            machine: 0,
+            role: EndpointRole::Worker,
+            msg_id,
+            class,
+            key,
+            round: 0,
+            priority: 0,
+            queue_depth: 0,
+        }
+    }
+
+    fn transfer(log: &mut TraceLog, at: u64, msg_id: u64) {
+        let (src, dst, bytes) = (0, 1, 8);
+        let priority = 0;
+        log.record(
+            t(at),
+            TraceEvent::WireStart {
+                msg_id,
+                src,
+                dst,
+                bytes,
+                priority,
+            },
+        );
+        let bottleneck = None;
+        log.record(
+            t(at + 1),
+            TraceEvent::WireEnd {
+                msg_id,
+                src,
+                dst,
+                bytes,
+                bottleneck,
+            },
+        );
+    }
+
+    #[test]
+    fn wire_spans_take_the_latest_name_of_any_msg_id() {
+        let mut log = TraceLog::new();
+        // 1100 and 2⁴⁰ are named while far past every other id. Naming
+        // 0..600 and 1200 then stretches the vector over 700 and 1100; 5
+        // is renamed, 700 never named.
+        log.record(t(0), enqueue(1100, MsgClass::Push, 1));
+        log.record(t(0), enqueue(1 << 40, MsgClass::Push, 2));
+        for id in 0..600 {
+            log.record(t(0), enqueue(id, MsgClass::Push, 3));
+        }
+        log.record(t(0), enqueue(1200, MsgClass::Push, 4));
+        log.record(t(0), enqueue(5, MsgClass::Push, 5));
+        for id in [1100, 1 << 40, 0, 5, 700] {
+            transfer(&mut log, 1, id);
+        }
+        log.record(t(3), enqueue(1100, MsgClass::Response, 6));
+        transfer(&mut log, 4, 1100);
+        let spans = validate_chrome_trace(&chrome_trace_json(&log, 2)).expect("schema-valid");
+        let names: Vec<&str> = spans.iter().step_by(2).map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["push k1", "push k2", "push k3", "push k5", "msg 700", "pull k6"]
+        );
     }
 
     #[test]

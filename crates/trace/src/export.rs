@@ -38,12 +38,11 @@
 
 use crate::chrome::write_chrome_events;
 use crate::event::{ComputePhase, EndpointRole, FaultKind, MsgClass, TraceEvent};
-use crate::json::{self, push_number, JsonError, JsonValue, Parser};
+use crate::json::{self, push_number, push_uint, JsonError, JsonValue, Parser};
 use crate::sink::TraceLog;
 use p3_des::SimTime;
 use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::mem::discriminant;
 
 /// Format version written as `p3TraceVersion`.
 pub const TRACE_FORMAT_VERSION: u64 = 1;
@@ -138,7 +137,8 @@ const FAULTS: Codes<FaultKind> = ("fault", {
     ]
 });
 
-/// Every row tag, with a blank of its variant for a reader to fill.
+/// Every row tag, with a blank of its variant for a reader to fill, in
+/// [`tag_index`] order.
 #[rustfmt::skip]
 const TAGS: [(&str, TraceEvent); 15] = {
     use TraceEvent::*;
@@ -164,6 +164,28 @@ const TAGS: [(&str, TraceEvent); 15] = {
         ("sh", StateHash { events: 0, hash: 0 }),
     ]
 };
+
+/// The position of `ev`'s variant in [`TAGS`].
+fn tag_index(ev: &TraceEvent) -> usize {
+    use TraceEvent::*;
+    match ev {
+        ComputeStart { .. } => 0,
+        ComputeEnd { .. } => 1,
+        StallStart { .. } => 2,
+        StallEnd { .. } => 3,
+        IterationEnd { .. } => 4,
+        GradReady { .. } => 5,
+        EgressEnqueue { .. } => 6,
+        WireStart { .. } => 7,
+        WireEnd { .. } => 8,
+        AggStart { .. } => 9,
+        AggEnd { .. } => 10,
+        RoundComplete { .. } => 11,
+        SliceConsumed { .. } => 12,
+        Fault { .. } => 13,
+        StateHash { .. } => 14,
+    }
+}
 
 type Res = Result<(), String>;
 
@@ -317,15 +339,15 @@ impl RowWriter<'_> {
 
 impl RowCoder for RowWriter<'_> {
     fn uint(&mut self, v: &mut u64, _: &str) -> Res {
-        let _ = write!(self.field(), "{v}");
+        push_uint(self.field(), *v);
         Ok(())
     }
 
     fn opt_uint(&mut self, v: &mut Option<u64>, _: &str) -> Res {
-        let _ = match v {
-            Some(n) => write!(self.field(), "{n}"),
-            None => write!(self.field(), "null"),
-        };
+        match *v {
+            Some(n) => push_uint(self.field(), n),
+            None => self.field().push_str("null"),
+        }
         Ok(())
     }
 
@@ -335,11 +357,10 @@ impl RowCoder for RowWriter<'_> {
     }
 
     fn tag(&mut self, ev: &mut TraceEvent) -> Res {
-        let tag = TAGS
-            .iter()
-            .find(|(_, blank)| discriminant(blank) == discriminant(ev))
-            .map_or("", |(tag, _)| tag);
-        let _ = write!(self.field(), "\"{tag}\"");
+        let out = self.field();
+        out.push('"');
+        out.push_str(TAGS[tag_index(ev)].0);
+        out.push('"');
         Ok(())
     }
 }
@@ -373,6 +394,9 @@ impl RowReader<'_, '_> {
     }
 
     fn number(&mut self, what: &str) -> Result<u64, String> {
+        if let Some(n) = self.p.plain_uint() {
+            return Ok(n);
+        }
         match self.p.peek() {
             Some(c) if c == b'-' || c.is_ascii_digit() => {
                 uint(self.p.number().map_err(|e| e.to_string())?, what)

@@ -123,6 +123,13 @@ fn round_trips_every_variant() {
     }
 }
 
+#[test]
+fn tag_index_is_the_position_in_tags() {
+    for (i, (tag, blank)) in TAGS.iter().enumerate() {
+        assert_eq!(tag_index(blank), i, "{tag}");
+    }
+}
+
 fn fnv(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {

@@ -190,7 +190,8 @@ impl<'a> Parser<'a> {
             Some(b'{') => self.members(|p, _| p.skip_value()),
             Some(b'[') => self.elements(Parser::skip_value),
             Some(b'"') => self.string().map(drop),
-            // Literals and numbers allocate nothing.
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.skip_number(),
+            // Literals allocate nothing.
             _ => self.value().map(drop),
         }
     }
@@ -206,40 +207,70 @@ impl<'a> Parser<'a> {
 
     /// Reads a number; `f64` parsing also lets `01` and `1.` through.
     pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
+        if let Some(n) = self.plain_uint() {
+            return Ok(n as f64);
+        }
         let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        let mut int = 0u64;
+        self.skip_number()?;
+        // ASCII bytes, so both ends are char boundaries.
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map_err(|_| self.err("malformed number"))
+    }
+
+    /// Reads up to 15 plain digits not followed by `.`, `e` or `E`: an
+    /// integer below 2⁵³, exact without `f64` parsing. Anything else
+    /// reads nothing and gives `None`.
+    pub(crate) fn plain_uint(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut n = 0u64;
         while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
-            int = int.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
-        // Up to 15 plain digits are below 2⁵³: exact without `f64` parsing.
-        let plain = !negative && (1..=15).contains(&(self.pos - start));
+        let plain = (1..=15).contains(&(self.pos - start));
         if plain && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Ok(int as f64);
+            return Some(n);
         }
+        self.pos = start;
+        None
+    }
+
+    /// Steps over a number, checking the grammar `f64` parsing accepts
+    /// from these bytes: an optional `-`, digits with at most one `.` and
+    /// at least one digit, then optionally `e` or `E`, a sign and at least
+    /// one digit. Converts nothing.
+    fn skip_number(&mut self) -> Result<(), JsonError> {
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut digits = self.digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits += self.digits();
         }
+        let mut ok = digits > 0;
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            ok &= self.digits() > 0;
         }
-        // ASCII bytes, so both ends are char boundaries.
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .map_err(|_| self.err("malformed number"))
+        if ok {
+            Ok(())
+        } else {
+            Err(self.err("malformed number"))
+        }
+    }
+
+    /// Steps over a run of digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     /// Reads a string, borrowed from the input when it has no escapes.
@@ -387,11 +418,35 @@ pub fn format_number(x: f64) -> String {
 
 /// Appends `x` to `out` as [`format_number`] formats it.
 pub(crate) fn push_number(out: &mut String, x: f64) {
-    let _ = if x.is_finite() && x.fract() == 0.0 && x.abs() < 1e15 {
-        write!(out, "{}", x as i64)
+    if x.is_finite() && x.fract() == 0.0 && x.abs() < 1e15 {
+        // `-0.0` is not below zero, so it prints as `0`.
+        if x < 0.0 {
+            out.push('-');
+        }
+        push_uint(out, x.abs() as u64);
     } else {
-        write!(out, "{x}")
-    };
+        let _ = write!(out, "{x}");
+    }
+}
+
+/// Appends `n` in decimal.
+pub(crate) fn push_uint(out: &mut String, n: u64) {
+    push_digits(out, n, 1);
+}
+
+/// Appends `n` in decimal, zero-padded to at least `width` digits (a
+/// `u64` has at most 20).
+pub(crate) fn push_digits(out: &mut String, mut n: u64, width: usize) {
+    let mut buf = [b'0'; 20];
+    let mut start = buf.len();
+    while n > 0 {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    // The buffer starts as zeros: padding, and the digit of `n == 0`.
+    let start = start.min(buf.len().saturating_sub(width.max(1)));
+    out.extend(buf[start..].iter().map(|&d| char::from(d)));
 }
 
 #[cfg(test)]
@@ -434,6 +489,26 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}f";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap(), JsonValue::String(nasty.to_string()));
+    }
+
+    proptest::proptest! {
+        /// Skipping a number checks the grammar reading it does: over
+        /// strings of number bytes, the two accept and reject alike, end
+        /// at the same offset, and fail with the same error.
+        #[test]
+        fn skipping_a_number_agrees_with_reading_it(seed in proptest::any::<u64>()) {
+            let mut rng = proptest::TestRng::for_case("number bytes", seed);
+            for _ in 0..64 {
+                let mut text: String = (0..1 + rng.below(9))
+                    .map(|_| char::from(b"-+.eE0123456789"[rng.below(15) as usize]))
+                    .collect();
+                text.push(if rng.below(2) == 0 { ',' } else { ']' });
+                let (mut read, mut skip) = (Parser::new(&text), Parser::new(&text));
+                let read_result = read.value().map(drop);
+                proptest::prop_assert_eq!(skip.skip_value(), read_result, "{:?}", text);
+                proptest::prop_assert_eq!(skip.pos, read.pos, "{:?}", text);
+            }
+        }
     }
 
     #[test]
