@@ -40,17 +40,16 @@ fn push_micros(out: &mut String, ns: u64) {
     if ns >= 1 << 50 {
         return push_number(out, ns as f64 / 1_000.0);
     }
-    push_uint(out, ns / 1_000);
-    let (mut frac, mut width) = (ns % 1_000, 3);
-    if frac == 0 {
-        return;
+    let (whole, frac) = (ns / 1_000, ns % 1_000);
+    push_uint(out, whole);
+    if frac != 0 {
+        out.push('.');
+        push_digits(out, frac, 3);
+        // A non-zero digit stops this before the point.
+        while out.ends_with('0') {
+            out.pop();
+        }
     }
-    while frac % 10 == 0 {
-        frac /= 10;
-        width -= 1;
-    }
-    out.push('.');
-    push_digits(out, frac, width);
 }
 
 /// A span's duration in microseconds, rendered into `buf`. It stays the
