@@ -7,7 +7,8 @@
 //! pedantics (escapes are decoded, lone surrogates are replaced).
 //! [`parse`] builds a [`JsonValue`] tree; the typed-trace import drives
 //! the same `Parser` member by member and passes over what it does not
-//! need with `Parser::skip_value`, which allocates nothing.
+//! need with `Parser::skip_value`, which allocates nothing and converts
+//! no number.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
