@@ -1,4 +1,5 @@
-//! Golden-digest pins for the exported trace.
+//! Golden-digest pins for the exported trace, and for the fabric's
+//! deterministic work counters over whole runs.
 //!
 //! The engine decomposition (DESIGN.md §11) promised that splitting
 //! `ClusterSim` into layers would be behaviour-preserving: the PS path
@@ -228,5 +229,44 @@ fn racked_trace_export_bytes_match_golden() {
         "racked trace export bytes moved (got fnv={:#018x} len={})",
         fnv(&doc),
         doc.len(),
+    );
+}
+
+/// The fabric's work counters over a whole run, in `NetStats` field
+/// order: reallocations, flows touched, water-fill rounds, links touched,
+/// peak in-flight flows.
+fn net_stats(cfg: ClusterConfig) -> [u64; 5] {
+    let r = ClusterSim::new(cfg).with_profiling().run();
+    let p = r.profile.expect("profiling was enabled");
+    [
+        "net/reallocations",
+        "net/flows_touched",
+        "net/waterfill_rounds",
+        "net/ports_touched",
+        "net/peak_in_flight",
+    ]
+    .map(|key| p.counter(key).unwrap_or_else(|| panic!("no counter {key}")))
+}
+
+/// [`net_stats`] of a Figure 7-shaped run: VGG-19 under P3 on 4 machines
+/// at 8 Gbps, one warm-up and one measured iteration, seed 42.
+const GOLDEN_FIG7_NET_STATS: [u64; 5] = [49_070, 1_518_023, 283_662, 1_396_079, 32];
+/// [`net_stats`] of [`racked_config`].
+const GOLDEN_RACKED_NET_STATS: [u64; 5] = [2_489, 48_837, 8_943, 59_344, 32];
+
+#[test]
+fn fabric_work_counts_match_golden() {
+    let fig7 = ClusterConfig::new(
+        ModelSpec::vgg19(),
+        SyncStrategy::p3(),
+        4,
+        Bandwidth::from_gbps(8.0),
+    )
+    .with_iters(1, 1)
+    .with_seed(42);
+    assert_eq!(
+        [net_stats(fig7), net_stats(racked_config())],
+        [GOLDEN_FIG7_NET_STATS, GOLDEN_RACKED_NET_STATS],
+        "fabric work counts moved",
     );
 }
