@@ -17,9 +17,10 @@
 //! fill only reads the caller's flows, so their order is the caller's.
 //! [`allocate_rates_on_graph`] is the one-shot form: it stable-sorts the
 //! flows by class and runs the same fill. The flat single-switch fabric is
-//! the endpoint-only graph. The test-only `oracle` module keeps the
-//! original two-port water-fill as a reference, and property tests pin the
-//! two bit-identical on endpoint-only graphs.
+//! the endpoint-only graph. The test-only `oracle` module keeps two
+//! references: the original two-port water-fill, which property tests pin
+//! bit-identical to the fill on endpoint-only graphs, and the fill's round
+//! loop as first written, pinned on flat and racked graphs alike.
 
 use crate::multilink::{LinkGraph, LinkId};
 use crate::types::Priority;
@@ -254,7 +255,7 @@ pub fn allocate_rates_in_class_order(
         rising,
     } = buf;
     res.clear();
-    res.extend_from_slice(caps);
+    res.extend(caps.iter().map(|&c| if c < FLOOR { 0.0 } else { c }));
     count.clear();
     count.resize(caps.len(), 0);
     rates.clear();
@@ -276,6 +277,14 @@ pub fn allocate_rates_in_class_order(
         fill.class(rising);
     }
 }
+
+/// Relative tolerance of the freeze test: a link is saturated once its
+/// residual is within this share of the largest residual in use.
+const EPS: f64 = 1e-9;
+/// Residual capacity below this (bytes/sec — one byte per ~12 days) is
+/// numerical noise left over from freezing a saturated link; treat it as
+/// zero so no flow is ever assigned an absurdly small positive rate.
+const FLOOR: f64 = 1e-6;
 
 /// One allocation's inputs and running state, borrowed from the caller's
 /// [`AllocBuffers`].
@@ -300,90 +309,115 @@ impl WaterFill<'_> {
     /// start at zero and each round raises them by the same `delta`. So the
     /// per-flow cap test and the rate raise are one comparison and one
     /// addition per round, and a member's rate is written when it freezes.
+    ///
+    /// The per-flow passes index each route directly: tx port, transit
+    /// hops (only when the graph has them), rx port. Each round makes two
+    /// passes over the links. The first takes the `delta` minimum, counts
+    /// the links touched and resets their counts. The second, after the
+    /// charge, clamps residuals below `FLOOR` to zero and takes the largest
+    /// as the freeze test's scale. The residuals are clamped when loaded
+    /// too, so every round starts on clamped residuals, as if it clamped
+    /// them itself.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the loop index k stays below n <= members.len()"
+        reason = "n <= members.len(); flow endpoints are asserted below the machine count, and every route link is below caps.len(), the length of res and count"
     )]
     fn class(&mut self, members: &mut [(usize, FlowSpec)]) {
-        const EPS: f64 = 1e-9;
-        /// Residual capacity below this (bytes/sec — one byte per ~12
-        /// days) is numerical noise left over from freezing a saturated
-        /// link; treat it as zero so no flow is ever assigned an absurdly
-        /// small positive rate.
-        const FLOOR: f64 = 1e-6;
         let graph = self.graph;
+        let transit = graph.has_transit();
+        let rx = graph.machines();
         let mut level = 0.0f64;
         // The flows still rising are `members[..n]`.
         let mut n = members.len();
         while n > 0 {
-            for (r, c) in self.res.iter_mut().zip(self.count.iter_mut()) {
-                if *r < FLOOR {
-                    *r = 0.0;
-                }
-                *c = 0;
-            }
             // Count active flows per link.
-            for (_, f) in members.iter().take(n) {
-                on_route(self.count, graph, f, |c| *c += 1);
+            let count = &mut *self.count;
+            for (_, f) in &members[..n] {
+                count[f.src] += 1;
+                if transit {
+                    for l in graph.transit(f.src, f.dst) {
+                        count[l.0] += 1;
+                    }
+                }
+                count[rx + f.dst] += 1;
             }
-            self.work.rounds += 1;
-            self.work.flow_touches += n as u64;
-            self.work.port_touches += self.count.iter().filter(|&&c| c > 0).count() as u64;
 
             // The common rate increment is limited by the tightest link, or
             // by the class reaching the per-flow ceiling.
             let mut delta = f64::INFINITY;
-            for (&r, &c) in self.res.iter().zip(self.count.iter()) {
-                if c > 0 {
-                    delta = delta.min(r / c as f64);
+            let mut touched = 0;
+            for (&r, c) in self.res.iter().zip(self.count.iter_mut()) {
+                if *c > 0 {
+                    touched += 1;
+                    delta = delta.min(r / *c as f64);
+                    *c = 0;
                 }
             }
+            self.work.rounds += 1;
+            self.work.flow_touches += n as u64;
+            self.work.port_touches += touched;
             delta = delta.min(self.flow_cap - level);
             debug_assert!(delta.is_finite(), "active flows but no limiting link");
             let delta = delta.max(0.0);
 
             // Raise the class by delta and charge every active route.
             level += delta;
-            for (_, f) in members.iter().take(n) {
-                on_route(self.res, graph, f, |r| *r -= delta);
+            let res = &mut *self.res;
+            for (_, f) in &members[..n] {
+                res[f.src] -= delta;
+                if transit {
+                    for l in graph.transit(f.src, f.dst) {
+                        res[l.0] -= delta;
+                    }
+                }
+                res[rx + f.dst] -= delta;
             }
-            for r in self.res.iter_mut() {
-                if *r < 0.0 {
+            // Capacity scale for the freeze test: the largest residual in
+            // use. Below FLOOR a residual is 0, overdrawn ones included.
+            let mut scale = 1.0f64;
+            for r in res.iter_mut() {
+                if *r < FLOOR {
                     *r = 0.0;
                 }
+                scale = scale.max(*r);
             }
 
             if level >= self.flow_cap * (1.0 - EPS) {
                 // The whole class froze at the per-flow cap, not on a link.
-                self.freeze_all(members.iter().take(n), level);
+                self.freeze_all(&members[..n], level);
                 return;
             }
             // Freeze flows crossing any saturated link, recording the first
             // one on the route (tx, transit hops, rx) as the bottleneck, and
-            // move the rest to the front in order. Capacity scale for the
-            // epsilon test: the largest residual in use.
-            let scale = self.res.iter().fold(1.0f64, |a, &b| a.max(b)).max(delta);
-            let thr = (EPS * scale).max(FLOOR);
+            // move the rest to the front in order.
+            let thr = (EPS * scale.max(delta)).max(FLOOR);
             let mut kept = 0;
             for k in 0..n {
                 let (slot, f) = members[k];
                 let res = &*self.res;
-                let hit = graph
-                    .route(f.src, f.dst)
-                    .find(|l| res.get(l.0).is_some_and(|&r| r <= thr));
-                match hit {
-                    Some(l) => self.freeze(slot, level, Some(l)),
-                    None => {
-                        members.swap(kept, k);
-                        kept += 1;
-                    }
+                let (tx_full, rx_full) = (res[f.src] <= thr, res[rx + f.dst] <= thr);
+                let hop = if transit {
+                    graph.transit(f.src, f.dst).iter().find(|l| res[l.0] <= thr)
+                } else {
+                    None
+                };
+                if tx_full || hop.is_some() || rx_full {
+                    let at = match hop {
+                        _ if tx_full => LinkId(f.src),
+                        Some(&l) => l,
+                        None => LinkId(rx + f.dst),
+                    };
+                    self.freeze(slot, level, Some(at));
+                } else {
+                    members[kept] = (slot, f);
+                    kept += 1;
                 }
             }
             // Progress guarantee: if nothing froze, every remaining link has
             // zero residual growth possible (e.g. zero-capacity links) —
             // terminate.
             if kept == n {
-                self.freeze_all(members.iter().take(n), level);
+                self.freeze_all(&members[..n], level);
                 return;
             }
             n = kept;
@@ -399,37 +433,137 @@ impl WaterFill<'_> {
     }
 
     /// Freezes flows that no link bounds at `rate`.
-    fn freeze_all<'m>(&mut self, flows: impl Iterator<Item = &'m (usize, FlowSpec)>, rate: f64) {
+    fn freeze_all(&mut self, flows: &[(usize, FlowSpec)], rate: f64) {
         for &(slot, _) in flows {
             self.freeze(slot, rate, None);
         }
     }
 }
 
-/// Applies `op` to the entry of `links` for every link on `f`'s route:
-/// tx port, transit hops, rx port. Cheaper than [`LinkGraph::route`] in the
-/// water-fill's per-round loops.
-fn on_route<T>(links: &mut [T], graph: &LinkGraph, f: &FlowSpec, mut op: impl FnMut(&mut T)) {
-    let mut apply = |l: usize| {
-        if let Some(x) = links.get_mut(l) {
-            op(x);
-        }
-    };
-    apply(f.src);
-    if graph.has_transit() {
-        for l in graph.transit(f.src, f.dst) {
-            apply(l.0);
-        }
-    }
-    apply(graph.machines() + f.dst);
-}
-
-/// The original flat water-fill over two ports per machine, kept as the
-/// reference the graph allocator is pinned bit-identical against.
+/// Reference allocators the graph water-fill is pinned bit-identical
+/// against: the original flat water-fill over two ports per machine, and
+/// the graph water-fill's round loop as first written.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{AllocWork, FlowSpec};
+    use super::{AllocWork, FlowSpec, GraphAllocation, WaterFill, EPS, FLOOR};
+    use crate::multilink::LinkGraph;
     use crate::types::Priority;
+
+    /// [`super::allocate_rates_in_class_order`]'s result on fresh buffers,
+    /// filled by the round loop as first written: each route walked
+    /// through `on_route` closures and the freeze test through the chained
+    /// [`LinkGraph::route`] iterator, one pass over the links per step.
+    pub(crate) fn graph_rates(
+        classes: &[(usize, FlowSpec)],
+        graph: &LinkGraph,
+        caps: &[f64],
+        flow_cap: f64,
+        work: &mut AllocWork,
+    ) -> GraphAllocation {
+        let mut res = caps.to_vec();
+        let mut count = vec![0; caps.len()];
+        let mut rates = vec![0.0; classes.len()];
+        let mut bottleneck = vec![None; classes.len()];
+        let mut fill = WaterFill {
+            graph,
+            flow_cap,
+            res: &mut res,
+            count: &mut count,
+            rates: &mut rates,
+            bottleneck: &mut bottleneck,
+            work,
+        };
+        for class in classes.chunk_by(|(_, a), (_, b)| a.priority == b.priority) {
+            fill.reference_class(&mut class.to_vec());
+        }
+        GraphAllocation { rates, bottleneck }
+    }
+
+    impl WaterFill<'_> {
+        /// [`WaterFill::class`] as first written.
+        fn reference_class(&mut self, members: &mut [(usize, FlowSpec)]) {
+            let graph = self.graph;
+            let mut level = 0.0f64;
+            let mut n = members.len();
+            while n > 0 {
+                for (r, c) in self.res.iter_mut().zip(self.count.iter_mut()) {
+                    if *r < FLOOR {
+                        *r = 0.0;
+                    }
+                    *c = 0;
+                }
+                for (_, f) in members.iter().take(n) {
+                    on_route(self.count, graph, f, |c| *c += 1);
+                }
+                self.work.rounds += 1;
+                self.work.flow_touches += n as u64;
+                self.work.port_touches += self.count.iter().filter(|&&c| c > 0).count() as u64;
+
+                let mut delta = f64::INFINITY;
+                for (&r, &c) in self.res.iter().zip(self.count.iter()) {
+                    if c > 0 {
+                        delta = delta.min(r / c as f64);
+                    }
+                }
+                delta = delta.min(self.flow_cap - level);
+                let delta = delta.max(0.0);
+
+                level += delta;
+                for (_, f) in members.iter().take(n) {
+                    on_route(self.res, graph, f, |r| *r -= delta);
+                }
+                for r in self.res.iter_mut() {
+                    if *r < 0.0 {
+                        *r = 0.0;
+                    }
+                }
+
+                if level >= self.flow_cap * (1.0 - EPS) {
+                    self.freeze_all(&members[..n], level);
+                    return;
+                }
+                let scale = self.res.iter().fold(1.0f64, |a, &b| a.max(b)).max(delta);
+                let thr = (EPS * scale).max(FLOOR);
+                let mut kept = 0;
+                for k in 0..n {
+                    let (slot, f) = members[k];
+                    let res = &*self.res;
+                    let hit = graph
+                        .route(f.src, f.dst)
+                        .find(|l| res.get(l.0).is_some_and(|&r| r <= thr));
+                    match hit {
+                        Some(l) => self.freeze(slot, level, Some(l)),
+                        None => {
+                            members.swap(kept, k);
+                            kept += 1;
+                        }
+                    }
+                }
+                if kept == n {
+                    self.freeze_all(&members[..n], level);
+                    return;
+                }
+                n = kept;
+            }
+        }
+    }
+
+    /// Applies `op` to the entry of `links` for every link on `f`'s route:
+    /// tx port, transit hops, rx port.
+    fn on_route<T>(links: &mut [T], graph: &LinkGraph, f: &FlowSpec, mut op: impl FnMut(&mut T)) {
+        let mut apply = |l: usize| {
+            if let Some(x) = links.get_mut(l) {
+                op(x);
+            }
+        };
+        apply(f.src);
+        if graph.has_transit() {
+            for l in graph.transit(f.src, f.dst) {
+                apply(l.0);
+            }
+        }
+        apply(graph.machines() + f.dst);
+    }
 
     /// Strict-priority max-min rates with machine `i`'s ports at
     /// `tx_cap[i]` / `rx_cap[i]` bytes/sec and every flow capped at

@@ -1,10 +1,11 @@
 //! Unit and property tests for [`allocate_rates_on_graph`] and
 //! [`allocate_rates_in_class_order`]: max-min and strict-priority
 //! behaviour on endpoint-only and racked graphs, the per-flow cap, the
-//! work counters, bit-identity with the flat two-port oracle, and
-//! independence from the order of flows within a class.
+//! work counters, bit-identity with the flat two-port oracle and with the
+//! round loop as first written, and independence from the order of flows
+//! within a class.
 
-use super::oracle::flat_rates;
+use super::oracle::{flat_rates, graph_rates};
 use super::*;
 
 fn flow(src: usize, dst: usize, p: u32) -> FlowSpec {
@@ -321,6 +322,41 @@ mod properties {
         g
     }
 
+    /// Six machines dealt into `racks` racks (`m % racks`), flat when
+    /// `racks == 1`. Each rack has an uplink and a downlink, and a cross-rack
+    /// route between machines of equal parity also crosses a shared core
+    /// link. Capacities are drawn from `caps` in link order (ports first).
+    fn uneven_racks(racks: usize, caps: &[f64]) -> LinkGraph {
+        let cap = |l: usize| caps[l % caps.len()];
+        let tx: Vec<f64> = (0..6).map(cap).collect();
+        let rx: Vec<f64> = (6..12).map(cap).collect();
+        let mut g = LinkGraph::with_ports(&tx, &rx);
+        if racks == 1 {
+            return g;
+        }
+        let ups: Vec<LinkId> = (0..racks)
+            .map(|r| g.add_link(&format!("rack{r}.up"), cap(g.num_links())))
+            .collect();
+        let downs: Vec<LinkId> = (0..racks)
+            .map(|r| g.add_link(&format!("rack{r}.down"), cap(g.num_links())))
+            .collect();
+        let core = g.add_link("core", cap(g.num_links()));
+        for src in 0..6 {
+            for dst in 0..6 {
+                let (a, b) = (src % racks, dst % racks);
+                if src == dst || a == b {
+                    continue;
+                }
+                if (src + dst) % 2 == 0 {
+                    g.set_transit(src, dst, &[ups[a], core, downs[b]]);
+                } else {
+                    g.set_transit(src, dst, &[ups[a], downs[b]]);
+                }
+            }
+        }
+        g
+    }
+
     /// The same six machines as a flat switch and as three racks of two
     /// behind an `oversub`-oversubscribed core.
     fn fabrics(nic: f64, oversub: f64) -> [LinkGraph; 2] {
@@ -419,6 +455,40 @@ mod properties {
                         prop_assert_eq!(work, want_work);
                     }
                 }
+            }
+        }
+
+        /// The round loop reproduces the loop as first written, bit for
+        /// bit and count for count, in reused buffers: flat and racked
+        /// graphs with routes of two and three transit hops, uneven
+        /// capacities with one link at zero or just either side of the
+        /// residual floor, up to four priority classes, the per-flow cap on
+        /// and off.
+        #[test]
+        fn round_loop_matches_the_reference_fill(
+            flows in arb_flows(6),
+            racks in 1usize..5,
+            caps in prop::collection::vec(1.0f64..1e10, 1..24),
+            tiny in 0usize..32,
+            tiny_cap in prop_oneof![Just(0.0), Just(4e-7), Just(3e-6)],
+            flow_cap in 1e6f64..1e10,
+        ) {
+            let g = uneven_racks(racks, &caps);
+            let mut caps = g.caps().to_vec();
+            if let Some(c) = caps.get_mut(tiny) {
+                *c = tiny_cap;
+            }
+            let mut buf = AllocBuffers::default();
+            for flow_cap in [f64::INFINITY, flow_cap] {
+                let classes = class_order(&flows, &[0; 24]);
+                let mut work = AllocWork::default();
+                allocate_rates_in_class_order(&classes, &g, &caps, flow_cap, &mut buf, &mut work);
+                let mut want_work = AllocWork::default();
+                let want = graph_rates(&classes, &g, &caps, flow_cap, &mut want_work);
+                prop_assert!(same_bits(buf.rates(), &want.rates),
+                    "{:?} vs {:?}", buf.rates(), want.rates);
+                prop_assert_eq!(buf.bottleneck(), &want.bottleneck[..]);
+                prop_assert_eq!(work, want_work);
             }
         }
 

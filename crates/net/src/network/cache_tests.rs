@@ -34,6 +34,51 @@ pub(super) fn assert_class_index(n: &Network) {
     assert_eq!(n.by_class.fingerprint(), fresh.fingerprint(), "{drift}");
 }
 
+/// [`Network::scan_next_event`] as first written: every draining flow's
+/// instant converted on its own, then the earliest taken.
+fn scan_per_flow(n: &Network) -> Option<SimTime> {
+    let mut best: Option<SimTime> = None;
+    for f in &n.flows {
+        if f.rate > 0.0 {
+            let secs = f.remaining / f.rate;
+            let ns = (secs * 1e9).ceil().max(0.0).min(u64::MAX as f64) as u64;
+            let t = n.last_update.saturating_add(SimDuration::from_nanos(ns));
+            best = Some(best.map_or(t, |b: SimTime| b.min(t)));
+        }
+    }
+    for d in &n.delivering {
+        best = Some(best.map_or(d.at, |b: SimTime| b.min(d.at)));
+    }
+    best
+}
+
+#[test]
+fn an_empty_fabric_has_no_next_event() {
+    let n = Network::new(NetworkConfig::new(2, Bandwidth::from_gbps(8.0)));
+    assert_eq!(n.scan_next_event(), None);
+    assert_eq!(scan_per_flow(&n), None);
+}
+
+#[test]
+fn a_flow_that_drains_after_infinity_still_has_an_event() {
+    let cfg = NetworkConfig::new(2, Bandwidth::from_gbps(8.0)).with_latency(SimDuration::ZERO);
+    let mut n = Network::new(cfg);
+    n.start_flow(
+        SimTime::ZERO,
+        MachineId(0),
+        MachineId(1),
+        1_000,
+        Priority(0),
+        0,
+    );
+    n.next_event_time();
+    let f = n.flows.first_mut().expect("the flow is in flight");
+    f.rate = f64::MIN_POSITIVE;
+    assert!((f.remaining / f.rate).is_infinite());
+    let end = Some(SimTime::MAX);
+    assert_eq!((n.scan_next_event(), scan_per_flow(&n)), (end, end));
+}
+
 /// A delivery as `(instant, tag, bottleneck)`.
 type Delivery = (SimTime, u64, Option<usize>);
 
@@ -237,8 +282,51 @@ mod properties {
                         }
                     }
                 }
-                prop_assert_eq!(n.next_event_time(), n.scan_next_event());
+                prop_assert_eq!(n.next_event_time(), scan_per_flow(&n));
             }
+        }
+
+        /// The single-conversion scan equals the per-flow scan on flows
+        /// placed directly: zero rates, quotients from 0 through a few
+        /// nanoseconds to past `u64::MAX` ns (infinite ones included), a
+        /// clock near the end of time where the add saturates, and pending
+        /// deliveries, any of them possibly absent.
+        #[test]
+        fn scan_matches_the_per_flow_scan(
+            flows in prop::collection::vec((0u8..4, 0.0f64..1.0, 0u8..4, 0.0f64..1.0), 0..10),
+            late in any::<bool>(),
+            last in 0u64..4_000_000,
+            deliveries in prop::collection::vec(any::<u64>(), 0..3),
+        ) {
+            let mut n = Network::new(NetworkConfig::new(4, Bandwidth::from_gbps(8.0)));
+            n.last_update = SimTime::from_nanos(if late { u64::MAX - last } else { last });
+            for (i, (bytes, x, speed, y)) in flows.into_iter().enumerate() {
+                let remaining = [0.0, x * 1e-3, x * 1e7, x * 1e30][bytes as usize];
+                let rate = [0.0, y * f64::MIN_POSITIVE, y * 1e10, 1e300][speed as usize];
+                n.flows.push(ActiveFlow {
+                    id: FlowId(i as u64),
+                    src: 0,
+                    dst: 1,
+                    priority: Priority(0),
+                    tag: 0,
+                    bytes: 1,
+                    remaining,
+                    rate,
+                    bottleneck: None,
+                });
+            }
+            for (i, at) in deliveries.into_iter().enumerate() {
+                let flow = CompletedFlow {
+                    id: FlowId(100 + i as u64),
+                    src: MachineId(0),
+                    dst: MachineId(1),
+                    tag: 0,
+                    bytes: 1,
+                    bottleneck: None,
+                };
+                n.delivering.push(Delivering { at: SimTime::from_nanos(at), flow });
+            }
+            prop_assert_eq!(n.scan_next_event(), scan_per_flow(&n));
         }
     }
 }

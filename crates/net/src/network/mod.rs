@@ -346,20 +346,32 @@ impl Network {
 
     /// [`Network::next_event_time`] computed afresh from every flow and
     /// pending delivery.
+    ///
+    /// A flow drains `remaining / rate` seconds after `last_update`, and
+    /// [`Network::drain_instant`] never decreases as that quotient grows,
+    /// so the earliest drain is the conversion of the smallest quotient:
+    /// one conversion per scan, not one per flow.
     fn scan_next_event(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
+        let mut draining = false;
+        let mut secs = f64::INFINITY;
         for f in &self.flows {
             if f.rate > 0.0 {
-                let secs = f.remaining / f.rate;
-                let ns = (secs * 1e9).ceil().max(0.0).min(u64::MAX as f64) as u64;
-                let t = self.last_update.saturating_add(SimDuration::from_nanos(ns));
-                best = Some(best.map_or(t, |b: SimTime| b.min(t)));
+                draining = true;
+                secs = secs.min(f.remaining / f.rate);
             }
         }
+        let mut best = draining.then(|| self.drain_instant(secs));
         for d in &self.delivering {
             best = Some(best.map_or(d.at, |b: SimTime| b.min(d.at)));
         }
         best
+    }
+
+    /// The instant `secs` seconds after `last_update`, rounded up to the
+    /// nanosecond and saturating at the end of time.
+    fn drain_instant(&self, secs: f64) -> SimTime {
+        let ns = (secs * 1e9).ceil().max(0.0).min(u64::MAX as f64) as u64;
+        self.last_update.saturating_add(SimDuration::from_nanos(ns))
     }
 
     /// Advances the fluid model to `now` and returns every transfer whose
