@@ -52,17 +52,13 @@ fn scan_per_flow(n: &Network) -> Option<SimTime> {
     best
 }
 
+/// An empty fabric has no next event, and a flow whose drain time
+/// overflows to infinity drains at the last instant.
 #[test]
-fn an_empty_fabric_has_no_next_event() {
-    let n = Network::new(NetworkConfig::new(2, Bandwidth::from_gbps(8.0)));
-    assert_eq!(n.scan_next_event(), None);
-    assert_eq!(scan_per_flow(&n), None);
-}
-
-#[test]
-fn a_flow_that_drains_after_infinity_still_has_an_event() {
+fn scan_of_an_empty_fabric_and_of_an_infinite_drain_time() {
     let cfg = NetworkConfig::new(2, Bandwidth::from_gbps(8.0)).with_latency(SimDuration::ZERO);
     let mut n = Network::new(cfg);
+    assert_eq!((n.scan_next_event(), scan_per_flow(&n)), (None, None));
     n.start_flow(
         SimTime::ZERO,
         MachineId(0),
