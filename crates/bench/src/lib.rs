@@ -264,7 +264,7 @@ pub fn run(figures: &[FigureDef], claims: &[Claim], scale: Scale) -> Report {
     let data = spirals(3, 6, 3000, 900, 77);
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let mut outcomes =
-        p3_tune::run_indexed(threads, jobs.len(), |i| jobs[i].execute(&data)).into_iter();
+        p3_cluster::run_indexed(threads, jobs.len(), |i| jobs[i].execute(&data)).into_iter();
     let mut text = String::new();
     let mut figs = Vec::new();
     for (def, mut lab) in figures.iter().zip(labs) {

@@ -4,9 +4,12 @@
 //! Flags are `--name value` pairs; a flag followed by another flag (or
 //! nothing) is a boolean switch. Bare tokens after the command are
 //! collected as positionals; commands that take none reject them at
-//! dispatch with [`ArgError::UnexpectedPositional`].
+//! dispatch with [`ArgError::UnexpectedPositional`]. Every flag read is
+//! recorded, so a command that has read all the flags it accepts can
+//! refuse the rest with [`Args::reject_unknown`].
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Parsed command line: the command word, positionals, and flag map.
@@ -15,6 +18,8 @@ pub struct Args {
     command: String,
     positionals: Vec<String>,
     flags: BTreeMap<String, String>,
+    /// Flag names the command has looked up so far.
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Argument errors, printable as user-facing messages.
@@ -24,6 +29,8 @@ pub enum ArgError {
     MissingCommand,
     /// A positional token appeared where a flag was expected.
     UnexpectedPositional(String),
+    /// A flag the command does not accept.
+    UnknownFlag(String),
     /// A required flag is absent.
     MissingFlag(&'static str),
     /// A flag's value failed to parse.
@@ -42,6 +49,7 @@ impl fmt::Display for ArgError {
         match self {
             ArgError::MissingCommand => write!(f, "no command given (try `p3 help`)"),
             ArgError::UnexpectedPositional(t) => write!(f, "unexpected argument `{t}`"),
+            ArgError::UnknownFlag(n) => write!(f, "unknown flag --{n} (try `p3 help`)"),
             ArgError::MissingFlag(n) => write!(f, "missing required flag --{n}"),
             ArgError::BadValue {
                 flag,
@@ -85,6 +93,7 @@ impl Args {
             command,
             positionals,
             flags,
+            read: RefCell::default(),
         })
     }
 
@@ -110,8 +119,24 @@ impl Args {
         }
     }
 
-    /// Raw flag value, if present.
+    /// Fails if a flag was given that the command never looked up — for
+    /// a command to call once it has read every flag it accepts.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::UnknownFlag`] naming the first such flag.
+    pub fn reject_unknown(&self) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        match self.flags.keys().find(|name| !read.contains(*name)) {
+            Some(name) => Err(ArgError::UnknownFlag(name.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Raw flag value, if present. Marks `name` as a flag the command
+    /// accepts.
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(name.to_string());
         self.flags.get(name).map(String::as_str)
     }
 
@@ -241,6 +266,19 @@ mod tests {
         assert!(ArgError::MissingFlag("model")
             .to_string()
             .contains("--model"));
+    }
+
+    #[test]
+    fn flags_never_read_are_unknown() {
+        let a = parse("simulate --model vgg19 --gpbs 25 --trace").unwrap();
+        let _ = a.get("model");
+        let _ = a.switch("trace");
+        assert_eq!(a.get_or("gbps", 10.0, "number").unwrap(), 10.0);
+        let err = a.reject_unknown().unwrap_err();
+        assert_eq!(err, ArgError::UnknownFlag("gpbs".into()));
+        assert_eq!(err.to_string(), "unknown flag --gpbs (try `p3 help`)");
+        let _ = a.get("gpbs");
+        assert!(a.reject_unknown().is_ok());
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl From<ArgError> for CliError {
 const MODEL_CHOICES: &str =
     "resnet50, inception_v3, vgg19, sockeye, resnet110, alexnet, transformer";
 
-pub(crate) fn model_by_name(name: &str) -> Result<ModelSpec, CliError> {
+fn model_by_name(name: &str) -> Result<ModelSpec, CliError> {
     match name {
         "resnet50" => Ok(ModelSpec::resnet50()),
         "inception_v3" | "inception" => Ok(ModelSpec::inception_v3()),
@@ -209,7 +209,7 @@ fn parse_fault_plan(args: &Args) -> Result<FaultPlan, CliError> {
 /// Parses the topology/placement flags shared by `simulate` and `sweep`:
 /// `--topology racks=R,size=S,oversub=F` and
 /// `--placement spread|packed|rack-local`.
-pub(crate) fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Placement), CliError> {
+fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Placement), CliError> {
     let topology = match args.get("topology") {
         None => None,
         Some(spec) => Some(
@@ -231,7 +231,7 @@ pub(crate) fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Pla
 /// Cluster size: derived from the topology when one is given, otherwise
 /// from `--machines` (defaulting to `default`). An explicit `--machines`
 /// that is zero or contradicts the topology is an error.
-pub(crate) fn resolve_machines(
+fn resolve_machines(
     args: &Args,
     topology: Option<&Topology>,
     default: usize,
@@ -264,12 +264,6 @@ fn positive_gbps(g: f64) -> Result<f64, CliError> {
     }
 }
 
-/// The list-valued `--gbps A,B,...` of `sweep` and `tune`.
-pub(crate) fn gbps_list(args: &Args, default: &[f64]) -> Result<Vec<f64>, CliError> {
-    let list = args.get_f64_list("gbps", default)?;
-    list.into_iter().map(positive_gbps).collect()
-}
-
 /// Executes a parsed command line and returns its printable output.
 ///
 /// # Errors
@@ -283,8 +277,14 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         args.reject_positionals()?;
     }
     match args.command() {
-        "help" | "-h" | "--help" => Ok(help()),
-        "models" => Ok(models_table()),
+        "help" | "-h" | "--help" => {
+            args.reject_unknown()?;
+            Ok(help())
+        }
+        "models" => {
+            args.reject_unknown()?;
+            Ok(models_table())
+        }
         "plan" => plan(args),
         "simulate" => simulate(args),
         "timeline" => timeline(args),
@@ -293,7 +293,6 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "audit" => audit(args),
         "bench" => crate::perf::bench(args),
         "compare" => crate::perf::compare(args),
-        "tune" => crate::tune::tune_cmd(args),
         "figures" => figures(args),
         other => Err(CliError::UnknownCommand(other.to_string())),
     }
@@ -320,18 +319,9 @@ COMMANDS:
                                            [fault flags] [topology flags]
                                            [iteration flags] [--out F] [--resume]
                                            [--jobs N]  parallel rows, deterministic order
-  tune        Search for the best config   [--models A,B] [--gbps 1,2] [--machines N]
-              per (model,bandwidth,fault)  [--faults none,loss,straggler,crash]
-              cell: grid + genetic, Pareto [--grid slice=..;policy=..;backend=..;
-              frontier over (iter time,     channels=..;placement=..]
-              wire bytes, p99 stall)       [--genetic-generations G] [--population P]
-                                           [--jobs N] [--seed S] [--warmup W]
-                                           [--screen-measure N] [--measure N]
-                                           [--out FILE]  write the TuneReport JSON
-                                           [--audit]  replay recommended configs
-                                           [topology flags: --topology only]
   train       Real data-parallel training  [--mode full|dgc|qsgd|terngrad|onebit|asgd]
                                            [--dataset spirals|blobs] [--epochs N]
+                                           [--workers N] [--lr R]
   audit       Check a trace file against   p3 audit FILE
               the invariant catalog        (FILE from `p3 simulate --trace-out`)
   bench       Benchmark the engine across  [--quick] [--machines A,B,...]
@@ -397,8 +387,10 @@ fn figures(args: &Args) -> Result<String, CliError> {
     } else {
         p3_bench::Scale::Full
     };
+    let only = args.get("only");
+    args.reject_unknown()?;
     let all = p3_bench::FIGURES;
-    let figures = match args.get("only") {
+    let figures = match only {
         None => all,
         Some(id) => match all.iter().position(|f| f.id == id) {
             Some(i) => &all[i..=i],
@@ -450,6 +442,10 @@ fn plan(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let strategy = strategy_by_name(args.get("strategy").unwrap_or("p3"))?;
     let servers: usize = args.get_or("servers", 4, "integer")?;
+    if servers == 0 {
+        return Err(bad_value("servers", "0", "positive integer"));
+    }
+    args.reject_unknown()?;
     let plan = strategy.plan(&model, servers, 0);
     let loads = plan.server_loads();
     let mut out = String::new();
@@ -520,6 +516,7 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     let snapshot_every: u64 = args.get_or("snapshot-every", 0, "integer")?;
     let snapshot_out = args.get("snapshot-out").map(str::to_string);
     let resume_from = args.get("resume-from").map(str::to_string);
+    args.reject_unknown()?;
     if snapshot_every > 0 && snapshot_out.is_none() {
         return Err(CliError::Args(ArgError::MissingFlag("snapshot-out")));
     }
@@ -714,6 +711,7 @@ fn timeline(args: &Args) -> Result<String, CliError> {
     if width == 0 {
         return Err(bad_value("width", "0", "positive integer"));
     }
+    args.reject_unknown()?;
     // Run one iteration past the rendered window so every span inside the
     // window has its end event on record (open spans are dropped).
     let cfg = ClusterConfig::new(model, strategy, machines, Bandwidth::from_gbps(gbps))
@@ -731,9 +729,11 @@ fn timeline(args: &Args) -> Result<String, CliError> {
 /// `p3 simulate --trace-out`; configuration-gated checks use the embedded
 /// metadata. Violations exit non-zero with the full report.
 fn audit(args: &Args) -> Result<String, CliError> {
+    let file = args.get("file");
+    args.reject_unknown()?;
     let path = match args.positionals() {
         [p] => p.as_str(),
-        [] => args.require("file")?,
+        [] => file.ok_or(ArgError::MissingFlag("file"))?,
         [_, extra, ..] => {
             return Err(CliError::Args(ArgError::UnexpectedPositional(
                 extra.clone(),
@@ -759,7 +759,11 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let (topology, placement) = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
-    let gbps = gbps_list(args, &[1.0, 2.0, 4.0, 8.0, 16.0])?;
+    let gbps: Vec<f64> = args
+        .get_f64_list("gbps", &[1.0, 2.0, 4.0, 8.0, 16.0])?
+        .into_iter()
+        .map(positive_gbps)
+        .collect::<Result<_, _>>()?;
     // A row is keyed by its printed bandwidth (the `--out` file's first
     // column), so two bandwidths that print alike would share one row.
     let key = |g: f64| format!("{g:.1}");
@@ -787,6 +791,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     if resume && out_path.is_none() {
         return Err(CliError::Args(ArgError::MissingFlag("out")));
     }
+    args.reject_unknown()?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -851,7 +856,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
             .copied()
             .filter(|&g| !done.iter().any(|(k, _)| *k == key(g)))
             .collect();
-        let computed = p3_tune::run_indexed(jobs, missing.len(), |i| row_line(missing[i]));
+        let computed = p3_cluster::run_indexed(jobs, missing.len(), |i| row_line(missing[i]));
         let mut fresh: Vec<(String, String)> =
             missing.iter().map(|&g| key(g)).zip(computed).collect();
         let mut reused = 0usize;
@@ -882,7 +887,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         }
         return Ok(out);
     }
-    for line in p3_tune::run_indexed(jobs, gbps.len(), |i| row_line(gbps[i])) {
+    for line in p3_cluster::run_indexed(jobs, gbps.len(), |i| row_line(gbps[i])) {
         let _ = writeln!(out, "{line}");
     }
     Ok(out)
@@ -894,7 +899,23 @@ fn train(args: &Args) -> Result<String, CliError> {
     cfg.workers = args.get_or("workers", 4, "integer")?;
     cfg.lr = args.get_or("lr", 0.1f32, "number")?;
     cfg.hidden = vec![48, 24];
-    let data = match args.get("dataset").unwrap_or("spirals") {
+    if epochs == 0 {
+        return Err(bad_value("epochs", "0", "positive integer"));
+    }
+    if cfg.workers == 0 {
+        return Err(bad_value("workers", "0", "positive integer"));
+    }
+    if !(cfg.lr > 0.0 && cfg.lr.is_finite()) {
+        return Err(bad_value(
+            "lr",
+            &cfg.lr.to_string(),
+            "positive, finite learning rate",
+        ));
+    }
+    let mode = args.get("mode").unwrap_or("full");
+    let dataset = args.get("dataset").unwrap_or("spirals");
+    args.reject_unknown()?;
+    let data = match dataset {
         "spirals" => spirals(3, 6, 2400, 600, 21),
         "blobs" => gaussian_blobs(4, 10, 2400, 600, 1.2, 21),
         other => {
@@ -905,7 +926,7 @@ fn train(args: &Args) -> Result<String, CliError> {
             })
         }
     };
-    let run = match args.get("mode").unwrap_or("full") {
+    let run = match mode {
         "full" | "p3" => train_sync(&data, &cfg, SyncMode::FullSync),
         "dgc" => train_sync(
             &data,
@@ -1395,5 +1416,151 @@ mod tests {
         let mdoc = std::fs::read_to_string(&metrics).unwrap();
         assert!(mdoc.contains("link_busy_rack0.up"), "{mdoc}");
         let _ = std::fs::remove_file(&metrics);
+    }
+
+    /// Asserts that `line` fails naming `flag` as unknown, before running
+    /// anything.
+    fn assert_unknown_flag(line: &str, flag: &str) {
+        let err = run(line).unwrap_err();
+        assert_eq!(
+            err,
+            CliError::Args(ArgError::UnknownFlag(flag.into())),
+            "{line}"
+        );
+        assert!(
+            err.to_string().contains(&format!("unknown flag --{flag}")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn help_rejects_unknown_flags() {
+        assert_unknown_flag("help --verbose", "verbose");
+    }
+
+    #[test]
+    fn models_rejects_unknown_flags() {
+        assert_unknown_flag("models --all", "all");
+    }
+
+    #[test]
+    fn plan_rejects_unknown_flags() {
+        assert_unknown_flag("plan --model vgg19 --sevrers 2", "sevrers");
+    }
+
+    #[test]
+    fn simulate_rejects_unknown_flags_before_writing() {
+        let trace = std::env::temp_dir().join(format!("p3_cli_gpbs_{}.json", std::process::id()));
+        assert_unknown_flag(
+            &format!(
+                "simulate --model resnet50 --machines 2 --iters 1 --gpbs 25 --trace-out {}",
+                trace.display()
+            ),
+            "gpbs",
+        );
+        assert!(!trace.exists(), "a rejected run must not write its trace");
+    }
+
+    #[test]
+    fn timeline_rejects_unknown_flags() {
+        assert_unknown_flag("timeline --model resnet50 --machines 2 --widht 40", "widht");
+    }
+
+    #[test]
+    fn sweep_rejects_unknown_flags_before_writing() {
+        let path =
+            std::env::temp_dir().join(format!("p3_cli_sweep_typo_{}.txt", std::process::id()));
+        assert_unknown_flag(
+            &format!(
+                "sweep --model resnet50 --machines 2 --gbps 16 --measure 1 --job 2 --out {}",
+                path.display()
+            ),
+            "job",
+        );
+        assert!(
+            !path.exists(),
+            "a rejected sweep must not write its --out file"
+        );
+    }
+
+    #[test]
+    fn train_rejects_unknown_flags() {
+        assert_unknown_flag("train --epochs 1 --wrokers 2", "wrokers");
+    }
+
+    #[test]
+    fn audit_rejects_unknown_flags() {
+        assert_unknown_flag("audit run.json --strict", "strict");
+    }
+
+    #[test]
+    fn figures_rejects_unknown_flags() {
+        assert_unknown_flag("figures --quick --onyl fig4", "onyl");
+    }
+
+    #[test]
+    fn plan_rejects_zero_servers() {
+        assert!(matches!(
+            run("plan --model vgg19 --servers 0"),
+            Err(CliError::Args(ArgError::BadValue { .. }))
+        ));
+    }
+
+    fn assert_train_rejects(bad: &str, flag: &str) {
+        let err = run(&format!("train --epochs 1 --workers 2 {bad}")).unwrap_err();
+        assert!(
+            matches!(err, CliError::Args(ArgError::BadValue { flag: ref f, .. }) if f == flag),
+            "{bad}: {err}"
+        );
+    }
+
+    #[test]
+    fn train_rejects_zero_workers() {
+        assert_train_rejects("--workers 0", "workers");
+    }
+
+    #[test]
+    fn train_rejects_zero_epochs() {
+        assert_train_rejects("--epochs 0", "epochs");
+    }
+
+    #[test]
+    fn train_rejects_zero_lr() {
+        assert_train_rejects("--lr 0", "lr");
+    }
+
+    #[test]
+    fn train_rejects_nan_lr() {
+        assert_train_rejects("--lr nan", "lr");
+    }
+
+    #[test]
+    fn simulate_rejects_an_overflowing_warmup() {
+        let err = run("simulate --model resnet50 --machines 2 --iters 1 \
+             --warmup 18446744073709551615")
+        .unwrap_err();
+        assert!(
+            matches!(err, CliError::Sim(ref why) if why.contains("overflows")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn sweep_output_does_not_depend_on_jobs() {
+        let path =
+            std::env::temp_dir().join(format!("p3_cli_sweep_jobs_{}.txt", std::process::id()));
+        let line = format!(
+            "sweep --model resnet50 --machines 2 --gbps 1,2,4 --measure 1 --out {}",
+            path.display()
+        );
+        let mut runs = Vec::new();
+        for jobs in [3, 1] {
+            let _ = std::fs::remove_file(&path);
+            let out = run(&format!("{line} --jobs {jobs}")).unwrap();
+            runs.push((out, std::fs::read_to_string(&path).unwrap()));
+        }
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0].1.lines().count(), 3, "{}", runs[0].1);
     }
 }

@@ -7,7 +7,6 @@
 //! p3 plan      --model vgg19 --strategy p3    # shard-plan statistics
 //! p3 simulate  --model vgg19 --strategy p3 --machines 4 --gbps 15
 //! p3 sweep     --model resnet50 --gbps 1,2,4,8
-//! p3 tune      --models resnet50 --gbps 5,10 --genetic-generations 2
 //! p3 simulate  --model vgg19 --backend ring --strategy p3 --slice-params 2000000
 //! p3 train     --mode dgc --epochs 20
 //! p3 figures   --quick                        # the paper's figures + claims
@@ -23,7 +22,6 @@
 mod args;
 mod commands;
 mod perf;
-mod tune;
 
 pub use args::{ArgError, Args};
 pub use commands::{dispatch, CliError};

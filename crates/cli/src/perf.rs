@@ -84,6 +84,8 @@ fn bench_point(backend: BackendKind, machines: usize) -> Option<BenchPoint> {
 /// count per backend, writes the measured [`BenchReport`] JSON, and prints
 /// the table.
 pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
+    let quick = args.switch("quick");
+    let out_path = args.get("out").unwrap_or(BENCH_OUT).to_string();
     let ladder: Vec<usize> = match args.get("machines") {
         Some(spec) => spec
             .split(',')
@@ -95,7 +97,7 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
                     .ok_or_else(|| bad_value("machines", spec, "comma-separated positive integers"))
             })
             .collect::<Result<_, _>>()?,
-        None if args.switch("quick") => QUICK_LADDER.to_vec(),
+        None if quick => QUICK_LADDER.to_vec(),
         None => FULL_LADDER.to_vec(),
     };
     // Points are keyed by (backend, machines), so a repeated rung would
@@ -109,8 +111,8 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
             ));
         }
     }
+    args.reject_unknown()?;
     let ladder = &ladder[..];
-    let out_path = args.get("out").unwrap_or(BENCH_OUT).to_string();
     let backends = [
         BackendKind::Ps,
         BackendKind::Ring,
@@ -173,6 +175,8 @@ pub(crate) fn compare(args: &Args) -> Result<String, CliError> {
             "fraction in [0, 1)",
         ));
     }
+    let subset = args.switch("subset");
+    args.reject_unknown()?;
     let read = |path: &str| -> Result<BenchReport, CliError> {
         let doc =
             std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
@@ -180,7 +184,7 @@ pub(crate) fn compare(args: &Args) -> Result<String, CliError> {
     };
     let baseline = read(base_path)?;
     let candidate = read(cand_path)?;
-    let cmp = if args.switch("subset") {
+    let cmp = if subset {
         compare_reports_subset(&baseline, &candidate, tolerance)
     } else {
         compare_reports(&baseline, &candidate, tolerance)
@@ -196,6 +200,7 @@ pub(crate) fn compare(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::ArgError;
     use crate::commands::dispatch;
 
     fn run(line: &str) -> Result<String, CliError> {
@@ -440,5 +445,26 @@ mod tests {
         assert!(run("compare a.json b.json c.json").is_err());
         let err = run("compare a.json b.json --tolerance 1.5").unwrap_err();
         assert!(err.to_string().contains("tolerance"), "{err}");
+    }
+
+    #[test]
+    fn bench_rejects_unknown_flags_before_writing() {
+        let out_file = tmp("typo.json");
+        let err = run(&format!(
+            "bench --machines 2 --qiuck --out {}",
+            out_file.display()
+        ))
+        .unwrap_err();
+        assert_eq!(err, CliError::Args(ArgError::UnknownFlag("qiuck".into())));
+        assert!(!out_file.exists());
+    }
+
+    #[test]
+    fn compare_rejects_unknown_flags() {
+        let err = run("compare a.json b.json --tolerence 0.2").unwrap_err();
+        assert_eq!(
+            err,
+            CliError::Args(ArgError::UnknownFlag("tolerence".into()))
+        );
     }
 }

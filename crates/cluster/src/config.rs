@@ -351,13 +351,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the number of parallel channels each collective transfer
-    /// is split into (validated when the run starts: must be at least one).
-    pub fn with_collective_channels(mut self, channels: usize) -> Self {
-        self.collective_channels = channels;
-        self
-    }
-
     /// Emits a rolling state-hash trace event every `every` simulator
     /// events (and enables the slice trace, which carries them). Two runs
     /// of the same configuration record identical hash streams; comparing

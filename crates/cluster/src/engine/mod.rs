@@ -356,8 +356,10 @@ impl ClusterSim {
     /// of the uninterrupted run's trace), so the inline audit is skipped:
     /// its invariants span the whole run and would see unpaired events.
     pub fn try_run_traced(mut self) -> Result<(RunResult, Option<TraceLog>), RunError> {
+        // Run to the end first: validation refuses an iteration count
+        // whose warmup + measure sum overflows.
+        self.run_until(u64::MAX)?;
         let target = self.cfg.warmup_iters + self.cfg.measure_iters;
-        self.run_until(target)?;
         self.finalize(target)
     }
 
@@ -371,8 +373,7 @@ impl ClusterSim {
     /// [`ClusterSim::try_run_traced`] gives the uninterrupted result, and
     /// a [`ClusterSim::snapshot`] taken here restores and finishes
     /// bit-identically. This is how runs are checkpointed (`p3 simulate
-    /// --snapshot-every`) and warm-started (`p3 tune` snapshots at the
-    /// warmup boundary).
+    /// --snapshot-every`).
     ///
     /// # Errors
     ///
@@ -469,47 +470,6 @@ impl ClusterSim {
         self.hash
     }
 
-    /// Rebases a restored run's measurement window to `measure_iters`
-    /// iterations past warmup — the second half of the search harness's
-    /// warm-start: a snapshot taken at the warmup boundary under a short
-    /// screening measurement can serve a longer confirmation run of the
-    /// same candidate, because no event before the snapshot depends on
-    /// the measurement target as long as no worker had reached it. That
-    /// precondition is what this method verifies: every live worker must
-    /// still be strictly below the *new* target with its measurement
-    /// window open. Call between [`ClusterSim::restore`] and
-    /// [`ClusterSim::try_run_traced`].
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::InvalidConfig`] when `measure_iters` is zero, or when
-    /// some worker already closed its measurement window (snapshot taken
-    /// too late) or already completed the rebased target (new window too
-    /// short), either of which would make the replayed prefix depend on
-    /// the old target.
-    pub fn extend_measurement(&mut self, measure_iters: u64) -> Result<(), RunError> {
-        if measure_iters == 0 {
-            return Err(RunError::InvalidConfig(
-                "cannot rebase measurement to zero iterations".into(),
-            ));
-        }
-        let new_target = self.cfg.warmup_iters + measure_iters;
-        for (i, w) in self.workers.iter().enumerate() {
-            if w.permanently_dead {
-                continue;
-            }
-            if w.measure_end.is_some() || w.completed >= new_target {
-                return Err(RunError::InvalidConfig(format!(
-                    "cannot rebase measurement to {measure_iters} iterations: worker {i} \
-                     already completed {} of them (snapshot taken too late for this window)",
-                    w.completed.saturating_sub(self.cfg.warmup_iters)
-                )));
-            }
-        }
-        self.cfg.measure_iters = measure_iters;
-        Ok(())
-    }
-
     /// Static configuration checks, run before the first event.
     fn validate(&self) -> Result<(), RunError> {
         if self.cfg.machines > MAX_MACHINES {
@@ -520,6 +480,17 @@ impl ClusterSim {
         }
         if let Some(why) = &self.config_error {
             return Err(RunError::InvalidConfig(why.clone()));
+        }
+        if self
+            .cfg
+            .warmup_iters
+            .checked_add(self.cfg.measure_iters)
+            .is_none()
+        {
+            return Err(RunError::InvalidConfig(format!(
+                "{} warmup + {} measured iterations overflows the iteration counter",
+                self.cfg.warmup_iters, self.cfg.measure_iters
+            )));
         }
         self.cfg
             .faults

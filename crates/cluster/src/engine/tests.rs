@@ -234,6 +234,21 @@ fn run_until_past_the_end_stops_there_and_perturbs_nothing() {
 }
 
 #[test]
+fn overflowing_iteration_counts_are_an_invalid_config() {
+    // warmup + measure wraps, so no worker could ever open its window.
+    let over = cfg(SyncStrategy::p3(), 8.0).with_iters(u64::MAX, 1);
+    let err = ClusterSim::new(over.clone()).try_run().unwrap_err();
+    assert!(
+        matches!(err, crate::RunError::InvalidConfig(ref why) if why.contains("overflows")),
+        "{err}"
+    );
+    assert!(
+        crate::throughput_of(over).is_nan(),
+        "a sweep gets a NaN row"
+    );
+}
+
+#[test]
 fn a_wake_flush_with_nothing_deferred_schedules_nothing() {
     // A restored engine flushes once without knowing whether the snapshot
     // left a wake query deferred; that is exact only if a flush with

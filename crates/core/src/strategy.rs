@@ -183,22 +183,6 @@ impl SyncStrategy {
         s
     }
 
-    /// P3 with an explicit slice size *and* priority assignment — the
-    /// point the `p3 tune` search harness enumerates. The name encodes
-    /// both dimensions so tuner tables stay self-describing.
-    pub fn p3_custom(max_slice: u64, priority_mode: PriorityMode) -> SyncStrategy {
-        let mut s = SyncStrategy::p3_with_slice_params(max_slice);
-        let policy = match priority_mode {
-            PriorityMode::Consumption => "consumption",
-            PriorityMode::Generation => "generation",
-            PriorityMode::Uniform => "uniform",
-            PriorityMode::Random { .. } => "random",
-        };
-        s.name = format!("P3-{}k-{policy}", max_slice / 1000);
-        s.priority_mode = priority_mode;
-        s
-    }
-
     /// TensorFlow-style synchronization (§2, Fig. 13): like the baseline
     /// but pulls wait for the next iteration's graph execution, so inbound
     /// and outbound transfers never overlap.

@@ -8,7 +8,7 @@
 //! `events_per_sec` are wall-clock and machine-dependent, so the differ
 //! only holds them to a tolerance band.
 
-use crate::doc::{Doc, Layout, ReportError};
+use crate::doc::{Doc, ReportError};
 
 /// Version stamp of the [`BenchReport`] JSON schema.
 pub const BENCH_FORMAT_VERSION: u64 = 1;
@@ -60,7 +60,7 @@ impl BenchReport {
     /// `from_json`.
     fn walk(d: &mut Doc<'_>, r: &mut BenchReport) -> Result<(), ReportError> {
         d.header(BENCH_FORMAT, BENCH_FORMAT_VERSION, &mut r.version)?;
-        d.list("points", Layout::Inline, &mut r.points, |d, p| {
+        d.list("points", &mut r.points, |d, p| {
             d.str("backend", &mut p.backend)?;
             d.u64("machines", &mut p.machines)?;
             d.u64("events", &mut p.events)?;

@@ -7,10 +7,9 @@
 //! member the writer emits and the reader rejects cannot exist, and every
 //! malformed input maps to a structured [`ReportError`], never a panic.
 //!
-//! Layout: the root and every [`Layout::Pretty`] object put one member
-//! per line, indented two spaces per level; a [`Layout::Inline`] object
-//! (and everything inside it) stays on one line. Inside a pretty object a
-//! list puts one element per line, and an empty list prints as `[]`.
+//! Layout: the root object puts one member per line, indented two spaces.
+//! A list puts one element per line, each element an object on one line,
+//! and an empty list prints as `[]`.
 
 use p3_trace::json::{escape, format_number, parse, JsonValue};
 use std::collections::BTreeMap;
@@ -51,15 +50,6 @@ impl fmt::Display for ReportError {
 
 impl std::error::Error for ReportError {}
 
-/// How a nested object prints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// One member per line.
-    Pretty,
-    /// All members on one line.
-    Inline,
-}
-
 type Res = Result<(), ReportError>;
 
 /// One direction of a report walk, positioned inside one JSON object.
@@ -71,9 +61,7 @@ type Res = Result<(), ReportError>;
 #[derive(Debug)]
 pub struct Doc<'a> {
     dir: Dir<'a>,
-    /// Nesting level of this object (the root is 0).
-    depth: usize,
-    /// Whether this object prints one member per line.
+    /// Whether this object prints one member per line (the root does).
     pretty: bool,
 }
 
@@ -93,33 +81,20 @@ fn bad(key: &str, what: &str) -> ReportError {
     ReportError::Schema(format!("member `{key}` is not {what}"))
 }
 
-fn indent(out: &mut String, level: usize) {
-    for _ in 0..level {
-        out.push_str("  ");
-    }
-}
-
 /// Prints one object whose members `body` names.
-fn print_object(
-    out: &mut String,
-    depth: usize,
-    pretty: bool,
-    body: impl FnOnce(&mut Doc<'_>) -> Res,
-) -> Res {
+fn print_object(out: &mut String, pretty: bool, body: impl FnOnce(&mut Doc<'_>) -> Res) -> Res {
     out.push('{');
     let mut d = Doc {
         dir: Dir::Write {
             out: &mut *out,
             members: 0,
         },
-        depth,
         pretty,
     };
     body(&mut d)?;
     let wrote = matches!(d.dir, Dir::Write { members, .. } if members > 0);
     if pretty && wrote {
         out.push('\n');
-        indent(out, depth);
     }
     out.push('}');
     Ok(())
@@ -133,7 +108,7 @@ impl<'a> Doc<'a> {
         let mut copy = report.clone();
         let mut out = String::new();
         // Printing has no failure path; only reading returns errors.
-        let _ = print_object(&mut out, 0, true, |d| walk(d, &mut copy));
+        let _ = print_object(&mut out, true, |d| walk(d, &mut copy));
         out.push('\n');
         out
     }
@@ -153,22 +128,15 @@ impl<'a> Doc<'a> {
             .as_object()
             .ok_or_else(|| ReportError::Schema("document root is not an object".into()))?;
         let mut value = T::default();
-        walk(&mut Doc::reading(map, 0), &mut value)?;
+        walk(&mut Doc::reading(map), &mut value)?;
         Ok(value)
     }
 
-    fn reading(map: &'a BTreeMap<String, JsonValue>, depth: usize) -> Doc<'a> {
+    fn reading(map: &'a BTreeMap<String, JsonValue>) -> Doc<'a> {
         Doc {
             dir: Dir::Read(map),
-            depth,
             pretty: false,
         }
-    }
-
-    /// A reader positioned in `value`, member `key`'s object.
-    fn child(value: &'a JsonValue, key: &str, depth: usize) -> Result<Doc<'a>, ReportError> {
-        let map = value.as_object().ok_or_else(|| bad(key, "an object"))?;
-        Ok(Doc::reading(map, depth))
     }
 
     /// Opens member `key`: prints its name, or finds its value.
@@ -179,8 +147,7 @@ impl<'a> Doc<'a> {
                     out.push(',');
                 }
                 if self.pretty {
-                    out.push('\n');
-                    indent(out, self.depth + 1);
+                    out.push_str("\n  ");
                 } else if *members > 0 {
                     out.push(' ');
                 }
@@ -253,17 +220,6 @@ impl<'a> Doc<'a> {
         Ok(())
     }
 
-    /// A boolean.
-    pub fn bool(&mut self, key: &str, v: &mut bool) -> Res {
-        match self.member(key)? {
-            Slot::Out(out) => {
-                let _ = write!(out, "{v}");
-            }
-            Slot::In(j) => *v = j.as_bool().ok_or_else(|| bad(key, "a boolean"))?,
-        }
-        Ok(())
-    }
-
     /// A 64-bit hash as a `"0x…"` string of 16 hex digits.
     pub fn hex(&mut self, key: &str, v: &mut u64) -> Res {
         match self.member(key)? {
@@ -283,54 +239,14 @@ impl<'a> Doc<'a> {
         Ok(())
     }
 
-    /// A nested object whose members `walk` names.
-    pub fn obj<T>(
-        &mut self,
-        key: &str,
-        layout: Layout,
-        v: &mut T,
-        walk: impl FnOnce(&mut Doc<'_>, &mut T) -> Res,
-    ) -> Res {
-        let (depth, pretty) = (self.depth + 1, self.pretty && layout == Layout::Pretty);
-        match self.member(key)? {
-            Slot::Out(out) => print_object(out, depth, pretty, |d| walk(d, v)),
-            Slot::In(j) => walk(&mut Doc::child(j, key, depth)?, v),
-        }
-    }
-
-    /// An object whose members `walk` names, or `null` for `None`.
-    pub fn opt<T: Default>(
-        &mut self,
-        key: &str,
-        layout: Layout,
-        v: &mut Option<T>,
-        walk: impl FnOnce(&mut Doc<'_>, &mut T) -> Res,
-    ) -> Res {
-        let (depth, pretty) = (self.depth + 1, self.pretty && layout == Layout::Pretty);
-        match self.member(key)? {
-            Slot::Out(out) => match v {
-                None => out.push_str("null"),
-                Some(t) => print_object(out, depth, pretty, |d| walk(d, t))?,
-            },
-            Slot::In(JsonValue::Null) => *v = None,
-            Slot::In(j) => {
-                let mut t = T::default();
-                walk(&mut Doc::child(j, key, depth)?, &mut t)?;
-                *v = Some(t);
-            }
-        }
-        Ok(())
-    }
-
     /// A list of objects, each of whose members `walk` names.
     pub fn list<T: Default>(
         &mut self,
         key: &str,
-        layout: Layout,
         v: &mut Vec<T>,
         mut walk: impl FnMut(&mut Doc<'_>, &mut T) -> Res,
     ) -> Res {
-        let (depth, pretty) = (self.depth + 1, self.pretty);
+        let pretty = self.pretty;
         match self.member(key)? {
             Slot::Out(out) => {
                 out.push('[');
@@ -339,17 +255,14 @@ impl<'a> Doc<'a> {
                         out.push(',');
                     }
                     if pretty {
-                        out.push('\n');
-                        indent(out, depth + 1);
+                        out.push_str("\n    ");
                     } else if i > 0 {
                         out.push(' ');
                     }
-                    let item_pretty = pretty && layout == Layout::Pretty;
-                    print_object(out, depth + 1, item_pretty, |d| walk(d, item))?;
+                    print_object(out, false, |d| walk(d, item))?;
                 }
                 if pretty && !v.is_empty() {
-                    out.push('\n');
-                    indent(out, depth);
+                    out.push_str("\n  ");
                 }
                 out.push(']');
             }
@@ -357,8 +270,9 @@ impl<'a> Doc<'a> {
                 let items = j.as_array().ok_or_else(|| bad(key, "an array"))?;
                 v.clear();
                 for item in items {
+                    let map = item.as_object().ok_or_else(|| bad(key, "an object"))?;
                     let mut t = T::default();
-                    walk(&mut Doc::child(item, key, depth + 1)?, &mut t)?;
+                    walk(&mut Doc::reading(map), &mut t)?;
                     v.push(t);
                 }
             }
@@ -374,61 +288,57 @@ mod tests {
     #[derive(Debug, Clone, Default, PartialEq)]
     struct Inner {
         n: u64,
-        on: bool,
+        x: f64,
     }
 
     #[derive(Debug, Clone, Default, PartialEq)]
     struct Outer {
         version: u64,
         name: String,
-        inner: Inner,
+        hash: u64,
         items: Vec<Inner>,
-        maybe: Option<Inner>,
     }
 
     fn inner(d: &mut Doc<'_>, i: &mut Inner) -> Res {
         d.u64("n", &mut i.n)?;
-        d.bool("on", &mut i.on)
+        d.f64("x", &mut i.x)
     }
 
     fn outer(d: &mut Doc<'_>, o: &mut Outer) -> Res {
         d.header("t", 3, &mut o.version)?;
         d.str("name", &mut o.name)?;
-        d.obj("inner", Layout::Pretty, &mut o.inner, inner)?;
-        d.list("items", Layout::Pretty, &mut o.items, inner)?;
-        d.opt("maybe", Layout::Inline, &mut o.maybe, inner)
+        d.hex("hash", &mut o.hash)?;
+        d.list("items", &mut o.items, inner)
     }
 
     #[test]
-    fn pretty_and_inline_layouts_nest() {
+    fn root_is_pretty_and_list_items_are_inline() {
         let o = Outer {
             version: 3,
             name: "a\"b".into(),
-            inner: Inner { n: 1, on: true },
-            items: vec![Inner { n: 2, on: false }],
-            maybe: Some(Inner { n: 4, on: true }),
+            hash: 0xbeef,
+            items: vec![Inner { n: 2, x: 0.5 }, Inner { n: 4, x: 1.0 }],
         };
         let text = Doc::write(&o, outer);
         assert_eq!(
             text,
             "{\n  \"format\": \"t\",\n  \"version\": 3,\n  \"name\": \"a\\\"b\",\n  \
-             \"inner\": {\n    \"n\": 1,\n    \"on\": true\n  },\n  \"items\": [\n    \
-             {\n      \"n\": 2,\n      \"on\": false\n    }\n  ],\n  \
-             \"maybe\": {\"n\": 4, \"on\": true}\n}\n"
+             \"hash\": \"0x000000000000beef\",\n  \"items\": [\n    \
+             {\"n\": 2, \"x\": 0.5},\n    {\"n\": 4, \"x\": 1}\n  ]\n}\n"
         );
         assert_eq!(Doc::read(&text, outer), Ok(o));
     }
 
     #[test]
     fn read_errors_name_the_member() {
-        let doc = r#"{"format": "t", "version": 3, "name": "x", "inner": {"n": -1, "on": true}}"#;
+        let doc = r#"{"format": "t", "version": 3, "name": "x", "hash": "0x1",
+                      "items": [{"n": -1, "x": 0}]}"#;
         let err = Doc::read(doc, outer).unwrap_err();
         assert!(
             matches!(err, ReportError::Schema(ref s) if s.contains("`n`")),
             "{err}"
         );
-        let doc = r#"{"format": "t", "version": 3, "name": "x", "inner": {"n": 1, "on": true},
-                      "items": [7], "maybe": null}"#;
+        let doc = r#"{"format": "t", "version": 3, "name": "x", "hash": "0x1", "items": [7]}"#;
         let err = Doc::read(doc, outer).unwrap_err();
         assert!(
             matches!(err, ReportError::Schema(ref s) if s.contains("items")),

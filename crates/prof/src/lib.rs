@@ -27,9 +27,9 @@
 //!   which holds deterministic fields (event counts, digests) to exact
 //!   equality and wall-clock throughput to a tolerance band.
 //!
-//! Every versioned report, the tuner's `TuneReport` included, names its
-//! members once in a walk over a [`Doc`], which both prints and parses
-//! it, so a member the writer emits and the reader rejects cannot exist.
+//! Every versioned report names its members once in a walk over a
+//! [`Doc`], which both prints and parses it, so a member the writer emits
+//! and the reader rejects cannot exist.
 
 mod bench;
 mod compare;
@@ -38,7 +38,7 @@ mod report;
 
 pub use bench::{BenchPoint, BenchReport, BENCH_FORMAT_VERSION};
 pub use compare::{compare_reports, compare_reports_subset, Comparison};
-pub use doc::{Doc, Layout, ReportError};
+pub use doc::{Doc, ReportError};
 pub use report::{CounterEntry, ProfileReport, TimerEntry, PROFILE_FORMAT_VERSION};
 
 use std::collections::BTreeMap;

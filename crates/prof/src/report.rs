@@ -2,7 +2,7 @@
 //! `p3 simulate --profile-out`, parsed back for tests and tooling. One
 //! member list ([`crate::Doc`]) both writes and reads it.
 
-use crate::doc::{Doc, Layout, ReportError};
+use crate::doc::{Doc, ReportError};
 
 /// Version stamp of the [`ProfileReport`] JSON schema.
 pub const PROFILE_FORMAT_VERSION: u64 = 1;
@@ -62,12 +62,12 @@ impl ProfileReport {
         d.u64("events", &mut r.events)?;
         d.f64("events_per_sec", &mut r.events_per_sec)?;
         d.f64("sim_rate", &mut r.sim_rate)?;
-        d.list("timers", Layout::Inline, &mut r.timers, |d, t| {
+        d.list("timers", &mut r.timers, |d, t| {
             d.str("key", &mut t.key)?;
             d.u64("calls", &mut t.calls)?;
             d.f64("seconds", &mut t.seconds)
         })?;
-        d.list("counters", Layout::Inline, &mut r.counters, |d, c| {
+        d.list("counters", &mut r.counters, |d, c| {
             d.str("key", &mut c.key)?;
             d.u64("value", &mut c.value)
         })

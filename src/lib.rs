@@ -25,7 +25,6 @@
 //! | [`train`] | `p3-train` | real synchronous / DGC / ASGD training |
 //! | [`allreduce`] | `p3-allreduce` | ring / halving–doubling allreduce step schedules |
 //! | [`prof`] | `p3-prof` | simulator self-profiling and perf-regression reports |
-//! | [`tune`] | `p3-tune` | deterministic grid + genetic config search, Pareto frontier |
 //!
 //! # Quick start
 //!
@@ -63,4 +62,3 @@ pub use p3_tensor as tensor;
 pub use p3_topo as topo;
 pub use p3_trace as trace;
 pub use p3_train as train;
-pub use p3_tune as tune;

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 const MAX_FILE_LINES: usize = 800;
 
 /// The crates that can influence a simulated result.
-const SIM_CRATES: [&str; 13] = [
+const SIM_CRATES: [&str; 12] = [
     "des",
     "core",
     "net",
@@ -20,7 +20,6 @@ const SIM_CRATES: [&str; 13] = [
     "compress",
     "audit",
     "prof",
-    "tune",
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
