@@ -25,21 +25,28 @@ use std::fmt::Write as _;
 /// `p3 compare` gates CI against.
 const BENCH_OUT: &str = "BENCH_simulate.json";
 
-/// Cluster sizes of the full ladder. All powers of two so every backend
-/// (halving–doubling included) accepts every rung. The engine's membership
-/// mask allows 128, but the PS backend's per-reallocation water-fill is
-/// quadratic in concurrent flows (the ROADMAP's incremental-allocator
-/// item), which puts a 128-machine PS run north of 40 minutes — the ladder
-/// stops at 64 until that lands. The trajectory below 64 already records
-/// the blow-up the fix must flatten.
-const FULL_LADDER: &[usize] = &[16, 32, 64];
+/// Cluster sizes of the full ladder, per backend. All powers of two so
+/// every backend (halving–doubling included) accepts every rung. The
+/// collectives go to 128 machines. The PS backend stops at 64: its
+/// per-reallocation water-fill is quadratic in concurrent flows (the
+/// ROADMAP's window and class items), which puts a 128-machine PS run
+/// north of 40 minutes. The trajectory below 64 already records the
+/// blow-up a fix must flatten.
+fn full_ladder(backend: BackendKind) -> &'static [usize] {
+    if backend.is_collective() {
+        &[16, 32, 64, 128]
+    } else {
+        &[16, 32, 64]
+    }
+}
 
 /// The `--quick` ladder: small enough for a CI smoke job.
 const QUICK_LADDER: &[usize] = &[16, 32];
 
 /// One benchmark run: a fixed, seed-pinned configuration so the
 /// deterministic fields of the resulting point are reproducible on any
-/// machine. Returns `None` when the configuration fails to run.
+/// machine. The run is timed unprofiled, so events/sec is the engine's
+/// own speed. Returns `None` when the configuration fails to run.
 #[expect(
     clippy::disallowed_methods,
     reason = "the wall time is the measured quantity of a bench point and never reaches the simulation"
@@ -61,7 +68,7 @@ fn bench_point(backend: BackendKind, machines: usize) -> Option<BenchPoint> {
     .with_seed(42)
     .with_backend(backend);
     let started = std::time::Instant::now();
-    let r = ClusterSim::new(cfg).with_profiling().try_run().ok()?;
+    let r = ClusterSim::new(cfg).try_run().ok()?;
     let wall = started.elapsed().as_secs_f64();
     Some(BenchPoint {
         backend: backend.name().to_string(),
@@ -86,24 +93,29 @@ fn bench_point(backend: BackendKind, machines: usize) -> Option<BenchPoint> {
 pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
     let quick = args.switch("quick");
     let out_path = args.get("out").unwrap_or(BENCH_OUT).to_string();
-    let ladder: Vec<usize> = match args.get("machines") {
-        Some(spec) => spec
-            .split(',')
-            .map(|tok| {
-                tok.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| bad_value("machines", spec, "comma-separated positive integers"))
-            })
-            .collect::<Result<_, _>>()?,
-        None if quick => QUICK_LADDER.to_vec(),
-        None => FULL_LADDER.to_vec(),
+    // `None`: each backend's full ladder.
+    let ladder: Option<Vec<usize>> = match args.get("machines") {
+        Some(spec) => Some(
+            spec.split(',')
+                .map(|tok| {
+                    tok.trim()
+                        .parse::<usize>()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| {
+                            bad_value("machines", spec, "comma-separated positive integers")
+                        })
+                })
+                .collect::<Result<_, _>>()?,
+        ),
+        None if quick => Some(QUICK_LADDER.to_vec()),
+        None => None,
     };
     // Points are keyed by (backend, machines), so a repeated rung would
     // write a report that no reader accepts.
-    for (i, &m) in ladder.iter().enumerate() {
-        if ladder[..i].contains(&m) {
+    let given = ladder.as_deref().unwrap_or_default();
+    for (i, &m) in given.iter().enumerate() {
+        if given[..i].contains(&m) {
             return Err(bad_value(
                 "machines",
                 &m.to_string(),
@@ -112,7 +124,6 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
         }
     }
     args.reject_unknown()?;
-    let ladder = &ladder[..];
     let backends = [
         BackendKind::Ps,
         BackendKind::Ring,
@@ -126,7 +137,7 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
     );
     let mut points = Vec::new();
     for &backend in &backends {
-        for &machines in ladder {
+        for &machines in ladder.as_deref().unwrap_or(full_ladder(backend)) {
             let Some(p) = bench_point(backend, machines) else {
                 return Err(CliError::Sim(format!(
                     "bench point {} @ {machines} machines failed to run",

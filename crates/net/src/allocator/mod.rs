@@ -179,13 +179,14 @@ pub fn allocate_rates_on_graph(
 /// The water-fill of [`allocate_rates_on_graph`], for flows the caller
 /// keeps grouped by class, in caller-owned buffers.
 ///
-/// `classes` lists every flow as `(slot, spec)`, grouped by priority with
-/// the most urgent class first; the slots are a permutation of
-/// `0..classes.len()`. The order within a class changes no result bit and
-/// no work count: every rising flow of a class takes the same increment
-/// each round, and each link is charged once per flow crossing it in any
-/// order. The fill copies each class into [`AllocBuffers`] and works on
-/// the copy, so `classes` is only read. Each flow's rate and bottleneck
+/// `classes` lists every flow as `(slot, spec)`, or as any entry that
+/// converts to one (the fabric passes its class index's packed entries),
+/// grouped by priority with the most urgent class first; the slots are a
+/// permutation of `0..classes.len()`. The order within a class changes no
+/// result bit and no work count: every rising flow of a class takes the
+/// same increment each round, and each link is charged once per flow
+/// crossing it in any order. The fill copies each class into
+/// [`AllocBuffers`] and works on the copy, so `classes` is only read. Each flow's rate and bottleneck
 /// land at its slot in [`AllocBuffers::rates`] and
 /// [`AllocBuffers::bottleneck`].
 /// `caps`, `flow_cap` and `work` are as for [`allocate_rates_on_graph`].
@@ -216,8 +217,8 @@ pub fn allocate_rates_on_graph(
 /// assert_eq!(buf.rates(), &[70.0, 30.0]);
 /// assert_eq!(buf.bottleneck(), &[Some(g.tx_link(0)), Some(g.rx_link(2))]);
 /// ```
-pub fn allocate_rates_in_class_order(
-    classes: &[(usize, FlowSpec)],
+pub fn allocate_rates_in_class_order<E: Copy + Into<(usize, FlowSpec)>>(
+    classes: &[E],
     graph: &LinkGraph,
     caps: &[f64],
     flow_cap: f64,
@@ -231,7 +232,9 @@ pub fn allocate_rates_in_class_order(
     );
     assert!(flow_cap > 0.0, "non-positive flow cap");
     let machines = graph.machines();
-    for &(slot, f) in classes.iter() {
+    let priority = |&e: &E| e.into().1.priority;
+    for &e in classes.iter() {
+        let (slot, f) = e.into();
         assert!(slot < classes.len(), "slot {slot} out of range");
         assert!(
             f.src < machines && f.dst < machines,
@@ -243,7 +246,7 @@ pub fn allocate_rates_in_class_order(
         );
     }
     assert!(
-        classes.is_sorted_by_key(|(_, f)| f.priority),
+        classes.is_sorted_by_key(priority),
         "flows not grouped by priority, most urgent first"
     );
 
@@ -271,9 +274,9 @@ pub fn allocate_rates_in_class_order(
         bottleneck,
         work,
     };
-    for class in classes.chunk_by(|(_, a), (_, b)| a.priority == b.priority) {
+    for class in classes.chunk_by(|a, b| priority(a) == priority(b)) {
         rising.clear();
-        rising.extend_from_slice(class);
+        rising.extend(class.iter().map(|&e| e.into()));
         fill.class(rising);
     }
 }

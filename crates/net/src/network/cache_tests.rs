@@ -13,7 +13,7 @@ use crate::types::Bandwidth;
 /// afresh from the flows would have.
 pub(super) fn assert_class_index(n: &Network) {
     let entries = n.by_class.entries();
-    for &(slot, spec) in entries {
+    for &(slot, spec) in &entries {
         let flow = n.flows.get(slot).map(ActiveFlow::spec);
         assert_eq!(flow, Some(spec), "stale entry for slot {slot}");
     }
@@ -29,7 +29,7 @@ pub(super) fn assert_class_index(n: &Network) {
     );
     let fresh = memo::ClassIndex::build(n.flows.iter().map(ActiveFlow::spec));
     let specs = |e: &[(usize, FlowSpec)]| e.iter().map(|&(_, f)| f).collect::<Vec<_>>();
-    assert_eq!(specs(entries), specs(fresh.entries()));
+    assert_eq!(specs(&entries), specs(&fresh.entries()));
     let drift = "fingerprint drifted from the flow set";
     assert_eq!(n.by_class.fingerprint(), fresh.fingerprint(), "{drift}");
 }
@@ -131,10 +131,8 @@ fn restore_rebuilds_capacities_and_class_index() {
     let victim = a.flows.first().expect("flows in flight").id;
     assert!(a.cancel_flow(t, victim));
     assert_class_index(&a);
-    let classes = a
-        .by_class
-        .entries()
-        .chunk_by(|(_, x), (_, y)| x.priority == y.priority);
+    let entries = a.by_class.entries();
+    let classes = entries.chunk_by(|(_, x), (_, y)| x.priority == y.priority);
     assert!(classes.count() >= 3, "fewer than three classes in flight");
 
     let mut b = Network::new(cfg);

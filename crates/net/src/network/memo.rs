@@ -1,12 +1,15 @@
 //! The fabric's class index and its memo of allocations.
 //!
-//! [`ClassIndex`] lists every in-flight flow as `(slot in flows, spec)` in
-//! canonical order: by priority, most urgent first, then by source, then
-//! by destination. Two fabrics that hold the same multiset of flows hold
-//! the same sequence of specs, in whatever order the flows arrived. The
-//! index also keeps an order-free fingerprint of that multiset (a wrapping
-//! sum of one 64-bit mix per flow), updated in O(1) on every insert and
-//! removal.
+//! [`ClassIndex`] lists every in-flight flow as a [`Member`]: a packed
+//! integer key of its spec next to its slot in the fabric's flow list. The
+//! key orders flows canonically: by priority, most urgent first, then by
+//! source, then by destination. The members are kept in the keys' numeric
+//! order, so two fabrics that hold the same multiset of flows hold the same
+//! sequence of keys, in whatever order the flows arrived. An insert is a
+//! binary search and one memmove; a removal finds the slot and renumbers
+//! the flow that moved into it. The index also keeps an order-free
+//! fingerprint of the multiset (a wrapping sum of one 64-bit mix per
+//! flow), updated in O(1) on every insert and removal.
 //!
 //! [`Memo`] remembers what the water-fill returned for a flow set under
 //! one capacity epoch: each flow's rate and bottleneck in index order, and
@@ -41,31 +44,79 @@ const SEEN: usize = 2048;
 /// they are the parameter server's broadcast fan-out.
 const MAX_SET: usize = 256;
 
+/// Bits of a machine index in a [`Member`] key. Wide enough for any
+/// machine count a fabric can hold: the fabric keeps per-machine tables.
+const MACHINE_BITS: u32 = 48;
+
+/// One indexed flow: its packed spec and its slot in the fabric's flows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Member {
+    /// The priority in the top 32 bits, then the source and the
+    /// destination in [`MACHINE_BITS`] each, so numeric order is
+    /// canonical order.
+    key: u128,
+    slot: usize,
+}
+
+impl Member {
+    fn new(slot: usize, f: &FlowSpec) -> Self {
+        debug_assert!(
+            (f.src | f.dst) as u64 >> MACHINE_BITS == 0,
+            "machine index of {f:?} too wide for a class key"
+        );
+        let key = u128::from(f.priority.0) << (2 * MACHINE_BITS)
+            | (f.src as u128) << MACHINE_BITS
+            | f.dst as u128;
+        Member { key, slot }
+    }
+
+    fn spec(self) -> FlowSpec {
+        let machine = |k: u128| (k as u64 & ((1 << MACHINE_BITS) - 1)) as usize;
+        FlowSpec {
+            src: machine(self.key >> MACHINE_BITS),
+            dst: machine(self.key),
+            priority: Priority((self.key >> (2 * MACHINE_BITS)) as u32),
+        }
+    }
+}
+
+impl From<Member> for (usize, FlowSpec) {
+    fn from(m: Member) -> Self {
+        (m.slot, m.spec())
+    }
+}
+
 /// The fabric's flows in canonical order, with the multiset's fingerprint.
 #[derive(Debug, Clone, Default)]
 pub(super) struct ClassIndex {
-    entries: Vec<(usize, FlowSpec)>,
+    members: Vec<Member>,
     fingerprint: u64,
 }
 
 impl ClassIndex {
     /// Indexes `flows`, the fabric's flow list in slot order.
     pub(super) fn build(flows: impl Iterator<Item = FlowSpec>) -> Self {
-        let mut entries: Vec<(usize, FlowSpec)> = flows.enumerate().collect();
-        entries.sort_by_key(|(_, f)| canonical(f));
-        let fingerprint = entries
+        let mut members: Vec<Member> = flows.enumerate().map(|(s, f)| Member::new(s, &f)).collect();
+        members.sort_by_key(|m| m.key);
+        let fingerprint = members
             .iter()
-            .fold(0u64, |sum, (_, f)| sum.wrapping_add(mix(f)));
+            .fold(0u64, |sum, m| sum.wrapping_add(mix(m.key)));
         ClassIndex {
-            entries,
+            members,
             fingerprint,
         }
     }
 
-    /// Every flow as `(slot, spec)` in canonical order: the allocator's
-    /// input, already grouped by class.
-    pub(super) fn entries(&self) -> &[(usize, FlowSpec)] {
-        &self.entries
+    /// Every flow in canonical order: the allocator's input, already
+    /// grouped by class.
+    pub(super) fn members(&self) -> &[Member] {
+        &self.members
+    }
+
+    /// Every flow as `(slot, spec)` in canonical order.
+    #[cfg(test)]
+    pub(super) fn entries(&self) -> Vec<(usize, FlowSpec)> {
+        self.members.iter().map(|&m| m.into()).collect()
     }
 
     /// The order-free fingerprint of the indexed flow multiset.
@@ -74,43 +125,43 @@ impl ClassIndex {
         self.fingerprint
     }
 
-    /// Adds the flow at `slot`, after every flow whose canonical key is not
-    /// greater.
+    /// Adds the flow at `slot`, after every flow whose key is not greater.
     pub(super) fn insert(&mut self, slot: usize, spec: FlowSpec) {
-        let key = canonical(&spec);
-        let at = self.entries.partition_point(|(_, f)| canonical(f) <= key);
-        self.entries.insert(at, (slot, spec));
-        self.fingerprint = self.fingerprint.wrapping_add(mix(&spec));
+        let m = Member::new(slot, &spec);
+        let at = self.members.partition_point(|e| e.key <= m.key);
+        self.members.insert(at, m);
+        self.fingerprint = self.fingerprint.wrapping_add(mix(m.key));
     }
 
     /// Removes slot `slot` after `flows.swap_remove(slot)`, renumbering
     /// the flow that moved into it from slot `moved`, the old last slot.
     pub(super) fn remove(&mut self, slot: usize, moved: usize) {
-        let mut gone = 0u64;
-        self.entries.retain_mut(|(s, f)| {
-            if *s == slot {
-                gone = mix(f);
-                return false;
+        let mut at = None;
+        let mut renumbered = moved == slot;
+        for (i, m) in self.members.iter_mut().enumerate() {
+            if m.slot == slot {
+                at = Some(i);
+            } else if m.slot == moved {
+                m.slot = slot;
+                renumbered = true;
+            } else {
+                continue;
             }
-            if *s == moved {
-                *s = slot;
+            if at.is_some() && renumbered {
+                break;
             }
-            true
-        });
-        self.fingerprint = self.fingerprint.wrapping_sub(gone);
+        }
+        if let Some(at) = at {
+            let gone = self.members.remove(at);
+            self.fingerprint = self.fingerprint.wrapping_sub(mix(gone.key));
+        }
     }
 }
 
-/// A flow's position in the canonical order.
-fn canonical(f: &FlowSpec) -> (Priority, usize, usize) {
-    (f.priority, f.src, f.dst)
-}
-
 /// One flow's term in the fingerprint (the SplitMix64 finalizer over its
-/// packed spec).
-fn mix(f: &FlowSpec) -> u64 {
-    let packed = (u64::from(f.priority.0) << 40) ^ ((f.src as u64) << 20) ^ f.dst as u64;
-    let mut z = packed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// key folded to 64 bits).
+fn mix(key: u128) -> u64 {
+    let mut z = ((key >> 64) as u64 ^ key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -119,12 +170,21 @@ fn mix(f: &FlowSpec) -> u64 {
 /// `None` in the arena's bottleneck column.
 const NO_LINK: u32 = u32::MAX;
 
-/// A flow's spec as one arena word: the priority in the high half, source
-/// and destination in the low. `None` when a machine index needs more
-/// than 16 bits; a set holding such a flow is not stored.
-fn pack(f: &FlowSpec) -> Option<u64> {
-    let (src, dst) = (u16::try_from(f.src).ok()?, u16::try_from(f.dst).ok()?);
-    Some(u64::from(f.priority.0) << 32 | u64::from(src) << 16 | u64::from(dst))
+/// A member's key as one arena word: the priority in the high half,
+/// source and destination in the low. `None` when a machine index needs
+/// more than 16 bits; a set holding such a flow is not stored.
+fn pack(key: u128) -> Option<u64> {
+    let word = |k: u128| u16::try_from(k as u64 & ((1 << MACHINE_BITS) - 1)).ok();
+    let (src, dst) = (word(key >> MACHINE_BITS)?, word(key)?);
+    let priority = (key >> (2 * MACHINE_BITS)) as u64;
+    Some(priority << 32 | u64::from(src) << 16 | u64::from(dst))
+}
+
+/// The member key an arena word was packed from.
+fn unpack(word: u64) -> u128 {
+    u128::from(word >> 32) << (2 * MACHINE_BITS)
+        | u128::from(word >> 16 & 0xffff) << MACHINE_BITS
+        | u128::from(word & 0xffff)
 }
 
 /// A stored flow set: where its specs and results sit in the arena.
@@ -148,7 +208,7 @@ pub(super) struct Memo {
     /// Hashes of recently allocated sets: [`SEEN`] once the first
     /// allocation is offered.
     seen: Vec<u64>,
-    /// The arena: stored sets' packed specs, in index order, back to back.
+    /// The arena: stored sets' packed keys, in index order, back to back.
     specs: Vec<u64>,
     /// The arena: each stored flow's rate, parallel to `specs`.
     rates: Vec<f64>,
@@ -175,7 +235,7 @@ impl Memo {
     pub(super) fn replay(&self, index: &ClassIndex, buf: &mut AllocBuffers) -> Option<AllocWork> {
         let hash = self.hash(index);
         let e = self.table.get(hash as usize % SLOTS)?.as_ref()?;
-        let len = index.entries.len();
+        let len = index.members.len();
         if e.hash != hash || e.epoch != self.epoch || e.len as usize != len {
             return None;
         }
@@ -183,15 +243,15 @@ impl Memo {
         let specs = self.specs.get(range.clone())?;
         if !specs
             .iter()
-            .zip(&index.entries)
-            .all(|(&k, (_, f))| pack(f) == Some(k))
+            .zip(&index.members)
+            .all(|(&k, m)| unpack(k) == m.key)
         {
             return None;
         }
         let (rates, links) = (self.rates.get(range.clone())?, self.links.get(range)?);
-        let outs = index.entries.iter().zip(rates).zip(links);
+        let outs = index.members.iter().zip(rates).zip(links);
         let link = |l: u32| (l != NO_LINK).then_some(LinkId(l as usize));
-        buf.load(len, outs.map(|((&(slot, _), &r), &l)| (slot, r, link(l))));
+        buf.load(len, outs.map(|((m, &r), &l)| (m.slot, r, link(l))));
         Some(e.work)
     }
 
@@ -200,7 +260,7 @@ impl Memo {
     /// fits; otherwise its hash is remembered.
     pub(super) fn offer(&mut self, index: &ClassIndex, alloc: &AllocBuffers, work: AllocWork) {
         let hash = self.hash(index);
-        let len = index.entries.len();
+        let len = index.members.len();
         if len > MAX_SET {
             return;
         }
@@ -227,13 +287,13 @@ impl Memo {
             self.table.fill(None);
         }
         let start = self.specs.len();
-        let stored = index.entries.iter().try_for_each(|&(slot, f)| {
-            let link = match alloc.bottleneck().get(slot).copied().flatten() {
+        let stored = index.members.iter().try_for_each(|m| {
+            let link = match alloc.bottleneck().get(m.slot).copied().flatten() {
                 None => NO_LINK,
                 Some(l) => u32::try_from(l.0).ok().filter(|&l| l != NO_LINK)?,
             };
-            self.specs.push(pack(&f)?);
-            self.rates.push(alloc.rates().get(slot).copied()?);
+            self.specs.push(pack(m.key)?);
+            self.rates.push(alloc.rates().get(m.slot).copied()?);
             self.links.push(link);
             Some(())
         });
@@ -279,7 +339,7 @@ mod tests {
     fn fill(index: &ClassIndex, buf: &mut AllocBuffers) -> AllocWork {
         let g = LinkGraph::new(&[100.0; 4]);
         let mut work = AllocWork::default();
-        let classes = index.entries();
+        let classes = index.members();
         allocate_rates_in_class_order(classes, &g, g.caps(), f64::INFINITY, buf, &mut work);
         work
     }
@@ -549,6 +609,45 @@ mod tests {
                 // bound by no link.
                 let cfg = if fabric % 2 == 1 { cfg.with_flow_cap(0.3e9) } else { cfg };
                 check_against_fresh_fills(cfg, &in_rounds(&ops, 3), restore_at);
+            }
+
+            /// After any sequence of inserts and `swap_remove`-style
+            /// removals (duplicate specs, the last slot removed, machine
+            /// indices past 16 bits), the incrementally kept index holds
+            /// the keys, slots and fingerprint of one built afresh from
+            /// the live flows. Equal keys may sit in any slot order.
+            #[test]
+            fn incremental_index_equals_a_rebuilt_one(
+                ops in prop::collection::vec((any::<bool>(), 0usize..6, 0usize..6, 0u32..3, any::<usize>()), 1..60),
+            ) {
+                let machines = [0, 1, 2, 0xffff, 0x1_0000, (1 << MACHINE_BITS) - 1];
+                let at = |i: usize| machines.get(i).copied().unwrap_or(0);
+                let mut flows: Vec<FlowSpec> = Vec::new();
+                let mut index = ClassIndex::default();
+                for (start, a, b, p, x) in ops {
+                    if start || flows.is_empty() {
+                        let f = flow(at(a), at(b), p);
+                        index.insert(flows.len(), f);
+                        flows.push(f);
+                    } else {
+                        // Every fifth removal takes the last slot.
+                        let slot = if x % 5 == 0 { flows.len() - 1 } else { x % flows.len() };
+                        flows.swap_remove(slot);
+                        index.remove(slot, flows.len());
+                    }
+                    let rebuilt = ClassIndex::build(flows.iter().copied());
+                    let keys = |i: &ClassIndex| i.members.iter().map(|m| m.key).collect::<Vec<_>>();
+                    prop_assert_eq!(keys(&index), keys(&rebuilt));
+                    let sorted = |i: &ClassIndex| {
+                        let mut m: Vec<(u128, usize)> = i.members.iter().map(|m| (m.key, m.slot)).collect();
+                        m.sort_unstable();
+                        m
+                    };
+                    prop_assert_eq!(sorted(&index), sorted(&rebuilt));
+                    prop_assert_eq!(index.fingerprint, rebuilt.fingerprint);
+                    let specs: Vec<(usize, FlowSpec)> = index.entries();
+                    prop_assert!(specs.iter().all(|&(slot, f)| flows.get(slot) == Some(&f)));
+                }
             }
         }
     }

@@ -162,8 +162,8 @@ pub struct Network {
     /// utilization traces accumulate floats in it, and snapshots serialize
     /// it — so it changes only by `push` and `swap_remove`.
     flows: Vec<ActiveFlow>,
-    /// Class index: every flow as `(slot in flows, spec)` in canonical
-    /// order, with the flow multiset's fingerprint. This is the
+    /// Class index: every flow's packed spec and slot in `flows`, in
+    /// canonical order, with the flow multiset's fingerprint. This is the
     /// allocator's input, so no reallocation sorts.
     by_class: ClassIndex,
     /// The allocator's working memory, reused by every reallocation.
@@ -379,7 +379,7 @@ impl Network {
     /// delivery order.
     #[expect(
         clippy::indexing_slicing,
-        reason = "i is below the length of the vector it indexes, checked by each loop condition"
+        reason = "i is below the length of the vector it indexes, checked by each loop condition, and end never exceeds the deliveries' length"
     )]
     pub fn poll(&mut self, now: SimTime) -> Vec<CompletedFlow> {
         self.advance(now);
@@ -418,21 +418,34 @@ impl Network {
             self.dirty = true;
         }
 
-        // Deliveries due now.
-        let mut done: Vec<Delivering> = Vec::new();
+        // Deliveries due now move behind `end`, each swapped with the last
+        // pending one: the pending deliveries keep the order a
+        // `swap_remove` per due delivery would leave, which snapshots
+        // record.
+        let mut end = self.delivering.len();
         let mut i = 0;
-        while i < self.delivering.len() {
+        while i < end {
             if self.delivering[i].at <= now {
-                done.push(self.delivering.swap_remove(i));
+                end -= 1;
+                self.delivering.swap(i, end);
             } else {
                 i += 1;
             }
         }
-        if !done.is_empty() {
-            self.next_event = None;
+        if end == self.delivering.len() {
+            return Vec::new();
         }
-        done.sort_by_key(|d| (d.at, d.flow.id));
-        done.into_iter().map(|d| d.flow).collect()
+        self.next_event = None;
+        let due = &mut self.delivering[end..];
+        due.sort_unstable_by_key(|d| (d.at, d.flow.id));
+        // At least four slots, so most polls ask the allocator for one
+        // block size and get back the block the last poll freed. Exact
+        // sizes scatter small blocks of several sizes over the heap: on a
+        // traced VGG-19 run they raised peak RSS by 7%.
+        let mut done = Vec::with_capacity(due.len().max(4));
+        done.extend(due.iter().map(|d| d.flow));
+        self.delivering.truncate(end);
+        done
     }
 
     /// Rescales one machine's NIC capacity mid-run (fault injection: link
@@ -564,7 +577,7 @@ impl Network {
         } else {
             let mut work = AllocWork::default();
             allocate_rates_in_class_order(
-                self.by_class.entries(),
+                self.by_class.members(),
                 &self.graph,
                 &self.caps,
                 self.cfg.flow_cap,

@@ -33,7 +33,7 @@ pub struct BenchPoint {
     pub peak_in_flight: u64,
     /// Aggregate training throughput in samples/sec (deterministic).
     pub throughput: f64,
-    /// Wall time the run took, in seconds (machine-dependent).
+    /// Wall time the run took, unprofiled, in seconds (machine-dependent).
     pub wall_seconds: f64,
     /// Engine throughput in events/sec (machine-dependent).
     pub events_per_sec: f64,

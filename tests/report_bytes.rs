@@ -108,6 +108,6 @@ fn bench_report_bytes_are_pinned() {
     assert_eq!(empty.to_json(), EMPTY_BENCH);
     let text = include_str!("../BENCH_simulate.json");
     let back = BenchReport::from_json(text).expect("BENCH_simulate.json parses");
-    assert_eq!(back.points.len(), 9);
+    assert_eq!(back.points.len(), 11);
     assert_eq!(back.to_json(), text);
 }
