@@ -73,8 +73,8 @@ pub struct GraphAllocation {
 pub struct AllocBuffers {
     /// Residual capacity per link after serving more urgent flows.
     res: Vec<f64>,
-    /// Active flows per link in the current round; all zero between
-    /// rounds.
+    /// Rising flows per link in the class being filled; all zero between
+    /// classes.
     count: Vec<u32>,
     /// Rate of each flow, by slot.
     rates: Vec<f64>,
@@ -232,23 +232,6 @@ pub fn allocate_rates_in_class_order<E: Copy + Into<(usize, FlowSpec)>>(
     );
     assert!(flow_cap > 0.0, "non-positive flow cap");
     let machines = graph.machines();
-    let priority = |&e: &E| e.into().1.priority;
-    for &e in classes.iter() {
-        let (slot, f) = e.into();
-        assert!(slot < classes.len(), "slot {slot} out of range");
-        assert!(
-            f.src < machines && f.dst < machines,
-            "flow {f:?} references unknown machine"
-        );
-        assert!(
-            f.src != f.dst,
-            "loopback flow {f:?} has no path in the graph"
-        );
-    }
-    assert!(
-        classes.is_sorted_by_key(priority),
-        "flows not grouped by priority, most urgent first"
-    );
 
     let AllocBuffers {
         res,
@@ -258,7 +241,8 @@ pub fn allocate_rates_in_class_order<E: Copy + Into<(usize, FlowSpec)>>(
         rising,
     } = buf;
     res.clear();
-    res.extend(caps.iter().map(|&c| if c < FLOOR { 0.0 } else { c }));
+    res.extend_from_slice(caps);
+    let scale = clamp(res);
     count.clear();
     count.resize(caps.len(), 0);
     rates.clear();
@@ -272,13 +256,37 @@ pub fn allocate_rates_in_class_order<E: Copy + Into<(usize, FlowSpec)>>(
         count,
         rates,
         bottleneck,
+        scale,
         work,
     };
-    for class in classes.chunk_by(|a, b| priority(a) == priority(b)) {
-        rising.clear();
-        rising.extend(class.iter().map(|&e| e.into()));
-        fill.class(rising);
+    // One pass over the input: each entry is checked as it is copied into
+    // its class, and a class is filled once the next one begins.
+    rising.clear();
+    let mut class = None;
+    for &e in classes {
+        let (slot, f) = e.into();
+        assert!(slot < classes.len(), "slot {slot} out of range");
+        assert!(
+            f.src < machines && f.dst < machines,
+            "flow {f:?} references unknown machine"
+        );
+        assert!(
+            f.src != f.dst,
+            "loopback flow {f:?} has no path in the graph"
+        );
+        let priority = Some(f.priority);
+        if priority != class {
+            assert!(
+                class < priority,
+                "flows not grouped by priority, most urgent first"
+            );
+            fill.class(rising);
+            rising.clear();
+            class = priority;
+        }
+        rising.push((slot, f));
     }
+    fill.class(rising);
 }
 
 /// Relative tolerance of the freeze test: a link is saturated once its
@@ -298,6 +306,9 @@ struct WaterFill<'a> {
     count: &'a mut [u32],
     rates: &'a mut [f64],
     bottleneck: &'a mut [Option<LinkId>],
+    /// The freeze test's capacity scale: the largest residual, at least 1,
+    /// as of the last pass that clamped the residuals.
+    scale: f64,
     work: &'a mut AllocWork,
 }
 
@@ -314,13 +325,17 @@ impl WaterFill<'_> {
     /// addition per round, and a member's rate is written when it freezes.
     ///
     /// The per-flow passes index each route directly: tx port, transit
-    /// hops (only when the graph has them), rx port. Each round makes two
-    /// passes over the links. The first takes the `delta` minimum, counts
-    /// the links touched and resets their counts. The second, after the
-    /// charge, clamps residuals below `FLOOR` to zero and takes the largest
-    /// as the freeze test's scale. The residuals are clamped when loaded
-    /// too, so every round starts on clamped residuals, as if it clamped
-    /// them itself.
+    /// hops (only when the graph has them), rx port. The class's links are
+    /// counted once, on entry, and a flow's route leaves the count when it
+    /// freezes, so the counts always equal a recount of the rising flows.
+    /// Each round takes the `delta` minimum and the touched-link count in
+    /// one pass over the links ([`least_share`]). A round that raises the
+    /// class charges the rising routes, then clamps residuals below
+    /// `FLOOR` to zero and takes the largest as the freeze test's scale
+    /// ([`clamp`]). A round whose `delta` is 0 (a first round blocked on
+    /// an empty link) changes no residual, so it skips both passes and
+    /// keeps the last clamp's scale. The residuals are clamped when loaded
+    /// too, so every round starts on clamped residuals.
     #[expect(
         clippy::indexing_slicing,
         reason = "n <= members.len(); flow endpoints are asserted below the machine count, and every route link is below caps.len(), the length of res and count"
@@ -329,60 +344,43 @@ impl WaterFill<'_> {
         let graph = self.graph;
         let transit = graph.has_transit();
         let rx = graph.machines();
+        for (_, f) in members.iter() {
+            self.count[f.src] += 1;
+            if transit {
+                for l in graph.transit(f.src, f.dst) {
+                    self.count[l.0] += 1;
+                }
+            }
+            self.count[rx + f.dst] += 1;
+        }
         let mut level = 0.0f64;
         // The flows still rising are `members[..n]`.
         let mut n = members.len();
         while n > 0 {
-            // Count active flows per link.
-            let count = &mut *self.count;
-            for (_, f) in &members[..n] {
-                count[f.src] += 1;
-                if transit {
-                    for l in graph.transit(f.src, f.dst) {
-                        count[l.0] += 1;
-                    }
-                }
-                count[rx + f.dst] += 1;
-            }
-
             // The common rate increment is limited by the tightest link, or
             // by the class reaching the per-flow ceiling.
-            let mut delta = f64::INFINITY;
-            let mut touched = 0;
-            for (&r, c) in self.res.iter().zip(self.count.iter_mut()) {
-                if *c > 0 {
-                    touched += 1;
-                    delta = delta.min(r / *c as f64);
-                    *c = 0;
-                }
-            }
+            let (delta, touched) = least_share(self.res, self.count);
             self.work.rounds += 1;
             self.work.flow_touches += n as u64;
             self.work.port_touches += touched;
-            delta = delta.min(self.flow_cap - level);
+            let delta = delta.min(self.flow_cap - level);
             debug_assert!(delta.is_finite(), "active flows but no limiting link");
             let delta = delta.max(0.0);
 
-            // Raise the class by delta and charge every active route.
-            level += delta;
-            let res = &mut *self.res;
-            for (_, f) in &members[..n] {
-                res[f.src] -= delta;
-                if transit {
-                    for l in graph.transit(f.src, f.dst) {
-                        res[l.0] -= delta;
+            if delta != 0.0 {
+                // Raise the class by delta and charge every active route.
+                level += delta;
+                let res = &mut *self.res;
+                for (_, f) in &members[..n] {
+                    res[f.src] -= delta;
+                    if transit {
+                        for l in graph.transit(f.src, f.dst) {
+                            res[l.0] -= delta;
+                        }
                     }
+                    res[rx + f.dst] -= delta;
                 }
-                res[rx + f.dst] -= delta;
-            }
-            // Capacity scale for the freeze test: the largest residual in
-            // use. Below FLOOR a residual is 0, overdrawn ones included.
-            let mut scale = 1.0f64;
-            for r in res.iter_mut() {
-                if *r < FLOOR {
-                    *r = 0.0;
-                }
-                scale = scale.max(*r);
+                self.scale = clamp(res);
             }
 
             if level >= self.flow_cap * (1.0 - EPS) {
@@ -391,9 +389,10 @@ impl WaterFill<'_> {
                 return;
             }
             // Freeze flows crossing any saturated link, recording the first
-            // one on the route (tx, transit hops, rx) as the bottleneck, and
-            // move the rest to the front in order.
-            let thr = (EPS * scale.max(delta)).max(FLOOR);
+            // one on the route (tx, transit hops, rx) as the bottleneck and
+            // taking the route out of the link counts, and move the rest to
+            // the front in order.
+            let thr = (EPS * self.scale.max(delta)).max(FLOOR);
             let mut kept = 0;
             for k in 0..n {
                 let (slot, f) = members[k];
@@ -411,6 +410,13 @@ impl WaterFill<'_> {
                         None => LinkId(rx + f.dst),
                     };
                     self.freeze(slot, level, Some(at));
+                    self.count[f.src] -= 1;
+                    if transit {
+                        for l in graph.transit(f.src, f.dst) {
+                            self.count[l.0] -= 1;
+                        }
+                    }
+                    self.count[rx + f.dst] -= 1;
                 } else {
                     members[kept] = (slot, f);
                     kept += 1;
@@ -435,12 +441,65 @@ impl WaterFill<'_> {
         }
     }
 
-    /// Freezes flows that no link bounds at `rate`.
+    /// Freezes flows that no link bounds at `rate`, ending their class:
+    /// the link counts return to zero for the next one.
     fn freeze_all(&mut self, flows: &[(usize, FlowSpec)], rate: f64) {
         for &(slot, _) in flows {
             self.freeze(slot, rate, None);
         }
+        self.count.fill(0);
     }
+}
+
+/// Lanes of the branch-free link passes. Min and max over values that are
+/// never −0.0 are exact and independent of order (a NaN is passed over in
+/// any order), so splitting a pass into lanes changes no result bit.
+const LANES: usize = 4;
+
+/// The least share `res[l] / count[l]` over the links some rising flow
+/// crosses (infinite when none does), and how many links that is.
+fn least_share(res: &[f64], count: &[u32]) -> (f64, u64) {
+    let share = |r: f64, c: u32| {
+        let q = r / f64::from(c);
+        (if c > 0 { q } else { f64::INFINITY }, u64::from(c > 0))
+    };
+    let (res_lanes, res_tail) = res.as_chunks::<LANES>();
+    let (count_lanes, count_tail) = count.as_chunks::<LANES>();
+    let mut least = [f64::INFINITY; LANES];
+    let mut touched = [0u64; LANES];
+    for (r, c) in res_lanes.iter().zip(count_lanes) {
+        for (((m, t), &r), &c) in least.iter_mut().zip(&mut touched).zip(r).zip(c) {
+            let (q, used) = share(r, c);
+            *m = m.min(q);
+            *t += used;
+        }
+    }
+    let mut least = least.into_iter().fold(f64::INFINITY, f64::min);
+    let mut touched = touched.into_iter().sum();
+    for (&r, &c) in res_tail.iter().zip(count_tail) {
+        let (q, used) = share(r, c);
+        least = least.min(q);
+        touched += used;
+    }
+    (least, touched)
+}
+
+/// Clamps every residual below `FLOOR` (overdrawn ones included) to 0 and
+/// returns the freeze test's scale: the largest residual, at least 1.
+fn clamp(res: &mut [f64]) -> f64 {
+    let floor = |r: &mut f64| {
+        *r = if *r < FLOOR { 0.0 } else { *r };
+        *r
+    };
+    let (lanes, tail) = res.as_chunks_mut::<LANES>();
+    let mut scale = [1.0f64; LANES];
+    for r in lanes {
+        for (s, r) in scale.iter_mut().zip(r) {
+            *s = s.max(floor(r));
+        }
+    }
+    let scale = scale.into_iter().fold(1.0, f64::max);
+    tail.iter_mut().fold(scale, |s, r| s.max(floor(r)))
 }
 
 /// Reference allocators the graph water-fill is pinned bit-identical
@@ -474,6 +533,7 @@ pub(crate) mod oracle {
             count: &mut count,
             rates: &mut rates,
             bottleneck: &mut bottleneck,
+            scale: 1.0,
             work,
         };
         for class in classes.chunk_by(|(_, a), (_, b)| a.priority == b.priority) {

@@ -54,11 +54,17 @@ impl std::fmt::Display for Comparison {
 ///
 /// A baseline point missing from the candidate is a regression (coverage
 /// shrank); a candidate point absent from the baseline is only a note.
+///
+/// # Panics
+///
+/// Panics if `tolerance` is not finite: a NaN band would pass every
+/// wall-clock regression.
 pub fn compare_reports(
     baseline: &BenchReport,
     candidate: &BenchReport,
     tolerance: f64,
 ) -> Comparison {
+    assert!(tolerance.is_finite(), "non-finite tolerance {tolerance}");
     let tolerance = tolerance.clamp(0.0, 0.999_999);
     let by_key: BTreeMap<(String, u64), &BenchPoint> =
         candidate.points.iter().map(|p| (p.key(), p)).collect();
@@ -152,6 +158,10 @@ pub fn compare_reports(
 /// re-measures the cheap rungs. Shrinking coverage is deliberate there,
 /// so it must not read as a regression — everything the candidate *does*
 /// cover is still held to the full exact-match + tolerance contract.
+///
+/// # Panics
+///
+/// Panics if `tolerance` is not finite, as [`compare_reports`] does.
 pub fn compare_reports_subset(
     baseline: &BenchReport,
     candidate: &BenchReport,
@@ -267,6 +277,16 @@ mod tests {
         let mut c = b.clone();
         c.points[0].event_hash ^= 1;
         assert!(!compare_reports_subset(&a, &c, 0.1).is_pass());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite tolerance")]
+    fn a_nan_tolerance_is_refused() {
+        // A NaN band used to pass this halving of events/sec.
+        let a = report(vec![point("ps", 16)]);
+        let mut b = a.clone();
+        b.points[0].events_per_sec *= 0.5;
+        compare_reports_subset(&a, &b, f64::NAN);
     }
 
     #[test]
