@@ -14,8 +14,8 @@ use p3::core::SyncStrategy;
 use p3::des::{SimDuration, SimTime};
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
-use p3::topo::Topology;
-use p3::trace::{export_trace_json, MetricsRegistry, TraceEvent};
+use p3::topo::{Placement, Topology};
+use p3::trace::{export_trace_json, FaultKind, MetricsRegistry, MsgClass, TimedEvent, TraceEvent};
 
 /// Digest of the exported trace for [`golden_config`], captured from the
 /// pre-refactor monolithic `sim.rs` (commit 6ef229d lineage), re-pinned
@@ -269,4 +269,129 @@ fn fabric_work_counts_match_golden() {
         [GOLDEN_FIG7_NET_STATS, GOLDEN_RACKED_NET_STATS],
         "fabric work counts moved",
     );
+}
+
+/// Event hash and export digest of a traced run, after checking that the
+/// run reached the send sites it pins.
+fn send_site_pin(cfg: ClusterConfig, reached: fn(&[TimedEvent]) -> bool) -> (u64, u64) {
+    let meta = cfg.trace_meta();
+    let (result, log) = ClusterSim::new(cfg)
+        .try_run_traced()
+        .expect("send-site config must run clean");
+    let log = log.expect("slice tracing was enabled");
+    assert!(
+        reached(log.events()),
+        "the run never reached its send sites"
+    );
+    (result.event_hash, fnv(&export_trace_json(&log, &meta)))
+}
+
+/// A traced tiny-model run at 5 Gbps, 1+2 iterations.
+fn send_site_config(strategy: SyncStrategy, machines: usize) -> ClusterConfig {
+    ClusterConfig::new(tiny_model(), strategy, machines, Bandwidth::from_gbps(5.0))
+        .with_iters(1, 2)
+        .with_seed(13)
+        .with_slice_trace()
+}
+
+/// True if some endpoint queued a message of `class`.
+fn enqueued(rows: &[TimedEvent], class: MsgClass) -> bool {
+    rows.iter()
+        .any(|r| matches!(r.event, TraceEvent::EgressEnqueue { class: c, .. } if c == class))
+}
+
+fn assert_pin(pin: (u64, u64), golden: (u64, u64)) {
+    assert_eq!(pin, golden, "got ({:#018x}, {:#018x})", pin.0, pin.1);
+}
+
+/// Baseline: the server's `Notify` fan-out and the eager `PullReq` it
+/// triggers.
+#[test]
+fn baseline_notify_and_eager_pull_match_golden() {
+    let cfg = send_site_config(SyncStrategy::baseline(), 4);
+    let pin = send_site_pin(cfg, |rows| {
+        enqueued(rows, MsgClass::Notify) && enqueued(rows, MsgClass::PullRequest)
+    });
+    assert_pin(pin, (0x7e25_de0c_62c9_1336, 0x9d1f_e092_8d52_6ae5));
+}
+
+/// TensorFlow-style: every pull leaves at the next iteration's start, and
+/// a pull for an unfinished round waits in the server's `pending_pulls`
+/// until the round completes and answers it.
+#[test]
+fn tf_deferred_pulls_match_golden() {
+    let cfg = send_site_config(SyncStrategy::tf_style(), 4);
+    let pin = send_site_pin(cfg, |rows| {
+        enqueued(rows, MsgClass::PullRequest)
+            && rows.windows(2).any(|w| match (&w[0].event, &w[1].event) {
+                (
+                    TraceEvent::RoundComplete { key, version, .. },
+                    TraceEvent::EgressEnqueue {
+                        class: MsgClass::Response,
+                        key: k,
+                        round,
+                        ..
+                    },
+                ) => key == k && version == round,
+                _ => false,
+            })
+    });
+    assert_pin(pin, (0x6bb2_a8c6_d567_c97e, 0x01e3_8c70_3229_5328));
+}
+
+/// P3 slices and priorities on the notify-then-pull response path.
+#[test]
+fn p3_notify_pull_matches_golden() {
+    let cfg = send_site_config(SyncStrategy::p3_notify_pull(), 4);
+    let pin = send_site_pin(cfg, |rows| {
+        enqueued(rows, MsgClass::Notify) && enqueued(rows, MsgClass::PullRequest)
+    });
+    assert_pin(pin, (0x1566_bf55_6a86_9527, 0x9752_f40a_2152_9a50));
+}
+
+/// Rack-local placement on 2 racks of 2: members push to their rack's
+/// aggregator, which forwards one combined push across the core.
+#[test]
+fn rack_local_pushes_match_golden() {
+    let cfg = send_site_config(SyncStrategy::p3(), 4)
+        .with_topology(Topology::new(2, 2, 4.0))
+        .with_placement(Placement::RackLocal);
+    let pin = send_site_pin(cfg, |rows| {
+        enqueued(rows, MsgClass::RackPush) && enqueued(rows, MsgClass::CombinedPush)
+    });
+    assert_pin(pin, (0xd46d_dcc4_ec44_36e7, 0x6aea_3b1f_b33b_eadf));
+}
+
+/// P3 on a lossy flat fabric: lost PS messages re-enter their sender's
+/// egress on the retry timer.
+#[test]
+fn lossy_ps_retransmits_match_golden() {
+    let cfg = send_site_config(SyncStrategy::p3(), 4).with_faults(FaultPlan {
+        loss_probability: 0.05,
+        ..FaultPlan::none()
+    });
+    let pin = send_site_pin(cfg, |rows| {
+        rows.iter().any(|r| {
+            matches!(
+                r.event,
+                TraceEvent::Fault {
+                    kind: FaultKind::Retransmit,
+                    ..
+                }
+            )
+        })
+    });
+    assert_pin(pin, (0xdd2e_66aa_54f4_1dd9, 0xf9d5_3639_5d5b_f823));
+}
+
+/// A one-machine ring: each collective is a single loopback allgather
+/// chunk from machine 0 to itself.
+#[test]
+fn one_machine_ring_loopback_matches_golden() {
+    let cfg = send_site_config(SyncStrategy::p3(), 1).with_backend(BackendKind::Ring);
+    let pin = send_site_pin(cfg, |rows| {
+        rows.iter()
+            .any(|r| matches!(r.event, TraceEvent::WireStart { src: 0, dst: 0, .. }))
+    });
+    assert_pin(pin, (0x4774_35a3_0cc6_2814, 0xa262_e375_bfc7_aa3d));
 }
