@@ -1,13 +1,13 @@
 //! One function per figure, ablation and extension, in EXPERIMENTS.md order.
 //! Quick keeps the operating points the quick claims read and little else.
 
-use crate::{speedup_line, Figure, FigureDef, Lab, Scale};
+use crate::{speedup_line, Figure, FigureDef, Lab, Scale, SweepPoint};
 use p3_allreduce::DEFAULT_COLLECTIVE_SLICE;
 use p3_cluster::bound::iteration_bound;
 use p3_cluster::gantt::{ascii_gantt, figure6_layerwise, figure6_sliced, PipelineSpec, SyncOrder};
 use p3_cluster::gantt::{schedule_sync, schedule_tandem, Schedule};
 use p3_cluster::{BackendKind, ClusterConfig, FaultPlan, LinkDegradation, StragglerEpisode};
-use p3_cluster::{SweepPoint, UtilizationTrace, WireCompression, WorkerCrash};
+use p3_cluster::{UtilizationTrace, WireCompression, WorkerCrash};
 use p3_core::{PriorityMode, Slicing, SyncStrategy};
 use p3_des::{SimDuration, SimTime};
 use p3_models::ModelSpec;

@@ -17,7 +17,7 @@ mod figures;
 pub use claims::{Claim, Holds, CLAIMS};
 pub use figures::FIGURES;
 
-use p3_cluster::{ClusterConfig, ClusterSim, RunError, RunResult, SweepPoint};
+use p3_cluster::{ClusterConfig, ClusterSim, RunError, RunResult};
 use p3_core::SyncStrategy;
 use p3_tensor::{spirals, Dataset};
 use p3_train::{train_async, train_sync, SyncMode, TrainConfig, TrainRun};
@@ -112,14 +112,16 @@ impl Lab {
         }
     }
 
-    /// Aggregate throughput, `NaN` for a failed run (as
-    /// `p3_cluster::throughput_of`).
+    /// Aggregate throughput, `NaN` for a failed run, so a sweep over many
+    /// points survives one bad one.
     pub fn tp(&mut self, cfg: ClusterConfig) -> f64 {
         self.run(cfg).map_or(f64::NAN, |r| r.throughput)
     }
 
-    /// `p3_cluster::sweep` on this lab: `make(x, strategy)` for every point
-    /// and strategy, each series named by the built strategy.
+    /// `make(x, strategy)` for every point and strategy (Figures 7, 10 and
+    /// 12 are all this loop). Each series is named by the built
+    /// configuration's strategy, so a builder that rewrites the strategy per
+    /// point (Fig. 12's slice size) labels it.
     pub fn sweep(
         &mut self,
         xs: &[f64],
@@ -161,6 +163,16 @@ pub struct FigureDef {
     pub id: &'static str,
     /// Asks `Lab` for the figure's runs at a scale and prints them.
     pub build: fn(Scale, &mut Lab, &mut Figure),
+}
+
+/// One point of a sweep: the x-value and the aggregate throughput of each
+/// strategy at that point.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepPoint {
+    /// Sweep variable (Gbps, cluster size, slice parameters, …).
+    pub x: f64,
+    /// `(strategy name, aggregate samples/sec)` in input order.
+    pub series: Vec<(String, f64)>,
 }
 
 /// A figure's output: gnuplot-style text plus named metrics for the
@@ -310,6 +322,71 @@ mod tests {
     use p3_des::SimTime;
     use p3_models::ModelSpec;
     use p3_net::Bandwidth;
+    use p3_topo::{Placement, Topology};
+
+    /// Makes `build`'s runs the way [`run`] does, a recording call and then
+    /// a call that reads the results, and returns the second call's value.
+    fn two_pass<T>(build: impl Fn(&mut Lab) -> T) -> T {
+        let mut lab = Lab::default();
+        build(&mut lab);
+        let data = spirals(2, 2, 1, 1, 0);
+        let outcomes = lab.jobs.iter().map(|(_, j)| Some(j.execute(&data)));
+        lab.outcomes = Some(outcomes.collect());
+        build(&mut lab)
+    }
+
+    #[test]
+    fn sweep_points_carry_all_strategies() {
+        let strategies = [SyncStrategy::baseline(), SyncStrategy::p3()];
+        let pts = two_pass(|lab| {
+            lab.sweep(&[20.0], &strategies, |g, s| {
+                ClusterConfig::new(ModelSpec::resnet50(), s.clone(), 2, Bandwidth::from_gbps(g))
+                    .with_iters(1, 2)
+                    .with_seed(7)
+            })
+        });
+        assert_eq!(pts.len(), 1);
+        assert_eq!(pts[0].series.len(), 2);
+        assert_eq!(pts[0].series[0].0, "Baseline");
+        assert!(pts[0].series.iter().all(|(_, t)| *t > 0.0));
+
+        // A builder that rewrites the strategy names the series after it.
+        let sliced = two_pass(|lab| {
+            lab.sweep(&[5e4], &[SyncStrategy::p3()], |sz, _| {
+                let s = SyncStrategy::p3_with_slice_params(sz as u64);
+                ClusterConfig::new(ModelSpec::resnet50(), s, 2, Bandwidth::from_gbps(20.0))
+                    .with_iters(1, 1)
+            })
+        });
+        assert_eq!(sliced[0].series[0].0, "P3-50k");
+    }
+
+    #[test]
+    fn oversubscription_sweep_degrades_monotonically() {
+        let pts = two_pass(|lab| {
+            lab.sweep(&[1.0, 4.0], &[SyncStrategy::p3()], |f, s| {
+                ClusterConfig::new(
+                    ModelSpec::resnet50(),
+                    s.clone(),
+                    4,
+                    Bandwidth::from_gbps(8.0),
+                )
+                .with_iters(1, 2)
+                .with_seed(42)
+                .with_topology(Topology::new(2, 2, f))
+                .with_placement(Placement::Spread)
+            })
+        });
+        assert_eq!(pts.len(), 2);
+        let t = |i: usize| pts[i].series[0].1;
+        assert!(t(0) > 0.0 && t(1) > 0.0);
+        assert!(
+            t(1) <= t(0),
+            "more oversubscription sped things up: {} vs {}",
+            t(1),
+            t(0)
+        );
+    }
 
     #[test]
     fn speedup_formatting() {

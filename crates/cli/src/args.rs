@@ -40,7 +40,7 @@ pub enum ArgError {
         /// Offending value.
         value: String,
         /// What was expected.
-        expected: &'static str,
+        expected: String,
     },
 }
 
@@ -165,7 +165,7 @@ impl Args {
             Some(v) => v.parse().map_err(|_| ArgError::BadValue {
                 flag: name.to_string(),
                 value: v.to_string(),
-                expected,
+                expected: expected.to_string(),
             }),
         }
     }
@@ -189,7 +189,7 @@ impl Args {
                     x.trim().parse().map_err(|_| ArgError::BadValue {
                         flag: name.to_string(),
                         value: v.to_string(),
-                        expected: "comma-separated numbers",
+                        expected: "comma-separated numbers".to_string(),
                     })
                 })
                 .collect(),

@@ -5,7 +5,7 @@ use crate::args::{ArgError, Args};
 use core::fmt;
 use p3_cluster::{
     BackendKind, ClusterConfig, ClusterSim, FaultPlan, LinkDegradation, StragglerEpisode,
-    WorkerCrash,
+    WorkerCrash, MAX_MACHINES,
 };
 use p3_core::SyncStrategy;
 use p3_des::{SimDuration, SimTime};
@@ -132,19 +132,25 @@ fn colon_fields(
                 CliError::Args(ArgError::BadValue {
                     flag: flag.to_string(),
                     value: spec.to_string(),
-                    expected,
+                    expected: expected.to_string(),
                 })
             })
         })
         .collect()
 }
 
-pub(crate) fn bad_value(flag: &'static str, value: &str, expected: &'static str) -> CliError {
+pub(crate) fn bad_value(flag: &'static str, value: &str, expected: &str) -> CliError {
     CliError::Args(ArgError::BadValue {
         flag: flag.to_string(),
         value: value.to_string(),
-        expected,
+        expected: expected.to_string(),
     })
+}
+
+/// What a cluster size must be: the engine's membership masks hold
+/// [`MAX_MACHINES`] workers.
+pub(crate) fn machines_expected() -> String {
+    format!("positive integer up to {MAX_MACHINES}")
 }
 
 /// Builds a [`FaultPlan`] from the fault-injection flags shared by
@@ -213,7 +219,7 @@ fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Placement), Cl
     let topology = match args.get("topology") {
         None => None,
         Some(spec) => Some(
-            Topology::parse_spec(spec)
+            Topology::parse_spec(spec, MAX_MACHINES)
                 .map_err(|why| CliError::Sim(format!("--topology: {why}")))?,
         ),
     };
@@ -230,7 +236,8 @@ fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Placement), Cl
 
 /// Cluster size: derived from the topology when one is given, otherwise
 /// from `--machines` (defaulting to `default`). An explicit `--machines`
-/// that is zero or contradicts the topology is an error.
+/// that is zero, above [`MAX_MACHINES`] or contradicts the topology is an
+/// error.
 fn resolve_machines(
     args: &Args,
     topology: Option<&Topology>,
@@ -239,8 +246,8 @@ fn resolve_machines(
     let explicit: Option<usize> = match args.get("machines") {
         None => None,
         Some(v) => match args.get_or("machines", default, "positive integer")? {
-            0 => return Err(bad_value("machines", v, "positive integer")),
-            m => Some(m),
+            m @ 1..=MAX_MACHINES => Some(m),
+            _ => return Err(bad_value("machines", v, &machines_expected())),
         },
     };
     match (topology, explicit) {
@@ -314,7 +321,8 @@ COMMANDS:
                                            [topology flags] [iteration flags]
                                            [snapshot flags]
   timeline    ASCII Gantt of a traced run  --model M [--strategy S] [--machines N]
-                                           [--gbps G] [--iters N] [--width W]
+                                           [--gbps G] [--iters N]
+                                           [--width W]  chart columns, 1 to 4096
   sweep       Bandwidth sweep              --model M [--gbps 1,2,4] [--machines N]
                                            [fault flags] [topology flags]
                                            [iteration flags] [--out F] [--resume]
@@ -698,6 +706,10 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Widest `p3 timeline --width`: the chart holds a row of this many
+/// columns per lane.
+const MAX_TIMELINE_WIDTH: usize = 4096;
+
 /// Runs a short traced simulation and renders the first `--iters`
 /// iterations as an ASCII Gantt chart (rows: per-worker compute/stall,
 /// per-machine tx/rx, per-server aggregation).
@@ -708,14 +720,22 @@ fn timeline(args: &Args) -> Result<String, CliError> {
     let gbps = positive_gbps(args.get_or("gbps", 10.0, "number")?)?;
     let iters: u64 = args.get_or("iters", 1, "integer")?;
     let width: usize = args.get_or("width", 72, "integer")?;
-    if width == 0 {
-        return Err(bad_value("width", "0", "positive integer"));
+    if !(1..=MAX_TIMELINE_WIDTH).contains(&width) {
+        let expected = format!("integer from 1 to {MAX_TIMELINE_WIDTH}");
+        return Err(bad_value("width", &width.to_string(), &expected));
     }
-    args.reject_unknown()?;
     // Run one iteration past the rendered window so every span inside the
     // window has its end event on record (open spans are dropped).
+    let Some(run_iters) = iters.max(1).checked_add(1) else {
+        return Err(bad_value(
+            "iters",
+            &iters.to_string(),
+            "integer below 2^64 - 1",
+        ));
+    };
+    args.reject_unknown()?;
     let cfg = ClusterConfig::new(model, strategy, machines, Bandwidth::from_gbps(gbps))
-        .with_iters(0, iters.max(1) + 1)
+        .with_iters(0, run_iters)
         .with_slice_trace();
     let (_, log) = ClusterSim::new(cfg)
         .try_run_traced()
@@ -1155,7 +1175,14 @@ mod tests {
     /// Out-of-range cluster sizes and bandwidths are argument errors — not
     /// engine panics, and not a zero-bandwidth run reported as deadlocked.
     fn assert_rejects_out_of_range(command: &str) {
-        for bad in ["--machines 0", "--gbps -1", "--gbps 0", "--gbps inf"] {
+        for bad in [
+            "--machines 0",
+            "--machines 129",
+            "--machines 1000000000000",
+            "--gbps -1",
+            "--gbps 0",
+            "--gbps inf",
+        ] {
             let line = format!("{command} --model resnet50 {bad}");
             assert!(
                 matches!(run(&line), Err(CliError::Args(ArgError::BadValue { .. }))),
@@ -1167,6 +1194,17 @@ mod tests {
     #[test]
     fn simulate_rejects_out_of_range_machines_and_gbps() {
         assert_rejects_out_of_range("simulate");
+        assert_rejects_oversized_topology("simulate");
+    }
+
+    /// A topology with more machines than the engine simulates is refused
+    /// before anything is sized per machine.
+    fn assert_rejects_oversized_topology(command: &str) {
+        for spec in ["racks=2,size=65", "racks=1000000,size=1000000"] {
+            let line = format!("{command} --model resnet50 --topology {spec}");
+            let err = run(&line).unwrap_err();
+            assert!(err.to_string().contains("machines"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -1194,6 +1232,7 @@ mod tests {
     #[test]
     fn sweep_rejects_out_of_range_machines_and_gbps() {
         assert_rejects_out_of_range("sweep");
+        assert_rejects_oversized_topology("sweep");
         assert!(matches!(
             run("sweep --model resnet50 --gbps 4,-2"),
             Err(CliError::Args(ArgError::BadValue { .. }))
@@ -1207,10 +1246,18 @@ mod tests {
 
     #[test]
     fn timeline_rejects_zero_width() {
-        assert!(matches!(
-            run("timeline --model resnet50 --machines 2 --width 0"),
-            Err(CliError::Args(ArgError::BadValue { .. }))
-        ));
+        for bad in [
+            "--width 0",
+            "--width 4097",
+            "--width 1000000000000000",
+            "--iters 18446744073709551615",
+        ] {
+            let line = format!("timeline --model resnet50 --machines 2 {bad}");
+            assert!(
+                matches!(run(&line), Err(CliError::Args(ArgError::BadValue { .. }))),
+                "{line}"
+            );
+        }
     }
 
     #[test]

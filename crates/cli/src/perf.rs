@@ -10,9 +10,9 @@
 //! tolerance band.
 
 use crate::args::Args;
-use crate::commands::{bad_value, CliError};
+use crate::commands::{bad_value, machines_expected, CliError};
 use p3_allreduce::DEFAULT_COLLECTIVE_SLICE;
-use p3_cluster::{BackendKind, ClusterConfig, ClusterSim};
+use p3_cluster::{BackendKind, ClusterConfig, ClusterSim, MAX_MACHINES};
 use p3_core::SyncStrategy;
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
@@ -101,9 +101,10 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
                     tok.trim()
                         .parse::<usize>()
                         .ok()
-                        .filter(|&n| n > 0)
+                        .filter(|n| (1..=MAX_MACHINES).contains(n))
                         .ok_or_else(|| {
-                            bad_value("machines", spec, "comma-separated positive integers")
+                            let each = machines_expected();
+                            bad_value("machines", spec, &format!("comma-separated, each a {each}"))
                         })
                 })
                 .collect::<Result<_, _>>()?,
@@ -353,6 +354,8 @@ mod tests {
     fn bench_rejects_bad_machine_lists() {
         assert!(run("bench --machines 0").is_err());
         assert!(run("bench --machines 2,x").is_err());
+        assert!(run("bench --machines 16,1000000000000").is_err());
+        assert!(run("bench --machines 129").is_err());
         // Rejected before any point runs, so no report is written.
         let out_file = tmp("repeated.json");
         let line = format!("bench --machines 2,4,2 --out {}", out_file.display());

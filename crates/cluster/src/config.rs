@@ -498,8 +498,6 @@ impl std::error::Error for RunError {}
 pub struct RunResult {
     /// Aggregate cluster throughput in samples/sec (the paper's y-axis).
     pub throughput: f64,
-    /// Mean per-worker throughput in samples/sec.
-    pub per_worker_throughput: f64,
     /// Unit of `throughput` (images or sentences per second).
     pub unit: SampleUnit,
     /// Mean measured iteration duration across workers.
@@ -605,7 +603,6 @@ mod tests {
     fn speedup_ratio() {
         let mk = |t: f64| RunResult {
             throughput: t,
-            per_worker_throughput: t / 4.0,
             unit: SampleUnit::Images,
             mean_iteration: SimDuration::from_secs(1),
             p50_iteration: SimDuration::from_secs(1),

@@ -12,10 +12,8 @@ use super::collective;
 use super::types::{MsgCtx, MsgKind, Role};
 use super::ClusterSim;
 use crate::config::BackendKind;
-use crate::egress::OutMsg;
 use p3_core::PullTiming;
-use p3_net::{MachineId, Priority};
-use p3_trace::{MsgClass, TraceEvent};
+use p3_trace::TraceEvent;
 
 impl ClusterSim {
     /// One block's gradients became ready on one worker at the end of its
@@ -89,25 +87,18 @@ fn ps_grads_ready(sim: &mut ClusterSim, worker: usize, block: usize, round: u64)
     for k in keys {
         let slice = sim.plan.slice(p3_pserver::Key(k as u64));
         let server = slice.server.0;
-        let bytes = sim.push_wire(slice.params);
-        let priority = Priority(sim.prio[k]);
+        let bytes = sim.wire_size(slice.params, |c| c.push_ratio);
         sim.trace(TraceEvent::GradReady {
             worker,
             key: k,
             round,
-            priority: priority.0,
+            priority: sim.prio[k],
         });
-        let (dst, kind, class) = match sim.rack_push_target(worker, server) {
-            Some(agg) => (agg, MsgKind::RackPush { key: k, round }, MsgClass::RackPush),
-            None => (server, MsgKind::Push { key: k, round }, MsgClass::Push),
+        let (dst, kind) = match sim.rack_push_target(worker, server) {
+            Some(agg) => (agg, MsgKind::RackPush { key: k, round }),
+            None => (server, MsgKind::Push { key: k, round }),
         };
-        let msg = OutMsg {
-            dst: MachineId(dst),
-            bytes,
-            priority,
-            msg_id: sim.register_msg(kind, worker, dst, bytes, priority),
-        };
-        sim.enqueue_traced(worker, Role::Worker, msg, class, k, round);
+        sim.send(kind, worker, dst, bytes);
     }
     sim.kick_egress(worker, Role::Worker);
 }

@@ -44,12 +44,11 @@
 
 use super::types::{MsgCtx, MsgKind, Role};
 use super::ClusterSim;
-use crate::egress::OutMsg;
 use p3_allreduce::{CollectiveSchedule, ScheduleKind};
 use p3_core::PrioQueue;
-use p3_net::{MachineId, Priority};
+use p3_net::MachineId;
 use p3_pserver::HEADER_BYTES;
-use p3_trace::{FaultKind, MsgClass, TraceEvent};
+use p3_trace::{FaultKind, TraceEvent};
 
 /// The one collective currently occupying the network.
 #[derive(Debug, Clone, Copy)]
@@ -324,34 +323,12 @@ fn start_next(sim: &mut ClusterSim, st: &mut CollectiveState) {
 /// delivery path stay uniform with real groups.
 fn launch_degenerate(sim: &mut ClusterSim, a: &ActiveCollective) -> usize {
     let machine = group_machines(a.members)[0];
-    let version = a.round + 1;
-    let bytes = HEADER_BYTES as u64;
-    let priority = Priority(sim.prio[a.key]);
-    let msg_id = sim.register_msg(
-        MsgKind::AllGather {
-            key: a.key,
-            version,
-            step: 0,
-        },
-        machine,
-        machine,
-        bytes,
-        priority,
-    );
-    let msg = OutMsg {
-        dst: MachineId(machine),
-        bytes,
-        priority,
-        msg_id,
+    let kind = MsgKind::AllGather {
+        key: a.key,
+        version: a.round + 1,
+        step: 0,
     };
-    sim.enqueue_traced(
-        machine,
-        Role::Worker,
-        msg,
-        MsgClass::AllGather,
-        a.key,
-        version,
-    );
+    sim.send(kind, machine, machine, HEADER_BYTES as u64);
     sim.kick_egress(machine, Role::Worker);
     1
 }
@@ -376,24 +353,15 @@ fn launch_step(
     let payload = 4 * sim.plan.slice(p3_pserver::Key(key as u64)).params;
     let transfers = schedule.transfers(step, payload);
     let allgather = schedule.is_allgather(step);
-    let priority = Priority(sim.prio[key]);
     let channels = sim.cfg.collective_channels as u64;
     let mut chunks = 0;
     for t in &transfers {
         let (src, dst) = (machines[t.src], machines[t.dst]);
-        let (kind, class, tag) = if allgather {
+        let kind = if allgather {
             let version = round + 1;
-            (
-                MsgKind::AllGather { key, version, step },
-                MsgClass::AllGather,
-                version,
-            )
+            MsgKind::AllGather { key, version, step }
         } else {
-            (
-                MsgKind::ReduceScatter { key, round, step },
-                MsgClass::ReduceScatter,
-                round,
-            )
+            MsgKind::ReduceScatter { key, round, step }
         };
         // Near-even split; the last channel takes the remainder.
         let per = t.bytes / channels;
@@ -403,15 +371,7 @@ fn launch_step(
             } else {
                 per
             };
-            let bytes = slab + HEADER_BYTES as u64;
-            let msg_id = sim.register_msg(kind, src, dst, bytes, priority);
-            let msg = OutMsg {
-                dst: MachineId(dst),
-                bytes,
-                priority,
-                msg_id,
-            };
-            sim.enqueue_traced(src, Role::Worker, msg, class, key, tag);
+            sim.send(kind, src, dst, slab + HEADER_BYTES as u64);
             chunks += 1;
         }
     }

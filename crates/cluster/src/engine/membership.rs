@@ -3,7 +3,7 @@
 //! and rolls its restart point back; an eviction shrinks the aggregation
 //! membership so rounds complete degraded with the survivors.
 
-use super::types::{worker_originated, Ev, MsgKind, Role};
+use super::types::{sender_role_of, Ev, MsgKind, Role};
 use super::ClusterSim;
 use p3_trace::{FaultKind, TraceEvent};
 
@@ -17,7 +17,7 @@ impl ClusterSim {
         // their bandwidth.
         let doomed = self
             .msgs
-            .flows(|ctx| ctx.src == w && worker_originated(ctx.kind));
+            .flows(|ctx| ctx.src == w && sender_role_of(ctx.kind) == Role::Worker);
         self.trace_fault(FaultKind::Crash, w, None);
         for (flow, mid, _) in doomed {
             let cancelled = self.net.cancel_flow(now, flow);
@@ -32,7 +32,7 @@ impl ClusterSim {
         // servers deduplicate the replayed keys they already counted.
         let mut resume = self.workers[w].iter;
         self.msgs.retain(|_, ctx| {
-            if ctx.src == w && worker_originated(ctx.kind) {
+            if ctx.src == w && sender_role_of(ctx.kind) == Role::Worker {
                 if let MsgKind::Push { round, .. } = ctx.kind {
                     resume = resume.min(round);
                 }

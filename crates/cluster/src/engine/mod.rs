@@ -56,7 +56,8 @@ use p3_pserver::ShardPlan;
 use p3_topo::Placement;
 use p3_trace::{TraceEvent, TraceLog};
 use std::collections::BTreeMap;
-use types::{trace_phase, Ev, Phase, Role, ServerState, WorkerState, EVENT_CAP, MAX_MACHINES};
+pub use types::MAX_MACHINES;
+use types::{trace_phase, Ev, Phase, Role, ServerState, WorkerState, EVENT_CAP};
 
 /// One fully configured simulation, ready to [`ClusterSim::run`].
 ///

@@ -89,7 +89,6 @@ impl ClusterSim {
             .collect();
         RunResult {
             throughput: total,
-            per_worker_throughput: total / survivors,
             unit: self.cfg.model.unit(),
             mean_iteration: SimDuration::from_secs_f64(iter_sum / survivors),
             p50_iteration: p50,

@@ -5,35 +5,20 @@
 
 use super::types::{Ev, MsgKind, ProcItem, Role};
 use super::ClusterSim;
-use crate::egress::OutMsg;
 use p3_core::{PullTiming, ResponseMode, ServerProcessing};
 use p3_des::SimDuration;
-use p3_net::{MachineId, Priority};
 use p3_pserver::HEADER_BYTES;
 use p3_topo::Placement;
-use p3_trace::{FaultKind, MsgClass, TraceEvent};
+use p3_trace::{FaultKind, TraceEvent};
 
 impl ClusterSim {
     // ------------------------------------------------------------------
     // Worker-side PS protocol helpers.
 
     pub(crate) fn send_pull_request(&mut self, worker: usize, key: usize, round: u64) {
-        let slice = self.plan.slice(p3_pserver::Key(key as u64));
-        let bytes = HEADER_BYTES as u64;
-        let priority = Priority(self.prio[key]);
-        let msg = OutMsg {
-            dst: MachineId(slice.server.0),
-            bytes,
-            priority,
-            msg_id: self.register_msg(
-                MsgKind::PullReq { key, round },
-                worker,
-                slice.server.0,
-                bytes,
-                priority,
-            ),
-        };
-        self.enqueue_traced(worker, Role::Worker, msg, MsgClass::PullRequest, key, round);
+        let server = self.plan.slice(p3_pserver::Key(key as u64)).server.0;
+        let kind = MsgKind::PullReq { key, round };
+        self.send(kind, worker, server, HEADER_BYTES as u64);
     }
 
     pub(crate) fn on_notify(&mut self, worker: usize, key: usize, version: u64) {
@@ -107,25 +92,13 @@ impl ClusterSim {
         self.rack_agg.remove(&(agg, key, round));
         let slice = self.plan.slice(p3_pserver::Key(key as u64));
         let server = slice.server.0;
-        let bytes = self.push_wire(slice.params);
-        let priority = Priority(self.prio[key]);
-        let msg = OutMsg {
-            dst: MachineId(server),
-            bytes,
-            priority,
-            msg_id: self.register_msg(
-                MsgKind::CombinedPush {
-                    key,
-                    round,
-                    members,
-                },
-                agg,
-                server,
-                bytes,
-                priority,
-            ),
+        let bytes = self.wire_size(slice.params, |c| c.push_ratio);
+        let kind = MsgKind::CombinedPush {
+            key,
+            round,
+            members,
         };
-        self.enqueue_traced(agg, Role::Server, msg, MsgClass::CombinedPush, key, round);
+        self.send(kind, agg, server, bytes);
         self.kick_egress(agg, Role::Server);
     }
 
@@ -273,32 +246,11 @@ impl ClusterSim {
             }
             ResponseMode::NotifyThenPull => {
                 if self.cfg.strategy.pull_timing == PullTiming::Eager {
-                    let bytes = HEADER_BYTES as u64;
-                    let priority = Priority(self.prio[key]);
                     for w in 0..self.cfg.machines {
-                        if self.dead_members[w] {
-                            continue;
+                        if !self.dead_members[w] {
+                            let notify = MsgKind::Notify { key, version };
+                            self.send(notify, server, w, HEADER_BYTES as u64);
                         }
-                        let msg = OutMsg {
-                            dst: MachineId(w),
-                            bytes,
-                            priority,
-                            msg_id: self.register_msg(
-                                MsgKind::Notify { key, version },
-                                server,
-                                w,
-                                bytes,
-                                priority,
-                            ),
-                        };
-                        self.enqueue_traced(
-                            server,
-                            Role::Server,
-                            msg,
-                            MsgClass::Notify,
-                            key,
-                            version,
-                        );
                     }
                 }
                 // Deferred (TF-style) pulls waiting on this version:
@@ -320,20 +272,7 @@ impl ClusterSim {
 
     fn send_response_versioned(&mut self, server: usize, key: usize, worker: usize, version: u64) {
         let params = self.plan.slice(p3_pserver::Key(key as u64)).params;
-        let bytes = self.response_wire(params);
-        let priority = Priority(self.prio[key]);
-        let msg = OutMsg {
-            dst: MachineId(worker),
-            bytes,
-            priority,
-            msg_id: self.register_msg(
-                MsgKind::Response { key, version },
-                server,
-                worker,
-                bytes,
-                priority,
-            ),
-        };
-        self.enqueue_traced(server, Role::Server, msg, MsgClass::Response, key, version);
+        let bytes = self.wire_size(params, |c| c.response_ratio);
+        self.send(MsgKind::Response { key, version }, server, worker, bytes);
     }
 }

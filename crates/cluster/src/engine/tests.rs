@@ -237,14 +237,10 @@ fn run_until_past_the_end_stops_there_and_perturbs_nothing() {
 fn overflowing_iteration_counts_are_an_invalid_config() {
     // warmup + measure wraps, so no worker could ever open its window.
     let over = cfg(SyncStrategy::p3(), 8.0).with_iters(u64::MAX, 1);
-    let err = ClusterSim::new(over.clone()).try_run().unwrap_err();
+    let err = ClusterSim::new(over).try_run().unwrap_err();
     assert!(
         matches!(err, crate::RunError::InvalidConfig(ref why) if why.contains("overflows")),
         "{err}"
-    );
-    assert!(
-        crate::throughput_of(over).is_nan(),
-        "a sweep gets a NaN row"
     );
 }
 

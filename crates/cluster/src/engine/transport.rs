@@ -11,10 +11,11 @@
 
 use super::types::{class_of, sender_role_of, Ev, MsgCtx, MsgKind, Role};
 use super::ClusterSim;
+use crate::config::WireCompression;
 use crate::egress::{Admit, EgressUnit, OutMsg};
 use p3_net::{MachineId, Priority};
 use p3_pserver::{wire_bytes, RetryDecision, HEADER_BYTES};
-use p3_trace::{EndpointRole, FaultKind, MsgClass, TraceEvent};
+use p3_trace::{EndpointRole, FaultKind, TraceEvent};
 
 impl ClusterSim {
     // ------------------------------------------------------------------
@@ -39,81 +40,78 @@ impl ClusterSim {
         });
     }
 
-    /// Enqueues `msg` on an endpoint's egress, recording the enqueue (with
-    /// the post-enqueue queue depth and priority) when tracing.
-    pub(crate) fn enqueue_traced(
-        &mut self,
-        machine: usize,
-        role: Role,
-        msg: OutMsg,
-        class: MsgClass,
-        key: usize,
-        round: u64,
-    ) {
-        self.egress_mut(machine, role).enqueue(msg);
+    // ------------------------------------------------------------------
+    // Sending.
+
+    /// Wire size of a payload of `params` parameters, after any configured
+    /// compression at the ratio `ratio` picks (pushes and responses
+    /// compress by different ratios).
+    pub(crate) fn wire_size(&self, params: u64, ratio: fn(&WireCompression) -> f64) -> u64 {
+        match &self.cfg.wire_compression {
+            Some(c) => HEADER_BYTES as u64 + ((4 * params) as f64 / ratio(c)).ceil() as u64,
+            None => wire_bytes(params),
+        }
+    }
+
+    /// Sends one message: registers it and queues it on its sender's
+    /// egress. The kind fixes everything else. The sender's endpoint is
+    /// [`sender_role_of`] the kind, and the wire priority is the P3
+    /// priority of the kind's slice key ([`class_of`]).
+    #[inline]
+    pub(crate) fn send(&mut self, kind: MsgKind, src: usize, dst: usize, bytes: u64) {
+        let (_, key, _) = class_of(kind);
+        let ctx = MsgCtx {
+            kind,
+            src,
+            dst,
+            bytes,
+            priority: Priority(self.prio[key]),
+            attempt: 0,
+            flow: None,
+        };
+        let msg_id = self.register_msg(ctx);
+        self.enqueue(msg_id, &ctx);
+    }
+
+    fn register_msg(&mut self, ctx: MsgCtx) -> u64 {
+        let id = self.next_msg_id;
+        self.next_msg_id += 1;
+        let fresh = self.msgs.insert(id, ctx);
+        debug_assert!(fresh, "message ids issued out of order");
+        id
+    }
+
+    /// Queues message `msg_id` on its sender's egress, recording the
+    /// enqueue (with the post-enqueue queue depth, the kind's class, key
+    /// and round, and the priority) when tracing.
+    #[inline]
+    fn enqueue(&mut self, msg_id: u64, ctx: &MsgCtx) {
+        let role = sender_role_of(ctx.kind);
+        let msg = OutMsg {
+            dst: MachineId(ctx.dst),
+            bytes: ctx.bytes,
+            priority: ctx.priority,
+            msg_id,
+        };
+        self.egress_mut(ctx.src, role).enqueue(msg);
         if self.trace_log.is_some() {
-            let queue_depth = self.egress_mut(machine, role).backlog();
-            let erole = match role {
+            let queue_depth = self.egress_mut(ctx.src, role).backlog();
+            let (class, key, round) = class_of(ctx.kind);
+            let role = match role {
                 Role::Worker => EndpointRole::Worker,
                 Role::Server => EndpointRole::Server,
             };
             self.trace(TraceEvent::EgressEnqueue {
-                machine,
-                role: erole,
-                msg_id: msg.msg_id,
+                machine: ctx.src,
+                role,
+                msg_id,
                 class,
                 key,
                 round,
-                priority: msg.priority.0,
+                priority: ctx.priority.0,
                 queue_depth,
             });
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Wire sizes and message registration.
-
-    /// Wire size of a gradient push for `params` parameters, after any
-    /// configured compression.
-    pub(crate) fn push_wire(&self, params: u64) -> u64 {
-        match self.cfg.wire_compression {
-            Some(c) => HEADER_BYTES as u64 + ((4 * params) as f64 / c.push_ratio).ceil() as u64,
-            None => wire_bytes(params),
-        }
-    }
-
-    /// Wire size of a parameter response, after any configured compression.
-    pub(crate) fn response_wire(&self, params: u64) -> u64 {
-        match self.cfg.wire_compression {
-            Some(c) => HEADER_BYTES as u64 + ((4 * params) as f64 / c.response_ratio).ceil() as u64,
-            None => wire_bytes(params),
-        }
-    }
-
-    pub(crate) fn register_msg(
-        &mut self,
-        kind: MsgKind,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-        priority: Priority,
-    ) -> u64 {
-        let id = self.next_msg_id;
-        self.next_msg_id += 1;
-        let fresh = self.msgs.insert(
-            id,
-            MsgCtx {
-                kind,
-                src,
-                dst,
-                bytes,
-                priority,
-                attempt: 0,
-                flow: None,
-            },
-        );
-        debug_assert!(fresh, "message ids issued out of order");
-        id
     }
 
     /// Puts an admitted message on the wire: starts its flow (timed as
@@ -323,27 +321,11 @@ impl ClusterSim {
                 if let Some(retried) = self.msgs.get_mut(msg_id) {
                     retried.attempt += 1;
                 }
-                let MsgCtx {
-                    src,
-                    dst,
-                    bytes,
-                    priority,
-                    kind,
-                    ..
-                } = ctx;
                 self.faults.retransmits += 1;
-                let role = sender_role_of(kind);
-                let (class, key, round) = class_of(kind);
                 // Re-entering the egress queue at the original priority
                 // keeps the single consumer's strict priority order intact.
-                let msg = OutMsg {
-                    dst: MachineId(dst),
-                    bytes,
-                    priority,
-                    msg_id,
-                };
-                self.enqueue_traced(src, role, msg, class, key, round);
-                self.kick_egress(src, role);
+                self.enqueue(msg_id, &ctx);
+                self.kick_egress(ctx.src, sender_role_of(ctx.kind));
             }
         }
     }

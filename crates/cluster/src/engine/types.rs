@@ -15,8 +15,9 @@ use p3_trace::{ComputePhase, MsgClass};
 /// Hard cap on processed events — a run that exceeds it is wedged.
 pub(crate) const EVENT_CAP: u64 = 500_000_000;
 
-/// Round-membership masks are `u128` bitsets, one bit per worker.
-pub(crate) const MAX_MACHINES: usize = 128;
+/// The most machines a run can have: round-membership masks are `u128`
+/// bitsets, one bit per worker.
+pub const MAX_MACHINES: usize = 128;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
@@ -150,24 +151,18 @@ pub(crate) enum MsgKind {
     },
 }
 
-/// True for message kinds originated by the worker process (destroyed when
-/// it crashes) rather than the colocated server shard.
-pub(crate) fn worker_originated(kind: MsgKind) -> bool {
-    matches!(
-        kind,
-        MsgKind::Push { .. }
-            | MsgKind::PullReq { .. }
-            | MsgKind::RackPush { .. }
-            | MsgKind::ReduceScatter { .. }
-            | MsgKind::AllGather { .. }
-    )
-}
-
+/// The endpoint that sends a message kind: the worker process (whose
+/// messages die when it crashes) or the colocated server shard.
 pub(crate) fn sender_role_of(kind: MsgKind) -> Role {
-    if worker_originated(kind) {
-        Role::Worker
-    } else {
-        Role::Server
+    match kind {
+        MsgKind::Push { .. }
+        | MsgKind::PullReq { .. }
+        | MsgKind::RackPush { .. }
+        | MsgKind::ReduceScatter { .. }
+        | MsgKind::AllGather { .. } => Role::Worker,
+        MsgKind::Response { .. } | MsgKind::Notify { .. } | MsgKind::CombinedPush { .. } => {
+            Role::Server
+        }
     }
 }
 

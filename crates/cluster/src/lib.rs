@@ -10,9 +10,8 @@
 //!
 //! Every run goes through one driver, [`ClusterSim::run_until`], which
 //! pauses at an iteration boundary; a [`ClusterSim::snapshot`] taken there
-//! checkpoints the run. [`sweep`] repeats runs across a figure's points,
-//! and [`run_indexed`] fans independent runs out over threads, returning
-//! them in index order.
+//! checkpoints the run. [`run_indexed`] fans independent runs out over
+//! threads, returning them in index order.
 //!
 //! The analytic [`gantt`] module additionally reproduces the unit-time
 //! schedules of Figures 4 and 6.
@@ -50,8 +49,8 @@ pub use config::{
     BackendKind, ClusterConfig, FaultStats, LinkUtilization, MessageStats, RunError, RunResult,
     UtilizationTrace, WireCompression,
 };
-pub use engine::ClusterSim;
+pub use engine::{ClusterSim, MAX_MACHINES};
 pub use faults::{FaultPlan, LinkDegradation, StragglerEpisode, WorkerCrash};
 pub use p3_des::snap::{SnapshotError, SNAP_MAGIC, SNAP_VERSION};
-pub use sweep::{run_indexed, sweep, throughput_of, SweepPoint};
+pub use sweep::run_indexed;
 pub use timeline::{ascii_timeline, timeline_schedule};

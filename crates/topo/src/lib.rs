@@ -94,21 +94,24 @@ impl Topology {
     }
 
     /// Parses the CLI spec `racks=R,size=S,oversub=F` (fields in any
-    /// order; `oversub` optional, defaulting to 1).
+    /// order; `oversub` optional, defaulting to 1), refusing a topology of
+    /// more than `max_machines` machines before sizing anything for it.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending field on malformed input.
+    /// Returns a message naming the offending field on malformed input, or
+    /// the machine count when it exceeds `max_machines`.
     ///
     /// # Examples
     ///
     /// ```
     /// use p3_topo::Topology;
-    /// let t = Topology::parse_spec("racks=2,size=4,oversub=8").unwrap();
+    /// let t = Topology::parse_spec("racks=2,size=4,oversub=8", 128).unwrap();
     /// assert_eq!((t.racks(), t.rack_size(), t.oversub()), (2, 4, 8.0));
-    /// assert!(Topology::parse_spec("racks=0,size=4").is_err());
+    /// assert!(Topology::parse_spec("racks=0,size=4", 128).is_err());
+    /// assert!(Topology::parse_spec("racks=2,size=4", 7).is_err());
     /// ```
-    pub fn parse_spec(spec: &str) -> Result<Topology, String> {
+    pub fn parse_spec(spec: &str, max_machines: usize) -> Result<Topology, String> {
         let mut racks: Option<usize> = None;
         let mut size: Option<usize> = None;
         let mut oversub = 1.0f64;
@@ -146,6 +149,11 @@ impl Topology {
         let size = size.ok_or("topology spec missing size=S")?;
         if racks == 0 || size == 0 {
             return Err("racks and size must be positive".into());
+        }
+        if racks.checked_mul(size).is_none_or(|m| m > max_machines) {
+            return Err(format!(
+                "{racks} racks of {size} machines exceed {max_machines} machines"
+            ));
         }
         if !(oversub.is_finite() && oversub >= 1.0) {
             return Err(format!("oversub {oversub} must be finite and >= 1"));
@@ -384,12 +392,16 @@ mod tests {
 
     #[test]
     fn spec_parsing_round_trips_and_rejects_garbage() {
-        let t = Topology::parse_spec("size=8, racks=3").unwrap();
+        let parse = |spec| Topology::parse_spec(spec, 24);
+        let t = parse("size=8, racks=3").unwrap();
         assert_eq!((t.racks(), t.rack_size(), t.oversub()), (3, 8, 1.0));
-        assert!(Topology::parse_spec("racks=2").is_err());
-        assert!(Topology::parse_spec("racks=2,size=4,oversub=0.5").is_err());
-        assert!(Topology::parse_spec("racks=2,size=4,bogus=1").is_err());
-        assert!(Topology::parse_spec("racks=two,size=4").is_err());
+        assert!(parse("racks=2").is_err());
+        assert!(parse("racks=2,size=4,oversub=0.5").is_err());
+        assert!(parse("racks=2,size=4,bogus=1").is_err());
+        assert!(parse("racks=two,size=4").is_err());
+        assert!(parse("racks=5,size=5").is_err());
+        let huge = format!("racks={},size=2", usize::MAX);
+        assert!(parse(&huge).is_err(), "an overflowing product is refused");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example bandwidth_sensitivity`
 
-use p3::cluster::{sweep, ClusterConfig};
+use p3::cluster::{ClusterConfig, ClusterSim};
 use p3::core::SyncStrategy;
 use p3::models::ModelSpec;
 use p3::net::Bandwidth;
@@ -22,25 +22,36 @@ fn main() {
             model.name(),
             model.unit()
         );
-        let points = sweep(&gbps, &strategies, |g, s| {
-            ClusterConfig::new(model.clone(), s.clone(), 4, Bandwidth::from_gbps(g))
-                .with_iters(2, 6)
-                .with_seed(7)
-        });
-        let plateau = points.last().expect("nonempty").series[2].1;
-        for p in &points {
-            print!("{:5.1} Gbps:", p.x);
-            for (name, t) in &p.series {
-                print!("  {name} {t:7.1}");
+        // (Gbps, throughput of each strategy), one row per bandwidth.
+        let rows: Vec<(f64, Vec<f64>)> = gbps
+            .iter()
+            .map(|&g| {
+                let tps = strategies.iter().map(|s| {
+                    let cfg =
+                        ClusterConfig::new(model.clone(), s.clone(), 4, Bandwidth::from_gbps(g))
+                            .with_iters(2, 6)
+                            .with_seed(7);
+                    ClusterSim::new(cfg)
+                        .try_run()
+                        .map_or(f64::NAN, |r| r.throughput)
+                });
+                (g, tps.collect())
+            })
+            .collect();
+        let plateau = rows.last().expect("nonempty").1[2];
+        for (g, tps) in &rows {
+            print!("{g:5.1} Gbps:");
+            for (s, t) in strategies.iter().zip(tps) {
+                print!("  {} {t:7.1}", s.name());
             }
             println!();
         }
         // "Linear scaling" = within 5% of the unconstrained plateau.
         for (i, name) in ["Baseline", "Slicing", "P3"].iter().enumerate() {
-            let floor = points
+            let floor = rows
                 .iter()
-                .filter(|p| p.series[i].1 >= plateau * 0.95)
-                .map(|p| p.x)
+                .filter(|(_, tps)| tps[i] >= plateau * 0.95)
+                .map(|(g, _)| *g)
                 .fold(f64::INFINITY, f64::min);
             println!("  {name}: holds linear scaling down to ~{floor} Gbps");
         }

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example custom_model`
 
-use p3::cluster::{sweep, throughput_of, ClusterConfig};
+use p3::cluster::{ClusterConfig, ClusterSim};
 use p3::core::SyncStrategy;
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
@@ -55,19 +55,21 @@ fn main() {
             .with_iters(2, 6)
             .with_seed(3)
     };
-    let base = throughput_of(cfg(SyncStrategy::baseline()));
-    let p3 = throughput_of(cfg(SyncStrategy::p3()));
+    let tp = |s| {
+        ClusterSim::new(cfg(s))
+            .try_run()
+            .map_or(f64::NAN, |r| r.throughput)
+    };
+    let base = tp(SyncStrategy::baseline());
+    let p3 = tp(SyncStrategy::p3());
     println!(
         "at {bw}: baseline {base:.0} img/s, P3 {p3:.0} img/s ({:+.0}%)\n",
         (p3 / base - 1.0) * 100.0
     );
 
     println!("slice-size sweep (Fig. 12 methodology):");
-    let sizes = [5e3, 2e4, 5e4, 2e5, 1e6];
-    let points = sweep(&sizes, &[SyncStrategy::p3()], |sz, _| {
-        cfg(SyncStrategy::p3_with_slice_params(sz as u64))
-    });
-    for p in points {
-        println!("  {:>9} params/slice: {:7.1} img/s", p.x, p.series[0].1);
+    for sz in [5_000, 20_000, 50_000, 200_000, 1_000_000] {
+        let t = tp(SyncStrategy::p3_with_slice_params(sz));
+        println!("  {sz:>9} params/slice: {t:7.1} img/s");
     }
 }

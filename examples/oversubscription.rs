@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example oversubscription`
 
-use p3::cluster::{sweep, ClusterConfig};
+use p3::cluster::{ClusterConfig, ClusterSim};
 use p3::core::SyncStrategy;
 use p3::models::ModelSpec;
 use p3::net::Bandwidth;
@@ -23,8 +23,8 @@ fn main() {
         "== {} on {racks} racks x {rack_size} machines, 15 Gbps NICs ==",
         model.name()
     );
-    let points = sweep(&oversubs, &strategies, |f, s| {
-        ClusterConfig::new(
+    let tp = |f: f64, s: &SyncStrategy| {
+        let cfg = ClusterConfig::new(
             model.clone(),
             s.clone(),
             racks * rack_size,
@@ -33,18 +33,18 @@ fn main() {
         .with_iters(2, 6)
         .with_seed(7)
         .with_topology(Topology::new(racks, rack_size, f))
-        .with_placement(Placement::Spread)
-    });
+        .with_placement(Placement::Spread);
+        ClusterSim::new(cfg)
+            .try_run()
+            .map_or(f64::NAN, |r| r.throughput)
+    };
     let mut crossover = None;
-    for p in &points {
-        let (base, p3) = (p.series[0].1, p.series[1].1);
+    for f in oversubs {
+        let (base, p3) = (tp(f, &strategies[0]), tp(f, &strategies[1]));
         let edge = (p3 / base - 1.0) * 100.0;
-        println!(
-            "{:5.0}:1 oversub:  Baseline {base:7.1}  P3 {p3:7.1}  ({edge:+5.1}% edge)",
-            p.x
-        );
+        println!("{f:5.0}:1 oversub:  Baseline {base:7.1}  P3 {p3:7.1}  ({edge:+5.1}% edge)");
         if crossover.is_none() && edge < 5.0 {
-            crossover = Some(p.x);
+            crossover = Some(f);
         }
     }
     match crossover {
