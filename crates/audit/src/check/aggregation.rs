@@ -2,8 +2,68 @@
 //! version advancement, full-membership conservation, and slice
 //! consumption ordering.
 
+use super::intern::NONE;
 use super::{Checker, MsgState};
 use crate::report::Invariant;
+
+/// Per delivered-push entry (receiver, key, round, sender), the slots of
+/// the pushes delivered there and not yet claimed, oldest first. The
+/// lists share one arena of `(slot, next)` links.
+#[derive(Debug)]
+pub(crate) struct PushLists {
+    /// Per entry: first and last link (`NONE` when empty).
+    ends: Vec<(u32, u32)>,
+    links: Vec<(u32, u32)>,
+}
+
+impl PushLists {
+    pub(crate) fn new(entries: usize) -> PushLists {
+        PushLists {
+            ends: vec![(NONE, NONE); entries],
+            links: Vec::new(),
+        }
+    }
+
+    pub(crate) fn append(&mut self, entry: usize, slot: u32) {
+        let link = self.links.len() as u32;
+        self.links.push((slot, NONE));
+        let (head, tail) = &mut self.ends[entry];
+        if *tail == NONE {
+            *head = link;
+        } else {
+            self.links[*tail as usize].1 = link;
+        }
+        *tail = link;
+    }
+
+    /// Unlinks the first slot of `entry` that `pick` accepts, or every
+    /// such slot when `all`. Returns whether one was unlinked.
+    pub(crate) fn unlink(&mut self, entry: usize, all: bool, pick: impl Fn(u32) -> bool) -> bool {
+        let mut found = false;
+        let (mut prev, mut at) = (NONE, self.ends[entry].0);
+        while at != NONE {
+            let (slot, next) = self.links[at as usize];
+            if pick(slot) {
+                found = true;
+                if prev == NONE {
+                    self.ends[entry].0 = next;
+                } else {
+                    self.links[prev as usize].1 = next;
+                }
+                if next == NONE {
+                    self.ends[entry].1 = prev;
+                }
+                if !all {
+                    break;
+                }
+            } else {
+                prev = at;
+            }
+            at = next;
+        }
+        found
+    }
+}
 
 impl Checker {
     pub(super) fn on_agg_start(
@@ -15,7 +75,10 @@ impl Checker {
         round: u64,
         worker: usize,
     ) {
-        if let Some(&(k, r, w)) = self.open_agg.get(&server) {
+        let Some(s) = self.ids.machines.slot(server as u64) else {
+            return;
+        };
+        if let Some((k, r, w)) = self.open_agg[s] {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
@@ -26,7 +89,8 @@ impl Checker {
                 ),
             );
         }
-        let version = self.versions.get(&(server, key)).copied().unwrap_or(0);
+        let cell = self.ids.cell_of(server, key);
+        let version = cell.map_or(0, |c| self.versions[c]);
         if round != version {
             self.rep.violate(
                 Invariant::CausalOrder,
@@ -38,21 +102,15 @@ impl Checker {
                 ),
             );
         }
-        let push = (server, key, round, worker);
-        let mut claimed = false;
-        if let Some(slots) = self.delivered_pushes.get_mut(&push) {
-            let pos = slots.iter().position(|&slot| {
-                matches!(self.msgs.get(slot), Some(Some(m)) if m.state == MsgState::Delivered)
-            });
-            if let Some(p) = pos {
-                slots.remove(p);
-                claimed = true;
-            }
-            // Drop spent entries: the map holds only unclaimed pushes.
-            if slots.is_empty() {
-                self.delivered_pushes.remove(&push);
-            }
-        }
+        let entry = cell
+            .zip(self.ids.machines.slot(worker as u64))
+            .and_then(|(c, w)| self.ids.pushes.find(c, (round, w as u32)));
+        let msgs = &self.msgs;
+        let claimed = entry.is_some_and(|e| {
+            self.pushes.unlink(e, false, |slot| {
+                msgs[slot as usize].state == MsgState::Delivered
+            })
+        });
         if !claimed {
             self.rep.violate(
                 Invariant::CausalOrder,
@@ -64,7 +122,7 @@ impl Checker {
                 ),
             );
         }
-        self.open_agg.insert(server, (key, round, worker));
+        self.open_agg[s] = Some((key, round, worker));
     }
 
     pub(super) fn on_agg_end(
@@ -76,13 +134,19 @@ impl Checker {
         round: u64,
         worker: usize,
     ) {
-        match self.open_agg.remove(&server) {
+        let Some(s) = self.ids.machines.slot(server as u64) else {
+            return;
+        };
+        match self.open_agg[s].take() {
             Some((k, r, w)) if (k, r, w) == (key, round, worker) => {
                 if self.conservation_enabled() {
-                    self.agg_members
-                        .entry((server, key, round))
-                        .or_default()
-                        .insert(worker);
+                    let entry = self.ids.cell_of(server, key).and_then(|c| {
+                        let w = self.ids.machines.slot(worker as u64)?;
+                        self.ids.agg.find(c, (round, w as u32))
+                    });
+                    if let Some(e) = entry {
+                        self.members[e] = true;
+                    }
                 }
             }
             other => {
@@ -108,8 +172,13 @@ impl Checker {
         version: u64,
         degraded: bool,
     ) {
-        let prev = self.versions.get(&(server, key)).copied().unwrap_or(0);
-        if version != prev + 1 {
+        let Some(cell) = self.ids.cell_of(server, key) else {
+            return;
+        };
+        let prev = self.versions[cell];
+        // Wraps as a release build always has; only a corrupt log gets
+        // near `u64::MAX`.
+        if version != prev.wrapping_add(1) {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
@@ -120,13 +189,17 @@ impl Checker {
                 ),
             );
         }
-        self.versions.insert((server, key), version);
-        let members = self
-            .agg_members
-            .remove(&(server, key, version.saturating_sub(1)));
+        self.versions[cell] = version;
+        // The aggregations of the completed round leave the table.
+        let done = version.saturating_sub(1);
+        let (lo, entries) = self.ids.agg.entries(cell);
+        let first = entries.partition_point(|&(r, _)| r < done);
+        let last = entries.partition_point(|&(r, _)| r <= done);
+        let members = &mut self.members[lo + first..lo + last];
+        let unique = members.iter().filter(|&&m| m).count();
+        members.fill(false);
         if !degraded && self.conservation_enabled() {
             let machines = self.opts.machines.unwrap_or(0);
-            let unique = members.map(|m| m.len()).unwrap_or(0);
             if unique != machines {
                 self.rep.violate(
                     Invariant::ByteConservation,
@@ -149,7 +222,10 @@ impl Checker {
         key: usize,
         round: u64,
     ) {
-        let mut have = self.received.get(&(worker, key)).copied().unwrap_or(0);
+        let mut have = self
+            .ids
+            .cell_of(worker, key)
+            .map_or(0, |c| self.received[c]);
         if self.opts.collective == Some(true) {
             // Collective completion syncs every live member in place — no
             // per-machine delivery crosses the wire for a worker that was
@@ -160,7 +236,11 @@ impl Checker {
             // This is deliberately loose — the final AllGather chunk of a
             // collective always precedes any consume of its result, so the
             // mark never runs ahead of a legal consume.
-            let high = self.allgather_high.get(&key).copied().unwrap_or(0);
+            let high = self
+                .ids
+                .keys
+                .slot(key as u64)
+                .map_or(0, |k| self.allgather_high[k]);
             have = have.max(high);
         }
         if have < round {

@@ -15,7 +15,6 @@
 
 use super::Checker;
 use crate::report::Invariant;
-use std::collections::BTreeMap;
 
 /// Relative tolerance on capacity windows, covering the fluid allocator's
 /// floating-point drains.
@@ -24,13 +23,22 @@ const CAPACITY_REL_TOL: f64 = 1e-6;
 const CAPACITY_ABS_SLACK: f64 = 2048.0;
 
 /// One completed wire transfer, kept for the offline capacity scan.
+/// Machines are named by slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Attempt {
-    pub(crate) src: usize,
-    pub(crate) dst: usize,
     pub(crate) start: u64,
     pub(crate) end: u64,
     pub(crate) bytes: u64,
+    pub(crate) src: u32,
+    pub(crate) dst: u32,
+}
+
+/// An attempt as one of its ports sees it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u64,
+    end: u64,
+    bytes: u64,
 }
 
 impl Checker {
@@ -40,40 +48,78 @@ impl Checker {
     /// the bound, so a violation is a genuine over-commitment.
     pub(super) fn check_capacity(&mut self, cap: f64) {
         let attempts = std::mem::take(&mut self.attempts);
-        let mut tx: BTreeMap<usize, Vec<Attempt>> = BTreeMap::new();
-        let mut rx: BTreeMap<usize, Vec<Attempt>> = BTreeMap::new();
-        for a in attempts {
-            tx.entry(a.src).or_default().push(a);
-            rx.entry(a.dst).or_default().push(a);
-        }
-        let ports = tx
-            .into_iter()
-            .map(|(p, l)| (p, l, "tx"))
-            .chain(rx.into_iter().map(|(p, l)| (p, l, "rx")));
-        for (port, mut list, dir) in ports {
-            list.sort_by_key(|a| (a.start, a.end));
-            // One violation per port is enough to act on.
-            if let Some((a, sum, end)) = busy_periods(&list).find_map(|p| first_violation(cap, p)) {
-                self.rep.violate(
-                    Invariant::CapacityFeasibility,
-                    None,
-                    a,
-                    format!(
-                        "port m{port} ({dir}): {sum} bytes delivered in a {:.3}ms window — \
-                         exceeds capacity {cap:.0} bytes/sec",
-                        (end - a) as f64 / 1e6,
-                    ),
-                );
-            }
+        let machines = self.ids.machines.len();
+        for (port, (a, sum, end)) in overcommitted(cap, attempts, machines) {
+            let (machine, dir) = if port < machines {
+                (port, "tx")
+            } else {
+                (port - machines, "rx")
+            };
+            let machine = self.ids.machines.id(machine);
+            self.rep.violate(
+                Invariant::CapacityFeasibility,
+                None,
+                a,
+                format!(
+                    "port m{machine} ({dir}): {sum} bytes delivered in a {:.3}ms window — \
+                     exceeds capacity {cap:.0} bytes/sec",
+                    (end - a) as f64 / 1e6,
+                ),
+            );
         }
     }
+}
+
+/// The earliest over-committed window of each port that has one, as
+/// `(port, (anchor, bytes, end))`. Ports are numbered tx first, then
+/// rx, each in machine-slot order. One violation per port is enough to
+/// act on.
+fn overcommitted(
+    cap: f64,
+    mut attempts: Vec<Attempt>,
+    machines: usize,
+) -> Vec<(usize, (u64, u64, u64))> {
+    // One stable sort puts every port's attempts in `(start, end)` order,
+    // ties in log order; a counting sort then files each attempt under
+    // its tx and its rx port, keeping that order.
+    attempts.sort_by_key(|a| (a.start, a.end));
+    let mut start = vec![0usize; 2 * machines + 1];
+    for a in &attempts {
+        start[a.src as usize + 1] += 1;
+        start[machines + a.dst as usize + 1] += 1;
+    }
+    for p in 0..2 * machines {
+        start[p + 1] += start[p];
+    }
+    let mut by_port = vec![Span::default(); 2 * attempts.len()];
+    let mut next = start.clone();
+    for a in &attempts {
+        let span = Span {
+            start: a.start,
+            end: a.end,
+            bytes: a.bytes,
+        };
+        for port in [a.src as usize, machines + a.dst as usize] {
+            by_port[next[port]] = span;
+            next[port] += 1;
+        }
+    }
+    (0..2 * machines)
+        .filter_map(|port| {
+            let list = &by_port[start[port]..start[port + 1]];
+            Some((
+                port,
+                busy_periods(list).find_map(|p| first_violation(cap, p))?,
+            ))
+        })
+        .collect()
 }
 
 /// Splits a port's attempts, sorted by `(start, end)`, into maximal busy
 /// periods: runs in which each attempt starts before every earlier one
 /// has ended. No window that crosses a gap can be tighter than one
 /// inside a period.
-fn busy_periods(list: &[Attempt]) -> impl Iterator<Item = &[Attempt]> {
+fn busy_periods(list: &[Span]) -> impl Iterator<Item = &[Span]> {
     let mut rest = list;
     std::iter::from_fn(move || {
         let mut max_end = rest.first()?.end;
@@ -101,12 +147,12 @@ fn exceeds(cap: f64, sum: u64, span_ns: u64) -> bool {
 /// `(start, end)`), as `(anchor, bytes, end)`: the smallest violating
 /// anchor, and within it the first attempt in `(end, start)` order at
 /// which the running sum exceeds the bound.
-fn first_violation(cap: f64, period: &[Attempt]) -> Option<(u64, u64, u64)> {
+fn first_violation(cap: f64, period: &[Span]) -> Option<(u64, u64, u64)> {
     let anchors = flagged_anchors(cap, period);
     if anchors.is_empty() {
         return None;
     }
-    let mut by_end: Vec<&Attempt> = period.iter().collect();
+    let mut by_end: Vec<&Span> = period.iter().collect();
     by_end.sort_by_key(|a| (a.end, a.start));
     anchors.into_iter().find_map(|a| {
         let mut sum = 0u64;
@@ -129,7 +175,7 @@ fn first_violation(cap: f64, period: &[Attempt]) -> Option<(u64, u64, u64)> {
 /// `S_a(e) − c·e > slack − c·a`. The tree holds `S_a(e) − c·e` for each
 /// end `e > a`, so its max is the anchor's worst window. Times are taken
 /// relative to the period's first start to keep the floats small.
-fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
+fn flagged_anchors(cap: f64, period: &[Span]) -> Vec<u64> {
     let Some(t0) = period.first().map(|a| a.start) else {
         return Vec::new();
     };
@@ -188,39 +234,53 @@ fn flagged_anchors(cap: f64, period: &[Attempt]) -> Vec<u64> {
 struct SuffixMax {
     size: usize,
     /// Per node: the max over its children's values, its own tag excluded
-    /// (at a leaf, the leaf's base value).
-    below: Vec<f64>,
-    /// Per node: bytes added to its whole subtree. Sums of byte counts
-    /// are exact below 2⁵³ bytes and cannot overflow.
-    tag: Vec<f64>,
+    /// (at a leaf, the leaf's base value), and the bytes added to its
+    /// whole subtree. Sums of byte counts are exact below 2⁵³ bytes and
+    /// cannot overflow.
+    node: Vec<Node>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    below: f64,
+    tag: f64,
+}
+
+impl Node {
+    fn value(self) -> f64 {
+        self.below + self.tag
+    }
 }
 
 impl SuffixMax {
     fn new(leaves: usize) -> SuffixMax {
         let size = leaves.next_power_of_two();
+        let empty = Node {
+            below: f64::NEG_INFINITY,
+            tag: 0.0,
+        };
         SuffixMax {
             size,
-            below: vec![f64::NEG_INFINITY; 2 * size],
-            tag: vec![0.0; 2 * size],
-        }
-    }
-
-    fn value(&self, n: usize) -> f64 {
-        self.below[n] + self.tag[n]
-    }
-
-    /// Recomputes the ancestors of node `n`.
-    fn rebuild_above(&mut self, mut n: usize) {
-        while n > 1 {
-            n /= 2;
-            self.below[n] = self.value(2 * n).max(self.value(2 * n + 1));
+            node: vec![empty; 2 * size],
         }
     }
 
     /// Sets leaf `i`'s base value; bytes already added over it still count.
+    /// The walk up stops at the first ancestor whose max it leaves alone.
     fn set(&mut self, i: usize, base: f64) {
-        self.below[self.size + i] = base;
-        self.rebuild_above(self.size + i);
+        let mut n = self.size + i;
+        self.node[n].below = base;
+        // Each level's value stays in a register; only siblings are read.
+        let mut value = self.node[n].value();
+        while n > 1 {
+            let below = value.max(self.node[n ^ 1].value());
+            n /= 2;
+            if below == self.node[n].below {
+                break;
+            }
+            self.node[n].below = below;
+            value = self.node[n].value();
+        }
     }
 
     /// Adds `bytes` to every leaf at or after `from`: the leaf, and the
@@ -231,35 +291,38 @@ impl SuffixMax {
         }
         let mut n = from + self.size;
         let bytes = bytes as f64;
-        self.tag[n] += bytes;
+        self.node[n].tag += bytes;
+        let mut value = self.node[n].value();
         while n > 1 {
             if n.is_multiple_of(2) {
-                self.tag[n + 1] += bytes;
+                self.node[n + 1].tag += bytes;
             }
+            let below = value.max(self.node[n ^ 1].value());
             n /= 2;
-            self.below[n] = self.value(2 * n).max(self.value(2 * n + 1));
+            self.node[n].below = below;
+            value = self.node[n].value();
         }
     }
 
     /// Max over all leaves (−∞ while none is set).
     fn max(&self) -> f64 {
-        self.value(1)
+        self.node[1].value()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::AuditOptions;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The quadratic scan the sweep replaced, at stride 1: every anchor in
     /// `(start, end)` order, every end in `(end, start)` order, the first
     /// violating window of each port reported.
     fn oracle(cap: f64, attempts: &[Attempt]) -> Vec<(u64, String)> {
         let mut out = Vec::new();
-        let mut tx: BTreeMap<usize, Vec<Attempt>> = BTreeMap::new();
-        let mut rx: BTreeMap<usize, Vec<Attempt>> = BTreeMap::new();
+        let mut tx: BTreeMap<u32, Vec<Attempt>> = BTreeMap::new();
+        let mut rx: BTreeMap<u32, Vec<Attempt>> = BTreeMap::new();
         for &a in attempts {
             tx.entry(a.src).or_default().push(a);
             rx.entry(a.dst).or_default().push(a);
@@ -296,12 +359,7 @@ mod tests {
         out
     }
 
-    fn oracle_period(
-        cap: f64,
-        port: usize,
-        dir: &str,
-        period: &[Attempt],
-    ) -> Option<(u64, String)> {
+    fn oracle_period(cap: f64, port: u32, dir: &str, period: &[Attempt]) -> Option<(u64, String)> {
         let mut by_end: Vec<&Attempt> = period.iter().collect();
         by_end.sort_by_key(|a| (a.end, a.start));
         for anchor in period {
@@ -327,14 +385,23 @@ mod tests {
         None
     }
 
+    /// The sweep's report on machines 0, 1 and 2, each its own slot.
     fn sweep(cap: f64, attempts: &[Attempt]) -> Vec<(u64, String)> {
-        let mut c = Checker::new(AuditOptions::default(), Vec::new());
-        c.attempts = attempts.to_vec();
-        c.check_capacity(cap);
-        c.rep
-            .violations
+        overcommitted(cap, attempts.to_vec(), 3)
             .into_iter()
-            .map(|v| (v.at_nanos, v.message))
+            .map(|(port, (a, sum, end))| {
+                let (machine, dir) = if port < 3 {
+                    (port, "tx")
+                } else {
+                    (port - 3, "rx")
+                };
+                let message = format!(
+                    "port m{machine} ({dir}): {sum} bytes delivered in a {:.3}ms window — \
+                     exceeds capacity {cap:.0} bytes/sec",
+                    (end - a) as f64 / 1e6,
+                );
+                (a, message)
+            })
             .collect()
     }
 
@@ -353,38 +420,36 @@ mod tests {
         slots: u64,
         unit: u64,
     ) -> impl Strategy<Value = Vec<Attempt>> {
-        prop::collection::vec(
-            (0usize..3, 1usize..3, 0..slots, 0u64..14, 0u8..4, 0u64..5),
-            n,
+        prop::collection::vec((0u32..3, 1u32..3, 0..slots, 0u64..14, 0u8..4, 0u64..5), n).prop_map(
+            move |raw| {
+                raw.into_iter()
+                    .map(|(src, shift, slot, len, kind, jitter)| {
+                        // Lengths 12 and 13 make an attempt that ends one or
+                        // two units before it starts, as only a corrupt log
+                        // can hold.
+                        let (start, end) = if len < 12 {
+                            (slot * unit, (slot + len) * unit)
+                        } else {
+                            ((slot + len - 11) * unit, slot * unit)
+                        };
+                        let own = bound(1e9, end.abs_diff(start));
+                        let bytes = match kind {
+                            0 => jitter * 300,
+                            1 => own - 2 + jitter,
+                            2 => own / 2 - 2 + jitter,
+                            _ => 3 * own,
+                        };
+                        Attempt {
+                            src,
+                            dst: (src + shift) % 3,
+                            start,
+                            end,
+                            bytes,
+                        }
+                    })
+                    .collect()
+            },
         )
-        .prop_map(move |raw| {
-            raw.into_iter()
-                .map(|(src, shift, slot, len, kind, jitter)| {
-                    // Lengths 12 and 13 make an attempt that ends one or
-                    // two units before it starts, as only a corrupt log
-                    // can hold.
-                    let (start, end) = if len < 12 {
-                        (slot * unit, (slot + len) * unit)
-                    } else {
-                        ((slot + len - 11) * unit, slot * unit)
-                    };
-                    let own = bound(1e9, end.abs_diff(start));
-                    let bytes = match kind {
-                        0 => jitter * 300,
-                        1 => own - 2 + jitter,
-                        2 => own / 2 - 2 + jitter,
-                        _ => 3 * own,
-                    };
-                    Attempt {
-                        src,
-                        dst: (src + shift) % 3,
-                        start,
-                        end,
-                        bytes,
-                    }
-                })
-                .collect()
-        })
     }
 
     proptest! {

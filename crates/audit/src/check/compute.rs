@@ -4,7 +4,7 @@
 use super::Checker;
 use crate::report::Invariant;
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct WorkerState {
     pub(crate) open_compute: Option<(u64, u8, usize)>,
     pub(crate) open_stall: Option<(u64, usize)>,
@@ -12,6 +12,18 @@ pub(crate) struct WorkerState {
     pub(crate) window_valid: bool,
     pub(crate) compute_ns: u64,
     pub(crate) stall_ns: u64,
+}
+
+impl WorkerState {
+    /// A worker before its first event: its first window is checked.
+    pub(crate) const FRESH: WorkerState = WorkerState {
+        open_compute: None,
+        open_stall: None,
+        window_start: None,
+        window_valid: true,
+        compute_ns: 0,
+        stall_ns: 0,
+    };
 }
 
 impl Checker {
@@ -23,7 +35,9 @@ impl Checker {
         ph: u8,
         block: usize,
     ) {
-        let st = self.worker(worker);
+        let Some(st) = self.worker(worker) else {
+            return;
+        };
         if st.window_start.is_none() {
             st.window_start = Some(t);
         }
@@ -40,10 +54,14 @@ impl Checker {
     }
 
     pub(super) fn on_compute_end(&mut self, i: usize, t: u64, worker: usize, ph: u8, block: usize) {
-        let st = self.worker(worker);
+        let Some(st) = self.worker(worker) else {
+            return;
+        };
         match st.open_compute.take() {
             Some((t0, p0, b0)) if p0 == ph && b0 == block => {
-                st.compute_ns += t - t0;
+                // Wraps as a release build always has: only a corrupt log ends
+                // a segment before it starts.
+                st.compute_ns = st.compute_ns.wrapping_add(t.wrapping_sub(t0));
             }
             other => {
                 st.open_compute = None;
@@ -60,7 +78,9 @@ impl Checker {
     }
 
     pub(super) fn on_stall_start(&mut self, i: usize, t: u64, worker: usize, block: usize) {
-        let st = self.worker(worker);
+        let Some(st) = self.worker(worker) else {
+            return;
+        };
         if st.window_start.is_none() {
             st.window_start = Some(t);
         }
@@ -77,10 +97,12 @@ impl Checker {
     }
 
     pub(super) fn on_stall_end(&mut self, i: usize, t: u64, worker: usize, block: usize) {
-        let st = self.worker(worker);
+        let Some(st) = self.worker(worker) else {
+            return;
+        };
         match st.open_stall.take() {
             Some((t0, b0)) if b0 == block => {
-                st.stall_ns += t - t0;
+                st.stall_ns = st.stall_ns.wrapping_add(t.wrapping_sub(t0));
             }
             other => {
                 st.open_stall = None;
@@ -95,12 +117,14 @@ impl Checker {
     }
 
     pub(super) fn on_iteration_end(&mut self, i: usize, t: u64, worker: usize) {
-        let st = self.worker(worker);
+        let Some(st) = self.worker(worker) else {
+            return;
+        };
         let mut mismatch = None;
         if st.window_valid {
             if let Some(t0) = st.window_start {
                 let span = t.saturating_sub(t0);
-                let accounted = st.compute_ns + st.stall_ns;
+                let accounted = st.compute_ns.wrapping_add(st.stall_ns);
                 if accounted != span {
                     mismatch = Some((span, st.compute_ns, st.stall_ns));
                 }
@@ -118,7 +142,7 @@ impl Checker {
                 format!(
                     "worker {worker}: iteration span {span}ns != compute {compute}ns + stall \
                      {stall}ns (unaccounted {}ns)",
-                    span as i128 - (compute + stall) as i128
+                    span as i128 - compute.wrapping_add(stall) as i128
                 ),
             );
         }

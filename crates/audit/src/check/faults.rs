@@ -1,6 +1,7 @@
 //! Fault-transition checkers: loss/retransmit/give-up state machines,
 //! flow cancellation, crash/rejoin teardown, and collective aborts.
 
+use super::intern::NONE;
 use super::{is_push_class, Checker, Msg, MsgState, ROLE_WORKER};
 use crate::report::Invariant;
 use p3_trace::{FaultKind, MsgClass};
@@ -18,17 +19,16 @@ impl Checker {
             FaultKind::Loss => {
                 self.msg_transition(i, t, msg, MsgState::Delivered, MsgState::Lost, "lost");
                 if let Some(Msg { slot, .. }) = msg {
-                    if let Some(Some(info)) = self.msgs.get(slot) {
-                        if is_push_class(info.class) {
-                            if let (Some(dst), key, round) = (info.dst, info.key, info.round) {
-                                if let Some(slots) = self.delivered_pushes.get_mut(&(
-                                    dst,
-                                    key,
-                                    round,
-                                    info.endpoint.0,
-                                )) {
-                                    slots.retain(|&x| x != slot);
-                                }
+                    let info = self.msgs[slot];
+                    if is_push_class(info.class) {
+                        if let Some(dst) = info.dst() {
+                            let sender = info.endpoint / 2;
+                            let entry = self
+                                .ids
+                                .cell(dst, info.key as usize)
+                                .and_then(|c| self.ids.pushes.find(c, (info.round, sender)));
+                            if let Some(e) = entry {
+                                self.pushes.unlink(e, true, |s| s as usize == slot);
                             }
                         }
                     }
@@ -49,7 +49,8 @@ impl Checker {
             }
             FaultKind::FlowCancelled => {
                 if let Some(Msg { id, slot }) = msg {
-                    if let Some(Some(info)) = self.msgs.get_mut(slot) {
+                    let info = &mut self.msgs[slot];
+                    if info.state != MsgState::Unseen {
                         if info.state != MsgState::InFlight {
                             let state = info.state;
                             self.rep.violate(
@@ -60,39 +61,37 @@ impl Checker {
                             );
                         }
                         info.state = MsgState::Dead;
-                        info.open_start = None;
+                        info.is_open = false;
                         let endpoint = info.endpoint;
                         let dst = info.dst;
-                        if let Some(n) = self.inflight.get_mut(&endpoint) {
-                            *n = n.saturating_sub(1);
-                        }
-                        if let Some(d) = dst {
-                            self.lane_busy.remove(&(endpoint.0, endpoint.1, d));
+                        let n = &mut self.inflight[endpoint as usize];
+                        *n = n.saturating_sub(1);
+                        if dst != NONE && !self.lane_busy.is_empty() {
+                            self.lane_busy.remove(&(endpoint, dst));
                         }
                     }
                 }
             }
             FaultKind::Crash => {
-                self.crashed.insert(machine);
+                let Some(m) = self.ids.machines.slot(machine as u64) else {
+                    return;
+                };
+                self.crashed[m] = true;
                 // The dead process's queued (and retry-pending) messages
                 // are destroyed with it; in-flight ones are cancelled by
                 // the FlowCancelled events that follow.
-                let endpoint = (machine, ROLE_WORKER);
-                if let Some(q) = self.queued.get_mut(&endpoint) {
-                    for slot in q.take() {
-                        if let Some(Some(info)) = self.msgs.get_mut(slot) {
-                            info.state = MsgState::Dead;
-                        }
-                    }
+                let endpoint = 2 * m as u32 + u32::from(ROLE_WORKER);
+                for slot in self.queues.take(endpoint) {
+                    self.msgs[slot as usize].state = MsgState::Dead;
                 }
-                for info in self.msgs.iter_mut().flatten() {
+                for info in &mut self.msgs {
                     if info.endpoint == endpoint
                         && matches!(info.state, MsgState::Lost | MsgState::RetryPending)
                     {
                         info.state = MsgState::Dead;
                     }
                 }
-                let st = self.worker(machine);
+                let st = &mut self.workers[m];
                 st.open_compute = None;
                 st.window_valid = false;
                 st.window_start = None;
@@ -101,7 +100,10 @@ impl Checker {
                 // An open stall is closed by the StallEnd the crash emits.
             }
             FaultKind::Rejoin => {
-                self.crashed.remove(&machine);
+                let Some(m) = self.ids.machines.slot(machine as u64) else {
+                    return;
+                };
+                self.crashed[m] = false;
                 // Collective rejoin resyncs in place (no pull/response
                 // messages cross the wire): the restarted process adopts
                 // every collectively-completed version. The consume check
@@ -109,7 +111,7 @@ impl Checker {
                 // `on_slice_consumed` — which also covers versions the
                 // group completes after the rejoin while the rank is still
                 // excluded from a reformed survivor group.
-                let st = self.worker(machine);
+                let st = &mut self.workers[m];
                 st.window_valid = false;
                 st.window_start = None;
             }
@@ -122,19 +124,17 @@ impl Checker {
                 // or the next enqueue's reported depth would mismatch.
                 // Only one collective is in flight at a time, so every
                 // live chunk message belongs to the aborted one.
-                for (slot, entry) in self.msgs.iter_mut().enumerate() {
-                    let Some(info) = entry else { continue };
+                for (slot, info) in self.msgs.iter_mut().enumerate() {
                     if !matches!(info.class, MsgClass::ReduceScatter | MsgClass::AllGather) {
                         continue;
                     }
                     match info.state {
-                        MsgState::Queued => {
-                            if let Some(q) = self.queued.get_mut(&info.endpoint) {
-                                q.remove(slot);
-                            }
-                        }
+                        MsgState::Queued => self.queues.remove(info.endpoint, slot as u32),
                         MsgState::Lost | MsgState::RetryPending => {}
-                        MsgState::InFlight | MsgState::Delivered | MsgState::Dead => continue,
+                        MsgState::Unseen
+                        | MsgState::InFlight
+                        | MsgState::Delivered
+                        | MsgState::Dead => continue,
                     }
                     info.state = MsgState::Dead;
                 }

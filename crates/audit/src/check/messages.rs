@@ -2,10 +2,12 @@
 //! transfers, byte conservation between attempts, priority inversions,
 //! and in-flight windows.
 
+use super::intern::NONE;
 use super::{is_push_class, Checker, ROLE_WORKER};
 use crate::report::Invariant;
 use p3_trace::MsgClass;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A message as the replay addresses it: its trace id, for reports, and
 /// its dense slot in the replay's per-message tables. Slots are numbered
@@ -16,55 +18,128 @@ pub(crate) struct Msg {
     pub(crate) slot: usize,
 }
 
-/// One endpoint's egress queue: the queued messages' slots, each with
-/// the priority it was enqueued at, indexed by slot and by priority.
+/// Every endpoint's egress queue. Each queued message is recorded under
+/// its slot, with the endpoint and the priority it was queued at. Each
+/// endpoint keeps its depth and a min-heap of `(priority, slot)` entries
+/// that may be stale: an entry counts only while its slot is still
+/// queued there at that priority.
 #[derive(Debug, Default)]
-pub(crate) struct EgressQueue {
-    by_slot: BTreeMap<usize, u32>,
-    by_priority: BTreeSet<(u32, usize)>,
+pub(crate) struct Queues {
+    /// Per endpoint: queued messages.
+    depth: Vec<usize>,
+    /// Per endpoint: a lazily pruned min-heap over the queued messages.
+    heap: Vec<BinaryHeap<Reverse<(u32, u32)>>>,
+    /// Per message slot: the endpoint it is queued at (`NONE` if none)
+    /// and its priority there.
+    at: Vec<(u32, u32)>,
+    /// Further endpoints a message is queued at, by (slot, endpoint).
+    /// Only a corrupt log queues one message twice at once.
+    more: BTreeMap<(u32, u32), u32>,
 }
 
-impl EgressQueue {
-    /// Queues `slot` at `priority`, replacing any earlier entry for it.
-    fn insert(&mut self, slot: usize, priority: u32) {
-        if let Some(old) = self.by_slot.insert(slot, priority) {
-            self.by_priority.remove(&(old, slot));
-        }
-        self.by_priority.insert((priority, slot));
-    }
-
-    pub(crate) fn remove(&mut self, slot: usize) {
-        if let Some(p) = self.by_slot.remove(&slot) {
-            self.by_priority.remove(&(p, slot));
+impl Queues {
+    pub(crate) fn new(endpoints: usize, msgs: usize) -> Queues {
+        Queues {
+            depth: vec![0; endpoints],
+            heap: vec![BinaryHeap::new(); endpoints],
+            at: vec![(NONE, 0); msgs],
+            more: BTreeMap::new(),
         }
     }
 
-    fn len(&self) -> usize {
-        self.by_slot.len()
+    /// The priority `slot` is queued at on endpoint `ep`, if queued there.
+    fn priority(&self, ep: u32, slot: u32) -> Option<u32> {
+        match self.at[slot as usize] {
+            (e, p) if e == ep => Some(p),
+            _ if self.more.is_empty() => None,
+            _ => self.more.get(&(slot, ep)).copied(),
+        }
     }
 
-    /// Empties the queue, returning the slots it held.
-    pub(crate) fn take(&mut self) -> impl Iterator<Item = usize> {
-        self.by_priority.clear();
-        std::mem::take(&mut self.by_slot).into_keys()
+    /// Queues `slot` on `ep` at `priority`, replacing any earlier entry
+    /// for it there. Returns the endpoint's new depth.
+    fn insert(&mut self, ep: u32, slot: u32, priority: u32) -> usize {
+        let at = &mut self.at[slot as usize];
+        if at.0 == ep {
+            at.1 = priority;
+        } else if let Some(p) = self.more.get_mut(&(slot, ep)) {
+            *p = priority;
+        } else {
+            if at.0 == NONE {
+                *at = (ep, priority);
+            } else {
+                self.more.insert((slot, ep), priority);
+            }
+            self.depth[ep as usize] += 1;
+        }
+        let e = ep as usize;
+        self.heap[e].push(Reverse((priority, slot)));
+        if self.heap[e].len() > 2 * self.depth[e] + 32 {
+            self.prune(ep);
+        }
+        self.depth[e]
     }
 
-    /// The lowest-slot queued message strictly more urgent than
+    /// Drops every stale entry of `ep`'s heap.
+    fn prune(&mut self, ep: u32) {
+        let mut entries = std::mem::take(&mut self.heap[ep as usize]).into_vec();
+        entries.retain(|&Reverse((p, s))| self.priority(ep, s) == Some(p));
+        entries.sort_unstable();
+        entries.dedup();
+        self.heap[ep as usize] = BinaryHeap::from(entries);
+    }
+
+    pub(crate) fn remove(&mut self, ep: u32, slot: u32) {
+        let at = &mut self.at[slot as usize];
+        let removed = if at.0 == ep {
+            at.0 = NONE;
+            true
+        } else {
+            !self.more.is_empty() && self.more.remove(&(slot, ep)).is_some()
+        };
+        if removed {
+            self.depth[ep as usize] -= 1;
+        }
+    }
+
+    /// Empties `ep`'s queue, returning the slots it held.
+    pub(crate) fn take(&mut self, ep: u32) -> Vec<u32> {
+        let mut slots = Vec::new();
+        for Reverse((p, s)) in std::mem::take(&mut self.heap[ep as usize]) {
+            if self.priority(ep, s) == Some(p) {
+                self.remove(ep, s);
+                slots.push(s);
+            }
+        }
+        slots
+    }
+
+    /// The lowest-slot message queued on `ep` strictly more urgent than
     /// `priority`, with its priority. The common no-inversion answer
-    /// costs one look at the most urgent entry.
-    fn more_urgent(&self, priority: u32) -> Option<(usize, u32)> {
-        if self.by_priority.first()?.0 >= priority {
+    /// costs a look at the heap's top, once its stale entries are gone.
+    fn more_urgent(&mut self, ep: u32, priority: u32) -> Option<(usize, u32)> {
+        let e = ep as usize;
+        while let Some(&Reverse((p, s))) = self.heap[e].peek() {
+            if self.priority(ep, s) == Some(p) {
+                break;
+            }
+            self.heap[e].pop();
+        }
+        if self.heap[e].peek()?.0 .0 >= priority {
             return None;
         }
-        self.by_priority
-            .range(..(priority, 0))
-            .map(|&(p, slot)| (slot, p))
+        self.heap[e]
+            .iter()
+            .filter(|&&Reverse((p, s))| p < priority && self.priority(ep, s) == Some(p))
+            .map(|&Reverse((p, s))| (s as usize, p))
             .min()
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MsgState {
+    /// Not enqueued yet.
+    Unseen,
     /// Enqueued on an egress queue, not yet transmitting.
     Queued,
     /// Occupying the fabric.
@@ -79,17 +154,48 @@ pub(crate) enum MsgState {
     Dead,
 }
 
-#[derive(Debug, Clone)]
+/// One message's replay state, fixed at its first enqueue apart from
+/// its state and its wire attempts.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct MsgInfo {
-    pub(crate) endpoint: (usize, u8),
-    pub(crate) class: MsgClass,
-    pub(crate) key: usize,
     pub(crate) round: u64,
+    bytes: u64,
+    pub(crate) open_start: u64,
+    /// Enqueuing endpoint: `2 · machine slot + role`.
+    pub(crate) endpoint: u32,
+    /// Key slot.
+    pub(crate) key: u32,
+    /// Destination machine slot of the latest start (`NONE` before one).
+    pub(crate) dst: u32,
     pub(crate) priority: u32,
-    pub(crate) bytes: Option<u64>,
-    pub(crate) dst: Option<usize>,
+    pub(crate) class: MsgClass,
     pub(crate) state: MsgState,
-    pub(crate) open_start: Option<u64>,
+    has_bytes: bool,
+    pub(crate) is_open: bool,
+}
+
+impl MsgInfo {
+    pub(crate) const UNSEEN: MsgInfo = MsgInfo {
+        round: 0,
+        bytes: 0,
+        open_start: 0,
+        endpoint: NONE,
+        key: NONE,
+        dst: NONE,
+        priority: 0,
+        class: MsgClass::Push,
+        state: MsgState::Unseen,
+        has_bytes: false,
+        is_open: false,
+    };
+
+    fn bytes(&self) -> Option<u64> {
+        self.has_bytes.then_some(self.bytes)
+    }
+
+    pub(crate) fn dst(&self) -> Option<usize> {
+        (self.dst != NONE).then_some(self.dst as usize)
+    }
 }
 
 impl Checker {
@@ -98,7 +204,8 @@ impl Checker {
         &mut self,
         i: usize,
         t: u64,
-        endpoint: (usize, u8),
+        machine: usize,
+        role: u8,
         msg: Msg,
         class: MsgClass,
         key: usize,
@@ -110,75 +217,74 @@ impl Checker {
             // Rack-local aggregation folds several workers into one wire
             // message; per-worker aggregation accounting no longer applies.
             self.rack_seen = true;
-            self.agg_members.clear();
+            self.members.fill(false);
         }
-        if endpoint.1 == ROLE_WORKER
+        if role == ROLE_WORKER
             && matches!(
                 class,
                 MsgClass::Push | MsgClass::RackPush | MsgClass::ReduceScatter
             )
-            && !self.grad_ready.contains(&(endpoint.0, key, round))
+            && !self.grad_ready(machine, key, round)
         {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
                 t,
                 format!(
-                    "worker {} enqueues a push for k{key} r{round} before its gradient is ready",
-                    endpoint.0
+                    "worker {machine} enqueues a push for k{key} r{round} before its gradient is \
+                     ready"
                 ),
             );
         }
+        let (Some(m), Some(k)) = (
+            self.ids.machines.slot(machine as u64),
+            self.ids.keys.slot(key as u64),
+        ) else {
+            return;
+        };
+        let endpoint = 2 * m as u32 + u32::from(role);
         let msg_id = msg.id;
-        match self.msgs.get_mut(msg.slot) {
-            None => {}
-            Some(entry @ None) => {
-                *entry = Some(MsgInfo {
-                    endpoint,
-                    class,
-                    key,
-                    round,
-                    priority,
-                    bytes: None,
-                    dst: None,
-                    state: MsgState::Queued,
-                    open_start: None,
-                });
+        let info = &mut self.msgs[msg.slot];
+        if info.state == MsgState::Unseen {
+            *info = MsgInfo {
+                round,
+                endpoint,
+                key: k as u32,
+                priority,
+                class,
+                state: MsgState::Queued,
+                ..MsgInfo::UNSEEN
+            };
+        } else {
+            if info.state != MsgState::RetryPending {
+                let state = info.state;
+                self.rep.violate(
+                    Invariant::CausalOrder,
+                    Some(i),
+                    t,
+                    format!("msg {msg_id} re-enqueued while {state:?} (no retransmit decided)"),
+                );
             }
-            Some(Some(info)) => {
-                if info.state != MsgState::RetryPending {
-                    let state = info.state;
-                    self.rep.violate(
-                        Invariant::CausalOrder,
-                        Some(i),
-                        t,
-                        format!("msg {msg_id} re-enqueued while {state:?} (no retransmit decided)"),
-                    );
-                }
-                if info.endpoint != endpoint || info.priority != priority {
-                    self.rep.violate(
-                        Invariant::CausalOrder,
-                        Some(i),
-                        t,
-                        format!("msg {msg_id} retransmitted from a different endpoint or priority"),
-                    );
-                }
-                info.state = MsgState::Queued;
+            if info.endpoint != endpoint || info.priority != priority {
+                self.rep.violate(
+                    Invariant::CausalOrder,
+                    Some(i),
+                    t,
+                    format!("msg {msg_id} retransmitted from a different endpoint or priority"),
+                );
             }
+            info.state = MsgState::Queued;
         }
-        let q = self.queued.entry(endpoint).or_default();
-        q.insert(msg.slot, priority);
-        let depth = q.len();
+        let depth = self.queues.insert(endpoint, msg.slot as u32, priority);
         if depth != queue_depth {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
                 t,
                 format!(
-                    "endpoint m{}/{} reports queue depth {queue_depth} but {depth} messages are \
-                     queued",
-                    endpoint.0,
-                    if endpoint.1 == ROLE_WORKER {
+                    "endpoint m{machine}/{} reports queue depth {queue_depth} but {depth} \
+                     messages are queued",
+                    if role == ROLE_WORKER {
                         "worker"
                     } else {
                         "server"
@@ -186,6 +292,14 @@ impl Checker {
                 ),
             );
         }
+    }
+
+    /// Whether worker `machine`'s gradient for (`key`, `round`) is ready.
+    fn grad_ready(&self, machine: usize, key: usize, round: u64) -> bool {
+        self.ids
+            .cell_of(machine, key)
+            .and_then(|c| self.ids.grad.find(c, round))
+            .is_some_and(|e| self.ready[e])
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -200,7 +314,8 @@ impl Checker {
         priority: u32,
     ) {
         let msg_id = msg.id;
-        let Some(info) = self.msgs.get_mut(msg.slot).and_then(Option::as_mut) else {
+        let info = &mut self.msgs[msg.slot];
+        if info.state == MsgState::Unseen {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
@@ -208,7 +323,7 @@ impl Checker {
                 format!("msg {msg_id} starts transmitting without ever being enqueued"),
             );
             return;
-        };
+        }
         if info.state != MsgState::Queued {
             let state = info.state;
             self.rep.violate(
@@ -218,14 +333,15 @@ impl Checker {
                 format!("msg {msg_id} starts transmitting while {state:?}"),
             );
         }
-        if info.endpoint.0 != src {
+        let machine = self.ids.machines.id(info.endpoint as usize / 2) as usize;
+        if machine != src {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
                 t,
                 format!(
-                    "msg {msg_id} transmits from machine {src} but was enqueued on machine {}",
-                    info.endpoint.0
+                    "msg {msg_id} transmits from machine {src} but was enqueued on machine \
+                     {machine}"
                 ),
             );
         }
@@ -240,8 +356,11 @@ impl Checker {
                 ),
             );
         }
-        match info.bytes {
-            None => info.bytes = Some(bytes),
+        match info.bytes() {
+            None => {
+                info.bytes = bytes;
+                info.has_bytes = true;
+            }
             Some(b) if b != bytes => {
                 self.rep.violate(
                     Invariant::ByteConservation,
@@ -252,8 +371,9 @@ impl Checker {
             }
             _ => {}
         }
-        if let Some(d) = info.dst {
-            if d != dst {
+        if let Some(d) = info.dst() {
+            let d = self.ids.machines.id(d);
+            if d != dst as u64 {
                 self.rep.violate(
                     Invariant::CausalOrder,
                     Some(i),
@@ -262,22 +382,22 @@ impl Checker {
                 );
             }
         }
-        info.dst = Some(dst);
+        let dst_slot = self
+            .ids
+            .machines
+            .slot(dst as u64)
+            .map_or(NONE, |s| s as u32);
+        info.dst = dst_slot;
         info.state = MsgState::InFlight;
-        info.open_start = Some(t);
+        info.open_start = t;
+        info.is_open = true;
         let endpoint = info.endpoint;
         let msg_prio = priority;
 
-        if let Some(q) = self.queued.get_mut(&endpoint) {
-            q.remove(msg.slot);
-        }
+        self.queues.remove(endpoint, msg.slot as u32);
         if self.opts.single_consumer == Some(true) {
-            let inversion = self
-                .queued
-                .get(&endpoint)
-                .and_then(|q| q.more_urgent(msg_prio));
-            if let Some((qslot, qp)) = inversion {
-                let qid = self.msg_ids[qslot];
+            if let Some((qslot, qp)) = self.queues.more_urgent(endpoint, msg_prio) {
+                let qid = self.ids.msgs.id(qslot);
                 self.rep.violate(
                     Invariant::PriorityInversion,
                     Some(i),
@@ -290,7 +410,7 @@ impl Checker {
             }
         }
 
-        let n = self.inflight.entry(endpoint).or_insert(0);
+        let n = &mut self.inflight[endpoint as usize];
         *n += 1;
         let n = *n;
         match self.opts.single_consumer {
@@ -302,28 +422,25 @@ impl Checker {
                             Some(i),
                             t,
                             format!(
-                                "endpoint m{}/{} has {n} messages in flight (window {w})",
-                                endpoint.0, endpoint.1
+                                "endpoint m{machine}/{} has {n} messages in flight (window {w})",
+                                endpoint % 2
                             ),
                         );
                     }
                 }
             }
             Some(false) => {
-                let lane = (endpoint.0, endpoint.1, dst);
-                if let Some(&other) = self.lane_busy.get(&lane) {
+                if let Some(other) = self.lane_busy.insert((endpoint, dst_slot), msg_id) {
                     self.rep.violate(
                         Invariant::InFlightWindow,
                         Some(i),
                         t,
                         format!(
-                            "msg {msg_id} starts on FIFO lane m{}->m{dst} while msg {other} is \
-                             still in flight",
-                            endpoint.0
+                            "msg {msg_id} starts on FIFO lane m{machine}->m{dst} while msg \
+                             {other} is still in flight"
                         ),
                     );
                 }
-                self.lane_busy.insert(lane, msg_id);
             }
             None => {}
         }
@@ -339,7 +456,8 @@ impl Checker {
         bytes: u64,
     ) {
         let msg_id = msg.id;
-        let Some(info) = self.msgs.get_mut(msg.slot).and_then(Option::as_mut) else {
+        let info = &mut self.msgs[msg.slot];
+        if info.state == MsgState::Unseen {
             self.rep.violate(
                 Invariant::CausalOrder,
                 Some(i),
@@ -347,7 +465,7 @@ impl Checker {
                 format!("msg {msg_id} delivered without ever being enqueued"),
             );
             return;
-        };
+        }
         if info.state != MsgState::InFlight {
             let state = info.state;
             self.rep.violate(
@@ -357,7 +475,8 @@ impl Checker {
                 format!("msg {msg_id} delivered while {state:?}"),
             );
         }
-        if info.bytes.is_some_and(|b| b != bytes) || info.dst.is_some_and(|d| d != dst) {
+        let started_to = info.dst().map(|d| self.ids.machines.id(d) as usize);
+        if info.bytes().is_some_and(|b| b != bytes) || started_to.is_some_and(|d| d != dst) {
             self.rep.violate(
                 Invariant::ByteConservation,
                 Some(i),
@@ -365,53 +484,59 @@ impl Checker {
                 format!(
                     "msg {msg_id} delivered as {bytes} bytes to m{dst} but started as {:?} bytes \
                      to m{:?}",
-                    info.bytes, info.dst
+                    info.bytes(),
+                    started_to
                 ),
             );
         }
         info.state = MsgState::Delivered;
-        let endpoint = info.endpoint;
-        let class = info.class;
-        let key = info.key;
-        let round = info.round;
-        if let Some(t0) = info.open_start.take() {
-            if src != dst {
-                self.attempts.push(super::Attempt {
-                    src,
-                    dst,
-                    start: t0,
-                    end: t,
-                    bytes,
-                });
-            }
+        let info = *info;
+        self.msgs[msg.slot].is_open = false;
+        let (Some(s), Some(d)) = (
+            self.ids.machines.slot(src as u64),
+            self.ids.machines.slot(dst as u64),
+        ) else {
+            return;
+        };
+        if info.is_open && src != dst {
+            self.attempts.push(super::Attempt {
+                start: info.open_start,
+                end: t,
+                bytes,
+                src: s as u32,
+                dst: d as u32,
+            });
         }
-        if let Some(n) = self.inflight.get_mut(&endpoint) {
-            *n = n.saturating_sub(1);
+        let n = &mut self.inflight[info.endpoint as usize];
+        *n = n.saturating_sub(1);
+        if !self.lane_busy.is_empty() {
+            self.lane_busy.remove(&(info.endpoint, d as u32));
         }
-        self.lane_busy.remove(&(endpoint.0, endpoint.1, dst));
 
-        if is_push_class(class) {
+        let cell = self.ids.cell(d, info.key as usize);
+        if is_push_class(info.class) {
             // `worker` on the matching AggStart is the pushing machine
             // (the rack aggregator, for combined pushes).
-            self.delivered_pushes
-                .entry((dst, key, round, src))
-                .or_default()
-                .push(msg.slot);
+            let entry = cell.and_then(|c| self.ids.pushes.find(c, (info.round, s as u32)));
+            if let Some(e) = entry {
+                self.pushes.append(e, msg.slot as u32);
+            }
         }
         // Allgather chunks are the collective backends' parameter
         // deliveries: like a PS response, they advance the receiving
         // worker's slice version (the chunk's `round` is the
         // post-collective version).
-        if matches!(class, MsgClass::Response | MsgClass::AllGather) && !self.crashed.contains(&dst)
-        {
-            let have = self.received.entry((dst, key)).or_insert(0);
-            *have = (*have).max(round);
+        if matches!(info.class, MsgClass::Response | MsgClass::AllGather) && !self.crashed[d] {
+            if let Some(c) = cell {
+                let have = &mut self.received[c];
+                *have = (*have).max(info.round);
+            }
         }
-        if class == MsgClass::AllGather {
+        if info.class == MsgClass::AllGather {
             // Per-key high-water mark, crashed receivers included: a
             // collective rejoin later adopts these versions in place.
-            let high = self.allgather_high.entry(key).or_insert(0);
-            *high = (*high).max(round);
+            let high = &mut self.allgather_high[info.key as usize];
+            *high = (*high).max(info.round);
         }
     }
 
@@ -425,27 +550,25 @@ impl Checker {
         what: &str,
     ) {
         let Some(Msg { id, slot }) = msg else { return };
-        match self.msgs.get_mut(slot).and_then(Option::as_mut) {
-            Some(info) => {
-                if info.state != from {
-                    let state = info.state;
-                    self.rep.violate(
-                        Invariant::CausalOrder,
-                        Some(i),
-                        t,
-                        format!("msg {id} {what} while {state:?} (expected {from:?})"),
-                    );
-                }
-                info.state = to;
-            }
-            None => {
-                self.rep.violate(
-                    Invariant::CausalOrder,
-                    Some(i),
-                    t,
-                    format!("msg {id} {what} but was never enqueued"),
-                );
-            }
+        let info = &mut self.msgs[slot];
+        if info.state == MsgState::Unseen {
+            self.rep.violate(
+                Invariant::CausalOrder,
+                Some(i),
+                t,
+                format!("msg {id} {what} but was never enqueued"),
+            );
+            return;
         }
+        if info.state != from {
+            let state = info.state;
+            self.rep.violate(
+                Invariant::CausalOrder,
+                Some(i),
+                t,
+                format!("msg {id} {what} while {state:?} (expected {from:?})"),
+            );
+        }
+        info.state = to;
     }
 }

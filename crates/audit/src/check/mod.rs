@@ -10,25 +10,30 @@
 //! the shared replay state ([`Checker`]), the event dispatch, and the
 //! report assembly.
 //!
-//! The pass is near-linear in the log's length. One sort before it
-//! numbers the message ids densely, in id order, so per-message state
-//! lives in flat tables indexed by slot. Each egress queue is
-//! indexed by priority as well as by slot, so the inversion check at a
-//! wire start reads the most urgent entry in O(log n). After the pass,
-//! one O(k log k) sweep per busy period checks every capacity window.
+//! One pre-pass ([`intern`]) numbers the machines, keys and messages the
+//! events name, and the (machine, key) cells they touch, densely and in
+//! id order. Every piece of replay state then lives in a flat vector
+//! indexed by slot, so an event costs a few array reads. Each egress
+//! queue is a depth counter and a lazily pruned min-heap, so the
+//! inversion check at a wire start reads the most urgent entry. After
+//! the pass, one O(k log k) sweep per busy period checks every capacity
+//! window.
 
 mod aggregation;
 mod capacity;
 mod compute;
 mod faults;
+mod intern;
 mod messages;
 
 use crate::report::{AuditReport, Invariant, Violation};
+use aggregation::PushLists;
 use capacity::Attempt;
 use compute::WorkerState;
-use messages::{EgressQueue, Msg, MsgInfo, MsgState};
-use p3_trace::{EndpointRole, MsgClass, TimedEvent, TraceEvent, TraceLog, TraceMeta};
-use std::collections::{BTreeMap, BTreeSet};
+use intern::Layout;
+use messages::{Msg, MsgInfo, MsgState, Queues};
+use p3_trace::{EndpointRole, MsgClass, TraceEvent, TraceLog, TraceMeta};
+use std::collections::BTreeMap;
 
 /// Violations reported per invariant before the rest are counted as
 /// suppressed: enough to diagnose, bounded on pathological traces.
@@ -81,59 +86,11 @@ pub fn check(log: &TraceLog) -> AuditReport {
 /// ([`Invariant`](crate::Invariant)), enabling the configuration-dependent
 /// checks `opts` provides facts for.
 pub fn check_with(log: &TraceLog, opts: &AuditOptions) -> AuditReport {
-    let (ids, slots) = intern_msg_ids(log.events());
-    let mut c = Checker::new(opts.clone(), ids);
-    let mut slots = slots.into_iter();
+    let mut c = Checker::new(opts.clone(), Layout::new(log.events()));
     for (i, e) in log.events().iter().enumerate() {
-        let msg = msg_id(&e.event).and_then(|id| slots.next().map(|slot| Msg { id, slot }));
-        c.step(i, e.at.as_nanos(), &e.event, msg);
+        c.step(i, e.at.as_nanos(), &e.event);
     }
     c.finish(log.len())
-}
-
-/// The message an event concerns, if any.
-fn msg_id(ev: &TraceEvent) -> Option<u64> {
-    match *ev {
-        TraceEvent::EgressEnqueue { msg_id, .. }
-        | TraceEvent::WireStart { msg_id, .. }
-        | TraceEvent::WireEnd { msg_id, .. } => Some(msg_id),
-        TraceEvent::Fault { msg_id, .. } => msg_id,
-        TraceEvent::ComputeStart { .. }
-        | TraceEvent::ComputeEnd { .. }
-        | TraceEvent::StallStart { .. }
-        | TraceEvent::StallEnd { .. }
-        | TraceEvent::IterationEnd { .. }
-        | TraceEvent::GradReady { .. }
-        | TraceEvent::AggStart { .. }
-        | TraceEvent::AggEnd { .. }
-        | TraceEvent::RoundComplete { .. }
-        | TraceEvent::SliceConsumed { .. }
-        | TraceEvent::StateHash { .. } => None,
-    }
-}
-
-/// Numbers the distinct message ids of a log densely, in id order, so
-/// the replay keeps per-message state in flat tables whose size depends
-/// only on the log's length. Returns each slot's id and the slot of
-/// every message-carrying event, in log order.
-fn intern_msg_ids(events: &[TimedEvent]) -> (Vec<u64>, Vec<usize>) {
-    let mut keyed: Vec<(u64, usize)> = events
-        .iter()
-        .filter_map(|e| msg_id(&e.event))
-        .enumerate()
-        .map(|(n, id)| (id, n))
-        .collect();
-    // Ties on an id may land in any order: all of them get its slot.
-    keyed.sort_unstable_by_key(|&(id, _)| id);
-    let mut ids: Vec<u64> = Vec::new();
-    let mut slots = vec![0; keyed.len()];
-    for (id, n) in keyed {
-        if ids.last() != Some(&id) {
-            ids.push(id);
-        }
-        slots[n] = ids.len() - 1;
-    }
-    (ids, slots)
 }
 
 /// Violation bookkeeping, split out so handlers can report while holding
@@ -141,7 +98,7 @@ fn intern_msg_ids(events: &[TimedEvent]) -> (Vec<u64>, Vec<usize>) {
 #[derive(Debug, Default)]
 pub(crate) struct Reporter {
     violations: Vec<Violation>,
-    per_invariant: BTreeMap<Invariant, usize>,
+    per_invariant: [usize; Invariant::ALL.len()],
     suppressed: usize,
 }
 
@@ -153,7 +110,7 @@ impl Reporter {
         at: u64,
         message: String,
     ) {
-        let n = self.per_invariant.entry(inv).or_insert(0);
+        let n = &mut self.per_invariant[inv as usize];
         *n += 1;
         if *n > MAX_PER_INVARIANT {
             self.suppressed += 1;
@@ -168,30 +125,43 @@ impl Reporter {
     }
 }
 
+/// The replay state. Per-machine tables are indexed by machine slot,
+/// per-endpoint ones by `2 · machine slot + role`, per-message ones by
+/// message slot and per-cell ones by (machine, key) cell.
 pub(crate) struct Checker {
     opts: AuditOptions,
     rep: Reporter,
+    ids: Layout,
 
     prev_t: u64,
-    /// Per message slot: its trace id.
-    msg_ids: Vec<u64>,
-    /// Per message slot: its replay state, once first enqueued.
-    msgs: Vec<Option<MsgInfo>>,
-    queued: BTreeMap<(usize, u8), EgressQueue>,
-    inflight: BTreeMap<(usize, u8), usize>,
-    lane_busy: BTreeMap<(usize, u8, usize), u64>,
+    /// Per message: its replay state.
+    msgs: Vec<MsgInfo>,
+    queues: Queues,
+    /// Per endpoint: messages in flight.
+    inflight: Vec<usize>,
+    /// Per busy FIFO lane (endpoint, destination slot): its message.
+    lane_busy: BTreeMap<(u32, u32), u64>,
     attempts: Vec<Attempt>,
-    grad_ready: BTreeSet<(usize, usize, u64)>,
-    /// Slots of delivered pushes not yet claimed by an aggregation.
-    delivered_pushes: BTreeMap<(usize, usize, u64, usize), Vec<usize>>,
-    received: BTreeMap<(usize, usize), u64>,
-    allgather_high: BTreeMap<usize, u64>,
-    crashed: BTreeSet<usize>,
-    versions: BTreeMap<(usize, usize), u64>,
-    open_agg: BTreeMap<usize, (usize, u64, usize)>,
-    agg_members: BTreeMap<(usize, usize, u64), BTreeSet<usize>>,
+    /// Per `ids.grad` entry: the gradient is ready.
+    ready: Vec<bool>,
+    /// Per `ids.pushes` entry: delivered pushes not yet claimed.
+    pushes: PushLists,
+    /// Per `ids.agg` entry: the worker's push is aggregated into a round
+    /// not yet complete.
+    members: Vec<bool>,
+    /// Per cell (worker, key): the version the worker holds.
+    received: Vec<u64>,
+    /// Per cell (server, key): the latest completed version.
+    versions: Vec<u64>,
+    /// Per key: the highest allgather version delivered.
+    allgather_high: Vec<u64>,
+    /// Per machine.
+    crashed: Vec<bool>,
+    /// Per machine: the server's aggregation in progress.
+    open_agg: Vec<Option<(usize, u64, usize)>>,
     rack_seen: bool,
-    workers: BTreeMap<usize, WorkerState>,
+    /// Per machine.
+    workers: Vec<WorkerState>,
 }
 
 pub(crate) const ROLE_WORKER: u8 = 0;
@@ -209,39 +179,48 @@ fn is_push_class(c: MsgClass) -> bool {
 }
 
 impl Checker {
-    fn new(opts: AuditOptions, msg_ids: Vec<u64>) -> Checker {
+    fn new(opts: AuditOptions, ids: Layout) -> Checker {
+        let (machines, keys, msgs) = (ids.machines.len(), ids.keys.len(), ids.msgs.len());
+        let cells = ids.cells.len();
         Checker {
             opts,
             rep: Reporter::default(),
             prev_t: 0,
-            msgs: vec![None; msg_ids.len()],
-            msg_ids,
-            queued: BTreeMap::new(),
-            inflight: BTreeMap::new(),
+            msgs: vec![MsgInfo::UNSEEN; msgs],
+            queues: Queues::new(2 * machines, msgs),
+            inflight: vec![0; 2 * machines],
             lane_busy: BTreeMap::new(),
             attempts: Vec::new(),
-            grad_ready: BTreeSet::new(),
-            delivered_pushes: BTreeMap::new(),
-            received: BTreeMap::new(),
-            allgather_high: BTreeMap::new(),
-            crashed: BTreeSet::new(),
-            versions: BTreeMap::new(),
-            open_agg: BTreeMap::new(),
-            agg_members: BTreeMap::new(),
+            ready: vec![false; ids.grad.len()],
+            pushes: PushLists::new(ids.pushes.len()),
+            members: vec![false; ids.agg.len()],
+            received: vec![0; cells],
+            versions: vec![0; cells],
+            allgather_high: vec![0; keys],
+            crashed: vec![false; machines],
+            open_agg: vec![None; machines],
             rack_seen: false,
-            workers: BTreeMap::new(),
+            workers: vec![WorkerState::FRESH; machines],
+            ids,
         }
     }
 
-    fn worker(&mut self, w: usize) -> &mut WorkerState {
-        self.workers.entry(w).or_insert_with(|| WorkerState {
-            window_valid: true,
-            ..WorkerState::default()
+    fn worker(&mut self, w: usize) -> Option<&mut WorkerState> {
+        let m = self.ids.machines.slot(w as u64)?;
+        Some(&mut self.workers[m])
+    }
+
+    /// The message `id` as the replay addresses it. The pre-pass
+    /// numbered every message id the log names.
+    fn msg(&self, id: u64) -> Option<Msg> {
+        Some(Msg {
+            id,
+            slot: self.ids.msgs.slot(id)?,
         })
     }
 
-    /// Replays one event; `msg` is the message it concerns, if any.
-    fn step(&mut self, i: usize, t: u64, ev: &TraceEvent, msg: Option<Msg>) {
+    /// Replays one event.
+    fn step(&mut self, i: usize, t: u64, ev: &TraceEvent) {
         if t < self.prev_t {
             self.rep.violate(
                 Invariant::MonotoneClock,
@@ -272,39 +251,59 @@ impl Checker {
             TraceEvent::GradReady {
                 worker, key, round, ..
             } => {
-                self.grad_ready.insert((worker, key, round));
+                let entry = self
+                    .ids
+                    .cell_of(worker, key)
+                    .and_then(|c| self.ids.grad.find(c, round));
+                if let Some(e) = entry {
+                    self.ready[e] = true;
+                }
             }
-            // Every message-carrying event has its `msg` (see `check_with`).
             TraceEvent::EgressEnqueue {
                 machine,
                 role,
+                msg_id,
                 class,
                 key,
                 round,
                 priority,
                 queue_depth,
-                ..
             } => {
-                if let Some(m) = msg {
-                    let endpoint = (machine, role_code(role));
-                    self.on_enqueue(i, t, endpoint, m, class, key, round, priority, queue_depth);
+                if let Some(m) = self.msg(msg_id) {
+                    let role = role_code(role);
+                    self.on_enqueue(
+                        i,
+                        t,
+                        machine,
+                        role,
+                        m,
+                        class,
+                        key,
+                        round,
+                        priority,
+                        queue_depth,
+                    );
                 }
             }
             TraceEvent::WireStart {
+                msg_id,
                 src,
                 dst,
                 bytes,
                 priority,
-                ..
             } => {
-                if let Some(m) = msg {
+                if let Some(m) = self.msg(msg_id) {
                     self.on_wire_start(i, t, m, src, dst, bytes, priority);
                 }
             }
             TraceEvent::WireEnd {
-                src, dst, bytes, ..
+                msg_id,
+                src,
+                dst,
+                bytes,
+                ..
             } => {
-                if let Some(m) = msg {
+                if let Some(m) = self.msg(msg_id) {
                     self.on_wire_end(i, t, m, src, dst, bytes);
                 }
             }
@@ -335,7 +334,14 @@ impl Checker {
             TraceEvent::SliceConsumed { worker, key, round } => {
                 self.on_slice_consumed(i, t, worker, key, round);
             }
-            TraceEvent::Fault { kind, machine, .. } => self.on_fault(i, t, kind, machine, msg),
+            TraceEvent::Fault {
+                kind,
+                machine,
+                msg_id,
+            } => {
+                let msg = msg_id.and_then(|id| self.msg(id));
+                self.on_fault(i, t, kind, machine, msg);
+            }
             // A state-hash row is a pure digest of the run so far; it
             // drives no entity model (resume-equivalence compares them
             // across runs instead).

@@ -439,6 +439,10 @@ fn fnv(h: u64, s: &str) -> u64 {
 
 /// The run's digest over its own report and every mutation's, and how
 /// many mutated traces failed the audit.
+#[expect(
+    clippy::expect_used,
+    reason = "the pinned runs complete with tracing on"
+)]
 fn digest(cfg: ClusterConfig, seed: u64) -> (usize, u64, usize) {
     let cfg = cfg.with_slice_trace();
     let opts = AuditOptions::from_meta(&cfg.trace_meta());

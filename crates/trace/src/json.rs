@@ -188,9 +188,13 @@ impl<'a> Parser<'a> {
     /// [`Parser::value`] without building it.
     pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
         match self.peek() {
-            Some(b'{') => self.members(|p, _| p.skip_value()),
+            Some(b'{') => self.sequence(b'{', b'}', |p| {
+                p.skip_string()?;
+                p.colon()?;
+                p.skip_value()
+            }),
             Some(b'[') => self.elements(Parser::skip_value),
-            Some(b'"') => self.string().map(drop),
+            Some(b'"') => self.skip_string(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.skip_number(),
             // Literals allocate nothing.
             _ => self.value().map(drop),
@@ -224,14 +228,10 @@ impl<'a> Parser<'a> {
     /// reads nothing and gives `None`.
     pub(crate) fn plain_uint(&mut self) -> Option<u64> {
         let start = self.pos;
-        let mut n = 0u64;
-        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
-            n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
-            self.pos += 1;
-        }
-        let plain = (1..=15).contains(&(self.pos - start));
-        if plain && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Some(n);
+        let len = self.digits();
+        if (1..=15).contains(&len) && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            let digits = &self.bytes[start..self.pos];
+            return Some(digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')));
         }
         self.pos = start;
         None
@@ -268,10 +268,27 @@ impl<'a> Parser<'a> {
     /// Steps over a run of digits, returning its length.
     fn digits(&mut self) -> usize {
         let start = self.pos;
+        self.skip_words(non_digits);
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
         self.pos - start
+    }
+
+    /// Steps over whole 8-byte words while `stops` marks none of their
+    /// bytes, then to the first marked byte. Leaves fewer than 8 bytes
+    /// for the caller's byte loop only at the end of the input.
+    fn skip_words(&mut self, stops: fn(u64) -> u64) {
+        while let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
+            let mut w = [0; 8];
+            w.copy_from_slice(word);
+            let marked = stops(u64::from_le_bytes(w));
+            if marked != 0 {
+                self.pos += marked.trailing_zeros() as usize / 8;
+                return;
+            }
+            self.pos += 8;
+        }
     }
 
     /// Reads a string, borrowed from the input when it has no escapes.
@@ -285,39 +302,60 @@ impl<'a> Parser<'a> {
             return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
         }
         let mut out = String::from(&self.text[start..self.pos]);
+        self.string_rest(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Passes over a string, checking it as [`Parser::string`] does
+    /// without decoding it.
+    fn skip_string(&mut self) -> Result<(), JsonError> {
+        self.expect(b'"')?;
+        self.plain_run();
+        self.string_rest(None)
+    }
+
+    /// Reads the rest of a string through its closing quote, appending
+    /// what it decodes to `out` when there is one.
+    fn string_rest(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(Cow::Owned(out));
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.pos += 1;
                             let code = self.hex4()?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            continue;
+                            // `hex4` stepped over the escape's digits.
+                            self.pos -= 1;
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
                         _ => return Err(self.err("invalid escape")),
-                    }
+                    };
                     self.pos += 1;
+                    if let Some(o) = out.as_deref_mut() {
+                        o.push(c);
+                    }
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
                     let run = self.pos;
                     self.plain_run();
-                    out.push_str(&self.text[run..self.pos]);
+                    if let Some(o) = out.as_deref_mut() {
+                        o.push_str(&self.text[run..self.pos]);
+                    }
                 }
             }
         }
@@ -325,6 +363,7 @@ impl<'a> Parser<'a> {
 
     /// Steps over string bytes that need no decoding.
     fn plain_run(&mut self) {
+        self.skip_words(string_stops);
         while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
             self.pos += 1;
         }
@@ -356,11 +395,17 @@ impl<'a> Parser<'a> {
     ) -> Result<(), JsonError> {
         self.sequence(b'{', b'}', |p| {
             let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
+            p.colon()?;
             each(p, key)
         })
+    }
+
+    /// Steps over the `:` after an object key.
+    fn colon(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
     }
 
     /// Reads `open`, items separated by `,`, then `close`.
@@ -390,6 +435,40 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = 0x0101_0101_0101_0101;
+/// The high bit of every byte of a word.
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+// Each marker below sets the high bit of the bytes of a little-endian
+// word that match. A borrow or carry out of a matching byte can also
+// mark bytes above it, so only the lowest marked byte is exact: the
+// first match in the input. Each marker leaves every byte below its
+// first match unmarked, so an OR of markers marks the first byte any of
+// them matches.
+
+/// Marks the bytes below `n` (`n` at most `0x80`).
+fn below(w: u64, n: u8) -> u64 {
+    w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS
+}
+
+/// Marks the bytes equal to `b`.
+fn equal(w: u64, b: u8) -> u64 {
+    below(w ^ (ONES * u64::from(b)), 1)
+}
+
+/// Marks the bytes that end a plain string run: `"`, `\` and control
+/// bytes.
+fn string_stops(w: u64) -> u64 {
+    equal(w, b'"') | equal(w, b'\\') | below(w, 0x20)
+}
+
+/// Marks the bytes that are not ASCII digits: below `0`, or above `9`
+/// (those at or above `0x80` included).
+fn non_digits(w: u64) -> u64 {
+    below(w, b'0') | ((w.wrapping_add(ONES * u64::from(0x7f - b'9')) | w) & HIGHS)
 }
 
 /// Escapes a string for embedding in JSON output (adds no quotes).
@@ -508,6 +587,117 @@ mod tests {
                 let read_result = read.value().map(drop);
                 proptest::prop_assert_eq!(skip.skip_value(), read_result, "{:?}", text);
                 proptest::prop_assert_eq!(skip.pos, read.pos, "{:?}", text);
+            }
+        }
+    }
+
+    /// The first byte of `w` (little-endian) that `stop` accepts.
+    fn first(w: u64, stop: impl Fn(u8) -> bool) -> Option<usize> {
+        w.to_le_bytes().iter().position(|&b| stop(b))
+    }
+
+    fn lowest_marked(marks: u64) -> Option<usize> {
+        (marks != 0).then(|| marks.trailing_zeros() as usize / 8)
+    }
+
+    proptest::proptest! {
+        /// A word marker's lowest mark is the first byte the byte loop
+        /// stops at, for words that mix plain, stop and high bytes.
+        #[test]
+        fn word_markers_stop_where_the_byte_loops_do(seed in proptest::any::<u64>()) {
+            let mut rng = proptest::TestRng::for_case("marker words", seed);
+            let palette = b"aZ09~ \"\\\x00\x01\x1f\x20/.:e\x7f\x80\xc3\xa9\xff";
+            for _ in 0..256 {
+                let mut w = [0u8; 8];
+                for b in &mut w {
+                    *b = if rng.below(4) == 0 {
+                        rng.below(256) as u8
+                    } else {
+                        palette[rng.below(palette.len() as u64) as usize]
+                    };
+                }
+                let w = u64::from_le_bytes(w);
+                let string_stop = |c: u8| c == b'"' || c == b'\\' || c < 0x20;
+                proptest::prop_assert_eq!(lowest_marked(string_stops(w)), first(w, string_stop));
+                proptest::prop_assert_eq!(
+                    lowest_marked(non_digits(w)),
+                    first(w, |c| !c.is_ascii_digit())
+                );
+            }
+        }
+
+        /// Skipping a string checks the grammar reading it does, and both
+        /// stop where a byte-at-a-time scan would. Strings run long, with
+        /// plain ASCII, multi-byte characters, escapes (some invalid),
+        /// raw control bytes and a missing close quote, each landing at
+        /// every offset within an 8-byte word.
+        #[test]
+        fn skipping_a_string_agrees_with_reading_it(seed in proptest::any::<u64>()) {
+            let mut rng = proptest::TestRng::for_case("string bytes", seed);
+            let pieces = [
+                "a", "word", "0123456789", "é", "€", " ", "\\n", "\\\"", "\\\\", "\\/",
+                "\\u00e9", "\\u12", "\\x", "\u{1}", "\t", "\u{1f}",
+            ];
+            for _ in 0..64 {
+                let mut text = String::from("\"");
+                for _ in 0..rng.below(8) {
+                    text.push('p');
+                }
+                for _ in 0..rng.below(24) {
+                    text.push_str(pieces[rng.below(pieces.len() as u64) as usize]);
+                }
+                if rng.below(8) != 0 {
+                    text.push('"');
+                }
+                text.push_str(if rng.below(2) == 0 { "," } else { "]" });
+                let (mut read, mut skip) = (Parser::new(&text), Parser::new(&text));
+                let read_result = read.value();
+                proptest::prop_assert_eq!(skip.skip_value(), read_result.clone().map(drop), "{:?}", text);
+                proptest::prop_assert_eq!(skip.pos, read.pos, "{:?}", text);
+                let (want, end) = decode_bytewise(&text);
+                proptest::prop_assert_eq!(read_result.map_err(|e| e.offset), want.map(JsonValue::String), "{:?}", text);
+                proptest::prop_assert_eq!(read.pos, end, "{:?}", text);
+            }
+        }
+    }
+
+    /// A byte-at-a-time decoder of the string opening `text`: its value
+    /// (or the offset of its fault) and where it stops.
+    fn decode_bytewise(text: &str) -> (Result<String, usize>, usize) {
+        let bytes = text.as_bytes();
+        let mut out = Vec::new();
+        let mut i = 1;
+        loop {
+            match bytes.get(i) {
+                None => return (Err(i), i),
+                Some(b'"') => return (Ok(String::from_utf8(out).unwrap()), i + 1),
+                Some(b'\\') => {
+                    let decoded = match bytes.get(i + 1) {
+                        Some(b'n') => '\n',
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'u') => {
+                            match text.get(i + 2..i + 6).map(|h| u32::from_str_radix(h, 16)) {
+                                Some(Ok(code)) => {
+                                    let c = char::from_u32(code).unwrap_or('\u{fffd}');
+                                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                                    i += 6;
+                                    continue;
+                                }
+                                _ => return (Err(i + 2), i + 2),
+                            }
+                        }
+                        _ => return (Err(i + 1), i + 1),
+                    };
+                    out.extend_from_slice(decoded.encode_utf8(&mut [0; 4]).as_bytes());
+                    i += 2;
+                }
+                Some(&c) if c < 0x20 => return (Err(i), i),
+                Some(&c) => {
+                    out.push(c);
+                    i += 1;
+                }
             }
         }
     }
