@@ -194,11 +194,13 @@ fn flagged_anchors(cap: f64, period: &[Span]) -> Vec<u64> {
     // `a <= start` and `a < end`: it joins the sweep at the first anchor
     // at or below `min(start, end - 1)`. That is its own start unless it
     // ends there or earlier.
+    let mut leaf = 0;
     let mut joining: Vec<(u64, usize, u64)> = period
         .iter()
         .filter_map(|iv| {
             let last_anchor = iv.start.min(iv.end.checked_sub(1)?);
-            Some((last_anchor, ends.partition_point(|&e| e < iv.end), iv.bytes))
+            leaf = rank_near(&ends, iv.end, leaf);
+            Some((last_anchor, leaf, iv.bytes))
         })
         .collect();
     joining.sort_unstable_by_key(|&(last_anchor, ..)| last_anchor);
@@ -225,6 +227,36 @@ fn flagged_anchors(cap: f64, period: &[Span]) -> Vec<u64> {
     }
     flagged.reverse();
     flagged
+}
+
+/// `ends.partition_point(|&e| e < x)`, bracketed by doubling steps out
+/// from `hint`: in start order, consecutive attempts' ends lie close
+/// together in `ends`.
+fn rank_near(ends: &[u64], x: u64, hint: usize) -> usize {
+    let (mut lo, mut hi, mut step) = (0, ends.len(), 1);
+    if ends.get(hint).is_some_and(|&e| e < x) {
+        lo = hint + 1;
+        while let Some(&e) = ends.get(hint + step) {
+            if e >= x {
+                hi = hint + step;
+                break;
+            }
+            lo = hint + step + 1;
+            step *= 2;
+        }
+    } else {
+        let h = hint.min(ends.len());
+        hi = h;
+        while step <= h {
+            if ends[h - step] < x {
+                lo = h - step + 1;
+                break;
+            }
+            hi = h - step;
+            step *= 2;
+        }
+    }
+    lo + ends[lo..hi].partition_point(|&e| e < x)
 }
 
 /// Suffix-add / max over an array of leaves that start at −∞ and are set
@@ -501,6 +533,18 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn rank_near_matches_a_plain_search(
+            raw in prop::collection::vec(0u64..50, 0..40),
+            x in 0u64..55,
+            hint in 0usize..45,
+        ) {
+            let mut ends = raw;
+            ends.sort_unstable();
+            ends.dedup();
+            prop_assert_eq!(rank_near(&ends, x, hint), ends.partition_point(|&e| e < x));
+        }
+
         #[test]
         fn suffix_max_matches_a_plain_array(
             n in 1usize..40,

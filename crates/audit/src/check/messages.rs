@@ -20,15 +20,15 @@ pub(crate) struct Msg {
 
 /// Every endpoint's egress queue. Each queued message is recorded under
 /// its slot, with the endpoint and the priority it was queued at. Each
-/// endpoint keeps its depth and a min-heap of `(priority, slot)` entries
-/// that may be stale: an entry counts only while its slot is still
-/// queued there at that priority.
+/// endpoint keeps its depth and a min-heap of `(priority, slot)` entries,
+/// packed into one `u64` each, that may be stale: an entry counts only
+/// while its slot is still queued there at that priority.
 #[derive(Debug, Default)]
 pub(crate) struct Queues {
     /// Per endpoint: queued messages.
     depth: Vec<usize>,
     /// Per endpoint: a lazily pruned min-heap over the queued messages.
-    heap: Vec<BinaryHeap<Reverse<(u32, u32)>>>,
+    heap: Vec<BinaryHeap<Reverse<u64>>>,
     /// Per message slot: the endpoint it is queued at (`NONE` if none)
     /// and its priority there.
     at: Vec<(u32, u32)>,
@@ -45,6 +45,22 @@ impl Queues {
             at: vec![(NONE, 0); msgs],
             more: BTreeMap::new(),
         }
+    }
+
+    /// A heap entry: ordered by priority, then by slot.
+    fn entry(priority: u32, slot: u32) -> Reverse<u64> {
+        Reverse(u64::from(priority) << 32 | u64::from(slot))
+    }
+
+    /// The priority and slot of a heap entry.
+    fn unpack(Reverse(e): Reverse<u64>) -> (u32, u32) {
+        ((e >> 32) as u32, e as u32)
+    }
+
+    /// Whether a heap entry of `ep` is live.
+    fn live(&self, ep: u32, e: Reverse<u64>) -> bool {
+        let (p, s) = Queues::unpack(e);
+        self.priority(ep, s) == Some(p)
     }
 
     /// The priority `slot` is queued at on endpoint `ep`, if queued there.
@@ -73,7 +89,7 @@ impl Queues {
             self.depth[ep as usize] += 1;
         }
         let e = ep as usize;
-        self.heap[e].push(Reverse((priority, slot)));
+        self.heap[e].push(Queues::entry(priority, slot));
         if self.heap[e].len() > 2 * self.depth[e] + 32 {
             self.prune(ep);
         }
@@ -83,7 +99,7 @@ impl Queues {
     /// Drops every stale entry of `ep`'s heap.
     fn prune(&mut self, ep: u32) {
         let mut entries = std::mem::take(&mut self.heap[ep as usize]).into_vec();
-        entries.retain(|&Reverse((p, s))| self.priority(ep, s) == Some(p));
+        entries.retain(|&e| self.live(ep, e));
         entries.sort_unstable();
         entries.dedup();
         self.heap[ep as usize] = BinaryHeap::from(entries);
@@ -105,8 +121,9 @@ impl Queues {
     /// Empties `ep`'s queue, returning the slots it held.
     pub(crate) fn take(&mut self, ep: u32) -> Vec<u32> {
         let mut slots = Vec::new();
-        for Reverse((p, s)) in std::mem::take(&mut self.heap[ep as usize]) {
-            if self.priority(ep, s) == Some(p) {
+        for e in std::mem::take(&mut self.heap[ep as usize]) {
+            if self.live(ep, e) {
+                let (_, s) = Queues::unpack(e);
                 self.remove(ep, s);
                 slots.push(s);
             }
@@ -119,19 +136,22 @@ impl Queues {
     /// costs a look at the heap's top, once its stale entries are gone.
     fn more_urgent(&mut self, ep: u32, priority: u32) -> Option<(usize, u32)> {
         let e = ep as usize;
-        while let Some(&Reverse((p, s))) = self.heap[e].peek() {
-            if self.priority(ep, s) == Some(p) {
+        while let Some(&top) = self.heap[e].peek() {
+            if self.live(ep, top) {
                 break;
             }
             self.heap[e].pop();
         }
-        if self.heap[e].peek()?.0 .0 >= priority {
+        if Queues::unpack(*self.heap[e].peek()?).0 >= priority {
             return None;
         }
         self.heap[e]
             .iter()
-            .filter(|&&Reverse((p, s))| p < priority && self.priority(ep, s) == Some(p))
-            .map(|&Reverse((p, s))| (s as usize, p))
+            .filter(|&&e| Queues::unpack(e).0 < priority && self.live(ep, e))
+            .map(|&e| {
+                let (p, s) = Queues::unpack(e);
+                (s as usize, p)
+            })
             .min()
     }
 }
