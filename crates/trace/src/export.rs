@@ -441,11 +441,12 @@ impl RowCoder for RowReader<'_, '_> {
     fn tag(&mut self, ev: &mut TraceEvent) -> Res {
         self.field()?;
         let tag = self.string("tag")?;
-        *ev = TAGS
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .ok_or_else(|| format!("unknown tag {tag:?}"))?
-            .1;
+        // Every tag is two bytes: compare them as one pair, not as strings.
+        let found = <[u8; 2]>::try_from(tag.as_bytes()).ok().and_then(|want| {
+            TAGS.iter()
+                .find(|(t, _)| matches!(t.as_bytes(), &[a, b] if [a, b] == want))
+        });
+        *ev = found.ok_or_else(|| format!("unknown tag {tag:?}"))?.1;
         self.tagged = true;
         Ok(())
     }
@@ -501,7 +502,9 @@ fn read_events(p: &mut Parser) -> Result<Result<TraceLog, String>, JsonError> {
         p.skip_value()?;
         return Ok(Err("p3Events is not an array".into()));
     }
-    let mut log = Ok(TraceLog::new());
+    // Room for a row per `[` left in the document: growing the log by
+    // doubling would copy every row about twice.
+    let mut log = Ok(TraceLog::with_room(p.count_ahead(b'[')));
     let mut i = 0;
     p.elements(|p| {
         match &mut log {

@@ -128,6 +128,11 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// How many of the bytes not yet read are `b`.
+    pub(crate) fn count_ahead(&self, b: u8) -> usize {
+        self.bytes[self.pos..].iter().filter(|&&c| c == b).count()
+    }
+
     pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -228,10 +233,14 @@ impl<'a> Parser<'a> {
     /// reads nothing and gives `None`.
     pub(crate) fn plain_uint(&mut self) -> Option<u64> {
         let start = self.pos;
-        let len = self.digits();
-        if (1..=15).contains(&len) && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            let digits = &self.bytes[start..self.pos];
-            return Some(digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')));
+        let mut n = 0u64;
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            self.pos += 1;
+        }
+        let plain = (1..=15).contains(&(self.pos - start));
+        if plain && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return Some(n);
         }
         self.pos = start;
         None

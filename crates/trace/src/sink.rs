@@ -32,6 +32,14 @@ impl TraceLog {
         TraceLog { events: Vec::new() }
     }
 
+    /// An empty log with room for up to `events` events, where the
+    /// allocator grants it (no room otherwise).
+    pub(crate) fn with_room(events: usize) -> Self {
+        let mut log = TraceLog::new();
+        let _ = log.events.try_reserve_exact(events);
+        log
+    }
+
     /// Records one event at simulated time `at`.
     #[inline]
     pub fn record(&mut self, at: SimTime, event: TraceEvent) {
