@@ -502,9 +502,12 @@ fn read_events(p: &mut Parser) -> Result<Result<TraceLog, String>, JsonError> {
         p.skip_value()?;
         return Ok(Err("p3Events is not an array".into()));
     }
-    // Room for a row per `[` left in the document: growing the log by
-    // doubling would copy every row about twice.
-    let mut log = Ok(TraceLog::with_room(p.count_ahead(b'[')));
+    // Room for a row per `[` left in the document, rounded up to the
+    // capacity growth by doubling would end at: the same allocation, and
+    // so the same resident footprint, without copying every row about
+    // twice on the way there.
+    let rows = p.count_ahead(b'[').checked_next_power_of_two().unwrap_or(0);
+    let mut log = Ok(TraceLog::with_room(rows));
     let mut i = 0;
     p.elements(|p| {
         match &mut log {
