@@ -3,16 +3,16 @@
 //! (machine, key) cells they touch, so that every piece of replay state
 //! lives in a flat vector indexed by slot.
 //!
-//! Slots are numbered in id order. An id kind whose values stay below a
-//! bound proportional to the log's length is looked up through a direct
-//! table, or used as its own slot when its ids are exactly `0..n`. Any
-//! larger id makes its kind sparse: its ids are sorted and looked up by
+//! Slots are numbered in id order. An id kind whose ids are exactly
+//! `0..n`, as every simulator trace's are, uses each id as its own slot;
+//! a direct table of the ids below a bound proportional to the log's
+//! length finds that out. Any other kind is sorted and looked up by
 //! binary search. Either way the tables are sized by the log's length,
 //! never by an id's value.
 
 use p3_trace::{MsgClass, TimedEvent, TraceEvent};
 
-/// No slot: an absent id in a direct table, an empty list link.
+/// No slot: an empty list link, a message's missing destination.
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// Dense slots for the distinct ids of one kind, numbered in id order.
@@ -20,10 +20,7 @@ pub(crate) const NONE: u32 = u32::MAX;
 pub(crate) enum Interner {
     /// The ids are exactly `0..n`; each id is its own slot.
     Identity(usize),
-    /// Compact ids: each id's slot (`NONE` when absent), and each slot's
-    /// id.
-    Direct { slot: Vec<u32>, ids: Vec<u64> },
-    /// Sparse ids, sorted and distinct: an id's slot is its rank.
+    /// Any other ids, sorted and distinct: an id's slot is its rank.
     Sorted(Vec<u64>),
 }
 
@@ -33,11 +30,6 @@ impl Interner {
     pub(crate) fn slot(&self, id: u64) -> Option<usize> {
         match self {
             Interner::Identity(n) => (id < *n as u64).then_some(id as usize),
-            Interner::Direct { slot, .. } => usize::try_from(id)
-                .ok()
-                .and_then(|i| slot.get(i))
-                .filter(|&&s| s != NONE)
-                .map(|&s| s as usize),
             Interner::Sorted(ids) => ids.binary_search(&id).ok(),
         }
     }
@@ -46,7 +38,7 @@ impl Interner {
     pub(crate) fn id(&self, slot: usize) -> u64 {
         match self {
             Interner::Identity(_) => slot as u64,
-            Interner::Direct { ids, .. } | Interner::Sorted(ids) => ids[slot],
+            Interner::Sorted(ids) => ids[slot],
         }
     }
 
@@ -54,7 +46,7 @@ impl Interner {
     pub(crate) fn len(&self) -> usize {
         match self {
             Interner::Identity(n) => *n,
-            Interner::Direct { ids, .. } | Interner::Sorted(ids) => ids.len(),
+            Interner::Sorted(ids) => ids.len(),
         }
     }
 
@@ -69,20 +61,20 @@ impl Interner {
 /// One id kind's table, filled in one walk over its occurrences.
 #[derive(Debug)]
 struct Builder {
-    /// Ids below this are marked in `marks`.
+    /// Ids below this are marked in `seen`.
     bound: u64,
-    /// Per id below the bound: 0 once seen, else `NONE`.
-    marks: Vec<u32>,
+    /// Per id below the bound: whether the log names it.
+    seen: Vec<bool>,
     /// The ids at or above the bound.
     sparse: Vec<u64>,
 }
 
 impl Builder {
-    /// A builder whose direct table never grows past about twice `len`.
+    /// A builder whose table never grows past about twice `len`.
     fn new(len: usize) -> Builder {
         Builder {
             bound: 2 * len as u64 + 64,
-            marks: Vec::new(),
+            seen: Vec::new(),
             sparse: Vec::new(),
         }
     }
@@ -90,10 +82,10 @@ impl Builder {
     fn add(&mut self, id: u64) {
         if id < self.bound {
             let i = id as usize;
-            if i >= self.marks.len() {
-                self.marks.resize(i + 1, NONE);
+            if i >= self.seen.len() {
+                self.seen.resize(i + 1, false);
             }
-            self.marks[i] = 0;
+            self.seen[i] = true;
         } else {
             self.sparse.push(id);
         }
@@ -101,29 +93,16 @@ impl Builder {
 
     fn finish(self) -> Interner {
         let Builder {
-            mut marks,
-            mut sparse,
-            ..
+            seen, mut sparse, ..
         } = self;
-        if !sparse.is_empty() {
-            let marked = marks.iter().enumerate().filter(|&(_, &m)| m != NONE);
-            sparse.extend(marked.map(|(id, _)| id as u64));
-            sparse.sort_unstable();
-            sparse.dedup();
-            return Interner::Sorted(sparse);
+        if sparse.is_empty() && seen.iter().all(|&s| s) {
+            return Interner::Identity(seen.len());
         }
-        let mut ids = Vec::new();
-        for (id, s) in marks.iter_mut().enumerate() {
-            if *s != NONE {
-                *s = ids.len() as u32;
-                ids.push(id as u64);
-            }
-        }
-        if ids.len() == marks.len() {
-            Interner::Identity(ids.len())
-        } else {
-            Interner::Direct { slot: marks, ids }
-        }
+        let named = seen.iter().enumerate().filter(|&(_, &s)| s);
+        sparse.extend(named.map(|(id, _)| id as u64));
+        sparse.sort_unstable();
+        sparse.dedup();
+        Interner::Sorted(sparse)
     }
 }
 
@@ -437,7 +416,7 @@ mod tests {
             assert_eq!(interner.slot(7), None, "{ids:?}");
         }
         assert!(matches!(Interner::of(dense), Interner::Identity(4)));
-        assert!(matches!(Interner::of(gappy), Interner::Direct { .. }));
+        assert!(matches!(Interner::of(gappy), Interner::Sorted(_)));
         assert!(matches!(Interner::of(sparse), Interner::Sorted(_)));
     }
 
