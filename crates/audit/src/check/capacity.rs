@@ -22,15 +22,23 @@ const CAPACITY_REL_TOL: f64 = 1e-6;
 /// Absolute byte slack per capacity window.
 const CAPACITY_ABS_SLACK: f64 = 2048.0;
 
-/// One completed wire transfer, kept for the offline capacity scan.
-/// Machines are named by slot.
+/// One wire transfer, recorded at its start and completed at its
+/// delivery, kept for the offline capacity scan. Machines are named by
+/// slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Attempt {
     pub(crate) start: u64,
     pub(crate) end: u64,
     pub(crate) bytes: u64,
+    /// Index of the event that delivered it; `UNDELIVERED` until then,
+    /// and for ever if it is cancelled or restarted.
+    pub(crate) delivered: u64,
     pub(crate) src: u32,
     pub(crate) dst: u32,
+}
+
+impl Attempt {
+    pub(crate) const UNDELIVERED: u64 = u64::MAX;
 }
 
 /// An attempt as one of its ports sees it.
@@ -79,10 +87,13 @@ fn overcommitted(
     mut attempts: Vec<Attempt>,
     machines: usize,
 ) -> Vec<(usize, (u64, u64, u64))> {
-    // One stable sort puts every port's attempts in `(start, end)` order,
-    // ties in log order; a counting sort then files each attempt under
-    // its tx and its rx port, keeping that order.
-    attempts.sort_by_key(|a| (a.start, a.end));
+    // One sort puts every port's attempts in `(start, end)` order, ties in
+    // delivery order; a counting sort then files each attempt under its
+    // tx and its rx port, keeping that order. Attempts are recorded in
+    // start order, and the run-merging stable sort finds what is already
+    // in order.
+    attempts.retain(|a| a.delivered != Attempt::UNDELIVERED);
+    attempts.sort_by_key(|a| (a.start, a.end, a.delivered));
     let mut start = vec![0usize; 2 * machines + 1];
     for a in &attempts {
         start[a.src as usize + 1] += 1;
@@ -373,6 +384,7 @@ mod tests {
                 start: u64::MAX,
                 end: u64::MAX,
                 bytes: 0,
+                delivered: 0,
             };
             for a in list.into_iter().chain(std::iter::once(sentinel)) {
                 if a.start >= max_end && !period.is_empty() {
@@ -455,7 +467,8 @@ mod tests {
         prop::collection::vec((0u32..3, 1u32..3, 0..slots, 0u64..14, 0u8..4, 0u64..5), n).prop_map(
             move |raw| {
                 raw.into_iter()
-                    .map(|(src, shift, slot, len, kind, jitter)| {
+                    .enumerate()
+                    .map(|(n, (src, shift, slot, len, kind, jitter))| {
                         // Lengths 12 and 13 make an attempt that ends one or
                         // two units before it starts, as only a corrupt log
                         // can hold.
@@ -471,12 +484,14 @@ mod tests {
                             2 => own / 2 - 2 + jitter,
                             _ => 3 * own,
                         };
+                        // Delivered in list order.
                         Attempt {
                             src,
                             dst: (src + shift) % 3,
                             start,
                             end,
                             bytes,
+                            delivered: n as u64,
                         }
                     })
                     .collect()
@@ -510,6 +525,7 @@ mod tests {
             start,
             end,
             bytes,
+            delivered: start,
         };
         // 3000 bytes ending at their own start fit no window anchored
         // there, but with the attempt before them they overfill [0, 1000].

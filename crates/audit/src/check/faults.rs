@@ -61,7 +61,7 @@ impl Checker {
                             );
                         }
                         info.state = MsgState::Dead;
-                        info.is_open = false;
+                        info.open = NONE;
                         let endpoint = info.endpoint;
                         let dst = info.dst;
                         let n = &mut self.inflight[endpoint as usize];

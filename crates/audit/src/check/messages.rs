@@ -180,7 +180,6 @@ pub(crate) enum MsgState {
 pub(crate) struct MsgInfo {
     pub(crate) round: u64,
     bytes: u64,
-    pub(crate) open_start: u64,
     /// Enqueuing endpoint: `2 · machine slot + role`.
     pub(crate) endpoint: u32,
     /// Key slot.
@@ -188,25 +187,26 @@ pub(crate) struct MsgInfo {
     /// Destination machine slot of the latest start (`NONE` before one).
     pub(crate) dst: u32,
     pub(crate) priority: u32,
+    /// Index of its wire attempt started and not yet delivered or
+    /// cancelled (`NONE` when there is none).
+    pub(crate) open: u32,
     pub(crate) class: MsgClass,
     pub(crate) state: MsgState,
     has_bytes: bool,
-    pub(crate) is_open: bool,
 }
 
 impl MsgInfo {
     pub(crate) const UNSEEN: MsgInfo = MsgInfo {
         round: 0,
         bytes: 0,
-        open_start: 0,
         endpoint: NONE,
         key: NONE,
         dst: NONE,
         priority: 0,
         class: MsgClass::Push,
+        open: NONE,
         state: MsgState::Unseen,
         has_bytes: false,
-        is_open: false,
     };
 
     fn bytes(&self) -> Option<u64> {
@@ -409,8 +409,17 @@ impl Checker {
             .map_or(NONE, |s| s as u32);
         info.dst = dst_slot;
         info.state = MsgState::InFlight;
-        info.open_start = t;
-        info.is_open = true;
+        // Attempts are recorded in start order; the capacity sweep keeps
+        // the ones a delivery completes.
+        info.open = self.attempts.len() as u32;
+        self.attempts.push(super::Attempt {
+            start: t,
+            end: 0,
+            bytes: 0,
+            delivered: super::Attempt::UNDELIVERED,
+            src: NONE,
+            dst: NONE,
+        });
         let endpoint = info.endpoint;
         let msg_prio = priority;
 
@@ -510,22 +519,20 @@ impl Checker {
             );
         }
         info.state = MsgState::Delivered;
+        let open = std::mem::replace(&mut info.open, NONE);
         let info = *info;
-        self.msgs[msg.slot].is_open = false;
         let (Some(s), Some(d)) = (
             self.ids.machines.slot(src as u64),
             self.ids.machines.slot(dst as u64),
         ) else {
             return;
         };
-        if info.is_open && src != dst {
-            self.attempts.push(super::Attempt {
-                start: info.open_start,
-                end: t,
-                bytes,
-                src: s as u32,
-                dst: d as u32,
-            });
+        if let (Some(a), true) = (self.attempts.get_mut(open as usize), src != dst) {
+            a.end = t;
+            a.bytes = bytes;
+            a.delivered = i as u64;
+            a.src = s as u32;
+            a.dst = d as u32;
         }
         let n = &mut self.inflight[info.endpoint as usize];
         *n = n.saturating_sub(1);
