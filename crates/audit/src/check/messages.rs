@@ -23,7 +23,7 @@ pub(crate) struct Msg {
 /// endpoint keeps its depth and a min-heap of `(priority, slot)` entries,
 /// packed into one `u64` each, that may be stale: an entry counts only
 /// while its slot is still queued there at that priority.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Queues {
     /// Per endpoint: queued messages.
     depth: Vec<usize>,
