@@ -10,6 +10,9 @@
 //! need with `Parser::skip_value`, which allocates nothing and converts
 //! no number.
 
+mod scan;
+
+use scan::{non_digits, scan_value, string_stops};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -190,15 +193,28 @@ impl<'a> Parser<'a> {
     }
 
     /// Passes over one value, checking the same grammar as
-    /// [`Parser::value`] without building it.
+    /// [`Parser::value`] without building it. A well-formed value takes
+    /// one flat loop ([`scan_value`]); anything that loop does not accept
+    /// is read again by the recursive skip, which ends at the same byte
+    /// or names the same error.
     pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+        match scan_value(self.bytes, self.pos) {
+            Some(end) => {
+                self.pos = end;
+                Ok(())
+            }
+            None => self.skip_value_slowly(),
+        }
+    }
+
+    fn skip_value_slowly(&mut self) -> Result<(), JsonError> {
         match self.peek() {
             Some(b'{') => self.sequence(b'{', b'}', |p| {
                 p.skip_string()?;
                 p.colon()?;
-                p.skip_value()
+                p.skip_value_slowly()
             }),
-            Some(b'[') => self.elements(Parser::skip_value),
+            Some(b'[') => self.elements(Parser::skip_value_slowly),
             Some(b'"') => self.skip_string(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.skip_number(),
             // Literals allocate nothing.
@@ -446,40 +462,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// `0x01` in every byte of a word.
-const ONES: u64 = 0x0101_0101_0101_0101;
-/// The high bit of every byte of a word.
-const HIGHS: u64 = 0x8080_8080_8080_8080;
-
-// Each marker below sets the high bit of the bytes of a little-endian
-// word that match. A borrow or carry out of a matching byte can also
-// mark bytes above it, so only the lowest marked byte is exact: the
-// first match in the input. Each marker leaves every byte below its
-// first match unmarked, so an OR of markers marks the first byte any of
-// them matches.
-
-/// Marks the bytes below `n` (`n` at most `0x80`).
-fn below(w: u64, n: u8) -> u64 {
-    w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS
-}
-
-/// Marks the bytes equal to `b`.
-fn equal(w: u64, b: u8) -> u64 {
-    below(w ^ (ONES * u64::from(b)), 1)
-}
-
-/// Marks the bytes that end a plain string run: `"`, `\` and control
-/// bytes.
-fn string_stops(w: u64) -> u64 {
-    equal(w, b'"') | equal(w, b'\\') | below(w, 0x20)
-}
-
-/// Marks the bytes that are not ASCII digits: below `0`, or above `9`
-/// (those at or above `0x80` included).
-fn non_digits(w: u64) -> u64 {
-    below(w, b'0') | ((w.wrapping_add(ONES * u64::from(0x7f - b'9')) | w) & HIGHS)
-}
-
 /// Escapes a string for embedding in JSON output (adds no quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -600,41 +582,7 @@ mod tests {
         }
     }
 
-    /// The first byte of `w` (little-endian) that `stop` accepts.
-    fn first(w: u64, stop: impl Fn(u8) -> bool) -> Option<usize> {
-        w.to_le_bytes().iter().position(|&b| stop(b))
-    }
-
-    fn lowest_marked(marks: u64) -> Option<usize> {
-        (marks != 0).then(|| marks.trailing_zeros() as usize / 8)
-    }
-
     proptest::proptest! {
-        /// A word marker's lowest mark is the first byte the byte loop
-        /// stops at, for words that mix plain, stop and high bytes.
-        #[test]
-        fn word_markers_stop_where_the_byte_loops_do(seed in proptest::any::<u64>()) {
-            let mut rng = proptest::TestRng::for_case("marker words", seed);
-            let palette = b"aZ09~ \"\\\x00\x01\x1f\x20/.:e\x7f\x80\xc3\xa9\xff";
-            for _ in 0..256 {
-                let mut w = [0u8; 8];
-                for b in &mut w {
-                    *b = if rng.below(4) == 0 {
-                        rng.below(256) as u8
-                    } else {
-                        palette[rng.below(palette.len() as u64) as usize]
-                    };
-                }
-                let w = u64::from_le_bytes(w);
-                let string_stop = |c: u8| c == b'"' || c == b'\\' || c < 0x20;
-                proptest::prop_assert_eq!(lowest_marked(string_stops(w)), first(w, string_stop));
-                proptest::prop_assert_eq!(
-                    lowest_marked(non_digits(w)),
-                    first(w, |c| !c.is_ascii_digit())
-                );
-            }
-        }
-
         /// Skipping a string checks the grammar reading it does, and both
         /// stop where a byte-at-a-time scan would. Strings run long, with
         /// plain ASCII, multi-byte characters, escapes (some invalid),
