@@ -12,7 +12,7 @@
 
 mod scan;
 
-use scan::{non_digits, scan_value, string_stops};
+use scan::{number_end, scan_value, string_stops, words_at, ws_at};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -141,9 +141,7 @@ impl<'a> Parser<'a> {
     }
 
     pub(crate) fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.pos = ws_at(self.bytes, self.pos);
     }
 
     /// Fails unless only whitespace is left.
@@ -263,56 +261,14 @@ impl<'a> Parser<'a> {
     }
 
     /// Steps over a number, checking the grammar `f64` parsing accepts
-    /// from these bytes: an optional `-`, digits with at most one `.` and
-    /// at least one digit, then optionally `e` or `E`, a sign and at least
-    /// one digit. Converts nothing.
+    /// from these bytes ([`number_end`]). Converts nothing.
     fn skip_number(&mut self) -> Result<(), JsonError> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut digits = self.digits();
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            digits += self.digits();
-        }
-        let mut ok = digits > 0;
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            ok &= self.digits() > 0;
-        }
+        let (end, ok) = number_end(self.bytes, self.pos);
+        self.pos = end;
         if ok {
             Ok(())
         } else {
             Err(self.err("malformed number"))
-        }
-    }
-
-    /// Steps over a run of digits, returning its length.
-    fn digits(&mut self) -> usize {
-        let start = self.pos;
-        self.skip_words(non_digits);
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        self.pos - start
-    }
-
-    /// Steps over whole 8-byte words while `stops` marks none of their
-    /// bytes, then to the first marked byte. Leaves fewer than 8 bytes
-    /// for the caller's byte loop only at the end of the input.
-    fn skip_words(&mut self, stops: fn(u64) -> u64) {
-        while let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
-            let mut w = [0; 8];
-            w.copy_from_slice(word);
-            let marked = stops(u64::from_le_bytes(w));
-            if marked != 0 {
-                self.pos += marked.trailing_zeros() as usize / 8;
-                return;
-            }
-            self.pos += 8;
         }
     }
 
@@ -388,10 +344,7 @@ impl<'a> Parser<'a> {
 
     /// Steps over string bytes that need no decoding.
     fn plain_run(&mut self) {
-        self.skip_words(string_stops);
-        while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
-            self.pos += 1;
-        }
+        self.pos = words_at(self.bytes, self.pos, string_stops);
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {

@@ -1,51 +1,70 @@
-//! Byte scans for the JSON tokenizer: word-at-a-time markers for the
-//! bytes a string or digit run stops at, and [`scan_value`], the flat
-//! loop that steps over a well-formed value.
+//! Byte scans for the JSON tokenizer: a word-at-a-time marker for the
+//! bytes a plain string run stops at, and [`scan_value`], the flat loop
+//! that steps over a well-formed value.
 
 /// The index past the whitespace at `i`.
-fn ws_at(b: &[u8], mut i: usize) -> usize {
+pub(super) fn ws_at(b: &[u8], mut i: usize) -> usize {
     while matches!(b.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
         i += 1;
     }
     i
 }
 
-/// The index past the run of digits at `i`, and the run's length.
-fn digits_at(b: &[u8], mut i: usize) -> (usize, usize) {
-    let start = i;
-    while b.get(i).is_some_and(u8::is_ascii_digit) {
-        i += 1;
+/// The index of the first byte at or after `i` that `stops` marks, or
+/// the input's length, found eight bytes a word. The last word is
+/// padded with zero bytes, which `stops` must mark. (Digit runs in
+/// these documents are short enough that a byte loop beats it.)
+#[inline]
+pub(super) fn words_at(b: &[u8], mut i: usize, stops: impl Fn(u64) -> u64) -> usize {
+    loop {
+        let mut w = [0; 8];
+        match b.get(i..i + 8) {
+            Some(word) => w.copy_from_slice(word),
+            None => {
+                let rest = b.get(i..).unwrap_or_default();
+                w[..rest.len()].copy_from_slice(rest);
+            }
+        }
+        let marked = stops(u64::from_le_bytes(w));
+        if marked != 0 {
+            return i + marked.trailing_zeros() as usize / 8;
+        }
+        i += 8;
     }
-    (i, i - start)
 }
 
-/// The end of the number at `i`, in the grammar `Parser::skip_number`
-/// checks.
-fn scan_number(b: &[u8], mut i: usize) -> Option<usize> {
+/// Where the number at `i` ends in the grammar `f64` parsing accepts
+/// from these bytes, and whether it holds to it: an optional `-`,
+/// digits with at most one `.` and at least one digit, then optionally
+/// `e` or `E`, a sign and at least one digit.
+pub(super) fn number_end(b: &[u8], mut i: usize) -> (usize, bool) {
     if b.get(i) == Some(&b'-') {
         i += 1;
     }
-    let (mut i, mut digits) = digits_at(b, i);
+    let digits_at = |start| {
+        let mut end = start;
+        while b.get(end).is_some_and(u8::is_ascii_digit) {
+            end += 1;
+        }
+        (end, end - start)
+    };
+    let (mut i, mut digits) = digits_at(i);
     if b.get(i) == Some(&b'.') {
-        let (end, more) = digits_at(b, i + 1);
+        let (end, more) = digits_at(i + 1);
         i = end;
         digits += more;
     }
-    if digits == 0 {
-        return None;
-    }
+    let mut ok = digits > 0;
     if matches!(b.get(i), Some(b'e' | b'E')) {
         i += 1;
         if matches!(b.get(i), Some(b'+' | b'-')) {
             i += 1;
         }
-        let (end, exponent) = digits_at(b, i);
-        if exponent == 0 {
-            return None;
-        }
+        let (end, exponent) = digits_at(i);
         i = end;
+        ok &= exponent > 0;
     }
-    Some(i)
+    (i, ok)
 }
 
 /// The end of the string opening at `i`, if its escapes are the simple
@@ -53,16 +72,7 @@ fn scan_number(b: &[u8], mut i: usize) -> Option<usize> {
 fn scan_string(b: &[u8], mut i: usize) -> Option<usize> {
     i += 1;
     loop {
-        while let Some(word) = b.get(i..i + 8) {
-            let mut w = [0; 8];
-            w.copy_from_slice(word);
-            let marked = string_stops(u64::from_le_bytes(w));
-            if marked != 0 {
-                i += marked.trailing_zeros() as usize / 8;
-                break;
-            }
-            i += 8;
-        }
+        i = words_at(b, i, string_stops);
         match *b.get(i)? {
             b'"' => return Some(i + 1),
             b'\\' => match *b.get(i + 1)? {
@@ -89,7 +99,7 @@ fn scan_key(b: &[u8], i: usize) -> Option<usize> {
 /// The end of the well-formed value at `i`, read in one loop with its
 /// open containers on a small stack: containers nested at most 64
 /// deep, strings as [`scan_string`] reads them, numbers as
-/// [`scan_number`] does, and the three literals. It accepts nothing the
+/// [`number_end`] does, and the three literals. It accepts nothing the
 /// recursive skip rejects and ends where it ends; `None` leaves the
 /// value to that skip.
 pub(super) fn scan_value(b: &[u8], mut i: usize) -> Option<usize> {
@@ -113,7 +123,10 @@ pub(super) fn scan_value(b: &[u8], mut i: usize) -> Option<usize> {
                 }
             }
             b'"' => i = scan_string(b, i)?,
-            b'-' | b'0'..=b'9' => i = scan_number(b, i)?,
+            b'-' | b'0'..=b'9' => match number_end(b, i) {
+                (end, true) => i = end,
+                _ => return None,
+            },
             b't' if b[i..].starts_with(b"true") => i += 4,
             b'f' if b[i..].starts_with(b"false") => i += 5,
             b'n' if b[i..].starts_with(b"null") => i += 4,
@@ -149,11 +162,11 @@ const ONES: u64 = 0x0101_0101_0101_0101;
 const HIGHS: u64 = 0x8080_8080_8080_8080;
 
 // Each marker below sets the high bit of the bytes of a little-endian
-// word that match. A borrow or carry out of a matching byte can also
-// mark bytes above it, so only the lowest marked byte is exact: the
-// first match in the input. Each marker leaves every byte below its
-// first match unmarked, so an OR of markers marks the first byte any of
-// them matches.
+// word that match. A borrow out of a matching byte can also mark bytes
+// above it, so only the lowest marked byte is exact: the first match in
+// the input. Each marker leaves every byte below its first match
+// unmarked, so an OR of markers marks the first byte any of them
+// matches.
 
 /// Marks the bytes below `n` (`n` at most `0x80`).
 fn below(w: u64, n: u8) -> u64 {
@@ -169,12 +182,6 @@ fn equal(w: u64, b: u8) -> u64 {
 /// bytes.
 pub(super) fn string_stops(w: u64) -> u64 {
     equal(w, b'"') | equal(w, b'\\') | below(w, 0x20)
-}
-
-/// Marks the bytes that are not ASCII digits: below `0`, or above `9`
-/// (those at or above `0x80` included).
-pub(super) fn non_digits(w: u64) -> u64 {
-    below(w, b'0') | ((w.wrapping_add(ONES * u64::from(0x7f - b'9')) | w) & HIGHS)
 }
 
 #[cfg(test)]
@@ -263,10 +270,6 @@ mod tests {
                 let w = u64::from_le_bytes(w);
                 let string_stop = |c: u8| c == b'"' || c == b'\\' || c < 0x20;
                 proptest::prop_assert_eq!(lowest_marked(string_stops(w)), first(w, string_stop));
-                proptest::prop_assert_eq!(
-                    lowest_marked(non_digits(w)),
-                    first(w, |c| !c.is_ascii_digit())
-                );
             }
         }
 
