@@ -318,10 +318,11 @@ impl<'a> Parser<'a> {
                         Some(b't') => '\t',
                         Some(b'u') => {
                             self.pos += 1;
-                            let code = self.hex4()?;
-                            // `hex4` stepped over the escape's digits.
-                            self.pos -= 1;
-                            char::from_u32(code).unwrap_or('\u{fffd}')
+                            let c = char::from_u32(self.hex4()?).unwrap_or('\u{fffd}');
+                            if let Some(o) = out.as_deref_mut() {
+                                o.push(c);
+                            }
+                            continue;
                         }
                         _ => return Err(self.err("invalid escape")),
                     };
