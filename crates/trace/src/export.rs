@@ -441,14 +441,106 @@ impl RowCoder for RowReader<'_, '_> {
     fn tag(&mut self, ev: &mut TraceEvent) -> Res {
         self.field()?;
         let tag = self.string("tag")?;
-        // Every tag is two bytes: compare them as one pair, not as strings.
-        let found = <[u8; 2]>::try_from(tag.as_bytes()).ok().and_then(|want| {
-            TAGS.iter()
-                .find(|(t, _)| matches!(t.as_bytes(), &[a, b] if [a, b] == want))
-        });
-        *ev = found.ok_or_else(|| format!("unknown tag {tag:?}"))?.1;
+        let found = <[u8; 2]>::try_from(tag.as_bytes()).ok().and_then(tag_blank);
+        *ev = found.ok_or_else(|| format!("unknown tag {tag:?}"))?;
         self.tagged = true;
         Ok(())
+    }
+}
+
+/// The blank of the variant tagged `pair`. Every tag is two bytes, so
+/// they compare as one pair, not as strings.
+fn tag_blank(pair: [u8; 2]) -> Option<TraceEvent> {
+    let (_, blank) = TAGS
+        .iter()
+        .find(|(t, _)| matches!(t.as_bytes(), &[a, b] if [a, b] == pair))?;
+    Some(*blank)
+}
+
+/// Reads one row in the shape the export writes (no whitespace, integers
+/// of 1 to 15 plain digits, hex digits with no escapes) straight from
+/// the bytes. Any other shape fails without naming a fault; every row
+/// it reads, [`RowReader`] reads as the same event.
+struct PlainRow<'a> {
+    b: &'a [u8],
+    i: usize,
+    fields: usize,
+}
+
+impl PlainRow<'_> {
+    fn byte(&mut self, want: u8) -> Res {
+        if self.b.get(self.i) != Some(&want) {
+            return Err(String::new());
+        }
+        self.i += 1;
+        Ok(())
+    }
+
+    /// Steps past the next field's delimiter: the row's `[` or a `,`.
+    fn field(&mut self) -> Res {
+        let delim = if self.fields == 0 { b'[' } else { b',' };
+        self.fields += 1;
+        self.byte(delim)
+    }
+
+    /// Up to 15 digits, right before the next `,` or `]`.
+    fn digits(&mut self) -> Result<u64, String> {
+        let start = self.i;
+        let mut n = 0u64;
+        while let Some(d) = self.b.get(self.i).filter(|d| d.is_ascii_digit()) {
+            n = n * 10 + u64::from(d - b'0');
+            self.i += 1;
+            if self.i - start > 15 {
+                return Err(String::new());
+            }
+        }
+        match self.b.get(self.i) {
+            Some(b',' | b']') if self.i > start => Ok(n),
+            _ => Err(String::new()),
+        }
+    }
+}
+
+impl RowCoder for PlainRow<'_> {
+    fn uint(&mut self, v: &mut u64, _: &str) -> Res {
+        self.field()?;
+        *v = self.digits()?;
+        Ok(())
+    }
+
+    fn opt_uint(&mut self, v: &mut Option<u64>, _: &str) -> Res {
+        self.field()?;
+        *v = if self.b.get(self.i..).is_some_and(|b| b.starts_with(b"null")) {
+            self.i += 4;
+            None
+        } else {
+            Some(self.digits()?)
+        };
+        Ok(())
+    }
+
+    fn hex(&mut self, v: &mut u64, _: &str) -> Res {
+        self.field()?;
+        self.byte(b'"')?;
+        let start = self.i;
+        while self.b.get(self.i).is_some_and(u8::is_ascii_hexdigit) {
+            self.i += 1;
+        }
+        let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| String::new())?;
+        *v = u64::from_str_radix(text, 16).map_err(|_| String::new())?;
+        self.byte(b'"')
+    }
+
+    fn tag(&mut self, ev: &mut TraceEvent) -> Res {
+        self.field()?;
+        match self.b.get(self.i..self.i + 4) {
+            Some(&[b'"', a, b, b'"']) => {
+                *ev = tag_blank([a, b]).ok_or_else(String::new)?;
+                self.i += 4;
+                Ok(())
+            }
+            _ => Err(String::new()),
+        }
     }
 }
 
@@ -461,6 +553,20 @@ fn read_row(p: &mut Parser, i: usize) -> Result<Result<(SimTime, TraceEvent), St
     if p.peek() != Some(b'[') {
         p.skip_value()?;
         return Ok(Err(format!("p3Events[{i}] is not an array")));
+    }
+    let (mut at, mut ev) = (0, TAGS[0].1);
+    let mut plain = PlainRow {
+        b: p.ahead(),
+        i: 0,
+        fields: 0,
+    };
+    if walk_row(&mut plain, &mut at, &mut ev)
+        .and_then(|()| plain.byte(b']'))
+        .is_ok()
+    {
+        p.pos += plain.i;
+        p.skip_ws();
+        return Ok(Ok((SimTime::from_nanos(at), ev)));
     }
     let mut r = RowReader {
         p,
@@ -506,7 +612,8 @@ fn read_events(p: &mut Parser) -> Result<Result<TraceLog, String>, JsonError> {
     // capacity growth by doubling would end at: the same allocation, and
     // so the same resident footprint, without copying every row about
     // twice on the way there.
-    let rows = p.count_ahead(b'[').checked_next_power_of_two().unwrap_or(0);
+    let rows = p.ahead().iter().filter(|&&c| c == b'[').count();
+    let rows = rows.checked_next_power_of_two().unwrap_or(0);
     let mut log = Ok(TraceLog::with_room(rows));
     let mut i = 0;
     p.elements(|p| {

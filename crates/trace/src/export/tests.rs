@@ -557,3 +557,55 @@ proptest::proptest! {
         proptest::prop_assert_eq!(back_meta, meta);
     }
 }
+
+/// Every row [`PlainRow`] reads, [`RowReader`] reads as the same event,
+/// ending at the same byte: the sample log's rows, and each of them with
+/// one byte replaced by one that changes a row's shape.
+#[test]
+fn plain_rows_read_as_the_row_reader_reads_them() {
+    let doc = sample_doc();
+    let head = "\"p3Events\": [\n";
+    let start = doc.find(head).unwrap() + head.len();
+    let rows = doc[start..].trim_end().trim_end_matches("]}").trim_end();
+    let (mut plain_rows, mut variants) = (0, 0);
+    for row in rows.split(",\n") {
+        for i in 0..row.len() {
+            for &sub in b"09 \",]n.a-" {
+                let mut bytes = row.as_bytes().to_vec();
+                if i > 0 || sub == b'0' {
+                    bytes[i] = sub;
+                }
+                let Ok(text) = std::str::from_utf8(&bytes) else {
+                    continue;
+                };
+                variants += 1;
+                let (mut at, mut ev) = (0, TAGS[0].1);
+                let mut plain = PlainRow {
+                    b: text.as_bytes(),
+                    i: 0,
+                    fields: 0,
+                };
+                let fast = walk_row(&mut plain, &mut at, &mut ev).and_then(|()| plain.byte(b']'));
+                if fast.is_err() {
+                    continue;
+                }
+                plain_rows += 1;
+                let mut p = Parser::new(text);
+                let mut slow = RowReader {
+                    p: &mut p,
+                    fields: 0,
+                    tagged: false,
+                };
+                let (mut slow_at, mut slow_ev) = (0, TAGS[0].1);
+                let read =
+                    walk_row(&mut slow, &mut slow_at, &mut slow_ev).and_then(|()| slow.step(b']'));
+                assert_eq!((read, slow_at, slow_ev), (Ok(()), at, ev), "{text}");
+                assert_eq!(p.pos, plain.i, "{text}");
+            }
+        }
+    }
+    assert!(
+        plain_rows > 500 && variants > 5 * plain_rows,
+        "{plain_rows} of {variants}"
+    );
+}

@@ -131,9 +131,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// How many of the bytes not yet read are `b`.
-    pub(crate) fn count_ahead(&self, b: u8) -> usize {
-        self.bytes[self.pos..].iter().filter(|&&c| c == b).count()
+    /// The bytes not yet read.
+    pub(crate) fn ahead(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
     }
 
     pub(crate) fn peek(&self) -> Option<u8> {
