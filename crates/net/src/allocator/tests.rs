@@ -319,6 +319,26 @@ mod properties {
         )
     }
 
+    /// Flows in the regime most P3 fills are in: one urgent flow (class 0
+    /// or 1) out of each of six machines, which saturates most tx ports
+    /// before the later classes, then up to 39 bulk specs in classes 2 to
+    /// 7, each sent one to three times.
+    fn arb_blocked_flows() -> impl Strategy<Value = Vec<FlowSpec>> {
+        let urgent = prop::collection::vec(0..6usize, 6);
+        let bulk = prop::collection::vec((0..6usize, 0..6usize, 2u32..8, 1usize..4), 1..40);
+        (urgent, bulk).prop_map(|(urgent, bulk)| {
+            let apart = |src: usize, dst: usize| if dst == src { (dst + 1) % 6 } else { dst };
+            let mut flows: Vec<FlowSpec> = (0..6)
+                .zip(urgent)
+                .map(|(src, dst)| flow(src, apart(src, dst), (src % 2) as u32))
+                .collect();
+            for (src, dst, p, copies) in bulk {
+                flows.extend((0..copies).map(|_| flow(src, apart(src, dst), p)));
+            }
+            flows
+        })
+    }
+
     /// `racks` racks of `size` machines, uplink/downlink = size*nic/oversub.
     fn racked(racks: usize, size: usize, nic: f64, oversub: f64) -> LinkGraph {
         let machines = racks * size;
@@ -626,5 +646,59 @@ mod properties {
                 prop_assert!((r - rates[0]).abs() < 1e-6 * cap);
             }
         }
+    }
+
+    /// The fill reproduces the loop as first written where most classes
+    /// start blocked: flat and racked graphs with routes of two and three
+    /// transit hops, most sources saturated by an urgent class, duplicate
+    /// specs, one link at zero or just either side of the residual floor,
+    /// the per-flow cap on and off. Some case must exercise a class whose
+    /// first round raises by 0, and one where a whole source is blocked at
+    /// its tx port. Both show in the reference's result: only a first
+    /// round that raises by 0 freezes a flow at rate 0 on a link, and the
+    /// tx port is first on every route.
+    #[test]
+    fn blocked_classes_match_the_reference_fill() {
+        let name = concat!(module_path!(), "::blocked_classes_match_the_reference_fill");
+        let (mut blocked, mut blocked_at_tx) = (0, 0);
+        for case in 0..proptest::cases().max(64) {
+            let mut rng = proptest::TestRng::for_case(name, case);
+            let flows = arb_blocked_flows().generate(&mut rng);
+            let racks = (1usize..5).generate(&mut rng);
+            let caps = prop::collection::vec(1e6f64..1e10, 1..24).generate(&mut rng);
+            let tiny = (0usize..32).generate(&mut rng);
+            let tiny_cap = prop_oneof![Just(0.0), Just(4e-7), Just(3e-6)].generate(&mut rng);
+            let flow_cap = (1e6f64..1e10).generate(&mut rng);
+            let g = uneven_racks(racks, &caps);
+            let mut caps = g.caps().to_vec();
+            if let Some(c) = caps.get_mut(tiny) {
+                *c = tiny_cap;
+            }
+            let classes = class_order(&flows, &vec![0; flows.len()]);
+            for flow_cap in [f64::INFINITY, flow_cap] {
+                let mut work = AllocWork::default();
+                let got = allocate_rates_on_graph(&flows, &g, &caps, flow_cap, &mut work);
+                let mut want_work = AllocWork::default();
+                let want = graph_rates(&classes, &g, &caps, flow_cap, &mut want_work);
+                assert!(
+                    same_bits(&got.rates, &want.rates),
+                    "case {case}: {:?} vs {:?}",
+                    got.rates,
+                    want.rates
+                );
+                assert_eq!(got.bottleneck, want.bottleneck, "case {case}");
+                assert_eq!(work, want_work, "case {case}");
+                for ((f, r), b) in flows.iter().zip(&want.rates).zip(&want.bottleneck) {
+                    if let (0, Some(l)) = (r.to_bits(), b) {
+                        blocked += 1;
+                        blocked_at_tx += usize::from(l.0 == f.src);
+                    }
+                }
+            }
+        }
+        assert!(
+            blocked > 0 && blocked_at_tx > 0,
+            "{blocked} blocked, {blocked_at_tx} at tx"
+        );
     }
 }

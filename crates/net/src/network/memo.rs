@@ -611,21 +611,25 @@ mod tests {
                 check_against_fresh_fills(cfg, &in_rounds(&ops, 3), restore_at);
             }
 
-            /// After any sequence of inserts and `swap_remove`-style
-            /// removals (duplicate specs, the last slot removed, machine
-            /// indices past 16 bits), the incrementally kept index holds
-            /// the keys, slots and fingerprint of one built afresh from
-            /// the live flows. Equal keys may sit in any slot order.
+            /// After any sequence of inserts, `swap_remove`-style removals
+            /// and snapshot rebuilds (duplicate specs, the last slot
+            /// removed, machine indices past 16 bits), the incrementally
+            /// kept index holds the keys, slots and fingerprint of one
+            /// built afresh from the live flows. Equal keys may sit in any
+            /// slot order.
             #[test]
             fn incremental_index_equals_a_rebuilt_one(
-                ops in prop::collection::vec((any::<bool>(), 0usize..6, 0usize..6, 0u32..3, any::<usize>()), 1..60),
+                ops in prop::collection::vec((0u8..5, 0usize..6, 0usize..6, 0u32..3, any::<usize>()), 1..60),
             ) {
                 let machines = [0, 1, 2, 0xffff, 0x1_0000, (1 << MACHINE_BITS) - 1];
                 let at = |i: usize| machines.get(i).copied().unwrap_or(0);
                 let mut flows: Vec<FlowSpec> = Vec::new();
                 let mut index = ClassIndex::default();
-                for (start, a, b, p, x) in ops {
-                    if start || flows.is_empty() {
+                for (kind, a, b, p, x) in ops {
+                    if kind == 4 {
+                        // A snapshot restore rebuilds the index.
+                        index = ClassIndex::build(flows.iter().copied());
+                    } else if kind < 2 || flows.is_empty() {
                         let f = flow(at(a), at(b), p);
                         index.insert(flows.len(), f);
                         flows.push(f);
