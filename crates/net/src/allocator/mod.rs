@@ -10,21 +10,23 @@
 //! capacity — the fluid-model equivalent of strict priority queueing,
 //! which is how P3's priority-tagged packets are serviced.
 //!
-//! [`allocate_rates_in_class_order`] is the one water-fill. Its caller
-//! passes the flows already grouped by class and owns the working memory
-//! ([`AllocBuffers`]), so a caller that keeps its flows in class order —
-//! the [`crate::Network`] — neither sorts nor allocates per call. The
-//! fill only reads the caller's flows, so their order is the caller's.
-//! [`allocate_rates_on_graph`] is the one-shot form: it stable-sorts the
-//! flows by class and runs the same fill. The flat single-switch fabric is
-//! the endpoint-only graph. The test-only `oracle` module keeps two
-//! references: the original two-port water-fill, which property tests pin
-//! bit-identical to the fill on endpoint-only graphs, and the fill's round
-//! loop as first written, pinned on flat and racked graphs alike.
+//! [`allocate_rates_in_class_order`] is the one water-fill. It reads its
+//! flows from a [`ClassIndex`] as the index stores them (grouped by
+//! class, each class with its source runs and link counts), and its caller
+//! owns the working memory ([`AllocBuffers`]), so a caller that keeps an
+//! index of its flows — the [`crate::Network`] — neither sorts, counts nor
+//! allocates per call. [`allocate_rates_on_graph`] is the one-shot form:
+//! it indexes the flows and runs the same fill. The flat single-switch
+//! fabric is the endpoint-only graph. The test-only `oracle` module keeps
+//! two references: the original two-port water-fill, which property tests
+//! pin bit-identical to the fill on endpoint-only graphs, and the fill's
+//! round loop as first written, pinned on flat and racked graphs alike.
 
 use crate::multilink::{LinkGraph, LinkId};
 use crate::types::Priority;
+pub(crate) use index::{ClassIndex, ClassView, Member, MAX_MACHINES};
 
+mod index;
 #[cfg(test)]
 mod tests;
 
@@ -81,7 +83,7 @@ pub struct AllocBuffers {
     /// The link that froze each flow, by slot.
     bottleneck: Vec<Option<LinkId>>,
     /// The class being filled; the flows still rising stay at its front.
-    rising: Vec<(usize, FlowSpec)>,
+    rising: Vec<Member>,
 }
 
 impl AllocBuffers {
@@ -134,8 +136,8 @@ impl AllocBuffers {
 /// Loopback flows (`src == dst`) must not be submitted — they have no
 /// path in the graph.
 ///
-/// This is [`allocate_rates_in_class_order`] behind a stable sort by
-/// priority, with fresh buffers.
+/// This is [`allocate_rates_in_class_order`] over a fresh [`ClassIndex`]
+/// of the flows, with fresh buffers.
 ///
 /// # Panics
 ///
@@ -166,59 +168,34 @@ pub fn allocate_rates_on_graph(
     flow_cap: f64,
     work: &mut AllocWork,
 ) -> GraphAllocation {
-    let mut classes: Vec<(usize, FlowSpec)> = flows.iter().copied().enumerate().collect();
-    classes.sort_by_key(|(_, f)| f.priority);
+    let index = ClassIndex::build(flows.iter().copied(), graph);
     let mut buf = AllocBuffers::default();
-    allocate_rates_in_class_order(&classes, graph, caps, flow_cap, &mut buf, work);
+    allocate_rates_in_class_order(&index, graph, caps, flow_cap, &mut buf, work);
     GraphAllocation {
         rates: buf.rates,
         bottleneck: buf.bottleneck,
     }
 }
 
-/// The water-fill of [`allocate_rates_on_graph`], for flows the caller
-/// keeps grouped by class, in caller-owned buffers.
+/// The water-fill of [`allocate_rates_on_graph`], over flows the caller
+/// keeps in a [`ClassIndex`] built over `graph`, in caller-owned buffers.
 ///
-/// `classes` lists every flow as `(slot, spec)`, or as any entry that
-/// converts to one (the fabric passes its class index's packed entries),
-/// grouped by priority with the most urgent class first; the slots are a
-/// permutation of `0..classes.len()`. The order within a class changes no
-/// result bit and no work count: every rising flow of a class takes the
-/// same increment each round, and each link is charged once per flow
-/// crossing it in any order. The fill copies each class into
-/// [`AllocBuffers`] and works on the copy, so `classes` is only read. Each flow's rate and bottleneck
+/// The fill reads the index as stored: class by class, most urgent first,
+/// each class's members, source runs and link counts. The order within a
+/// class changes no result bit and no work count: every rising flow of a
+/// class takes the same increment each round, and each link is charged
+/// once per flow crossing it in any order. Each flow's rate and bottleneck
 /// land at its slot in [`AllocBuffers::rates`] and
-/// [`AllocBuffers::bottleneck`].
-/// `caps`, `flow_cap` and `work` are as for [`allocate_rates_on_graph`].
+/// [`AllocBuffers::bottleneck`]. `caps`, `flow_cap` and `work` are as for
+/// [`allocate_rates_on_graph`]; the index has already checked every flow
+/// against the graph.
 ///
 /// # Panics
 ///
-/// Panics if `classes` is not grouped by priority, most urgent first, if
-/// a slot is out of range, if a flow references an unknown machine or a
-/// loopback pair, if `caps.len()` differs from the graph's link count, or
-/// if `flow_cap` is not positive.
-///
-/// # Examples
-///
-/// ```
-/// use p3_net::{
-///     allocate_rates_in_class_order, AllocBuffers, AllocWork, FlowSpec, LinkGraph, Priority,
-/// };
-///
-/// // An urgent flow (slot 1) takes machine 0's tx port before the bulk
-/// // flow (slot 0) gets the rest.
-/// let urgent = FlowSpec { src: 0, dst: 2, priority: Priority(0) };
-/// let bulk = FlowSpec { src: 0, dst: 1, priority: Priority(5) };
-/// let g = LinkGraph::with_ports(&[100.0, 100.0, 100.0], &[100.0, 100.0, 30.0]);
-/// let mut buf = AllocBuffers::default();
-/// let mut work = AllocWork::default();
-/// let classes = [(1, urgent), (0, bulk)];
-/// allocate_rates_in_class_order(&classes, &g, g.caps(), f64::INFINITY, &mut buf, &mut work);
-/// assert_eq!(buf.rates(), &[70.0, 30.0]);
-/// assert_eq!(buf.bottleneck(), &[Some(g.tx_link(0)), Some(g.rx_link(2))]);
-/// ```
-pub fn allocate_rates_in_class_order<E: Copy + Into<(usize, FlowSpec)>>(
-    classes: &[E],
+/// Panics if `caps.len()` differs from the graph's link count or the
+/// index's, or if `flow_cap` is not positive.
+pub(crate) fn allocate_rates_in_class_order(
+    index: &ClassIndex,
     graph: &LinkGraph,
     caps: &[f64],
     flow_cap: f64,
@@ -230,8 +207,8 @@ pub fn allocate_rates_in_class_order<E: Copy + Into<(usize, FlowSpec)>>(
         graph.num_links(),
         "capacity table does not match the graph"
     );
+    assert_eq!(index.links(), caps.len(), "class index of another graph");
     assert!(flow_cap > 0.0, "non-positive flow cap");
-    let machines = graph.machines();
 
     let AllocBuffers {
         res,
@@ -246,9 +223,9 @@ pub fn allocate_rates_in_class_order<E: Copy + Into<(usize, FlowSpec)>>(
     count.clear();
     count.resize(caps.len(), 0);
     rates.clear();
-    rates.resize(classes.len(), 0.0);
+    rates.resize(index.len(), 0.0);
     bottleneck.clear();
-    bottleneck.resize(classes.len(), None);
+    bottleneck.resize(index.len(), None);
     let mut fill = WaterFill {
         graph,
         flow_cap,
@@ -259,34 +236,9 @@ pub fn allocate_rates_in_class_order<E: Copy + Into<(usize, FlowSpec)>>(
         scale,
         work,
     };
-    // One pass over the input: each entry is checked as it is copied into
-    // its class, and a class is filled once the next one begins.
-    rising.clear();
-    let mut class = None;
-    for &e in classes {
-        let (slot, f) = e.into();
-        assert!(slot < classes.len(), "slot {slot} out of range");
-        assert!(
-            f.src < machines && f.dst < machines,
-            "flow {f:?} references unknown machine"
-        );
-        assert!(
-            f.src != f.dst,
-            "loopback flow {f:?} has no path in the graph"
-        );
-        let priority = Some(f.priority);
-        if priority != class {
-            assert!(
-                class < priority,
-                "flows not grouped by priority, most urgent first"
-            );
-            fill.class(rising);
-            rising.clear();
-            class = priority;
-        }
-        rising.push((slot, f));
+    for class in index.classes() {
+        fill.class(&class, rising);
     }
-    fill.class(rising);
 }
 
 /// Relative tolerance of the freeze test: a link is saturated once its
@@ -315,9 +267,9 @@ struct WaterFill<'a> {
 impl WaterFill<'_> {
     /// Progressive filling of one priority class over the residual link
     /// capacities. On return the members' rates and bottlenecks are set and
-    /// the residuals are reduced by the allocation. `members` is a working
-    /// copy of the class: the flows still rising stay at its front, in
-    /// order.
+    /// the residuals are reduced by the allocation. `members` is working
+    /// memory for the class's flows still rising, which stay at its front,
+    /// in order.
     ///
     /// Every rising member holds the same rate, the class's level: all
     /// start at zero and each round raises them by the same `delta`. So the
@@ -325,60 +277,71 @@ impl WaterFill<'_> {
     /// addition per round, and a member's rate is written when it freezes.
     ///
     /// The per-flow passes index each route directly: tx port, transit
-    /// hops (only when the graph has them), rx port. The class's links are
-    /// counted once, on entry, and a flow's route leaves the count when it
-    /// freezes, so the counts always equal a recount of the rising flows.
-    /// Each round takes the `delta` minimum and the touched-link count in
-    /// one pass over the links ([`least_share`]). A round that raises the
-    /// class charges the rising routes, then clamps residuals below
-    /// `FLOOR` to zero and takes the largest as the freeze test's scale
-    /// ([`clamp`]). A round whose `delta` is 0 (a first round blocked on
-    /// an empty link) changes no residual, so it skips both passes and
-    /// keeps the last clamp's scale. The residuals are clamped when loaded
-    /// too, so every round starts on clamped residuals.
+    /// hops (only when the graph has them), rx port. The first round reads
+    /// the class's stored link counts; a flow's route leaves the working
+    /// counts when it freezes, so they always equal a recount of the
+    /// rising flows. Each round takes the `delta` minimum and the
+    /// touched-link count in one pass over the links ([`least_share`]). A
+    /// round that raises the class charges the rising routes, then clamps
+    /// residuals below `FLOOR` to zero and takes the largest as the freeze
+    /// test's scale ([`clamp`]). The residuals are clamped when loaded too,
+    /// so every round starts on clamped residuals: each is 0 or at least
+    /// `FLOOR`.
+    ///
+    /// So the first round raises by 0 exactly when some member crosses a
+    /// link whose residual is 0. That round changes no residual and no
+    /// scale; it only freezes, at rate 0, every member crossing a link at
+    /// or under the freeze threshold. The fill runs it as a filter at entry
+    /// ([`WaterFill::enter_blocked`]), and otherwise copies the class and
+    /// its counts in as they are.
+    fn class(&mut self, class: &ClassView<'_>, members: &mut Vec<Member>) {
+        members.clear();
+        let n = class.members.len();
+        let delta = round_delta(self.res, class.counts, n, 0.0, self.flow_cap, self.work);
+        if delta == 0.0 {
+            // Blocked on an empty link: the first round only freezes.
+            if self.enter_blocked(class, members) {
+                self.rounds(members, None);
+            }
+        } else {
+            members.extend_from_slice(class.members);
+            self.count.copy_from_slice(class.counts);
+            self.rounds(members, Some(delta));
+        }
+    }
+
+    /// The rounds of a class from level 0, over its rising `members` and
+    /// their link counts; `first` is the first round's delta when
+    /// [`WaterFill::class`] took it already.
     #[expect(
         clippy::indexing_slicing,
-        reason = "n <= members.len(); flow endpoints are asserted below the machine count, and every route link is below caps.len(), the length of res and count"
+        reason = "n <= members.len(); indexed flows name machines of the graph, and every route link is below caps.len(), the length of res and count"
     )]
-    fn class(&mut self, members: &mut [(usize, FlowSpec)]) {
+    fn rounds(&mut self, members: &mut [Member], mut first: Option<f64>) {
         let graph = self.graph;
         let transit = graph.has_transit();
         let rx = graph.machines();
-        for (_, f) in members.iter() {
-            self.count[f.src] += 1;
-            if transit {
-                for l in graph.transit(f.src, f.dst) {
-                    self.count[l.0] += 1;
-                }
-            }
-            self.count[rx + f.dst] += 1;
-        }
         let mut level = 0.0f64;
         // The flows still rising are `members[..n]`.
         let mut n = members.len();
         while n > 0 {
-            // The common rate increment is limited by the tightest link, or
-            // by the class reaching the per-flow ceiling.
-            let (delta, touched) = least_share(self.res, self.count);
-            self.work.rounds += 1;
-            self.work.flow_touches += n as u64;
-            self.work.port_touches += touched;
-            let delta = delta.min(self.flow_cap - level);
-            debug_assert!(delta.is_finite(), "active flows but no limiting link");
-            let delta = delta.max(0.0);
-
+            let delta = match first.take() {
+                Some(delta) => delta,
+                None => round_delta(self.res, self.count, n, level, self.flow_cap, self.work),
+            };
             if delta != 0.0 {
                 // Raise the class by delta and charge every active route.
                 level += delta;
                 let res = &mut *self.res;
-                for (_, f) in &members[..n] {
-                    res[f.src] -= delta;
+                for m in &members[..n] {
+                    let (src, dst) = (m.src(), m.dst());
+                    res[src] -= delta;
                     if transit {
-                        for l in graph.transit(f.src, f.dst) {
+                        for l in graph.transit(src, dst) {
                             res[l.0] -= delta;
                         }
                     }
-                    res[rx + f.dst] -= delta;
+                    res[rx + dst] -= delta;
                 }
                 self.scale = clamp(res);
             }
@@ -395,30 +358,31 @@ impl WaterFill<'_> {
             let thr = (EPS * self.scale.max(delta)).max(FLOOR);
             let mut kept = 0;
             for k in 0..n {
-                let (slot, f) = members[k];
+                let m = members[k];
+                let (src, dst) = (m.src(), m.dst());
                 let res = &*self.res;
-                let (tx_full, rx_full) = (res[f.src] <= thr, res[rx + f.dst] <= thr);
+                let (tx_full, rx_full) = (res[src] <= thr, res[rx + dst] <= thr);
                 let hop = if transit {
-                    graph.transit(f.src, f.dst).iter().find(|l| res[l.0] <= thr)
+                    graph.transit(src, dst).iter().find(|l| res[l.0] <= thr)
                 } else {
                     None
                 };
                 if tx_full || hop.is_some() || rx_full {
                     let at = match hop {
-                        _ if tx_full => LinkId(f.src),
+                        _ if tx_full => LinkId(src),
                         Some(&l) => l,
-                        None => LinkId(rx + f.dst),
+                        None => LinkId(rx + dst),
                     };
-                    self.freeze(slot, level, Some(at));
-                    self.count[f.src] -= 1;
+                    self.freeze(m.slot, level, Some(at));
+                    self.count[src] -= 1;
                     if transit {
-                        for l in graph.transit(f.src, f.dst) {
+                        for l in graph.transit(src, dst) {
                             self.count[l.0] -= 1;
                         }
                     }
-                    self.count[rx + f.dst] -= 1;
+                    self.count[rx + dst] -= 1;
                 } else {
-                    members[kept] = (slot, f);
+                    members[kept] = m;
                     kept += 1;
                 }
             }
@@ -433,22 +397,110 @@ impl WaterFill<'_> {
         }
     }
 
+    /// The first round of a class that raises by 0: freezes at rate 0
+    /// every member crossing a link at or under the freeze threshold, on
+    /// the first such link of its route, and copies the rest into
+    /// `members` with their routes in the link counts. The round leaves
+    /// the residuals and the scale as they were, so the threshold is the
+    /// scale's. The tx port leads every route, so a source whose tx port
+    /// is saturated freezes whole, as one run. Returns whether the class
+    /// still has rising members.
+    ///
+    /// Rates need no write: the fill starts every rate at 0.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indexed flows name machines of the graph, and every route link is below caps.len(), the length of res and count"
+    )]
+    fn enter_blocked(&mut self, class: &ClassView<'_>, members: &mut Vec<Member>) -> bool {
+        let graph = self.graph;
+        let transit = graph.has_transit();
+        let rx = graph.machines();
+        let thr = (EPS * self.scale).max(FLOOR);
+        for (src, run) in class.sources() {
+            if self.res[src] <= thr {
+                for m in run {
+                    self.freeze_at(m.slot, LinkId(src));
+                }
+                continue;
+            }
+            for &m in run {
+                let dst = m.dst();
+                let res = &*self.res;
+                let hop = if transit {
+                    graph.transit(src, dst).iter().find(|l| res[l.0] <= thr)
+                } else {
+                    None
+                };
+                match hop {
+                    Some(&l) => self.freeze_at(m.slot, l),
+                    None if res[rx + dst] <= thr => self.freeze_at(m.slot, LinkId(rx + dst)),
+                    None => {
+                        self.count[src] += 1;
+                        if transit {
+                            for l in graph.transit(src, dst) {
+                                self.count[l.0] += 1;
+                            }
+                        }
+                        self.count[rx + dst] += 1;
+                        members.push(m);
+                    }
+                }
+            }
+        }
+        if members.len() == class.members.len() {
+            // Nothing froze: no link can grow (see `class`).
+            self.freeze_all(members, 0.0);
+            return false;
+        }
+        !members.is_empty()
+    }
+
     /// Sets a frozen flow's rate and bottleneck.
-    fn freeze(&mut self, slot: usize, rate: f64, at: Option<LinkId>) {
+    fn freeze(&mut self, slot: u32, rate: f64, at: Option<LinkId>) {
+        let slot = slot as usize;
         if let (Some(r), Some(b)) = (self.rates.get_mut(slot), self.bottleneck.get_mut(slot)) {
             *r = rate;
             *b = at;
         }
     }
 
+    /// Sets the bottleneck of a flow frozen at rate 0, which its rate
+    /// already is.
+    fn freeze_at(&mut self, slot: u32, at: LinkId) {
+        if let Some(b) = self.bottleneck.get_mut(slot as usize) {
+            *b = Some(at);
+        }
+    }
+
     /// Freezes flows that no link bounds at `rate`, ending their class:
     /// the link counts return to zero for the next one.
-    fn freeze_all(&mut self, flows: &[(usize, FlowSpec)], rate: f64) {
-        for &(slot, _) in flows {
-            self.freeze(slot, rate, None);
+    fn freeze_all(&mut self, flows: &[Member], rate: f64) {
+        for m in flows {
+            self.freeze(m.slot, rate, None);
         }
         self.count.fill(0);
     }
+}
+
+/// The share every rising flow of a class at `level` gains this round,
+/// with `n` flows rising over the link counts `counts`: limited by the
+/// tightest link, or by the class reaching the per-flow ceiling `cap`.
+/// Counts the round in `work`.
+fn round_delta(
+    res: &[f64],
+    counts: &[u32],
+    n: usize,
+    level: f64,
+    cap: f64,
+    work: &mut AllocWork,
+) -> f64 {
+    let (delta, touched) = least_share(res, counts);
+    work.rounds += 1;
+    work.flow_touches += n as u64;
+    work.port_touches += touched;
+    let delta = delta.min(cap - level);
+    debug_assert!(delta.is_finite(), "active flows but no limiting link");
+    delta.max(0.0)
 }
 
 /// Lanes of the branch-free link passes. Min and max over values that are
@@ -503,239 +555,6 @@ fn clamp(res: &mut [f64]) -> f64 {
 }
 
 /// Reference allocators the graph water-fill is pinned bit-identical
-/// against: the original flat water-fill over two ports per machine, and
-/// the graph water-fill's round loop as first written.
+/// against.
 #[cfg(test)]
-pub(crate) mod oracle {
-    use super::{AllocWork, FlowSpec, GraphAllocation, WaterFill, EPS, FLOOR};
-    use crate::multilink::LinkGraph;
-    use crate::types::Priority;
-
-    /// [`super::allocate_rates_in_class_order`]'s result on fresh buffers,
-    /// filled by the round loop as first written: each route walked
-    /// through `on_route` closures and the freeze test through the chained
-    /// [`LinkGraph::route`] iterator, one pass over the links per step.
-    pub(crate) fn graph_rates(
-        classes: &[(usize, FlowSpec)],
-        graph: &LinkGraph,
-        caps: &[f64],
-        flow_cap: f64,
-        work: &mut AllocWork,
-    ) -> GraphAllocation {
-        let mut res = caps.to_vec();
-        let mut count = vec![0; caps.len()];
-        let mut rates = vec![0.0; classes.len()];
-        let mut bottleneck = vec![None; classes.len()];
-        let mut fill = WaterFill {
-            graph,
-            flow_cap,
-            res: &mut res,
-            count: &mut count,
-            rates: &mut rates,
-            bottleneck: &mut bottleneck,
-            scale: 1.0,
-            work,
-        };
-        for class in classes.chunk_by(|(_, a), (_, b)| a.priority == b.priority) {
-            fill.reference_class(&mut class.to_vec());
-        }
-        GraphAllocation { rates, bottleneck }
-    }
-
-    impl WaterFill<'_> {
-        /// [`WaterFill::class`] as first written.
-        fn reference_class(&mut self, members: &mut [(usize, FlowSpec)]) {
-            let graph = self.graph;
-            let mut level = 0.0f64;
-            let mut n = members.len();
-            while n > 0 {
-                for (r, c) in self.res.iter_mut().zip(self.count.iter_mut()) {
-                    if *r < FLOOR {
-                        *r = 0.0;
-                    }
-                    *c = 0;
-                }
-                for (_, f) in members.iter().take(n) {
-                    on_route(self.count, graph, f, |c| *c += 1);
-                }
-                self.work.rounds += 1;
-                self.work.flow_touches += n as u64;
-                self.work.port_touches += self.count.iter().filter(|&&c| c > 0).count() as u64;
-
-                let mut delta = f64::INFINITY;
-                for (&r, &c) in self.res.iter().zip(self.count.iter()) {
-                    if c > 0 {
-                        delta = delta.min(r / c as f64);
-                    }
-                }
-                delta = delta.min(self.flow_cap - level);
-                let delta = delta.max(0.0);
-
-                level += delta;
-                for (_, f) in members.iter().take(n) {
-                    on_route(self.res, graph, f, |r| *r -= delta);
-                }
-                for r in self.res.iter_mut() {
-                    if *r < 0.0 {
-                        *r = 0.0;
-                    }
-                }
-
-                if level >= self.flow_cap * (1.0 - EPS) {
-                    self.freeze_all(&members[..n], level);
-                    return;
-                }
-                let scale = self.res.iter().fold(1.0f64, |a, &b| a.max(b)).max(delta);
-                let thr = (EPS * scale).max(FLOOR);
-                let mut kept = 0;
-                for k in 0..n {
-                    let (slot, f) = members[k];
-                    let res = &*self.res;
-                    let hit = graph
-                        .route(f.src, f.dst)
-                        .find(|l| res.get(l.0).is_some_and(|&r| r <= thr));
-                    match hit {
-                        Some(l) => self.freeze(slot, level, Some(l)),
-                        None => {
-                            members.swap(kept, k);
-                            kept += 1;
-                        }
-                    }
-                }
-                if kept == n {
-                    self.freeze_all(&members[..n], level);
-                    return;
-                }
-                n = kept;
-            }
-        }
-    }
-
-    /// Applies `op` to the entry of `links` for every link on `f`'s route:
-    /// tx port, transit hops, rx port.
-    fn on_route<T>(links: &mut [T], graph: &LinkGraph, f: &FlowSpec, mut op: impl FnMut(&mut T)) {
-        let mut apply = |l: usize| {
-            if let Some(x) = links.get_mut(l) {
-                op(x);
-            }
-        };
-        apply(f.src);
-        if graph.has_transit() {
-            for l in graph.transit(f.src, f.dst) {
-                apply(l.0);
-            }
-        }
-        apply(graph.machines() + f.dst);
-    }
-
-    /// Strict-priority max-min rates with machine `i`'s ports at
-    /// `tx_cap[i]` / `rx_cap[i]` bytes/sec and every flow capped at
-    /// `flow_cap`. Loopback flows consume both of the machine's ports.
-    pub(crate) fn flat_rates(
-        flows: &[FlowSpec],
-        tx_cap: &[f64],
-        rx_cap: &[f64],
-        flow_cap: f64,
-        work: &mut AllocWork,
-    ) -> Vec<f64> {
-        let mut rates = vec![0.0; flows.len()];
-        let mut res_tx: Vec<f64> = tx_cap.to_vec();
-        let mut res_rx: Vec<f64> = rx_cap.to_vec();
-        let mut classes: Vec<Priority> = flows.iter().map(|f| f.priority).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        for class in classes {
-            let members: Vec<usize> = (0..flows.len())
-                .filter(|&i| flows[i].priority == class)
-                .collect();
-            water_fill(
-                flows,
-                &members,
-                &mut res_tx,
-                &mut res_rx,
-                &mut rates,
-                flow_cap,
-                work,
-            );
-        }
-        rates
-    }
-
-    fn water_fill(
-        flows: &[FlowSpec],
-        members: &[usize],
-        res_tx: &mut [f64],
-        res_rx: &mut [f64],
-        rates: &mut [f64],
-        flow_cap: f64,
-        work: &mut AllocWork,
-    ) {
-        const EPS: f64 = 1e-9;
-        const FLOOR: f64 = 1e-6;
-        let machines = res_tx.len();
-        let mut active: Vec<usize> = members.to_vec();
-        while !active.is_empty() {
-            for m in 0..machines {
-                if res_tx[m] < FLOOR {
-                    res_tx[m] = 0.0;
-                }
-                if res_rx[m] < FLOOR {
-                    res_rx[m] = 0.0;
-                }
-            }
-            let mut tx_count = vec![0u32; machines];
-            let mut rx_count = vec![0u32; machines];
-            for &i in &active {
-                tx_count[flows[i].src] += 1;
-                rx_count[flows[i].dst] += 1;
-            }
-            work.rounds += 1;
-            work.flow_touches += active.len() as u64;
-            work.port_touches += tx_count.iter().filter(|&&c| c > 0).count() as u64
-                + rx_count.iter().filter(|&&c| c > 0).count() as u64;
-
-            let mut delta = f64::INFINITY;
-            for m in 0..machines {
-                if tx_count[m] > 0 {
-                    delta = delta.min(res_tx[m] / tx_count[m] as f64);
-                }
-                if rx_count[m] > 0 {
-                    delta = delta.min(res_rx[m] / rx_count[m] as f64);
-                }
-            }
-            for &i in &active {
-                delta = delta.min(flow_cap - rates[i]);
-            }
-            let delta = delta.max(0.0);
-
-            for &i in &active {
-                rates[i] += delta;
-                res_tx[flows[i].src] -= delta;
-                res_rx[flows[i].dst] -= delta;
-            }
-            for m in 0..machines {
-                if res_tx[m] < 0.0 {
-                    res_tx[m] = 0.0;
-                }
-                if res_rx[m] < 0.0 {
-                    res_rx[m] = 0.0;
-                }
-            }
-
-            let scale = res_tx
-                .iter()
-                .chain(res_rx.iter())
-                .fold(1.0f64, |a, &b| a.max(b))
-                .max(delta);
-            let before = active.len();
-            active.retain(|&i| {
-                rates[i] < flow_cap * (1.0 - EPS)
-                    && res_tx[flows[i].src] > (EPS * scale).max(FLOOR)
-                    && res_rx[flows[i].dst] > (EPS * scale).max(FLOOR)
-            });
-            if active.len() == before {
-                break;
-            }
-        }
-    }
-}
+pub(crate) mod oracle;

@@ -42,10 +42,7 @@ mod packet;
 mod trace;
 mod types;
 
-pub use allocator::{
-    allocate_rates_in_class_order, allocate_rates_on_graph, AllocBuffers, AllocWork, FlowSpec,
-    GraphAllocation,
-};
+pub use allocator::{allocate_rates_on_graph, AllocWork, FlowSpec, GraphAllocation};
 pub use multilink::{LinkGraph, LinkId};
 pub use network::{CompletedFlow, LinkUsage, NetStats, Network, NetworkConfig};
 pub use packet::{packet_simulate, PacketMessage, DEFAULT_MTU};

@@ -9,8 +9,8 @@ use crate::types::Bandwidth;
 
 /// Checks the class index against the flows: a permutation of the flow
 /// slots in canonical order (priority, source, destination), each entry
-/// carrying its flow's spec, with the specs and fingerprint an index built
-/// afresh from the flows would have.
+/// carrying its flow's spec, with the class bounds, source runs, link
+/// counts and fingerprint an index built afresh from the flows would have.
 pub(super) fn assert_class_index(n: &Network) {
     let entries = n.by_class.entries();
     for &(slot, spec) in &entries {
@@ -27,11 +27,9 @@ pub(super) fn assert_class_index(n: &Network) {
         entries.is_sorted_by_key(|(_, f)| (f.priority, f.src, f.dst)),
         "class index not in canonical order: {entries:?}"
     );
-    let fresh = memo::ClassIndex::build(n.flows.iter().map(ActiveFlow::spec));
-    let specs = |e: &[(usize, FlowSpec)]| e.iter().map(|&(_, f)| f).collect::<Vec<_>>();
-    assert_eq!(specs(&entries), specs(&fresh.entries()));
-    let drift = "fingerprint drifted from the flow set";
-    assert_eq!(n.by_class.fingerprint(), fresh.fingerprint(), "{drift}");
+    let fresh = ClassIndex::build(n.flows.iter().map(ActiveFlow::spec), &n.graph);
+    let drift = "class index drifted from the flow set";
+    assert_eq!(n.by_class.layout(), fresh.layout(), "{drift}");
 }
 
 /// [`Network::scan_next_event`] as first written: every draining flow's

@@ -1,26 +1,15 @@
-//! The fabric's class index and its memo of allocations.
-//!
-//! [`ClassIndex`] lists every in-flight flow as a [`Member`]: a packed
-//! integer key of its spec next to its slot in the fabric's flow list. The
-//! key orders flows canonically: by priority, most urgent first, then by
-//! source, then by destination. The members are kept in the keys' numeric
-//! order, so two fabrics that hold the same multiset of flows hold the same
-//! sequence of keys, in whatever order the flows arrived. An insert is a
-//! binary search and one memmove; a removal finds the slot and renumbers
-//! the flow that moved into it. The index also keeps an order-free
-//! fingerprint of the multiset (a wrapping sum of one 64-bit mix per
-//! flow), updated in O(1) on every insert and removal.
+//! The fabric's memo of allocations.
 //!
 //! [`Memo`] remembers what the water-fill returned for a flow set under
-//! one capacity epoch: each flow's rate and bottleneck in index order, and
-//! the call's [`AllocWork`]. Training repeats the same transfers every
-//! iteration, so a fabric keeps meeting flow sets it has already
-//! allocated; a replay writes the stored result instead of filling again.
-//! A replay is exact: the fill's result for a flow depends only on the
-//! multiset and the capacities (order within a class changes no bit), a
-//! fingerprint match is confirmed spec by spec against the stored set
-//! before use, and [`Memo::rescale`] starts a new epoch whenever the
-//! capacities change.
+//! one capacity epoch: each flow's rate and bottleneck in the class
+//! index's canonical order, and the call's [`AllocWork`]. Training repeats
+//! the same transfers every iteration, so a fabric keeps meeting flow sets
+//! it has already allocated; a replay writes the stored result instead of
+//! filling again. A replay is exact: the fill's result for a flow depends
+//! only on the multiset and the capacities (order within a class changes
+//! no bit), a match of the index's fingerprint is confirmed spec by spec
+//! against the stored set before use, and [`Memo::rescale`] starts a new
+//! epoch whenever the capacities change.
 //!
 //! The memo is bounded and lazy. Its direct-mapped table has [`SLOTS`]
 //! entries, and their specs and results share a bump arena of [`ARENA`]
@@ -30,7 +19,7 @@
 //! allocated before the first allocation, and a snapshot never carries
 //! the memo: a restored fabric starts with an empty one.
 
-use crate::allocator::{AllocBuffers, AllocWork, FlowSpec};
+use crate::allocator::{AllocBuffers, AllocWork, ClassIndex, Member};
 use crate::multilink::LinkId;
 use crate::types::Priority;
 
@@ -44,147 +33,36 @@ const SEEN: usize = 2048;
 /// they are the parameter server's broadcast fan-out.
 const MAX_SET: usize = 256;
 
-/// Bits of a machine index in a [`Member`] key. Wide enough for any
-/// machine count a fabric can hold: the fabric keeps per-machine tables.
-const MACHINE_BITS: u32 = 48;
-
-/// One indexed flow: its packed spec and its slot in the fabric's flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct Member {
-    /// The priority in the top 32 bits, then the source and the
-    /// destination in [`MACHINE_BITS`] each, so numeric order is
-    /// canonical order.
-    key: u128,
-    slot: usize,
-}
-
-impl Member {
-    fn new(slot: usize, f: &FlowSpec) -> Self {
-        debug_assert!(
-            (f.src | f.dst) as u64 >> MACHINE_BITS == 0,
-            "machine index of {f:?} too wide for a class key"
-        );
-        let key = u128::from(f.priority.0) << (2 * MACHINE_BITS)
-            | (f.src as u128) << MACHINE_BITS
-            | f.dst as u128;
-        Member { key, slot }
-    }
-
-    fn spec(self) -> FlowSpec {
-        let machine = |k: u128| (k as u64 & ((1 << MACHINE_BITS) - 1)) as usize;
-        FlowSpec {
-            src: machine(self.key >> MACHINE_BITS),
-            dst: machine(self.key),
-            priority: Priority((self.key >> (2 * MACHINE_BITS)) as u32),
-        }
-    }
-}
-
-impl From<Member> for (usize, FlowSpec) {
-    fn from(m: Member) -> Self {
-        (m.slot, m.spec())
-    }
-}
-
-/// The fabric's flows in canonical order, with the multiset's fingerprint.
-#[derive(Debug, Clone, Default)]
-pub(super) struct ClassIndex {
-    members: Vec<Member>,
-    fingerprint: u64,
-}
-
-impl ClassIndex {
-    /// Indexes `flows`, the fabric's flow list in slot order.
-    pub(super) fn build(flows: impl Iterator<Item = FlowSpec>) -> Self {
-        let mut members: Vec<Member> = flows.enumerate().map(|(s, f)| Member::new(s, &f)).collect();
-        members.sort_by_key(|m| m.key);
-        let fingerprint = members
-            .iter()
-            .fold(0u64, |sum, m| sum.wrapping_add(mix(m.key)));
-        ClassIndex {
-            members,
-            fingerprint,
-        }
-    }
-
-    /// Every flow in canonical order: the allocator's input, already
-    /// grouped by class.
-    pub(super) fn members(&self) -> &[Member] {
-        &self.members
-    }
-
-    /// Every flow as `(slot, spec)` in canonical order.
-    #[cfg(test)]
-    pub(super) fn entries(&self) -> Vec<(usize, FlowSpec)> {
-        self.members.iter().map(|&m| m.into()).collect()
-    }
-
-    /// The order-free fingerprint of the indexed flow multiset.
-    #[cfg(test)]
-    pub(super) fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Adds the flow at `slot`, after every flow whose key is not greater.
-    pub(super) fn insert(&mut self, slot: usize, spec: FlowSpec) {
-        let m = Member::new(slot, &spec);
-        let at = self.members.partition_point(|e| e.key <= m.key);
-        self.members.insert(at, m);
-        self.fingerprint = self.fingerprint.wrapping_add(mix(m.key));
-    }
-
-    /// Removes slot `slot` after `flows.swap_remove(slot)`, renumbering
-    /// the flow that moved into it from slot `moved`, the old last slot.
-    pub(super) fn remove(&mut self, slot: usize, moved: usize) {
-        let mut at = None;
-        let mut renumbered = moved == slot;
-        for (i, m) in self.members.iter_mut().enumerate() {
-            if m.slot == slot {
-                at = Some(i);
-            } else if m.slot == moved {
-                m.slot = slot;
-                renumbered = true;
-            } else {
-                continue;
-            }
-            if at.is_some() && renumbered {
-                break;
-            }
-        }
-        if let Some(at) = at {
-            let gone = self.members.remove(at);
-            self.fingerprint = self.fingerprint.wrapping_sub(mix(gone.key));
-        }
-    }
-}
-
-/// One flow's term in the fingerprint (the SplitMix64 finalizer over its
-/// key folded to 64 bits).
-fn mix(key: u128) -> u64 {
-    let mut z = ((key >> 64) as u64 ^ key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// `None` in the arena's bottleneck column.
 const NO_LINK: u32 = u32::MAX;
 
-/// A member's key as one arena word: the priority in the high half,
+/// A flow's spec as one arena word: the priority in the high half,
 /// source and destination in the low. `None` when a machine index needs
 /// more than 16 bits; a set holding such a flow is not stored.
-fn pack(key: u128) -> Option<u64> {
-    let word = |k: u128| u16::try_from(k as u64 & ((1 << MACHINE_BITS) - 1)).ok();
-    let (src, dst) = (word(key >> MACHINE_BITS)?, word(key)?);
-    let priority = (key >> (2 * MACHINE_BITS)) as u64;
-    Some(priority << 32 | u64::from(src) << 16 | u64::from(dst))
+fn pack(priority: Priority, m: &Member) -> Option<u64> {
+    let (src, dst) = (u16::try_from(m.src()).ok()?, u16::try_from(m.dst()).ok()?);
+    Some(u64::from(priority.0) << 32 | u64::from(src) << 16 | u64::from(dst))
 }
 
-/// The member key an arena word was packed from.
-fn unpack(word: u64) -> u128 {
-    u128::from(word >> 32) << (2 * MACHINE_BITS)
-        | u128::from(word >> 16 & 0xffff) << MACHINE_BITS
-        | u128::from(word & 0xffff)
+/// True when `specs` holds the packed spec of every flow of `index`, in
+/// canonical order.
+fn same_set(specs: &[u64], index: &ClassIndex) -> bool {
+    let mut specs = specs;
+    for class in index.classes() {
+        let Some((these, rest)) = specs.split_at_checked(class.members.len()) else {
+            return false;
+        };
+        let pri = class.priority;
+        if !these
+            .iter()
+            .zip(class.members)
+            .all(|(&k, m)| pack(pri, m) == Some(k))
+        {
+            return false;
+        }
+        specs = rest;
+    }
+    specs.is_empty()
 }
 
 /// A stored flow set: where its specs and results sit in the arena.
@@ -225,7 +103,7 @@ impl Memo {
 
     /// The index's fingerprint combined with the epoch.
     fn hash(&self, index: &ClassIndex) -> u64 {
-        index.fingerprint ^ self.epoch.wrapping_mul(0xD6E8_FEB8_6659_FD93)
+        index.fingerprint() ^ self.epoch.wrapping_mul(0xD6E8_FEB8_6659_FD93)
     }
 
     /// Loads the stored allocation of `index`'s flow set under the
@@ -235,23 +113,19 @@ impl Memo {
     pub(super) fn replay(&self, index: &ClassIndex, buf: &mut AllocBuffers) -> Option<AllocWork> {
         let hash = self.hash(index);
         let e = self.table.get(hash as usize % SLOTS)?.as_ref()?;
-        let len = index.members.len();
+        let len = index.len();
         if e.hash != hash || e.epoch != self.epoch || e.len as usize != len {
             return None;
         }
         let range = e.start as usize..e.start as usize + len;
         let specs = self.specs.get(range.clone())?;
-        if !specs
-            .iter()
-            .zip(&index.members)
-            .all(|(&k, m)| unpack(k) == m.key)
-        {
+        if !same_set(specs, index) {
             return None;
         }
         let (rates, links) = (self.rates.get(range.clone())?, self.links.get(range)?);
-        let outs = index.members.iter().zip(rates).zip(links);
+        let outs = index.members().iter().zip(rates).zip(links);
         let link = |l: u32| (l != NO_LINK).then_some(LinkId(l as usize));
-        buf.load(len, outs.map(|((m, &r), &l)| (m.slot, r, link(l))));
+        buf.load(len, outs.map(|((m, &r), &l)| (m.slot as usize, r, link(l))));
         Some(e.work)
     }
 
@@ -260,7 +134,7 @@ impl Memo {
     /// fits; otherwise its hash is remembered.
     pub(super) fn offer(&mut self, index: &ClassIndex, alloc: &AllocBuffers, work: AllocWork) {
         let hash = self.hash(index);
-        let len = index.members.len();
+        let len = index.len();
         if len > MAX_SET {
             return;
         }
@@ -287,13 +161,17 @@ impl Memo {
             self.table.fill(None);
         }
         let start = self.specs.len();
-        let stored = index.members.iter().try_for_each(|m| {
-            let link = match alloc.bottleneck().get(m.slot).copied().flatten() {
+        let mut flows = index
+            .classes()
+            .flat_map(|c| c.members.iter().map(move |m| (c.priority, m)));
+        let stored = flows.try_for_each(|(priority, m)| {
+            let slot = m.slot as usize;
+            let link = match alloc.bottleneck().get(slot).copied().flatten() {
                 None => NO_LINK,
                 Some(l) => u32::try_from(l.0).ok().filter(|&l| l != NO_LINK)?,
             };
-            self.specs.push(pack(m.key)?);
-            self.rates.push(alloc.rates().get(m.slot).copied()?);
+            self.specs.push(pack(priority, m)?);
+            self.rates.push(alloc.rates().get(slot).copied()?);
             self.links.push(link);
             Some(())
         });
@@ -321,9 +199,9 @@ mod tests {
     use super::super::walk::tests::{racked, restore};
     use super::super::{ActiveFlow, NetStats, Network, NetworkConfig};
     use super::*;
-    use crate::allocator::{allocate_rates_in_class_order, allocate_rates_on_graph};
+    use crate::allocator::{allocate_rates_in_class_order, allocate_rates_on_graph, FlowSpec};
     use crate::multilink::LinkGraph;
-    use crate::types::{Bandwidth, FlowId, MachineId};
+    use crate::types::{Bandwidth, FlowId, MachineId, Priority};
     use p3_des::{SimDuration, SimTime};
 
     fn flow(src: usize, dst: usize, p: u32) -> FlowSpec {
@@ -334,13 +212,22 @@ mod tests {
         }
     }
 
-    /// Fills `index`'s flow set on a flat fabric of four 100-byte/s
-    /// machines, as a fabric would before offering it.
+    /// A flat fabric of four 100-byte/s machines.
+    fn four() -> LinkGraph {
+        LinkGraph::new(&[100.0; 4])
+    }
+
+    /// Indexes `flows` over [`four`].
+    fn index(flows: impl Iterator<Item = FlowSpec>) -> ClassIndex {
+        ClassIndex::build(flows, &four())
+    }
+
+    /// Fills `index`'s flow set on [`four`], as a fabric would before
+    /// offering it.
     fn fill(index: &ClassIndex, buf: &mut AllocBuffers) -> AllocWork {
-        let g = LinkGraph::new(&[100.0; 4]);
+        let g = four();
         let mut work = AllocWork::default();
-        let classes = index.members();
-        allocate_rates_in_class_order(classes, &g, g.caps(), f64::INFINITY, buf, &mut work);
+        allocate_rates_in_class_order(index, &g, g.caps(), f64::INFINITY, buf, &mut work);
         work
     }
 
@@ -366,35 +253,8 @@ mod tests {
     }
 
     #[test]
-    fn index_order_and_fingerprint_ignore_arrival_order() {
-        let specs = [flow(2, 1, 1), flow(0, 3, 0), flow(1, 0, 1), flow(0, 3, 0)];
-        let mut a = ClassIndex::default();
-        let mut b = ClassIndex::default();
-        for (slot, &f) in specs.iter().enumerate() {
-            a.insert(slot, f);
-        }
-        for (slot, &f) in specs.iter().enumerate().rev() {
-            b.insert(slot, f);
-        }
-        let order = |i: &ClassIndex| i.entries().iter().map(|&(_, f)| f).collect::<Vec<_>>();
-        let want = vec![flow(0, 3, 0), flow(0, 3, 0), flow(1, 0, 1), flow(2, 1, 1)];
-        assert_eq!(order(&a), want);
-        assert_eq!(order(&b), want);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        // Dropping slot 1 moves slot 3 into it; the fingerprint follows.
-        a.remove(1, 3);
-        let rebuilt = ClassIndex::build([specs[0], specs[3], specs[2]].into_iter());
-        assert_eq!(order(&a), order(&rebuilt));
-        assert_eq!(a.fingerprint, rebuilt.fingerprint);
-        assert!(a
-            .entries()
-            .iter()
-            .any(|&(slot, f)| slot == 1 && f == specs[3]));
-    }
-
-    #[test]
     fn sets_that_share_a_slot_never_share_a_result() {
-        let a = ClassIndex::build([flow(0, 1, 0), flow(2, 1, 0)].into_iter());
+        let a = index([flow(0, 1, 0), flow(2, 1, 0)].into_iter());
         let mut memo = Memo::default();
         let buf = store(&mut memo, &a);
         let want = (buf.rates().to_vec(), buf.bottleneck().to_vec());
@@ -402,15 +262,15 @@ mod tests {
 
         // The same fingerprint on a different set of the same size: only
         // the spec-by-spec check tells them apart.
-        let mut forged = ClassIndex::build([flow(0, 1, 0), flow(3, 1, 0)].into_iter());
-        forged.fingerprint = a.fingerprint;
+        let mut forged = index([flow(0, 1, 0), flow(3, 1, 0)].into_iter());
+        forged.forge_fingerprint(a.fingerprint());
         assert_eq!(replay(&memo, &forged), None);
 
         // A set whose hash lands in the same slot replaces `a` there.
         let slot = |i: &ClassIndex| memo.hash(i) as usize % SLOTS;
         let rival = (0..100 * SLOTS as u32)
-            .map(|p| ClassIndex::build([flow(1, 2, p), flow(3, 0, p)].into_iter()))
-            .find(|i| slot(i) == slot(&a) && i.fingerprint != a.fingerprint)
+            .map(|p| index([flow(1, 2, p), flow(3, 0, p)].into_iter()))
+            .find(|i| slot(i) == slot(&a) && i.fingerprint() != a.fingerprint())
             .expect("some set shares a's slot");
         let rival_buf = store(&mut memo, &rival);
         assert_eq!(replay(&memo, &a), None, "a's entry was replaced");
@@ -420,7 +280,7 @@ mod tests {
 
     #[test]
     fn rescale_retires_stored_entries() {
-        let a = ClassIndex::build([flow(0, 1, 0), flow(0, 2, 1)].into_iter());
+        let a = index([flow(0, 1, 0), flow(0, 2, 1)].into_iter());
         let mut memo = Memo::default();
         store(&mut memo, &a);
         assert!(holds(&memo, &a));
@@ -433,7 +293,7 @@ mod tests {
     #[test]
     fn a_set_is_stored_on_its_second_sighting_until_the_arena_fills() {
         let mut memo = Memo::default();
-        let a = ClassIndex::build([flow(0, 1, 0)].into_iter());
+        let a = index([flow(0, 1, 0)].into_iter());
         let mut buf = AllocBuffers::default();
         let work = fill(&a, &mut buf);
         memo.offer(&a, &buf, work);
@@ -442,7 +302,7 @@ mod tests {
         assert!(holds(&memo, &a));
         // Next to `a`, the arena takes `fit` sets of the largest size; the
         // next one empties it first, so only that set is left.
-        let big = |p: u32| ClassIndex::build((0..MAX_SET).map(|i| flow(i % 4, (i + 1) % 4, p)));
+        let big = |p: u32| index((0..MAX_SET).map(|i| flow(i % 4, (i + 1) % 4, p)));
         let fit = (ARENA - 1) / MAX_SET;
         for p in 0..fit as u32 {
             store(&mut memo, &big(p));
@@ -454,7 +314,7 @@ mod tests {
         assert!((0..fit as u32).all(|p| !holds(&memo, &big(p))));
         assert!(holds(&memo, &big(fit as u32)));
         // A set past the size bound is never stored.
-        let huge = ClassIndex::build((0..MAX_SET + 1).map(|i| flow(i % 4, (i + 1) % 4, 0)));
+        let huge = index((0..MAX_SET + 1).map(|i| flow(i % 4, (i + 1) % 4, 0)));
         store(&mut memo, &huge);
         assert!(!holds(&memo, &huge));
     }
@@ -609,49 +469,6 @@ mod tests {
                 // bound by no link.
                 let cfg = if fabric % 2 == 1 { cfg.with_flow_cap(0.3e9) } else { cfg };
                 check_against_fresh_fills(cfg, &in_rounds(&ops, 3), restore_at);
-            }
-
-            /// After any sequence of inserts, `swap_remove`-style removals
-            /// and snapshot rebuilds (duplicate specs, the last slot
-            /// removed, machine indices past 16 bits), the incrementally
-            /// kept index holds the keys, slots and fingerprint of one
-            /// built afresh from the live flows. Equal keys may sit in any
-            /// slot order.
-            #[test]
-            fn incremental_index_equals_a_rebuilt_one(
-                ops in prop::collection::vec((0u8..5, 0usize..6, 0usize..6, 0u32..3, any::<usize>()), 1..60),
-            ) {
-                let machines = [0, 1, 2, 0xffff, 0x1_0000, (1 << MACHINE_BITS) - 1];
-                let at = |i: usize| machines.get(i).copied().unwrap_or(0);
-                let mut flows: Vec<FlowSpec> = Vec::new();
-                let mut index = ClassIndex::default();
-                for (kind, a, b, p, x) in ops {
-                    if kind == 4 {
-                        // A snapshot restore rebuilds the index.
-                        index = ClassIndex::build(flows.iter().copied());
-                    } else if kind < 2 || flows.is_empty() {
-                        let f = flow(at(a), at(b), p);
-                        index.insert(flows.len(), f);
-                        flows.push(f);
-                    } else {
-                        // Every fifth removal takes the last slot.
-                        let slot = if x % 5 == 0 { flows.len() - 1 } else { x % flows.len() };
-                        flows.swap_remove(slot);
-                        index.remove(slot, flows.len());
-                    }
-                    let rebuilt = ClassIndex::build(flows.iter().copied());
-                    let keys = |i: &ClassIndex| i.members.iter().map(|m| m.key).collect::<Vec<_>>();
-                    prop_assert_eq!(keys(&index), keys(&rebuilt));
-                    let sorted = |i: &ClassIndex| {
-                        let mut m: Vec<(u128, usize)> = i.members.iter().map(|m| (m.key, m.slot)).collect();
-                        m.sort_unstable();
-                        m
-                    };
-                    prop_assert_eq!(sorted(&index), sorted(&rebuilt));
-                    prop_assert_eq!(index.fingerprint, rebuilt.fingerprint);
-                    let specs: Vec<(usize, FlowSpec)> = index.entries();
-                    prop_assert!(specs.iter().all(|&(slot, f)| flows.get(slot) == Some(&f)));
-                }
             }
         }
     }

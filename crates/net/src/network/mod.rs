@@ -2,14 +2,14 @@
 //! traces.
 //!
 //! `config` holds the static cluster description, `multihop` the
-//! per-link accounting of configured topologies, `memo` the class index
-//! and the memo of allocations, and `walk` the fabric's snapshot section
+//! per-link accounting of configured topologies, `memo` the memo of
+//! allocations, and `walk` the fabric's snapshot section
 //! ([`Network::walk`]). This file keeps the [`Network`] facade — flow
 //! lifecycle, rate recomputation, and the deterministic work counters
 //! ([`NetStats`]).
 //!
 //! Every fabric allocates rates with
-//! [`crate::allocate_rates_in_class_order`] over a [`LinkGraph`]: the
+//! `allocate_rates_in_class_order` over a [`LinkGraph`]: the
 //! configured topology, or else the endpoint-only graph of the flat single
 //! switch, built from `bandwidth`. Whether a topology was configured
 //! decides only what the fabric reports: per-link usage and each flow's
@@ -21,9 +21,10 @@
 //! on the flow set and the capacities, so a burst of changes at one instant
 //! costs one water-fill, with the rates an eager fill of each change would
 //! end on. The fabric keeps what the water-fill needs between calls: a
-//! class index of its flows in canonical order (no per-call sort), the
-//! allocator's buffers (no per-call allocation), and the scaled link
-//! capacities (recomputed only when a port factor changes). It also keeps
+//! class index of its flows in canonical order with each class's source
+//! runs and link counts (no per-call sort or count), the allocator's
+//! buffers (no per-call allocation), and the scaled link capacities
+//! (recomputed only when a port factor changes). It also keeps
 //! a bounded memo of allocations keyed by the exact flow set, so a set it
 //! has already allocated under the same capacities is replayed, bit for
 //! bit and with the same work counts, instead of filled again.
@@ -40,11 +41,13 @@ mod walk;
 
 pub use config::NetworkConfig;
 
-use crate::allocator::{allocate_rates_in_class_order, AllocBuffers, AllocWork, FlowSpec};
+use crate::allocator::{
+    allocate_rates_in_class_order, AllocBuffers, AllocWork, ClassIndex, FlowSpec, MAX_MACHINES,
+};
 use crate::multilink::{LinkGraph, LinkId};
 use crate::trace::PortTrace;
 use crate::types::{FlowId, MachineId, Priority};
-use memo::{ClassIndex, Memo};
+use memo::Memo;
 use p3_des::{SimDuration, SimTime};
 
 /// A finished transfer, handed back by [`Network::poll`].
@@ -162,9 +165,10 @@ pub struct Network {
     /// utilization traces accumulate floats in it, and snapshots serialize
     /// it — so it changes only by `push` and `swap_remove`.
     flows: Vec<ActiveFlow>,
-    /// Class index: every flow's packed spec and slot in `flows`, in
-    /// canonical order, with the flow multiset's fingerprint. This is the
-    /// allocator's input, so no reallocation sorts.
+    /// Class index: every flow's slot in `flows` and its endpoints, in
+    /// canonical order, with each class's source runs and link counts and
+    /// the flow multiset's fingerprint. This is the allocator's input, so
+    /// no reallocation sorts or counts.
     by_class: ClassIndex,
     /// The allocator's working memory, reused by every reallocation.
     alloc: AllocBuffers,
@@ -215,9 +219,15 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.machines` is zero.
+    /// Panics if `cfg.machines` is zero or above `u32::MAX`: the fabric
+    /// keeps machine indices in 32 bits.
     pub fn new(cfg: NetworkConfig) -> Self {
         assert!(cfg.machines > 0, "a cluster needs at least one machine");
+        assert!(
+            cfg.machines <= MAX_MACHINES,
+            "{} machines, more than a fabric indexes",
+            cfg.machines
+        );
         let (tx_traces, rx_traces) = match cfg.trace_bin {
             Some(bin) => (
                 (0..cfg.machines).map(|_| PortTrace::new(bin)).collect(),
@@ -240,10 +250,10 @@ impl Network {
         let rx_scale = vec![1.0; machines];
         Network {
             caps: graph.scaled_caps(cfg.efficiency, &tx_scale, &rx_scale),
+            by_class: ClassIndex::new(&graph),
             cfg,
             graph,
             flows: Vec::new(),
-            by_class: ClassIndex::default(),
             alloc: AllocBuffers::default(),
             memo: Memo::default(),
             next_event: None,
@@ -323,7 +333,7 @@ impl Network {
             rate: 0.0,
             bottleneck: None,
         };
-        self.by_class.insert(self.flows.len(), flow.spec());
+        self.by_class.push(flow.spec(), &self.graph);
         self.flows.push(flow);
         // Flows only ever join here, so sampling at the push is exact.
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.flows.len() as u64);
@@ -397,7 +407,7 @@ impl Network {
             let eps = f.rate * 1e-9 + 1e-9;
             if f.remaining <= eps {
                 let f = self.flows.swap_remove(i);
-                self.by_class.remove(i, self.flows.len());
+                self.by_class.swap_remove(i, &self.graph);
                 self.delivering.push(Delivering {
                     at: now + latency,
                     flow: CompletedFlow {
@@ -485,7 +495,7 @@ impl Network {
         self.advance(now);
         if let Some(i) = self.flows.iter().position(|f| f.id == id) {
             self.flows.swap_remove(i);
-            self.by_class.remove(i, self.flows.len());
+            self.by_class.swap_remove(i, &self.graph);
             self.dirty = true;
             return true;
         }
@@ -577,7 +587,7 @@ impl Network {
         } else {
             let mut work = AllocWork::default();
             allocate_rates_in_class_order(
-                self.by_class.members(),
+                &self.by_class,
                 &self.graph,
                 &self.caps,
                 self.cfg.flow_cap,

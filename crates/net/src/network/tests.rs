@@ -12,6 +12,17 @@ fn net(machines: usize, gbps: f64) -> Network {
     Network::new(cfg)
 }
 
+/// Machine indices are kept in 32 bits, so a larger cluster is refused
+/// before anything is sized per machine.
+#[test]
+#[should_panic(expected = "more than a fabric indexes")]
+fn a_cluster_past_32_bit_machine_indices_is_refused() {
+    Network::new(NetworkConfig::new(
+        MAX_MACHINES + 1,
+        Bandwidth::from_gbps(1.0),
+    ));
+}
+
 #[test]
 fn isolated_flow_takes_size_over_bandwidth() {
     let mut n = net(2, 8.0); // 1 GB/s

@@ -6,8 +6,9 @@
 //!
 //! [`NetworkConfig`]: super::NetworkConfig
 
-use super::memo::{ClassIndex, Memo};
+use super::memo::Memo;
 use super::{ActiveFlow, CompletedFlow, Delivering, Network};
+use crate::allocator::ClassIndex;
 use crate::multilink::LinkId;
 use crate::types::{FlowId, MachineId, Priority};
 use p3_des::snap::{fixed, opt, seq, time, Coder, SnapshotError};
@@ -47,8 +48,9 @@ impl Network {
     ///
     /// `now` is the owner's clock. A reader refuses states the live
     /// fabric cannot reach and that would panic or stall it later: an
-    /// index out of range, a `last_update` after `now`, a port scale
-    /// outside `(0, 1]`, or a flow's `remaining` outside `[0, bytes]`.
+    /// index out of range, a loopback flow, a `last_update` after `now`,
+    /// a port scale outside `(0, 1]`, or a flow's `remaining` outside
+    /// `[0, bytes]`.
     ///
     /// # Errors
     ///
@@ -62,6 +64,7 @@ impl Network {
             c.u64(&mut f.id.0)?;
             c.idx(&mut f.src, machines, "flow source out of range")?;
             c.idx(&mut f.dst, machines, "flow destination out of range")?;
+            c.check(f.src != f.dst, "loopback flow in the fabric")?;
             c.u32(&mut f.priority.0)?;
             c.u64(&mut f.tag)?;
             c.u64(&mut f.bytes)?;
@@ -111,7 +114,8 @@ impl Network {
             // Rates were read verbatim, so nothing is stale; rebuild what
             // the fabric derives from the flows and the port factors. The
             // memo is not part of the state: it starts empty.
-            self.by_class = ClassIndex::build(self.flows.iter().map(ActiveFlow::spec));
+            let flows = self.flows.iter().map(ActiveFlow::spec);
+            self.by_class = ClassIndex::build(flows, &self.graph);
             self.memo = Memo::default();
             self.rescale();
             self.next_event = None;
