@@ -12,7 +12,7 @@ use super::collective;
 use super::types::{MsgCtx, MsgKind, Role};
 use super::ClusterSim;
 use crate::config::BackendKind;
-use p3_core::PullTiming;
+use p3_core::{PullTiming, ResponseMode};
 use p3_trace::TraceEvent;
 
 impl ClusterSim {
@@ -140,6 +140,18 @@ fn ps_delivered(sim: &mut ClusterSim, ctx: MsgCtx) {
             let w = &mut sim.workers[ctx.dst];
             if version > w.received_version[key] {
                 w.received_version[key] = version;
+            }
+            // A response can carry a version whose notify the worker never
+            // heard only after a crash: the notify reached the dead process
+            // and vanished, and the rejoin's re-sync pull brought the
+            // version back. It stands in for that notify, so the rest of
+            // the layer is still pulled. (Otherwise every pull follows its
+            // notify, and a response carries no newer version.)
+            let unheard = version > w.notified_version[key];
+            let s = &sim.cfg.strategy;
+            let notified = s.response == ResponseMode::NotifyThenPull;
+            if unheard && notified && s.pull_timing == PullTiming::Eager {
+                sim.on_notify(ctx.dst, key, version);
             }
             sim.recheck_waiting(ctx.dst);
         }

@@ -274,6 +274,36 @@ fn faults_work_under_baseline_strategy_too() {
     assert!(r.faults.messages_lost > 0);
 }
 
+#[test]
+fn baseline_rejoin_pulls_layers_whose_notify_died_with_it() {
+    // Worker 1 crashes while a round is in flight. Part of a layer
+    // completed before the crash, so that part's notify reached the dead
+    // process and vanished; the rejoin's re-sync pull brings that part
+    // back. The rest of the layer notifies after the re-push, and the
+    // worker must then pull it rather than wait for the notify it lost.
+    let cfg = ClusterConfig::new(
+        ModelSpec::resnet50(),
+        SyncStrategy::baseline(),
+        4,
+        Bandwidth::from_gbps(10.0),
+    )
+    .with_iters(2, 2)
+    .with_seed(0x9e37_79b9)
+    .with_faults(FaultPlan {
+        crashes: vec![WorkerCrash {
+            worker: 1,
+            at: SimTime::from_millis(500),
+            rejoin_after: Some(SimDuration::from_millis(200)),
+        }],
+        ..FaultPlan::none()
+    });
+    let r = ClusterSim::new(cfg)
+        .try_run()
+        .expect("every worker finishes");
+    assert!(r.throughput > 0.0);
+    assert_eq!(r.faults.degraded_rounds, 0, "the worker rejoined in time");
+}
+
 mod trace_tests {
     use super::super::ClusterSim;
     use crate::config::ClusterConfig;
