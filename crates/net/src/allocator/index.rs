@@ -37,29 +37,30 @@ const MACHINE_BITS: u32 = 48;
 /// its destination. Its priority is its class's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Member {
-    /// The source in the high half, the destination in the low: the
-    /// order of members within a class, as one integer a search compares
-    /// without a branch.
-    key: u64,
     pub(crate) slot: u32,
+    src: u32,
+    dst: u32,
 }
 
 impl Member {
     fn new(slot: u32, src: u32, dst: u32) -> Self {
-        Member {
-            key: u64::from(src) << 32 | u64::from(dst),
-            slot,
-        }
+        Member { slot, src, dst }
+    }
+
+    /// The order of members within a class, by source then destination,
+    /// as one integer: a search compares it without a branch.
+    fn key(self) -> u64 {
+        u64::from(self.src) << 32 | u64::from(self.dst)
     }
 
     /// The transmitting machine.
     pub(crate) fn src(self) -> usize {
-        (self.key >> 32) as usize
+        self.src as usize
     }
 
     /// The receiving machine.
     pub(crate) fn dst(self) -> usize {
-        self.key as u32 as usize
+        self.dst as usize
     }
 }
 
@@ -220,7 +221,13 @@ impl ClassIndex {
         let lo = c.checked_sub(1).map_or(0, |p| self.classes[p].end);
         let class = &self.members[lo as usize..self.classes[c].end as usize];
         let new = Member::new(slot, src, dst);
-        let at = lo as usize + class.partition_point(|m| m.key <= new.key);
+        // Flows often start in canonical order: then the new member goes
+        // last, with no search.
+        let at = lo as usize
+            + match class.last() {
+                Some(m) if m.key() > new.key() => class.partition_point(|m| m.key() <= new.key()),
+                _ => class.len(),
+            };
         self.members.insert(at, new);
         for k in &mut self.classes[c..] {
             k.end += 1;

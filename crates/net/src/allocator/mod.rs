@@ -80,8 +80,8 @@ pub struct AllocBuffers {
     count: Vec<u32>,
     /// Rate of each flow, by slot.
     rates: Vec<f64>,
-    /// The link that froze each flow, by slot.
-    bottleneck: Vec<Option<LinkId>>,
+    /// The link that froze each flow, by slot, or [`NO_LINK`].
+    bottleneck: Vec<u32>,
     /// The class being filled; the flows still rising stay at its front.
     rising: Vec<Member>,
 }
@@ -89,28 +89,24 @@ pub struct AllocBuffers {
 impl AllocBuffers {
     /// Each flow's rate in bytes/sec under the last allocation, indexed by
     /// its slot.
-    pub fn rates(&self) -> &[f64] {
+    pub(crate) fn rates(&self) -> &[f64] {
         &self.rates
     }
 
     /// The saturated link that froze each flow under the last allocation,
-    /// indexed by its slot: `None` when the per-flow cap bound the flow
-    /// (or it never froze on a link).
-    pub fn bottleneck(&self) -> &[Option<LinkId>] {
+    /// indexed by its slot: [`NO_LINK`] when the per-flow cap bound the
+    /// flow (or it never froze on a link). [`link`] reads one.
+    pub(crate) fn bottlenecks(&self) -> &[u32] {
         &self.bottleneck
     }
 
     /// Loads a stored allocation of `len` flows, as the fill would have
     /// left it: `outs` gives each slot's rate and bottleneck.
-    pub(crate) fn load(
-        &mut self,
-        len: usize,
-        outs: impl Iterator<Item = (usize, f64, Option<LinkId>)>,
-    ) {
+    pub(crate) fn load(&mut self, len: usize, outs: impl Iterator<Item = (usize, f64, u32)>) {
         self.rates.clear();
         self.rates.resize(len, 0.0);
         self.bottleneck.clear();
-        self.bottleneck.resize(len, None);
+        self.bottleneck.resize(len, NO_LINK);
         for (slot, rate, at) in outs {
             if let (Some(r), Some(b)) = (self.rates.get_mut(slot), self.bottleneck.get_mut(slot)) {
                 *r = rate;
@@ -118,6 +114,14 @@ impl AllocBuffers {
             }
         }
     }
+}
+
+/// A bottleneck of [`AllocBuffers::bottlenecks`] for a flow no link froze.
+pub(crate) const NO_LINK: u32 = u32::MAX;
+
+/// The link a bottleneck of [`AllocBuffers::bottlenecks`] names.
+pub(crate) fn link(at: u32) -> Option<LinkId> {
+    (at != NO_LINK).then_some(LinkId(at as usize))
 }
 
 /// Computes strict-priority max-min fair rates over a [`LinkGraph`]:
@@ -172,8 +176,8 @@ pub fn allocate_rates_on_graph(
     let mut buf = AllocBuffers::default();
     allocate_rates_in_class_order(&index, graph, caps, flow_cap, &mut buf, work);
     GraphAllocation {
+        bottleneck: buf.bottleneck.iter().map(|&at| link(at)).collect(),
         rates: buf.rates,
-        bottleneck: buf.bottleneck,
     }
 }
 
@@ -186,14 +190,15 @@ pub fn allocate_rates_on_graph(
 /// class takes the same increment each round, and each link is charged
 /// once per flow crossing it in any order. Each flow's rate and bottleneck
 /// land at its slot in [`AllocBuffers::rates`] and
-/// [`AllocBuffers::bottleneck`]. `caps`, `flow_cap` and `work` are as for
+/// [`AllocBuffers::bottlenecks`]. `caps`, `flow_cap` and `work` are as for
 /// [`allocate_rates_on_graph`]; the index has already checked every flow
 /// against the graph.
 ///
 /// # Panics
 ///
 /// Panics if `caps.len()` differs from the graph's link count or the
-/// index's, or if `flow_cap` is not positive.
+/// index's, if a link index would not fit a bottleneck's 32 bits, or if
+/// `flow_cap` is not positive.
 pub(crate) fn allocate_rates_in_class_order(
     index: &ClassIndex,
     graph: &LinkGraph,
@@ -208,6 +213,7 @@ pub(crate) fn allocate_rates_in_class_order(
         "capacity table does not match the graph"
     );
     assert_eq!(index.links(), caps.len(), "class index of another graph");
+    assert!(caps.len() < NO_LINK as usize, "too many links to name");
     assert!(flow_cap > 0.0, "non-positive flow cap");
 
     let AllocBuffers {
@@ -225,7 +231,7 @@ pub(crate) fn allocate_rates_in_class_order(
     rates.clear();
     rates.resize(index.len(), 0.0);
     bottleneck.clear();
-    bottleneck.resize(index.len(), None);
+    bottleneck.resize(index.len(), NO_LINK);
     let mut fill = WaterFill {
         graph,
         flow_cap,
@@ -257,7 +263,7 @@ struct WaterFill<'a> {
     res: &'a mut [f64],
     count: &'a mut [u32],
     rates: &'a mut [f64],
-    bottleneck: &'a mut [Option<LinkId>],
+    bottleneck: &'a mut [u32],
     /// The freeze test's capacity scale: the largest residual, at least 1,
     /// as of the last pass that clamped the residuals.
     scale: f64,
@@ -298,28 +304,41 @@ impl WaterFill<'_> {
         members.clear();
         let n = class.members.len();
         let delta = round_delta(self.res, class.counts, n, 0.0, self.flow_cap, self.work);
-        if delta == 0.0 {
+        let first = if delta == 0.0 {
             // Blocked on an empty link: the first round only freezes.
-            if self.enter_blocked(class, members) {
-                self.rounds(members, None);
+            let rising = if self.graph.has_transit() {
+                self.enter_blocked::<true>(class, members)
+            } else {
+                self.enter_blocked::<false>(class, members)
+            };
+            if !rising {
+                return;
             }
+            None
         } else {
             members.extend_from_slice(class.members);
             self.count.copy_from_slice(class.counts);
-            self.rounds(members, Some(delta));
+            Some(delta)
+        };
+        if self.graph.has_transit() {
+            self.rounds::<true>(members, first);
+        } else {
+            self.rounds::<false>(members, first);
         }
     }
 
     /// The rounds of a class from level 0, over its rising `members` and
     /// their link counts; `first` is the first round's delta when
-    /// [`WaterFill::class`] took it already.
+    /// [`WaterFill::class`] took it already. `TRANSIT` is whether the graph
+    /// routes some pair through transit links: the loops over a route's
+    /// hops are compiled out of flat fabrics.
     #[expect(
         clippy::indexing_slicing,
         reason = "n <= members.len(); indexed flows name machines of the graph, and every route link is below caps.len(), the length of res and count"
     )]
-    fn rounds(&mut self, members: &mut [Member], mut first: Option<f64>) {
+    fn rounds<const TRANSIT: bool>(&mut self, members: &mut [Member], mut first: Option<f64>) {
         let graph = self.graph;
-        let transit = graph.has_transit();
+        let transit = TRANSIT;
         let rx = graph.machines();
         let mut level = 0.0f64;
         // The flows still rising are `members[..n]`.
@@ -373,7 +392,7 @@ impl WaterFill<'_> {
                         Some(&l) => l,
                         None => LinkId(rx + dst),
                     };
-                    self.freeze(m.slot, level, Some(at));
+                    self.freeze(m.slot, level, at.0 as u32);
                     self.count[src] -= 1;
                     if transit {
                         for l in graph.transit(src, dst) {
@@ -399,23 +418,31 @@ impl WaterFill<'_> {
 
     /// The first round of a class that raises by 0: freezes at rate 0
     /// every member crossing a link at or under the freeze threshold, on
-    /// the first such link of its route, and copies the rest into
-    /// `members` with their routes in the link counts. The round leaves
-    /// the residuals and the scale as they were, so the threshold is the
+    /// the first such link of its route, and leaves the rest in `members`
+    /// with their routes in the link counts. The round leaves the
+    /// residuals and the scale as they were, so the threshold is the
     /// scale's. The tx port leads every route, so a source whose tx port
     /// is saturated freezes whole, as one run. Returns whether the class
     /// still has rising members.
     ///
-    /// Rates need no write: the fill starts every rate at 0.
+    /// Rates need no write: the fill starts every rate at 0. A member
+    /// that goes on rising is given a bottleneck too, so that keeping it
+    /// takes no branch: its own is written when it freezes.
     #[expect(
         clippy::indexing_slicing,
-        reason = "indexed flows name machines of the graph, and every route link is below caps.len(), the length of res and count"
+        reason = "kept counts members already read, so it stays below members.len(); indexed flows name machines of the graph, and every route link is below caps.len(), the length of res and count"
     )]
-    fn enter_blocked(&mut self, class: &ClassView<'_>, members: &mut Vec<Member>) -> bool {
+    fn enter_blocked<const TRANSIT: bool>(
+        &mut self,
+        class: &ClassView<'_>,
+        members: &mut Vec<Member>,
+    ) -> bool {
         let graph = self.graph;
-        let transit = graph.has_transit();
+        let transit = TRANSIT;
         let rx = graph.machines();
         let thr = (EPS * self.scale).max(FLOOR);
+        members.extend_from_slice(class.members);
+        let mut kept = 0;
         for (src, run) in class.sources() {
             if self.res[src] <= thr {
                 for m in run {
@@ -423,6 +450,7 @@ impl WaterFill<'_> {
                 }
                 continue;
             }
+            let first = kept;
             for &m in run {
                 let dst = m.dst();
                 let res = &*self.res;
@@ -431,32 +459,31 @@ impl WaterFill<'_> {
                 } else {
                     None
                 };
-                match hop {
-                    Some(&l) => self.freeze_at(m.slot, l),
-                    None if res[rx + dst] <= thr => self.freeze_at(m.slot, LinkId(rx + dst)),
-                    None => {
-                        self.count[src] += 1;
-                        if transit {
-                            for l in graph.transit(src, dst) {
-                                self.count[l.0] += 1;
-                            }
-                        }
-                        self.count[rx + dst] += 1;
-                        members.push(m);
+                let blocked = hop.is_some() || res[rx + dst] <= thr;
+                self.freeze_at(m.slot, hop.copied().unwrap_or(LinkId(rx + dst)));
+                let rising = u32::from(!blocked);
+                if transit {
+                    for l in graph.transit(src, dst) {
+                        self.count[l.0] += rising;
                     }
                 }
+                self.count[rx + dst] += rising;
+                members[kept] = m;
+                kept += rising as usize;
             }
+            self.count[src] += (kept - first) as u32;
         }
-        if members.len() == class.members.len() {
+        members.truncate(kept);
+        if kept == class.members.len() {
             // Nothing froze: no link can grow (see `class`).
             self.freeze_all(members, 0.0);
             return false;
         }
-        !members.is_empty()
+        kept > 0
     }
 
-    /// Sets a frozen flow's rate and bottleneck.
-    fn freeze(&mut self, slot: u32, rate: f64, at: Option<LinkId>) {
+    /// Sets a frozen flow's rate and bottleneck ([`NO_LINK`] for none).
+    fn freeze(&mut self, slot: u32, rate: f64, at: u32) {
         let slot = slot as usize;
         if let (Some(r), Some(b)) = (self.rates.get_mut(slot), self.bottleneck.get_mut(slot)) {
             *r = rate;
@@ -468,7 +495,7 @@ impl WaterFill<'_> {
     /// already is.
     fn freeze_at(&mut self, slot: u32, at: LinkId) {
         if let Some(b) = self.bottleneck.get_mut(slot as usize) {
-            *b = Some(at);
+            *b = at.0 as u32;
         }
     }
 
@@ -476,7 +503,7 @@ impl WaterFill<'_> {
     /// the link counts return to zero for the next one.
     fn freeze_all(&mut self, flows: &[Member], rate: f64) {
         for m in flows {
-            self.freeze(m.slot, rate, None);
+            self.freeze(m.slot, rate, NO_LINK);
         }
         self.count.fill(0);
     }

@@ -2,7 +2,7 @@
 //! against: the original flat water-fill over two ports per machine, and
 //! the graph water-fill's round loop as first written.
 
-use super::{AllocWork, FlowSpec, GraphAllocation, WaterFill, EPS, FLOOR};
+use super::{link, AllocWork, FlowSpec, GraphAllocation, WaterFill, EPS, FLOOR, NO_LINK};
 use crate::multilink::LinkGraph;
 use crate::types::Priority;
 
@@ -20,7 +20,7 @@ pub(crate) fn graph_rates(
     let mut res = caps.to_vec();
     let mut count = vec![0; caps.len()];
     let mut rates = vec![0.0; classes.len()];
-    let mut bottleneck = vec![None; classes.len()];
+    let mut bottleneck = vec![NO_LINK; classes.len()];
     let mut fill = WaterFill {
         graph,
         flow_cap,
@@ -34,6 +34,7 @@ pub(crate) fn graph_rates(
     for class in classes.chunk_by(|(_, a), (_, b)| a.priority == b.priority) {
         fill.reference_class(&mut class.to_vec());
     }
+    let bottleneck = bottleneck.into_iter().map(link).collect();
     GraphAllocation { rates, bottleneck }
 }
 
@@ -90,7 +91,7 @@ impl WaterFill<'_> {
                     .route(f.src, f.dst)
                     .find(|l| res.get(l.0).is_some_and(|&r| r <= thr));
                 match hit {
-                    Some(l) => self.freeze(slot as u32, level, Some(l)),
+                    Some(l) => self.freeze(slot as u32, level, l.0 as u32),
                     None => {
                         members.swap(kept, k);
                         kept += 1;
@@ -110,7 +111,7 @@ impl WaterFill<'_> {
     /// Freezes flows that no link bounds at `rate`.
     fn freeze_unbound(&mut self, flows: &[(usize, FlowSpec)], rate: f64) {
         for &(slot, _) in flows {
-            self.freeze(slot as u32, rate, None);
+            self.freeze(slot as u32, rate, NO_LINK);
         }
     }
 }

@@ -413,7 +413,7 @@ mod properties {
         };
         for (k, &(slot, _)) in classes.iter().enumerate() {
             out.rates[slot] = buf.rates()[k];
-            out.bottleneck[slot] = buf.bottleneck()[k];
+            out.bottleneck[slot] = link(buf.bottlenecks()[k]);
         }
         out
     }

@@ -20,7 +20,6 @@
 //! the memo: a restored fabric starts with an empty one.
 
 use crate::allocator::{AllocBuffers, AllocWork, ClassIndex, Member};
-use crate::multilink::LinkId;
 use crate::types::Priority;
 
 /// Entries in the memo's direct-mapped table.
@@ -32,9 +31,6 @@ const SEEN: usize = 2048;
 /// The largest flow set the memo stores. Sets this large seldom recur:
 /// they are the parameter server's broadcast fan-out.
 const MAX_SET: usize = 256;
-
-/// `None` in the arena's bottleneck column.
-const NO_LINK: u32 = u32::MAX;
 
 /// A flow's spec as one arena word: the priority in the high half,
 /// source and destination in the low. `None` when a machine index needs
@@ -90,7 +86,7 @@ pub(super) struct Memo {
     specs: Vec<u64>,
     /// The arena: each stored flow's rate, parallel to `specs`.
     rates: Vec<f64>,
-    /// The arena: each stored flow's bottleneck link, or [`NO_LINK`].
+    /// The arena: each stored flow's bottleneck, as the fill writes it.
     links: Vec<u32>,
 }
 
@@ -124,8 +120,7 @@ impl Memo {
         }
         let (rates, links) = (self.rates.get(range.clone())?, self.links.get(range)?);
         let outs = index.members().iter().zip(rates).zip(links);
-        let link = |l: u32| (l != NO_LINK).then_some(LinkId(l as usize));
-        buf.load(len, outs.map(|((m, &r), &l)| (m.slot as usize, r, link(l))));
+        buf.load(len, outs.map(|((m, &r), &l)| (m.slot as usize, r, l)));
         Some(e.work)
     }
 
@@ -166,10 +161,7 @@ impl Memo {
             .flat_map(|c| c.members.iter().map(move |m| (c.priority, m)));
         let stored = flows.try_for_each(|(priority, m)| {
             let slot = m.slot as usize;
-            let link = match alloc.bottleneck().get(slot).copied().flatten() {
-                None => NO_LINK,
-                Some(l) => u32::try_from(l.0).ok().filter(|&l| l != NO_LINK)?,
-            };
+            let link = alloc.bottlenecks().get(slot).copied()?;
             self.specs.push(pack(priority, m)?);
             self.rates.push(alloc.rates().get(slot).copied()?);
             self.links.push(link);
@@ -241,10 +233,10 @@ mod tests {
     }
 
     /// What `memo` replays for `index`: rates and bottlenecks by slot.
-    fn replay(memo: &Memo, index: &ClassIndex) -> Option<(Vec<f64>, Vec<Option<LinkId>>)> {
+    fn replay(memo: &Memo, index: &ClassIndex) -> Option<(Vec<f64>, Vec<u32>)> {
         let mut buf = AllocBuffers::default();
         memo.replay(index, &mut buf)?;
-        Some((buf.rates().to_vec(), buf.bottleneck().to_vec()))
+        Some((buf.rates().to_vec(), buf.bottlenecks().to_vec()))
     }
 
     /// True when `memo` holds `index`'s flow set.
@@ -257,7 +249,7 @@ mod tests {
         let a = index([flow(0, 1, 0), flow(2, 1, 0)].into_iter());
         let mut memo = Memo::default();
         let buf = store(&mut memo, &a);
-        let want = (buf.rates().to_vec(), buf.bottleneck().to_vec());
+        let want = (buf.rates().to_vec(), buf.bottlenecks().to_vec());
         assert_eq!(replay(&memo, &a), Some(want.clone()));
 
         // The same fingerprint on a different set of the same size: only
@@ -274,7 +266,7 @@ mod tests {
             .expect("some set shares a's slot");
         let rival_buf = store(&mut memo, &rival);
         assert_eq!(replay(&memo, &a), None, "a's entry was replaced");
-        let rival_want = (rival_buf.rates().to_vec(), rival_buf.bottleneck().to_vec());
+        let rival_want = (rival_buf.rates().to_vec(), rival_buf.bottlenecks().to_vec());
         assert_eq!(replay(&memo, &rival), Some(rival_want));
     }
 

@@ -42,7 +42,8 @@ mod walk;
 pub use config::NetworkConfig;
 
 use crate::allocator::{
-    allocate_rates_in_class_order, AllocBuffers, AllocWork, ClassIndex, FlowSpec, MAX_MACHINES,
+    allocate_rates_in_class_order, link, AllocBuffers, AllocWork, ClassIndex, FlowSpec,
+    MAX_MACHINES,
 };
 use crate::multilink::{LinkGraph, LinkId};
 use crate::trace::PortTrace;
@@ -605,11 +606,11 @@ impl Network {
         let floor = self.rate_floor();
         // Bottlenecks are reported only for a configured topology.
         let topology = self.cfg.link_graph.is_some();
-        let alloc = self.alloc.rates().iter().zip(self.alloc.bottleneck());
-        for (f, (&r, &b)) in self.flows.iter_mut().zip(alloc) {
+        let alloc = self.alloc.rates().iter().zip(self.alloc.bottlenecks());
+        for (f, (&r, &at)) in self.flows.iter_mut().zip(alloc) {
             f.rate = if r < floor { 0.0 } else { r };
             if topology {
-                f.bottleneck = b;
+                f.bottleneck = link(at);
             }
         }
     }
