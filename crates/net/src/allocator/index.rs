@@ -35,7 +35,7 @@ const MACHINE_BITS: u32 = 48;
 
 /// One indexed flow: its slot in the owner's flow list, its source and
 /// its destination. Its priority is its class's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Member {
     pub(crate) slot: u32,
     src: u32,
@@ -77,7 +77,7 @@ struct Class {
 
 /// The flows of a fabric in canonical order, grouped by class, with each
 /// class's link counts and the multiset's fingerprint.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ClassIndex {
     members: Vec<Member>,
     classes: Vec<Class>,

@@ -72,7 +72,7 @@ pub struct GraphAllocation {
 /// caller owns it and passes the same value to every call, so once its
 /// vectors have grown to the largest flow set a call allocates nothing.
 #[derive(Debug, Clone, Default)]
-pub struct AllocBuffers {
+pub(crate) struct AllocBuffers {
     /// Residual capacity per link after serving more urgent flows.
     res: Vec<f64>,
     /// Rising flows per link in the class being filled; all zero between

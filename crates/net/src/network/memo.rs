@@ -156,22 +156,22 @@ impl Memo {
             self.table.fill(None);
         }
         let start = self.specs.len();
-        let mut flows = index
-            .classes()
-            .flat_map(|c| c.members.iter().map(move |m| (c.priority, m)));
-        let stored = flows.try_for_each(|(priority, m)| {
-            let slot = m.slot as usize;
-            let link = alloc.bottlenecks().get(slot).copied()?;
-            self.specs.push(pack(priority, m)?);
-            self.rates.push(alloc.rates().get(slot).copied()?);
-            self.links.push(link);
-            Some(())
-        });
-        if stored.is_none() {
-            self.specs.truncate(start);
-            self.rates.truncate(start);
-            self.links.truncate(start);
-            return;
+        let (rates, links) = (alloc.rates(), alloc.bottlenecks());
+        for class in index.classes() {
+            for m in class.members {
+                let slot = m.slot as usize;
+                let out = (rates.get(slot), links.get(slot));
+                let (Some(spec), (Some(&rate), Some(&link))) = (pack(class.priority, m), out)
+                else {
+                    self.specs.truncate(start);
+                    self.rates.truncate(start);
+                    self.links.truncate(start);
+                    return;
+                };
+                self.specs.push(spec);
+                self.rates.push(rate);
+                self.links.push(link);
+            }
         }
         let epoch = self.epoch;
         if let Some(e) = self.table.get_mut(hash as usize % SLOTS) {

@@ -21,10 +21,10 @@
 //! on the flow set and the capacities, so a burst of changes at one instant
 //! costs one water-fill, with the rates an eager fill of each change would
 //! end on. The fabric keeps what the water-fill needs between calls: a
-//! class index of its flows in canonical order with each class's source
-//! runs and link counts (no per-call sort or count), the allocator's
-//! buffers (no per-call allocation), and the scaled link capacities
-//! (recomputed only when a port factor changes). It also keeps
+//! class index of its flows in canonical order with each class's bounds
+//! and link counts (no per-call sort or count), the allocator's buffers
+//! (no per-call allocation), and the scaled link capacities (recomputed
+//! only when a port factor changes). It also keeps
 //! a bounded memo of allocations keyed by the exact flow set, so a set it
 //! has already allocated under the same capacities is replayed, bit for
 //! bit and with the same work counts, instead of filled again.
@@ -167,9 +167,9 @@ pub struct Network {
     /// it — so it changes only by `push` and `swap_remove`.
     flows: Vec<ActiveFlow>,
     /// Class index: every flow's slot in `flows` and its endpoints, in
-    /// canonical order, with each class's source runs and link counts and
-    /// the flow multiset's fingerprint. This is the allocator's input, so
-    /// no reallocation sorts or counts.
+    /// canonical order, with each class's bounds and link counts and the
+    /// flow multiset's fingerprint. This is the allocator's input, so no
+    /// reallocation sorts or counts.
     by_class: ClassIndex,
     /// The allocator's working memory, reused by every reallocation.
     alloc: AllocBuffers,
