@@ -140,8 +140,8 @@ pub(crate) fn link(at: u32) -> Option<LinkId> {
 /// Loopback flows (`src == dst`) must not be submitted — they have no
 /// path in the graph.
 ///
-/// This is [`allocate_rates_in_class_order`] over a fresh [`ClassIndex`]
-/// of the flows, with fresh buffers.
+/// This is the simulator's one water-fill, `allocate_rates_in_class_order`,
+/// over a fresh class index of the flows, with fresh buffers.
 ///
 /// # Panics
 ///

@@ -36,7 +36,7 @@ pub struct NetworkConfig {
     /// utilization — see DESIGN.md §6). Defaults to 1.0 (ideal fabric).
     pub efficiency: f64,
     /// Optional multi-hop fabric. Rates always come from
-    /// [`crate::allocate_rates_in_class_order`]; this field only chooses the
+    /// `allocate_rates_in_class_order`; this field only chooses the
     /// graph. When set, flows are routed over its fixed paths and its
     /// per-machine port capacities bound the ports, so `bandwidth` only
     /// anchors the rate-noise floor; the fabric also reports per-link
