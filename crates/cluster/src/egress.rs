@@ -143,7 +143,7 @@ impl EgressUnit {
             } => {
                 let admitted = *pass > 0;
                 if !admitted && now >= *next_admit && *in_flight < *window {
-                    if let Some(m) = queue.pop() {
+                    if let Some((_, m)) = queue.pop() {
                         *in_flight += 1;
                         *next_admit = now + overhead;
                         *pass = 1;

@@ -291,7 +291,7 @@ fn group_schedule(kind: ScheduleKind, members: u128) -> CollectiveSchedule {
 /// rejoining workers do not wedge on it).
 fn start_next(sim: &mut ClusterSim, st: &mut CollectiveState) {
     debug_assert!(st.active.is_none(), "collective already in flight");
-    while let Some((key, round, members)) = st.pending.pop() {
+    while let Some((_, (key, round, members))) = st.pending.pop() {
         if members == 0 {
             complete(sim, st, key, round);
             if st.active.is_some() {
@@ -422,13 +422,12 @@ fn on_member_lost(sim: &mut ClusterSim, st: &mut CollectiveState, worker: usize)
     }
 
     // Strip the dead rank from queued launches and barrier masks.
-    let stripped: Vec<(u32, (usize, u64, u128))> = st
+    st.pending = st
         .pending
-        .snapshot_sorted()
+        .sorted()
         .into_iter()
         .map(|(p, (k, r, m))| (p, (k, r, m & !bit)))
         .collect();
-    st.pending = stripped.into_iter().collect();
     for mask in &mut st.block_ready {
         *mask &= !bit;
     }

@@ -136,7 +136,7 @@ impl ClusterSim {
             return;
         }
         loop {
-            let Some(item) = self.servers[server].proc_queue.pop() else {
+            let Some((_, item)) = self.servers[server].proc_queue.pop() else {
                 return;
             };
             let version = self.servers[server].version[item.key];

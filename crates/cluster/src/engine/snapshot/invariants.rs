@@ -67,11 +67,7 @@ pub(super) fn check_messages(sim: &ClusterSim) -> Result<(), &'static str> {
         return Err("more collective chunks than the active step awaits");
     }
     for (s, ss) in sim.servers.iter().enumerate() {
-        let items = ss
-            .proc_queue
-            .snapshot_sorted()
-            .into_iter()
-            .map(|(_, it)| it);
+        let items = ss.proc_queue.sorted().into_iter().map(|(_, it)| it);
         for it in items.chain(ss.current) {
             if home(it.key) != s || it.round > ss.version[it.key] {
                 return Err("processing item from a round its server has not reached");
@@ -102,12 +98,7 @@ pub(super) fn check_messages(sim: &ClusterSim) -> Result<(), &'static str> {
                 queue, in_flight, ..
             } => {
                 let lanes: Vec<(usize, usize)> = (0..machines).map(lane).collect();
-                queued.extend(
-                    queue
-                        .snapshot_sorted()
-                        .into_iter()
-                        .map(|(_, m)| (machine, role, m)),
-                );
+                queued.extend(queue.sorted().into_iter().map(|(_, m)| (machine, role, m)));
                 lanes.iter().map(|l| l.0).sum::<usize>() == *in_flight
                     && lanes.iter().all(|l| l.1 == 0)
             }

@@ -663,7 +663,7 @@ fn prio_queue<C: Coder, T: Clone>(
     blank: T,
     each: impl FnMut(&mut C, &mut (u32, T)) -> Res,
 ) -> Res {
-    let mut items = q.snapshot_sorted();
+    let mut items = q.sorted();
     seq(c, &mut items, (0, blank), each)?;
     if C::READING {
         *q = items.into_iter().collect();

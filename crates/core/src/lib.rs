@@ -10,6 +10,8 @@
 //! 2. **Priority queues** ([`PrioQueue`]): the producer–consumer structure
 //!    at the worker egress and the server ingress/egress; a single consumer
 //!    transmits exactly one message at a time, always the most urgent.
+//!    `PrioQueue` is p3-des's `OrderedQueue` keyed by priority, the ordered
+//!    queue the event calendar is built on.
 //! 3. **Priority assignment** ([`SyncStrategy::priorities`]): a slice's
 //!    urgency is *when the next forward pass consumes it* — layer 0 first —
 //!    not when backprop produced it.
@@ -35,7 +37,7 @@
 //! let mut q = PrioQueue::new();
 //! q.push(37, "fc8.slice0");
 //! q.push(0, "conv1.slice0");
-//! assert_eq!(q.pop(), Some("conv1.slice0"));
+//! assert_eq!(q.pop(), Some((0, "conv1.slice0")));
 //! ```
 
 #![warn(missing_docs)]

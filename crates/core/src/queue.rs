@@ -7,36 +7,10 @@
 //! and FIFO order breaks ties so equal-priority slices of one layer keep
 //! their part order.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-#[derive(Debug, Clone)]
-struct Item<T> {
-    priority: u32,
-    seq: u64,
-    value: T,
-}
-
-impl<T> PartialEq for Item<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl<T> Eq for Item<T> {}
-impl<T> PartialOrd for Item<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Item<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: invert so (lowest priority value, lowest seq) pops
-        // first.
-        (other.priority, other.seq).cmp(&(self.priority, self.seq))
-    }
-}
-
-/// A strict priority queue with FIFO tie-breaking.
+/// A strict priority queue with FIFO tie-breaking: p3-des's
+/// [`OrderedQueue`](p3_des::OrderedQueue) keyed by priority, the same
+/// structure the event calendar keys by time. `pop` returns the priority
+/// with the value.
 ///
 /// # Examples
 ///
@@ -47,114 +21,20 @@ impl<T> Ord for Item<T> {
 /// q.push(3, "layer3.slice0"); // backprop finishes the last layer first…
 /// q.push(3, "layer3.slice1");
 /// q.push(0, "layer1.slice0"); // …but layer 1 preempts it in the queue.
-/// assert_eq!(q.pop(), Some("layer1.slice0"));
-/// assert_eq!(q.pop(), Some("layer3.slice0"));
-/// assert_eq!(q.pop(), Some("layer3.slice1"));
+/// assert_eq!(q.pop(), Some((0, "layer1.slice0")));
+/// assert_eq!(q.pop(), Some((3, "layer3.slice0")));
+/// assert_eq!(q.pop(), Some((3, "layer3.slice1")));
 /// ```
-#[derive(Debug, Clone)]
-pub struct PrioQueue<T> {
-    heap: BinaryHeap<Item<T>>,
-    next_seq: u64,
-}
-
-impl<T> Default for PrioQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> PrioQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        PrioQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Enqueues `value` with `priority` (lower = more urgent).
-    pub fn push(&mut self, priority: u32, value: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Item {
-            priority,
-            seq,
-            value,
-        });
-    }
-
-    /// Removes and returns the most urgent value (FIFO among equals).
-    pub fn pop(&mut self) -> Option<T> {
-        self.heap.pop().map(|i| i.value)
-    }
-
-    /// Most urgent value without removing it.
-    pub fn peek(&self) -> Option<&T> {
-        self.heap.peek().map(|i| &i.value)
-    }
-
-    /// Priority of the most urgent value.
-    pub fn peek_priority(&self) -> Option<u32> {
-        self.heap.peek().map(|i| i.priority)
-    }
-
-    /// Number of queued values.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all queued values.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Keeps only the values for which `keep` returns true, preserving
-    /// the relative pop order (priority, then FIFO) of the survivors.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        self.heap.retain(|i| keep(&i.value));
-    }
-}
-
-impl<T: Clone> PrioQueue<T> {
-    /// Every queued `(priority, value)` in pop order, without disturbing
-    /// the queue. This is the serialization view for snapshots: re-pushing
-    /// the returned pairs in order onto a fresh queue reproduces the exact
-    /// pop sequence (fresh sequence numbers assigned in pop order preserve
-    /// the FIFO tie-break).
-    pub fn snapshot_sorted(&self) -> Vec<(u32, T)> {
-        let mut items: Vec<&Item<T>> = self.heap.iter().collect();
-        items.sort_by_key(|i| (i.priority, i.seq));
-        items
-            .into_iter()
-            .map(|i| (i.priority, i.value.clone()))
-            .collect()
-    }
-}
-
-impl<T> Extend<(u32, T)> for PrioQueue<T> {
-    fn extend<I: IntoIterator<Item = (u32, T)>>(&mut self, iter: I) {
-        for (p, v) in iter {
-            self.push(p, v);
-        }
-    }
-}
-
-impl<T> FromIterator<(u32, T)> for PrioQueue<T> {
-    fn from_iter<I: IntoIterator<Item = (u32, T)>>(iter: I) -> Self {
-        let mut q = PrioQueue::new();
-        q.extend(iter);
-        q
-    }
-}
+pub type PrioQueue<T> = p3_des::OrderedQueue<u32, T>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pops the values, dropping their priorities.
+    fn drain<T>(q: &mut PrioQueue<T>) -> Vec<T> {
+        std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect()
+    }
 
     #[test]
     fn pops_by_priority() {
@@ -163,8 +43,7 @@ mod tests {
         q.push(1, "b");
         q.push(0, "a");
         q.push(3, "c");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, vec!["a", "b", "c", "e"]);
+        assert_eq!(drain(&mut q), vec!["a", "b", "c", "e"]);
     }
 
     #[test]
@@ -173,8 +52,7 @@ mod tests {
         for i in 0..50 {
             q.push(7, i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, (0..50).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -184,32 +62,10 @@ mod tests {
         let mut q = PrioQueue::new();
         q.push(3, "l3.s0");
         q.push(3, "l3.s1");
-        assert_eq!(q.pop(), Some("l3.s0")); // one slice already sent
+        assert_eq!(q.pop(), Some((3, "l3.s0"))); // one slice already sent
         q.push(1, "l1.s0");
         q.push(1, "l1.s1");
-        assert_eq!(q.pop(), Some("l1.s0"));
-        assert_eq!(q.pop(), Some("l1.s1"));
-        assert_eq!(q.pop(), Some("l3.s1"));
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = PrioQueue::new();
-        q.push(2, 'x');
-        assert_eq!(q.peek(), Some(&'x'));
-        assert_eq!(q.peek_priority(), Some(2));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some('x'));
-        assert!(q.is_empty());
-        assert_eq!(q.peek(), None);
-    }
-
-    #[test]
-    fn collect_and_clear() {
-        let mut q: PrioQueue<&str> = [(2, "b"), (1, "a")].into_iter().collect();
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
+        assert_eq!(drain(&mut q), vec!["l1.s0", "l1.s1", "l3.s1"]);
     }
 }
 
@@ -224,7 +80,7 @@ mod properties {
         fn pop_order_is_stable_sort(items in prop::collection::vec(0u32..6, 0..100)) {
             let mut q = PrioQueue::new();
             for (i, &p) in items.iter().enumerate() {
-                q.push(p, (p, i));
+                q.push(p, i);
             }
             let mut expected: Vec<(u32, usize)> =
                 items.iter().copied().enumerate().map(|(i, p)| (p, i)).collect();
@@ -240,11 +96,11 @@ mod properties {
             let mut q = PrioQueue::new();
             for (i, &(push, p)) in ops.iter().enumerate() {
                 if push || q.is_empty() {
-                    q.push(p, (p, i));
+                    q.push(p, i);
                 } else {
-                    let popped = q.pop().unwrap();
-                    if let Some(next) = q.peek_priority() {
-                        prop_assert!(popped.0 <= next);
+                    let (popped, _) = q.pop().unwrap();
+                    if let Some(&next) = q.peek_key() {
+                        prop_assert!(popped <= next);
                     }
                 }
             }

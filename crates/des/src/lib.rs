@@ -1,11 +1,13 @@
 //! # p3-des — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the P3 reproduction: integer-nanosecond simulated time
-//! ([`SimTime`], [`SimDuration`]), a deterministic FIFO-tie-breaking event
-//! calendar ([`EventQueue`]), a seedable generator for workload jitter
-//! ([`SplitMix64`]), streaming statistics ([`Summary`]) used by the
-//! experiment harnesses, and the snapshot codec ([`snap`]) the engine and
-//! the network fabric both walk their state through.
+//! ([`SimTime`], [`SimDuration`]), the workspace's one deterministic ordered
+//! queue ([`OrderedQueue`]: least key first, FIFO among equal keys), the
+//! event calendar built on it with time as the key ([`EventQueue`]), a
+//! seedable generator for workload jitter ([`SplitMix64`]), streaming
+//! statistics ([`Summary`]) used by the experiment harnesses, and the
+//! snapshot codec ([`snap`]) the engine and the network fabric both walk
+//! their state through.
 //!
 //! Determinism is a design requirement, not an accident: every experiment in
 //! the paper reproduction is a pure function of its configuration and seed,
@@ -43,7 +45,7 @@ pub mod snap;
 mod stats;
 mod time;
 
-pub use queue::EventQueue;
+pub use queue::{EventQueue, OrderedQueue};
 pub use rng::SplitMix64;
 pub use stats::{quantile, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

@@ -25,6 +25,7 @@
 use super::FlowSpec;
 use crate::multilink::LinkGraph;
 use crate::types::Priority;
+use p3_des::SplitMix64;
 
 /// The most machines an index can address: machine indices are kept in
 /// 32 bits.
@@ -346,16 +347,14 @@ fn on_route(row: &mut [u32], graph: &LinkGraph, src: u32, dst: u32, op: impl Fn(
     op(&mut row[graph.machines() + dst]);
 }
 
-/// One flow's term in the fingerprint: the SplitMix64 finalizer over its
-/// spec packed as priority, source and destination, folded to 64 bits.
+/// One flow's term in the fingerprint: SplitMix64's first output seeded
+/// with its spec packed as priority, source and destination, folded to 64
+/// bits.
 fn mix(priority: Priority, src: u32, dst: u32) -> u64 {
     let key = u128::from(priority.0) << (2 * MACHINE_BITS)
         | u128::from(src) << MACHINE_BITS
         | u128::from(dst);
-    let mut z = ((key >> 64) as u64 ^ key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    SplitMix64::new((key >> 64) as u64 ^ key as u64).next_u64()
 }
 
 #[cfg(test)]

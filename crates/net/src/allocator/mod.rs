@@ -31,16 +31,13 @@ mod index;
 mod tests;
 
 /// Work performed by one allocator invocation: how many water-fill raise
-/// rounds ran and how many flow/link slots they examined. Counting is
-/// pure integer arithmetic bolted alongside the float math — the rate
-/// arithmetic itself is untouched — so the counters are as deterministic
-/// as the rates.
+/// rounds ran and how many links they examined. Counting is pure integer
+/// arithmetic bolted alongside the float math — the rate arithmetic itself
+/// is untouched — so the counters are as deterministic as the rates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocWork {
     /// Water-fill raise rounds executed.
     pub rounds: u64,
-    /// Flow slots examined, summed over rounds.
-    pub flow_touches: u64,
     /// Links (ports and transit links) carrying at least one active flow,
     /// summed over rounds.
     pub port_touches: u64,
@@ -302,8 +299,7 @@ impl WaterFill<'_> {
     /// its counts in as they are.
     fn class(&mut self, class: &ClassView<'_>, members: &mut Vec<Member>) {
         members.clear();
-        let n = class.members.len();
-        let delta = round_delta(self.res, class.counts, n, 0.0, self.flow_cap, self.work);
+        let delta = round_delta(self.res, class.counts, 0.0, self.flow_cap, self.work);
         let first = if delta == 0.0 {
             // Blocked on an empty link: the first round only freezes.
             let rising = if self.graph.has_transit() {
@@ -346,7 +342,7 @@ impl WaterFill<'_> {
         while n > 0 {
             let delta = match first.take() {
                 Some(delta) => delta,
-                None => round_delta(self.res, self.count, n, level, self.flow_cap, self.work),
+                None => round_delta(self.res, self.count, level, self.flow_cap, self.work),
             };
             if delta != 0.0 {
                 // Raise the class by delta and charge every active route.
@@ -510,20 +506,12 @@ impl WaterFill<'_> {
 }
 
 /// The share every rising flow of a class at `level` gains this round,
-/// with `n` flows rising over the link counts `counts`: limited by the
+/// given how many of them cross each link (`counts`): limited by the
 /// tightest link, or by the class reaching the per-flow ceiling `cap`.
 /// Counts the round in `work`.
-fn round_delta(
-    res: &[f64],
-    counts: &[u32],
-    n: usize,
-    level: f64,
-    cap: f64,
-    work: &mut AllocWork,
-) -> f64 {
+fn round_delta(res: &[f64], counts: &[u32], level: f64, cap: f64, work: &mut AllocWork) -> f64 {
     let (delta, touched) = least_share(res, counts);
     work.rounds += 1;
-    work.flow_touches += n as u64;
     work.port_touches += touched;
     let delta = delta.min(cap - level);
     debug_assert!(delta.is_finite(), "active flows but no limiting link");

@@ -55,7 +55,6 @@ impl WaterFill<'_> {
                 on_route(self.count, graph, f, |c| *c += 1);
             }
             self.work.rounds += 1;
-            self.work.flow_touches += n as u64;
             self.work.port_touches += self.count.iter().filter(|&&c| c > 0).count() as u64;
 
             let mut delta = f64::INFINITY;
@@ -195,7 +194,6 @@ fn water_fill(
             rx_count[flows[i].dst] += 1;
         }
         work.rounds += 1;
-        work.flow_touches += active.len() as u64;
         work.port_touches += tx_count.iter().filter(|&&c| c > 0).count() as u64
             + rx_count.iter().filter(|&&c| c > 0).count() as u64;
 

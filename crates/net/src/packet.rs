@@ -11,42 +11,30 @@
 //! evidence a simulator can offer.
 
 use crate::types::{Bandwidth, MachineId, Priority};
-use p3_des::{EventQueue, SimDuration, SimTime};
-use std::collections::BinaryHeap;
+use p3_des::{EventQueue, OrderedQueue, SimDuration, SimTime};
 
 /// Default MTU: 9000-byte jumbo frames, as on the paper's testbed-class
 /// networks.
 pub const DEFAULT_MTU: u64 = 9_000;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A packet's place in a port queue: priority, then its index within its
+/// message, then its global packetization order. Ordering on the packet
+/// index interleaves concurrent messages packet-by-packet — the
+/// packet-granular analogue of fair queueing, matching the fluid model's
+/// max-min sharing.
+type PacketKey = (u32, u64, u64);
+
+#[derive(Debug, Clone, Copy)]
 struct QueuedPacket {
-    priority: u32,
-    /// Packet index within its message: ordering on (priority, pkt_idx,
-    /// seq) interleaves concurrent messages packet-by-packet — the
-    /// packet-granular analogue of fair queueing, matching the fluid
-    /// model's max-min sharing.
-    pkt_idx: u64,
-    seq: u64,
+    key: PacketKey,
     msg: usize,
     bytes: u64,
     last: bool,
 }
 
-impl PartialOrd for QueuedPacket {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedPacket {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on (priority, pkt_idx, seq) via reversal.
-        (other.priority, other.pkt_idx, other.seq).cmp(&(self.priority, self.pkt_idx, self.seq))
-    }
-}
-
 #[derive(Debug, Default)]
 struct Port {
-    queue: BinaryHeap<QueuedPacket>,
+    queue: OrderedQueue<PacketKey, QueuedPacket>,
     busy: bool,
 }
 
@@ -150,7 +138,7 @@ pub fn packet_simulate(
         if port.busy {
             return;
         }
-        if let Some(p) = port.queue.pop() {
+        if let Some((_, p)) = port.queue.pop() {
             port.busy = true;
             let ev = if is_tx {
                 Ev::TxDone { machine, packet: p }
@@ -176,14 +164,16 @@ pub fn packet_simulate(
                 while remaining > 0 {
                     let sz = remaining.min(mtu);
                     remaining -= sz;
-                    tx[m.src.0].queue.push(QueuedPacket {
-                        priority: m.priority.0,
-                        pkt_idx,
-                        seq,
-                        msg,
-                        bytes: sz,
-                        last: remaining == 0,
-                    });
+                    let key = (m.priority.0, pkt_idx, seq);
+                    tx[m.src.0].queue.push(
+                        key,
+                        QueuedPacket {
+                            key,
+                            msg,
+                            bytes: sz,
+                            last: remaining == 0,
+                        },
+                    );
                     pkt_idx += 1;
                     seq += 1;
                 }
@@ -193,7 +183,7 @@ pub fn packet_simulate(
                 tx[machine].busy = false;
                 // Hand the packet to the receiver's rx port.
                 let dst = messages[packet.msg].dst.0;
-                rx[dst].queue.push(packet);
+                rx[dst].queue.push(packet.key, packet);
                 kick(&mut rx[dst], dst, false, &t_of, &mut queue);
                 kick(&mut tx[machine], machine, true, &t_of, &mut queue);
             }
