@@ -2,8 +2,9 @@
 //! through `p3-pserver` aggregation under `p3-train` orchestration, with
 //! `p3-compress` baselines.
 
-use p3::tensor::gaussian_blobs;
-use p3::train::{train_async, train_sync, SyncMode, TrainConfig};
+use p3::des::snap::{fnv64, fnv64_fold};
+use p3::tensor::{gaussian_blobs, Dataset};
+use p3::train::{train_async, train_sync, LrDecay, SyncMode, TrainConfig, TrainRun};
 
 fn cfg(epochs: u32) -> TrainConfig {
     let mut c = TrainConfig::new(epochs);
@@ -97,4 +98,67 @@ fn whole_stack_is_deterministic() {
         },
     );
     assert_eq!(a, b);
+}
+
+/// Folds every field of a run that the figures read into one word.
+fn digest(run: &TrainRun) -> u64 {
+    let mut h = fnv64(run.mode_name.as_bytes());
+    for r in &run.records {
+        h = fnv64_fold(h, u64::from(r.epoch));
+        h = fnv64_fold(h, r.train_loss.to_bits());
+        h = fnv64_fold(h, r.val_accuracy.to_bits());
+    }
+    h = fnv64_fold(h, run.final_accuracy.to_bits());
+    fnv64_fold(h, run.iterations_per_epoch as u64)
+}
+
+fn run_mode(data: &Dataset, c: &TrainConfig, mode: SyncMode) -> TrainRun {
+    match mode {
+        SyncMode::Async { staleness } => train_async(data, c, staleness),
+        _ => train_sync(data, c, mode),
+    }
+}
+
+#[test]
+fn every_mode_reproduces_its_pinned_digest() {
+    // Differential pins: each value was read before the synchronous and
+    // asynchronous loops were merged, so any arithmetic change in the
+    // training loop moves one of them.
+    let data = gaussian_blobs(3, 6, 480, 120, 0.9, 11);
+    let mut c = cfg(4);
+    c.lr_decay = Some(LrDecay {
+        every: 2,
+        factor: 4.0,
+    });
+    let pins = [
+        (SyncMode::FullSync, 0x1f54819ec8ad1f6d),
+        (
+            SyncMode::Dgc {
+                final_sparsity: 0.99,
+                warmup_epochs: 2,
+            },
+            0xed609bd0ce1d50a2,
+        ),
+        (SyncMode::GradDrop { ratio: 50.0 }, 0xd87c75167cb9c6d8),
+        (SyncMode::Qsgd { levels: 4 }, 0x5f538c6d4884dccb),
+        (SyncMode::TernGrad, 0x2c81dd50b34d2e79),
+        (SyncMode::OneBit, 0xa4a187ab8c59a4e3),
+        (SyncMode::Async { staleness: 0 }, 0x36e70365e45df0f3),
+        (SyncMode::Async { staleness: 3 }, 0xefeceb6be2a0d8fe),
+    ];
+    for (mode, want) in pins {
+        let got = digest(&run_mode(&data, &c, mode));
+        assert_eq!(got, want, "{mode:?} moved (got {got:#018x})");
+    }
+}
+
+#[test]
+fn asgd_without_staleness_on_one_worker_is_synchronous_sgd() {
+    let data = gaussian_blobs(3, 6, 480, 120, 0.9, 12);
+    let mut c = cfg(3);
+    c.workers = 1;
+    let sync = run_mode(&data, &c, SyncMode::FullSync);
+    let asgd = run_mode(&data, &c, SyncMode::Async { staleness: 0 });
+    assert_eq!(asgd.records, sync.records);
+    assert_eq!(asgd.iterations_per_epoch, sync.iterations_per_epoch);
 }
