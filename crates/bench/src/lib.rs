@@ -20,7 +20,7 @@ pub use figures::FIGURES;
 use p3_cluster::{ClusterConfig, ClusterSim, RunError, RunResult};
 use p3_core::SyncStrategy;
 use p3_tensor::{spirals, Dataset};
-use p3_train::{train_async, train_sync, SyncMode, TrainConfig, TrainRun};
+use p3_train::{train, SyncMode, TrainConfig, TrainRun};
 use std::fmt::{self, Write as _};
 
 /// How much work each figure does.
@@ -59,10 +59,7 @@ impl Job {
     fn execute(&self, data: &Dataset) -> Outcome {
         match self {
             Job::Sim(cfg) => Outcome::Sim(Box::new(ClusterSim::new((**cfg).clone()).try_run())),
-            Job::Train(cfg, SyncMode::Async { staleness }) => {
-                Outcome::Train(train_async(data, cfg, *staleness))
-            }
-            Job::Train(cfg, mode) => Outcome::Train(train_sync(data, cfg, *mode)),
+            Job::Train(cfg, mode) => Outcome::Train(train(data, cfg, *mode)),
         }
     }
 }

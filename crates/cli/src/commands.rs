@@ -14,7 +14,7 @@ use p3_net::Bandwidth;
 use p3_tensor::{gaussian_blobs, spirals};
 use p3_topo::{Placement, Topology};
 use p3_trace::{export_trace_json, import_trace_json, MetricsRegistry};
-use p3_train::{train_async, train_sync, SyncMode, TrainConfig};
+use p3_train::{SyncMode, TrainConfig};
 use std::fmt::Write as _;
 
 /// CLI failure: argument errors or unknown names.
@@ -946,20 +946,18 @@ fn train(args: &Args) -> Result<String, CliError> {
             })
         }
     };
-    let run = match mode {
-        "full" | "p3" => train_sync(&data, &cfg, SyncMode::FullSync),
-        "dgc" => train_sync(
-            &data,
-            &cfg,
-            SyncMode::Dgc {
-                final_sparsity: 0.99,
-                warmup_epochs: 4,
-            },
-        ),
-        "qsgd" => train_sync(&data, &cfg, SyncMode::Qsgd { levels: 4 }),
-        "terngrad" => train_sync(&data, &cfg, SyncMode::TernGrad),
-        "onebit" => train_sync(&data, &cfg, SyncMode::OneBit),
-        "asgd" => train_async(&data, &cfg, cfg.workers - 1),
+    let mode = match mode {
+        "full" | "p3" => SyncMode::FullSync,
+        "dgc" => SyncMode::Dgc {
+            final_sparsity: 0.99,
+            warmup_epochs: 4,
+        },
+        "qsgd" => SyncMode::Qsgd { levels: 4 },
+        "terngrad" => SyncMode::TernGrad,
+        "onebit" => SyncMode::OneBit,
+        "asgd" => SyncMode::Async {
+            staleness: cfg.workers - 1,
+        },
         other => {
             return Err(CliError::UnknownName {
                 kind: "mode",
@@ -968,6 +966,7 @@ fn train(args: &Args) -> Result<String, CliError> {
             })
         }
     };
+    let run = p3_train::train(&data, &cfg, mode);
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -256,7 +256,6 @@ impl ClusterSim {
         let servers = (0..cfg.machines)
             .map(|_| ServerState {
                 proc_queue: PrioQueue::new(),
-                proc_busy: false,
                 received: vec![0; num_keys],
                 version: vec![0; num_keys],
                 pending_pulls: vec![Vec::new(); num_keys],

@@ -132,7 +132,7 @@ impl ClusterSim {
     }
 
     pub(crate) fn kick_proc(&mut self, server: usize) {
-        if self.servers[server].proc_busy {
+        if self.servers[server].current.is_some() {
             return;
         }
         loop {
@@ -165,7 +165,6 @@ impl ClusterSim {
             if completing {
                 nanos += self.cfg.upd_ns_per_param * params as f64;
             }
-            self.servers[server].proc_busy = true;
             self.servers[server].current = Some(item);
             self.trace(TraceEvent::AggStart {
                 server,
@@ -190,7 +189,6 @@ impl ClusterSim {
             .current
             .take()
             .expect("ProcDone without an item in flight");
-        self.servers[server].proc_busy = false;
         self.trace(TraceEvent::AggEnd {
             server,
             key: item.key,

@@ -74,17 +74,26 @@ pub(super) fn check_messages(sim: &ClusterSim) -> Result<(), &'static str> {
             }
         }
     }
+    let mut proc_done = vec![0usize; sim.servers.len()];
     for (_, ev) in sim.queue.pending_sorted() {
-        if let Ev::EgressReady {
-            machine,
-            role,
-            dst,
-            inc,
-        } = ev
-        {
-            if role == Role::Server || sim.workers[machine].incarnation == inc {
+        match ev {
+            Ev::EgressReady {
+                machine,
+                role,
+                dst,
+                inc,
+            } if role == Role::Server || sim.workers[machine].incarnation == inc => {
                 busy.entry((machine, role, dst.0)).or_default().1 += 1;
             }
+            Ev::ProcDone { server } => proc_done[server] += 1,
+            _ => {}
+        }
+    }
+    // A processing unit finishes what it holds exactly once: one pending
+    // `ProcDone` while an item is in flight, none while it is idle.
+    for (ss, &done) in sim.servers.iter().zip(&proc_done) {
+        if done != usize::from(ss.current.is_some()) {
+            return Err("server completion events disagree with its item in flight");
         }
     }
     let workers = sim.workers.iter().map(|w| (Role::Worker, &w.egress));

@@ -4,10 +4,12 @@
 //! run to its end without panicking.
 
 use super::super::msg_table::MsgTable;
-use super::super::types::{sender_role_of, Ev, MsgCtx, MsgKind, Phase, ProcItem, Role};
+use super::super::types::{
+    sender_role_of, Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, ServerState,
+};
 use super::super::ClusterSim;
 use super::fold_event;
-use super::walk::{egress, ev, messages, Bounds};
+use super::walk::{egress, ev, messages, server, Bounds};
 use crate::config::{BackendKind, ClusterConfig, RunError};
 use crate::egress::{EgressUnit, OutMsg};
 use crate::faults::{FaultPlan, LinkDegradation};
@@ -520,12 +522,15 @@ fn message_ids_at_the_top_of_the_range_are_refused() {
 }
 
 /// Engine state beyond the messages' own fields: every egress unit's
-/// in-flight count matches the messages it has in the fabric, and a
-/// server processes only rounds it has reached.
+/// in-flight count matches the messages it has in the fabric, a server
+/// processes only rounds it has reached, a completion is pending exactly
+/// for the item a server holds, and rounds complete at as many pushes as
+/// there are live members.
 #[test]
 fn state_a_delivery_would_trip_over_is_refused() {
     type Corrupt = fn(&mut ClusterSim);
-    let cases: [(&str, Corrupt); 2] = [
+    let membership = "expected pushes differ from the live membership";
+    let cases: [(&str, Corrupt); 5] = [
         (
             "egress in-flight count disagrees with its messages",
             |sim| {
@@ -547,11 +552,67 @@ fn state_a_delivery_would_trip_over_is_refused() {
                 sim.servers[0].proc_queue.push(0, item);
             },
         ),
+        (
+            "server completion events disagree with its item in flight",
+            |sim| {
+                let server = idle_server(sim);
+                let done = Ev::ProcDone { server };
+                sim.queue.schedule_in(SimDuration::from_nanos(1), done);
+            },
+        ),
+        (membership, |sim| sim.expected_pushes = 0),
+        (membership, |sim| sim.expected_pushes += 1),
     ];
     for (what, corrupt) in cases {
         let why = corrupted_refusal(degraded_racked, corrupt);
         assert_eq!(why.as_deref(), Some(what));
     }
+}
+
+/// A server holding no item.
+fn idle_server(sim: &ClusterSim) -> usize {
+    let idle = sim.servers.iter().position(|ss| ss.current.is_none());
+    idle.expect("the fixture needs an idle server")
+}
+
+/// One server's section of the snapshot.
+fn server_section(ss: &mut ServerState) -> Vec<u8> {
+    let header = SnapWriter::new(0).finish().len();
+    let mut w = SnapWriter::new(0);
+    let written = server(&mut w, ss, &Bounds::UNCHECKED);
+    assert!(written.is_ok(), "only a reader fails");
+    w.finish().split_off(header)
+}
+
+/// A server's busy byte repeats whether it holds an item. Set on an
+/// idle server, it would restore a unit that waits forever for a
+/// completion nothing scheduled, so it is refused.
+#[test]
+fn a_busy_byte_on_an_idle_server_is_refused() {
+    let mut sim = racked_at_boundary().expect("fixture run failed");
+    let bytes = sim.snapshot();
+    let s = idle_server(&sim);
+    let ss = &mut sim.servers[s];
+    // The idle section and the same server holding an item first differ
+    // at the busy byte.
+    let idle = server_section(ss);
+    ss.current = Some(ProcItem {
+        key: 0,
+        round: 0,
+        worker: 0,
+        members: 1,
+    });
+    let busy = server_section(ss);
+    let flag = idle.iter().zip(&busy).position(|(a, b)| a != b);
+    let start = bytes.windows(idle.len()).position(|w| w == idle.as_slice());
+    let at = start.expect("the section in the snapshot") + flag.expect("sections differ");
+    assert_eq!(bytes[at], 0);
+    let mut set = bytes.clone();
+    set[at] = 1;
+    assert_eq!(
+        refusal(&set).as_deref(),
+        Some("processing flag contradicts the item in flight")
+    );
 }
 
 /// An endpoint's egress discipline and window are the configuration's:

@@ -134,6 +134,9 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
         c.bool(dead)?;
     }
     c.u32(&mut sim.expected_pushes)?;
+    let members = sim.dead_members.iter().filter(|&&dead| !dead).count();
+    let what = "expected pushes differ from the live membership";
+    c.check(sim.expected_pushes as usize == members, what)?;
 
     let f = &mut sim.faults;
     c.u64(&mut f.messages_lost)?;
@@ -437,12 +440,15 @@ fn worker<C: Coder>(c: &mut C, ws: &mut WorkerState, b: &Bounds) -> Res {
     rng(c, &mut ws.rng)
 }
 
-fn server<C: Coder>(c: &mut C, ss: &mut ServerState, b: &Bounds) -> Res {
+pub(super) fn server<C: Coder>(c: &mut C, ss: &mut ServerState, b: &Bounds) -> Res {
     prio_queue(c, &mut ss.proc_queue, BLANK_ITEM, |c, (prio, item)| {
         c.u32(prio)?;
         proc_item(c, item, b)
     })?;
-    c.bool(&mut ss.proc_busy)?;
+    // The unit is busy exactly while an item is in flight. The byte
+    // repeats `current`'s presence, and a reader refuses a contradiction.
+    let mut busy = ss.current.is_some();
+    c.bool(&mut busy)?;
     fixed(c, &mut ss.received, "server mask vector length", C::u128)?;
     fixed(c, &mut ss.version, "server version vector length", C::u64)?;
     let (pullers, what) = (b.machines, "pending puller out of range");
@@ -453,6 +459,8 @@ fn server<C: Coder>(c: &mut C, ss: &mut ServerState, b: &Bounds) -> Res {
         |c, pulls| seq(c, pulls, 0, |c, w| c.idx(w, pullers, what)),
     )?;
     opt(c, &mut ss.current, BLANK_ITEM, |c, it| proc_item(c, it, b))?;
+    let what = "processing flag contradicts the item in flight";
+    c.check(busy == ss.current.is_some(), what)?;
     egress(c, &mut ss.egress, b)
 }
 

@@ -249,7 +249,6 @@ pub(crate) struct WorkerState {
 pub(crate) struct ServerState {
     /// Pending received gradient messages awaiting processing.
     pub(crate) proc_queue: PrioQueue<ProcItem>,
-    pub(crate) proc_busy: bool,
     /// Per-key bitmask of workers whose push was counted this round
     /// (indexed by key; bit per worker). A mask instead of a counter so a
     /// rejoining worker's replayed pushes deduplicate.
@@ -258,7 +257,8 @@ pub(crate) struct ServerState {
     pub(crate) version: Vec<u64>,
     /// Workers whose deferred pulls await each key's next version.
     pub(crate) pending_pulls: Vec<Vec<usize>>,
-    /// The message currently occupying the processing unit.
+    /// The message currently occupying the processing unit; the unit is
+    /// busy exactly while this is `Some`, with one `ProcDone` pending.
     pub(crate) current: Option<ProcItem>,
     pub(crate) egress: EgressUnit,
 }

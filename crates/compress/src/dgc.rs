@@ -92,7 +92,6 @@ impl Dgc {
     /// # Panics
     ///
     /// Panics if `grad.len()` differs from the construction length.
-    #[expect(clippy::expect_used, reason = "gradient magnitudes are finite")]
     pub fn step(&mut self, grad: &[f32]) -> SparseGrad {
         assert_eq!(grad.len(), self.u.len(), "gradient length mismatch");
         let n = grad.len();
@@ -106,29 +105,12 @@ impl Dgc {
         let keep = (((1.0 - self.current_sparsity()) * n as f64) - 1e-9)
             .ceil()
             .max(1.0) as usize;
-        let keep = keep.min(n);
-
-        // Threshold = k-th largest |v|. Full sort is O(n log n) but n is a
-        // single tensor here; select_nth keeps it O(n).
-        let mut mags: Vec<f32> = self.v.iter().map(|x| x.abs()).collect();
-        let kth = {
-            let idx = n - keep;
-            mags.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("finite"));
-            mags[idx]
-        };
-
-        let mut indices = Vec::with_capacity(keep);
-        let mut values = Vec::with_capacity(keep);
-        for (i, v) in self.v.iter_mut().enumerate() {
-            if v.abs() >= kth && indices.len() < keep && *v != 0.0 {
-                indices.push(i as u32);
-                values.push(*v);
-                // Momentum factor masking.
-                *v = 0.0;
-                self.u[i] = 0.0;
-            }
+        let sparse = SparseGrad::drain_top_k(&mut self.v, keep.min(n));
+        // Momentum factor masking.
+        for &i in &sparse.indices {
+            self.u[i as usize] = 0.0;
         }
-        SparseGrad::new(n, indices, values)
+        sparse
     }
 }
 

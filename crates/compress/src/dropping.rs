@@ -44,7 +44,6 @@ impl GradDrop {
     /// # Panics
     ///
     /// Panics if `grad.len()` differs from the construction length.
-    #[expect(clippy::expect_used, reason = "gradient magnitudes are finite")]
     pub fn step(&mut self, grad: &[f32]) -> SparseGrad {
         assert_eq!(grad.len(), self.residual.len(), "gradient length mismatch");
         let n = grad.len();
@@ -52,21 +51,7 @@ impl GradDrop {
             *r += g;
         }
         let keep = (((n as f64 / self.ratio) - 1e-9).ceil() as usize).clamp(1, n);
-        let mut mags: Vec<f32> = self.residual.iter().map(|x| x.abs()).collect();
-        let idx = n - keep;
-        mags.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("finite"));
-        let kth = mags[idx];
-
-        let mut indices = Vec::with_capacity(keep);
-        let mut values = Vec::with_capacity(keep);
-        for (i, r) in self.residual.iter_mut().enumerate() {
-            if r.abs() >= kth && indices.len() < keep && *r != 0.0 {
-                indices.push(i as u32);
-                values.push(*r);
-                *r = 0.0;
-            }
-        }
-        SparseGrad::new(n, indices, values)
+        SparseGrad::drain_top_k(&mut self.residual, keep)
     }
 }
 

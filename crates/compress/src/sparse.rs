@@ -15,7 +15,7 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseGrad {
     len: usize,
-    indices: Vec<u32>,
+    pub(crate) indices: Vec<u32>,
     values: Vec<f32>,
 }
 
@@ -61,6 +61,37 @@ impl SparseGrad {
         &self.values
     }
 
+    /// Drains the top-`keep` entries of a local accumulator: the nonzero
+    /// entries whose magnitude is at least the `keep`-th largest, at most
+    /// `keep` of them, lowest indices first. Each drained entry is zeroed
+    /// in `acc` and returned for transmission; the rest stay accumulated.
+    /// DGC and gradient dropping differ only in how they choose `keep`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= keep <= acc.len()`.
+    #[expect(clippy::expect_used, reason = "gradient magnitudes are finite")]
+    pub(crate) fn drain_top_k(acc: &mut [f32], keep: usize) -> SparseGrad {
+        let n = acc.len();
+        assert!((1..=n).contains(&keep), "keep {keep} outside 1..={n}");
+        // Threshold = k-th largest |acc|; select_nth keeps it O(n).
+        let mut mags: Vec<f32> = acc.iter().map(|x| x.abs()).collect();
+        let idx = n - keep;
+        mags.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("finite"));
+        let kth = mags[idx];
+
+        let mut indices = Vec::with_capacity(keep);
+        let mut values = Vec::with_capacity(keep);
+        for (i, a) in acc.iter_mut().enumerate() {
+            if a.abs() >= kth && indices.len() < keep && *a != 0.0 {
+                indices.push(i as u32);
+                values.push(*a);
+                *a = 0.0;
+            }
+        }
+        SparseGrad::new(n, indices, values)
+    }
+
     /// Expands to a dense vector.
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.len];
@@ -79,6 +110,14 @@ mod tests {
     fn dense_roundtrip() {
         let s = SparseGrad::new(4, vec![0, 3], vec![1.0, 2.0]);
         assert_eq!(s.to_dense(), vec![1.0, 0.0, 0.0, 2.0]);
+    }
+
+    #[test]
+    fn drain_skips_zeros() {
+        let mut acc = vec![0.0, 0.0, 1.0];
+        let s = SparseGrad::drain_top_k(&mut acc, 3);
+        assert_eq!(s.indices, vec![2]);
+        assert_eq!(acc, vec![0.0; 3]);
     }
 
     #[test]

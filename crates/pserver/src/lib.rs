@@ -6,14 +6,15 @@
 //! * [`ShardPlan`] — placement of parameter arrays onto server shards,
 //!   including KVStore's split-large/randomize-small heuristic;
 //! * [`KvServer`] — the aggregation state machine: wait for all workers'
-//!   pushes, average, apply the optimizer, bump the version, serve pulls;
+//!   pushes, average, apply the optimizer, bump the version, serve pulls
+//!   (the real training harness in `p3-train` runs on it);
 //! * [`wire_bytes`] — the size on the wire (header + f32 payload) of every
 //!   simulated transfer;
 //! * [`OptimizerKind`] — server-side SGD / momentum update rules, shared
 //!   with the real training harness in `p3-train`.
 //!
 //! The P3 strategy itself (slicing, priorities) lives in `p3-core` and
-//! drives these same components.
+//! builds on the shard plan and wire sizes.
 //!
 //! # Examples
 //!

@@ -3,10 +3,11 @@
 //! Semantics follow MXNet's KVServer (§4.1): for every key the server waits
 //! for a gradient push from **every** worker, averages them, applies the
 //! optimizer, bumps the key's version, and serves pulls of the updated
-//! values. The state machine is deliberately independent of any transport —
-//! the cluster simulator drives it with simulated messages, `p3-train`
-//! drives it with real in-process gradients, and both get identical
-//! semantics.
+//! values. The state machine is independent of any transport: `p3-train`
+//! drives it with real in-process gradients. The cluster simulator does
+//! not use it. Its engine keeps its own per-server state (push masks,
+//! versions, a processing queue) in `p3-cluster`'s `engine/server.rs`,
+//! which times the same protocol without computing any values.
 
 use crate::optim::{Optimizer, OptimizerKind};
 use crate::types::{Key, WorkerId};

@@ -39,7 +39,7 @@ mod tests {
                 let mut cfg = crate::TrainConfig::new(3);
                 cfg.hidden = vec![8];
                 cfg.seed = seed;
-                crate::train_sync(&data, &cfg, crate::SyncMode::FullSync)
+                crate::train(&data, &cfg, crate::SyncMode::FullSync)
             })
             .collect();
         let band = accuracy_band(&runs);

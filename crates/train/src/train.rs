@@ -1,17 +1,25 @@
-//! Synchronous data-parallel training over the real parameter server.
+//! The training loop over the real parameter server.
 //!
-//! Every worker holds a replica MLP and a shard of the training data; each
-//! round the workers compute exact gradients on their minibatches,
-//! optionally compress them, and push them to a [`KvServer`] which averages
-//! and applies the optimizer — precisely the protocol the cluster simulator
-//! times, here executed with real numbers so Figure 11's accuracy
-//! comparison is an actual measurement.
+//! One MLP holds the current parameters, and every worker holds a shard of
+//! the training data. Each round the workers compute exact gradients of
+//! their minibatches against those parameters, optionally compress them,
+//! and push them to a [`KvServer`], which averages and applies the
+//! optimizer — precisely the protocol the cluster simulator times, here
+//! executed with real numbers so Figure 11's accuracy comparison is an
+//! actual measurement.
+//!
+//! ASGD (the paper's Appendix B.2) is the same loop. Its server updates on
+//! every push, and each gradient reaches it `staleness` worker steps after
+//! it was computed, so it lands on parameters that many updates newer: the
+//! canonical delayed-gradient model of a fully pipelined, barrier-free
+//! cluster.
 
 use crate::config::{EpochRecord, SyncMode, TrainConfig, TrainRun};
 use p3_compress::{Dgc, GradDrop, OneBitSgd, Qsgd, TernGrad};
 use p3_des::SplitMix64;
-use p3_pserver::{Key, KvServer, OptimizerKind, WorkerId};
+use p3_pserver::{Key, KvServer, OptimizerKind, PushOutcome, WorkerId};
 use p3_tensor::{gather, BatchSchedule, Dataset, Matrix, Mlp};
+use std::collections::VecDeque;
 
 /// Per-worker, per-array gradient transformation (compression).
 enum Transform {
@@ -26,7 +34,7 @@ enum Transform {
 impl Transform {
     fn new(mode: SyncMode, array_lens: &[usize], seed: u64) -> Transform {
         match mode {
-            SyncMode::FullSync => Transform::Identity,
+            SyncMode::FullSync | SyncMode::Async { .. } => Transform::Identity,
             SyncMode::Dgc {
                 final_sparsity,
                 warmup_epochs,
@@ -46,9 +54,6 @@ impl Transform {
             SyncMode::TernGrad => Transform::Tern(TernGrad::new(seed)),
             SyncMode::OneBit => {
                 Transform::OneBit(array_lens.iter().map(|&l| OneBitSgd::new(l)).collect())
-            }
-            SyncMode::Async { .. } => {
-                unreachable!("async mode uses the asgd module, not the sync loop")
             }
         }
     }
@@ -73,8 +78,8 @@ impl Transform {
     }
 }
 
-/// Runs synchronous data-parallel training of an MLP on `data` under the
-/// given gradient treatment, returning per-epoch validation accuracy.
+/// Runs data-parallel training of an MLP on `data` under the given
+/// gradient treatment, returning per-epoch validation accuracy.
 ///
 /// All modes share identical initialization, data order and server
 /// optimizer for a given config, so accuracy differences are attributable
@@ -82,40 +87,39 @@ impl Transform {
 ///
 /// # Panics
 ///
-/// Panics if the config is degenerate or `mode` is [`SyncMode::Async`]
-/// (use [`crate::train_async`]).
+/// Panics if the config is degenerate.
 ///
 /// # Examples
 ///
 /// ```
 /// use p3_tensor::gaussian_blobs;
-/// use p3_train::{train_sync, SyncMode, TrainConfig};
+/// use p3_train::{train, SyncMode, TrainConfig};
 ///
 /// let data = gaussian_blobs(3, 8, 480, 120, 0.8, 5);
 /// let mut cfg = TrainConfig::new(3);
 /// cfg.hidden = vec![16];
-/// let run = train_sync(&data, &cfg, SyncMode::FullSync);
+/// let run = train(&data, &cfg, SyncMode::FullSync);
 /// assert_eq!(run.records.len(), 3);
 /// assert!(run.final_accuracy > 0.5);
+/// // ASGD updates once per worker step, each with a 3-step-old gradient.
+/// let stale = train(&data, &cfg, SyncMode::Async { staleness: 3 });
+/// assert_eq!(stale.iterations_per_epoch, 4 * run.iterations_per_epoch);
 /// ```
-pub fn train_sync(data: &Dataset, cfg: &TrainConfig, mode: SyncMode) -> TrainRun {
+pub fn train(data: &Dataset, cfg: &TrainConfig, mode: SyncMode) -> TrainRun {
     cfg.validate();
-    assert!(
-        !matches!(mode, SyncMode::Async { .. }),
-        "async mode uses train_async"
-    );
 
     // Architecture: input → hidden… → classes.
     let mut sizes = vec![data.dim()];
     sizes.extend_from_slice(&cfg.hidden);
     sizes.push(data.classes);
-    let mut init_rng = SplitMix64::new(cfg.seed);
-    let reference = Mlp::new(&sizes, &mut init_rng);
-    let init_arrays = reference.export_arrays();
+    let mut model = Mlp::new(&sizes, &mut SplitMix64::new(cfg.seed));
+    let init_arrays = model.export_arrays();
     let array_lens: Vec<usize> = init_arrays.iter().map(Vec::len).collect();
 
     // Server: DGC applies worker-side momentum correction, so its server
     // runs plain SGD; everything else uses server momentum (MXNet default).
+    // A synchronous server averages one push per worker; ASGD's updates on
+    // every push, which arrives `delay` worker steps after it was computed.
     let server_opt = match mode {
         SyncMode::Dgc { .. } => OptimizerKind::Sgd { lr: cfg.lr },
         _ => OptimizerKind::Momentum {
@@ -124,17 +128,20 @@ pub fn train_sync(data: &Dataset, cfg: &TrainConfig, mode: SyncMode) -> TrainRun
             weight_decay: cfg.weight_decay,
         },
     };
-    let mut server = KvServer::new(cfg.workers, server_opt);
-    for (k, a) in init_arrays.iter().enumerate() {
-        server.init(Key(k as u64), a.clone());
+    let (pushers, delay) = match mode {
+        SyncMode::Async { staleness } => (1, staleness),
+        _ => (cfg.workers, 0),
+    };
+    let mut server = KvServer::new(pushers, server_opt);
+    for (k, a) in init_arrays.into_iter().enumerate() {
+        server.init(Key(k as u64), a);
     }
 
-    // Workers: shard, schedule, replica, transform.
+    // Workers: shard, schedule, transform.
     struct Worker {
         x: Matrix,
         y: Vec<usize>,
         schedule: BatchSchedule,
-        model: Mlp,
         transform: Transform,
     }
     let mut workers: Vec<Worker> = (0..cfg.workers)
@@ -142,13 +149,10 @@ pub fn train_sync(data: &Dataset, cfg: &TrainConfig, mode: SyncMode) -> TrainRun
             let (x, y) = data.shard(w, cfg.workers);
             let schedule =
                 BatchSchedule::new(y.len(), cfg.batch_per_worker, cfg.seed ^ (w as u64 + 1));
-            let mut model = reference.clone();
-            model.import_arrays(&init_arrays);
             Worker {
                 x,
                 y,
                 schedule,
-                model,
                 transform: Transform::new(mode, &array_lens, cfg.seed ^ (0xABCD + w as u64)),
             }
         })
@@ -159,6 +163,9 @@ pub fn train_sync(data: &Dataset, cfg: &TrainConfig, mode: SyncMode) -> TrainRun
         .map(|w| w.schedule.batches_per_epoch())
         .min()
         .expect("workers");
+    // Gradients computed but not yet pushed. The queue persists across
+    // epochs, as in a real ASGD cluster.
+    let mut unpushed: VecDeque<(WorkerId, Vec<Vec<f32>>)> = VecDeque::new();
     let mut records = Vec::with_capacity(cfg.epochs as usize);
 
     for epoch in 0..cfg.epochs {
@@ -171,28 +178,41 @@ pub fn train_sync(data: &Dataset, cfg: &TrainConfig, mode: SyncMode) -> TrainRun
         let mut loss_sum = 0.0f64;
         let mut loss_n = 0u64;
         for round in 0..rounds_per_epoch {
-            // Each worker: local batch → exact grads → transform → push.
             for (wid, w) in workers.iter_mut().enumerate() {
+                // Local batch → exact grads against the current
+                // parameters → transform → queue.
                 let batch_idx = &w.schedule.epoch(epoch as u64)[round];
                 let (bx, by) = gather(&w.x, &w.y, batch_idx);
-                let (loss, grads) = w.model.loss_and_grads(&bx, &by);
+                let (loss, grads) = model.loss_and_grads(&bx, &by);
                 loss_sum += loss as f64;
                 loss_n += 1;
-                let arrays = Mlp::grads_to_arrays(&grads);
-                for (k, g) in arrays.iter().enumerate() {
-                    let sent = w.transform.apply(k, g);
-                    server.push(WorkerId(wid), Key(k as u64), &sent);
+                let sent = Mlp::grads_to_arrays(&grads)
+                    .iter()
+                    .enumerate()
+                    .map(|(k, g)| w.transform.apply(k, g))
+                    .collect();
+                // ASGD's one-slot server takes every push as slot 0.
+                unpushed.push_back((WorkerId(wid % pushers), sent));
+                if unpushed.len() <= delay {
+                    continue;
+                }
+                // Push the gradient now due; pull once it completes an
+                // update (the synchronous barrier, or every ASGD push).
+                let (from, due) = unpushed.pop_front().expect("nonempty");
+                let mut updated = false;
+                for (k, g) in due.iter().enumerate() {
+                    let outcome = server.push(from, Key(k as u64), g);
+                    updated |= matches!(outcome, PushOutcome::Updated { .. });
+                }
+                if updated {
+                    let fresh: Vec<Vec<f32>> = (0..array_lens.len())
+                        .map(|k| server.pull(Key(k as u64)).0.to_vec())
+                        .collect();
+                    model.import_arrays(&fresh);
                 }
             }
-            // Pull: all keys updated this round (synchronous barrier).
-            let fresh: Vec<Vec<f32>> = (0..array_lens.len())
-                .map(|k| server.pull(Key(k as u64)).0.to_vec())
-                .collect();
-            for w in &mut workers {
-                w.model.import_arrays(&fresh);
-            }
         }
-        let val_accuracy = workers[0].model.accuracy(&data.val_x, &data.val_y);
+        let val_accuracy = model.accuracy(&data.val_x, &data.val_y);
         records.push(EpochRecord {
             epoch,
             train_loss: loss_sum / loss_n.max(1) as f64,
@@ -205,7 +225,7 @@ pub fn train_sync(data: &Dataset, cfg: &TrainConfig, mode: SyncMode) -> TrainRun
         mode_name: mode.name().to_string(),
         records,
         final_accuracy,
-        iterations_per_epoch: rounds_per_epoch,
+        iterations_per_epoch: rounds_per_epoch * cfg.workers / pushers,
     }
 }
 
@@ -224,7 +244,7 @@ mod tests {
     #[test]
     fn full_sync_learns_blobs() {
         let data = gaussian_blobs(4, 8, 800, 200, 0.9, 3);
-        let run = train_sync(&data, &quick_cfg(8), SyncMode::FullSync);
+        let run = train(&data, &quick_cfg(8), SyncMode::FullSync);
         assert!(run.final_accuracy > 0.9, "accuracy {}", run.final_accuracy);
         // Loss decreases over training.
         assert!(run.records.last().unwrap().train_loss < run.records[0].train_loss);
@@ -233,8 +253,8 @@ mod tests {
     #[test]
     fn full_sync_is_deterministic() {
         let data = gaussian_blobs(3, 6, 300, 60, 1.0, 9);
-        let a = train_sync(&data, &quick_cfg(2), SyncMode::FullSync);
-        let b = train_sync(&data, &quick_cfg(2), SyncMode::FullSync);
+        let a = train(&data, &quick_cfg(2), SyncMode::FullSync);
+        let b = train(&data, &quick_cfg(2), SyncMode::FullSync);
         assert_eq!(a, b);
     }
 
@@ -246,11 +266,11 @@ mod tests {
         // i.e. training with 1 worker and the same total data converges to
         // similar accuracy.
         let data = gaussian_blobs(3, 6, 600, 150, 0.8, 4);
-        let multi = train_sync(&data, &quick_cfg(6), SyncMode::FullSync);
+        let multi = train(&data, &quick_cfg(6), SyncMode::FullSync);
         let mut solo_cfg = quick_cfg(6);
         solo_cfg.workers = 1;
         solo_cfg.batch_per_worker = 64;
-        let solo = train_sync(&data, &solo_cfg, SyncMode::FullSync);
+        let solo = train(&data, &solo_cfg, SyncMode::FullSync);
         assert!((multi.final_accuracy - solo.final_accuracy).abs() < 0.1);
     }
 
@@ -258,8 +278,8 @@ mod tests {
     fn dgc_trains_but_full_sync_is_at_least_as_good() {
         let data = gaussian_blobs(4, 10, 1200, 300, 1.1, 8);
         let cfg = quick_cfg(10);
-        let full = train_sync(&data, &cfg, SyncMode::FullSync);
-        let dgc = train_sync(
+        let full = train(&data, &cfg, SyncMode::FullSync);
+        let dgc = train(
             &data,
             &cfg,
             SyncMode::Dgc {
@@ -289,7 +309,7 @@ mod tests {
             SyncMode::TernGrad,
             SyncMode::OneBit,
         ] {
-            let run = train_sync(&data, &cfg, mode);
+            let run = train(&data, &cfg, mode);
             assert!(
                 run.final_accuracy > 0.7,
                 "{} failed: {}",
@@ -300,9 +320,54 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "uses train_async")]
-    fn async_mode_rejected() {
-        let data = gaussian_blobs(2, 4, 100, 20, 1.0, 1);
-        train_sync(&data, &quick_cfg(1), SyncMode::Async { staleness: 3 });
+    fn asgd_trains_at_all() {
+        let data = gaussian_blobs(3, 6, 600, 150, 0.8, 6);
+        let run = train(&data, &quick_cfg(6), SyncMode::Async { staleness: 3 });
+        assert!(
+            run.final_accuracy > 0.6,
+            "ASGD collapsed: {}",
+            run.final_accuracy
+        );
+    }
+
+    #[test]
+    fn asgd_is_deterministic() {
+        let data = gaussian_blobs(2, 4, 200, 40, 1.0, 2);
+        let mode = SyncMode::Async { staleness: 3 };
+        assert_eq!(
+            train(&data, &quick_cfg(2), mode),
+            train(&data, &quick_cfg(2), mode)
+        );
+    }
+
+    #[test]
+    fn staleness_zero_tracks_sequential_sgd() {
+        // With no staleness every gradient is pushed as soon as it is
+        // computed: plain sequential minibatch SGD; accuracy should be
+        // solid.
+        let data = gaussian_blobs(3, 6, 600, 150, 0.8, 10);
+        let run = train(&data, &quick_cfg(5), SyncMode::Async { staleness: 0 });
+        assert!(
+            run.final_accuracy > 0.85,
+            "no-staleness ASGD: {}",
+            run.final_accuracy
+        );
+    }
+
+    #[test]
+    fn sync_beats_stale_async_on_hard_task() {
+        // The paper's Appendix B: P3 (synchronous) reaches higher accuracy
+        // than ASGD with realistic staleness.
+        let data = gaussian_blobs(5, 12, 1500, 400, 1.35, 13);
+        let mut c = quick_cfg(10);
+        c.lr = 0.1; // staleness damage grows with lr
+        let sync = train(&data, &c, SyncMode::FullSync);
+        let async_run = train(&data, &c, SyncMode::Async { staleness: 3 });
+        assert!(
+            sync.final_accuracy >= async_run.final_accuracy,
+            "sync {} vs async {}",
+            sync.final_accuracy,
+            async_run.final_accuracy
+        );
     }
 }

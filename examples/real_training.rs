@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example real_training`
 
 use p3::tensor::spirals;
-use p3::train::{train_async, train_sync, SyncMode, TrainConfig};
+use p3::train::{train, SyncMode, TrainConfig};
 
 fn main() {
     let data = spirals(3, 6, 2400, 600, 21);
@@ -26,9 +26,14 @@ fn main() {
         SyncMode::Qsgd { levels: 4 },
         SyncMode::TernGrad,
         SyncMode::OneBit,
+        SyncMode::Async { staleness: 3 },
     ];
     for mode in modes {
-        let run = train_sync(&data, &cfg, mode);
+        let mut cfg = cfg.clone();
+        if let SyncMode::Async { .. } = mode {
+            cfg.lr = 0.0125; // tuned down: stale gradients diverge at sync lr
+        }
+        let run = train(&data, &cfg, mode);
         println!(
             "{:>12}: final accuracy {:.3}  (best {:.3}, epochs to 0.8: {:?})",
             run.mode_name,
@@ -37,15 +42,5 @@ fn main() {
             run.epochs_to_reach(0.8)
         );
     }
-    let mut asgd_cfg = cfg.clone();
-    asgd_cfg.lr = 0.0125; // tuned down: stale gradients diverge at sync lr
-    let run = train_async(&data, &asgd_cfg, 3);
-    println!(
-        "{:>12}: final accuracy {:.3}  (best {:.3}, epochs to 0.8: {:?})",
-        run.mode_name,
-        run.final_accuracy,
-        run.best_accuracy(),
-        run.epochs_to_reach(0.8)
-    );
     println!("\nP3 always transmits full gradients: its accuracy IS the FullSync row.");
 }

@@ -3,8 +3,8 @@
 //! `p3-compress` baselines.
 
 use p3::des::snap::{fnv64, fnv64_fold};
-use p3::tensor::{gaussian_blobs, Dataset};
-use p3::train::{train_async, train_sync, LrDecay, SyncMode, TrainConfig, TrainRun};
+use p3::tensor::gaussian_blobs;
+use p3::train::{train, LrDecay, SyncMode, TrainConfig, TrainRun};
 
 fn cfg(epochs: u32) -> TrainConfig {
     let mut c = TrainConfig::new(epochs);
@@ -16,7 +16,7 @@ fn cfg(epochs: u32) -> TrainConfig {
 #[test]
 fn full_sync_hits_high_accuracy() {
     let data = gaussian_blobs(3, 6, 480, 120, 0.8, 3);
-    let run = train_sync(&data, &cfg(6), SyncMode::FullSync);
+    let run = train(&data, &cfg(6), SyncMode::FullSync);
     assert!(run.final_accuracy > 0.9, "accuracy {}", run.final_accuracy);
 }
 
@@ -31,8 +31,8 @@ fn p3_equivalence_worker_count_changes_nothing_fundamental() {
     let mut c4 = cfg(5);
     c4.workers = 4;
     c4.batch_per_worker = 16;
-    let r2 = train_sync(&data, &c2, SyncMode::FullSync);
-    let r4 = train_sync(&data, &c4, SyncMode::FullSync);
+    let r2 = train(&data, &c2, SyncMode::FullSync);
+    let r4 = train(&data, &c4, SyncMode::FullSync);
     assert!(
         (r2.final_accuracy - r4.final_accuracy).abs() < 0.15,
         "{} vs {}",
@@ -45,7 +45,7 @@ fn p3_equivalence_worker_count_changes_nothing_fundamental() {
 fn exact_sync_at_least_matches_compressed() {
     let data = gaussian_blobs(4, 8, 640, 160, 1.0, 9);
     let c = cfg(6);
-    let full = train_sync(&data, &c, SyncMode::FullSync);
+    let full = train(&data, &c, SyncMode::FullSync);
     for mode in [
         SyncMode::Dgc {
             final_sparsity: 0.99,
@@ -53,7 +53,7 @@ fn exact_sync_at_least_matches_compressed() {
         },
         SyncMode::GradDrop { ratio: 50.0 },
     ] {
-        let run = train_sync(&data, &c, mode);
+        let run = train(&data, &c, mode);
         assert!(
             full.final_accuracy >= run.final_accuracy - 0.05,
             "{}: full {} vs {}",
@@ -68,8 +68,8 @@ fn exact_sync_at_least_matches_compressed() {
 fn asgd_with_staleness_never_beats_sync_meaningfully() {
     let data = gaussian_blobs(4, 8, 640, 160, 1.1, 4);
     let c = cfg(6);
-    let sync = train_sync(&data, &c, SyncMode::FullSync);
-    let asgd = train_async(&data, &c, 3);
+    let sync = train(&data, &c, SyncMode::FullSync);
+    let asgd = train(&data, &c, SyncMode::Async { staleness: 3 });
     assert!(
         sync.final_accuracy >= asgd.final_accuracy - 0.03,
         "sync {} vs asgd {}",
@@ -81,7 +81,7 @@ fn asgd_with_staleness_never_beats_sync_meaningfully() {
 #[test]
 fn whole_stack_is_deterministic() {
     let data = gaussian_blobs(2, 4, 160, 40, 1.0, 8);
-    let a = train_sync(
+    let a = train(
         &data,
         &cfg(2),
         SyncMode::Dgc {
@@ -89,7 +89,7 @@ fn whole_stack_is_deterministic() {
             warmup_epochs: 1,
         },
     );
-    let b = train_sync(
+    let b = train(
         &data,
         &cfg(2),
         SyncMode::Dgc {
@@ -110,13 +110,6 @@ fn digest(run: &TrainRun) -> u64 {
     }
     h = fnv64_fold(h, run.final_accuracy.to_bits());
     fnv64_fold(h, run.iterations_per_epoch as u64)
-}
-
-fn run_mode(data: &Dataset, c: &TrainConfig, mode: SyncMode) -> TrainRun {
-    match mode {
-        SyncMode::Async { staleness } => train_async(data, c, staleness),
-        _ => train_sync(data, c, mode),
-    }
 }
 
 #[test]
@@ -147,7 +140,7 @@ fn every_mode_reproduces_its_pinned_digest() {
         (SyncMode::Async { staleness: 3 }, 0xefeceb6be2a0d8fe),
     ];
     for (mode, want) in pins {
-        let got = digest(&run_mode(&data, &c, mode));
+        let got = digest(&train(&data, &c, mode));
         assert_eq!(got, want, "{mode:?} moved (got {got:#018x})");
     }
 }
@@ -157,8 +150,8 @@ fn asgd_without_staleness_on_one_worker_is_synchronous_sgd() {
     let data = gaussian_blobs(3, 6, 480, 120, 0.9, 12);
     let mut c = cfg(3);
     c.workers = 1;
-    let sync = run_mode(&data, &c, SyncMode::FullSync);
-    let asgd = run_mode(&data, &c, SyncMode::Async { staleness: 0 });
+    let sync = train(&data, &c, SyncMode::FullSync);
+    let asgd = train(&data, &c, SyncMode::Async { staleness: 0 });
     assert_eq!(asgd.records, sync.records);
     assert_eq!(asgd.iterations_per_epoch, sync.iterations_per_epoch);
 }
