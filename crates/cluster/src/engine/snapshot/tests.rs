@@ -368,6 +368,39 @@ fn impossible_compute_multipliers_are_refused() {
     }
 }
 
+/// A flow's rate: the fabric allocates rates that are finite and at
+/// least 0, and a NaN, negative or infinite one would corrupt every
+/// drain time it enters.
+#[test]
+fn impossible_flow_rates_are_refused() {
+    let mut sim = racked_at_boundary().expect("fixture run failed");
+    let bytes = sim.snapshot();
+    let header = SnapWriter::new(0).finish().len();
+    let mut w = SnapWriter::new(0);
+    let now = sim.queue.now();
+    sim.net.walk(&mut w, now).expect("only a reader fails");
+    let section = w.finish().split_off(header);
+    let start = bytes
+        .windows(section.len())
+        .position(|w| w == section.as_slice())
+        .expect("the fabric section");
+    // The flow count, then the first flow: id, source, destination,
+    // priority (4 bytes), tag, size, remaining bytes, rate.
+    let count = u64::from_le_bytes(bytes[start..start + 8].try_into().unwrap());
+    assert!(count > 0, "the fixture needs a flow in flight");
+    let at = start + 8 + 3 * 8 + 4 + 3 * 8;
+    let rate = f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert!(rate.is_finite() && rate >= 0.0, "rate {rate} at byte {at}");
+    for bad in [f64::NAN, -1.0, f64::INFINITY] {
+        let mut b = bytes.clone();
+        b[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        match ClusterSim::restore(degraded_racked(), &b).map(|_| ()) {
+            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("rate"), "{why}"),
+            other => panic!("rate {bad} was not refused: {other:?}"),
+        }
+    }
+}
+
 /// Each message in the fabric names one flow the fabric holds, tagged
 /// with its id, and no two flows name one message; live ids sit below
 /// the id counter within a span the table indexes. A restore refuses

@@ -519,9 +519,30 @@ fn round_delta(res: &[f64], counts: &[u32], level: f64, cap: f64, work: &mut All
 }
 
 /// Lanes of the branch-free link passes. Min and max over values that are
-/// never −0.0 are exact and independent of order (a NaN is passed over in
-/// any order), so splitting a pass into lanes changes no result bit.
+/// never −0.0 are exact and independent of order, so splitting a pass into
+/// lanes changes no result bit. Each is a compare-select ([`less`],
+/// [`greater`]) whose accumulator starts at a number and takes only a
+/// candidate that compares, so a NaN candidate is passed over exactly as
+/// `f64::min` and `f64::max` pass over it, without their NaN guards.
 const LANES: usize = 4;
+
+/// `a.min(b)` for an accumulator `b` that is never NaN.
+fn less(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `a.max(b)` for an accumulator `b` that is never NaN.
+fn greater(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
 
 /// The least share `res[l] / count[l]` over the links some rising flow
 /// crosses (infinite when none does), and how many links that is.
@@ -537,15 +558,15 @@ fn least_share(res: &[f64], count: &[u32]) -> (f64, u64) {
     for (r, c) in res_lanes.iter().zip(count_lanes) {
         for (((m, t), &r), &c) in least.iter_mut().zip(&mut touched).zip(r).zip(c) {
             let (q, used) = share(r, c);
-            *m = m.min(q);
+            *m = less(q, *m);
             *t += used;
         }
     }
-    let mut least = least.into_iter().fold(f64::INFINITY, f64::min);
+    let mut least = least.into_iter().fold(f64::INFINITY, |m, q| less(q, m));
     let mut touched = touched.into_iter().sum();
     for (&r, &c) in res_tail.iter().zip(count_tail) {
         let (q, used) = share(r, c);
-        least = least.min(q);
+        least = less(q, least);
         touched += used;
     }
     (least, touched)
@@ -562,11 +583,11 @@ fn clamp(res: &mut [f64]) -> f64 {
     let mut scale = [1.0f64; LANES];
     for r in lanes {
         for (s, r) in scale.iter_mut().zip(r) {
-            *s = s.max(floor(r));
+            *s = greater(floor(r), *s);
         }
     }
-    let scale = scale.into_iter().fold(1.0, f64::max);
-    tail.iter_mut().fold(scale, |s, r| s.max(floor(r)))
+    let scale = scale.into_iter().fold(1.0, |s, r| greater(r, s));
+    tail.iter_mut().fold(scale, |s, r| greater(floor(r), s))
 }
 
 /// Reference allocators the graph water-fill is pinned bit-identical

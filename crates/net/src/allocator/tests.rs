@@ -646,6 +646,49 @@ mod properties {
             }
         }
 
+        /// The compare-select link passes equal `f64::min`/`f64::max`
+        /// folds over the same values, bit for bit: unused lanes
+        /// (`count = 0`, with `res = 0` among them, whose quotient is NaN
+        /// before the select), residuals of ∞, 0, NaN, `FLOOR` and either
+        /// side of it, and lengths that leave a tail after the lanes.
+        #[test]
+        fn link_passes_match_min_and_max_folds(
+            links in prop::collection::vec((0u8..8, 0.0f64..1.0, 0u32..3), 0..19),
+        ) {
+            let level = |kind: u8, x: f64| match kind {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                2 => f64::NAN,
+                3 => FLOOR,
+                4 => FLOOR * (1.0 - x * 0.5),
+                5 => FLOOR * (1.0 + x),
+                6 => x,
+                _ => x * 1e10,
+            };
+            let res: Vec<f64> = links.iter().map(|&(kind, x, _)| level(kind, x)).collect();
+            let count: Vec<u32> = links.iter().map(|&(_, _, c)| c).collect();
+
+            let pairs = res.iter().zip(&count);
+            let quotient = |(&r, &c): (&f64, &u32)| {
+                if c > 0 { r / f64::from(c) } else { f64::INFINITY }
+            };
+            let least = pairs.clone().map(quotient).fold(f64::INFINITY, f64::min);
+            let touched = pairs.filter(|&(_, &c)| c > 0).count() as u64;
+            let (got, got_touched) = least_share(&res, &count);
+            prop_assert_eq!((got.to_bits(), got_touched), (least.to_bits(), touched));
+
+            let mut want = res.clone();
+            let scale = want.iter_mut().fold(1.0, |s: f64, r| {
+                *r = if *r < FLOOR { 0.0 } else { *r };
+                s.max(*r)
+            });
+            let mut got = res;
+            let got_scale = clamp(&mut got);
+            prop_assert_eq!(got_scale.to_bits(), scale.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
         #[test]
         fn identical_flows_get_equal_rates(n in 1usize..10, cap in 1.0f64..1e9) {
             let flows: Vec<FlowSpec> = (0..n).map(|_| flow(0, 1, 1)).collect();

@@ -36,9 +36,9 @@ pub(super) fn assert_class_index(n: &Network) {
 /// instant converted on its own, then the earliest taken.
 fn scan_per_flow(n: &Network) -> Option<SimTime> {
     let mut best: Option<SimTime> = None;
-    for f in &n.flows {
-        if f.rate > 0.0 {
-            let secs = f.remaining / f.rate;
+    for (&remaining, &rate) in n.remaining.iter().zip(&n.rates) {
+        if rate > 0.0 {
+            let secs = remaining / rate;
             let ns = (secs * 1e9).ceil().max(0.0).min(u64::MAX as f64) as u64;
             let t = n.last_update.saturating_add(SimDuration::from_nanos(ns));
             best = Some(best.map_or(t, |b: SimTime| b.min(t)));
@@ -48,6 +48,50 @@ fn scan_per_flow(n: &Network) -> Option<SimTime> {
         best = Some(best.map_or(d.at, |b: SimTime| b.min(d.at)));
     }
     best
+}
+
+/// A flow as the per-flow passes below see it: `(id, remaining, rate)`.
+type Record = (FlowId, f64, f64);
+
+/// [`Network::advance`]'s progress step as first written, one flow at a
+/// time over whole records.
+fn advance_per_flow(flows: &mut [Record], dt: f64) {
+    for (_, remaining, rate) in flows {
+        if *rate > 0.0 {
+            *remaining = (*remaining - *rate * dt).max(0.0);
+        }
+    }
+}
+
+/// [`Network::poll`]'s drain as first written: each flow tested in turn
+/// and a drained one swap-removed. Returns the drained flows in order.
+fn drain_per_flow(flows: &mut Vec<Record>) -> Vec<FlowId> {
+    let mut drained = Vec::new();
+    let mut i = 0;
+    while let Some(&(id, remaining, rate)) = flows.get(i) {
+        // Sub-nanosecond residue from ceil-rounding counts as drained.
+        let eps = rate * 1e-9 + 1e-9;
+        if remaining <= eps {
+            flows.swap_remove(i);
+            drained.push(id);
+        } else {
+            i += 1;
+        }
+    }
+    drained
+}
+
+/// The fabric's flows as records, in slot order.
+fn records(n: &Network) -> Vec<Record> {
+    let cols = n.remaining.iter().zip(&n.rates);
+    let flows = n.flows.iter().zip(cols);
+    flows.map(|(f, (&r, &q))| (f.id, r, q)).collect()
+}
+
+/// A record's bits, for exact comparison.
+fn bits(flows: &[Record]) -> Vec<(FlowId, u64, u64)> {
+    let bits = |&(id, r, q): &Record| (id, r.to_bits(), q.to_bits());
+    flows.iter().map(bits).collect()
 }
 
 /// An empty fabric has no next event, and a flow whose drain time
@@ -66,9 +110,11 @@ fn scan_of_an_empty_fabric_and_of_an_infinite_drain_time() {
         0,
     );
     n.next_event_time();
-    let f = n.flows.first_mut().expect("the flow is in flight");
-    f.rate = f64::MIN_POSITIVE;
-    assert!((f.remaining / f.rate).is_infinite());
+    let (Some(remaining), Some(rate)) = (n.remaining.first(), n.rates.first_mut()) else {
+        panic!("the flow is in flight");
+    };
+    *rate = f64::MIN_POSITIVE;
+    assert!((remaining / *rate).is_infinite());
     let end = Some(SimTime::MAX);
     assert_eq!((n.scan_next_event(), scan_per_flow(&n)), (end, end));
 }
@@ -182,10 +228,11 @@ fn a_poll_drains_with_the_rates_of_its_own_instant() {
 /// Asserts that two fabrics run through the same script hold the same
 /// flows, bit for bit: order, remaining bytes, rates and bottlenecks.
 fn assert_same_flows(lazy: &Network, eager: &Network) {
-    let key = |f: &ActiveFlow| (f.id, f.remaining.to_bits(), f.rate.to_bits(), f.bottleneck);
-    let lazy: Vec<_> = lazy.flows.iter().map(key).collect();
-    let eager: Vec<_> = eager.flows.iter().map(key).collect();
-    assert_eq!(lazy, eager, "rates read lazily differ from eager ones");
+    let bottlenecks = |n: &Network| n.flows.iter().map(|f| f.bottleneck).collect::<Vec<_>>();
+    let (want, want_at) = (bits(&records(eager)), bottlenecks(eager));
+    let (got, got_at) = (bits(&records(lazy)), bottlenecks(lazy));
+    assert_eq!(got, want, "rates read lazily differ from eager ones");
+    assert_eq!(got_at, want_at, "bottlenecks read lazily differ");
 }
 
 mod properties {
@@ -302,10 +349,10 @@ mod properties {
                     priority: Priority(0),
                     tag: 0,
                     bytes: 1,
-                    remaining,
-                    rate,
                     bottleneck: None,
                 });
+                n.remaining.push(remaining);
+                n.rates.push(rate);
             }
             for (i, at) in deliveries.into_iter().enumerate() {
                 let flow = CompletedFlow {
@@ -318,6 +365,86 @@ mod properties {
                 };
                 n.delivering.push(Delivering { at: SimTime::from_nanos(at), flow });
             }
+            prop_assert_eq!(n.scan_next_event(), scan_per_flow(&n));
+        }
+
+        /// The column passes equal the per-flow passes over whole records,
+        /// bit for bit: progress over `dt` from 1 ns to seconds, port
+        /// traces, the drain test and the swap-removes it makes, and the
+        /// next-event scan. Rates are 0, tiny or large, and bytes left are
+        /// 0 (−0.0 too, which a restore accepts), inside the drain epsilon
+        /// or far outside it. Cancels first leave the slots in an order of
+        /// earlier swap-removes.
+        #[test]
+        fn column_passes_match_the_per_flow_passes(
+            flows in prop::collection::vec((0usize..4, 1usize..4, 0u8..5, 0.0f64..1.0, 0u8..6, 0.0f64..1.0), 0..24),
+            cancels in prop::collection::vec(0usize..24, 0..6),
+            dt_ns in (0u32..10, 1u64..10).prop_map(|(e, m)| m * 10u64.pow(e)),
+            last in 0u64..4_000_000,
+        ) {
+            let bin = SimDuration::from_millis(1);
+            let cfg = NetworkConfig::new(4, Bandwidth::from_gbps(8.0))
+                .with_latency(SimDuration::from_micros(5))
+                .with_trace(bin);
+            let mut n = Network::new(cfg);
+            n.last_update = SimTime::from_nanos(last);
+            let now = n.last_update + SimDuration::from_nanos(dt_ns);
+            let dt = (now - n.last_update).as_secs_f64();
+            for (i, (src, hop, speed, y, left, x)) in flows.into_iter().enumerate() {
+                let rate = [0.0, y * 1e-300, 1e-6 + y, y * 1e10, 1e300][usize::from(speed)];
+                let eps = rate * 1e-9 + 1e-9;
+                let remaining =
+                    [0.0, -0.0, x * eps, eps, eps * (1.0 + x), x * 1e9][usize::from(left)];
+                let spec = FlowSpec { src, dst: (src + hop) % 4, priority: Priority(i as u32 % 3) };
+                n.by_class.push(spec, &n.graph);
+                n.flows.push(ActiveFlow {
+                    id: FlowId(i as u64),
+                    src: spec.src,
+                    dst: spec.dst,
+                    priority: spec.priority,
+                    tag: i as u64,
+                    bytes: 1,
+                    bottleneck: None,
+                });
+                n.remaining.push(remaining);
+                n.rates.push(rate);
+            }
+            for k in cancels {
+                if let Some(id) = n.flows.get(k).map(|f| f.id) {
+                    n.cancel_flow(n.last_update, id);
+                }
+            }
+            assert_class_index(&n);
+            // The passes run on the rates as placed, not reallocated ones.
+            n.dirty = false;
+            // The reference fabric: whole records and per-flow traces.
+            let mut want = records(&n);
+            let mut traces: Vec<PortTrace> = (0..8).map(|_| PortTrace::new(bin)).collect();
+            for (f, &(_, _, rate)) in n.flows.iter().zip(&want) {
+                if rate > 0.0 {
+                    traces[f.src].add_rate(n.last_update, now, rate);
+                    traces[4 + f.dst].add_rate(n.last_update, now, rate);
+                }
+            }
+            advance_per_flow(&mut want, dt);
+            n.advance(now);
+            prop_assert_eq!(bits(&records(&n)), bits(&want));
+            let drained = drain_per_flow(&mut want);
+
+            n.poll(now);
+            prop_assert_eq!(bits(&records(&n)), bits(&want));
+            let delivering: Vec<FlowId> = n.delivering.iter().map(|d| d.flow.id).collect();
+            prop_assert_eq!(delivering, drained);
+            assert_class_index(&n);
+            let to_bits = |t: &PortTrace| {
+                t.bytes_per_bin().iter().map(|b| b.to_bits()).collect::<Vec<_>>()
+            };
+            let (tx, rx) = (n.tx_traces.iter(), n.rx_traces.iter());
+            for (got, want) in tx.chain(rx).zip(&traces) {
+                prop_assert_eq!(to_bits(got), to_bits(want));
+            }
+            // The scan reads the columns the poll left (rates stay as
+            // placed: a drain only marks them stale).
             prop_assert_eq!(n.scan_next_event(), scan_per_flow(&n));
         }
     }

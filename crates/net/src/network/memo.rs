@@ -319,9 +319,10 @@ mod tests {
         let want = allocate_rates_on_graph(&specs, &n.graph, &n.caps, n.cfg.flow_cap, &mut work);
         let topology = n.cfg.link_graph.is_some();
         let floor = n.rate_floor();
-        for (f, (&r, &b)) in n.flows.iter().zip(want.rates.iter().zip(&want.bottleneck)) {
+        let want = want.rates.iter().zip(&want.bottleneck);
+        for ((f, &rate), (&r, &b)) in n.flows.iter().zip(&n.rates).zip(want) {
             let r = if r < floor { 0.0 } else { r };
-            assert_eq!(f.rate.to_bits(), r.to_bits(), "flow {:?} rate", f.id);
+            assert_eq!(rate.to_bits(), r.to_bits(), "flow {:?} rate", f.id);
             assert_eq!(f.bottleneck, b.filter(|_| topology), "flow {:?}", f.id);
         }
         work
@@ -428,8 +429,7 @@ mod tests {
         n.memo.rates.fill(1.5e6);
         apply(&mut n, &mut now, starts[0]);
         n.next_event_time();
-        let rates: Vec<f64> = n.flows.iter().map(|f| f.rate).collect();
-        assert_eq!(rates, [1.5e6], "the set was filled, not replayed");
+        assert_eq!(n.rates, [1.5e6], "the set was filled, not replayed");
     }
 
     #[test]

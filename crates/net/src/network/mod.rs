@@ -24,7 +24,10 @@
 //! class index of its flows in canonical order with each class's bounds
 //! and link counts (no per-call sort or count), the allocator's buffers
 //! (no per-call allocation), and the scaled link capacities (recomputed
-//! only when a port factor changes). It also keeps
+//! only when a port factor changes). Each flow's bytes left and rate live
+//! in two dense columns, slot-parallel to the flows, so the per-event
+//! passes (progress, the drain test, the next-event scan and the rate
+//! write-back) stream 16 bytes a flow, not its whole record. It also keeps
 //! a bounded memo of allocations keyed by the exact flow set, so a set it
 //! has already allocated under the same capacities is replayed, bit for
 //! bit and with the same work counts, instead of filled again.
@@ -79,8 +82,6 @@ struct ActiveFlow {
     priority: Priority,
     tag: u64,
     bytes: u64,
-    remaining: f64,
-    rate: f64, // bytes/sec under the current allocation
     /// Saturated link bounding the current rate (configured topology only).
     bottleneck: Option<LinkId>,
 }
@@ -99,6 +100,12 @@ impl ActiveFlow {
 struct Delivering {
     at: SimTime,
     flow: CompletedFlow,
+}
+
+/// Whether a flow with `remaining` bytes left at `rate` has drained:
+/// sub-nanosecond residue from ceil-rounding counts as drained.
+fn drained(remaining: f64, rate: f64) -> bool {
+    remaining <= rate * 1e-9 + 1e-9
 }
 
 /// Deterministic work counters of a fabric: how much flow and allocator
@@ -166,6 +173,11 @@ pub struct Network {
     /// utilization traces accumulate floats in it, and snapshots serialize
     /// it — so it changes only by `push` and `swap_remove`.
     flows: Vec<ActiveFlow>,
+    /// Bytes each flow has left to send, by slot: parallel to `flows`.
+    remaining: Vec<f64>,
+    /// Each flow's rate in bytes/sec under the current allocation, by
+    /// slot: parallel to `flows`.
+    rates: Vec<f64>,
     /// Class index: every flow's slot in `flows` and its endpoints, in
     /// canonical order, with each class's bounds and link counts and the
     /// flow multiset's fingerprint. This is the allocator's input, so no
@@ -255,6 +267,8 @@ impl Network {
             cfg,
             graph,
             flows: Vec::new(),
+            remaining: Vec::new(),
+            rates: Vec::new(),
             alloc: AllocBuffers::default(),
             memo: Memo::default(),
             next_event: None,
@@ -330,12 +344,12 @@ impl Network {
             priority,
             tag,
             bytes,
-            remaining: bytes as f64,
-            rate: 0.0,
             bottleneck: None,
         };
         self.by_class.push(flow.spec(), &self.graph);
         self.flows.push(flow);
+        self.remaining.push(bytes as f64);
+        self.rates.push(0.0);
         // Flows only ever join here, so sampling at the push is exact.
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.flows.len() as u64);
         self.dirty = true;
@@ -361,14 +375,15 @@ impl Network {
     /// A flow drains `remaining / rate` seconds after `last_update`, and
     /// [`Network::drain_instant`] never decreases as that quotient grows,
     /// so the earliest drain is the conversion of the smallest quotient:
-    /// one conversion per scan, not one per flow.
+    /// one conversion per scan, not one per flow. A flow at rate 0 is
+    /// skipped before it is divided.
     fn scan_next_event(&self) -> Option<SimTime> {
         let mut draining = false;
         let mut secs = f64::INFINITY;
-        for f in &self.flows {
-            if f.rate > 0.0 {
+        for (&r, &q) in self.remaining.iter().zip(&self.rates) {
+            if q > 0.0 {
                 draining = true;
-                secs = secs.min(f.remaining / f.rate);
+                secs = secs.min(r / q);
             }
         }
         let mut best = draining.then(|| self.drain_instant(secs));
@@ -390,7 +405,7 @@ impl Network {
     /// delivery order.
     #[expect(
         clippy::indexing_slicing,
-        reason = "i is below the length of the vector it indexes, checked by each loop condition, and end never exceeds the deliveries' length"
+        reason = "i is below the length of the vector it indexes, checked by each loop condition (the columns are as long as the flows), and end never exceeds the deliveries' length"
     )]
     pub fn poll(&mut self, now: SimTime) -> Vec<CompletedFlow> {
         self.advance(now);
@@ -398,34 +413,31 @@ impl Network {
         // (which `advance` skips) must be allocated first.
         self.reallocate();
 
-        // Flows that drained move to the latency (delivery) stage.
-        let mut changed = false;
-        let latency = self.cfg.latency;
-        let mut i = 0;
-        while i < self.flows.len() {
-            let f = &self.flows[i];
-            // Sub-nanosecond residue from ceil-rounding counts as drained.
-            let eps = f.rate * 1e-9 + 1e-9;
-            if f.remaining <= eps {
-                let f = self.flows.swap_remove(i);
-                self.by_class.swap_remove(i, &self.graph);
-                self.delivering.push(Delivering {
-                    at: now + latency,
-                    flow: CompletedFlow {
-                        id: f.id,
-                        src: MachineId(f.src),
-                        dst: MachineId(f.dst),
-                        tag: f.tag,
-                        bytes: f.bytes,
-                        bottleneck: f.bottleneck.map(|l| l.0),
-                    },
-                });
-                changed = true;
-            } else {
-                i += 1;
+        // Flows that drained move to the latency (delivery) stage. Most
+        // polls drain none, so one branch-free test over the columns
+        // decides whether to look for them.
+        let cols = self.remaining.iter().zip(&self.rates);
+        if cols.fold(false, |any, (&r, &q)| any | drained(r, q)) {
+            let latency = self.cfg.latency;
+            let mut i = 0;
+            while i < self.flows.len() {
+                if drained(self.remaining[i], self.rates[i]) {
+                    let f = self.remove_slot(i);
+                    self.delivering.push(Delivering {
+                        at: now + latency,
+                        flow: CompletedFlow {
+                            id: f.id,
+                            src: MachineId(f.src),
+                            dst: MachineId(f.dst),
+                            tag: f.tag,
+                            bytes: f.bytes,
+                            bottleneck: f.bottleneck.map(|l| l.0),
+                        },
+                    });
+                } else {
+                    i += 1;
+                }
             }
-        }
-        if changed {
             self.dirty = true;
         }
 
@@ -495,8 +507,7 @@ impl Network {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> bool {
         self.advance(now);
         if let Some(i) = self.flows.iter().position(|f| f.id == id) {
-            self.flows.swap_remove(i);
-            self.by_class.swap_remove(i, &self.graph);
+            self.remove_slot(i);
             self.dirty = true;
             return true;
         }
@@ -506,6 +517,15 @@ impl Network {
             return true;
         }
         false
+    }
+
+    /// Removes the flow at `slot` from the flows, both columns and the
+    /// class index, moving the last flow into its slot, and returns it.
+    fn remove_slot(&mut self, slot: usize) -> ActiveFlow {
+        self.remaining.swap_remove(slot);
+        self.rates.swap_remove(slot);
+        self.by_class.swap_remove(slot, &self.graph);
+        self.flows.swap_remove(slot)
     }
 
     /// Per-machine transmit utilization trace, if tracing was enabled.
@@ -544,12 +564,20 @@ impl Network {
         self.next_event = None;
         let dt = (now - self.last_update).as_secs_f64();
         multihop::account_advance(self, dt);
-        for f in &mut self.flows {
-            if f.rate > 0.0 {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                if !self.tx_traces.is_empty() {
-                    self.tx_traces[f.src].add_rate(self.last_update, now, f.rate);
-                    self.rx_traces[f.dst].add_rate(self.last_update, now, f.rate);
+        // For a running flow this is `(r - q * dt).max(0.0)`: the
+        // difference of finite values is never NaN, and never −0.0 for
+        // `r >= 0`. A flow at rate 0 keeps its bytes.
+        for (r, &q) in self.remaining.iter_mut().zip(&self.rates) {
+            let n = *r - q * dt;
+            let n = if n > 0.0 { n } else { 0.0 };
+            *r = if q > 0.0 { n } else { *r };
+        }
+        if !self.tx_traces.is_empty() {
+            // In slot order, as the bins accumulate floats.
+            for (f, &q) in self.flows.iter().zip(&self.rates) {
+                if q > 0.0 {
+                    self.tx_traces[f.src].add_rate(self.last_update, now, q);
+                    self.rx_traces[f.dst].add_rate(self.last_update, now, q);
                 }
             }
         }
@@ -604,12 +632,12 @@ impl Network {
         // "running" flow at such a rate would never finish within any
         // realistic horizon and only destabilizes event times.
         let floor = self.rate_floor();
+        for (q, &r) in self.rates.iter_mut().zip(self.alloc.rates()) {
+            *q = if r < floor { 0.0 } else { r };
+        }
         // Bottlenecks are reported only for a configured topology.
-        let topology = self.cfg.link_graph.is_some();
-        let alloc = self.alloc.rates().iter().zip(self.alloc.bottlenecks());
-        for (f, (&r, &at)) in self.flows.iter_mut().zip(alloc) {
-            f.rate = if r < floor { 0.0 } else { r };
-            if topology {
+        if self.cfg.link_graph.is_some() {
+            for (f, &at) in self.flows.iter_mut().zip(self.alloc.bottlenecks()) {
                 f.bottleneck = link(at);
             }
         }

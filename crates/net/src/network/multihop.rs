@@ -20,10 +20,10 @@ pub(super) fn account_advance(net: &mut Network, dt: f64) {
         return;
     };
     let mut rate_sum = vec![0.0; g.num_links()];
-    for f in &net.flows {
-        if f.rate > 0.0 {
+    for (f, &rate) in net.flows.iter().zip(&net.rates) {
+        if rate > 0.0 {
             for l in g.route(f.src, f.dst) {
-                rate_sum[l.0] += f.rate;
+                rate_sum[l.0] += rate;
             }
         }
     }

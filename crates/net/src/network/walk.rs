@@ -21,8 +21,6 @@ const BLANK_FLOW: ActiveFlow = ActiveFlow {
     priority: Priority(0),
     tag: 0,
     bytes: 0,
-    remaining: 0.0,
-    rate: 0.0,
     bottleneck: None,
 };
 
@@ -49,8 +47,11 @@ impl Network {
     /// `now` is the owner's clock. A reader refuses states the live
     /// fabric cannot reach and that would panic or stall it later: an
     /// index out of range, a loopback flow, a `last_update` after `now`,
-    /// a port scale outside `(0, 1]`, or a flow's `remaining` outside
-    /// `[0, bytes]`.
+    /// a port scale outside `(0, 1]`, a flow's `remaining` outside
+    /// `[0, bytes]`, or a flow's rate that is negative or not finite.
+    ///
+    /// Each flow is one record, its two column entries in place between
+    /// its size and its bottleneck.
     ///
     /// # Errors
     ///
@@ -60,7 +61,7 @@ impl Network {
         // Stale rates are allocated before they are written.
         self.reallocate();
         let (machines, links) = (self.cfg.machines, self.link_busy.len());
-        seq(c, &mut self.flows, BLANK_FLOW, |c, f| {
+        let flow = |c: &mut C, f: &mut ActiveFlow, left: &mut f64, rate: &mut f64| {
             c.u64(&mut f.id.0)?;
             c.idx(&mut f.src, machines, "flow source out of range")?;
             c.idx(&mut f.dst, machines, "flow destination out of range")?;
@@ -68,14 +69,36 @@ impl Network {
             c.u32(&mut f.priority.0)?;
             c.u64(&mut f.tag)?;
             c.u64(&mut f.bytes)?;
-            c.f64(&mut f.remaining)?;
-            let left = (0.0..=f.bytes as f64).contains(&f.remaining);
-            c.check(left, "flow remaining bytes outside [0, bytes]")?;
-            c.f64(&mut f.rate)?;
+            c.f64(left)?;
+            let within = (0.0..=f.bytes as f64).contains(left);
+            c.check(within, "flow remaining bytes outside [0, bytes]")?;
+            c.f64(rate)?;
+            let live = rate.is_finite() && *rate >= 0.0;
+            c.check(live, "flow rate negative or not finite")?;
             opt(c, &mut f.bottleneck, LinkId(0), |c, l| {
                 c.idx(&mut l.0, links, "flow bottleneck link out of range")
             })
-        })?;
+        };
+        let n = c.len(self.flows.len())?;
+        if C::READING {
+            // One record at a time, so a truncated stream fails before a
+            // corrupt length is allocated.
+            self.flows.clear();
+            self.remaining.clear();
+            self.rates.clear();
+            for _ in 0..n {
+                let (mut f, mut left, mut rate) = (BLANK_FLOW, 0.0, 0.0);
+                flow(c, &mut f, &mut left, &mut rate)?;
+                self.flows.push(f);
+                self.remaining.push(left);
+                self.rates.push(rate);
+            }
+        } else {
+            let cols = self.remaining.iter_mut().zip(&mut self.rates);
+            for (f, (left, rate)) in self.flows.iter_mut().zip(cols) {
+                flow(c, f, left, rate)?;
+            }
+        }
         seq(c, &mut self.delivering, BLANK_DELIVERY, |c, d| {
             time(c, &mut d.at)?;
             let f = &mut d.flow;
@@ -212,10 +235,7 @@ pub(super) mod tests {
         let now = n.next_event_time().expect("flows in flight");
         n.poll(now);
         n.start_flow(now, MachineId(2), MachineId(2), 1_000_000, Priority(0), 99);
-        assert!(
-            n.flows.iter().any(|f| f.rate == 0.0),
-            "no flow held at rate 0"
-        );
+        assert!(n.rates.contains(&0.0), "no flow held at rate 0");
         assert!(
             n.delivering.len() >= 2,
             "too few transfers awaiting delivery"
@@ -256,11 +276,11 @@ pub(super) mod tests {
                     steps += 1;
                 }
                 let floor = n.rate_floor();
-                let starved = |f: &ActiveFlow| {
+                let starved = |(f, &rate): (&ActiveFlow, &f64)| {
                     let mut route = n.graph.route(f.src, f.dst);
-                    f.rate == 0.0 && route.any(|l| (0.0..floor).contains(&n.caps[l.0]))
+                    rate == 0.0 && route.any(|l| (0.0..floor).contains(&n.caps[l.0]))
                 };
-                let held = n.flows.iter().all(starved);
+                let held = n.flows.iter().zip(&n.rates).all(starved);
                 assert!(held, "{word} at byte {i}: flows left undrained");
             }
         }
