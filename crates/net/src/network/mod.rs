@@ -413,31 +413,30 @@ impl Network {
         // (which `advance` skips) must be allocated first.
         self.reallocate();
 
-        // Flows that drained move to the latency (delivery) stage. Most
-        // polls drain none, so one branch-free test over the columns
-        // decides whether to look for them.
-        let cols = self.remaining.iter().zip(&self.rates);
-        if cols.fold(false, |any, (&r, &q)| any | drained(r, q)) {
-            let latency = self.cfg.latency;
-            let mut i = 0;
-            while i < self.flows.len() {
-                if drained(self.remaining[i], self.rates[i]) {
-                    let f = self.remove_slot(i);
-                    self.delivering.push(Delivering {
-                        at: now + latency,
-                        flow: CompletedFlow {
-                            id: f.id,
-                            src: MachineId(f.src),
-                            dst: MachineId(f.dst),
-                            tag: f.tag,
-                            bytes: f.bytes,
-                            bottleneck: f.bottleneck.map(|l| l.0),
-                        },
-                    });
-                } else {
-                    i += 1;
-                }
+        // Flows that drained move to the latency (delivery) stage.
+        let mut changed = false;
+        let latency = self.cfg.latency;
+        let mut i = 0;
+        while i < self.flows.len() {
+            if drained(self.remaining[i], self.rates[i]) {
+                let f = self.remove_slot(i);
+                self.delivering.push(Delivering {
+                    at: now + latency,
+                    flow: CompletedFlow {
+                        id: f.id,
+                        src: MachineId(f.src),
+                        dst: MachineId(f.dst),
+                        tag: f.tag,
+                        bytes: f.bytes,
+                        bottleneck: f.bottleneck.map(|l| l.0),
+                    },
+                });
+                changed = true;
+            } else {
+                i += 1;
             }
+        }
+        if changed {
             self.dirty = true;
         }
 

@@ -61,7 +61,22 @@ impl Network {
         // Stale rates are allocated before they are written.
         self.reallocate();
         let (machines, links) = (self.cfg.machines, self.link_busy.len());
-        let flow = |c: &mut C, f: &mut ActiveFlow, left: &mut f64, rate: &mut f64| {
+        if C::READING {
+            self.remaining.clear();
+            self.rates.clear();
+        }
+        let mut slot = 0;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "a reader pushes a slot's column entries before it reads them, and a writer's columns are as long as its flows"
+        )]
+        let flow = |c: &mut C, f: &mut ActiveFlow| {
+            if C::READING {
+                self.remaining.push(0.0);
+                self.rates.push(0.0);
+            }
+            let (left, rate) = (&mut self.remaining[slot], &mut self.rates[slot]);
+            slot += 1;
             c.u64(&mut f.id.0)?;
             c.idx(&mut f.src, machines, "flow source out of range")?;
             c.idx(&mut f.dst, machines, "flow destination out of range")?;
@@ -79,26 +94,7 @@ impl Network {
                 c.idx(&mut l.0, links, "flow bottleneck link out of range")
             })
         };
-        let n = c.len(self.flows.len())?;
-        if C::READING {
-            // One record at a time, so a truncated stream fails before a
-            // corrupt length is allocated.
-            self.flows.clear();
-            self.remaining.clear();
-            self.rates.clear();
-            for _ in 0..n {
-                let (mut f, mut left, mut rate) = (BLANK_FLOW, 0.0, 0.0);
-                flow(c, &mut f, &mut left, &mut rate)?;
-                self.flows.push(f);
-                self.remaining.push(left);
-                self.rates.push(rate);
-            }
-        } else {
-            let cols = self.remaining.iter_mut().zip(&mut self.rates);
-            for (f, (left, rate)) in self.flows.iter_mut().zip(cols) {
-                flow(c, f, left, rate)?;
-            }
-        }
+        seq(c, &mut self.flows, BLANK_FLOW, flow)?;
         seq(c, &mut self.delivering, BLANK_DELIVERY, |c, d| {
             time(c, &mut d.at)?;
             let f = &mut d.flow;
