@@ -169,7 +169,7 @@ fn ps_iteration_started(sim: &mut ClusterSim, worker: usize) {
     // TensorFlow-style: the next graph execution issues recv ops for
     // every parameter now.
     if sim.cfg.strategy.pull_timing == PullTiming::NextIterationStart {
-        let round = sim.workers[worker].iter;
+        let round = sim.workers[worker].completed;
         for k in 0..sim.plan.num_keys() {
             if sim.workers[worker].received_version[k] < round {
                 sim.send_pull_request(worker, k, round);

@@ -30,7 +30,7 @@ impl ClusterSim {
         // flight) and roll the restart point back to the oldest round whose
         // push was destroyed — on rejoin that iteration is redone, and
         // servers deduplicate the replayed keys they already counted.
-        let mut resume = self.workers[w].iter;
+        let mut resume = self.workers[w].completed;
         self.msgs.retain(|_, ctx| {
             if ctx.src == w && sender_role_of(ctx.kind) == Role::Worker {
                 if let MsgKind::Push { round, .. } = ctx.kind {
@@ -50,12 +50,12 @@ impl ClusterSim {
             ws.crashed = true;
             ws.incarnation += 1;
             ws.resume_iter = resume;
-            let blk = ws.waiting_block.take();
-            let stalled = ws.stalled_since.take().map(|since| {
+            let stalled = ws.stall.take().map(|(blk, since)| {
                 ws.stalled_total += now - since;
+                blk
             });
             ws.egress = fresh;
-            stalled.and(blk)
+            stalled
         };
         if let Some(b) = stall_ended {
             self.trace(TraceEvent::StallEnd {
@@ -91,10 +91,8 @@ impl ClusterSim {
         let w = &mut self.workers[worker];
         let resume = w.resume_iter;
         w.crashed = false;
-        w.iter = resume;
         w.completed = resume;
-        w.waiting_block = None;
-        w.stalled_since = None;
+        w.stall = None;
         w.iter_started = now;
         if !w.started {
             w.started = true;

@@ -27,6 +27,7 @@
 //! extra randomness, so fault-free results stay bit-identical.
 
 mod backend;
+mod check;
 mod collective;
 mod membership;
 mod msg_table;
@@ -39,6 +40,8 @@ mod worker;
 
 #[cfg(test)]
 mod fault_tests;
+#[cfg(test)]
+mod fixtures;
 #[cfg(test)]
 mod tests;
 
@@ -231,12 +234,10 @@ impl ClusterSim {
         let mut rng = SplitMix64::new(cfg.seed ^ 0xC0FF_EE00);
         let workers = (0..cfg.machines)
             .map(|_| WorkerState {
-                iter: 0,
                 completed: 0,
                 received_version: vec![0; num_keys],
                 notified_version: vec![0; num_keys],
-                waiting_block: None,
-                stalled_since: None,
+                stall: None,
                 stalled_total: SimDuration::ZERO,
                 started: false,
                 measure_start: None,
@@ -417,6 +418,8 @@ impl ClusterSim {
             if self.wake_pending && self.queue.peek_time().is_none_or(|next| next > t) {
                 self.flush_net_wake();
             }
+            #[cfg(test)]
+            check::each_event(self)?;
             if self.cfg.hash_every > 0 && self.events.is_multiple_of(self.cfg.hash_every) {
                 self.trace(TraceEvent::StateHash {
                     events: self.events,
@@ -456,7 +459,8 @@ impl ClusterSim {
 
     /// Serializes the complete dynamic engine state (clock, pending
     /// events, network flows, endpoint queues, RNG streams, counters) into
-    /// a versioned byte stream. See `snap.rs` for the format. Takes
+    /// a versioned byte stream. The one field walk in
+    /// `engine/snapshot/walk.rs` is the format. Takes
     /// `&mut self` because the one field walk that writes a snapshot also
     /// reads one back. Writing leaves the run as it was: the fabric
     /// allocates any stale rates first, which only its work counters see.

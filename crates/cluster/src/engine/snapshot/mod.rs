@@ -9,9 +9,13 @@
 //! fingerprint of the configuration's `Debug` form travels in the header
 //! so a snapshot cannot be restored under a different configuration.
 //!
-//! [`restore`] is the inverse. It never panics on malformed input: every
-//! length, index, and cross-reference that the engine would later trust
-//! (and index with) is validated, and violations surface as
+//! [`restore`] is the inverse. The stream holds each fact once, so
+//! restore first derives what it leaves out (the walk fills each queued
+//! entry from its message and each message's priority from its key,
+//! [`derive`] the rest), then checks the whole state once with
+//! [`ClusterSim::check_state`]. It never panics on malformed input: the
+//! walk checks every length and index the engine would later index with,
+//! `check_state` every cross-reference, and violations surface as
 //! [`SnapshotError::Corrupt`].
 //!
 //! [`fold_event`] is the cheap rolling digest: an allocation-free FNV-1a
@@ -25,12 +29,12 @@
 //! [`ClusterSim::new`]: super::ClusterSim::new
 //! [`ClusterConfig`]: crate::config::ClusterConfig
 
-mod invariants;
 mod walk;
 
-use super::types::Ev;
+use super::types::{Ev, Role};
 use super::ClusterSim;
 use crate::config::ClusterConfig;
+use crate::egress::EgressUnit;
 use p3_des::snap::{fnv64, fnv64_fold, FnvFold, SnapReader, SnapWriter, SnapshotError};
 use p3_des::SimTime;
 use walk::Bounds;
@@ -67,8 +71,41 @@ pub(super) fn restore(cfg: ClusterConfig, bytes: &[u8]) -> Result<ClusterSim, Sn
     }
     walk::walk(&mut sim, &mut r)?;
     r.expect_end()?;
-    sim.config_error = None;
+    derive(&mut sim);
+    sim.check_state()?;
     Ok(sim)
+}
+
+/// Sets the facts a snapshot leaves out because other state fixes them.
+/// Each message in the fabric is the message its transfer's tag names. A
+/// single consumer's in-flight count is its messages in the fabric, and a
+/// lane is busy while it has one there or a pending release of the live
+/// incarnation. A round expects a push from every live member.
+/// [`ClusterSim::check_state`] then refuses whatever these contradict.
+fn derive(sim: &mut ClusterSim) {
+    for (flow, tag, _) in sim.net.flow_ids() {
+        if let Some(ctx) = sim.msgs.get_mut(tag) {
+            ctx.flow = Some(flow);
+        }
+    }
+    let live = sim.dead_members.iter().filter(|&&dead| !dead).count();
+    sim.expected_pushes = live as u32;
+    let loads = sim.lane_loads(&sim.queue.pending_sorted());
+    for m in 0..sim.cfg.machines {
+        for role in [Role::Worker, Role::Server] {
+            match sim.egress_mut(m, role) {
+                EgressUnit::Single { in_flight, .. } => {
+                    let lanes = loads.range((m, role, 0)..=(m, role, usize::MAX));
+                    *in_flight = lanes.map(|(_, &(fabric, _))| fabric).sum();
+                }
+                EgressUnit::PerDest { busy, .. } => {
+                    for (d, busy) in busy.iter_mut().enumerate() {
+                        *busy = loads.contains_key(&(m, role, d));
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Folds one processed `(time, event)` pair into the rolling run digest:
@@ -86,4 +123,4 @@ pub(super) fn fold_event(h: u64, t: SimTime, ev: &Ev) -> u64 {
     clippy::unreachable,
     reason = "tests destructure the variants they build"
 )]
-mod tests;
+pub(super) mod tests;

@@ -1,24 +1,23 @@
 //! Per-variant pins of the event layout (the rolling hash, the round
-//! trip, and the reader's index checks), and substitution sweeps over
-//! the engine's own fields: whatever a reader accepts must resume and
-//! run to its end without panicking.
+//! trip, and the reader's index checks), a substitution sweep over the
+//! snapshot (whatever a reader accepts must resume and run to its end
+//! without panicking), and one refusal test per state the stream can
+//! carry that the engine cannot run from.
 
+use super::super::fixtures::{base, baseline, corrupted_refusal, degraded_racked};
 use super::super::msg_table::MsgTable;
 use super::super::types::{
-    sender_role_of, Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, ServerState,
+    sender_role_of, Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, WorkerState,
 };
 use super::super::ClusterSim;
 use super::fold_event;
-use super::walk::{egress, ev, messages, server, Bounds};
+use super::walk::{ev, messages, worker, Bounds};
 use crate::config::{BackendKind, ClusterConfig, RunError};
 use crate::egress::{EgressUnit, OutMsg};
-use crate::faults::{FaultPlan, LinkDegradation};
-use p3_core::SyncStrategy;
-use p3_des::snap::{fnv64_fold, SnapReader, SnapWriter, SnapshotError};
+use p3_des::snap::{fnv64_fold, SnapReader, SnapWriter, SnapshotError, SNAP_VERSION};
 use p3_des::{SimDuration, SimTime};
-use p3_models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
-use p3_net::{Bandwidth, FlowId, MachineId, Priority};
-use p3_topo::Topology;
+use p3_net::MachineId;
+use p3_pserver::Key;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Every event variant with the words its layout holds: the tag,
@@ -129,63 +128,6 @@ fn every_event_round_trips_and_rejects_out_of_range_indices() {
 // ---------------------------------------------------------------------
 // Substitution sweeps.
 
-/// A three-block model small enough to resume thousands of times.
-fn tiny_model() -> ModelSpec {
-    let block = |name, kind, flops, arrays| ComputeBlock::new(name, kind, flops, arrays);
-    let blocks = vec![
-        block(
-            "conv1",
-            BlockKind::Conv,
-            40_000_000,
-            vec![ParamArray::new("conv1.weight", 40_000)],
-        ),
-        block(
-            "conv2",
-            BlockKind::Conv,
-            40_000_000,
-            vec![ParamArray::new("conv2.weight", 120_000)],
-        ),
-        block(
-            "head",
-            BlockKind::Dense,
-            10_000_000,
-            vec![
-                ParamArray::new("head.weight", 900_000),
-                ParamArray::new("head.bias", 3_000),
-            ],
-        ),
-    ];
-    ModelSpec::from_blocks("TinyDet", SampleUnit::Images, blocks, 800.0, 32, 0.0)
-}
-
-/// P3 on a 2x2 racked fabric with machine 1's port at half capacity
-/// across the first iteration boundary, as `tests/snapshot_resume.rs`'s
-/// `degraded_racked`.
-fn degraded_racked() -> ClusterConfig {
-    let faults = FaultPlan {
-        link_degradations: vec![LinkDegradation {
-            machine: 1,
-            start: SimTime::from_millis(20),
-            duration: SimDuration::from_millis(80),
-            capacity_factor: 0.5,
-        }],
-        ..FaultPlan::none()
-    };
-    ClusterConfig::new(
-        tiny_model(),
-        SyncStrategy::p3(),
-        4,
-        Bandwidth::from_gbps(5.0),
-    )
-    .with_iters(1, 2)
-    .with_seed(3)
-    .with_backend(BackendKind::Ps)
-    .with_slice_trace()
-    .with_topology(Topology::new(2, 2, 2.0))
-    .with_trace(SimDuration::from_millis(10))
-    .with_faults(faults)
-}
-
 /// Restores `bytes` under `degraded_racked` and runs the result to its
 /// end within `steps` more
 /// events. `None` when the reader refuses the bytes; otherwise why the
@@ -242,35 +184,9 @@ fn refusal(bytes: &[u8]) -> Option<String> {
     }
 }
 
-/// Ring all-reduce on the same model, without faults, as
-/// `tests/snapshot_resume.rs`'s `base(BackendKind::Ring, 7)`.
+/// Ring all-reduce on the same model, without faults.
 fn ring() -> ClusterConfig {
-    ClusterConfig::new(
-        tiny_model(),
-        SyncStrategy::p3(),
-        4,
-        Bandwidth::from_gbps(5.0),
-    )
-    .with_iters(1, 2)
-    .with_seed(7)
-    .with_backend(BackendKind::Ring)
-    .with_slice_trace()
-}
-
-/// Pauses `cfg` at its first iteration boundary, lets `corrupt` change
-/// the live engine, and says why a restore of its snapshot is refused
-/// as corrupt, if it is.
-fn corrupted_refusal(
-    cfg: fn() -> ClusterConfig,
-    corrupt: impl FnOnce(&mut ClusterSim),
-) -> Option<String> {
-    let mut sim = ClusterSim::new(cfg());
-    sim.run_until(1).ok()?;
-    corrupt(&mut sim);
-    match ClusterSim::restore(cfg(), &sim.snapshot()) {
-        Err(SnapshotError::Corrupt(why)) => Some(why),
-        _ => None,
-    }
+    base(BackendKind::Ring, 7)
 }
 
 /// The egress unit that sends message `ctx`, and the entry it queues.
@@ -290,24 +206,22 @@ fn sender_egress(sim: &mut ClusterSim, id: u64, ctx: MsgCtx) -> (&mut EgressUnit
 fn first_entry_len(sim: &ClusterSim) -> Option<usize> {
     let (id, ctx) = sim.msgs.iter().next()?;
     let mut one = ClusterSim::new(degraded_racked());
-    one.msgs
-        .insert(id, MsgCtx { flow: None, ..*ctx })
-        .then_some(())?;
+    one.msgs.insert(id, *ctx).then_some(())?;
     let header = SnapWriter::new(0).finish().len();
     let mut w = SnapWriter::new(0);
     messages(&mut w, &mut one, &Bounds::UNCHECKED).ok()?;
-    // Less the two counts: one message, no flows.
-    Some(w.finish().len() - header - 16)
+    // Less the count: one message.
+    Some(w.finish().len() - header - 8)
 }
 
 /// The snapshot at `degraded_racked`'s first iteration boundary, the
-/// span of its message and flow sections, and the events the clean
-/// resume takes to finish.
+/// span of its message section, and the events the clean resume takes
+/// to finish.
 fn racked_fixture() -> Option<(Vec<u8>, std::ops::Range<usize>, u64)> {
     let mut sim = racked_at_boundary().ok()?;
     let bytes = sim.snapshot();
     let range = section_in(&bytes, &mut sim, |w, sim| {
-        messages(w, sim, &Bounds::UNCHECKED).map(drop)
+        messages(w, sim, &Bounds::UNCHECKED)
     })?;
     let before = sim.events;
     let sim = ClusterSim::restore(degraded_racked(), &bytes).ok()?;
@@ -332,13 +246,20 @@ fn section_in(
     Some(start..start + section.len())
 }
 
-/// The message and flow sections hold ids and cross-references a
-/// delivery trusts. Whatever the reader accepts there must resume and
-/// run to its end (or a structured deadlock) without panicking and
-/// within four times the clean resume's events.
+/// Whatever the reader accepts must resume and run to its end (or a
+/// structured deadlock) without panicking and within four times the
+/// clean resume's events. A release build sweeps every byte of the
+/// snapshot (CI's `golden-digest` job runs it); a debug build sweeps the
+/// message section, which holds the ids and cross-references a delivery
+/// trusts.
 #[test]
-fn substituted_message_words_are_refused_or_resume_to_the_end() {
-    let (bytes, range, clean) = racked_fixture().expect("fixture run failed");
+fn substituted_words_are_refused_or_resume_to_the_end() {
+    let (bytes, messages, clean) = racked_fixture().expect("fixture run failed");
+    let range = if cfg!(debug_assertions) {
+        messages
+    } else {
+        0..bytes.len()
+    };
     let (accepted, failures) = sweep(&bytes, range.clone(), 4 * clean);
     assert!(
         failures.is_empty(),
@@ -381,6 +302,25 @@ fn impossible_compute_multipliers_are_refused() {
     }
 }
 
+/// The fabric section of `bytes`, a snapshot of `sim`, and the offset of
+/// each flow record in it. A record is the flow's id, source,
+/// destination, priority (4 bytes), tag, size, remaining bytes and rate,
+/// then its optional bottleneck.
+fn flow_records(bytes: &[u8], sim: &mut ClusterSim) -> Vec<usize> {
+    let now = sim.queue.now();
+    let fabric = section_in(bytes, sim, |w, sim| sim.net.walk(w, now));
+    let start = fabric.expect("the fabric section").start;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let mut at = start + 8;
+    (0..word(start))
+        .map(|_| {
+            let record = at;
+            at += 61 + 8 * usize::from(bytes[at + 60]);
+            record
+        })
+        .collect()
+}
+
 /// A flow's rate: the fabric allocates rates that are finite and at
 /// least 0, and a NaN, negative or infinite one would corrupt every
 /// drain time it enters.
@@ -388,14 +328,8 @@ fn impossible_compute_multipliers_are_refused() {
 fn impossible_flow_rates_are_refused() {
     let mut sim = racked_at_boundary().expect("fixture run failed");
     let bytes = sim.snapshot();
-    let now = sim.queue.now();
-    let fabric = section_in(&bytes, &mut sim, |w, sim| sim.net.walk(w, now));
-    let start = fabric.expect("the fabric section").start;
-    // The flow count, then the first flow: id, source, destination,
-    // priority (4 bytes), tag, size, remaining bytes, rate.
-    let count = u64::from_le_bytes(bytes[start..start + 8].try_into().unwrap());
-    assert!(count > 0, "the fixture needs a flow in flight");
-    let at = start + 8 + 3 * 8 + 4 + 3 * 8;
+    let records = flow_records(&bytes, &mut sim);
+    let at = records.first().expect("the fixture needs a flow in flight") + 3 * 8 + 4 + 3 * 8;
     let rate = f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     assert!(rate.is_finite() && rate >= 0.0, "rate {rate} at byte {at}");
     for bad in [f64::NAN, -1.0, f64::INFINITY] {
@@ -407,67 +341,59 @@ fn impossible_flow_rates_are_refused() {
     }
 }
 
-/// Each message in the fabric names one flow the fabric holds, tagged
-/// with its id, and no two flows name one message; live ids sit below
-/// the id counter within a span the table indexes. A restore refuses
-/// every other link, so no delivery meets an unknown message.
+/// Restore links each message to the fabric transfer its tag names, so
+/// the fabric's ids and tags must make that link one-to-one: a tag that
+/// names no live message, two transfers that tag one message, or two
+/// that share an id are refused.
 #[test]
-fn flow_links_that_are_not_one_to_one_are_refused() {
+fn fabric_tags_that_do_not_link_one_to_one_are_refused() {
     let mut sim = racked_at_boundary().expect("fixture run failed");
-    let in_fabric = sim.msgs.flows(|_| true);
-    assert!(in_fabric.len() >= 2, "the fixture needs two flows");
-    let ((fa, a, _), (fb, b, _)) = (in_fabric[0], in_fabric[1]);
-    let queued = sim.msgs.iter().find(|(_, c)| c.flow.is_none());
-    let queued = queued.expect("the fixture needs a queued message").0;
     let bytes = sim.snapshot();
     assert!(ClusterSim::restore(degraded_racked(), &bytes).is_ok());
-
-    // Two flows that name one message: the flow section closes the
-    // message sections as `(count, [flow id, message id]…)`, so point its
-    // second entry at the first entry's message.
-    let (fixture, sections, _) = racked_fixture().expect("fixture run failed");
-    assert_eq!(fixture, bytes);
-    let at = sections.end - (8 + 16 * in_fabric.len());
-    let mut twice = bytes.clone();
-    twice.copy_within(at + 16..at + 24, at + 32);
+    let records = flow_records(&bytes, &mut sim);
+    let [first, second, ..] = records[..] else {
+        panic!("the fixture needs two flows");
+    };
+    let (id, tag) = (0, 3 * 8 + 4);
+    let cases = [
+        (
+            second + tag,
+            first + tag,
+            "fabric flow's message linked to another flow",
+        ),
+        (second + id, first + id, "two fabric flows share an id"),
+    ];
+    for (to, from, what) in cases {
+        let mut b = bytes.clone();
+        b.copy_within(from..from + 8, to);
+        assert_eq!(refusal(&b).as_deref(), Some(what));
+    }
+    let mut b = bytes.clone();
+    b[first + tag..first + tag + 8].copy_from_slice(&sim.next_msg_id.to_le_bytes());
+    let why = refusal(&b);
     assert_eq!(
-        refusal(&twice).as_deref(),
-        Some("two flows name one message")
+        why.as_deref(),
+        Some("fabric flow tagged with no live message")
     );
+}
 
-    type Corrupt = fn(&mut ClusterSim, [u64; 3], [FlowId; 2]);
-    let cases: [(&str, Corrupt); 5] = [
-        (
-            "fabric flow tag is not its message's id",
-            |sim, [a, b, _], [fa, fb]| {
-                sim.msgs.get_mut(a).unwrap().flow = Some(fb);
-                sim.msgs.get_mut(b).unwrap().flow = Some(fa);
-            },
-        ),
-        (
-            "message names a flow the fabric does not hold",
-            |sim, [.., q], _| {
-                sim.msgs.get_mut(q).unwrap().flow = Some(FlowId(u64::MAX));
-            },
-        ),
-        ("flow unknown to the engine", |sim, [a, ..], _| {
-            sim.msgs.get_mut(a).unwrap().flow = None;
-        }),
-        ("message id counter behind live ids", |sim, _, _| {
+/// Live ids sit below the id counter, within a span the table indexes.
+#[test]
+fn message_ids_the_counter_does_not_cover_are_refused() {
+    type Corrupt = fn(&mut ClusterSim);
+    let cases: [(&str, Corrupt); 2] = [
+        ("message id counter behind live ids", |sim| {
             sim.next_msg_id = sim.msgs.iter().last().unwrap().0;
         }),
-        (
-            "message ids span more than the table indexes",
-            |sim, _, _| {
-                sim.next_msg_id = sim.msgs.iter().next().unwrap().0 + MsgTable::MAX_SPAN + 1;
-            },
-        ),
+        ("message ids span more than the table indexes", |sim| {
+            sim.next_msg_id = sim.msgs.iter().next().unwrap().0 + MsgTable::MAX_SPAN + 1;
+        }),
     ];
     for (what, corrupt) in cases {
-        let mut sim = racked_at_boundary().expect("fixture run failed");
-        corrupt(&mut sim, [a, b, queued], [fa, fb]);
-        let why = refusal(&sim.snapshot()).unwrap_or_default();
-        assert!(why.contains(what), "{what}: refused with {why:?}");
+        assert_eq!(
+            corrupted_refusal(degraded_racked, corrupt).as_deref(),
+            Some(what)
+        );
     }
 }
 
@@ -521,26 +447,7 @@ fn queued_messages_the_engine_cannot_deliver_are_refused() {
     }
 }
 
-/// Each context's in-flight byte is derived from the flows: set only on
-/// messages in the fabric, and only when the fault plan can lose them.
-/// `degraded_racked` cannot, so a set byte contradicts the flows.
-#[test]
-fn an_in_flight_byte_that_contradicts_the_flows_is_refused() {
-    let sim = racked_at_boundary().expect("fixture run failed");
-    let (bytes, sections, _) = racked_fixture().expect("fixture run failed");
-    // The first message's entry ends with its flag.
-    let entry = first_entry_len(&sim).expect("a live message");
-    let flag = sections.start + 8 + entry - 1;
-    assert_eq!(bytes[flag], 0);
-    let mut set = bytes.clone();
-    set[flag] = 1;
-    assert_eq!(
-        refusal(&set).as_deref(),
-        Some("message in-flight flag contradicts its flow")
-    );
-}
-
-/// Ids ascend strictly and end at `u64::MAX`: ids at the top of the
+/// Ids ascend strictly and end below `u64::MAX`: ids at the top of the
 /// range are refused, never wrapped into the table's window.
 #[test]
 fn message_ids_at_the_top_of_the_range_are_refused() {
@@ -548,35 +455,40 @@ fn message_ids_at_the_top_of_the_range_are_refused() {
     let (bytes, sections, _) = racked_fixture().expect("fixture run failed");
     let first = sections.start + 8;
     let second = first + first_entry_len(&sim).expect("a live message");
-    for ids in [[u64::MAX, u64::MAX], [u64::MAX, 3]] {
+    let counter = sections.start - 8;
+    let top = u64::MAX - 1;
+    let cases = [
+        ([top, top], "message ids not ascending"),
+        ([top, 3], "message ids span more than the table indexes"),
+        ([u64::MAX, top], "message id counter behind live ids"),
+    ];
+    for (ids, what) in cases {
         let mut b = bytes.clone();
+        b[counter..counter + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         b[first..first + 8].copy_from_slice(&ids[0].to_le_bytes());
         b[second..second + 8].copy_from_slice(&ids[1].to_le_bytes());
-        assert_eq!(
-            refusal(&b).as_deref(),
-            Some("message ids not ascending"),
-            "{ids:?}"
-        );
+        assert_eq!(refusal(&b).as_deref(), Some(what), "{ids:?}");
     }
 }
 
-/// Engine state beyond the messages' own fields: every egress unit's
-/// in-flight count matches the messages it has in the fabric, a server
-/// processes only rounds it has reached, a completion is pending exactly
-/// for the item a server holds, and rounds complete at as many pushes as
-/// there are live members.
+/// Engine state beyond the messages' own fields: a single consumer frees
+/// its slot at delivery, so no lane release may be pending for it; a
+/// server processes only rounds it has reached; and a completion is
+/// pending exactly for the item a server holds.
 #[test]
 fn state_a_delivery_would_trip_over_is_refused() {
     type Corrupt = fn(&mut ClusterSim);
-    let membership = "expected pushes differ from the live membership";
-    let cases: [(&str, Corrupt); 5] = [
+    let cases: [(&str, Corrupt); 3] = [
         (
             "egress in-flight count disagrees with its messages",
             |sim| {
-                let EgressUnit::Single { in_flight, .. } = &mut sim.workers[0].egress else {
-                    panic!("P3 sends from a single-consumer unit");
+                let ready = Ev::EgressReady {
+                    machine: 0,
+                    role: Role::Server,
+                    dst: MachineId(1),
+                    inc: 0,
                 };
-                *in_flight += 1;
+                sim.queue.schedule_in(SimDuration::from_nanos(1), ready);
             },
         ),
         (
@@ -599,13 +511,35 @@ fn state_a_delivery_would_trip_over_is_refused() {
                 sim.queue.schedule_in(SimDuration::from_nanos(1), done);
             },
         ),
-        (membership, |sim| sim.expected_pushes = 0),
-        (membership, |sim| sim.expected_pushes += 1),
     ];
     for (what, corrupt) in cases {
         let why = corrupted_refusal(degraded_racked, corrupt);
         assert_eq!(why.as_deref(), Some(what));
     }
+}
+
+/// A lane of a per-destination unit carries one message at a time: a
+/// second pending release of the live incarnation, on a lane that already
+/// has its message in the fabric or a release pending, is refused.
+#[test]
+fn a_lane_loaded_twice_is_refused() {
+    let why = corrupted_refusal(baseline, |sim| {
+        let (_, _, ctx) = sim.msgs.flows(|_| true)[0];
+        let role = sender_role_of(ctx.kind);
+        let inc = match role {
+            Role::Worker => sim.workers[ctx.src].incarnation,
+            Role::Server => 0,
+        };
+        let ready = Ev::EgressReady {
+            machine: ctx.src,
+            role,
+            dst: MachineId(ctx.dst),
+            inc,
+        };
+        sim.queue.schedule_in(SimDuration::from_nanos(1), ready);
+    });
+    let what = "egress in-flight count disagrees with its messages";
+    assert_eq!(why.as_deref(), Some(what));
 }
 
 /// A server holding no item.
@@ -614,68 +548,109 @@ fn idle_server(sim: &ClusterSim) -> usize {
     idle.expect("the fixture needs an idle server")
 }
 
-/// One server's section of the snapshot.
-fn server_section(ss: &mut ServerState) -> Vec<u8> {
-    let header = SnapWriter::new(0).finish().len();
-    let mut w = SnapWriter::new(0);
-    let written = server(&mut w, ss, &Bounds::UNCHECKED);
-    assert!(written.is_ok(), "only a reader fails");
-    w.finish().split_off(header)
-}
-
-/// A server's busy byte repeats whether it holds an item. Set on an
-/// idle server, it would restore a unit that waits forever for a
-/// completion nothing scheduled, so it is refused.
-#[test]
-fn a_busy_byte_on_an_idle_server_is_refused() {
+/// `degraded_racked`'s snapshot at its first iteration boundary with
+/// worker 0's section replaced by the one `edit` makes of it, given the
+/// clock.
+fn worker_edited(edit: impl FnOnce(&mut WorkerState, SimTime)) -> Vec<u8> {
     let mut sim = racked_at_boundary().expect("fixture run failed");
     let bytes = sim.snapshot();
-    let s = idle_server(&sim);
-    let ss = &mut sim.servers[s];
-    // The idle section and the same server holding an item first differ
-    // at the busy byte.
-    let idle = server_section(ss);
-    ss.current = Some(ProcItem {
-        key: 0,
-        round: 0,
-        worker: 0,
-        members: 1,
-    });
-    let busy = server_section(ss);
-    let flag = idle.iter().zip(&busy).position(|(a, b)| a != b);
-    let start = bytes.windows(idle.len()).position(|w| w == idle.as_slice());
-    let at = start.expect("the section in the snapshot") + flag.expect("sections differ");
-    assert_eq!(bytes[at], 0);
-    let mut set = bytes.clone();
-    set[at] = 1;
-    assert_eq!(
-        refusal(&set).as_deref(),
-        Some("processing flag contradicts the item in flight")
-    );
+    let now = sim.queue.now();
+    let (ws, msgs) = (&mut sim.workers[0], &sim.msgs);
+    let section = |ws: &mut WorkerState| {
+        let header = SnapWriter::new(0).finish().len();
+        let mut w = SnapWriter::new(0);
+        worker(&mut w, ws, msgs, &Bounds::UNCHECKED).expect("only a reader fails");
+        w.finish().split_off(header)
+    };
+    let before = section(ws);
+    edit(ws, now);
+    let after = section(ws);
+    let at = bytes
+        .windows(before.len())
+        .position(|w| w == before.as_slice());
+    let at = at.expect("worker 0's section in the snapshot");
+    [&bytes[..at], &after, &bytes[at + before.len()..]].concat()
 }
 
-/// An endpoint's egress discipline and window are the configuration's:
-/// a snapshot edited to another window restores into a state the live
-/// engine never reaches, so it is refused.
+/// Refused as corrupt for `what`. A restore that accepts the bytes runs
+/// to its end before the test fails: a state the result assembly or the
+/// clock arithmetic cannot handle panics there.
+fn assert_refused(bytes: &[u8], what: &str) {
+    match ClusterSim::restore(degraded_racked(), bytes) {
+        Err(SnapshotError::Corrupt(why)) => assert_eq!(why, what),
+        Err(e) => panic!("refused as {e}, not for {what:?}"),
+        Ok(sim) => panic!("accepted, and ran to {:?}", sim.try_run().map(|r| r.events)),
+    }
+}
+
+/// An iteration that started after the clock ends with a negative
+/// duration.
 #[test]
-fn an_egress_window_the_configuration_did_not_choose_is_refused() {
-    let why = corrupted_refusal(degraded_racked, |sim| {
-        let EgressUnit::Single { window, .. } = &mut sim.workers[0].egress else {
-            panic!("P3 sends from a single-consumer unit");
-        };
-        *window = 1;
+fn an_iteration_started_after_the_clock_is_refused() {
+    let bytes = worker_edited(|ws, now| ws.iter_started = now + SimDuration::from_secs(1));
+    assert_refused(&bytes, "worker instant after the clock");
+}
+
+/// A stall that began after the clock ends with a negative duration.
+#[test]
+fn a_stall_begun_after_the_clock_is_refused() {
+    let bytes = worker_edited(|ws, now| {
+        ws.stall = Some((0, now + SimDuration::from_secs(1)));
     });
-    assert_eq!(
-        why.as_deref(),
-        Some("egress window differs from the configuration's")
-    );
-    let why = corrupted_refusal(degraded_racked, |sim| {
-        sim.workers[0].egress = EgressUnit::per_dest(sim.cfg.machines);
+    assert_refused(&bytes, "worker instant after the clock");
+}
+
+/// A worker past warmup has opened its measurement window; one that
+/// has not never opens it, and the result assembly finds it missing.
+#[test]
+fn a_worker_past_warmup_without_a_measurement_start_is_refused() {
+    let bytes = worker_edited(|ws, _| {
+        assert!(ws.completed >= 1, "worker 0 finished its warmup");
+        ws.measure_start = None;
     });
-    assert_eq!(
-        why.as_deref(),
-        Some("egress discipline differs from the configuration's")
-    );
+    assert_refused(&bytes, "worker past warmup without a measurement start");
+}
+
+/// A worker at its target has closed its measurement window; one that
+/// has not never closes it, and the result assembly finds it missing.
+#[test]
+fn a_worker_at_its_target_without_a_measurement_end_is_refused() {
+    let bytes = worker_edited(|ws, _| {
+        assert!(ws.measure_end.is_none());
+        ws.completed = 3;
+    });
+    assert_refused(&bytes, "worker past its target without a measurement end");
+}
+
+/// A measurement window closes after it opens, and an iteration lasts a
+/// finite, non-negative time; the result assembly divides by the one and
+/// sorts the other.
+#[test]
+fn impossible_measurements_are_refused() {
+    let bytes = worker_edited(|ws, now| {
+        ws.measure_start = Some(now);
+        ws.measure_end = Some(now - SimDuration::from_nanos(1));
+    });
+    assert_refused(&bytes, "measurement window ends before it starts");
+    for bad in [f64::NAN, -1.0] {
+        let bytes = worker_edited(|ws, _| ws.measured_iters.push(bad));
+        assert_refused(&bytes, "measured iteration not finite and non-negative");
+    }
+}
+
+/// A snapshot of an older format is refused by its version, whatever
+/// its body holds.
+#[test]
+fn a_v2_snapshot_is_refused_by_version() {
+    let mut sim = racked_at_boundary().expect("fixture run failed");
+    let mut bytes = sim.snapshot();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let err = ClusterSim::restore(degraded_racked(), &bytes).map(|_| ());
+    let expected = SnapshotError::UnsupportedVersion {
+        found: 2,
+        expected: SNAP_VERSION,
+    };
+    assert_eq!(err, Err(expected));
 }
 
 /// Under a collective backend, every message is a chunk of the active
@@ -720,35 +695,23 @@ fn collective_chunks_outside_the_active_step_are_refused() {
 }
 
 /// A per-destination unit keeps each queued message in its own
-/// destination's lane; the lane it is read from must be that lane.
+/// destination's lane; a lane holding another destination's message
+/// would start that message and free the wrong lane at its release.
 #[test]
 fn a_message_in_another_destinations_lane_is_refused() {
-    let b = Bounds {
-        machines: 4,
-        ..Bounds::UNCHECKED
-    };
-    for (lane, refused) in [(2, false), (1, true)] {
-        let mut unit = EgressUnit::per_dest(4);
-        let EgressUnit::PerDest { queues, .. } = &mut unit else {
-            unreachable!("built per destination");
+    let why = corrupted_refusal(baseline, |sim| {
+        let home = sim.plan.slice(Key(0)).server.0;
+        let src = (home + 1) % 4;
+        let round = sim.servers[home].version[0];
+        sim.send(MsgKind::Push { key: 0, round }, src, home, 100);
+        let EgressUnit::PerDest { queues, .. } = &mut sim.workers[src].egress else {
+            unreachable!("the baseline sends per destination");
         };
-        queues[lane].push_back(OutMsg {
-            dst: MachineId(2),
-            bytes: 100,
-            priority: Priority(0),
-            msg_id: 0,
-        });
-        let mut w = SnapWriter::new(0);
-        egress(&mut w, &mut unit, &Bounds::UNCHECKED).expect("only a reader fails");
-        let bytes = w.finish();
-        let (mut r, _) = SnapReader::new(&bytes).unwrap();
-        let mut back = EgressUnit::per_dest(4);
-        match egress(&mut r, &mut back, &b) {
-            Err(SnapshotError::Corrupt(why)) if refused => {
-                assert_eq!(why, "message in another destination's lane");
-            }
-            Ok(()) if !refused => assert_eq!(back.backlog(), 1),
-            other => panic!("lane {lane}: {other:?}"),
-        }
-    }
+        let msg = queues[home].pop_back().expect("the push just queued");
+        queues[src].push_back(msg);
+    });
+    assert_eq!(
+        why.as_deref(),
+        Some("message in another destination's lane")
+    );
 }

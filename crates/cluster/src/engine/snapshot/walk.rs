@@ -10,22 +10,26 @@
 //! repeat it. Containers the engine rebuilds rather than fills (the event
 //! calendar, priority queues) are walked as a plain list and rebuilt on
 //! the read side only. The network walks its own fields
-//! ([`p3_net::Network::walk`]); this walk only places its section. Every
-//! index and cross-reference the engine would later trust is checked
-//! while reading, and the invariants that span sections once the stream
-//! is read ([`invariants`]), so hostile or truncated input surfaces as
+//! ([`p3_net::Network::walk`]); this walk only places its section.
+//!
+//! The stream holds each fact once. What other stored state or the
+//! configuration determines is not walked: restore derives it
+//! ([`super::restore`]) and checks every cross-reference once, in
+//! [`ClusterSim::check_state`]. This walk checks only what one field
+//! can: ranges and indices, so hostile or truncated input surfaces as
 //! [`SnapshotError`], never a panic.
 
 use super::super::collective::{ActiveCollective, CollectiveState};
 use super::super::msg_table::MsgTable;
-use super::super::types::{Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, ServerState, WorkerState};
+use super::super::types::{
+    class_of, Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, ServerState, WorkerState, EVENT_CAP,
+};
 use super::super::ClusterSim;
-use super::invariants;
 use crate::egress::{EgressUnit, OutMsg};
 use p3_core::PrioQueue;
 use p3_des::snap::{fixed, opt, opt_time, seq, time, Coder, SnapshotError};
 use p3_des::{EventQueue, SimDuration, SimTime, SplitMix64};
-use p3_net::{FlowId, MachineId, Priority};
+use p3_net::{MachineId, Priority};
 use std::collections::BTreeMap;
 
 type Res = Result<(), SnapshotError>;
@@ -79,46 +83,19 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
     if C::READING {
         sim.queue = EventQueue::from_pending(now, pending);
     }
+    c.u64(&mut sim.next_msg_id)?;
+    messages(c, sim, &b)?;
 
     for ws in &mut sim.workers {
-        worker(c, ws, &b)?;
+        worker(c, ws, &sim.msgs, &b)?;
     }
     for ss in &mut sim.servers {
-        server(c, ss, &b)?;
+        server(c, ss, &sim.msgs, &b)?;
     }
     sim.net.walk(c, now)?;
-
-    let read = messages(c, sim, &b)?;
-
-    c.u64(&mut sim.next_msg_id)?;
-    if C::READING {
-        fill_table(c, sim, read)?;
-    }
     opt_time(c, &mut sim.next_wake)?;
-    // Every single consumer's admission gate, then its pending kick, per
-    // machine as [worker, server]. Per-destination lanes have neither:
-    // they write `ZERO` and `None`, and a reader refuses anything else.
-    let endpoints = (0..b.machines).flat_map(|m| [(m, Role::Worker), (m, Role::Server)]);
-    for (m, r) in endpoints.clone() {
-        let mut absent = SimTime::ZERO;
-        let gate = match sim.egress_mut(m, r) {
-            EgressUnit::Single { next_admit, .. } => next_admit,
-            EgressUnit::PerDest { .. } => &mut absent,
-        };
-        time(c, gate)?;
-        let what = "admission gate on per-destination lanes";
-        c.check(absent == SimTime::ZERO, what)?;
-    }
-    for (m, r) in endpoints {
-        let mut absent = None;
-        let kick = match sim.egress_mut(m, r) {
-            EgressUnit::Single { kick_at, .. } => kick_at,
-            EgressUnit::PerDest { .. } => &mut absent,
-        };
-        opt_time(c, kick)?;
-        c.check(absent.is_none(), "admission kick on per-destination lanes")?;
-    }
     c.u64(&mut sim.events)?;
+    c.check(sim.events < EVENT_CAP, "event count at the cap")?;
 
     let st = &mut sim.stats;
     c.u64(&mut st.pushes)?;
@@ -133,11 +110,6 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
     for dead in &mut sim.dead_members {
         c.bool(dead)?;
     }
-    c.u32(&mut sim.expected_pushes)?;
-    let members = sim.dead_members.iter().filter(|&&dead| !dead).count();
-    let what = "expected pushes differ from the live membership";
-    c.check(sim.expected_pushes as usize == members, what)?;
-
     let f = &mut sim.faults;
     c.u64(&mut f.messages_lost)?;
     c.u64(&mut f.retransmits)?;
@@ -162,134 +134,39 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
         },
     )?;
 
-    let mut has_collective = sim.collective.is_some();
-    c.bool(&mut has_collective)?;
-    c.check(
-        has_collective == sim.collective.is_some(),
-        "collective state presence contradicts the backend",
-    )?;
+    // The backend fixes whether there is collective state.
     if let Some(st) = sim.collective.as_mut() {
         collective(c, st, &b)?;
     }
-    c.u64(&mut sim.hash)?;
-    if C::READING {
-        invariants::check_messages(sim).map_err(|what| SnapshotError::Corrupt(what.into()))?;
-    }
-    Ok(())
+    c.u64(&mut sim.hash)
 }
 
-/// The message table, in two sections: the messages as `(count, [id,
-/// context]…)` in ascending id order, then the messages in the fabric as
-/// `(count, [flow id, message id]…)` in ascending flow id order ([`flows`]).
-/// A context's in-flight flag is derived, not stored: it is set on the
-/// messages in the fabric when the fault plan can lose messages. A
-/// reader refuses ids that do not ascend and a flag that contradicts the
-/// flows, and returns the messages it read, flows linked, for
-/// [`fill_table`]; a writer returns nothing.
-pub(super) fn messages<C: Coder>(
-    c: &mut C,
-    sim: &mut ClusterSim,
-    b: &Bounds,
-) -> Result<Vec<(u64, MsgCtx)>, SnapshotError> {
-    let reliable = sim.cfg.faults.needs_reliability();
+/// The message table as `(count, [id, context]…)` in ascending id order.
+/// A context's priority is its key's, which a reader looks up; its flow
+/// is not stored either: restore links it from the fabric's tags. The id
+/// counter comes just before, so a reader refuses an id it does not
+/// cover, or covers from further back than the table indexes: no id's
+/// value sizes the table's window.
+pub(super) fn messages<C: Coder>(c: &mut C, sim: &mut ClusterSim, b: &Bounds) -> Res {
     let n = c.len(sim.msgs.len())?;
-    let (mut read, mut flagged) = (Vec::new(), Vec::new());
-    if C::READING {
-        for _ in 0..n {
-            let (mut id, mut ctx, mut in_flight) = (0, BLANK_CTX, false);
-            c.u64(&mut id)?;
-            msg_ctx(c, &mut ctx, &mut in_flight, b)?;
-            let ascends = read.last().is_none_or(|&(prev, _)| id > prev);
-            c.check(ascends, "message ids not ascending")?;
-            read.push((id, ctx));
-            if in_flight {
-                flagged.push(id);
-            }
-        }
-    } else {
-        for (id, ctx) in sim.msgs.iter() {
-            let mut in_flight = reliable && ctx.flow.is_some();
+    if !C::READING {
+        return sim.msgs.iter().try_for_each(|(id, ctx)| {
             c.u64(&mut { id })?;
-            msg_ctx(c, &mut { *ctx }, &mut in_flight, b)?;
-        }
+            msg_ctx(c, &mut { *ctx }, b)
+        });
     }
-    flows(c, sim, &mut read)?;
-    if C::READING {
-        let derived = read
-            .iter()
-            .filter(|(_, ctx)| reliable && ctx.flow.is_some());
-        let agree = flagged.into_iter().eq(derived.map(|&(id, _)| id));
-        c.check(agree, "message in-flight flag contradicts its flow")?;
-    }
-    Ok(read)
-}
-
-/// Builds the table from the messages [`messages`] read, once the id
-/// counter is known: every live id must sit below it, within a span the
-/// table indexes, so no id's value sizes the window.
-fn fill_table<C: Coder>(c: &mut C, sim: &mut ClusterSim, read: Vec<(u64, MsgCtx)>) -> Res {
     let next = sim.next_msg_id;
-    if let (Some(&(oldest, _)), Some(&(newest, _))) = (read.first(), read.last()) {
-        c.check(next > newest, "message id counter behind live ids")?;
+    for _ in 0..n {
+        let (mut id, mut ctx) = (0, BLANK_CTX);
+        c.u64(&mut id)?;
+        c.check(id < next, "message id counter behind live ids")?;
         let what = "message ids span more than the table indexes";
-        c.check(next - oldest <= MsgTable::MAX_SPAN, what)?;
-    }
-    sim.msgs = MsgTable::default();
-    for (id, ctx) in read {
+        c.check(next - id <= MsgTable::MAX_SPAN, what)?;
+        msg_ctx(c, &mut ctx, b)?;
+        ctx.priority = Priority(sim.prio[class_of(ctx.kind).1]);
         c.check(sim.msgs.insert(id, ctx), "message ids not ascending")?;
     }
     Ok(())
-}
-
-/// The messages in the fabric as their `(count, [flow id, message
-/// id]…)` list in ascending flow id order. A reader links each flow to
-/// its message in `read` (ascending ids) and refuses any link that is
-/// not one-to-one with the fabric's own flows and their tags.
-fn flows<C: Coder>(c: &mut C, sim: &mut ClusterSim, read: &mut [(u64, MsgCtx)]) -> Res {
-    let mut flows: Vec<(FlowId, u64)> = sim
-        .msgs
-        .flows(|_| true)
-        .iter()
-        .map(|&(f, id, _)| (f, id))
-        .collect();
-    seq(c, &mut flows, (FlowId(0), 0), |c, (flow, mid)| {
-        c.u64(&mut flow.0)?;
-        c.u64(mid)
-    })?;
-    if !C::READING {
-        return Ok(());
-    }
-    for (i, &(flow, mid)) in flows.iter().enumerate() {
-        c.check(i == 0 || flows[i - 1].0 < flow, "flow ids not ascending")?;
-        let Ok(at) = read.binary_search_by_key(&mid, |&(id, _)| id) else {
-            return c.check(false, "flow references unknown message");
-        };
-        let ctx = &mut read[at].1;
-        c.check(ctx.flow.is_none(), "two flows name one message")?;
-        ctx.flow = Some(flow);
-    }
-    // Every transfer the fabric holds must be one of those flows, tagged
-    // with its message's id, and the fabric must hold each of them once.
-    let mut held = vec![false; flows.len()];
-    for (id, tag, delivering) in sim.net.flow_ids() {
-        let Ok(i) = flows.binary_search_by_key(&id, |&(f, _)| f) else {
-            let what = if delivering {
-                "delivering flow unknown to the engine"
-            } else {
-                "network flow unknown to the engine"
-            };
-            return c.check(false, what);
-        };
-        c.check(flows[i].1 == tag, "fabric flow tag is not its message's id")?;
-        c.check(
-            !std::mem::replace(&mut held[i], true),
-            "two fabric flows share an id",
-        )?;
-    }
-    c.check(
-        held.iter().all(|&h| h),
-        "message names a flow the fabric does not hold",
-    )
 }
 
 /// One scheduled event. Indices are checked against `b` when reading.
@@ -405,16 +282,20 @@ fn role<C: Coder>(c: &mut C, r: &mut Role) -> Res {
     })
 }
 
-fn worker<C: Coder>(c: &mut C, ws: &mut WorkerState, b: &Bounds) -> Res {
-    c.u64(&mut ws.iter)?;
+pub(super) fn worker<C: Coder>(
+    c: &mut C,
+    ws: &mut WorkerState,
+    msgs: &MsgTable,
+    b: &Bounds,
+) -> Res {
     c.u64(&mut ws.completed)?;
     let what = "worker version vector length";
     fixed(c, &mut ws.received_version, what, C::u64)?;
     fixed(c, &mut ws.notified_version, what, C::u64)?;
-    opt(c, &mut ws.waiting_block, 0, |c, blk| {
-        c.idx(blk, b.blocks, "waiting block out of range")
+    opt(c, &mut ws.stall, (0, SimTime::ZERO), |c, (blk, since)| {
+        c.idx(blk, b.blocks, "waiting block out of range")?;
+        time(c, since)
     })?;
-    opt_time(c, &mut ws.stalled_since)?;
     let mut stalled = ws.stalled_total.as_nanos();
     c.u64(&mut stalled)?;
     ws.stalled_total = SimDuration::from_nanos(stalled);
@@ -435,20 +316,20 @@ fn worker<C: Coder>(c: &mut C, ws: &mut WorkerState, b: &Bounds) -> Res {
     c.u32(&mut ws.incarnation)?;
     c.u64(&mut ws.resume_iter)?;
     time(c, &mut ws.iter_started)?;
-    seq(c, &mut ws.measured_iters, 0.0, C::f64)?;
-    egress(c, &mut ws.egress, b)?;
+    seq(c, &mut ws.measured_iters, 0.0, |c, secs| {
+        c.f64(secs)?;
+        let ok = secs.is_finite() && *secs >= 0.0;
+        c.check(ok, "measured iteration not finite and non-negative")
+    })?;
+    egress(c, &mut ws.egress, msgs)?;
     rng(c, &mut ws.rng)
 }
 
-pub(super) fn server<C: Coder>(c: &mut C, ss: &mut ServerState, b: &Bounds) -> Res {
+fn server<C: Coder>(c: &mut C, ss: &mut ServerState, msgs: &MsgTable, b: &Bounds) -> Res {
     prio_queue(c, &mut ss.proc_queue, BLANK_ITEM, |c, (prio, item)| {
         c.u32(prio)?;
         proc_item(c, item, b)
     })?;
-    // The unit is busy exactly while an item is in flight. The byte
-    // repeats `current`'s presence, and a reader refuses a contradiction.
-    let mut busy = ss.current.is_some();
-    c.bool(&mut busy)?;
     fixed(c, &mut ss.received, "server mask vector length", C::u128)?;
     fixed(c, &mut ss.version, "server version vector length", C::u64)?;
     let (pullers, what) = (b.machines, "pending puller out of range");
@@ -459,9 +340,7 @@ pub(super) fn server<C: Coder>(c: &mut C, ss: &mut ServerState, b: &Bounds) -> R
         |c, pulls| seq(c, pulls, 0, |c, w| c.idx(w, pullers, what)),
     )?;
     opt(c, &mut ss.current, BLANK_ITEM, |c, it| proc_item(c, it, b))?;
-    let what = "processing flag contradicts the item in flight";
-    c.check(busy == ss.current.is_some(), what)?;
-    egress(c, &mut ss.egress, b)
+    egress(c, &mut ss.egress, msgs)
 }
 
 const BLANK_ITEM: ProcItem = ProcItem {
@@ -480,51 +359,53 @@ fn proc_item<C: Coder>(c: &mut C, item: &mut ProcItem, b: &Bounds) -> Res {
     c.u128(&mut item.members)
 }
 
-/// One egress unit. A reader walks the unit [`ClusterSim::new`] built
-/// from the configuration and refuses any other discipline or window;
-/// queued messages are checked against `b`.
-pub(super) fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, b: &Bounds) -> Res {
-    let tag = match e {
-        EgressUnit::Single { .. } => 0,
-        EgressUnit::PerDest { .. } => 1,
-    };
-    let mut found = tag;
-    c.u8(&mut found)?;
-    let what = "egress discipline differs from the configuration's";
-    c.check(found == tag, what)?;
+/// One egress unit. Its discipline and window are the configuration's,
+/// so the stream holds neither: a reader walks the unit
+/// [`ClusterSim::new`] built. Neither a single consumer's in-flight count
+/// nor a lane's busy flag is stored either; restore derives both from
+/// the messages in the fabric. A queued message is its id: a reader
+/// copies the rest from its context in `msgs`.
+pub(super) fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, msgs: &MsgTable) -> Res {
     match e {
         EgressUnit::Single {
             queue,
-            in_flight,
-            window,
+            next_admit,
+            kick_at,
             ..
         } => {
-            let (mut w, what) = (*window, "egress window differs from the configuration's");
-            c.usize(&mut w)?;
-            c.check(w == *window, what)?;
-            c.usize(in_flight)?;
             // The queue's priority is the message's own.
             prio_queue(c, queue, BLANK_MSG, |c, (prio, msg)| {
-                out_msg(c, msg, b)?;
+                queued(c, msg, msgs)?;
                 *prio = msg.priority.0;
+                Ok(())
+            })?;
+            time(c, next_admit)?;
+            opt_time(c, kick_at)
+        }
+        EgressUnit::PerDest { queues, .. } => {
+            fixed(c, queues, "per-destination lane count", |c, lane| {
+                let mut entries = Vec::from(std::mem::take(lane));
+                seq(c, &mut entries, BLANK_MSG, |c, msg| queued(c, msg, msgs))?;
+                *lane = entries.into();
                 Ok(())
             })
         }
-        EgressUnit::PerDest { queues, busy } => {
-            let mut d = 0;
-            fixed(c, queues, "per-destination lane count", |c, lane| {
-                let mut msgs = Vec::from(std::mem::take(lane));
-                seq(c, &mut msgs, BLANK_MSG, |c, msg| {
-                    out_msg(c, msg, b)?;
-                    c.check(msg.dst.0 == d, "message in another destination's lane")
-                })?;
-                d += 1;
-                *lane = msgs.into();
-                Ok(())
-            })?;
-            fixed(c, busy, "per-destination busy count", C::bool)
+    }
+}
+
+/// A queued message as its id. A reader copies its destination, size and
+/// priority from the context `msgs` holds for it, and leaves a message
+/// unknown there blank for [`ClusterSim::check_state`] to refuse.
+fn queued<C: Coder>(c: &mut C, msg: &mut OutMsg, msgs: &MsgTable) -> Res {
+    c.u64(&mut msg.msg_id)?;
+    if C::READING {
+        if let Some(ctx) = msgs.get(msg.msg_id) {
+            msg.dst = MachineId(ctx.dst);
+            msg.bytes = ctx.bytes;
+            msg.priority = ctx.priority;
         }
     }
+    Ok(())
 }
 
 const BLANK_MSG: OutMsg = OutMsg {
@@ -533,14 +414,6 @@ const BLANK_MSG: OutMsg = OutMsg {
     priority: Priority(0),
     msg_id: 0,
 };
-
-fn out_msg<C: Coder>(c: &mut C, msg: &mut OutMsg, b: &Bounds) -> Res {
-    let what = "egress destination out of range";
-    c.idx(&mut msg.dst.0, b.machines, what)?;
-    c.u64(&mut msg.bytes)?;
-    c.u32(&mut msg.priority.0)?;
-    c.u64(&mut msg.msg_id)
-}
 
 const BLANK_CTX: MsgCtx = MsgCtx {
     kind: MsgKind::Push { key: 0, round: 0 },
@@ -552,14 +425,12 @@ const BLANK_CTX: MsgCtx = MsgCtx {
     flow: None,
 };
 
-fn msg_ctx<C: Coder>(c: &mut C, ctx: &mut MsgCtx, in_flight: &mut bool, b: &Bounds) -> Res {
+fn msg_ctx<C: Coder>(c: &mut C, ctx: &mut MsgCtx, b: &Bounds) -> Res {
     msg_kind(c, &mut ctx.kind, b)?;
     c.idx(&mut ctx.src, b.machines, "message source out of range")?;
     c.idx(&mut ctx.dst, b.machines, "message destination out of range")?;
     c.u64(&mut ctx.bytes)?;
-    c.u32(&mut ctx.priority.0)?;
-    c.u32(&mut ctx.attempt)?;
-    c.bool(in_flight)
+    c.u32(&mut ctx.attempt)
 }
 
 fn msg_kind<C: Coder>(c: &mut C, k: &mut MsgKind, b: &Bounds) -> Res {

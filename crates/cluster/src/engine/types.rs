@@ -209,13 +209,13 @@ pub(crate) struct MsgCtx {
 
 #[derive(Debug)]
 pub(crate) struct WorkerState {
-    pub(crate) iter: u64,
+    /// Iterations completed; also the round of the iteration in progress.
     pub(crate) completed: u64,
     pub(crate) received_version: Vec<u64>,
     pub(crate) notified_version: Vec<u64>,
-    pub(crate) waiting_block: Option<usize>,
-    /// Instant the worker stalled waiting for parameters, if stalled.
-    pub(crate) stalled_since: Option<SimTime>,
+    /// The forward block the worker waits on for parameters, and the
+    /// instant it stalled, while it is stalled.
+    pub(crate) stall: Option<(usize, SimTime)>,
     /// Accumulated stall time.
     pub(crate) stalled_total: SimDuration,
     pub(crate) started: bool,

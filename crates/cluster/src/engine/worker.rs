@@ -28,7 +28,7 @@ impl ClusterSim {
     }
 
     fn fwd_ready(&self, worker: usize, block: usize) -> bool {
-        let need = self.workers[worker].iter;
+        let need = self.workers[worker].completed;
         self.keys_of_block[block]
             .iter()
             .all(|&k| self.workers[worker].received_version[k] >= need)
@@ -37,22 +37,13 @@ impl ClusterSim {
     pub(crate) fn try_start_fwd(&mut self, worker: usize, block: usize) {
         let now = self.queue.now();
         if self.fwd_ready(worker, block) {
-            let was_stalled = {
-                let w = &mut self.workers[worker];
-                w.waiting_block = None;
-                match w.stalled_since.take() {
-                    Some(since) => {
-                        w.stalled_total += now - since;
-                        true
-                    }
-                    None => false,
-                }
-            };
-            if was_stalled {
+            let w = &mut self.workers[worker];
+            if let Some((_, since)) = w.stall.take() {
+                w.stalled_total += now - since;
                 self.trace(TraceEvent::StallEnd { worker, block });
             }
             if self.trace_log.is_some() {
-                let round = self.workers[worker].iter;
+                let round = self.workers[worker].completed;
                 for k in self.keys_of_block[block].clone() {
                     self.trace(TraceEvent::SliceConsumed {
                         worker,
@@ -68,13 +59,8 @@ impl ClusterSim {
         } else {
             let newly_stalled = {
                 let w = &mut self.workers[worker];
-                w.waiting_block = Some(block);
-                if w.stalled_since.is_none() {
-                    w.stalled_since = Some(now);
-                    true
-                } else {
-                    false
-                }
+                let since = w.stall.map_or(now, |(_, since)| since);
+                w.stall.replace((block, since)).is_none()
             };
             if newly_stalled {
                 self.trace(TraceEvent::StallStart { worker, block });
@@ -98,7 +84,7 @@ impl ClusterSim {
         // Gradients for every array of this block are now ready: hand their
         // slices to the communication backend (PS pushes, or a collective's
         // pending queue).
-        let round = self.workers[worker].iter;
+        let round = self.workers[worker].completed;
         self.backend_grads_ready(worker, block, round);
 
         if block > 0 {
@@ -117,7 +103,6 @@ impl ClusterSim {
         let target = warmup + self.cfg.measure_iters;
         let w = &mut self.workers[worker];
         w.completed += 1;
-        w.iter += 1;
         let dur = (now - w.iter_started).as_secs_f64();
         w.iter_started = now;
         if w.completed > warmup && w.completed <= target {
@@ -150,7 +135,7 @@ impl ClusterSim {
     }
 
     pub(crate) fn recheck_waiting(&mut self, worker: usize) {
-        if let Some(b) = self.workers[worker].waiting_block {
+        if let Some((b, _)) = self.workers[worker].stall {
             if self.fwd_ready(worker, b) {
                 self.try_start_fwd(worker, b);
             }

@@ -27,8 +27,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"P3SNAP\0\0";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing. v2 appended the network's
-/// deterministic work counters (`NetStats` in `p3-net`) to the net section.
-pub const SNAP_VERSION: u32 = 2;
+/// deterministic work counters (`NetStats` in `p3-net`) to the net section;
+/// v3 dropped every engine field that other stored state or the
+/// configuration determines.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Why a snapshot byte stream could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -315,44 +315,44 @@ fn snapshot_digest(cfg: ClusterConfig) -> (u64, usize) {
 #[test]
 fn snapshot_bytes_match_the_golden_digests() {
     let cases: [(&str, ClusterConfig, u64, usize); 9] = [
-        ("ps", base(BackendKind::Ps, 7), 0x8125_5e23_681c_4e5e, 12088),
+        ("ps", base(BackendKind::Ps, 7), 0x85cc_d640_b9f2_6f9c, 10623),
         (
             "ring",
             base(BackendKind::Ring, 7),
-            0x4832_1620_34ca_1ac8,
-            7724,
+            0x7e9c_04b7_6673_888a,
+            7367,
         ),
         (
             "halving-doubling",
             base(BackendKind::HalvingDoubling, 11),
-            0x0ded_b604_ad5d_2817,
-            8084,
+            0x8837_ec7d_4e6d_a71f,
+            7627,
         ),
         (
             "ps-crash",
             base(BackendKind::Ps, 7).with_faults(crash_plan(1, 40, 30)),
-            0x088a_b047_dd50_a2cd,
-            8426,
+            0x9462_408b_5bde_795a,
+            8153,
         ),
         (
             "ring-crash",
             base(BackendKind::Ring, 7).with_faults(crash_plan(2, 40, 30)),
-            0xa712_97cb_0080_b5be,
-            11484,
+            0x3e7d_f22d_d5be_419c,
+            11295,
         ),
-        ("lossy", lossy(), 0xf15d_aa65_4ca8_013c, 14327),
+        ("lossy", lossy(), 0xa0f3_ecc6_3cd7_d01e, 12959),
         (
             "degraded-racked",
             degraded_racked(),
-            0x014f_3e67_841f_7046,
-            12974,
+            0xcf98_ef6a_9e5b_8cef,
+            11389,
         ),
-        ("baseline", baseline(7), 0xbb67_6b62_0040_7b03, 3611),
+        ("baseline", baseline(7), 0xff38_2930_7161_8913, 3193),
         (
             "baseline-crash",
             baseline_crash_rejoin(),
-            0x2901_4049_21ee_ebe8,
-            4529,
+            0xc63a_1b48_21ba_9087,
+            4132,
         ),
     ];
     for (label, cfg, digest, len) in cases {
