@@ -120,23 +120,60 @@ fn strategy_by_name(name: &str) -> Result<SyncStrategy, CliError> {
     }
 }
 
-/// Splits one episode spec on `:` and parses each field as f64.
-fn colon_fields(
+/// One comma-separated item of a fault flag, in the format `format`
+/// (`W:START:DUR:SLOWDOWN`). Each field is read by what it holds, and a bad
+/// one is an error that names it.
+struct FaultItem<'a> {
     flag: &'static str,
-    spec: &str,
-    expected: &'static str,
-) -> Result<Vec<f64>, CliError> {
-    spec.split(':')
-        .map(|f| {
-            f.trim().parse::<f64>().map_err(|_| {
-                CliError::Args(ArgError::BadValue {
-                    flag: flag.to_string(),
-                    value: spec.to_string(),
-                    expected: expected.to_string(),
-                })
-            })
-        })
-        .collect()
+    item: &'a str,
+    format: &'static str,
+}
+
+impl FaultItem<'_> {
+    /// The item's colon-separated fields.
+    fn fields(&self) -> Vec<&str> {
+        self.item.split(':').map(str::trim).collect()
+    }
+
+    /// The error for an item that does not match the format.
+    fn malformed(&self) -> CliError {
+        bad_value(self.flag, self.item, self.format)
+    }
+
+    /// The error for field `name`, which must be `what`.
+    fn bad(&self, name: &str, what: &str) -> CliError {
+        let expected = format!("{} with {name} {what}", self.format);
+        bad_value(self.flag, self.item, &expected)
+    }
+
+    /// Field `name`: a worker or machine index.
+    fn index(&self, name: &str, field: &str) -> Result<usize, CliError> {
+        field
+            .parse()
+            .map_err(|_| self.bad(name, "a non-negative integer"))
+    }
+
+    /// Field `name`: a number of seconds the simulated clock can hold.
+    fn secs(&self, name: &str, field: &str) -> Result<SimDuration, CliError> {
+        match field.parse::<f64>() {
+            // As `SimDuration::from_secs_f64` converts it.
+            Ok(secs) if secs >= 0.0 && secs * 1e9 <= u64::MAX as f64 => {
+                Ok(SimDuration::from_secs_f64(secs))
+            }
+            _ => Err(self.bad(
+                name,
+                "finite, non-negative seconds within the simulated clock",
+            )),
+        }
+    }
+
+    /// Field `name`: a finite number.
+    fn number(&self, name: &str, field: &str) -> Result<f64, CliError> {
+        match field.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            _ => Err(self.bad(name, "a finite number")),
+        }
+    }
 }
 
 pub(crate) fn bad_value(flag: &'static str, value: &str, expected: &str) -> CliError {
@@ -166,48 +203,44 @@ pub(crate) fn machines_expected() -> String {
 fn parse_fault_plan(args: &Args) -> Result<FaultPlan, CliError> {
     let mut plan = FaultPlan::none();
     plan.loss_probability = args.get_or("loss", 0.0, "probability in [0, 1)")?;
-    if let Some(spec) = args.get("straggler") {
-        for part in spec.split(',') {
-            let f = colon_fields("straggler", part, "W:START:DUR:SLOWDOWN")?;
-            let [w, start, dur, slowdown] = f[..] else {
-                return Err(bad_value("straggler", part, "W:START:DUR:SLOWDOWN"));
-            };
-            plan.stragglers.push(StragglerEpisode {
-                worker: w as usize,
-                start: SimTime::from_secs_f64(start),
-                duration: SimDuration::from_secs_f64(dur),
-                slowdown,
-            });
-        }
+    let items = |flag: &'static str, format: &'static str| {
+        let items = args.get(flag).map(|spec| spec.split(','));
+        let item = move |item| FaultItem { flag, item, format };
+        items.into_iter().flatten().map(item)
+    };
+    for f in items("straggler", "W:START:DUR:SLOWDOWN") {
+        let [w, start, dur, slowdown] = f.fields()[..] else {
+            return Err(f.malformed());
+        };
+        plan.stragglers.push(StragglerEpisode {
+            worker: f.index("W", w)?,
+            start: SimTime::ZERO + f.secs("START", start)?,
+            duration: f.secs("DUR", dur)?,
+            slowdown: f.number("SLOWDOWN", slowdown)?,
+        });
     }
-    if let Some(spec) = args.get("degrade") {
-        for part in spec.split(',') {
-            let f = colon_fields("degrade", part, "M:START:DUR:FACTOR")?;
-            let [m, start, dur, factor] = f[..] else {
-                return Err(bad_value("degrade", part, "M:START:DUR:FACTOR"));
-            };
-            plan.link_degradations.push(LinkDegradation {
-                machine: m as usize,
-                start: SimTime::from_secs_f64(start),
-                duration: SimDuration::from_secs_f64(dur),
-                capacity_factor: factor,
-            });
-        }
+    for f in items("degrade", "M:START:DUR:FACTOR") {
+        let [m, start, dur, factor] = f.fields()[..] else {
+            return Err(f.malformed());
+        };
+        plan.link_degradations.push(LinkDegradation {
+            machine: f.index("M", m)?,
+            start: SimTime::ZERO + f.secs("START", start)?,
+            duration: f.secs("DUR", dur)?,
+            capacity_factor: f.number("FACTOR", factor)?,
+        });
     }
-    if let Some(spec) = args.get("crash") {
-        for part in spec.split(',') {
-            let f = colon_fields("crash", part, "W:AT[:REJOIN]")?;
-            let (w, at, rejoin) = match f[..] {
-                [w, at] => (w, at, None),
-                [w, at, rejoin] => (w, at, Some(SimDuration::from_secs_f64(rejoin))),
-                _ => return Err(bad_value("crash", part, "W:AT[:REJOIN]")),
-            };
-            plan.crashes.push(WorkerCrash {
-                worker: w as usize,
-                at: SimTime::from_secs_f64(at),
-                rejoin_after: rejoin,
-            });
-        }
+    for f in items("crash", "W:AT[:REJOIN]") {
+        let (w, at, rejoin) = match f.fields()[..] {
+            [w, at] => (w, at, None),
+            [w, at, rejoin] => (w, at, Some(rejoin)),
+            _ => return Err(f.malformed()),
+        };
+        plan.crashes.push(WorkerCrash {
+            worker: f.index("W", w)?,
+            at: SimTime::ZERO + f.secs("AT", at)?,
+            rejoin_after: rejoin.map(|r| f.secs("REJOIN", r)).transpose()?,
+        });
     }
     Ok(plan)
 }
@@ -1110,6 +1143,58 @@ mod tests {
         assert!(out.contains("throughput:"), "{out}");
         assert!(out.contains("p99:"), "{out}");
         assert!(out.contains("faults:"), "{out}");
+    }
+
+    /// Asserts that `simulate` refuses the fault flags `flags` with an
+    /// argument error naming the field `field`.
+    fn assert_field_refused(flags: &str, field: &str) {
+        match run(&format!("simulate --model resnet50 --machines 2 {flags}")) {
+            Err(CliError::Args(ArgError::BadValue { expected, .. })) => {
+                assert!(
+                    expected.contains(&format!(" with {field} ")),
+                    "{flags}: {expected}"
+                );
+            }
+            other => panic!("{flags}: {other:?}"),
+        }
+    }
+
+    /// Asserts that `simulate` refuses the fault plan of `flags` as one
+    /// that runs past the end of simulated time.
+    fn assert_plan_refused(flags: &str) {
+        let err = run(&format!("simulate --model resnet50 --machines 2 {flags}"));
+        let refused = matches!(err, Err(CliError::Sim(ref why)) if why.contains("past the clock"));
+        assert!(refused, "{flags}: {err:?}");
+    }
+
+    #[test]
+    fn negative_or_non_finite_fault_times_are_refused() {
+        assert_field_refused("--straggler 0:-1:1:2", "START");
+        assert_field_refused("--straggler 0:0:nan:2", "DUR");
+        assert_field_refused("--crash 1:0.05:-3", "REJOIN");
+        assert_field_refused("--crash 1:inf", "AT");
+    }
+
+    #[test]
+    fn fault_times_past_the_clock_are_refused() {
+        assert_field_refused("--degrade 0:0.01:1e300:0.5", "DUR");
+        assert_plan_refused("--straggler 0:1.8e10:1e10:2");
+        assert_plan_refused("--degrade 0:1.8e10:1e10:0.5");
+        assert_plan_refused("--crash 1:1.8e10:1e10");
+    }
+
+    #[test]
+    fn slowdowns_that_overflow_a_compute_block_are_refused() {
+        assert_field_refused("--straggler 0:0:1:inf", "SLOWDOWN");
+        assert_field_refused("--degrade 0:0:1:nan", "FACTOR");
+        assert_plan_refused("--straggler 0:0:1:1e300");
+    }
+
+    #[test]
+    fn fault_indices_that_are_not_machine_indices_are_refused() {
+        assert_field_refused("--straggler 1.5:0:1:2", "W");
+        assert_field_refused("--crash -1:0.5", "W");
+        assert_field_refused("--degrade -1:0:1:0.5", "M");
     }
 
     #[test]

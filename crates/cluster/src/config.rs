@@ -39,12 +39,6 @@ pub struct ClusterConfig {
     /// Endpoint per-message cost (serialization, ps-lite bookkeeping)
     /// charged between consecutive sends of one lane.
     pub msg_overhead: SimDuration,
-    /// Fixed server cost to process one received message.
-    pub proc_fixed: SimDuration,
-    /// Server aggregation cost per parameter per received gradient message.
-    pub agg_ns_per_param: f64,
-    /// Server optimizer cost per parameter, paid when a round completes.
-    pub upd_ns_per_param: f64,
     /// One-way network latency per message.
     pub latency: SimDuration,
     /// If set, record machine-0 NIC utilization with this bin width.
@@ -61,8 +55,6 @@ pub struct ClusterConfig {
     /// enable tracing too, or use [`ClusterConfig::with_audit`] which sets
     /// both.
     pub audit: bool,
-    /// Maximum random offset of worker start times (cluster skew).
-    pub start_stagger: SimDuration,
     /// Fraction of nominal NIC bandwidth usable as goodput (tc shaping,
     /// TCP incast, ps-lite serialization — calibrated to the paper's
     /// crossover bandwidths, DESIGN.md §6).
@@ -72,12 +64,6 @@ pub struct ClusterConfig {
     /// layer-granular messages of the baseline; sliced strategies spread
     /// across connections.
     pub flow_cap: f64,
-    /// Parallel channels per collective transfer (NCCL-style): each ring /
-    /// halving–doubling transfer is split into this many concurrent flows
-    /// so a single peer-to-peer stream is not pinned to the `flow_cap`
-    /// single-flow ceiling. Ignored by the PS backend, whose sliced pushes
-    /// already spread across many connections.
-    pub collective_channels: usize,
     /// Optional gradient compression on the wire (§6: compression is
     /// orthogonal to P3 and combinable with it). Shrinks payloads; the
     /// accuracy cost of compression is measured separately by `p3-train`.
@@ -212,17 +198,12 @@ impl ClusterConfig {
             measure_iters: 12,
             seed: 0x9e3779b9,
             msg_overhead: SimDuration::from_micros(100),
-            proc_fixed: SimDuration::from_micros(10),
-            agg_ns_per_param: 2.0,
-            upd_ns_per_param: 3.0,
             latency: SimDuration::from_micros(50),
             trace_bin: None,
             slice_trace: false,
             audit: false,
-            start_stagger: SimDuration::from_millis(2),
             net_efficiency: 0.25,
             flow_cap: 120e6,
-            collective_channels: 4,
             wire_compression: None,
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),

@@ -26,7 +26,7 @@ use p3_net::{MachineId, Priority};
 use std::collections::VecDeque;
 
 /// One message awaiting transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct OutMsg {
     /// Destination machine.
     pub(crate) dst: MachineId,

@@ -85,9 +85,7 @@ impl ClusterSim {
 fn ps_grads_ready(sim: &mut ClusterSim, worker: usize, block: usize, round: u64) {
     let keys: Vec<usize> = sim.keys_of_block[block].clone();
     for k in keys {
-        let slice = sim.plan.slice(p3_pserver::Key(k as u64));
-        let server = slice.server.0;
-        let bytes = sim.wire_size(slice.params, |c| c.push_ratio);
+        let server = sim.plan.slice(p3_pserver::Key(k as u64)).server.0;
         sim.trace(TraceEvent::GradReady {
             worker,
             key: k,
@@ -98,7 +96,7 @@ fn ps_grads_ready(sim: &mut ClusterSim, worker: usize, block: usize, round: u64)
             Some(agg) => (agg, MsgKind::RackPush { key: k, round }),
             None => (server, MsgKind::Push { key: k, round }),
         };
-        sim.send(kind, worker, dst, bytes);
+        sim.send_ps(kind, worker, dst);
     }
     sim.kick_egress(worker, Role::Worker);
 }

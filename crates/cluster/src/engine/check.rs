@@ -11,7 +11,7 @@ use crate::config::RunError;
 use crate::egress::EgressUnit;
 use p3_des::snap::SnapshotError;
 use p3_des::SimTime;
-use p3_pserver::{wire_bytes, Key};
+use p3_pserver::{wire_bytes, Key, HEADER_BYTES};
 use p3_topo::Placement;
 use std::collections::BTreeMap;
 
@@ -122,27 +122,20 @@ impl ClusterSim {
     }
 
     /// Each message fits the backend and the aggregation state it will
-    /// meet on delivery, is no larger than its slice goes on the wire and
-    /// has its key's priority, and each server finishes what it holds
-    /// once.
+    /// meet on delivery, has its key's priority and a size its slice sends
+    /// (a PS message its kind's, a collective chunk at least a header and
+    /// at most its slice's uncompressed wire size), and each server
+    /// finishes what it holds once.
     fn check_messages(&self, pending: &[(SimTime, Ev)]) -> Result<(), &'static str> {
         let home = |key: usize| self.plan.slice(Key(key as u64)).server.0;
-        let largest = |key: usize| {
-            let params = self.plan.slice(Key(key as u64)).params;
-            let push = self.wire_size(params, |c| c.push_ratio);
-            let response = self.wire_size(params, |c| c.response_ratio);
-            wire_bytes(params).max(push).max(response)
-        };
         let version = |key: usize| self.servers[home(key)].version[key];
         let active = self.collective.as_ref().and_then(|st| st.active);
         let rack_local = self.cfg.topology.is_some() && self.cfg.placement == Placement::RackLocal;
         let mut chunks = 0;
         for (_, ctx) in self.msgs.iter() {
-            let chunk = matches!(
-                ctx.kind,
-                MsgKind::ReduceScatter { .. } | MsgKind::AllGather { .. }
-            );
-            if chunk != self.collective.is_some() {
+            // Only a collective chunk has no PS size.
+            let size = self.ps_size(ctx.kind);
+            if size.is_none() != self.collective.is_some() {
                 return Err("message kind foreign to the backend");
             }
             let rack = matches!(
@@ -173,8 +166,15 @@ impl ClusterSim {
                 _ => {}
             }
             let key = class_of(ctx.kind).1;
-            if ctx.bytes > largest(key) {
-                return Err("message larger than its slice on the wire");
+            match size {
+                Some(size) if ctx.bytes != size => return Err("message size not its kind's"),
+                None if ctx.bytes < HEADER_BYTES as u64 => {
+                    return Err("message smaller than its header");
+                }
+                None if ctx.bytes > wire_bytes(self.plan.slice(Key(key as u64)).params) => {
+                    return Err("message larger than its slice on the wire");
+                }
+                _ => {}
             }
             if ctx.priority.0 != self.prio[key] {
                 return Err("message priority not its key's");
@@ -282,17 +282,23 @@ thread_local! {
     /// Whether this thread's runs check the state invariant after every
     /// event.
     pub(super) static EACH_EVENT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// The processed-event count at which this thread's runs pause, as
+    /// `run_until` pauses at a boundary: mid-iteration, and possibly
+    /// mid-instant.
+    pub(super) static PAUSE_AT: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
 }
 
 /// The test build's step after every event: checks the state invariant
-/// when this thread asked for it ([`EACH_EVENT`]).
+/// when this thread asked for it ([`EACH_EVENT`]), and says whether the
+/// run pauses here ([`PAUSE_AT`]).
 #[cfg(test)]
-pub(super) fn each_event(sim: &ClusterSim) -> Result<(), RunError> {
+pub(super) fn each_event(sim: &ClusterSim) -> Result<bool, RunError> {
+    let pause = sim.events == PAUSE_AT.with(std::cell::Cell::get);
     if !EACH_EVENT.with(std::cell::Cell::get) {
-        return Ok(());
+        return Ok(pause);
     }
     let Err(SnapshotError::Corrupt(why)) = sim.check_state() else {
-        return Ok(());
+        return Ok(pause);
     };
     let why = format!("{why}, after event {}", sim.events);
     Err(RunError::Snapshot(SnapshotError::Corrupt(why)))

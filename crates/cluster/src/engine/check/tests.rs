@@ -3,13 +3,12 @@
 //! matrix. The refusals a restore cannot reach, because it derives the
 //! fields they compare, fire on a live engine that breaks them.
 
-use super::super::fixtures::{base, baseline, corrupted_refusal, crash_plan, degraded_racked};
+use super::super::fixtures::{base, corrupted_refusal, degraded_racked, matrix};
 use super::super::types::{MsgKind, EVENT_CAP};
 use super::super::ClusterSim;
 use super::EACH_EVENT;
 use crate::config::{BackendKind, ClusterConfig, RunError};
 use crate::egress::EgressUnit;
-use crate::faults::FaultPlan;
 use p3_des::snap::SnapshotError;
 use p3_des::SimDuration;
 use p3_net::FlowId;
@@ -25,33 +24,7 @@ fn run_checked(cfg: ClusterConfig) -> Result<u64, RunError> {
 
 #[test]
 fn the_state_invariant_holds_after_every_event() {
-    let lossy = FaultPlan {
-        loss_probability: 0.05,
-        ..FaultPlan::none()
-    };
-    let cases = [
-        ("ps", base(BackendKind::Ps, 7)),
-        ("baseline", baseline()),
-        ("lossy", base(BackendKind::Ps, 13).with_faults(lossy)),
-        (
-            "ps-crash",
-            base(BackendKind::Ps, 7).with_faults(crash_plan(1, 40, 30)),
-        ),
-        (
-            "ring-crash",
-            base(BackendKind::Ring, 7).with_faults(crash_plan(2, 40, 30)),
-        ),
-        (
-            "baseline-crash",
-            ClusterConfig {
-                msg_overhead: SimDuration::from_millis(2),
-                ..baseline().with_faults(crash_plan(1, 41, 30))
-            },
-        ),
-        ("halving-doubling", base(BackendKind::HalvingDoubling, 11)),
-        ("degraded-racked", degraded_racked()),
-    ];
-    for (label, cfg) in cases {
+    for (label, cfg) in matrix() {
         match run_checked(cfg) {
             Ok(events) => assert!(events > 100, "{label}: {events} events"),
             Err(e) => panic!("{label}: {e}"),
@@ -72,8 +45,9 @@ fn live_refusal(corrupt: impl FnOnce(&mut ClusterSim)) -> Option<String> {
     }
 }
 
-/// A restore derives each message's flow and priority and the pushes a
-/// round expects, so only a live engine can contradict them.
+/// A restore derives each message's flow and priority, a PS message's
+/// size and the pushes a round expects, so only a live engine can
+/// contradict them.
 #[test]
 fn derived_facts_a_live_engine_contradicts_are_refused() {
     let why = live_refusal(|sim| {
@@ -91,6 +65,8 @@ fn derived_facts_a_live_engine_contradicts_are_refused() {
         sim.msgs.get_mut(id).unwrap().priority.0 += 1;
     });
     assert_eq!(why.as_deref(), Some("message priority not its key's"));
+    let why = live_refusal(|sim| sim.msgs.get_mut(a_push(sim)).unwrap().bytes += 1);
+    assert_eq!(why.as_deref(), Some("message size not its kind's"));
 }
 
 /// The id of the first live push.
@@ -105,12 +81,11 @@ fn a_push(sim: &ClusterSim) -> u64 {
 /// State a snapshot carries that the engine cannot run on from: a wake
 /// the engine waits on that nothing will deliver, a gate that holds a
 /// sender past one message's cost, a push that meets a server not
-/// expecting it, a message the size of no slice, and an event count the
-/// run has already ended at.
+/// expecting it, and an event count the run has already ended at.
 #[test]
 fn state_the_run_cannot_continue_from_is_refused() {
     type Corrupt = fn(&mut ClusterSim);
-    let cases: [(&str, Corrupt); 6] = [
+    let cases: [(&str, Corrupt); 5] = [
         ("network wake not pending", |sim| {
             sim.next_wake = Some(sim.queue.now() + SimDuration::from_secs(3600));
         }),
@@ -135,13 +110,32 @@ fn state_the_run_cannot_continue_from_is_refused() {
             };
             *round = u64::MAX;
         }),
-        ("message larger than its slice on the wire", |sim| {
-            sim.msgs.get_mut(a_push(sim)).unwrap().bytes = u64::MAX / 2;
-        }),
         ("event count at the cap", |sim| sim.events = EVENT_CAP),
     ];
     for (what, corrupt) in cases {
         let why = corrupted_refusal(degraded_racked, corrupt);
+        assert_eq!(why.as_deref(), Some(what));
+    }
+}
+
+/// A collective chunk's size travels in the stream: one smaller than the
+/// header every chunk carries (a zero-byte transfer the fabric refuses to
+/// start), or larger than its slice on the wire, is refused.
+#[test]
+fn collective_chunks_the_size_of_no_slice_are_refused() {
+    type Corrupt = fn(&mut ClusterSim);
+    let cases: [(&str, Corrupt); 2] = [
+        ("message smaller than its header", |sim| {
+            let id = sim.msgs.iter().next().expect("a chunk in flight").0;
+            sim.msgs.get_mut(id).unwrap().bytes = 0;
+        }),
+        ("message larger than its slice on the wire", |sim| {
+            let id = sim.msgs.iter().next().expect("a chunk in flight").0;
+            sim.msgs.get_mut(id).unwrap().bytes = u64::MAX / 2;
+        }),
+    ];
+    for (what, corrupt) in cases {
+        let why = corrupted_refusal(|| base(BackendKind::Ring, 7), corrupt);
         assert_eq!(why.as_deref(), Some(what));
     }
 }

@@ -333,13 +333,15 @@ fn launch_degenerate(sim: &mut ClusterSim, a: &ActiveCollective) -> usize {
     1
 }
 
+/// NCCL-style channels: the concurrent flows of one schedule transfer.
+const CHANNELS: u64 = 4;
+
 /// Enqueues every chunk of one schedule step on its sender's egress
 /// and returns the number of chunks in flight. Each schedule transfer
-/// is split into `collective_channels` concurrent flows (NCCL-style
-/// channels) so one peer-to-peer stream is not pinned to the
-/// single-flow goodput ceiling (`ClusterConfig::flow_cap`). Schedule
-/// ranks are mapped onto the (possibly degraded) member machines in
-/// ascending order.
+/// is split into [`CHANNELS`] concurrent flows (NCCL-style channels) so
+/// one peer-to-peer stream is not pinned to the single-flow goodput
+/// ceiling (`ClusterConfig::flow_cap`). Schedule ranks are mapped onto
+/// the (possibly degraded) member machines in ascending order.
 fn launch_step(
     sim: &mut ClusterSim,
     st: &CollectiveState,
@@ -353,7 +355,6 @@ fn launch_step(
     let payload = 4 * sim.plan.slice(p3_pserver::Key(key as u64)).params;
     let transfers = schedule.transfers(step, payload);
     let allgather = schedule.is_allgather(step);
-    let channels = sim.cfg.collective_channels as u64;
     let mut chunks = 0;
     for t in &transfers {
         let (src, dst) = (machines[t.src], machines[t.dst]);
@@ -364,10 +365,10 @@ fn launch_step(
             MsgKind::ReduceScatter { key, round, step }
         };
         // Near-even split; the last channel takes the remainder.
-        let per = t.bytes / channels;
-        for c in 0..channels {
-            let slab = if c == channels - 1 {
-                t.bytes - per * (channels - 1)
+        let per = t.bytes / CHANNELS;
+        for c in 0..CHANNELS {
+            let slab = if c == CHANNELS - 1 {
+                t.bytes - per * (CHANNELS - 1)
             } else {
                 per
             };

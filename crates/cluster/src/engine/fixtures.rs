@@ -1,6 +1,7 @@
 //! Configurations the engine's unit tests share: a tiny model on four
-//! machines, clean and under the faults a snapshot must carry; and how a
-//! test asks why a restore refuses an engine it corrupted.
+//! machines, clean and under the faults a snapshot must carry, and the
+//! matrix of them; and how a test asks why a restore refuses an engine
+//! it corrupted.
 
 use super::ClusterSim;
 use crate::config::{BackendKind, ClusterConfig};
@@ -93,6 +94,34 @@ pub(super) fn degraded_racked() -> ClusterConfig {
         .with_topology(Topology::new(2, 2, 2.0))
         .with_trace(SimDuration::from_millis(10))
         .with_faults(faults)
+}
+
+/// The engine's determinism and fault matrix: PS P3, the baseline, loss,
+/// PS, ring and baseline crash/rejoin, halving-doubling and the degraded
+/// racked fabric.
+pub(super) fn matrix() -> Vec<(&'static str, ClusterConfig)> {
+    let lossy = FaultPlan {
+        loss_probability: 0.05,
+        ..FaultPlan::none()
+    };
+    let ps = base(BackendKind::Ps, 7);
+    let baseline_crash = ClusterConfig {
+        msg_overhead: SimDuration::from_millis(2),
+        ..baseline().with_faults(crash_plan(1, 41, 30))
+    };
+    vec![
+        ("ps", ps.clone()),
+        ("baseline", baseline()),
+        ("lossy", base(BackendKind::Ps, 13).with_faults(lossy)),
+        ("ps-crash", ps.with_faults(crash_plan(1, 40, 30))),
+        (
+            "ring-crash",
+            base(BackendKind::Ring, 7).with_faults(crash_plan(2, 40, 30)),
+        ),
+        ("baseline-crash", baseline_crash),
+        ("halving-doubling", base(BackendKind::HalvingDoubling, 11)),
+        ("degraded-racked", degraded_racked()),
+    ]
 }
 
 /// Pauses `cfg` at its first iteration boundary, lets `corrupt` change

@@ -418,13 +418,15 @@ impl ClusterSim {
             if self.wake_pending && self.queue.peek_time().is_none_or(|next| next > t) {
                 self.flush_net_wake();
             }
-            #[cfg(test)]
-            check::each_event(self)?;
             if self.cfg.hash_every > 0 && self.events.is_multiple_of(self.cfg.hash_every) {
                 self.trace(TraceEvent::StateHash {
                     events: self.events,
                     hash: self.hash,
                 });
+            }
+            #[cfg(test)]
+            if check::each_event(self)? {
+                break;
             }
         }
         Ok(self
@@ -500,6 +502,20 @@ impl ClusterSim {
             .faults
             .validate(self.cfg.machines)
             .map_err(RunError::InvalidConfig)?;
+        // A block a straggler starts, at the slowest block's time, the
+        // largest jitter and the slowdown, ends within the simulated clock.
+        let slowest = self.block_times.iter().map(|b| b.fwd.max(b.bwd)).max();
+        let slowest = slowest.unwrap_or_default().as_nanos() as f64;
+        for s in &self.cfg.faults.stragglers {
+            let left = u64::MAX - (s.start + s.duration).as_nanos();
+            if slowest * (worker::JITTER.1 * s.slowdown) >= left as f64 {
+                let why = format!(
+                    "straggler slowdown {:e} runs a block past the clock",
+                    s.slowdown
+                );
+                return Err(RunError::InvalidConfig(why));
+            }
+        }
         if self.cfg.topology.is_some()
             && self.cfg.placement == Placement::RackLocal
             && (self.cfg.faults.loss_probability > 0.0 || !self.cfg.faults.crashes.is_empty())
@@ -508,31 +524,23 @@ impl ClusterSim {
                 "rack-local aggregation does not support message loss or worker crashes".into(),
             ));
         }
-        if self.cfg.backend.is_collective() {
-            if self.cfg.wire_compression.is_some() {
-                return Err(RunError::InvalidConfig(
-                    "wire compression is not yet modelled for collective backends".into(),
-                ));
-            }
-            if self.cfg.collective_channels == 0 {
-                return Err(RunError::InvalidConfig(
-                    "collective backends need at least one channel per transfer".into(),
-                ));
-            }
+        if self.cfg.backend.is_collective() && self.cfg.wire_compression.is_some() {
+            return Err(RunError::InvalidConfig(
+                "wire compression is not yet modelled for collective backends".into(),
+            ));
         }
         Ok(())
     }
 
     /// Seeds the event queue: staggered worker starts and the fault plan.
     fn begin(&mut self) {
-        // Staggered worker starts model real cluster skew.
+        // Staggered worker starts model real cluster skew: each worker
+        // starts at a random offset below `START_STAGGER_NS` (2 ms).
+        const START_STAGGER_NS: f64 = 2e6;
         let mut rng = SplitMix64::new(self.cfg.seed ^ 0x051A_66E2);
         for w in 0..self.cfg.machines {
-            let off = SimDuration::from_nanos(
-                (rng.next_f64() * self.cfg.start_stagger.as_nanos() as f64) as u64,
-            );
-            self.queue
-                .schedule_at(SimTime::ZERO + off, Ev::StartWorker { worker: w });
+            let off = SimTime::from_nanos((rng.next_f64() * START_STAGGER_NS) as u64);
+            self.queue.schedule_at(off, Ev::StartWorker { worker: w });
         }
         self.schedule_fault_plan();
     }

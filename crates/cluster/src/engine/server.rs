@@ -7,9 +7,15 @@ use super::types::{Ev, MsgKind, ProcItem, Role};
 use super::ClusterSim;
 use p3_core::{PullTiming, ResponseMode, ServerProcessing};
 use p3_des::SimDuration;
-use p3_pserver::HEADER_BYTES;
 use p3_topo::Placement;
 use p3_trace::{FaultKind, TraceEvent};
+
+/// Fixed server cost to process one received gradient message.
+const PROC_FIXED: SimDuration = SimDuration::from_micros(10);
+/// Server aggregation cost per parameter per received gradient message.
+const AGG_NS_PER_PARAM: f64 = 2.0;
+/// Server optimizer cost per parameter, paid when a round completes.
+const UPD_NS_PER_PARAM: f64 = 3.0;
 
 impl ClusterSim {
     // ------------------------------------------------------------------
@@ -17,8 +23,7 @@ impl ClusterSim {
 
     pub(crate) fn send_pull_request(&mut self, worker: usize, key: usize, round: u64) {
         let server = self.plan.slice(p3_pserver::Key(key as u64)).server.0;
-        let kind = MsgKind::PullReq { key, round };
-        self.send(kind, worker, server, HEADER_BYTES as u64);
+        self.send_ps(MsgKind::PullReq { key, round }, worker, server);
     }
 
     pub(crate) fn on_notify(&mut self, worker: usize, key: usize, version: u64) {
@@ -90,15 +95,13 @@ impl ClusterSim {
             return;
         }
         self.rack_agg.remove(&(agg, key, round));
-        let slice = self.plan.slice(p3_pserver::Key(key as u64));
-        let server = slice.server.0;
-        let bytes = self.wire_size(slice.params, |c| c.push_ratio);
+        let server = self.plan.slice(p3_pserver::Key(key as u64)).server.0;
         let kind = MsgKind::CombinedPush {
             key,
             round,
             members,
         };
-        self.send(kind, agg, server, bytes);
+        self.send_ps(kind, agg, server);
         self.kick_egress(agg, Role::Server);
     }
 
@@ -160,10 +163,9 @@ impl ClusterSim {
             let params = self.plan.slice(p3_pserver::Key(item.key as u64)).params;
             let completing = (self.servers[server].received[item.key] | item.members).count_ones()
                 >= self.expected_pushes;
-            let mut nanos =
-                self.cfg.proc_fixed.as_nanos() as f64 + self.cfg.agg_ns_per_param * params as f64;
+            let mut nanos = PROC_FIXED.as_nanos() as f64 + AGG_NS_PER_PARAM * params as f64;
             if completing {
-                nanos += self.cfg.upd_ns_per_param * params as f64;
+                nanos += UPD_NS_PER_PARAM * params as f64;
             }
             self.servers[server].current = Some(item);
             self.trace(TraceEvent::AggStart {
@@ -233,31 +235,29 @@ impl ClusterSim {
             version,
             degraded,
         });
+        let response = MsgKind::Response { key, version };
         match self.cfg.strategy.response {
             ResponseMode::ImmediateBroadcast => {
                 for w in 0..self.cfg.machines {
-                    if self.dead_members[w] {
-                        continue;
+                    if !self.dead_members[w] {
+                        self.send_ps(response, server, w);
                     }
-                    self.send_response_versioned(server, key, w, version);
                 }
             }
             ResponseMode::NotifyThenPull => {
                 if self.cfg.strategy.pull_timing == PullTiming::Eager {
                     for w in 0..self.cfg.machines {
                         if !self.dead_members[w] {
-                            let notify = MsgKind::Notify { key, version };
-                            self.send(notify, server, w, HEADER_BYTES as u64);
+                            self.send_ps(MsgKind::Notify { key, version }, server, w);
                         }
                     }
                 }
                 // Deferred (TF-style) pulls waiting on this version:
                 let waiting = std::mem::take(&mut self.servers[server].pending_pulls[key]);
                 for w in waiting {
-                    if self.dead_members[w] {
-                        continue;
+                    if !self.dead_members[w] {
+                        self.send_ps(response, server, w);
                     }
-                    self.send_response_versioned(server, key, w, version);
                 }
             }
         }
@@ -265,12 +265,6 @@ impl ClusterSim {
 
     pub(crate) fn send_response(&mut self, server: usize, key: usize, worker: usize) {
         let version = self.servers[server].version[key];
-        self.send_response_versioned(server, key, worker, version);
-    }
-
-    fn send_response_versioned(&mut self, server: usize, key: usize, worker: usize, version: u64) {
-        let params = self.plan.slice(p3_pserver::Key(key as u64)).params;
-        let bytes = self.wire_size(params, |c| c.response_ratio);
-        self.send(MsgKind::Response { key, version }, server, worker, bytes);
+        self.send_ps(MsgKind::Response { key, version }, server, worker);
     }
 }

@@ -11,12 +11,13 @@
 //!
 //! [`restore`] is the inverse. The stream holds each fact once, so
 //! restore first derives what it leaves out (the walk fills each queued
-//! entry from its message and each message's priority from its key,
-//! [`derive`] the rest), then checks the whole state once with
-//! [`ClusterSim::check_state`]. It never panics on malformed input: the
-//! walk checks every length and index the engine would later index with,
-//! `check_state` every cross-reference, and violations surface as
-//! [`SnapshotError::Corrupt`].
+//! entry from its message, each message's priority from its key and a PS
+//! message's size from its kind, the fabric water-fills its flows' rates
+//! and bottlenecks, [`derive`] the rest), then checks the whole state
+//! once with [`ClusterSim::check_state`]. It never panics on malformed
+//! input: the walk checks every length and index the engine would later
+//! index with, `check_state` every cross-reference, and violations
+//! surface as [`SnapshotError::Corrupt`].
 //!
 //! [`fold_event`] is the cheap rolling digest: an allocation-free FNV-1a
 //! fold over each `(time, event)` pair the run loop processes. Equal
@@ -118,6 +119,8 @@ pub(super) fn fold_event(h: u64, t: SimTime, ev: &Ev) -> u64 {
     fold.0
 }
 
+#[cfg(test)]
+mod derive_tests;
 #[cfg(test)]
 #[allow(
     clippy::unreachable,

@@ -304,41 +304,14 @@ fn impossible_compute_multipliers_are_refused() {
 
 /// The fabric section of `bytes`, a snapshot of `sim`, and the offset of
 /// each flow record in it. A record is the flow's id, source,
-/// destination, priority (4 bytes), tag, size, remaining bytes and rate,
-/// then its optional bottleneck.
+/// destination, priority (4 bytes), tag, size and remaining bytes.
 fn flow_records(bytes: &[u8], sim: &mut ClusterSim) -> Vec<usize> {
     let now = sim.queue.now();
     let fabric = section_in(bytes, sim, |w, sim| sim.net.walk(w, now));
     let start = fabric.expect("the fabric section").start;
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    let mut at = start + 8;
-    (0..word(start))
-        .map(|_| {
-            let record = at;
-            at += 61 + 8 * usize::from(bytes[at + 60]);
-            record
-        })
-        .collect()
-}
-
-/// A flow's rate: the fabric allocates rates that are finite and at
-/// least 0, and a NaN, negative or infinite one would corrupt every
-/// drain time it enters.
-#[test]
-fn impossible_flow_rates_are_refused() {
-    let mut sim = racked_at_boundary().expect("fixture run failed");
-    let bytes = sim.snapshot();
-    let records = flow_records(&bytes, &mut sim);
-    let at = records.first().expect("the fixture needs a flow in flight") + 3 * 8 + 4 + 3 * 8;
-    let rate = f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    assert!(rate.is_finite() && rate >= 0.0, "rate {rate} at byte {at}");
-    for bad in [f64::NAN, -1.0, f64::INFINITY] {
-        let mut b = bytes.clone();
-        b[at..at + 8].copy_from_slice(&bad.to_le_bytes());
-        let why = refusal(&b);
-        let named = why.as_deref().is_some_and(|w| w.contains("rate"));
-        assert!(named, "rate {bad} was not refused by name: {why:?}");
-    }
+    let flows = word(start) as usize;
+    (0..flows).map(|i| start + 8 + 52 * i).collect()
 }
 
 /// Restore links each message to the fabric transfer its tag names, so
@@ -641,13 +614,13 @@ fn impossible_measurements_are_refused() {
 /// A snapshot of an older format is refused by its version, whatever
 /// its body holds.
 #[test]
-fn a_v2_snapshot_is_refused_by_version() {
+fn a_v3_snapshot_is_refused_by_version() {
     let mut sim = racked_at_boundary().expect("fixture run failed");
     let mut bytes = sim.snapshot();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
     let err = ClusterSim::restore(degraded_racked(), &bytes).map(|_| ());
     let expected = SnapshotError::UnsupportedVersion {
-        found: 2,
+        found: 3,
         expected: SNAP_VERSION,
     };
     assert_eq!(err, Err(expected));
@@ -703,7 +676,7 @@ fn a_message_in_another_destinations_lane_is_refused() {
         let home = sim.plan.slice(Key(0)).server.0;
         let src = (home + 1) % 4;
         let round = sim.servers[home].version[0];
-        sim.send(MsgKind::Push { key: 0, round }, src, home, 100);
+        sim.send_ps(MsgKind::Push { key: 0, round }, src, home);
         let EgressUnit::PerDest { queues, .. } = &mut sim.workers[src].egress else {
             unreachable!("the baseline sends per destination");
         };

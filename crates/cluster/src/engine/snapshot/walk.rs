@@ -24,6 +24,7 @@ use super::super::msg_table::MsgTable;
 use super::super::types::{
     class_of, Ev, MsgCtx, MsgKind, Phase, ProcItem, Role, ServerState, WorkerState, EVENT_CAP,
 };
+use super::super::worker::JITTER;
 use super::super::ClusterSim;
 use crate::egress::{EgressUnit, OutMsg};
 use p3_core::PrioQueue;
@@ -142,8 +143,9 @@ pub(super) fn walk<C: Coder>(sim: &mut ClusterSim, c: &mut C) -> Res {
 }
 
 /// The message table as `(count, [id, context]…)` in ascending id order.
-/// A context's priority is its key's, which a reader looks up; its flow
-/// is not stored either: restore links it from the fabric's tags. The id
+/// A context's priority is its key's, which a reader looks up, and a
+/// PS message's size is its kind's ([`ClusterSim::ps_size`]); its flow is
+/// not stored either: restore links it from the fabric's tags. The id
 /// counter comes just before, so a reader refuses an id it does not
 /// cover, or covers from further back than the table indexes: no id's
 /// value sizes the table's window.
@@ -152,7 +154,7 @@ pub(super) fn messages<C: Coder>(c: &mut C, sim: &mut ClusterSim, b: &Bounds) ->
     if !C::READING {
         return sim.msgs.iter().try_for_each(|(id, ctx)| {
             c.u64(&mut { id })?;
-            msg_ctx(c, &mut { *ctx }, b)
+            msg_ctx(c, &mut { *ctx }, b, sim)
         });
     }
     let next = sim.next_msg_id;
@@ -162,7 +164,7 @@ pub(super) fn messages<C: Coder>(c: &mut C, sim: &mut ClusterSim, b: &Bounds) ->
         c.check(id < next, "message id counter behind live ids")?;
         let what = "message ids span more than the table indexes";
         c.check(next - id <= MsgTable::MAX_SPAN, what)?;
-        msg_ctx(c, &mut ctx, b)?;
+        msg_ctx(c, &mut ctx, b, sim)?;
         ctx.priority = Priority(sim.prio[class_of(ctx.kind).1]);
         c.check(sim.msgs.insert(id, ctx), "message ids not ascending")?;
     }
@@ -305,7 +307,7 @@ pub(super) fn worker<C: Coder>(
     c.f64(&mut ws.jitter)?;
     // The clamp `resample_jitter` applies.
     c.check(
-        (0.5..=2.0).contains(&ws.jitter),
+        (JITTER.0..=JITTER.1).contains(&ws.jitter),
         "worker jitter outside [0.5, 2]",
     )?;
     c.f64(&mut ws.slowdown)?;
@@ -326,7 +328,8 @@ pub(super) fn worker<C: Coder>(
 }
 
 fn server<C: Coder>(c: &mut C, ss: &mut ServerState, msgs: &MsgTable, b: &Bounds) -> Res {
-    prio_queue(c, &mut ss.proc_queue, BLANK_ITEM, |c, (prio, item)| {
+    let blank = ProcItem::default();
+    prio_queue(c, &mut ss.proc_queue, blank, |c, (prio, item)| {
         c.u32(prio)?;
         proc_item(c, item, b)
     })?;
@@ -339,16 +342,9 @@ fn server<C: Coder>(c: &mut C, ss: &mut ServerState, msgs: &MsgTable, b: &Bounds
         "pending-pull vector length",
         |c, pulls| seq(c, pulls, 0, |c, w| c.idx(w, pullers, what)),
     )?;
-    opt(c, &mut ss.current, BLANK_ITEM, |c, it| proc_item(c, it, b))?;
+    opt(c, &mut ss.current, blank, |c, it| proc_item(c, it, b))?;
     egress(c, &mut ss.egress, msgs)
 }
-
-const BLANK_ITEM: ProcItem = ProcItem {
-    key: 0,
-    round: 0,
-    worker: 0,
-    members: 0,
-};
 
 fn proc_item<C: Coder>(c: &mut C, item: &mut ProcItem, b: &Bounds) -> Res {
     let what = "processing-item key out of range";
@@ -374,7 +370,7 @@ pub(super) fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, msgs: &MsgTable) -
             ..
         } => {
             // The queue's priority is the message's own.
-            prio_queue(c, queue, BLANK_MSG, |c, (prio, msg)| {
+            prio_queue(c, queue, OutMsg::default(), |c, (prio, msg)| {
                 queued(c, msg, msgs)?;
                 *prio = msg.priority.0;
                 Ok(())
@@ -385,7 +381,9 @@ pub(super) fn egress<C: Coder>(c: &mut C, e: &mut EgressUnit, msgs: &MsgTable) -
         EgressUnit::PerDest { queues, .. } => {
             fixed(c, queues, "per-destination lane count", |c, lane| {
                 let mut entries = Vec::from(std::mem::take(lane));
-                seq(c, &mut entries, BLANK_MSG, |c, msg| queued(c, msg, msgs))?;
+                seq(c, &mut entries, OutMsg::default(), |c, m| {
+                    queued(c, m, msgs)
+                })?;
                 *lane = entries.into();
                 Ok(())
             })
@@ -408,13 +406,6 @@ fn queued<C: Coder>(c: &mut C, msg: &mut OutMsg, msgs: &MsgTable) -> Res {
     Ok(())
 }
 
-const BLANK_MSG: OutMsg = OutMsg {
-    dst: MachineId(0),
-    bytes: 0,
-    priority: Priority(0),
-    msg_id: 0,
-};
-
 const BLANK_CTX: MsgCtx = MsgCtx {
     kind: MsgKind::Push { key: 0, round: 0 },
     src: 0,
@@ -425,11 +416,16 @@ const BLANK_CTX: MsgCtx = MsgCtx {
     flow: None,
 };
 
-fn msg_ctx<C: Coder>(c: &mut C, ctx: &mut MsgCtx, b: &Bounds) -> Res {
+/// One message's context. Only a collective chunk's size travels; a
+/// reader sets any other to its kind's ([`ClusterSim::ps_size`]).
+fn msg_ctx<C: Coder>(c: &mut C, ctx: &mut MsgCtx, b: &Bounds, sim: &ClusterSim) -> Res {
     msg_kind(c, &mut ctx.kind, b)?;
     c.idx(&mut ctx.src, b.machines, "message source out of range")?;
     c.idx(&mut ctx.dst, b.machines, "message destination out of range")?;
-    c.u64(&mut ctx.bytes)?;
+    match sim.ps_size(ctx.kind) {
+        Some(bytes) => ctx.bytes = bytes,
+        None => c.u64(&mut ctx.bytes)?,
+    }
     c.u32(&mut ctx.attempt)
 }
 

@@ -4,8 +4,9 @@
 
 use super::ClusterSim;
 use crate::config::{BackendKind, ClusterConfig};
+use crate::faults::{FaultPlan, StragglerEpisode};
 use p3_core::SyncStrategy;
-use p3_des::SimDuration;
+use p3_des::{SimDuration, SimTime};
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
 
@@ -242,6 +243,27 @@ fn overflowing_iteration_counts_are_an_invalid_config() {
         matches!(err, crate::RunError::InvalidConfig(ref why) if why.contains("overflows")),
         "{err}"
     );
+}
+
+#[test]
+fn a_slowdown_that_runs_a_block_past_the_clock_is_an_invalid_config() {
+    // Finite and at least 1, but the slowest block, at the largest jitter,
+    // would last past the end of simulated time: `mul_f64` panics there.
+    for slowdown in [1e300, 1e20] {
+        let faults = FaultPlan {
+            stragglers: vec![StragglerEpisode {
+                worker: 0,
+                start: SimTime::ZERO,
+                duration: SimDuration::from_secs(1),
+                slowdown,
+            }],
+            ..FaultPlan::none()
+        };
+        let slow = cfg(SyncStrategy::p3(), 8.0).with_faults(faults);
+        let err = ClusterSim::new(slow).try_run().unwrap_err();
+        let refused = matches!(err, crate::RunError::InvalidConfig(ref why) if why.contains("past the clock"));
+        assert!(refused, "slowdown {slowdown}: {err}");
+    }
 }
 
 #[test]

@@ -11,10 +11,9 @@
 
 use super::types::{class_of, sender_role_of, Ev, MsgCtx, MsgKind, Role};
 use super::ClusterSim;
-use crate::config::WireCompression;
 use crate::egress::{Admit, EgressUnit, OutMsg};
 use p3_net::{MachineId, Priority};
-use p3_pserver::{wire_bytes, RetryDecision, HEADER_BYTES};
+use p3_pserver::{wire_bytes, Key, RetryDecision, HEADER_BYTES};
 use p3_trace::{EndpointRole, FaultKind, TraceEvent};
 
 impl ClusterSim {
@@ -43,14 +42,32 @@ impl ClusterSim {
     // ------------------------------------------------------------------
     // Sending.
 
-    /// Wire size of a payload of `params` parameters, after any configured
-    /// compression at the ratio `ratio` picks (pushes and responses
-    /// compress by different ratios).
-    pub(crate) fn wire_size(&self, params: u64, ratio: fn(&WireCompression) -> f64) -> u64 {
-        match &self.cfg.wire_compression {
-            Some(c) => HEADER_BYTES as u64 + ((4 * params) as f64 / ratio(c)).ceil() as u64,
+    /// A parameter-server message's wire size, which its kind fixes: its
+    /// key's gradient (push kinds) or parameters (a response), each after
+    /// any compression at its direction's ratio, or a bare header (notify,
+    /// pull request). `None` for a collective chunk, sized by its launch.
+    pub(crate) fn ps_size(&self, kind: MsgKind) -> Option<u64> {
+        let c = self.cfg.wire_compression.as_ref();
+        let ratio = match kind {
+            MsgKind::Push { .. } | MsgKind::RackPush { .. } | MsgKind::CombinedPush { .. } => {
+                c.map(|c| c.push_ratio)
+            }
+            MsgKind::Response { .. } => c.map(|c| c.response_ratio),
+            MsgKind::Notify { .. } | MsgKind::PullReq { .. } => return Some(HEADER_BYTES as u64),
+            MsgKind::ReduceScatter { .. } | MsgKind::AllGather { .. } => return None,
+        };
+        let params = self.plan.slice(Key(class_of(kind).1 as u64)).params;
+        Some(match ratio {
+            Some(r) => HEADER_BYTES as u64 + ((4 * params) as f64 / r).ceil() as u64,
             None => wire_bytes(params),
-        }
+        })
+    }
+
+    /// Sends a PS message at its kind's size ([`ClusterSim::ps_size`]).
+    #[expect(clippy::expect_used, reason = "the PS protocol sends its kinds only")]
+    pub(crate) fn send_ps(&mut self, kind: MsgKind, src: usize, dst: usize) {
+        let bytes = self.ps_size(kind).expect("a PS kind");
+        self.send(kind, src, dst, bytes);
     }
 
     /// Sends one message: registers it and queues it on its sender's

@@ -263,7 +263,7 @@ pub(crate) struct ServerState {
     pub(crate) egress: EgressUnit,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ProcItem {
     pub(crate) key: usize,
     pub(crate) round: u64,

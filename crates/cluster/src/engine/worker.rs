@@ -8,6 +8,9 @@ use super::ClusterSim;
 use p3_des::SimDuration;
 use p3_trace::TraceEvent;
 
+/// The least and the largest compute jitter a worker draws.
+pub(super) const JITTER: (f64, f64) = (0.5, 2.0);
+
 impl ClusterSim {
     /// Combined compute-time multiplier: calibrated jitter times any active
     /// straggler slowdown.
@@ -128,7 +131,7 @@ impl ClusterSim {
         let frac = self.cfg.model.iteration_jitter();
         let w = &mut self.workers[worker];
         w.jitter = if frac > 0.0 {
-            (1.0 + w.rng.normal() * frac).clamp(0.5, 2.0)
+            (1.0 + w.rng.normal() * frac).clamp(JITTER.0, JITTER.1)
         } else {
             1.0
         };

@@ -117,26 +117,24 @@ impl FaultPlan {
 
     /// Checks the plan against a cluster of `machines` machines.
     ///
-    /// Rejects out-of-range machine indices, non-positive durations,
-    /// slowdowns below 1, capacity factors outside `(0, 1]`, loss outside
-    /// `[0, 1)`, more than one crash per worker, overlapping episodes on
-    /// one worker/machine, and plans that permanently kill every worker.
+    /// Rejects out-of-range machine indices, non-positive durations, spans
+    /// that end past the simulated clock, slowdowns that are not finite or
+    /// below 1, capacity factors outside `(0, 1]`, loss outside `[0, 1)`,
+    /// more than one crash per worker, overlapping episodes on one
+    /// worker/machine, and plans that permanently kill every worker.
     pub fn validate(&self, machines: usize) -> Result<(), String> {
         for s in &self.stragglers {
             if s.worker >= machines {
                 return Err(format!("straggler worker {} out of range", s.worker));
             }
-            if s.duration.is_zero() {
+            if !(s.slowdown.is_finite() && s.slowdown >= 1.0) {
                 return Err(format!(
-                    "straggler on worker {} has zero duration",
-                    s.worker
+                    "straggler slowdown {} must be finite and >= 1",
+                    s.slowdown
                 ));
             }
-            if s.slowdown.is_nan() || s.slowdown < 1.0 {
-                return Err(format!("straggler slowdown {} must be >= 1", s.slowdown));
-            }
         }
-        check_disjoint(
+        check_spans(
             self.stragglers
                 .iter()
                 .map(|s| (s.worker, s.start, s.duration)),
@@ -146,12 +144,6 @@ impl FaultPlan {
             if d.machine >= machines {
                 return Err(format!("degraded machine {} out of range", d.machine));
             }
-            if d.duration.is_zero() {
-                return Err(format!(
-                    "degradation on machine {} has zero duration",
-                    d.machine
-                ));
-            }
             if !(d.capacity_factor > 0.0 && d.capacity_factor <= 1.0) {
                 return Err(format!(
                     "capacity factor {} must be in (0, 1]",
@@ -159,7 +151,7 @@ impl FaultPlan {
                 ));
             }
         }
-        check_disjoint(
+        check_spans(
             self.link_degradations
                 .iter()
                 .map(|d| (d.machine, d.start, d.duration)),
@@ -180,6 +172,10 @@ impl FaultPlan {
             if crashed[c.worker] {
                 return Err(format!("worker {} crashes more than once", c.worker));
             }
+            let past = |r: SimDuration| c.at.as_nanos().checked_add(r.as_nanos()).is_none();
+            if c.rejoin_after.is_some_and(past) {
+                return Err(format!("worker {} rejoins past the clock", c.worker));
+            }
             crashed[c.worker] = true;
             if c.rejoin_after.is_none() {
                 survivors -= 1;
@@ -192,13 +188,21 @@ impl FaultPlan {
     }
 }
 
-/// Rejects overlapping `(index, start, duration)` intervals on one target.
-fn check_disjoint(
+/// Rejects `(index, start, duration)` intervals that are empty or end
+/// past the clock, and overlapping ones on one target.
+fn check_spans(
     episodes: impl Iterator<Item = (usize, SimTime, SimDuration)>,
     what: &str,
 ) -> Result<(), String> {
-    let mut spans: Vec<(usize, SimTime, SimTime)> =
-        episodes.map(|(i, s, d)| (i, s, s + d)).collect();
+    let mut spans = Vec::new();
+    for (i, s, d) in episodes {
+        if d.is_zero() {
+            return Err(format!("{what} on index {i} have zero duration"));
+        }
+        let past = || format!("{what} on index {i} end past the clock");
+        let end = s.as_nanos().checked_add(d.as_nanos()).ok_or_else(past)?;
+        spans.push((i, s, SimTime::from_nanos(end)));
+    }
     spans.sort_by_key(|&(i, s, _)| (i, s));
     for w in spans.windows(2) {
         let (i0, _, end0) = w[0];
@@ -308,6 +312,65 @@ mod tests {
             ..FaultPlan::none()
         };
         assert!(p.validate(1).is_err());
+    }
+
+    #[test]
+    fn slowdowns_that_are_not_finite_are_rejected() {
+        for slowdown in [f64::INFINITY, f64::NAN] {
+            let mut s = straggler(0, 0, 1);
+            s.slowdown = slowdown;
+            let p = FaultPlan {
+                stragglers: vec![s],
+                ..FaultPlan::none()
+            };
+            let why = p.validate(1).unwrap_err();
+            assert!(why.contains("must be finite"), "{why}");
+        }
+    }
+
+    #[test]
+    fn spans_that_end_past_the_clock_are_rejected() {
+        let (late, long) = (
+            SimTime::from_nanos(u64::MAX - 5),
+            SimDuration::from_nanos(6),
+        );
+        let mut s = straggler(0, 0, 1);
+        (s.start, s.duration) = (late, long);
+        let p = FaultPlan {
+            stragglers: vec![s],
+            ..FaultPlan::none()
+        };
+        let past = |what: &str| Err(format!("{what} on index 0 end past the clock"));
+        assert_eq!(p.validate(1), past("straggler episodes"));
+        let p = FaultPlan {
+            link_degradations: vec![LinkDegradation {
+                machine: 0,
+                start: late,
+                duration: long,
+                capacity_factor: 0.5,
+            }],
+            ..FaultPlan::none()
+        };
+        assert_eq!(p.validate(1), past("link degradations"));
+        let p = FaultPlan {
+            crashes: vec![WorkerCrash {
+                worker: 0,
+                at: late,
+                rejoin_after: Some(long),
+            }],
+            ..FaultPlan::none()
+        };
+        assert_eq!(p.validate(1), Err("worker 0 rejoins past the clock".into()));
+        // Ending at the last instant is fine.
+        let p = FaultPlan {
+            crashes: vec![WorkerCrash {
+                worker: 0,
+                at: late,
+                rejoin_after: Some(SimDuration::from_nanos(5)),
+            }],
+            ..FaultPlan::none()
+        };
+        assert!(p.validate(1).is_ok());
     }
 
     #[test]

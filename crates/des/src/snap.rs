@@ -29,8 +29,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"P3SNAP\0\0";
 /// reject other versions rather than guessing. v2 appended the network's
 /// deterministic work counters (`NetStats` in `p3-net`) to the net section;
 /// v3 dropped every engine field that other stored state or the
-/// configuration determines.
-pub const SNAP_VERSION: u32 = 3;
+/// configuration determines; v4 dropped each fabric flow's rate and
+/// bottleneck and each parameter-server message's size, which a reader
+/// derives.
+pub const SNAP_VERSION: u32 = 4;
 
 /// Why a snapshot byte stream could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

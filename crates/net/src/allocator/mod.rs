@@ -65,9 +65,9 @@ pub struct GraphAllocation {
     pub bottleneck: Vec<Option<LinkId>>,
 }
 
-/// Working memory and results of [`allocate_rates_in_class_order`]. The
-/// caller owns it and passes the same value to every call, so once its
-/// vectors have grown to the largest flow set a call allocates nothing.
+/// Working memory of [`allocate_rates_in_class_order`]. The caller owns it
+/// and passes the same value to every call, so once its vectors have grown
+/// to the largest flow set a call allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AllocBuffers {
     /// Residual capacity per link after serving more urgent flows.
@@ -75,48 +75,23 @@ pub(crate) struct AllocBuffers {
     /// Rising flows per link in the class being filled; all zero between
     /// classes.
     count: Vec<u32>,
-    /// Rate of each flow, by slot.
-    rates: Vec<f64>,
-    /// The link that froze each flow, by slot, or [`NO_LINK`].
-    bottleneck: Vec<u32>,
     /// The class being filled; the flows still rising stay at its front.
     rising: Vec<Member>,
 }
 
-impl AllocBuffers {
-    /// Each flow's rate in bytes/sec under the last allocation, indexed by
-    /// its slot.
-    pub(crate) fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// The saturated link that froze each flow under the last allocation,
-    /// indexed by its slot: [`NO_LINK`] when the per-flow cap bound the
-    /// flow (or it never froze on a link). [`link`] reads one.
-    pub(crate) fn bottlenecks(&self) -> &[u32] {
-        &self.bottleneck
-    }
-
-    /// Loads a stored allocation of `len` flows, as the fill would have
-    /// left it: `outs` gives each slot's rate and bottleneck.
-    pub(crate) fn load(&mut self, len: usize, outs: impl Iterator<Item = (usize, f64, u32)>) {
-        self.rates.clear();
-        self.rates.resize(len, 0.0);
-        self.bottleneck.clear();
-        self.bottleneck.resize(len, NO_LINK);
-        for (slot, rate, at) in outs {
-            if let (Some(r), Some(b)) = (self.rates.get_mut(slot), self.bottleneck.get_mut(slot)) {
-                *r = rate;
-                *b = at;
-            }
-        }
-    }
+/// Where [`allocate_rates_in_class_order`] writes, by slot: each flow's
+/// rate in bytes/sec, 0 when it froze below `floor`, and the link that
+/// froze it ([`NO_LINK`] when the per-flow cap bound it).
+pub(crate) struct RateColumns<'a> {
+    pub(crate) rates: &'a mut [f64],
+    pub(crate) bottleneck: &'a mut [u32],
+    pub(crate) floor: f64,
 }
 
-/// A bottleneck of [`AllocBuffers::bottlenecks`] for a flow no link froze.
+/// A bottleneck for a flow no link froze.
 pub(crate) const NO_LINK: u32 = u32::MAX;
 
-/// The link a bottleneck of [`AllocBuffers::bottlenecks`] names.
+/// The link a bottleneck names.
 pub(crate) fn link(at: u32) -> Option<LinkId> {
     (at != NO_LINK).then_some(LinkId(at as usize))
 }
@@ -170,11 +145,25 @@ pub fn allocate_rates_on_graph(
     work: &mut AllocWork,
 ) -> GraphAllocation {
     let index = ClassIndex::build(flows.iter().copied(), graph);
-    let mut buf = AllocBuffers::default();
-    allocate_rates_in_class_order(&index, graph, caps, flow_cap, &mut buf, work);
+    let mut rates = vec![0.0; flows.len()];
+    let mut bottleneck = vec![NO_LINK; flows.len()];
+    let out = RateColumns {
+        rates: &mut rates,
+        bottleneck: &mut bottleneck,
+        floor: 0.0,
+    };
+    allocate_rates_in_class_order(
+        &index,
+        graph,
+        caps,
+        flow_cap,
+        &mut AllocBuffers::default(),
+        out,
+        work,
+    );
     GraphAllocation {
-        bottleneck: buf.bottleneck.iter().map(|&at| link(at)).collect(),
-        rates: buf.rates,
+        bottleneck: bottleneck.into_iter().map(link).collect(),
+        rates,
     }
 }
 
@@ -186,22 +175,22 @@ pub fn allocate_rates_on_graph(
 /// class changes no result bit and no work count: every rising flow of a
 /// class takes the same increment each round, and each link is charged
 /// once per flow crossing it in any order. Each flow's rate and bottleneck
-/// land at its slot in [`AllocBuffers::rates`] and
-/// [`AllocBuffers::bottlenecks`]. `caps`, `flow_cap` and `work` are as for
-/// [`allocate_rates_on_graph`]; the index has already checked every flow
-/// against the graph.
+/// land at its slot in `out`'s columns, a rate under `out.floor` as 0.
+/// `caps`, `flow_cap` and `work` are as for [`allocate_rates_on_graph`];
+/// the index has already checked every flow against the graph.
 ///
 /// # Panics
 ///
 /// Panics if `caps.len()` differs from the graph's link count or the
-/// index's, if a link index would not fit a bottleneck's 32 bits, or if
-/// `flow_cap` is not positive.
+/// index's, if a column's length is not the index's, if a link index would
+/// not fit a bottleneck's 32 bits, or if `flow_cap` is not positive.
 pub(crate) fn allocate_rates_in_class_order(
     index: &ClassIndex,
     graph: &LinkGraph,
     caps: &[f64],
     flow_cap: f64,
     buf: &mut AllocBuffers,
+    out: RateColumns<'_>,
     work: &mut AllocWork,
 ) {
     assert_eq!(
@@ -212,30 +201,26 @@ pub(crate) fn allocate_rates_in_class_order(
     assert_eq!(index.links(), caps.len(), "class index of another graph");
     assert!(caps.len() < NO_LINK as usize, "too many links to name");
     assert!(flow_cap > 0.0, "non-positive flow cap");
+    let n = index.len();
+    assert!(
+        out.rates.len() == n && out.bottleneck.len() == n,
+        "rate columns of another flow set"
+    );
 
-    let AllocBuffers {
-        res,
-        count,
-        rates,
-        bottleneck,
-        rising,
-    } = buf;
+    let AllocBuffers { res, count, rising } = buf;
     res.clear();
     res.extend_from_slice(caps);
     let scale = clamp(res);
     count.clear();
     count.resize(caps.len(), 0);
-    rates.clear();
-    rates.resize(index.len(), 0.0);
-    bottleneck.clear();
-    bottleneck.resize(index.len(), NO_LINK);
     let mut fill = WaterFill {
         graph,
         flow_cap,
+        floor: out.floor,
         res,
         count,
-        rates,
-        bottleneck,
+        rates: out.rates,
+        bottleneck: out.bottleneck,
         scale,
         work,
     };
@@ -253,10 +238,12 @@ const EPS: f64 = 1e-9;
 const FLOOR: f64 = 1e-6;
 
 /// One allocation's inputs and running state, borrowed from the caller's
-/// [`AllocBuffers`].
+/// [`AllocBuffers`] and [`RateColumns`].
 struct WaterFill<'a> {
     graph: &'a LinkGraph,
     flow_cap: f64,
+    /// A rate frozen under this is written as 0.
+    floor: f64,
     res: &'a mut [f64],
     count: &'a mut [u32],
     rates: &'a mut [f64],
@@ -421,9 +408,9 @@ impl WaterFill<'_> {
     /// is saturated freezes whole, as one run. Returns whether the class
     /// still has rising members.
     ///
-    /// Rates need no write: the fill starts every rate at 0. A member
-    /// that goes on rising is given a bottleneck too, so that keeping it
-    /// takes no branch: its own is written when it freezes.
+    /// A member that goes on rising is frozen too, so that keeping it
+    /// takes no branch: its own rate and bottleneck are written when it
+    /// freezes.
     #[expect(
         clippy::indexing_slicing,
         reason = "kept counts members already read, so it stays below members.len(); indexed flows name machines of the graph, and every route link is below caps.len(), the length of res and count"
@@ -442,7 +429,7 @@ impl WaterFill<'_> {
         for (src, run) in class.sources() {
             if self.res[src] <= thr {
                 for m in run {
-                    self.freeze_at(m.slot, LinkId(src));
+                    self.freeze(m.slot, 0.0, src as u32);
                 }
                 continue;
             }
@@ -456,7 +443,7 @@ impl WaterFill<'_> {
                     None
                 };
                 let blocked = hop.is_some() || res[rx + dst] <= thr;
-                self.freeze_at(m.slot, hop.copied().unwrap_or(LinkId(rx + dst)));
+                self.freeze(m.slot, 0.0, hop.map_or(rx + dst, |l| l.0) as u32);
                 let rising = u32::from(!blocked);
                 if transit {
                     for l in graph.transit(src, dst) {
@@ -478,20 +465,13 @@ impl WaterFill<'_> {
         kept > 0
     }
 
-    /// Sets a frozen flow's rate and bottleneck ([`NO_LINK`] for none).
+    /// Sets a frozen flow's rate, 0 under the floor, and its bottleneck
+    /// ([`NO_LINK`] for none).
     fn freeze(&mut self, slot: u32, rate: f64, at: u32) {
         let slot = slot as usize;
         if let (Some(r), Some(b)) = (self.rates.get_mut(slot), self.bottleneck.get_mut(slot)) {
-            *r = rate;
+            *r = if rate < self.floor { 0.0 } else { rate };
             *b = at;
-        }
-    }
-
-    /// Sets the bottleneck of a flow frozen at rate 0, which its rate
-    /// already is.
-    fn freeze_at(&mut self, slot: u32, at: LinkId) {
-        if let Some(b) = self.bottleneck.get_mut(slot as usize) {
-            *b = at.0 as u32;
         }
     }
 

@@ -24,6 +24,7 @@ pub(crate) fn graph_rates(
     let mut fill = WaterFill {
         graph,
         flow_cap,
+        floor: 0.0,
         res: &mut res,
         count: &mut count,
         rates: &mut rates,

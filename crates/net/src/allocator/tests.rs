@@ -405,14 +405,20 @@ mod properties {
         work: &mut AllocWork,
     ) -> GraphAllocation {
         let index = ClassIndex::build(classes.iter().map(|&(_, f)| f), g);
-        allocate_rates_in_class_order(&index, g, caps, flow_cap, buf, work);
+        let (mut rates, mut bottleneck) = (vec![-1.0; classes.len()], vec![0; classes.len()]);
+        let cols = RateColumns {
+            rates: &mut rates,
+            bottleneck: &mut bottleneck,
+            floor: 0.0,
+        };
+        allocate_rates_in_class_order(&index, g, caps, flow_cap, buf, cols, work);
         let mut out = GraphAllocation {
             rates: vec![0.0; classes.len()],
             bottleneck: vec![None; classes.len()],
         };
         for (k, &(slot, _)) in classes.iter().enumerate() {
-            out.rates[slot] = buf.rates()[k];
-            out.bottleneck[slot] = link(buf.bottlenecks()[k]);
+            out.rates[slot] = rates[k];
+            out.bottleneck[slot] = link(bottleneck[k]);
         }
         out
     }

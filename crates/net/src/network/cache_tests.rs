@@ -228,7 +228,7 @@ fn a_poll_drains_with_the_rates_of_its_own_instant() {
 /// Asserts that two fabrics run through the same script hold the same
 /// flows, bit for bit: order, remaining bytes, rates and bottlenecks.
 fn assert_same_flows(lazy: &Network, eager: &Network) {
-    let bottlenecks = |n: &Network| n.flows.iter().map(|f| f.bottleneck).collect::<Vec<_>>();
+    let bottlenecks = |n: &Network| n.bottleneck.clone();
     let (want, want_at) = (bits(&records(eager)), bottlenecks(eager));
     let (got, got_at) = (bits(&records(lazy)), bottlenecks(lazy));
     assert_eq!(got, want, "rates read lazily differ from eager ones");
@@ -349,10 +349,10 @@ mod properties {
                     priority: Priority(0),
                     tag: 0,
                     bytes: 1,
-                    bottleneck: None,
                 });
                 n.remaining.push(remaining);
                 n.rates.push(rate);
+                n.bottleneck.push(NO_LINK);
             }
             for (i, at) in deliveries.into_iter().enumerate() {
                 let flow = CompletedFlow {
@@ -404,10 +404,10 @@ mod properties {
                     priority: spec.priority,
                     tag: i as u64,
                     bytes: 1,
-                    bottleneck: None,
                 });
                 n.remaining.push(remaining);
                 n.rates.push(rate);
+                n.bottleneck.push(NO_LINK);
             }
             for k in cancels {
                 if let Some(id) = n.flows.get(k).map(|f| f.id) {

@@ -4,12 +4,13 @@
 //! one capacity epoch: each flow's rate and bottleneck in the class
 //! index's canonical order, and the call's [`AllocWork`]. Training repeats
 //! the same transfers every iteration, so a fabric keeps meeting flow sets
-//! it has already allocated; a replay writes the stored result instead of
-//! filling again. A replay is exact: the fill's result for a flow depends
-//! only on the multiset and the capacities (order within a class changes
-//! no bit), a match of the index's fingerprint is confirmed spec by spec
-//! against the stored set before use, and [`Memo::rescale`] starts a new
-//! epoch whenever the capacities change.
+//! it has already allocated; a replay writes the stored result into the
+//! fabric's columns instead of filling them again. A replay is exact: the
+//! fill's result for a flow depends only on the multiset and the
+//! capacities (order within a class changes no bit), a match of the
+//! index's fingerprint is confirmed spec by spec against the stored set
+//! before use, and [`Memo::rescale`] starts a new epoch whenever the
+//! capacities change.
 //!
 //! The memo is bounded and lazy. Its direct-mapped table has [`SLOTS`]
 //! entries, and their specs and results share a bump arena of [`ARENA`]
@@ -19,7 +20,7 @@
 //! allocated before the first allocation, and a snapshot never carries
 //! the memo: a restored fabric starts with an empty one.
 
-use crate::allocator::{AllocBuffers, AllocWork, ClassIndex, Member};
+use crate::allocator::{AllocWork, ClassIndex, Member};
 use crate::types::Priority;
 
 /// Entries in the memo's direct-mapped table.
@@ -102,11 +103,16 @@ impl Memo {
         index.fingerprint() ^ self.epoch.wrapping_mul(0xD6E8_FEB8_6659_FD93)
     }
 
-    /// Loads the stored allocation of `index`'s flow set under the
-    /// current epoch into `buf`, as the fill would have left it, and
-    /// returns the fill's work. `None`, with `buf` untouched, unless every
-    /// spec matches.
-    pub(super) fn replay(&self, index: &ClassIndex, buf: &mut AllocBuffers) -> Option<AllocWork> {
+    /// Writes the stored allocation of `index`'s flow set under the
+    /// current epoch into the columns `rates` and `bottleneck`, by slot, as
+    /// the fill would have left them, and returns the fill's work. `None`,
+    /// with the columns untouched, unless every spec matches.
+    pub(super) fn replay(
+        &self,
+        index: &ClassIndex,
+        rates: &mut [f64],
+        bottleneck: &mut [u32],
+    ) -> Option<AllocWork> {
         let hash = self.hash(index);
         let e = self.table.get(hash as usize % SLOTS)?.as_ref()?;
         let len = index.len();
@@ -118,16 +124,27 @@ impl Memo {
         if !same_set(specs, index) {
             return None;
         }
-        let (rates, links) = (self.rates.get(range.clone())?, self.links.get(range)?);
-        let outs = index.members().iter().zip(rates).zip(links);
-        buf.load(len, outs.map(|((m, &r), &l)| (m.slot as usize, r, l)));
+        let stored = self.rates.get(range.clone())?.iter();
+        let stored = stored.zip(self.links.get(range)?);
+        for (m, (&r, &l)) in index.members().iter().zip(stored) {
+            let slot = m.slot as usize;
+            if let (Some(rate), Some(at)) = (rates.get_mut(slot), bottleneck.get_mut(slot)) {
+                (*rate, *at) = (r, l);
+            }
+        }
         Some(e.work)
     }
 
-    /// Offers the allocation just computed for `index`'s flow set into
-    /// `alloc`. The set is stored if its hash was offered before and it
-    /// fits; otherwise its hash is remembered.
-    pub(super) fn offer(&mut self, index: &ClassIndex, alloc: &AllocBuffers, work: AllocWork) {
+    /// Offers the allocation just computed for `index`'s flow set into the
+    /// columns `rates` and `bottleneck`. The set is stored if its hash was
+    /// offered before and it fits; otherwise its hash is remembered.
+    pub(super) fn offer(
+        &mut self,
+        index: &ClassIndex,
+        rates: &[f64],
+        bottleneck: &[u32],
+        work: AllocWork,
+    ) {
         let hash = self.hash(index);
         let len = index.len();
         if len > MAX_SET {
@@ -156,11 +173,10 @@ impl Memo {
             self.table.fill(None);
         }
         let start = self.specs.len();
-        let (rates, links) = (alloc.rates(), alloc.bottlenecks());
         for class in index.classes() {
             for m in class.members {
                 let slot = m.slot as usize;
-                let out = (rates.get(slot), links.get(slot));
+                let out = (rates.get(slot), bottleneck.get(slot));
                 let (Some(spec), (Some(&rate), Some(&link))) = (pack(class.priority, m), out)
                 else {
                     self.specs.truncate(start);
@@ -191,7 +207,10 @@ mod tests {
     use super::super::walk::tests::{racked, restore};
     use super::super::{ActiveFlow, NetStats, Network, NetworkConfig};
     use super::*;
-    use crate::allocator::{allocate_rates_in_class_order, allocate_rates_on_graph, FlowSpec};
+    use crate::allocator::{
+        allocate_rates_in_class_order, allocate_rates_on_graph, link, AllocBuffers, FlowSpec,
+        RateColumns, NO_LINK,
+    };
     use crate::multilink::LinkGraph;
     use crate::types::{Bandwidth, FlowId, MachineId, Priority};
     use p3_des::{SimDuration, SimTime};
@@ -214,29 +233,38 @@ mod tests {
         ClassIndex::build(flows, &four())
     }
 
+    /// A rate column and a bottleneck column.
+    type Columns = (Vec<f64>, Vec<u32>);
+
     /// Fills `index`'s flow set on [`four`], as a fabric would before
-    /// offering it.
-    fn fill(index: &ClassIndex, buf: &mut AllocBuffers) -> AllocWork {
+    /// offering it: its columns and the fill's work.
+    fn fill(index: &ClassIndex) -> (Columns, AllocWork) {
         let g = four();
+        let (mut rates, mut bottleneck) = (vec![0.0; index.len()], vec![NO_LINK; index.len()]);
+        let out = RateColumns {
+            rates: &mut rates,
+            bottleneck: &mut bottleneck,
+            floor: 0.0,
+        };
         let mut work = AllocWork::default();
-        allocate_rates_in_class_order(index, &g, g.caps(), f64::INFINITY, buf, &mut work);
-        work
+        let buf = &mut AllocBuffers::default();
+        allocate_rates_in_class_order(index, &g, g.caps(), f64::INFINITY, buf, out, &mut work);
+        ((rates, bottleneck), work)
     }
 
     /// Fills `index` and offers the result twice, so the memo stores it.
-    fn store(memo: &mut Memo, index: &ClassIndex) -> AllocBuffers {
-        let mut buf = AllocBuffers::default();
-        let work = fill(index, &mut buf);
-        memo.offer(index, &buf, work);
-        memo.offer(index, &buf, work);
-        buf
+    fn store(memo: &mut Memo, index: &ClassIndex) -> Columns {
+        let ((rates, bottleneck), work) = fill(index);
+        memo.offer(index, &rates, &bottleneck, work);
+        memo.offer(index, &rates, &bottleneck, work);
+        (rates, bottleneck)
     }
 
     /// What `memo` replays for `index`: rates and bottlenecks by slot.
-    fn replay(memo: &Memo, index: &ClassIndex) -> Option<(Vec<f64>, Vec<u32>)> {
-        let mut buf = AllocBuffers::default();
-        memo.replay(index, &mut buf)?;
-        Some((buf.rates().to_vec(), buf.bottlenecks().to_vec()))
+    fn replay(memo: &Memo, index: &ClassIndex) -> Option<Columns> {
+        let (mut rates, mut bottleneck) = (vec![0.0; index.len()], vec![NO_LINK; index.len()]);
+        memo.replay(index, &mut rates, &mut bottleneck)?;
+        Some((rates, bottleneck))
     }
 
     /// True when `memo` holds `index`'s flow set.
@@ -248,8 +276,7 @@ mod tests {
     fn sets_that_share_a_slot_never_share_a_result() {
         let a = index([flow(0, 1, 0), flow(2, 1, 0)].into_iter());
         let mut memo = Memo::default();
-        let buf = store(&mut memo, &a);
-        let want = (buf.rates().to_vec(), buf.bottlenecks().to_vec());
+        let want = store(&mut memo, &a);
         assert_eq!(replay(&memo, &a), Some(want.clone()));
 
         // The same fingerprint on a different set of the same size: only
@@ -264,9 +291,8 @@ mod tests {
             .map(|p| index([flow(1, 2, p), flow(3, 0, p)].into_iter()))
             .find(|i| slot(i) == slot(&a) && i.fingerprint() != a.fingerprint())
             .expect("some set shares a's slot");
-        let rival_buf = store(&mut memo, &rival);
+        let rival_want = store(&mut memo, &rival);
         assert_eq!(replay(&memo, &a), None, "a's entry was replaced");
-        let rival_want = (rival_buf.rates().to_vec(), rival_buf.bottlenecks().to_vec());
         assert_eq!(replay(&memo, &rival), Some(rival_want));
     }
 
@@ -286,11 +312,10 @@ mod tests {
     fn a_set_is_stored_on_its_second_sighting_until_the_arena_fills() {
         let mut memo = Memo::default();
         let a = index([flow(0, 1, 0)].into_iter());
-        let mut buf = AllocBuffers::default();
-        let work = fill(&a, &mut buf);
-        memo.offer(&a, &buf, work);
+        let ((rates, bottleneck), work) = fill(&a);
+        memo.offer(&a, &rates, &bottleneck, work);
         assert!(!holds(&memo, &a) && memo.table.is_empty());
-        memo.offer(&a, &buf, work);
+        memo.offer(&a, &rates, &bottleneck, work);
         assert!(holds(&memo, &a));
         // Next to `a`, the arena takes `fit` sets of the largest size; the
         // next one empties it first, so only that set is left.
@@ -317,13 +342,15 @@ mod tests {
         let specs: Vec<FlowSpec> = n.flows.iter().map(ActiveFlow::spec).collect();
         let mut work = AllocWork::default();
         let want = allocate_rates_on_graph(&specs, &n.graph, &n.caps, n.cfg.flow_cap, &mut work);
-        let topology = n.cfg.link_graph.is_some();
+        let len = n.flows.len();
+        assert_eq!((n.rates.len(), n.bottleneck.len()), (len, len), "columns");
         let floor = n.rate_floor();
         let want = want.rates.iter().zip(&want.bottleneck);
-        for ((f, &rate), (&r, &b)) in n.flows.iter().zip(&n.rates).zip(want) {
+        let live = n.flows.iter().zip(n.rates.iter().zip(&n.bottleneck));
+        for ((f, (&rate, &at)), (&r, &b)) in live.zip(want) {
             let r = if r < floor { 0.0 } else { r };
             assert_eq!(rate.to_bits(), r.to_bits(), "flow {:?} rate", f.id);
-            assert_eq!(f.bottleneck, b.filter(|_| topology), "flow {:?}", f.id);
+            assert_eq!(link(at), b, "flow {:?}", f.id);
         }
         work
     }

@@ -24,10 +24,10 @@
 //! class index of its flows in canonical order with each class's bounds
 //! and link counts (no per-call sort or count), the allocator's buffers
 //! (no per-call allocation), and the scaled link capacities (recomputed
-//! only when a port factor changes). Each flow's bytes left and rate live
-//! in two dense columns, slot-parallel to the flows, so the per-event
-//! passes (progress, the drain test, the next-event scan and the rate
-//! write-back) stream 16 bytes a flow, not its whole record. It also keeps
+//! only when a port factor changes). Each flow's bytes left, rate and
+//! bottleneck live in dense columns, slot-parallel to the flows: the fill
+//! writes the last two in place, and the per-event passes (progress, the
+//! drain test, the next-event scan) stream 16 bytes a flow. It also keeps
 //! a bounded memo of allocations keyed by the exact flow set, so a set it
 //! has already allocated under the same capacities is replayed, bit for
 //! bit and with the same work counts, instead of filled again.
@@ -46,16 +46,16 @@ pub use config::NetworkConfig;
 
 use crate::allocator::{
     allocate_rates_in_class_order, link, AllocBuffers, AllocWork, ClassIndex, FlowSpec,
-    MAX_MACHINES,
+    RateColumns, MAX_MACHINES, NO_LINK,
 };
-use crate::multilink::{LinkGraph, LinkId};
+use crate::multilink::LinkGraph;
 use crate::trace::PortTrace;
 use crate::types::{FlowId, MachineId, Priority};
 use memo::Memo;
 use p3_des::{SimDuration, SimTime};
 
 /// A finished transfer, handed back by [`Network::poll`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompletedFlow {
     /// Handle returned by [`Network::start_flow`].
     pub id: FlowId,
@@ -74,7 +74,7 @@ pub struct CompletedFlow {
     pub bottleneck: Option<usize>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ActiveFlow {
     id: FlowId,
     src: usize,
@@ -82,8 +82,6 @@ struct ActiveFlow {
     priority: Priority,
     tag: u64,
     bytes: u64,
-    /// Saturated link bounding the current rate (configured topology only).
-    bottleneck: Option<LinkId>,
 }
 
 impl ActiveFlow {
@@ -96,7 +94,7 @@ impl ActiveFlow {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Delivering {
     at: SimTime,
     flow: CompletedFlow,
@@ -175,15 +173,17 @@ pub struct Network {
     flows: Vec<ActiveFlow>,
     /// Bytes each flow has left to send, by slot: parallel to `flows`.
     remaining: Vec<f64>,
-    /// Each flow's rate in bytes/sec under the current allocation, by
-    /// slot: parallel to `flows`.
+    /// Each flow's rate in bytes/sec (0 under [`Network::rate_floor`]) and
+    /// the link that froze it (`NO_LINK` for none) under the current
+    /// allocation, by slot: parallel to `flows`.
     rates: Vec<f64>,
+    bottleneck: Vec<u32>,
     /// Class index: every flow's slot in `flows` and its endpoints, in
     /// canonical order, with each class's bounds and link counts and the
     /// flow multiset's fingerprint. This is the allocator's input, so no
     /// reallocation sorts or counts.
     by_class: ClassIndex,
-    /// The allocator's working memory, reused by every reallocation.
+    /// The allocator's scratch memory, reused by every fill.
     alloc: AllocBuffers,
     /// Allocations already made, keyed by flow set; never serialized.
     memo: Memo,
@@ -269,6 +269,7 @@ impl Network {
             flows: Vec::new(),
             remaining: Vec::new(),
             rates: Vec::new(),
+            bottleneck: Vec::new(),
             alloc: AllocBuffers::default(),
             memo: Memo::default(),
             next_event: None,
@@ -344,12 +345,12 @@ impl Network {
             priority,
             tag,
             bytes,
-            bottleneck: None,
         };
         self.by_class.push(flow.spec(), &self.graph);
         self.flows.push(flow);
         self.remaining.push(bytes as f64);
         self.rates.push(0.0);
+        self.bottleneck.push(NO_LINK);
         // Flows only ever join here, so sampling at the push is exact.
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.flows.len() as u64);
         self.dirty = true;
@@ -416,9 +417,12 @@ impl Network {
         // Flows that drained move to the latency (delivery) stage.
         let mut changed = false;
         let latency = self.cfg.latency;
+        let topology = self.cfg.link_graph.is_some();
         let mut i = 0;
         while i < self.flows.len() {
             if drained(self.remaining[i], self.rates[i]) {
+                // Bottlenecks are reported only for a configured topology.
+                let at = link(self.bottleneck[i]).filter(|_| topology);
                 let f = self.remove_slot(i);
                 self.delivering.push(Delivering {
                     at: now + latency,
@@ -428,7 +432,7 @@ impl Network {
                         dst: MachineId(f.dst),
                         tag: f.tag,
                         bytes: f.bytes,
-                        bottleneck: f.bottleneck.map(|l| l.0),
+                        bottleneck: at.map(|l| l.0),
                     },
                 });
                 changed = true;
@@ -518,11 +522,12 @@ impl Network {
         false
     }
 
-    /// Removes the flow at `slot` from the flows, both columns and the
+    /// Removes the flow at `slot` from the flows, the columns and the
     /// class index, moving the last flow into its slot, and returns it.
     fn remove_slot(&mut self, slot: usize) -> ActiveFlow {
         self.remaining.swap_remove(slot);
         self.rates.swap_remove(slot);
+        self.bottleneck.swap_remove(slot);
         self.by_class.swap_remove(slot, &self.graph);
         self.flows.swap_remove(slot)
     }
@@ -538,7 +543,7 @@ impl Network {
     }
 
     /// Observed per-link usage so far (busy time and bytes carried, one
-    /// entry per [`LinkId`]). Empty on the flat single-switch fabric.
+    /// entry per [`LinkId`](crate::LinkId)). Empty on the flat single-switch fabric.
     /// Busy time accrues up to the last `poll`/`start_flow` instant.
     pub fn link_usage(&self) -> Vec<LinkUsage> {
         multihop::usage(self)
@@ -583,7 +588,8 @@ impl Network {
         self.last_update = now;
     }
 
-    /// The rate under which an allocation counts as 0 (see `reallocate`).
+    /// The rate under which an allocation counts as 0: allocator noise, at
+    /// which a "running" flow would never finish.
     fn rate_floor(&self) -> f64 {
         let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
         (cap * 1e-12).max(1e-6)
@@ -610,35 +616,37 @@ impl Network {
         self.next_event = None;
         self.stats.reallocations += 1;
         self.stats.flows_touched += self.flows.len() as u64;
-        let work = if let Some(work) = self.memo.replay(&self.by_class, &mut self.alloc) {
+        let replay = self
+            .memo
+            .replay(&self.by_class, &mut self.rates, &mut self.bottleneck);
+        let work = replay.unwrap_or_else(|| {
+            let work = self.fill();
+            self.memo
+                .offer(&self.by_class, &self.rates, &self.bottleneck, work);
             work
-        } else {
-            let mut work = AllocWork::default();
-            allocate_rates_in_class_order(
-                &self.by_class,
-                &self.graph,
-                &self.caps,
-                self.cfg.flow_cap,
-                &mut self.alloc,
-                &mut work,
-            );
-            self.memo.offer(&self.by_class, &self.alloc, work);
-            work
-        };
+        });
         self.stats.waterfill_rounds += work.rounds;
         self.stats.ports_touched += work.port_touches;
-        // A rate below one byte per simulated second is allocator noise; a
-        // "running" flow at such a rate would never finish within any
-        // realistic horizon and only destabilizes event times.
-        let floor = self.rate_floor();
-        for (q, &r) in self.rates.iter_mut().zip(self.alloc.rates()) {
-            *q = if r < floor { 0.0 } else { r };
-        }
-        // Bottlenecks are reported only for a configured topology.
-        if self.cfg.link_graph.is_some() {
-            for (f, &at) in self.flows.iter_mut().zip(self.alloc.bottlenecks()) {
-                f.bottleneck = link(at);
-            }
-        }
+    }
+
+    /// Water-fills the rate and bottleneck columns afresh from the flows
+    /// and the working capacities, and returns the fill's work.
+    fn fill(&mut self) -> AllocWork {
+        let mut work = AllocWork::default();
+        let out = RateColumns {
+            floor: self.rate_floor(),
+            rates: &mut self.rates,
+            bottleneck: &mut self.bottleneck,
+        };
+        allocate_rates_in_class_order(
+            &self.by_class,
+            &self.graph,
+            &self.caps,
+            self.cfg.flow_cap,
+            &mut self.alloc,
+            out,
+            &mut work,
+        );
+        work
     }
 }

@@ -2,56 +2,36 @@
 //! dynamic state that names every field once, in stream order. Static
 //! configuration (bandwidths, link graph, latency) is not walked; a
 //! reader walks a fresh fabric built from the same [`NetworkConfig`], so
-//! per-machine and per-link vectors already have their lengths.
+//! per-machine and per-link vectors already have their lengths. Nor are
+//! the flows' rates and bottlenecks, which a reader water-fills afresh.
 //!
 //! [`NetworkConfig`]: super::NetworkConfig
 
 use super::memo::Memo;
-use super::{ActiveFlow, CompletedFlow, Delivering, Network};
-use crate::allocator::ClassIndex;
+use super::{ActiveFlow, Delivering, Network};
+use crate::allocator::{link, ClassIndex, NO_LINK};
 use crate::multilink::LinkId;
-use crate::types::{FlowId, MachineId, Priority};
+use crate::types::FlowId;
 use p3_des::snap::{fixed, opt, seq, time, Coder, SnapshotError};
 use p3_des::SimTime;
-
-const BLANK_FLOW: ActiveFlow = ActiveFlow {
-    id: FlowId(0),
-    src: 0,
-    dst: 0,
-    priority: Priority(0),
-    tag: 0,
-    bytes: 0,
-    bottleneck: None,
-};
-
-const BLANK_DELIVERY: Delivering = Delivering {
-    at: SimTime::ZERO,
-    flow: CompletedFlow {
-        id: FlowId(0),
-        src: MachineId(0),
-        dst: MachineId(0),
-        tag: 0,
-        bytes: 0,
-        bottleneck: None,
-    },
-};
 
 impl Network {
     /// Walks the fabric's dynamic state with `c`: a
     /// [`SnapWriter`](p3_des::snap::SnapWriter) writes it out, a
     /// [`SnapReader`](p3_des::snap::SnapReader) overwrites this fabric
-    /// with it. Rates, traces and counters travel verbatim, so a fabric
-    /// read back on a fresh `Network` with the same configuration resumes
-    /// the fluid model bit-identically.
+    /// with it. Flows, traces and counters travel verbatim; a reader fills
+    /// the rates and bottlenecks afresh, bypassing the memo and counting
+    /// nothing in [`NetStats`](super::NetStats). A fabric read back on a
+    /// fresh `Network` with the same configuration resumes the fluid model
+    /// bit-identically.
     ///
     /// `now` is the owner's clock. A reader refuses states the live
     /// fabric cannot reach and that would panic or stall it later: an
     /// index out of range, a loopback flow, a `last_update` after `now`,
-    /// a port scale outside `(0, 1]`, a flow's `remaining` outside
-    /// `[0, bytes]`, or a flow's rate that is negative or not finite.
+    /// a port scale outside `(0, 1]`, or a flow's `remaining` outside
+    /// `[0, bytes]`.
     ///
-    /// Each flow is one record, its two column entries in place between
-    /// its size and its bottleneck.
+    /// Each flow is one record, its bytes left in place after its size.
     ///
     /// # Errors
     ///
@@ -60,22 +40,20 @@ impl Network {
     pub fn walk<C: Coder>(&mut self, c: &mut C, now: SimTime) -> Result<(), SnapshotError> {
         // Stale rates are allocated before they are written.
         self.reallocate();
-        let (machines, links) = (self.cfg.machines, self.link_busy.len());
+        let machines = self.cfg.machines;
         if C::READING {
             self.remaining.clear();
-            self.rates.clear();
         }
         let mut slot = 0;
         #[expect(
             clippy::indexing_slicing,
-            reason = "a reader pushes a slot's column entries before it reads them, and a writer's columns are as long as its flows"
+            reason = "a reader pushes a slot's entry before it reads it, and a writer's column is as long as its flows"
         )]
         let flow = |c: &mut C, f: &mut ActiveFlow| {
             if C::READING {
                 self.remaining.push(0.0);
-                self.rates.push(0.0);
             }
-            let (left, rate) = (&mut self.remaining[slot], &mut self.rates[slot]);
+            let left = &mut self.remaining[slot];
             slot += 1;
             c.u64(&mut f.id.0)?;
             c.idx(&mut f.src, machines, "flow source out of range")?;
@@ -86,16 +64,10 @@ impl Network {
             c.u64(&mut f.bytes)?;
             c.f64(left)?;
             let within = (0.0..=f.bytes as f64).contains(left);
-            c.check(within, "flow remaining bytes outside [0, bytes]")?;
-            c.f64(rate)?;
-            let live = rate.is_finite() && *rate >= 0.0;
-            c.check(live, "flow rate negative or not finite")?;
-            opt(c, &mut f.bottleneck, LinkId(0), |c, l| {
-                c.idx(&mut l.0, links, "flow bottleneck link out of range")
-            })
+            c.check(within, "flow remaining bytes outside [0, bytes]")
         };
-        seq(c, &mut self.flows, BLANK_FLOW, flow)?;
-        seq(c, &mut self.delivering, BLANK_DELIVERY, |c, d| {
+        seq(c, &mut self.flows, ActiveFlow::default(), flow)?;
+        seq(c, &mut self.delivering, Delivering::default(), |c, d| {
             time(c, &mut d.at)?;
             let f = &mut d.flow;
             c.u64(&mut f.id.0)?;
@@ -130,17 +102,27 @@ impl Network {
         c.u64(&mut s.ports_touched)?;
         c.u64(&mut s.peak_in_flight)?;
         if C::READING {
-            // Rates were read verbatim, so nothing is stale; rebuild what
-            // the fabric derives from the flows and the port factors. The
-            // memo is not part of the state: it starts empty.
+            // Rebuild what the fabric derives from the flows and the port
+            // factors, rates included: the writer allocated before writing,
+            // so they are the fill's. The memo starts empty.
             let flows = self.flows.iter().map(ActiveFlow::spec);
             self.by_class = ClassIndex::build(flows, &self.graph);
             self.memo = Memo::default();
             self.rescale();
+            self.rates = vec![0.0; self.flows.len()];
+            self.bottleneck = vec![NO_LINK; self.flows.len()];
+            self.fill();
             self.next_event = None;
             self.dirty = false;
         }
         Ok(())
+    }
+
+    /// Each flow in flight as `(id, rate, bottleneck)` under the last
+    /// allocation, in slot order, with its bottleneck on any fabric.
+    pub fn flow_rates(&self) -> impl Iterator<Item = (FlowId, f64, Option<LinkId>)> + '_ {
+        let cols = self.rates.iter().zip(&self.bottleneck);
+        (self.flows.iter().zip(cols)).map(|(f, (&q, &at))| (f.id, q, link(at)))
     }
 
     /// Every transfer the fabric holds, as `(id, tag, delivering)`: the
@@ -159,7 +141,7 @@ impl Network {
 pub(super) mod tests {
     use super::*;
     use crate::multilink::LinkGraph;
-    use crate::types::Bandwidth;
+    use crate::types::{Bandwidth, MachineId, Priority};
     use crate::NetworkConfig;
     use p3_des::snap::{SnapReader, SnapWriter};
     use p3_des::SimDuration;

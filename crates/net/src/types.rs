@@ -4,7 +4,7 @@ use core::fmt;
 
 /// Index of a machine in the cluster (worker and, when colocated, its
 /// parameter-server shard share one machine and therefore one NIC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MachineId(pub usize);
 
 impl fmt::Display for MachineId {
@@ -14,7 +14,7 @@ impl fmt::Display for MachineId {
 }
 
 /// Opaque handle to an in-flight transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowId(pub u64);
 
 impl fmt::Display for FlowId {
