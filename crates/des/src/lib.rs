@@ -3,7 +3,8 @@
 //! The foundation of the P3 reproduction: integer-nanosecond simulated time
 //! ([`SimTime`], [`SimDuration`]), the workspace's one deterministic ordered
 //! queue ([`OrderedQueue`]: least key first, FIFO among equal keys), the
-//! event calendar built on it with time as the key ([`EventQueue`]), a
+//! event calendar ([`EventQueue`]: FIFO runs of rising schedules merged
+//! with an [`OrderedQueue`] spill, popping in time then schedule order), a
 //! seedable generator for workload jitter ([`SplitMix64`]), streaming
 //! statistics ([`Summary`]) used by the experiment harnesses, and the
 //! snapshot codec ([`snap`]) the engine and the network fabric both walk

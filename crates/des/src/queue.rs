@@ -1,10 +1,11 @@
 //! Deterministic ordered queues: [`OrderedQueue`], drained least key first
 //! and FIFO among equal keys, and the event calendar [`EventQueue`], which
-//! is an [`OrderedQueue`] keyed by time.
+//! pops what an [`OrderedQueue`] keyed by time would pop but keeps rising
+//! schedules in FIFO runs beside an [`OrderedQueue`] spill.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A queued value with its key and push sequence number.
 #[derive(Debug, Clone)]
@@ -41,13 +42,15 @@ impl<K: Ord, V> Ord for Entry<K, V> {
 /// A priority queue that pops the least key first and, among equal keys,
 /// the value pushed first (FIFO).
 ///
-/// This is the workspace's one deterministic ordering: the event calendar
-/// ([`EventQueue`]) keys it by time, and P3's slice queues key it by
-/// priority. Its snapshot view is [`OrderedQueue::sorted`], the contents in
-/// pop order; collecting that list into a fresh queue (`FromIterator`)
-/// rebuilds one that pops the same sequence, now and after any later
-/// pushes, because fresh sequence numbers assigned in pop order keep every
-/// FIFO tie-break.
+/// This is the workspace's one deterministic ordering: P3's slice queues
+/// key it by priority, the packet oracle's ports by packet key, and the
+/// event calendar ([`EventQueue`]) keys its spill by time and schedule
+/// sequence, for the schedules its FIFO runs cannot take. Its snapshot
+/// view is [`OrderedQueue::sorted`], the contents in pop order;
+/// collecting that list into a fresh queue (`FromIterator`) rebuilds one
+/// that pops the same sequence, now and after any later pushes, because
+/// fresh sequence numbers assigned in pop order keep every FIFO
+/// tie-break.
 ///
 /// # Examples
 ///
@@ -157,12 +160,69 @@ impl<K: Ord, V> FromIterator<(K, V)> for OrderedQueue<K, V> {
     }
 }
 
-/// A discrete-event calendar holding events of type `E`: an
-/// [`OrderedQueue`] keyed by time, plus the simulation clock.
+/// FIFO runs the calendar keeps beside its spill heap. The engine's
+/// schedules interleave a few rising streams, and this many runs take
+/// 94–100% of the schedules on each of the ledger's workloads.
+const RUNS: usize = 4;
+
+/// A schedule's place in pop order: its instant in the high 64 bits and
+/// its schedule sequence number in the low 64, so one integer compare
+/// orders two schedules by time, then FIFO.
+type Rank = u128;
+
+/// The next rank of an empty calendar, above every schedule's rank:
+/// sequence numbers stay below `u64::MAX`.
+const EMPTY: Rank = Rank::MAX;
+
+/// The rank of the `seq`-th schedule, due at `at`.
+#[inline]
+fn rank_of(at: SimTime, seq: u64) -> Rank {
+    (Rank::from(at.as_nanos()) << 64) | Rank::from(seq)
+}
+
+/// The instant of a schedule of rank `rank`.
+#[inline]
+fn time_of(rank: Rank) -> SimTime {
+    SimTime::from_nanos((rank >> 64) as u64)
+}
+
+/// A scheduled event with its rank.
+#[derive(Debug, Clone)]
+struct Timed<E> {
+    rank: Rank,
+    event: E,
+}
+
+/// A run of schedules in nondecreasing time order, so in pop order.
+#[derive(Debug, Clone)]
+struct Run<E> {
+    /// The instant of the last schedule that joined the run; a later
+    /// schedule joins only at or after it. Reset when the run empties, so
+    /// an empty run takes the next schedule whatever its instant.
+    tail: SimTime,
+    events: VecDeque<Timed<E>>,
+}
+
+/// A discrete-event calendar holding events of type `E`, plus the
+/// simulation clock.
 ///
 /// Events pop in nondecreasing time order; events at the same instant pop in
 /// the order they were scheduled (FIFO), so a simulation driven by this queue
-/// is deterministic.
+/// is deterministic. The pop sequence is exactly that of an
+/// [`OrderedQueue`] keyed by time.
+///
+/// A schedule joins the first of a few FIFO runs whose last instant is not
+/// later than its own; only a schedule that fits no run goes to a spill
+/// heap, an [`OrderedQueue`] keyed by `(time, sequence)` packed into one
+/// `u128`. Each run is in `(time, sequence)` order, so a pop takes the
+/// least of the run heads and the spill's top. The calendar keeps the
+/// position of that least head, so [`EventQueue::peek_time`] reads it
+/// without a scan, and each pop scans the few heads once to find the next.
+/// The engine's schedules form a few rising streams, so most of them skip
+/// the heap, and the scan's branches follow a pattern the processor
+/// learns. Schedules at random instants also mostly join runs, but there
+/// the scan's branches are unpredictable, and a hold loop with uniform
+/// random delays runs slower than on a plain heap.
 ///
 /// [`EventQueue::pop`] advances the clock to the popped event's timestamp,
 /// and [`EventQueue::schedule_in`]/[`EventQueue::schedule_at`] refuse to
@@ -185,7 +245,16 @@ impl<K: Ord, V> FromIterator<(K, V)> for OrderedQueue<K, V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    queue: OrderedQueue<SimTime, E>,
+    runs: [Run<E>; RUNS],
+    /// Schedules that fit no run, keyed by rank.
+    spill: OrderedQueue<Rank, E>,
+    /// The least rank among the run heads and the spill's top ([`EMPTY`]
+    /// when nothing is pending), and its source: the run's index, or
+    /// `RUNS` for the spill. What the next pop takes.
+    next: Rank,
+    next_src: usize,
+    len: usize,
+    scheduled: u64,
     now: SimTime,
     high_water: usize,
 }
@@ -200,7 +269,15 @@ impl<E> EventQueue<E> {
     /// Creates an empty calendar with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            queue: OrderedQueue::new(),
+            runs: std::array::from_fn(|_| Run {
+                tail: SimTime::ZERO,
+                events: VecDeque::new(),
+            }),
+            spill: OrderedQueue::new(),
+            next: EMPTY,
+            next_src: RUNS,
+            len: 0,
+            scheduled: 0,
             now: SimTime::ZERO,
             high_water: 0,
         }
@@ -216,7 +293,7 @@ impl<E> EventQueue<E> {
     /// Total number of events ever scheduled on this calendar.
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
-        self.queue.pushed()
+        self.scheduled
     }
 
     /// The current simulation clock: the timestamp of the most recently
@@ -229,13 +306,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.len
     }
 
     /// True if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.len == 0
     }
 
     /// Schedules `event` to fire at absolute instant `at`.
@@ -250,8 +327,32 @@ impl<E> EventQueue<E> {
             "cannot schedule event in the past: at={at}, now={}",
             self.now
         );
-        self.queue.push(at, event);
-        self.high_water = self.high_water.max(self.queue.len());
+        let rank = rank_of(at, self.scheduled);
+        self.scheduled += 1;
+        let fit = self
+            .runs
+            .iter_mut()
+            .enumerate()
+            .find(|(_, run)| run.tail <= at);
+        let src = match fit {
+            Some((src, run)) => {
+                run.tail = at;
+                run.events.push_back(Timed { rank, event });
+                src
+            }
+            None => {
+                self.spill.push(rank, event);
+                RUNS
+            }
+        };
+        // A schedule that joins a non-empty run ranks behind that run's
+        // head, so only a new head can become the next pop.
+        if rank < self.next {
+            self.next = rank;
+            self.next_src = src;
+        }
+        self.len += 1;
+        self.high_water = self.high_water.max(self.len);
     }
 
     /// Schedules `event` to fire `delay` after the current clock.
@@ -263,13 +364,37 @@ impl<E> EventQueue<E> {
     /// clock; `None` when the calendar is empty.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_key().copied()
+        (self.len > 0).then_some(time_of(self.next))
     }
 
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, event) = self.queue.pop()?;
+        if self.len == 0 {
+            return None;
+        }
+        let (rank, event) = match self.runs.get_mut(self.next_src) {
+            Some(run) => {
+                let Timed { rank, event } = run.events.pop_front()?;
+                if run.events.is_empty() {
+                    run.tail = SimTime::ZERO;
+                }
+                (rank, event)
+            }
+            None => self.spill.pop()?,
+        };
+        let at = time_of(rank);
+        self.len -= 1;
+        // The next pop: the least of the run heads and the spill's top.
+        (self.next, self.next_src) = (EMPTY, RUNS);
+        for (src, run) in self.runs.iter().enumerate() {
+            if let Some(head) = run.events.front().filter(|head| head.rank < self.next) {
+                (self.next, self.next_src) = (head.rank, src);
+            }
+        }
+        if let Some(&top) = self.spill.peek_key().filter(|&&top| top < self.next) {
+            (self.next, self.next_src) = (top, RUNS);
+        }
         debug_assert!(at >= self.now, "event calendar went backwards");
         self.now = at;
         Some((at, event))
@@ -279,19 +404,28 @@ impl<E> EventQueue<E> {
 impl<E: Clone> EventQueue<E> {
     /// All pending events in pop order, without disturbing the calendar:
     /// the serialization view for snapshots, which
-    /// [`EventQueue::from_pending`] rebuilds from (see
-    /// [`OrderedQueue::sorted`]).
+    /// [`EventQueue::from_pending`] rebuilds from. It merges the runs and
+    /// the spill, so it is the same list an [`OrderedQueue`] calendar
+    /// would give (see [`OrderedQueue::sorted`]).
     pub fn pending_sorted(&self) -> Vec<(SimTime, E)> {
-        self.queue.sorted()
+        let mut pending = self.spill.sorted();
+        for run in &self.runs {
+            pending.extend(run.events.iter().map(|t| (t.rank, t.event.clone())));
+        }
+        pending.sort_unstable_by_key(|&(rank, _)| rank);
+        pending
+            .into_iter()
+            .map(|(rank, event)| (time_of(rank), event))
+            .collect()
     }
 }
 
 impl<E> EventQueue<E> {
     /// Rebuilds a calendar from a snapshot: the clock is set to `now` and
     /// `pending` (in pop order, as produced by
-    /// [`EventQueue::pending_sorted`]) is re-scheduled in order. The
-    /// restored calendar pops the same `(time, event)` sequence as the
-    /// original.
+    /// [`EventQueue::pending_sorted`]) is re-scheduled in order, so it all
+    /// joins the first run. The restored calendar pops the same
+    /// `(time, event)` sequence as the original.
     ///
     /// # Panics
     ///
@@ -470,7 +604,128 @@ mod properties {
         prop_assert_eq!(drain(&mut rebuilt), drain(&mut original));
     }
 
+    /// The calendar as first written: an [`OrderedQueue`] keyed by time,
+    /// with the clock and the load counters beside it. The oracle for the
+    /// run-merging [`EventQueue`].
+    struct Reference {
+        queue: OrderedQueue<SimTime, usize>,
+        now: SimTime,
+        high_water: usize,
+    }
+
+    impl Reference {
+        fn schedule_at(&mut self, at: SimTime, value: usize) {
+            self.queue.push(at, value);
+            self.high_water = self.high_water.max(self.queue.len());
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            let (at, value) = self.queue.pop()?;
+            self.now = at;
+            Some((at, value))
+        }
+
+        fn from_pending(now: SimTime, pending: Vec<(SimTime, usize)>) -> Self {
+            let mut r = Reference {
+                queue: OrderedQueue::new(),
+                now,
+                high_water: 0,
+            };
+            for (at, value) in pending {
+                r.schedule_at(at, value);
+            }
+            r
+        }
+    }
+
+    /// Runs `ops` on the calendar and on the [`Reference`], checking after
+    /// each op that both agree on the clock, `len`, `high_water` and
+    /// `scheduled_total`, and at the end that both drain alike. An op
+    /// `(kind, k, stream)`:
+    /// - kinds 0–3 schedule at the clock plus `k` (0 in half of them), so
+    ///   many events share an instant;
+    /// - kinds 4–7 extend rising stream `stream` by `k`; the seven streams
+    ///   outnumber the runs;
+    /// - kinds 8–9 extend a strictly falling stream, restarted above the
+    ///   clock whenever it would reach it; such schedules fit no run once
+    ///   the runs hold later instants;
+    /// - kind 13 peeks, 14 round-trips both queues through their
+    ///   snapshot views, and every other kind pops.
+    fn calendar_matches_the_reference(ops: &[(u8, u64, usize)]) {
+        let mut cal = EventQueue::new();
+        let mut reference = Reference::from_pending(SimTime::ZERO, Vec::new());
+        let mut rising = [0u64; 7];
+        let mut falling = 0u64;
+        for (i, &(kind, k, stream)) in ops.iter().enumerate() {
+            let now = reference.now.as_nanos();
+            let at = match kind {
+                0..=3 => Some(now + if kind < 2 { 0 } else { k }),
+                4..=7 => {
+                    let t = &mut rising[stream % rising.len()];
+                    *t = (*t).max(now) + k;
+                    Some(*t)
+                }
+                8..=9 => {
+                    if falling <= now + k + 1 {
+                        falling = now + 300;
+                    }
+                    falling -= k + 1;
+                    Some(falling)
+                }
+                _ => None,
+            };
+            match (kind, at) {
+                (_, Some(at)) => {
+                    cal.schedule_at(SimTime::from_nanos(at), i);
+                    reference.schedule_at(SimTime::from_nanos(at), i);
+                }
+                (13, _) => {
+                    prop_assert_eq!(cal.peek_time(), reference.queue.peek_key().copied());
+                }
+                (14, _) => {
+                    let pending = cal.pending_sorted();
+                    prop_assert_eq!(&pending, &reference.queue.sorted());
+                    cal = EventQueue::from_pending(cal.now(), pending.clone());
+                    reference = Reference::from_pending(reference.now, pending);
+                }
+                _ => prop_assert_eq!(cal.pop(), reference.pop()),
+            }
+            prop_assert_eq!(
+                (cal.now(), cal.len(), cal.is_empty()),
+                (
+                    reference.now,
+                    reference.queue.len(),
+                    reference.queue.is_empty()
+                )
+            );
+            prop_assert_eq!(
+                (cal.high_water(), cal.scheduled_total()),
+                (reference.high_water, reference.queue.pushed())
+            );
+        }
+        prop_assert_eq!(cal.pending_sorted(), reference.queue.sorted());
+        while let Some(popped) = reference.pop() {
+            prop_assert_eq!(cal.peek_time(), Some(popped.0));
+            prop_assert_eq!(cal.pop(), Some(popped));
+        }
+        prop_assert_eq!((cal.pop(), cal.peek_time()), (None, None));
+    }
+
     proptest! {
+        /// The run-merging calendar pops exactly what an ordered queue
+        /// keyed by time pops, FIFO ties included, under interleaved
+        /// schedules, pops, peeks and snapshot round trips. One pop in
+        /// five lets the calendar grow deep; one in two keeps it shallow,
+        /// so runs empty and refill often.
+        #[test]
+        fn calendar_pops_like_an_ordered_queue(
+            deep in prop::collection::vec((0u8..15, 0u64..4, 0usize..7), 0..600),
+            shallow in prop::collection::vec((0u8..24, 0u64..4, 0usize..7), 0..600),
+        ) {
+            calendar_matches_the_reference(&deep);
+            calendar_matches_the_reference(&shallow);
+        }
+
         /// The snapshot contract with time keys: a calendar rebuilt from
         /// its pop-order view pops what the original pops, also after
         /// later pushes that tie with restored entries.

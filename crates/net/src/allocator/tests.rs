@@ -263,8 +263,11 @@ fn endpoint_only_graph_matches_the_flat_oracle_exactly() {
     );
 }
 
+mod capacity;
+
 #[cfg(test)]
 mod properties {
+    use super::capacity::{assert_capacities_respected, assert_every_flow_hits_a_saturated_link};
     use super::*;
     use proptest::prelude::*;
 
@@ -323,7 +326,7 @@ mod properties {
     }
 
     /// `racks` racks of `size` machines, uplink/downlink = size*nic/oversub.
-    fn racked(racks: usize, size: usize, nic: f64, oversub: f64) -> LinkGraph {
+    pub(super) fn racked(racks: usize, size: usize, nic: f64, oversub: f64) -> LinkGraph {
         let machines = racks * size;
         let mut g = LinkGraph::new(&vec![nic; machines]);
         let core = size as f64 * nic / oversub;
@@ -425,17 +428,6 @@ mod properties {
 
     fn same_bits(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
-    /// Load each link carries under `rates`.
-    fn loads(flows: &[FlowSpec], g: &LinkGraph, rates: &[f64]) -> Vec<f64> {
-        let mut load = vec![0.0; g.num_links()];
-        for (f, r) in flows.iter().zip(rates) {
-            for l in g.path(f.src, f.dst) {
-                load[l.0] += r;
-            }
-        }
-        load
     }
 
     proptest! {
@@ -601,34 +593,17 @@ mod properties {
         ) {
             for g in fabrics(nic, oversub) {
                 let a = on_graph(&flows, &g, f64::INFINITY);
-                prop_assert!(a.rates.iter().all(|&r| r >= 0.0));
-                let load = loads(&flows, &g, &a.rates);
-                for (l, (&used, &cap)) in load.iter().zip(g.caps()).enumerate() {
-                    prop_assert!(used <= cap * (1.0 + 1e-6),
-                        "link {} over capacity: {} > {}", g.link_name(LinkId(l)), used, cap);
-                }
+                assert_capacities_respected(&flows, &g, g.caps(), &a, 1e-6);
             }
         }
 
-        /// Max-min optimality (work conservation): every flow crosses a
-        /// saturated link, otherwise its rate could rise; and the
-        /// reported bottleneck is such a link on the flow's own route.
+        /// Max-min optimality, uncapped: every flow crosses a saturated
+        /// link.
         #[test]
         fn every_flow_hits_a_saturated_link(flows in arb_flows(6), oversub in 1.0f64..8.0) {
             for g in fabrics(100.0, oversub) {
                 let a = on_graph(&flows, &g, f64::INFINITY);
-                let load = loads(&flows, &g, &a.rates);
-                let saturated = |l: LinkId| load[l.0] >= g.caps()[l.0] * (1.0 - 1e-6);
-                for (i, f) in flows.iter().enumerate() {
-                    let path = g.path(f.src, f.dst);
-                    prop_assert!(path.iter().any(|&l| saturated(l)),
-                        "flow {i} ({f:?}) has slack on every link of its path");
-                    if let Some(l) = a.bottleneck[i] {
-                        prop_assert!(path.contains(&l) && saturated(l),
-                            "flow {i}: bottleneck {} not a saturated link of its path",
-                            g.link_name(l));
-                    }
-                }
+                assert_every_flow_hits_a_saturated_link(&flows, &g, g.caps(), &a, f64::INFINITY, 1e-6);
             }
         }
 
