@@ -26,6 +26,7 @@ impl ClusterSim {
     pub(crate) fn check_state(&self) -> Result<(), SnapshotError> {
         let pending = self.queue.pending_sorted();
         self.check_workers()
+            .and_then(|()| self.check_versions())
             .and_then(|()| self.check_fabric(&pending))
             .and_then(|()| self.check_messages(&pending))
             .and_then(|()| self.check_egress(&self.lane_loads(&pending)))
@@ -82,6 +83,29 @@ impl ClusterSim {
         }
         if self.expected_pushes as usize != self.dead_members.iter().filter(|&&d| !d).count() {
             return Err("expected pushes differ from the live membership");
+        }
+        Ok(())
+    }
+
+    /// A PS worker learns a key's version only from that key's server, so
+    /// no live worker holds a version its server has not completed.
+    fn check_versions(&self) -> Result<(), &'static str> {
+        if self.collective.is_some() {
+            return Ok(());
+        }
+        let completed = |key: usize| {
+            let server = self.plan.slice(Key(key as u64)).server.0;
+            self.servers[server].version[key]
+        };
+        let live = self.workers.iter().filter(|w| !w.crashed);
+        for w in live {
+            if w.received_version
+                .iter()
+                .enumerate()
+                .any(|(k, &v)| v > completed(k))
+            {
+                return Err("worker holds a version its server has not completed");
+            }
         }
         Ok(())
     }

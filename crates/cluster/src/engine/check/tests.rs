@@ -12,6 +12,7 @@ use crate::egress::EgressUnit;
 use p3_des::snap::SnapshotError;
 use p3_des::SimDuration;
 use p3_net::FlowId;
+use p3_pserver::Key;
 
 /// Runs `cfg` to its end, checking the state invariant after every
 /// event; returns the events it processed.
@@ -81,11 +82,12 @@ fn a_push(sim: &ClusterSim) -> u64 {
 /// State a snapshot carries that the engine cannot run on from: a wake
 /// the engine waits on that nothing will deliver, a gate that holds a
 /// sender past one message's cost, a push that meets a server not
-/// expecting it, and an event count the run has already ended at.
+/// expecting it, a worker one version ahead of its key's server, and an
+/// event count the run has already ended at.
 #[test]
 fn state_the_run_cannot_continue_from_is_refused() {
     type Corrupt = fn(&mut ClusterSim);
-    let cases: [(&str, Corrupt); 5] = [
+    let cases: [(&str, Corrupt); 6] = [
         ("network wake not pending", |sim| {
             sim.next_wake = Some(sim.queue.now() + SimDuration::from_secs(3600));
         }),
@@ -110,6 +112,13 @@ fn state_the_run_cannot_continue_from_is_refused() {
             };
             *round = u64::MAX;
         }),
+        (
+            "worker holds a version its server has not completed",
+            |sim| {
+                let server = sim.plan.slice(Key(0)).server.0;
+                sim.workers[1].received_version[0] = sim.servers[server].version[0] + 1;
+            },
+        ),
         ("event count at the cap", |sim| sim.events = EVENT_CAP),
     ];
     for (what, corrupt) in cases {

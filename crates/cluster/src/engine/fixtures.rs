@@ -42,7 +42,7 @@ fn tiny_model() -> ModelSpec {
     ModelSpec::from_blocks("TinyDet", SampleUnit::Images, blocks, 800.0, 32, 0.0)
 }
 
-/// P3 on four machines of the tiny model, as `tests/snapshot_resume.rs`'s
+/// P3 on four machines of the tiny model, as `tests/common/mod.rs`'s
 /// `base`.
 pub(super) fn base(backend: BackendKind, seed: u64) -> ClusterConfig {
     ClusterConfig::new(
@@ -78,7 +78,7 @@ pub(super) fn crash_plan(worker: usize, at_ms: u64, rejoin_ms: u64) -> FaultPlan
 }
 
 /// P3 on a 2x2 racked fabric with machine 1's port at half capacity
-/// across the first iteration boundary, as `tests/snapshot_resume.rs`'s
+/// across the first iteration boundary, as `tests/common/mod.rs`'s
 /// `degraded_racked`.
 pub(super) fn degraded_racked() -> ClusterConfig {
     let faults = FaultPlan {

@@ -249,7 +249,7 @@ fn section_in(
 /// Whatever the reader accepts must resume and run to its end (or a
 /// structured deadlock) without panicking and within four times the
 /// clean resume's events. A release build sweeps every byte of the
-/// snapshot (CI's `golden-digest` job runs it); a debug build sweeps the
+/// snapshot (CI's release `cargo test` runs it); a debug build sweeps the
 /// message section, which holds the ids and cross-references a delivery
 /// trusts.
 #[test]
