@@ -1,5 +1,10 @@
 //! The tiny-model configurations that `tests/snapshot_resume.rs` resumes
-//! and `tests/pins.rs` pins, defined once so the two cannot drift apart.
+//! and `tests/pins.rs` pins, defined once so the two cannot drift apart,
+//! and the measured side of `results/pins.txt` in [`pins`]. Each test
+//! binary that includes this module uses only part of it.
+#![allow(dead_code)]
+
+pub mod pins;
 
 use p3::cluster::{BackendKind, ClusterConfig, FaultPlan, LinkDegradation, WorkerCrash};
 use p3::core::SyncStrategy;

@@ -3,12 +3,13 @@
 //! uninterrupted run — same result, same rolling event hash, and a trace
 //! that is an exact suffix of the full trace — across the parameter-server
 //! and collective backends, with and without faults. The snapshot bytes
-//! themselves are pinned by digest in `results/pins.txt` (`tests/pins.rs`).
+//! themselves are pinned by digest in `results/pins.txt`.
 //! Malformed snapshot bytes must surface as structured [`SnapshotError`]s,
 //! never panics.
 
 mod common;
 
+use common::pins::{check, snapshots};
 use common::{base, baseline, baseline_crash_rejoin, crash_plan, degraded_racked, lossy};
 use p3::audit::check_resume_equivalence;
 use p3::cluster::{BackendKind, ClusterConfig, ClusterSim, SnapshotError};
@@ -170,6 +171,14 @@ fn lossy_snapshot_resume_is_bit_identical() {
 #[test]
 fn degraded_racked_snapshot_resume_is_bit_identical() {
     assert_snapshot_resume_bit_identical("degraded-racked", degraded_racked);
+}
+
+/// The snapshot format is the byte stream: the digest and length of each
+/// configuration's snapshot at its first iteration boundary are the
+/// `snapshot/` rows of `results/pins.txt`.
+#[test]
+fn snapshot_bytes_match_the_golden_digests() {
+    check(snapshots());
 }
 
 // ---------------------------------------------------------------------
