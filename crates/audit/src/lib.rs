@@ -8,8 +8,9 @@
 //!
 //! The auditor is a pure function of the event log plus optional run
 //! metadata — it performs no I/O and draws no randomness, so it can run
-//! inline after a simulation (`ClusterConfig::with_audit`), over an
-//! exported trace file (`p3 audit run.json`), or inside property tests.
+//! on the log a traced simulation returns (`p3 simulate --audit` calls
+//! [`check_with`] on it), over an exported trace file
+//! (`p3 audit run.json`), or inside property tests.
 //!
 //! Checks that need configuration facts the caller cannot supply (egress
 //! discipline, machine count, port capacity) are skipped with an

@@ -88,8 +88,7 @@ fn runs() -> Vec<(&'static str, ClusterConfig)> {
         (
             "racked",
             config(SyncStrategy::p3(), 6)
-                .with_topology(Topology::new(2, 2, 2.0))
-                .with_placement(Placement::RackLocal),
+                .with_topology(Topology::new(2, 2, 2.0).with_placement(Placement::RackLocal)),
         ),
     ]
 }

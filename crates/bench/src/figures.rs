@@ -13,7 +13,7 @@ use p3_des::{SimDuration, SimTime};
 use p3_models::ModelSpec;
 use p3_net::Bandwidth;
 use p3_pserver::RetryPolicy;
-use p3_topo::{Placement, Topology};
+use p3_topo::Topology;
 use p3_train::{accuracy_band, SyncMode, TrainConfig, TrainRun};
 
 const fn fig(id: &'static str, build: fn(Scale, &mut Lab, &mut Figure)) -> FigureDef {
@@ -317,8 +317,7 @@ fn fig8_9(scale: Scale, lab: &mut Lab, f: &mut Figure) {
                 &format!("{fig}{sub}"),
                 &format!("{name}  strategy: {}", strategy.name()),
             );
-            let c = cfg(model, strategy.clone(), 4, *gbps, (1, 3))
-                .with_trace(SimDuration::from_millis(10));
+            let c = cfg(model, strategy.clone(), 4, *gbps, (1, 3)).with_nic_trace();
             let r = lab.run(c).ok();
             let (idle, overlap) = trace(f, r.as_ref().and_then(|r| r.trace.as_ref()), 400, *gbps);
             f.line(format_args!(
@@ -526,7 +525,7 @@ fn fig13_14(_: Scale, lab: &mut Lab, f: &mut Figure) {
         ),
     ] {
         f.header(tag, name);
-        let c = cfg(&model, strategy, 4, gbps, (1, 3)).with_trace(SimDuration::from_millis(10));
+        let c = cfg(&model, strategy, 4, gbps, (1, 3)).with_nic_trace();
         let r = lab.run(c).ok();
         let (idle, _) = trace(f, r.as_ref().and_then(|r| r.trace.as_ref()), 500, gbps);
         f.line(format_args!(
@@ -606,9 +605,7 @@ fn ablations(scale: Scale, lab: &mut Lab, f: &mut Figure) {
     let mut tp = |model: &ModelSpec, s, gbps| lab.tp(cfg(model, s, 4, gbps, iters).with_seed(42));
     // P3's transport and priorities on KVStore's layer-wise keys.
     let mut priority_only = SyncStrategy::p3();
-    priority_only.slicing = Slicing::KvstoreLayerwise {
-        split_threshold: 1_000_000,
-    };
+    priority_only.slicing = Slicing::KvstoreLayerwise;
     let variants = [
         ("baseline (KVStore)", SyncStrategy::baseline()),
         ("slicing only", SyncStrategy::slicing_only()),
@@ -839,7 +836,7 @@ fn transformer(scale: Scale, lab: &mut Lab, f: &mut Figure) {
     f.metric("p3_over_baseline_8g", ratio(&pts, 8.0, 2, 0));
     // Fraction of the analytic bound each strategy realizes at 4 Gbps.
     let c = cfg(&model, SyncStrategy::p3(), 4, 4.0, iters);
-    let allowed = iteration_bound(&c).throughput_limit(c.batch_per_worker, c.machines);
+    let allowed = iteration_bound(&c).throughput_limit(c.model.default_batch(), c.machines);
     let mut shares = Vec::new();
     for strategy in strategies {
         let name = strategy.name().to_string();
@@ -908,7 +905,7 @@ fn robustness(scale: Scale, lab: &mut Lab, f: &mut Figure) {
             let mut c = cfg(&model, s, 4, 5.0, scale.pick((1, 3), (2, 8)))
                 .with_seed(7)
                 .with_faults(plan.clone())
-                .with_retry(RetryPolicy::new(SimDuration::from_millis(20), 2.0, 16));
+                .with_retry(RetryPolicy::new(SimDuration::from_millis(20)));
             // Evict a silent worker after 200 ms so survivors keep training.
             c.liveness_timeout = SimDuration::from_millis(200);
             match lab.run(c) {
@@ -982,7 +979,6 @@ fn oversub(scale: Scale, lab: &mut Lab, f: &mut Figure) {
                 return c;
             }
             c.with_topology(Topology::new(2, 4, x))
-                .with_placement(Placement::Spread)
         });
         f.sweep("oversub (0 = flat fabric)", &pts);
         for p in &pts {

@@ -319,7 +319,7 @@ mod tests {
     use p3_des::SimTime;
     use p3_models::ModelSpec;
     use p3_net::Bandwidth;
-    use p3_topo::{Placement, Topology};
+    use p3_topo::Topology;
 
     /// Makes `build`'s runs the way [`run`] does, a recording call and then
     /// a call that reads the results, and returns the second call's value.
@@ -371,7 +371,6 @@ mod tests {
                 .with_iters(1, 2)
                 .with_seed(42)
                 .with_topology(Topology::new(2, 2, f))
-                .with_placement(Placement::Spread)
             })
         });
         assert_eq!(pts.len(), 2);

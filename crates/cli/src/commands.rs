@@ -247,8 +247,9 @@ fn parse_fault_plan(args: &Args) -> Result<FaultPlan, CliError> {
 
 /// Parses the topology/placement flags shared by `simulate` and `sweep`:
 /// `--topology racks=R,size=S,oversub=F` and
-/// `--placement spread|packed|rack-local`.
-fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Placement), CliError> {
+/// `--placement spread|packed|rack-local`. A placement is part of its
+/// topology, so `--placement` alone is refused.
+fn parse_topology_flags(args: &Args) -> Result<Option<Topology>, CliError> {
     let topology = match args.get("topology") {
         None => None,
         Some(spec) => Some(
@@ -256,15 +257,22 @@ fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Placement), Cl
                 .map_err(|why| CliError::Sim(format!("--topology: {why}")))?,
         ),
     };
-    let placement = match args.get("placement") {
-        None => Placement::Spread,
-        Some(name) => Placement::parse(name).map_err(|_| CliError::UnknownName {
-            kind: "placement",
-            value: name.to_string(),
-            choices: "spread, packed, rack-local",
-        })?,
+    let Some(name) = args.get("placement") else {
+        return Ok(topology);
     };
-    Ok((topology, placement))
+    let placement = Placement::parse(name).map_err(|_| CliError::UnknownName {
+        kind: "placement",
+        value: name.to_string(),
+        choices: "spread, packed, rack-local",
+    })?;
+    match topology {
+        Some(t) => Ok(Some(t.with_placement(placement))),
+        None => Err(bad_value(
+            "placement",
+            name,
+            "a --topology to place shards in",
+        )),
+    }
 }
 
 /// Cluster size: derived from the topology when one is given, otherwise
@@ -388,6 +396,7 @@ TOPOLOGY FLAGS (simulate, sweep):
   --topology racks=R,size=S,oversub=F   rack/core fabric instead of the flat fan-out
                                         (omit --machines; it is R*S)
   --placement spread|packed|rack-local  server placement policy on the topology
+                                        (needs --topology)
 
 ITERATION FLAGS (simulate, sweep):
   --warmup N                      untimed warm-up iterations (simulate: 2, sweep: 1)
@@ -483,8 +492,12 @@ fn plan(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let strategy = strategy_by_name(args.get("strategy").unwrap_or("p3"))?;
     let servers: usize = args.get_or("servers", 4, "integer")?;
-    if servers == 0 {
-        return Err(bad_value("servers", "0", "positive integer"));
+    if !(1..=MAX_MACHINES).contains(&servers) {
+        return Err(bad_value(
+            "servers",
+            &servers.to_string(),
+            &machines_expected(),
+        ));
     }
     args.reject_unknown()?;
     let plan = strategy.plan(&model, servers, 0);
@@ -516,6 +529,10 @@ fn plan(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Smallest `p3 simulate --slice-params`: Fig. 12's smallest slice. Finer
+/// slices only multiply the keys every endpoint tracks.
+const MIN_SLICE_PARAMS: u64 = 1_000;
+
 #[expect(
     clippy::disallowed_methods,
     reason = "the wall time is printed for the user and never reaches the simulation"
@@ -527,14 +544,15 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     // fusion-buffer economics of EXPERIMENTS.md's slice-size sweep), so
     // the granularity is overridable per run.
     if let Some(n) = args.get("slice-params") {
+        let expected = format!("parameter count of at least {MIN_SLICE_PARAMS}");
         let n: u64 = n
             .parse()
             .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| bad_value("slice-params", n, "positive parameter count"))?;
+            .filter(|&n| n >= MIN_SLICE_PARAMS)
+            .ok_or_else(|| bad_value("slice-params", n, &expected))?;
         strategy.slicing = p3_core::Slicing::MaxParams(n);
     }
-    let (topology, placement) = parse_topology_flags(args)?;
+    let topology = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
     let gbps = positive_gbps(args.get_or("gbps", 10.0, "number")?)?;
     let iters: u64 = args.get_or("iters", 8, "integer")?;
@@ -578,25 +596,18 @@ fn simulate(args: &Args) -> Result<String, CliError> {
         .with_iters(warmup, measure)
         .with_seed(seed)
         .with_faults(plan)
-        .with_backend(backend)
-        .with_placement(placement);
+        .with_backend(backend);
     if let Some(t) = topology {
         cfg = cfg.with_topology(t);
     }
-    if trace_out.is_some() || metrics_out.is_some() {
+    if audited || trace_out.is_some() || metrics_out.is_some() {
         cfg = cfg.with_slice_trace();
     }
     if hash_every > 0 {
         cfg = cfg.with_state_hash_every(hash_every);
     }
-    if audited {
-        cfg = cfg.with_audit();
-    }
     let meta = cfg.trace_meta();
-    let sim_err = |e: p3_cluster::RunError| match e {
-        p3_cluster::RunError::AuditFailed(report) => CliError::Audit(report),
-        other => CliError::Sim(other.to_string()),
-    };
+    let sim_err = |e: p3_cluster::RunError| CliError::Sim(e.to_string());
     // Wall-clock measurement lives in the CLI, outside the deterministic
     // core; the engine-side profiler is enabled only with --profile-out.
     let run_started = std::time::Instant::now();
@@ -631,6 +642,13 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     }
     let (r, log) = sim.try_run_traced().map_err(sim_err)?;
     let run_wall = run_started.elapsed().as_secs_f64();
+    // Audit before the profile, trace or metrics file is written.
+    if let Some(log) = log.as_ref().filter(|_| audited) {
+        let report = p3_audit::check_with(log, &p3_audit::AuditOptions::from_meta(&meta));
+        if !report.is_clean() {
+            return Err(CliError::Audit(report.to_string()));
+        }
+    }
     let mut out = format!(
         "throughput: {:.1} {}/sec  |  mean iteration: {}  |  stall fraction: {:.2}\n",
         r.throughput, r.unit, r.mean_iteration, r.mean_stall_fraction
@@ -743,6 +761,12 @@ fn simulate(args: &Args) -> Result<String, CliError> {
 /// columns per lane.
 const MAX_TIMELINE_WIDTH: usize = 4096;
 
+/// Most worker iterations `p3 timeline` renders, summed over machines:
+/// `--iters` times `--machines` stays at or under this. The traced run
+/// holds every event of the window, about 3.5 MB per worker iteration
+/// for VGG-19: 128 iterations of it on two machines peak under 1 GB.
+const MAX_TIMELINE_WORKER_ITERS: u64 = 256;
+
 /// Runs a short traced simulation and renders the first `--iters`
 /// iterations as an ASCII Gantt chart (rows: per-worker compute/stall,
 /// per-machine tx/rx, per-server aggregation).
@@ -757,15 +781,14 @@ fn timeline(args: &Args) -> Result<String, CliError> {
         let expected = format!("integer from 1 to {MAX_TIMELINE_WIDTH}");
         return Err(bad_value("width", &width.to_string(), &expected));
     }
+    let most = MAX_TIMELINE_WORKER_ITERS / machines as u64;
+    if iters > most {
+        let expected = format!("integer up to {most} on {machines} machines");
+        return Err(bad_value("iters", &iters.to_string(), &expected));
+    }
     // Run one iteration past the rendered window so every span inside the
     // window has its end event on record (open spans are dropped).
-    let Some(run_iters) = iters.max(1).checked_add(1) else {
-        return Err(bad_value(
-            "iters",
-            &iters.to_string(),
-            "integer below 2^64 - 1",
-        ));
-    };
+    let run_iters = iters.max(1) + 1;
     args.reject_unknown()?;
     let cfg = ClusterConfig::new(model, strategy, machines, Bandwidth::from_gbps(gbps))
         .with_iters(0, run_iters)
@@ -810,7 +833,7 @@ fn audit(args: &Args) -> Result<String, CliError> {
 
 fn sweep(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
-    let (topology, placement) = parse_topology_flags(args)?;
+    let topology = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
     let gbps: Vec<f64> = args
         .get_f64_list("gbps", &[1.0, 2.0, 4.0, 8.0, 16.0])?
@@ -864,8 +887,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
                     ClusterConfig::new(model.clone(), s.clone(), machines, Bandwidth::from_gbps(g))
                         .with_iters(warmup, measure)
                         .with_seed(seed)
-                        .with_faults(plan.clone())
-                        .with_placement(placement);
+                        .with_faults(plan.clone());
                 if let Some(t) = &topology {
                     cfg = cfg.with_topology(t.clone());
                 }
@@ -946,6 +968,10 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Training rows of both `p3 train` datasets: every worker's data shard
+/// needs at least one, so this bounds `--workers`.
+const TRAIN_ROWS: usize = 2400;
+
 fn train(args: &Args) -> Result<String, CliError> {
     let epochs: u32 = args.get_or("epochs", 15, "integer")?;
     let mut cfg = TrainConfig::new(epochs);
@@ -955,8 +981,9 @@ fn train(args: &Args) -> Result<String, CliError> {
     if epochs == 0 {
         return Err(bad_value("epochs", "0", "positive integer"));
     }
-    if cfg.workers == 0 {
-        return Err(bad_value("workers", "0", "positive integer"));
+    if !(1..=TRAIN_ROWS).contains(&cfg.workers) {
+        let expected = format!("positive integer up to {TRAIN_ROWS}, the training rows");
+        return Err(bad_value("workers", &cfg.workers.to_string(), &expected));
     }
     if !(cfg.lr > 0.0 && cfg.lr.is_finite()) {
         return Err(bad_value(
@@ -969,8 +996,8 @@ fn train(args: &Args) -> Result<String, CliError> {
     let dataset = args.get("dataset").unwrap_or("spirals");
     args.reject_unknown()?;
     let data = match dataset {
-        "spirals" => spirals(3, 6, 2400, 600, 21),
-        "blobs" => gaussian_blobs(4, 10, 2400, 600, 1.2, 21),
+        "spirals" => spirals(3, 6, TRAIN_ROWS, 600, 21),
+        "blobs" => gaussian_blobs(4, 10, TRAIN_ROWS, 600, 1.2, 21),
         other => {
             return Err(CliError::UnknownName {
                 kind: "dataset",
@@ -1335,12 +1362,59 @@ mod tests {
             "--width 4097",
             "--width 1000000000000000",
             "--iters 18446744073709551615",
+            "--iters 129",
         ] {
             let line = format!("timeline --model resnet50 --machines 2 {bad}");
             assert!(
                 matches!(run(&line), Err(CliError::Args(ArgError::BadValue { .. }))),
                 "{line}"
             );
+        }
+    }
+
+    /// Inputs that sized an allocation past memory, or left a worker
+    /// without data, are refused before anything runs, naming their flag.
+    #[test]
+    fn oversized_inputs_are_refused_naming_their_flag() {
+        for (line, named) in [
+            ("plan --model resnet50 --servers 100000000000", "servers"),
+            ("plan --model resnet50 --servers 129", "servers"),
+            ("train --workers 2401 --epochs 1", "workers"),
+            ("train --workers 1000000000 --epochs 1", "workers"),
+            (
+                "simulate --model resnet50 --machines 2 --slice-params 1 --iters 1",
+                "slice-params",
+            ),
+            (
+                "simulate --model resnet50 --machines 2 --slice-params 999 --iters 1",
+                "slice-params",
+            ),
+            (
+                "timeline --model resnet50 --machines 2 --iters 1000000000",
+                "iters",
+            ),
+            ("timeline --model vgg19 --machines 128 --iters 3", "iters"),
+        ] {
+            match run(line) {
+                Err(CliError::Args(ArgError::BadValue { flag, .. })) => {
+                    assert_eq!(flag, named, "{line}");
+                }
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+    }
+
+    /// A placement puts shards relative to racks, so it needs a topology.
+    #[test]
+    fn placement_without_a_topology_is_refused() {
+        for command in ["simulate", "sweep"] {
+            let line = format!("{command} --model resnet50 --machines 2 --placement rack-local");
+            match run(&line) {
+                Err(CliError::Args(ArgError::BadValue { flag, .. })) => {
+                    assert_eq!(flag, "placement", "{line}");
+                }
+                other => panic!("{line}: {other:?}"),
+            }
         }
     }
 

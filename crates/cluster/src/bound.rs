@@ -31,9 +31,10 @@ impl IterationBound {
     }
 
     /// The throughput this bound allows for the whole cluster
-    /// (samples/sec).
-    pub fn throughput_limit(&self, batch_per_worker: usize, machines: usize) -> f64 {
-        (batch_per_worker * machines) as f64 / self.limit().as_secs_f64()
+    /// (samples/sec), `machines` workers each computing `batch` samples
+    /// an iteration.
+    pub fn throughput_limit(&self, batch: usize, machines: usize) -> f64 {
+        (batch * machines) as f64 / self.limit().as_secs_f64()
     }
 }
 
@@ -50,7 +51,7 @@ impl IterationBound {
 /// Panics if the configuration is degenerate.
 pub fn iteration_bound(cfg: &ClusterConfig) -> IterationBound {
     assert!(cfg.machines > 0, "no machines");
-    let compute = cfg.compute.iteration_time(&cfg.model, cfg.batch_per_worker);
+    let compute = cfg.model.iteration_time();
     let n = cfg.machines as f64;
     let volume = cfg.model.total_bytes() as f64 * 2.0 * (n - 1.0) / n;
     let rate = cfg.bandwidth.bytes_per_sec() * cfg.net_efficiency;
@@ -98,7 +99,7 @@ mod tests {
         for gbps in [1.0, 4.0, 20.0] {
             let c = cfg(gbps);
             let bound = iteration_bound(&c);
-            let allowed = bound.throughput_limit(c.batch_per_worker, c.machines);
+            let allowed = bound.throughput_limit(c.model.default_batch(), c.machines);
             for strategy in [SyncStrategy::baseline(), SyncStrategy::p3()] {
                 let mut c = c.clone();
                 c.strategy = strategy;
@@ -118,7 +119,7 @@ mod tests {
         // At the crossover point, P3 should realize most of the achievable
         // throughput while the baseline leaves headroom.
         let c = cfg(4.0);
-        let allowed = iteration_bound(&c).throughput_limit(c.batch_per_worker, c.machines);
+        let allowed = iteration_bound(&c).throughput_limit(c.model.default_batch(), c.machines);
         let p3 = ClusterSim::new(c.clone()).run().throughput / allowed;
         let mut cb = c;
         cb.strategy = SyncStrategy::baseline();

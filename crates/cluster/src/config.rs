@@ -5,7 +5,7 @@ use crate::faults::FaultPlan;
 use p3_core::{Egress, SyncStrategy};
 use p3_des::snap::SnapshotError;
 use p3_des::{SimDuration, SimTime};
-use p3_models::{ComputeProfile, ModelSpec, SampleUnit};
+use p3_models::{ModelSpec, SampleUnit};
 use p3_net::Bandwidth;
 use p3_pserver::RetryPolicy;
 use p3_topo::{Placement, Topology};
@@ -14,7 +14,9 @@ use p3_topo::{Placement, Topology};
 ///
 /// Defaults mirror the paper's testbed: one worker and one colocated server
 /// shard per machine, 50 µs message latency, warm-up before measurement
-/// (§5.1 averages throughput over steady-state iterations).
+/// (§5.1 averages throughput over steady-state iterations). Each worker
+/// computes the model's [`ModelSpec::default_batch`] per iteration at the
+/// model's calibrated speed ([`ModelSpec::block_times`]).
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of machines; machine `i` hosts worker `i` and server shard
@@ -26,10 +28,6 @@ pub struct ClusterConfig {
     pub model: ModelSpec,
     /// Synchronization strategy under test.
     pub strategy: SyncStrategy,
-    /// Per-worker minibatch; defaults to the model's paper batch size.
-    pub batch_per_worker: usize,
-    /// Device speed profile.
-    pub compute: ComputeProfile,
     /// Iterations discarded before measurement starts.
     pub warmup_iters: u64,
     /// Iterations measured.
@@ -41,20 +39,15 @@ pub struct ClusterConfig {
     pub msg_overhead: SimDuration,
     /// One-way network latency per message.
     pub latency: SimDuration,
-    /// If set, record machine-0 NIC utilization with this bin width.
-    pub trace_bin: Option<SimDuration>,
+    /// Record machine 0's NIC utilization in 10 ms bins, as the paper
+    /// samples `bwm-ng` ([`RunResult::trace`]).
+    pub nic_trace: bool,
     /// Record the full slice-lifecycle event trace (`p3-trace`): compute
     /// and stall spans, egress enqueues, wire transfers, server
     /// aggregation, round completions and fault events. Off by default;
     /// recording draws no randomness and schedules nothing, so results are
     /// bit-identical either way.
     pub slice_trace: bool,
-    /// Audit the recorded event trace against the invariant catalog
-    /// (`p3-audit`, DESIGN.md §10) when the run finishes; a violation turns
-    /// the run into [`RunError::AuditFailed`]. Implies nothing by itself —
-    /// enable tracing too, or use [`ClusterConfig::with_audit`] which sets
-    /// both.
-    pub audit: bool,
     /// Fraction of nominal NIC bandwidth usable as goodput (tc shaping,
     /// TCP incast, ps-lite serialization — calibrated to the paper's
     /// crossover bandwidths, DESIGN.md §6).
@@ -77,15 +70,13 @@ pub struct ClusterConfig {
     /// How long servers wait for a silent worker before dropping it from
     /// the membership and completing rounds with the survivors.
     pub liveness_timeout: SimDuration,
-    /// Optional rack-level topology. `None` (the default) is the paper's
-    /// flat single-switch fabric; `Some` routes traffic over the compiled
-    /// link graph (machine ports + oversubscribed rack uplinks) and must
-    /// agree with `machines` on the cluster size. A single-rack topology
-    /// is simulated result-identically to the flat fabric.
+    /// Optional rack-level topology, with its PS-shard placement. `None`
+    /// (the default) is the paper's flat single-switch fabric; `Some`
+    /// routes traffic over the compiled link graph (machine ports +
+    /// oversubscribed rack uplinks) and must agree with `machines` on the
+    /// cluster size. A single-rack topology is simulated
+    /// result-identically to the flat fabric.
     pub topology: Option<Topology>,
-    /// Where PS shards live relative to the racks (only meaningful with a
-    /// topology; ignored on the flat fabric).
-    pub placement: Placement,
     /// Which communication backend aggregates gradients: the parameter
     /// server (the paper's setting) or a collective allreduce hosted on
     /// the same engine, network, and fault machinery.
@@ -186,22 +177,18 @@ impl ClusterConfig {
         machines: usize,
         bandwidth: Bandwidth,
     ) -> Self {
-        let batch = model.default_batch();
         ClusterConfig {
             machines,
             bandwidth,
             model,
             strategy,
-            batch_per_worker: batch,
-            compute: ComputeProfile::p4000(),
             warmup_iters: 3,
             measure_iters: 12,
             seed: 0x9e3779b9,
             msg_overhead: SimDuration::from_micros(100),
             latency: SimDuration::from_micros(50),
-            trace_bin: None,
+            nic_trace: false,
             slice_trace: false,
-            audit: false,
             net_efficiency: 0.25,
             flow_cap: 120e6,
             wire_compression: None,
@@ -210,7 +197,6 @@ impl ClusterConfig {
             backend: BackendKind::Ps,
             liveness_timeout: SimDuration::from_secs(5),
             topology: None,
-            placement: Placement::Spread,
             hash_every: 0,
         }
     }
@@ -223,23 +209,16 @@ impl ClusterConfig {
         self
     }
 
-    /// Chooses a PS-shard placement policy (used with
-    /// [`ClusterConfig::with_topology`]).
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Overrides the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Enables NIC utilization tracing with the given bin (the paper uses
-    /// 10 ms).
-    pub fn with_trace(mut self, bin: SimDuration) -> Self {
-        self.trace_bin = Some(bin);
+    /// Enables machine 0's NIC utilization trace (see
+    /// [`ClusterConfig::nic_trace`]).
+    pub fn with_nic_trace(mut self) -> Self {
+        self.nic_trace = true;
         self
     }
 
@@ -258,14 +237,11 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables the inline trace audit: the run records the slice-lifecycle
-    /// trace and, on completion, replays it through `p3-audit`'s invariant
-    /// catalog. Any violation fails the run with
-    /// [`RunError::AuditFailed`].
-    pub fn with_audit(mut self) -> Self {
-        self.slice_trace = true;
-        self.audit = true;
-        self
+    /// Whether cross-rack pushes aggregate per rack first: a topology
+    /// with [`Placement::RackLocal`].
+    pub(crate) fn rack_local(&self) -> bool {
+        let placement = self.topology.as_ref().map(Topology::placement);
+        placement == Some(Placement::RackLocal)
     }
 
     /// The send window of every endpoint's single-consumer egress, or
@@ -442,10 +418,6 @@ pub enum RunError {
     /// The configuration is self-contradictory (e.g. a fault plan naming a
     /// machine that does not exist).
     InvalidConfig(String),
-    /// The run finished but its event trace violated the invariant catalog
-    /// (only with [`ClusterConfig::with_audit`]); the string is the full
-    /// audit report.
-    AuditFailed(String),
     /// A snapshot file could not be decoded (truncated, corrupt, wrong
     /// version, or taken under a different configuration).
     Snapshot(SnapshotError),
@@ -464,9 +436,6 @@ impl std::fmt::Display for RunError {
                 write!(f, "event cap {cap} exceeded — wedged simulation")
             }
             RunError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
-            RunError::AuditFailed(report) => {
-                write!(f, "trace audit failed:\n{report}")
-            }
             RunError::Snapshot(e) => write!(f, "snapshot error: {e}"),
         }
     }
@@ -561,7 +530,6 @@ mod tests {
             4,
             Bandwidth::from_gbps(10.0),
         );
-        assert_eq!(cfg.batch_per_worker, 32);
         assert_eq!(cfg.machines, 4);
         assert!(cfg.warmup_iters > 0);
     }

@@ -12,7 +12,6 @@ use crate::egress::EgressUnit;
 use p3_des::snap::SnapshotError;
 use p3_des::SimTime;
 use p3_pserver::{wire_bytes, Key, HEADER_BYTES};
-use p3_topo::Placement;
 use std::collections::BTreeMap;
 
 /// What each egress lane accounts for, by `(sender, role, destination)`:
@@ -87,8 +86,9 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// A PS worker learns a key's version only from that key's server, so
-    /// no live worker holds a version its server has not completed.
+    /// A PS worker learns a key's version, by response or by notify, only
+    /// from that key's server, so no live worker holds or has been notified
+    /// of a version its server has not completed.
     fn check_versions(&self) -> Result<(), &'static str> {
         if self.collective.is_some() {
             return Ok(());
@@ -97,14 +97,13 @@ impl ClusterSim {
             let server = self.plan.slice(Key(key as u64)).server.0;
             self.servers[server].version[key]
         };
-        let live = self.workers.iter().filter(|w| !w.crashed);
-        for w in live {
-            if w.received_version
-                .iter()
-                .enumerate()
-                .any(|(k, &v)| v > completed(k))
-            {
+        let ahead = |versions: &[u64]| versions.iter().enumerate().any(|(k, &v)| v > completed(k));
+        for w in self.workers.iter().filter(|w| !w.crashed) {
+            if ahead(&w.received_version) {
                 return Err("worker holds a version its server has not completed");
+            }
+            if ahead(&w.notified_version) {
+                return Err("worker notified of a version its server has not completed");
             }
         }
         Ok(())
@@ -154,7 +153,7 @@ impl ClusterSim {
         let home = |key: usize| self.plan.slice(Key(key as u64)).server.0;
         let version = |key: usize| self.servers[home(key)].version[key];
         let active = self.collective.as_ref().and_then(|st| st.active);
-        let rack_local = self.cfg.topology.is_some() && self.cfg.placement == Placement::RackLocal;
+        let rack_local = self.cfg.rack_local();
         let mut chunks = 0;
         for (_, ctx) in self.msgs.iter() {
             // Only a collective chunk has no PS size.

@@ -82,12 +82,12 @@ fn a_push(sim: &ClusterSim) -> u64 {
 /// State a snapshot carries that the engine cannot run on from: a wake
 /// the engine waits on that nothing will deliver, a gate that holds a
 /// sender past one message's cost, a push that meets a server not
-/// expecting it, a worker one version ahead of its key's server, and an
-/// event count the run has already ended at.
+/// expecting it, a worker holding or notified of a version one ahead of
+/// its key's server, and an event count the run has already ended at.
 #[test]
 fn state_the_run_cannot_continue_from_is_refused() {
     type Corrupt = fn(&mut ClusterSim);
-    let cases: [(&str, Corrupt); 6] = [
+    let cases: [(&str, Corrupt); 7] = [
         ("network wake not pending", |sim| {
             sim.next_wake = Some(sim.queue.now() + SimDuration::from_secs(3600));
         }),
@@ -117,6 +117,13 @@ fn state_the_run_cannot_continue_from_is_refused() {
             |sim| {
                 let server = sim.plan.slice(Key(0)).server.0;
                 sim.workers[1].received_version[0] = sim.servers[server].version[0] + 1;
+            },
+        ),
+        (
+            "worker notified of a version its server has not completed",
+            |sim| {
+                let server = sim.plan.slice(Key(0)).server.0;
+                sim.workers[1].notified_version[0] = sim.servers[server].version[0] + 1;
             },
         ),
         ("event count at the cap", |sim| sim.events = EVENT_CAP),

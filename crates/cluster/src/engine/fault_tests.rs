@@ -86,11 +86,9 @@ fn lossy_network_retransmits_and_completes() {
         loss_probability: 0.05,
         ..FaultPlan::none()
     };
-    let cfg = base_cfg().with_faults(plan).with_retry(RetryPolicy::new(
-        SimDuration::from_millis(20),
-        2.0,
-        16,
-    ));
+    let cfg = base_cfg()
+        .with_faults(plan)
+        .with_retry(RetryPolicy::new(SimDuration::from_millis(20)));
     let r = ClusterSim::new(cfg).run();
     assert!(r.throughput > 0.0);
     assert!(r.faults.messages_lost > 0, "5% loss lost nothing");
@@ -268,7 +266,7 @@ fn faults_work_under_baseline_strategy_too() {
         ..FaultPlan::none()
     });
     cfg.liveness_timeout = SimDuration::from_secs(30);
-    cfg.retry = RetryPolicy::new(SimDuration::from_millis(20), 2.0, 16);
+    cfg.retry = RetryPolicy::new(SimDuration::from_millis(20));
     let r = ClusterSim::new(cfg).run();
     assert!(r.throughput > 0.0);
     assert!(r.faults.messages_lost > 0);
@@ -408,7 +406,7 @@ mod trace_tests {
             }],
             ..FaultPlan::none()
         })
-        .with_retry(RetryPolicy::new(SimDuration::from_millis(20), 2.0, 16))
+        .with_retry(RetryPolicy::new(SimDuration::from_millis(20)))
         .with_slice_trace();
         cfg.liveness_timeout = SimDuration::from_secs(30);
         let (r, log) = ClusterSim::new(cfg).try_run_traced().unwrap();
@@ -547,8 +545,7 @@ mod topology_tests {
         // which add the full response fan-out on top of their pushes.
         let r = ClusterSim::new(
             base(SyncStrategy::p3())
-                .with_topology(Topology::new(2, 2, 4.0))
-                .with_placement(Placement::Packed),
+                .with_topology(Topology::new(2, 2, 4.0).with_placement(Placement::Packed)),
         )
         .run();
         let tx = |m: usize| {
@@ -578,8 +575,7 @@ mod topology_tests {
                 )
                 .with_iters(1, 2)
                 .with_seed(7)
-                .with_topology(Topology::new(2, 4, 4.0))
-                .with_placement(placement),
+                .with_topology(Topology::new(2, 4, 4.0).with_placement(placement)),
             )
             .run()
         };
@@ -613,8 +609,7 @@ mod topology_tests {
     fn rack_local_with_loss_is_rejected() {
         use crate::faults::FaultPlan;
         let cfg = base(SyncStrategy::p3())
-            .with_topology(Topology::new(2, 2, 2.0))
-            .with_placement(Placement::RackLocal)
+            .with_topology(Topology::new(2, 2, 2.0).with_placement(Placement::RackLocal))
             .with_faults(FaultPlan {
                 loss_probability: 0.01,
                 ..FaultPlan::none()
@@ -687,7 +682,7 @@ mod fault_properties {
         .with_seed(seed)
         .with_faults(plan);
         cfg.liveness_timeout = SimDuration::from_secs(30);
-        cfg.retry = RetryPolicy::new(SimDuration::from_millis(20), 2.0, 16);
+        cfg.retry = RetryPolicy::new(SimDuration::from_millis(20));
         ClusterSim::new(cfg).run()
     }
 

@@ -56,7 +56,6 @@ use p3_models::BlockTiming;
 use p3_net::{MachineId, Network, NetworkConfig};
 use p3_prof::{SimProfiler, SpanToken};
 use p3_pserver::ShardPlan;
-use p3_topo::Placement;
 use p3_trace::{TraceEvent, TraceLog};
 use std::collections::BTreeMap;
 pub use types::MAX_MACHINES;
@@ -149,21 +148,20 @@ pub struct ClusterSim {
     /// [`ClusterSim::run_until`], or already in the original run when
     /// this engine came from [`ClusterSim::restore`].
     started: bool,
-    /// Set by [`ClusterSim::restore`]. The trace then covers only the
-    /// resumed suffix, so the inline audit is skipped. Not snapshotted.
-    resumed: bool,
 }
+
+/// Bin width of machine 0's NIC utilization trace
+/// ([`ClusterConfig::nic_trace`]): the paper samples `bwm-ng` at 10 ms.
+const NIC_TRACE_BIN: SimDuration = SimDuration::from_millis(10);
 
 impl ClusterSim {
     /// Builds the simulation state for a configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero machines, zero
-    /// batch).
+    /// Panics if the configuration is degenerate (zero machines).
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(cfg.machines > 0, "at least one machine required");
-        assert!(cfg.batch_per_worker > 0, "zero batch");
         let mut config_error = None;
         let mut plan = cfg.strategy.plan(&cfg.model, cfg.machines, cfg.seed);
         let active_topo = match &cfg.topology {
@@ -178,10 +176,10 @@ impl ClusterSim {
             other => other.as_ref(),
         };
         if let Some(topo) = active_topo {
-            plan.map_servers(|s| cfg.placement.place_server(s, topo));
+            plan.map_servers(|s| topo.place_server(s));
         }
         let prio = cfg.strategy.priorities(&plan);
-        let block_times = cfg.compute.block_times(&cfg.model, cfg.batch_per_worker);
+        let block_times = cfg.model.block_times();
 
         // Map arrays to compute blocks, then keys to blocks.
         let mut block_of_array = Vec::new();
@@ -200,8 +198,8 @@ impl ClusterSim {
                 .with_latency(cfg.latency)
                 .with_efficiency(cfg.net_efficiency)
                 .with_flow_cap(cfg.flow_cap);
-            if let Some(bin) = cfg.trace_bin {
-                c = c.with_trace(bin);
+            if cfg.nic_trace {
+                c = c.with_trace(NIC_TRACE_BIN);
             }
             if let Some(topo) = active_topo {
                 c = c.with_link_graph(topo.compile(cfg.bandwidth));
@@ -291,7 +289,6 @@ impl ClusterSim {
             config_error,
             prof: None,
             started: false,
-            resumed: false,
             cfg,
         }
     }
@@ -354,14 +351,14 @@ impl ClusterSim {
     /// without re-validating or re-seeding it — that happened in the
     /// original run and lives in the snapshot's event queue. The returned
     /// trace then covers only the resumed portion (a bit-identical suffix
-    /// of the uninterrupted run's trace), so the inline audit is skipped:
-    /// its invariants span the whole run and would see unpaired events.
+    /// of the uninterrupted run's trace).
     pub fn try_run_traced(mut self) -> Result<(RunResult, Option<TraceLog>), RunError> {
         // Run to the end first: validation refuses an iteration count
         // whose warmup + measure sum overflows.
         self.run_until(u64::MAX)?;
         let target = self.cfg.warmup_iters + self.cfg.measure_iters;
-        self.finalize(target)
+        let log = self.trace_log.take();
+        Ok((self.finish(target), log))
     }
 
     /// Processes events until no live worker has completed fewer than
@@ -450,7 +447,6 @@ impl ClusterSim {
     pub fn restore(cfg: ClusterConfig, bytes: &[u8]) -> Result<ClusterSim, SnapshotError> {
         let mut sim = snapshot::restore(cfg, bytes)?;
         sim.started = true;
-        sim.resumed = true;
         // The snapshot may have been taken mid-instant with the wake query
         // still deferred. Flushing again when it was not is a no-op: a
         // flush leaves a wake at or before the fabric's next event, and
@@ -516,8 +512,7 @@ impl ClusterSim {
                 return Err(RunError::InvalidConfig(why));
             }
         }
-        if self.cfg.topology.is_some()
-            && self.cfg.placement == Placement::RackLocal
+        if self.cfg.rack_local()
             && (self.cfg.faults.loss_probability > 0.0 || !self.cfg.faults.crashes.is_empty())
         {
             return Err(RunError::InvalidConfig(
@@ -543,25 +538,6 @@ impl ClusterSim {
             self.queue.schedule_at(off, Ev::StartWorker { worker: w });
         }
         self.schedule_fault_plan();
-    }
-
-    /// Drains the trace, runs the inline audit (unless resumed), and
-    /// computes the measured result.
-    fn finalize(mut self, target: u64) -> Result<(RunResult, Option<TraceLog>), RunError> {
-        let log = self.trace_log.take();
-        if self.cfg.audit && !self.resumed {
-            let Some(log) = &log else {
-                return Err(RunError::InvalidConfig(
-                    "audit requested but slice tracing is off (use with_audit)".into(),
-                ));
-            };
-            let opts = p3_audit::AuditOptions::from_meta(&self.cfg.trace_meta());
-            let report = p3_audit::check_with(log, &opts);
-            if !report.is_clean() {
-                return Err(RunError::AuditFailed(report.to_string()));
-            }
-        }
-        Ok((self.finish(target), log))
     }
 
     /// Schedules every episode of the fault plan. An empty plan schedules

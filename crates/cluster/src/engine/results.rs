@@ -6,14 +6,13 @@
 use super::ClusterSim;
 use crate::config::{LinkUtilization, RunResult, UtilizationTrace};
 use p3_des::{quantile, SimDuration, SimTime};
-use p3_net::MachineId;
 
 impl ClusterSim {
     /// Consumes the finished engine and computes the measured result.
     /// `target` is the iteration count every surviving worker reached.
     #[expect(
         clippy::expect_used,
-        reason = "a finished run has measured every surviving worker, and trace series exist whenever trace_bin is set"
+        reason = "a finished run has measured every surviving worker, and the fabric traces machine 0 whenever nic_trace is set"
     )]
     pub(super) fn finish(mut self, target: u64) -> RunResult {
         // Freeze the profile first: copy the network's deterministic work
@@ -30,7 +29,7 @@ impl ClusterSim {
             p.set("heap/high_water", self.queue.high_water() as u64);
             p.report(self.events, self.queue.now().as_secs_f64())
         });
-        let batch = self.cfg.batch_per_worker as f64;
+        let batch = self.cfg.model.default_batch() as f64;
         let measure_iters = self.cfg.measure_iters as f64;
         let mut total = 0.0;
         let mut iter_sum = 0.0;
@@ -55,18 +54,10 @@ impl ClusterSim {
         }
         let p50 = quantile(&pooled, 0.50).map_or(SimDuration::ZERO, SimDuration::from_secs_f64);
         let p99 = quantile(&pooled, 0.99).map_or(SimDuration::ZERO, SimDuration::from_secs_f64);
-        let trace = self.cfg.trace_bin.map(|bin| UtilizationTrace {
-            bin,
-            tx_gbps: self
-                .net
-                .tx_trace(MachineId(0))
-                .expect("trace enabled")
-                .gbps_series(),
-            rx_gbps: self
-                .net
-                .rx_trace(MachineId(0))
-                .expect("trace enabled")
-                .gbps_series(),
+        let trace = self.cfg.nic_trace.then(|| UtilizationTrace {
+            bin: super::NIC_TRACE_BIN,
+            tx_gbps: self.net.tx_trace().expect("trace enabled").gbps_series(),
+            rx_gbps: self.net.rx_trace().expect("trace enabled").gbps_series(),
         });
         let stalled_per_worker = self.workers.iter().map(|w| w.stalled_total).collect();
         // Per-link totals of the compiled topology (empty on the flat

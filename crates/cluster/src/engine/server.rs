@@ -7,7 +7,6 @@ use super::types::{Ev, MsgKind, ProcItem, Role};
 use super::ClusterSim;
 use p3_core::{PullTiming, ResponseMode, ServerProcessing};
 use p3_des::SimDuration;
-use p3_topo::Placement;
 use p3_trace::{FaultKind, TraceEvent};
 
 /// Fixed server cost to process one received gradient message.
@@ -62,7 +61,7 @@ impl ClusterSim {
     /// everything outside rack-local placement) go direct.
     pub(crate) fn rack_push_target(&self, worker: usize, server: usize) -> Option<usize> {
         let topo = self.cfg.topology.as_ref()?;
-        if self.cfg.placement != Placement::RackLocal || topo.machines() != self.cfg.machines {
+        if !self.cfg.rack_local() || topo.machines() != self.cfg.machines {
             return None;
         }
         let rack = topo.rack_of(worker);

@@ -614,13 +614,13 @@ fn impossible_measurements_are_refused() {
 /// A snapshot of an older format is refused by its version, whatever
 /// its body holds.
 #[test]
-fn a_v3_snapshot_is_refused_by_version() {
+fn a_v4_snapshot_is_refused_by_version() {
     let mut sim = racked_at_boundary().expect("fixture run failed");
     let mut bytes = sim.snapshot();
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
     let err = ClusterSim::restore(degraded_racked(), &bytes).map(|_| ());
     let expected = SnapshotError::UnsupportedVersion {
-        found: 3,
+        found: 4,
         expected: SNAP_VERSION,
     };
     assert_eq!(err, Err(expected));

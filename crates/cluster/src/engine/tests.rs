@@ -125,7 +125,7 @@ fn sockeye_jitter_produces_unequal_iterations() {
 
 #[test]
 fn traces_cover_the_whole_run() {
-    let c = cfg(SyncStrategy::p3(), 4.0).with_trace(SimDuration::from_millis(10));
+    let c = cfg(SyncStrategy::p3(), 4.0).with_nic_trace();
     let r = ClusterSim::new(c).run();
     let t = r.trace.expect("tracing enabled");
     assert!(!t.tx_gbps.is_empty());

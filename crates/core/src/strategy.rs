@@ -16,12 +16,10 @@ use p3_pserver::{ShardPlan, KVSTORE_SPLIT_THRESHOLD};
 /// How parameter arrays map to store keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slicing {
-    /// MXNet KVStore: split arrays above a threshold into one part per
-    /// server, place small arrays randomly (§4.1).
-    KvstoreLayerwise {
-        /// Parameter-count threshold above which an array is split.
-        split_threshold: u64,
-    },
+    /// MXNet KVStore: split arrays of [`KVSTORE_SPLIT_THRESHOLD`] or more
+    /// parameters into one part per server, place small arrays randomly
+    /// (§4.1).
+    KvstoreLayerwise,
     /// Strictly one key per array, never split (Poseidon's layer-granular
     /// wait-free backprop).
     LayerwiseNoSplit,
@@ -135,9 +133,7 @@ impl SyncStrategy {
     pub fn baseline() -> SyncStrategy {
         SyncStrategy {
             name: "Baseline".into(),
-            slicing: Slicing::KvstoreLayerwise {
-                split_threshold: KVSTORE_SPLIT_THRESHOLD,
-            },
+            slicing: Slicing::KvstoreLayerwise,
             egress: Egress::PerServerFifo,
             server_processing: ServerProcessing::Fifo,
             response: ResponseMode::NotifyThenPull,
@@ -189,9 +185,7 @@ impl SyncStrategy {
     pub fn tf_style() -> SyncStrategy {
         SyncStrategy {
             name: "TensorFlow-style".into(),
-            slicing: Slicing::KvstoreLayerwise {
-                split_threshold: KVSTORE_SPLIT_THRESHOLD,
-            },
+            slicing: Slicing::KvstoreLayerwise,
             egress: Egress::PerServerFifo,
             server_processing: ServerProcessing::Fifo,
             response: ResponseMode::NotifyThenPull,
@@ -255,8 +249,8 @@ impl SyncStrategy {
     pub fn plan(&self, model: &ModelSpec, servers: usize, seed: u64) -> ShardPlan {
         let arrays: Vec<u64> = model.param_arrays().map(|a| a.params).collect();
         match self.slicing {
-            Slicing::KvstoreLayerwise { split_threshold } => {
-                ShardPlan::kvstore(&arrays, servers, split_threshold, seed)
+            Slicing::KvstoreLayerwise => {
+                ShardPlan::kvstore(&arrays, servers, KVSTORE_SPLIT_THRESHOLD, seed)
             }
             Slicing::LayerwiseNoSplit => ShardPlan::kvstore(&arrays, servers, u64::MAX, seed),
             Slicing::MaxParams(max) => p3_plan(&arrays, servers, max),
@@ -303,12 +297,7 @@ mod tests {
     fn baseline_matches_paper_description() {
         let b = SyncStrategy::baseline();
         assert_eq!(b.name(), "Baseline");
-        assert_eq!(
-            b.slicing,
-            Slicing::KvstoreLayerwise {
-                split_threshold: 1_000_000
-            }
-        );
+        assert_eq!(b.slicing, Slicing::KvstoreLayerwise);
         assert_eq!(b.response, ResponseMode::NotifyThenPull);
     }
 

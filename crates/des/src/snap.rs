@@ -31,8 +31,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"P3SNAP\0\0";
 /// v3 dropped every engine field that other stored state or the
 /// configuration determines; v4 dropped each fabric flow's rate and
 /// bottleneck and each parameter-server message's size, which a reader
-/// derives.
-pub const SNAP_VERSION: u32 = 4;
+/// derives; v5 carries only machine 0's two NIC trace series, the one
+/// traced machine, and no count of trace series.
+pub const SNAP_VERSION: u32 = 5;
 
 /// Why a snapshot byte stream could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,7 +6,7 @@
 //! framework executes) and **parameter arrays** (the key-value units the
 //! parameter server stores, one point per array in the paper's Figure 5).
 //!
-//! A [`ComputeProfile`] turns a [`ModelSpec`] into per-block forward /
+//! [`ModelSpec::block_times`] turns a model into per-block forward /
 //! backward durations, calibrated to the paper's testbed throughput but
 //! with the time *distribution* derived from per-block FLOPs.
 //!
@@ -34,5 +34,5 @@ mod layer;
 mod zoo;
 
 pub use builder::ConvStack;
-pub use compute::{BlockTiming, ComputeProfile};
+pub use compute::BlockTiming;
 pub use layer::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit, BYTES_PER_PARAM};

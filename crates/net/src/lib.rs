@@ -5,7 +5,7 @@
 //! bandwidth), transfers are fluid flows sharing ports under **max-min
 //! fairness within a priority class** and **strict priority across classes**
 //! (the fluid analogue of P3's priority-tagged packet scheduling), and
-//! per-machine utilization traces reproduce the paper's `bwm-ng` NIC
+//! machine 0's utilization trace reproduces the paper's `bwm-ng` NIC
 //! sampling.
 //!
 //! The fabric is driven externally — the cluster simulator starts flows,

@@ -11,7 +11,7 @@ use p3_des::SimDuration;
 /// rate-limited per direction with `tc qdisc`). Transfers where source and
 /// destination are the same machine (worker pushing to its colocated server
 /// shard) go over loopback: they never touch the NIC and run at
-/// `loopback` bandwidth.
+/// a fixed 400 Gbps.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Number of machines in the cluster.
@@ -20,10 +20,8 @@ pub struct NetworkConfig {
     pub bandwidth: Bandwidth,
     /// One-way propagation + protocol-stack latency added to every message.
     pub latency: SimDuration,
-    /// Loopback bandwidth for same-machine transfers.
-    pub loopback: Bandwidth,
-    /// If set, record per-machine utilization traces with this bin width
-    /// (the paper samples at 10 ms).
+    /// If set, record machine 0's transmit and receive utilization with
+    /// this bin width (the paper samples one machine at 10 ms).
     pub trace_bin: Option<SimDuration>,
     /// Per-flow goodput ceiling in bytes/sec (single-stream CPU bound of
     /// the endpoint stack); `f64::INFINITY` disables it.
@@ -48,14 +46,12 @@ pub struct NetworkConfig {
 
 impl NetworkConfig {
     /// A cluster of `machines` nodes with the given NIC bandwidth and
-    /// defaults mirroring the paper's testbed: 50 µs message latency and
-    /// 50 GB/s loopback.
+    /// defaults mirroring the paper's testbed: 50 µs message latency.
     pub fn new(machines: usize, bandwidth: Bandwidth) -> Self {
         NetworkConfig {
             machines,
             bandwidth,
             latency: SimDuration::from_micros(50),
-            loopback: Bandwidth::from_gbps(400.0),
             trace_bin: None,
             flow_cap: f64::INFINITY,
             efficiency: 1.0,
@@ -106,7 +102,7 @@ impl NetworkConfig {
         self
     }
 
-    /// Enables utilization tracing with the given bin width.
+    /// Enables machine 0's utilization trace with the given bin width.
     pub fn with_trace(mut self, bin: SimDuration) -> Self {
         self.trace_bin = Some(bin);
         self

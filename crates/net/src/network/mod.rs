@@ -54,6 +54,11 @@ use crate::types::{FlowId, MachineId, Priority};
 use memo::Memo;
 use p3_des::{SimDuration, SimTime};
 
+/// Same-machine transfer rate: 400 Gbps, far above any NIC, so a
+/// worker's push to its colocated server shard costs little more than the
+/// message latency.
+const LOOPBACK_BYTES_PER_SEC: f64 = 400e9 / 8.0;
+
 /// A finished transfer, handed back by [`Network::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompletedFlow {
@@ -194,8 +199,9 @@ pub struct Network {
     delivering: Vec<Delivering>,
     last_update: SimTime,
     next_flow_id: u64,
-    tx_traces: Vec<PortTrace>,
-    rx_traces: Vec<PortTrace>,
+    /// Machine 0's transmit and receive utilization, when
+    /// [`NetworkConfig::trace_bin`] is set.
+    trace: Option<(PortTrace, PortTrace)>,
     dirty: bool, // rates stale (flows or capacities changed since last allocation)
     /// Per-machine transmit capacity factor in `(0, 1]` (fault injection:
     /// a degraded NIC or congested uplink).
@@ -241,13 +247,9 @@ impl Network {
             "{} machines, more than a fabric indexes",
             cfg.machines
         );
-        let (tx_traces, rx_traces) = match cfg.trace_bin {
-            Some(bin) => (
-                (0..cfg.machines).map(|_| PortTrace::new(bin)).collect(),
-                (0..cfg.machines).map(|_| PortTrace::new(bin)).collect(),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
+        let trace = cfg
+            .trace_bin
+            .map(|bin| (PortTrace::new(bin), PortTrace::new(bin)));
         let machines = cfg.machines;
         let (graph, num_links) = match &cfg.link_graph {
             Some(g) => {
@@ -276,8 +278,7 @@ impl Network {
             delivering: Vec::new(),
             last_update: SimTime::ZERO,
             next_flow_id: 0,
-            tx_traces,
-            rx_traces,
+            trace,
             dirty: false,
             tx_scale,
             rx_scale,
@@ -321,7 +322,7 @@ impl Network {
         self.next_flow_id += 1;
         if src == dst {
             // Loopback: never touches the NIC; fixed-rate private channel.
-            let secs = bytes as f64 / self.cfg.loopback.bytes_per_sec();
+            let secs = bytes as f64 / LOOPBACK_BYTES_PER_SEC;
             let at = now + self.cfg.latency + SimDuration::from_secs_f64(secs);
             self.next_event = None;
             self.delivering.push(Delivering {
@@ -532,14 +533,14 @@ impl Network {
         self.flows.swap_remove(slot)
     }
 
-    /// Per-machine transmit utilization trace, if tracing was enabled.
-    pub fn tx_trace(&self, machine: MachineId) -> Option<&PortTrace> {
-        self.tx_traces.get(machine.0)
+    /// Machine 0's transmit utilization trace, if tracing was enabled.
+    pub fn tx_trace(&self) -> Option<&PortTrace> {
+        self.trace.as_ref().map(|(tx, _)| tx)
     }
 
-    /// Per-machine receive utilization trace, if tracing was enabled.
-    pub fn rx_trace(&self, machine: MachineId) -> Option<&PortTrace> {
-        self.rx_traces.get(machine.0)
+    /// Machine 0's receive utilization trace, if tracing was enabled.
+    pub fn rx_trace(&self) -> Option<&PortTrace> {
+        self.trace.as_ref().map(|(_, rx)| rx)
     }
 
     /// Observed per-link usage so far (busy time and bytes carried, one
@@ -551,10 +552,6 @@ impl Network {
 
     /// Integrates flow progress from `last_update` to `now`, under rates
     /// reallocated first if they are stale.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "traces, when enabled, exist for every machine, and flow endpoints are machines"
-    )]
     fn advance(&mut self, now: SimTime) {
         assert!(
             now >= self.last_update,
@@ -576,12 +573,14 @@ impl Network {
             let n = if n > 0.0 { n } else { 0.0 };
             *r = if q > 0.0 { n } else { *r };
         }
-        if !self.tx_traces.is_empty() {
+        if let Some((tx, rx)) = &mut self.trace {
             // In slot order, as the bins accumulate floats.
             for (f, &q) in self.flows.iter().zip(&self.rates) {
-                if q > 0.0 {
-                    self.tx_traces[f.src].add_rate(self.last_update, now, q);
-                    self.rx_traces[f.dst].add_rate(self.last_update, now, q);
+                if q > 0.0 && f.src == 0 {
+                    tx.add_rate(self.last_update, now, q);
+                }
+                if q > 0.0 && f.dst == 0 {
+                    rx.add_rate(self.last_update, now, q);
                 }
             }
         }

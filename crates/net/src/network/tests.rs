@@ -136,30 +136,27 @@ fn loopback_skips_the_nic() {
     let t = n.next_event_time().unwrap();
     assert_eq!(t, SimTime::from_millis(1));
     assert_eq!(n.poll(t).len(), 1);
-    assert_eq!(n.tx_trace(MachineId(0)).unwrap().total_bytes(), 0.0);
+    assert_eq!(n.tx_trace().unwrap().total_bytes(), 0.0);
 }
 
 #[test]
-fn trace_records_both_ends() {
-    let cfg = NetworkConfig::new(2, Bandwidth::from_gbps(8.0))
+fn trace_records_both_ports_of_machine_zero() {
+    let cfg = NetworkConfig::new(3, Bandwidth::from_gbps(8.0))
         .with_latency(SimDuration::ZERO)
         .with_trace(SimDuration::from_millis(1));
     let mut n = Network::new(cfg);
-    n.start_flow(
-        SimTime::ZERO,
-        MachineId(0),
-        MachineId(1),
-        3_000_000,
-        Priority(0),
-        0,
-    );
-    let t = n.next_event_time().unwrap();
-    n.poll(t);
-    let tx = n.tx_trace(MachineId(0)).unwrap().total_bytes();
-    let rx = n.rx_trace(MachineId(1)).unwrap().total_bytes();
+    for (src, dst, bytes) in [(0, 1, 3_000_000), (1, 0, 2_000_000), (1, 2, 5_000_000)] {
+        let (src, dst) = (MachineId(src), MachineId(dst));
+        n.start_flow(SimTime::ZERO, src, dst, bytes, Priority(0), 0);
+    }
+    while let Some(t) = n.next_event_time() {
+        n.poll(t);
+    }
+    // Machine 1's flow to machine 2 touches neither of machine 0's ports.
+    let tx = n.tx_trace().unwrap().total_bytes();
+    let rx = n.rx_trace().unwrap().total_bytes();
     assert!((tx - 3_000_000.0).abs() < 1.0);
-    assert!((rx - 3_000_000.0).abs() < 1.0);
-    assert_eq!(n.tx_trace(MachineId(1)).unwrap().total_bytes(), 0.0);
+    assert!((rx - 2_000_000.0).abs() < 1.0);
 }
 
 #[test]
@@ -616,7 +613,7 @@ mod properties {
                 prop_assert!(guard < 1000);
             }
             let cap_bytes_per_bin = gbps * 1e9 / 8.0 * 100e-6;
-            for &b in n.rx_trace(MachineId(0)).unwrap().bytes_per_bin() {
+            for &b in n.rx_trace().unwrap().bytes_per_bin() {
                 prop_assert!(b <= cap_bytes_per_bin * (1.0 + 1e-6));
             }
         }

@@ -90,10 +90,9 @@ impl Network {
         let what = "link accounting vector length";
         fixed(c, &mut self.link_busy, what, C::f64)?;
         fixed(c, &mut self.link_bytes, what, C::f64)?;
-        for traces in [&mut self.tx_traces, &mut self.rx_traces] {
-            fixed(c, traces, "trace bin vector count", |c, t| {
-                seq(c, &mut t.bytes, 0.0, C::f64)
-            })?;
+        if let Some((tx, rx)) = &mut self.trace {
+            seq(c, &mut tx.bytes, 0.0, C::f64)?;
+            seq(c, &mut rx.bytes, 0.0, C::f64)?;
         }
         let s = &mut self.stats;
         c.u64(&mut s.reallocations)?;

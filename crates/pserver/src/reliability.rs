@@ -38,11 +38,19 @@ impl RetryDecision {
     }
 }
 
+/// Factor by which each retransmission's timeout grows over the last.
+const BACKOFF: f64 = 2.0;
+
+/// Retransmissions of one message before the sender gives up: with
+/// [`BACKOFF`], enough that a message survives p=0.5 loss with
+/// probability 1 − 2⁻¹⁷.
+const MAX_RETRIES: u32 = 16;
+
 /// Exponential-backoff retransmission policy for unacknowledged messages.
 ///
-/// Attempt `n` (0-based) times out after `base_timeout * backoff^n`,
-/// saturating at [`RetryPolicy::MAX_TIMEOUT`]. After `max_retries`
-/// retransmissions the sender gives up on the message.
+/// Attempt `n` (0-based) times out after `base_timeout * 2^n`, saturating
+/// at [`RetryPolicy::MAX_TIMEOUT`]. After 16 retransmissions the sender
+/// gives up on the message.
 ///
 /// # Examples
 ///
@@ -50,20 +58,16 @@ impl RetryDecision {
 /// use p3_des::SimDuration;
 /// use p3_pserver::RetryPolicy;
 ///
-/// let p = RetryPolicy::new(SimDuration::from_millis(10), 2.0, 8);
+/// let p = RetryPolicy::new(SimDuration::from_millis(10));
 /// assert_eq!(p.timeout_for(0), SimDuration::from_millis(10));
 /// assert_eq!(p.timeout_for(2), SimDuration::from_millis(40));
-/// assert!(p.exhausted(8));
-/// assert!(!p.exhausted(7));
+/// assert!(p.exhausted(16));
+/// assert!(!p.exhausted(15));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Timeout before the first retransmission.
     pub base_timeout: SimDuration,
-    /// Multiplicative backoff factor per attempt (>= 1).
-    pub backoff: f64,
-    /// Retransmissions allowed before giving up on a message.
-    pub max_retries: u32,
 }
 
 impl RetryPolicy {
@@ -74,29 +78,24 @@ impl RetryPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `base_timeout` is zero or `backoff < 1`.
-    pub fn new(base_timeout: SimDuration, backoff: f64, max_retries: u32) -> Self {
+    /// Panics if `base_timeout` is zero.
+    pub fn new(base_timeout: SimDuration) -> Self {
         assert!(base_timeout.as_nanos() > 0, "base timeout must be positive");
-        assert!(backoff >= 1.0, "backoff must be >= 1, got {backoff}");
-        RetryPolicy {
-            base_timeout,
-            backoff,
-            max_retries,
-        }
+        RetryPolicy { base_timeout }
     }
 
     /// Timeout armed for the given 0-based attempt:
-    /// `base_timeout * backoff^attempt`, capped at [`Self::MAX_TIMEOUT`].
+    /// `base_timeout * 2^attempt`, capped at [`Self::MAX_TIMEOUT`].
     pub fn timeout_for(&self, attempt: u32) -> SimDuration {
         let cap = Self::MAX_TIMEOUT.as_nanos() as f64;
-        let scaled = self.base_timeout.as_nanos() as f64 * self.backoff.powi(attempt as i32);
+        let scaled = self.base_timeout.as_nanos() as f64 * BACKOFF.powi(attempt as i32);
         SimDuration::from_nanos(scaled.min(cap) as u64)
     }
 
     /// True once `attempt` exceeds the retry budget: the message is
     /// abandoned rather than retransmitted again.
     pub fn exhausted(&self, attempt: u32) -> bool {
-        attempt >= self.max_retries
+        attempt >= MAX_RETRIES
     }
 
     /// The policy's verdict when attempt `attempt` (0-based) times out:
@@ -116,11 +115,9 @@ impl RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// 50 ms base, doubling per attempt, 16 retransmissions — generous
-    /// enough that a message survives p=0.5 loss with probability
-    /// 1 − 2⁻¹⁷.
+    /// A 50 ms base timeout.
     fn default() -> Self {
-        RetryPolicy::new(SimDuration::from_millis(50), 2.0, 16)
+        RetryPolicy::new(SimDuration::from_millis(50))
     }
 }
 
@@ -130,7 +127,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles() {
-        let p = RetryPolicy::new(SimDuration::from_millis(5), 2.0, 4);
+        let p = RetryPolicy::new(SimDuration::from_millis(5));
         assert_eq!(p.timeout_for(0), SimDuration::from_millis(5));
         assert_eq!(p.timeout_for(1), SimDuration::from_millis(10));
         assert_eq!(p.timeout_for(3), SimDuration::from_millis(40));
@@ -138,36 +135,22 @@ mod tests {
 
     #[test]
     fn timeout_saturates_at_cap() {
-        let p = RetryPolicy::new(SimDuration::from_secs(1), 10.0, 32);
+        let p = RetryPolicy::new(SimDuration::from_secs(1));
         assert_eq!(p.timeout_for(30), RetryPolicy::MAX_TIMEOUT);
     }
 
     #[test]
-    fn unit_backoff_is_constant() {
-        let p = RetryPolicy::new(SimDuration::from_millis(7), 1.0, 3);
-        for a in 0..10 {
-            assert_eq!(p.timeout_for(a), SimDuration::from_millis(7));
-        }
-    }
-
-    #[test]
     fn exhaustion_boundary() {
-        let p = RetryPolicy::new(SimDuration::from_millis(1), 2.0, 3);
+        let p = RetryPolicy::new(SimDuration::from_millis(1));
         assert!(!p.exhausted(0));
-        assert!(!p.exhausted(2));
-        assert!(p.exhausted(3));
+        assert!(!p.exhausted(15));
+        assert!(p.exhausted(16));
         assert!(p.exhausted(100));
     }
 
     #[test]
-    fn zero_retries_gives_up_immediately() {
-        let p = RetryPolicy::new(SimDuration::from_millis(1), 2.0, 0);
-        assert!(p.exhausted(0));
-    }
-
-    #[test]
     fn decide_matches_exhausted_and_timeout() {
-        let p = RetryPolicy::new(SimDuration::from_millis(10), 2.0, 2);
+        let p = RetryPolicy::new(SimDuration::from_millis(10));
         assert_eq!(
             p.decide(0),
             RetryDecision::Retransmit {
@@ -180,26 +163,20 @@ mod tests {
                 timeout: SimDuration::from_millis(40)
             }
         );
-        assert_eq!(p.decide(2), RetryDecision::GiveUp);
+        assert_eq!(p.decide(16), RetryDecision::GiveUp);
     }
 
     #[test]
     fn decisions_name_their_fault_kind() {
-        let p = RetryPolicy::new(SimDuration::from_millis(1), 2.0, 1);
-        assert_eq!(p.decide(0).fault_kind(), FaultKind::Retransmit);
-        assert_eq!(p.decide(1).fault_kind(), FaultKind::GiveUp);
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff must be >= 1")]
-    fn shrinking_backoff_rejected() {
-        RetryPolicy::new(SimDuration::from_millis(1), 0.5, 1);
+        let p = RetryPolicy::new(SimDuration::from_millis(1));
+        assert_eq!(p.decide(15).fault_kind(), FaultKind::Retransmit);
+        assert_eq!(p.decide(16).fault_kind(), FaultKind::GiveUp);
     }
 
     #[test]
     #[should_panic(expected = "base timeout must be positive")]
     fn zero_base_rejected() {
-        RetryPolicy::new(SimDuration::from_nanos(0), 2.0, 1);
+        RetryPolicy::new(SimDuration::from_nanos(0));
     }
 }
 
@@ -213,14 +190,10 @@ mod properties {
         /// the cap — the invariants that make retransmission converge
         /// instead of hammering a congested link.
         #[test]
-        fn timeouts_monotone_and_bounded(
-            base_ms in 1u64..5_000,
-            backoff in 1.0f64..8.0,
-            retries in 0u32..64,
-        ) {
-            let p = RetryPolicy::new(SimDuration::from_millis(base_ms), backoff, retries);
+        fn timeouts_monotone_and_bounded(base_ms in 1u64..5_000) {
+            let p = RetryPolicy::new(SimDuration::from_millis(base_ms));
             let mut last = SimDuration::from_nanos(0);
-            for a in 0..retries.saturating_add(2) {
+            for a in 0..MAX_RETRIES + 2 {
                 let t = p.timeout_for(a);
                 prop_assert!(t >= last, "timeout shrank at attempt {}", a);
                 prop_assert!(t <= RetryPolicy::MAX_TIMEOUT);

@@ -12,7 +12,9 @@
 //!
 //! [`Placement`] captures the second production lever — *where* workers
 //! and PS shards sit relative to the rack structure (Park et al. 2019) —
-//! as policies the cluster simulator applies to its shard plan.
+//! as policies the cluster simulator applies to its shard plan. A
+//! placement is part of its topology ([`Topology::with_placement`]):
+//! without racks there is nothing to place shards relative to.
 //!
 //! # Examples
 //!
@@ -47,7 +49,8 @@ use p3_net::{Bandwidth, LinkGraph, LinkId};
 /// switches locally at the ToR and only crosses the endpoint ports;
 /// cross-rack traffic additionally crosses the source rack's uplink and
 /// the destination rack's downlink — the fixed path per machine pair that
-/// [`Topology::compile`] installs in the [`LinkGraph`].
+/// [`Topology::compile`] installs in the [`LinkGraph`]. Where PS shards
+/// sit relative to the racks is the topology's [`Placement`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     racks: usize,
@@ -56,11 +59,13 @@ pub struct Topology {
     /// Per-machine NIC speed overrides (heterogeneous clusters); `None`
     /// entries use the default NIC speed given to `compile`.
     nic_overrides: Vec<Option<Bandwidth>>,
+    placement: Placement,
 }
 
 impl Topology {
     /// `racks` racks of `rack_size` machines each behind a core
-    /// oversubscribed by `oversub` (1.0 = full bisection bandwidth).
+    /// oversubscribed by `oversub` (1.0 = full bisection bandwidth), with
+    /// shards spread ([`Placement::Spread`]).
     ///
     /// # Panics
     ///
@@ -78,6 +83,33 @@ impl Topology {
             rack_size,
             oversub,
             nic_overrides: vec![None; racks * rack_size],
+            placement: Placement::Spread,
+        }
+    }
+
+    /// Places the PS shards by `placement` instead of spreading them.
+    pub fn with_placement(mut self, placement: Placement) -> Self {
+        self.placement = placement;
+        self
+    }
+
+    /// Where the PS shards sit relative to the racks.
+    pub fn placement(&self) -> Placement {
+        self.placement
+    }
+
+    /// Maps a flat-plan home server to its home under this topology's
+    /// placement: identity for spread and rack-local, modulo into rack 0
+    /// for packed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `server` is out of range.
+    pub fn place_server(&self, server: usize) -> usize {
+        assert!(server < self.machines(), "unknown server {server}");
+        match self.placement {
+            Placement::Spread | Placement::RackLocal => server,
+            Placement::Packed => server % self.rack_size,
         }
     }
 
@@ -311,21 +343,6 @@ impl Placement {
             Placement::RackLocal => "rack-local",
         }
     }
-
-    /// Maps a flat-plan home server to this policy's home server for a
-    /// `topo`-shaped cluster: identity for spread/rack-local, modulo into
-    /// rack 0 for packed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range for the topology.
-    pub fn place_server(self, server: usize, topo: &Topology) -> usize {
-        assert!(server < topo.machines(), "unknown server {server}");
-        match self {
-            Placement::Spread | Placement::RackLocal => server,
-            Placement::Packed => server % topo.rack_size(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -409,13 +426,14 @@ mod tests {
         assert_eq!(Placement::parse("packed").unwrap(), Placement::Packed);
         assert_eq!(Placement::parse("rack-local").unwrap().name(), "rack-local");
         assert!(Placement::parse("corner").is_err());
-        let t = Topology::new(3, 4, 2.0);
+        let t = |placement| Topology::new(3, 4, 2.0).with_placement(placement);
+        assert_eq!(Topology::new(3, 4, 2.0).placement(), Placement::Spread);
         // Packed folds every server into rack 0 (machines 0..4).
         for s in 0..12 {
-            let p = Placement::Packed.place_server(s, &t);
+            let p = t(Placement::Packed).place_server(s);
             assert!(p < 4, "server {s} packed to {p}");
-            assert_eq!(Placement::Spread.place_server(s, &t), s);
-            assert_eq!(Placement::RackLocal.place_server(s, &t), s);
+            assert_eq!(t(Placement::Spread).place_server(s), s);
+            assert_eq!(t(Placement::RackLocal).place_server(s), s);
         }
     }
 

@@ -86,8 +86,6 @@ pub struct TrainConfig {
     /// Momentum (server-side for full sync; worker-side correction for
     /// DGC).
     pub momentum: f32,
-    /// L2 weight decay.
-    pub weight_decay: f32,
     /// Training epochs.
     pub epochs: u32,
     /// Hidden-layer sizes of the MLP classifier.
@@ -108,7 +106,6 @@ impl TrainConfig {
             batch_per_worker: 32,
             lr: 0.08,
             momentum: 0.9,
-            weight_decay: 1e-4,
             epochs,
             hidden: vec![64, 32],
             seed: 1,

@@ -21,6 +21,9 @@ use p3_pserver::{Key, KvServer, OptimizerKind, PushOutcome, WorkerId};
 use p3_tensor::{gather, BatchSchedule, Dataset, Matrix, Mlp};
 use std::collections::VecDeque;
 
+/// L2 weight decay of the server's momentum optimizer.
+const WEIGHT_DECAY: f32 = 1e-4;
+
 /// Per-worker, per-array gradient transformation (compression).
 enum Transform {
     Identity,
@@ -125,7 +128,7 @@ pub fn train(data: &Dataset, cfg: &TrainConfig, mode: SyncMode) -> TrainRun {
         _ => OptimizerKind::Momentum {
             lr: cfg.lr,
             momentum: cfg.momentum,
-            weight_decay: cfg.weight_decay,
+            weight_decay: WEIGHT_DECAY,
         },
     };
     let (pushers, delay) = match mode {

@@ -11,7 +11,7 @@ use p3::cluster::{ClusterConfig, ClusterSim};
 use p3::core::SyncStrategy;
 use p3::models::ModelSpec;
 use p3::net::Bandwidth;
-use p3::topo::{Placement, Topology};
+use p3::topo::Topology;
 
 fn main() {
     let model = ModelSpec::vgg19();
@@ -32,8 +32,7 @@ fn main() {
         )
         .with_iters(2, 6)
         .with_seed(7)
-        .with_topology(Topology::new(racks, rack_size, f))
-        .with_placement(Placement::Spread);
+        .with_topology(Topology::new(racks, rack_size, f));
         ClusterSim::new(cfg)
             .try_run()
             .map_or(f64::NAN, |r| r.throughput)

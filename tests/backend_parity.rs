@@ -49,7 +49,7 @@ fn engine_allreduce_tracks_the_omega_bound_on_flat_topology() {
         for gbps in [2.0, 4.0, 8.0, 15.0] {
             let cfg = config(ModelSpec::vgg19(), sliced_p3(), 4, gbps, backend).with_iters(2, 8);
             let allowed =
-                iteration_bound(&cfg).throughput_limit(cfg.batch_per_worker, cfg.machines);
+                iteration_bound(&cfg).throughput_limit(cfg.model.default_batch(), cfg.machines);
             let got = throughput(cfg);
             let ratio = got / allowed;
             assert!(

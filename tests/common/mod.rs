@@ -122,6 +122,6 @@ pub fn degraded_racked() -> ClusterConfig {
     };
     base(BackendKind::Ps, 3)
         .with_topology(Topology::new(2, 2, 2.0))
-        .with_trace(SimDuration::from_millis(10))
+        .with_nic_trace()
         .with_faults(faults)
 }

@@ -280,8 +280,7 @@ pub fn p3_notify_pull_site() -> Vec<Row> {
 /// aggregator, which forwards one combined push across the core.
 pub fn rack_local_site() -> Vec<Row> {
     let cfg = site_config(SyncStrategy::p3(), 4)
-        .with_topology(Topology::new(2, 2, 4.0))
-        .with_placement(Placement::RackLocal);
+        .with_topology(Topology::new(2, 2, 4.0).with_placement(Placement::RackLocal));
     send_site("rack-local", cfg, |rows| {
         enqueued(rows, MsgClass::RackPush) && enqueued(rows, MsgClass::CombinedPush)
     })

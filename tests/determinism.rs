@@ -150,8 +150,7 @@ fn rack_local_placement_is_run_twice_deterministic() {
         )
         .with_iters(1, 2)
         .with_seed(5)
-        .with_topology(Topology::new(2, 2, 2.0))
-        .with_placement(Placement::RackLocal)
+        .with_topology(Topology::new(2, 2, 2.0).with_placement(Placement::RackLocal))
     });
 }
 

@@ -11,13 +11,13 @@ mod common;
 
 use common::pins::{check, snapshots};
 use common::{base, baseline, baseline_crash_rejoin, crash_plan, degraded_racked, lossy};
-use p3::audit::check_resume_equivalence;
+use p3::audit::{check_resume_equivalence, check_with, AuditOptions};
 use p3::cluster::{BackendKind, ClusterConfig, ClusterSim, SnapshotError};
 use p3::trace::{FaultKind, TraceEvent};
 
 /// Runs `mk()` uninterrupted; runs it again paused at the first iteration
-/// boundary, snapshotted there, and finished under the inline audit; then
-/// restores that snapshot under a fresh config and finishes it too. Asserts
+/// boundary, snapshotted there, finished, and audited; then restores that
+/// snapshot under a fresh config and finishes it too. Asserts
 /// all three agree: pausing perturbs nothing (the paused run passes the
 /// audit and is bit-identical to the plain one), the resumed run
 /// reproduces the full result (rolling event hash included), and the
@@ -28,23 +28,28 @@ fn assert_snapshot_resume_bit_identical(label: &str, mk: impl Fn() -> ClusterCon
         .unwrap_or_else(|e| panic!("{label}: full run failed: {e}"));
     let full_log = full_log.expect("slice tracing was enabled");
 
-    let audited = || mk().with_audit();
-    let mut paused = ClusterSim::new(audited());
+    let mut paused = ClusterSim::new(mk());
     let iter = paused
         .run_until(1)
         .unwrap_or_else(|e| panic!("{label}: run to the first boundary failed: {e}"));
     assert!(iter >= 1, "{label}: paused below the first boundary");
     let bytes = paused.snapshot();
-    let (finished, _) = paused
+    let (finished, paused_log) = paused
         .try_run_traced()
-        .unwrap_or_else(|e| panic!("{label}: paused run failed or failed its audit: {e}"));
+        .unwrap_or_else(|e| panic!("{label}: paused run failed: {e}"));
+    let paused_log = paused_log.expect("slice tracing was enabled");
+    let report = check_with(&paused_log, &AuditOptions::from_meta(&mk().trace_meta()));
+    assert!(
+        report.is_clean(),
+        "{label}: paused run failed its audit:\n{report}"
+    );
     assert_eq!(full, finished, "{label}: pausing perturbed the run");
     assert_eq!(
         full.event_hash, finished.event_hash,
         "{label}: pausing moved the rolling event hash"
     );
 
-    let (resumed, resumed_log) = ClusterSim::restore(audited(), &bytes)
+    let (resumed, resumed_log) = ClusterSim::restore(mk(), &bytes)
         .unwrap_or_else(|e| panic!("{label}: restore failed: {e}"))
         .try_run_traced()
         .unwrap_or_else(|e| panic!("{label}: resumed run failed: {e}"));

@@ -36,9 +36,7 @@ fn single_rack_topology_reproduces_the_flat_simulator() {
 fn oversubscribed_core_costs_throughput_and_placement_is_accepted() {
     let full = ClusterSim::new(base_cfg().with_topology(Topology::new(2, 2, 1.0))).run();
     let squeezed = ClusterSim::new(
-        base_cfg()
-            .with_topology(Topology::new(2, 2, 8.0))
-            .with_placement(Placement::RackLocal),
+        base_cfg().with_topology(Topology::new(2, 2, 8.0).with_placement(Placement::RackLocal)),
     )
     .run();
     assert!(
