@@ -88,9 +88,17 @@ impl ClusterSim {
 
     /// A PS worker learns a key's version, by response or by notify, only
     /// from that key's server, so no live worker holds or has been notified
-    /// of a version its server has not completed.
+    /// of a version its server has not completed. Under a collective
+    /// backend only a completed collective and a rejoin raise a worker's
+    /// version, and both raise the backend's completed version at least as
+    /// far, so no live worker holds a version past it.
     fn check_versions(&self) -> Result<(), &'static str> {
-        if self.collective.is_some() {
+        if let Some(st) = &self.collective {
+            let done = &st.completed_version;
+            let mut live = self.workers.iter().filter(|w| !w.crashed);
+            if live.any(|w| w.received_version.iter().zip(done).any(|(v, d)| v > d)) {
+                return Err("worker holds a version its collective has not completed");
+            }
             return Ok(());
         }
         let completed = |key: usize| {

@@ -83,16 +83,20 @@ fn a_push(sim: &ClusterSim) -> u64 {
 /// the engine waits on that nothing will deliver, a gate that holds a
 /// sender past one message's cost, a push that meets a server not
 /// expecting it, a worker holding or notified of a version one ahead of
-/// its key's server, and an event count the run has already ended at.
+/// its key's server or holding one ahead of its key's last collective,
+/// and an event count the run has already ended at.
 #[test]
 fn state_the_run_cannot_continue_from_is_refused() {
+    type Fixture = fn() -> ClusterConfig;
     type Corrupt = fn(&mut ClusterSim);
-    let cases: [(&str, Corrupt); 7] = [
-        ("network wake not pending", |sim| {
+    let ring = || base(BackendKind::Ring, 7);
+    let cases: [(&str, Fixture, Corrupt); 8] = [
+        ("network wake not pending", degraded_racked, |sim| {
             sim.next_wake = Some(sim.queue.now() + SimDuration::from_secs(3600));
         }),
         (
             "admission gate past one message's cost from the clock",
+            degraded_racked,
             |sim| {
                 let later = sim.queue.now() + SimDuration::from_secs(1);
                 let EgressUnit::Single { next_admit, .. } = &mut sim.workers[0].egress else {
@@ -101,19 +105,28 @@ fn state_the_run_cannot_continue_from_is_refused() {
                 *next_admit = later;
             },
         ),
-        ("push not addressed to its key's server", |sim| {
-            let ctx = sim.msgs.get_mut(a_push(sim)).unwrap();
-            ctx.dst = (ctx.dst + 1) % 4;
-        }),
-        ("push from a round its server has not reached", |sim| {
-            let ctx = sim.msgs.get_mut(a_push(sim)).unwrap();
-            let MsgKind::Push { round, .. } = &mut ctx.kind else {
-                panic!("a_push names a push");
-            };
-            *round = u64::MAX;
-        }),
+        (
+            "push not addressed to its key's server",
+            degraded_racked,
+            |sim| {
+                let ctx = sim.msgs.get_mut(a_push(sim)).unwrap();
+                ctx.dst = (ctx.dst + 1) % 4;
+            },
+        ),
+        (
+            "push from a round its server has not reached",
+            degraded_racked,
+            |sim| {
+                let ctx = sim.msgs.get_mut(a_push(sim)).unwrap();
+                let MsgKind::Push { round, .. } = &mut ctx.kind else {
+                    panic!("a_push names a push");
+                };
+                *round = u64::MAX;
+            },
+        ),
         (
             "worker holds a version its server has not completed",
+            degraded_racked,
             |sim| {
                 let server = sim.plan.slice(Key(0)).server.0;
                 sim.workers[1].received_version[0] = sim.servers[server].version[0] + 1;
@@ -121,15 +134,26 @@ fn state_the_run_cannot_continue_from_is_refused() {
         ),
         (
             "worker notified of a version its server has not completed",
+            degraded_racked,
             |sim| {
                 let server = sim.plan.slice(Key(0)).server.0;
                 sim.workers[1].notified_version[0] = sim.servers[server].version[0] + 1;
             },
         ),
-        ("event count at the cap", |sim| sim.events = EVENT_CAP),
+        (
+            "worker holds a version its collective has not completed",
+            ring,
+            |sim| {
+                let done = sim.collective.as_ref().unwrap().completed_version[0];
+                sim.workers[1].received_version[0] = done + 1;
+            },
+        ),
+        ("event count at the cap", degraded_racked, |sim| {
+            sim.events = EVENT_CAP;
+        }),
     ];
-    for (what, corrupt) in cases {
-        let why = corrupted_refusal(degraded_racked, corrupt);
+    for (what, cfg, corrupt) in cases {
+        let why = corrupted_refusal(cfg, corrupt);
         assert_eq!(why.as_deref(), Some(what));
     }
 }

@@ -63,11 +63,13 @@ pub(crate) struct ActiveCollective {
 }
 
 /// All collective-backend state, hung off the sim as
-/// `Option<CollectiveState>` (`None` under the PS backend, so PS runs
-/// carry no dead weight). The backend's hooks temporarily take the state
-/// out of the sim while they run — it and the rest of the sim are mutated
-/// side by side, and its absence doubles as the "is a collective already
-/// being handled?" re-entrancy guard.
+/// `Option<Box<CollectiveState>>` (`None` under the PS backend, so PS runs
+/// carry no dead weight). The backend's hooks take the state out of the
+/// sim while they run, so that it and the rest of the sim are mutated side
+/// by side; the box makes that take and the put-back move one pointer.
+/// While the state is out, the engine queries the fabric's next event at
+/// each change instead of deferring the query to the instant's end
+/// ([`ClusterSim::defers_net_wake`]).
 #[derive(Debug)]
 pub(crate) struct CollectiveState {
     /// Requested algorithm (a launch may fall back to ring when the
@@ -198,12 +200,15 @@ pub(super) fn worker_rejoined(sim: &mut ClusterSim, worker: usize) {
 }
 
 /// The backend's state, taken out of `sim` while a handler runs; the
-/// handler puts it back.
+/// handler puts it back. Until it does, every fabric change the handler
+/// makes (a step's chunk sends, an abort's cancels) queries the fabric's
+/// next event at once, as under the PS backend
+/// ([`ClusterSim::defers_net_wake`]).
 #[expect(
     clippy::unreachable,
     reason = "the collective backend is installed only together with its state"
 )]
-fn take_state(sim: &mut ClusterSim) -> CollectiveState {
+fn take_state(sim: &mut ClusterSim) -> Box<CollectiveState> {
     let Some(st) = sim.collective.take() else {
         unreachable!("collective backend without collective state")
     };

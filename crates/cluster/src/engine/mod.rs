@@ -129,7 +129,8 @@ pub struct ClusterSim {
     rack_agg: BTreeMap<(usize, usize, u64), u128>,
     /// Collective-backend state (ring / halving–doubling schedules and the
     /// one-at-a-time active collective); `None` under the PS backend.
-    collective: Option<CollectiveState>,
+    /// Boxed, because each backend handler takes it out and puts it back.
+    collective: Option<Box<CollectiveState>>,
     /// Rolling FNV-1a hash folded over every processed `(time, event)`
     /// pair — the per-event digest that localizes a divergence between two
     /// runs to the exact event (see [`p3_trace::TraceEvent::StateHash`]).
@@ -217,11 +218,11 @@ impl ClusterSim {
                     ScheduleKind::HalvingDoubling
                 };
                 match CollectiveSchedule::new(kind, cfg.machines) {
-                    Ok(schedule) => Some(CollectiveState::new(
+                    Ok(schedule) => Some(Box::new(CollectiveState::new(
                         schedule,
                         cfg.model.blocks().len(),
                         num_keys,
-                    )),
+                    ))),
                     Err(why) => {
                         config_error.get_or_insert(why);
                         None

@@ -477,3 +477,23 @@ mod message_accounting_tests {
         assert!(m.pull_requests >= keys * w, "pulls {}", m.pull_requests);
     }
 }
+
+/// Per-event values stay the size they were measured at. The collective
+/// state leaves the engine and comes back on every chunk delivery: moved
+/// by value (176 bytes each way), the copies were 7.8% of a `ring-16`
+/// ledger run's CPU, and boxed each move is one pointer. A field added to
+/// any of these types shows up here as a test diff.
+#[test]
+fn per_event_values_keep_their_measured_sizes() {
+    use super::collective::CollectiveState;
+    use super::types::{Ev, MsgCtx};
+    use crate::egress::OutMsg;
+    use std::mem::size_of;
+    assert_eq!(
+        size_of::<Option<Box<CollectiveState>>>(),
+        size_of::<usize>()
+    );
+    assert_eq!(size_of::<Ev>(), 32);
+    assert_eq!(size_of::<MsgCtx>(), 96);
+    assert_eq!(size_of::<OutMsg>(), 32);
+}

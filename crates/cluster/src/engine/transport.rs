@@ -202,17 +202,35 @@ impl ClusterSim {
 
     /// Notes that the fabric changed, so its next event may have moved.
     ///
-    /// A collective backend defers the query: the run loop flushes it once
-    /// per simulated instant, so a burst of chunk sends pays for one
-    /// allocation. The PS backend queries at once. Deferring there is not
-    /// exact: two kicks at one instant can each schedule a wake, or an
-    /// early wake can be overtaken by a later start, and either moves the
-    /// event stream.
+    /// Where [`ClusterSim::defers_net_wake`] holds, the run loop flushes
+    /// the query once per simulated instant, so the changes made between
+    /// backend handlers (lane releases, admission kicks) pay for one
+    /// allocation. Elsewhere the query runs at once: under the PS backend,
+    /// and inside a collective handler, so a step's burst of chunk sends
+    /// from a handler pays one query per kick.
     pub(crate) fn schedule_net_wake(&mut self) {
         self.wake_pending = true;
-        if self.collective.is_none() {
+        if !self.defers_net_wake() {
             self.flush_net_wake();
         }
+    }
+
+    /// Whether a fabric change leaves its wake query to the instant's end.
+    /// True only under a collective backend with its state in place.
+    ///
+    /// The PS backend never defers. Deferring there is not exact: two
+    /// kicks at one instant can each schedule a wake, or an early wake can
+    /// be overtaken by a later start, and either moves the event stream.
+    ///
+    /// A collective handler takes the state out while it runs
+    /// (`collective::take_state`), so its sends query at once too: a step
+    /// launched from a chunk delivery, a barrier that fires when a worker's
+    /// gradients are ready, and a relaunch after a crash or a rejoin.
+    /// Deferring those as well moves the event stream of a collective on
+    /// an oversubscribed racked fabric (`results/pins.txt`'s
+    /// `hd-racked` rows).
+    pub(crate) fn defers_net_wake(&self) -> bool {
+        self.collective.is_some()
     }
 
     /// Schedules a `NetWake` at the fabric's next event unless an earlier

@@ -397,6 +397,25 @@ pub fn resumed_crashes() -> Vec<Row> {
     pins
 }
 
+/// Halving-doubling on 2 racks of 2 behind a 4:1 oversubscribed core,
+/// one measured iteration. A collective handler queries the fabric's next
+/// event at each change (`ClusterSim::defers_net_wake`). Deferring those
+/// queries to the instant's end moves this run's events, and no event
+/// count or hash of the flat-fabric runs pinned here.
+pub fn hd_racked() -> Vec<Row> {
+    let cfg = base(BackendKind::HalvingDoubling, 3)
+        .with_iters(0, 1)
+        .with_topology(Topology::new(2, 2, 4.0));
+    let r = ClusterSim::new(cfg).run();
+    rows(
+        "hd-racked",
+        [
+            ("event_hash", hex(r.event_hash)),
+            ("events", r.events.to_string()),
+        ],
+    )
+}
+
 /// The calendar's and the fabric's work counters of a ResNet-50 run at
 /// seed 42 and 10 Gbps, as `p3 simulate … --profile-out` reports them.
 const SMOKE_COUNTERS: [&str; 7] = [

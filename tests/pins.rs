@@ -13,8 +13,8 @@
 mod common;
 
 use common::pins::{
-    fig7_vgg19, hd_16, ps_16, racked_16, resumed_crashes, send_sites, snapshots, tiny_ps,
-    tiny_racked, tiny_ring_fault, Row, PINS,
+    fig7_vgg19, hd_16, hd_racked, ps_16, racked_16, resumed_crashes, send_sites, snapshots,
+    tiny_ps, tiny_racked, tiny_ring_fault, Row, PINS,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -39,6 +39,7 @@ fn measure() -> Vec<Row> {
         snapshots,
         resumed_crashes,
         hd_16,
+        hd_racked,
     ];
     if !cfg!(debug_assertions) {
         groups.extend([ps_16 as fn() -> Vec<Row>, racked_16]);
